@@ -9,7 +9,9 @@
 // through the partial-region pipeline (run_streamed_read_region). Every
 // cell also decodes the identical query through the serial reference
 // (read_region_reference) and requires bit parity ("bitpar" column;
-// nonzero exit on any mismatch).
+// nonzero exit on any mismatch). "rebuilt" counts the elements the
+// windowed zone decodes reconstructed: whole covering zones for codecs
+// that decode in full, each zone's lower cone of the box for SZ2.
 //
 // The dim-0 slab query is the worst case for fetch amplification: it
 // touches every element of the rows it covers, so amplification is purely
@@ -124,6 +126,7 @@ int main(int argc, char** argv) {
     double fetch_fraction = 0.0;  // of the whole container
     double amplification = 0.0;   // fetch fraction / queried row fraction
     int zones_decoded = 0;
+    std::size_t elements_reconstructed = 0;  // by the windowed zone decodes
     double stream_s = 0.0;  // streamed fetch->decode makespan
     double serial_s = 0.0;  // serial fetch-then-decode schedule
     double energy_j = 0.0;  // fetch + decode energy per query
@@ -156,6 +159,7 @@ int main(int argc, char** argv) {
         static_cast<double>(region.shape[0]) / static_cast<double>(d0);
     out.amplification = out.fetch_fraction / row_fraction;
     out.zones_decoded = rec.zones_decoded;
+    out.elements_reconstructed = rec.elements_reconstructed;
     out.stream_s = rec.streamed_total_s;
     out.serial_s = rec.serial_total_s;
     out.energy_j = rec.fetch_j + rec.decompress_j;
@@ -181,18 +185,19 @@ int main(int argc, char** argv) {
 
   // Fragment columns resting on host-measured pipeline timings, excluded
   // from --verify (shared by render and verify_view).
-  constexpr std::size_t kStreamCol = 4, kSerialCol = 5, kEnergyCol = 6;
+  constexpr std::size_t kStreamCol = 5, kSerialCol = 6, kEnergyCol = 7;
   auto render = [&](const Cell& cell, const CellOut& out) {
     outs[cell_key(cell)] = out;
-    std::vector<std::string> row(8);
+    std::vector<std::string> row(9);
     row[0] = fmt_double(static_cast<double>(out.bytes_fetched) / 1e6, 3);
     row[1] = fmt_double(out.fetch_fraction * 100.0, 1) + "%";
     row[2] = fmt_double(out.amplification, 2) + "x";
     row[3] = std::to_string(out.zones_decoded);
+    row[4] = std::to_string(out.elements_reconstructed);
     row[kStreamCol] = fmt_double(out.stream_s, 4);
     row[kSerialCol] = fmt_double(out.serial_s, 4);
     row[kEnergyCol] = fmt_double(out.energy_j, 3);
-    row[7] = out.bit_parity ? "ok" : "FAIL";
+    row[8] = out.bit_parity ? "ok" : "FAIL";
     return row;
   };
   auto verify_view = [](const Cell&, const std::vector<std::string>& row) {
@@ -212,8 +217,8 @@ int main(int argc, char** argv) {
         if (index == 0)
           table.emplace(std::vector<std::string>{
               "zones", "clients", "query", "fetch (MB)", "fetch frac",
-              "amp", "decoded", "strm (s)", "serial (s)", "energy (J)",
-              "bitpar"});
+              "amp", "decoded", "rebuilt", "strm (s)", "serial (s)",
+              "energy (J)", "bitpar"});
         else if (index % per_group == 0)
           table->add_rule();
         std::vector<std::string> row = {std::to_string(cell.zones),
@@ -239,6 +244,8 @@ int main(int argc, char** argv) {
     c.set("fetch_fraction", out.fetch_fraction);
     c.set("amplification", out.amplification);
     c.set("zones_decoded", static_cast<std::uint64_t>(out.zones_decoded));
+    c.set("elements_reconstructed",
+          static_cast<std::uint64_t>(out.elements_reconstructed));
     c.set("decode_stream_s", out.stream_s);
     c.set("decode_serial_s", out.serial_s);
     c.set("energy_j", out.energy_j);

@@ -65,6 +65,11 @@ class ByteReader {
     return s;
   }
 
+  void skip(std::size_t n) {
+    EBLCIO_CHECK_STREAM(n <= data_.size() - pos_, "unexpected end of stream");
+    pos_ += n;
+  }
+
   std::span<const std::byte> remaining() const { return data_.subspan(pos_); }
   std::size_t pos() const { return pos_; }
   bool at_end() const { return pos_ == data_.size(); }

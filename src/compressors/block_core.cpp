@@ -4,11 +4,13 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/error.h"
+#include "common/region.h"
 
 namespace eblcio {
 namespace {
@@ -680,39 +682,75 @@ BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
   return enc;
 }
 
+bool block_is_regression(std::span<const std::byte> mode_bits,
+                         std::size_t bi) {
+  return (static_cast<unsigned>(mode_bits[bi / 8]) >> (bi % 8)) & 1u;
+}
+
+// Everything block_decompress reads from the streams of a slab shaped `g`,
+// checked against what the streams hold: the mode bits, one code per
+// element, one exact value per code-0 element among those, and one
+// coefficient record per regression block. The full decode reads the
+// streams incrementally and throws at the first underrun, so this up-front
+// check throws exactly when it would.
+void check_stream_demand(const Geometry& g, bool reg_allowed,
+                         std::size_t value_size,
+                         std::span<const std::uint32_t> codes,
+                         std::span<const std::byte> mode_bits,
+                         std::size_t coeff_bytes, std::size_t unpred_bytes) {
+  const std::size_t nblocks = g.total_blocks();
+  EBLCIO_CHECK_STREAM(mode_bits.size() >= (nblocks + 7) / 8,
+                      "block: truncated block mode bits");
+  const std::size_t n = g.num_elements();
+  EBLCIO_CHECK_STREAM(codes.size() >= n, "block: code stream underrun");
+  const auto unpred_count = static_cast<std::size_t>(
+      std::count(codes.begin(), codes.begin() + n, 0u));
+  EBLCIO_CHECK_STREAM(unpred_count <= unpred_bytes / value_size,
+                      "block: unpredictable-value stream underrun");
+  if (!reg_allowed) return;
+  std::size_t reg_blocks = 0;
+  for (std::size_t bi = 0; bi < nblocks; ++bi)
+    reg_blocks += block_is_regression(mode_bits, bi);
+  EBLCIO_CHECK_STREAM(reg_blocks <= coeff_bytes / sizeof(RegressionCoeffs),
+                      "block: regression coefficient stream underrun");
+}
+
+// Reconstructs the blocks of a slab shaped `g` that lie inside `cone`, a
+// box [0, cone.dim) of whole blocks (clipped to the slab), into `out`, a
+// buffer shaped like the cone. With cone == g this is the full decode.
+//
+// Lorenzo predictions read only neighbours at lower or equal coordinates
+// on every axis and regression blocks read none, so the cone's values
+// depend on nothing outside it. Its blocks have the same origins and
+// extents in both geometries, and the stencils carry no upper-side
+// boundary term, so walking them over the cone-shaped buffer reproduces
+// every prediction bit for bit. Blocks outside the cone are skipped in
+// canonical order: their codes, their exact values (one per code 0) and
+// their coefficient record advance the stream positions without being
+// reconstructed. The walk ends at the cone's last block.
 template <typename T, typename Q, typename Cache>
-Field decompress_impl(const BlobHeader& header, const Q& quant,
-                      BlockPredictor pred,
-                      std::span<const std::uint32_t> codes,
-                      std::span<const std::byte> mode_bits,
-                      ByteReader& coeffs, ByteReader& unpred) {
-  const Geometry g = Geometry::from_dims(header.dims);
-  const bool reg_allowed = regression_allowed(pred, g.real_dims);
-
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  // recon holds values the decompressor materializes: every entry is the
-  // T-cast of a prediction+residual, hence exactly T-representable — storing
-  // T halves the buffer bandwidth with bit-identical reads.
-  using ReconT = T;
-  PooledScratch<ReconT> recon_scratch(g.num_elements());
-  ReconT* const recon = recon_scratch.data();
-
-  // All boundary stencils precomputed once; rows index by depth signature.
-  const Cache stencils(g);
-
+void reconstruct_blocks(const Geometry& g, const Geometry& cone,
+                        const Q& quant, bool reg_allowed,
+                        std::span<const std::uint32_t> codes,
+                        std::span<const std::byte> mode_bits,
+                        ByteReader& coeffs, ByteReader& unpred, T* out) {
   const auto blocks = enumerate_blocks(g);
   EBLCIO_CHECK_STREAM(mode_bits.size() >= (blocks.size() + 7) / 8,
                       "block: truncated block mode bits");
+  if (blocks.empty()) return;
+  // Linear index of the cone's last block in the slab's block grid.
+  std::size_t last = 0;
+  for (int d = 0; d < 4; ++d)
+    last = last * g.nblocks[d] + (cone.nblocks[d] - 1);
+
+  // All boundary stencils precomputed once; rows index by depth signature.
+  const Cache stencils(cone);
   std::size_t code_idx = 0;
+  std::size_t skipped_from = 0;  // first code of the pending skipped run
 
-  for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
+  for (std::size_t bi = 0; bi <= last; ++bi) {
     const BlockRef& blk = blocks[bi];
-    const bool reg =
-        reg_allowed &&
-        (static_cast<unsigned>(mode_bits[bi / 8]) >> (bi % 8)) & 1u;
-    RegressionCoeffs rc;
-    if (reg) rc = coeffs.read_pod<RegressionCoeffs>();
-
+    const bool reg = reg_allowed && block_is_regression(mode_bits, bi);
     // The whole block's codes must be present before any element is
     // consumed (stricter-earlier version of the per-element underrun
     // check; same exception on corrupt streams).
@@ -720,33 +758,106 @@ Field decompress_impl(const BlobHeader& header, const Q& quant,
     for (int d = 0; d < 4; ++d) block_elems *= blk.extent[d];
     EBLCIO_CHECK_STREAM(code_idx + block_elems <= codes.size(),
                         "block: code stream underrun");
+
+    bool inside = true;
+    for (int d = 0; d < 4; ++d) inside &= blk.origin[d] < cone.dim[d];
+    if (!inside) {
+      if (reg) coeffs.skip(sizeof(RegressionCoeffs));
+      code_idx += block_elems;
+      continue;
+    }
+    if (skipped_from < code_idx) {
+      const auto zeros = std::count(codes.begin() + skipped_from,
+                                    codes.begin() + code_idx, 0u);
+      unpred.skip(static_cast<std::size_t>(zeros) * sizeof(T));
+    }
+
+    RegressionCoeffs rc;
+    if (reg) rc = coeffs.read_pod<RegressionCoeffs>();
     walk_block_predictions(
-        g, blk, stencils, reg, rc, recon,
+        cone, blk, stencils, reg, rc, out,
         [&](std::size_t lin, double pred_v) {
           const std::uint32_t code = codes[code_idx++];
-          T out;
-          if (code == 0) {
-            out = unpred.read_pod<T>();
-          } else {
-            out = static_cast<T>(quant.recover(pred_v, code));
-          }
-          recon[lin] = out;
-          arr[lin] = out;
-          return static_cast<double>(out);
+          const T v = code == 0 ? unpred.read_pod<T>()
+                                : static_cast<T>(quant.recover(pred_v, code));
+          out[lin] = v;
+          return static_cast<double>(v);
         },
-        // Regression rows: stride-1 vectorized recovery into recon, then
-        // overwrite the code-0 slots from the exact-value stream in
-        // canonical order and mirror the row into the output array.
+        // Regression rows: stride-1 vectorized recovery, then overwrite
+        // the code-0 slots from the exact-value stream in canonical order.
         [&](std::size_t base, double row0, double s3, std::size_t n) {
           const std::uint32_t* cs = codes.data() + code_idx;
-          T* out = recon + base;
-          quant.template recover_row<T>(cs, n, row0, s3, out);
+          T* row = out + base;
+          quant.template recover_row<T>(cs, n, row0, s3, row);
           for (std::size_t k = 0; k < n; ++k)
-            if (cs[k] == 0) out[k] = unpred.read_pod<T>();
-          for (std::size_t k = 0; k < n; ++k) arr[base + k] = out[k];
+            if (cs[k] == 0) row[k] = unpred.read_pod<T>();
           code_idx += n;
         });
+    skipped_from = code_idx;
   }
+}
+
+template <typename T, typename Q, typename Cache>
+Field decompress_impl(const BlobHeader& header, const Q& quant,
+                      BlockPredictor pred,
+                      std::span<const std::uint32_t> codes,
+                      std::span<const std::byte> mode_bits,
+                      ByteReader& coeffs, ByteReader& unpred) {
+  const Geometry g = Geometry::from_dims(header.dims);
+  // Reconstruction writes straight into the output: every prediction reads
+  // only values already materialized there.
+  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
+  reconstruct_blocks<T, Q, Cache>(g, g, quant,
+                                  regression_allowed(pred, g.real_dims), codes,
+                                  mode_bits, coeffs, unpred, arr.data());
+  return Field(header.codec, std::move(arr));
+}
+
+// The windowed decode: checks every stream's demand up front (so it throws
+// exactly when the full decode would), reconstructs the box's lower cone
+// rounded up to whole blocks into a cone-shaped scratch buffer, and copies
+// the box out of it.
+template <typename T, typename Q, typename Cache>
+Field decompress_region_impl(const BlobHeader& header, const Q& quant,
+                             BlockPredictor pred,
+                             std::span<const std::uint32_t> codes,
+                             std::span<const std::byte> mode_bits,
+                             ByteReader& coeffs, ByteReader& unpred,
+                             const Region& box, std::size_t* reconstructed) {
+  const Geometry g = Geometry::from_dims(header.dims);
+  const bool reg_allowed = regression_allowed(pred, g.real_dims);
+  check_stream_demand(g, reg_allowed, sizeof(T), codes, mode_bits,
+                      coeffs.remaining().size(), unpred.remaining().size());
+
+  // The box padded to the uniform 4D view, and its block-rounded cone.
+  const int pad = 4 - g.real_dims;
+  std::array<std::size_t, 4> lo{}, len{1, 1, 1, 1};
+  std::vector<std::size_t> cone_dims(header.dims.size());
+  for (int i = 0; i < g.real_dims; ++i) {
+    const int d = pad + i;
+    lo[d] = box.start[i];
+    len[d] = box.shape[i];
+    const std::size_t hi = lo[d] + len[d];
+    cone_dims[i] = std::min((hi + g.block[d] - 1) / g.block[d] * g.block[d],
+                            g.dim[d]);
+  }
+  const Geometry cone = Geometry::from_dims(cone_dims);
+  PooledScratch<T> scratch(cone.num_elements());
+  reconstruct_blocks<T, Q, Cache>(g, cone, quant, reg_allowed, codes,
+                                  mode_bits, coeffs, unpred, scratch.data());
+  if (reconstructed) *reconstructed = cone.num_elements();
+
+  NdArray<T> arr(Shape{std::span<const std::size_t>(box.shape)});
+  T* dst = arr.data();
+  for (std::size_t c0 = 0; c0 < len[0]; ++c0)
+    for (std::size_t c1 = 0; c1 < len[1]; ++c1)
+      for (std::size_t c2 = 0; c2 < len[2]; ++c2) {
+        const T* src = scratch.data() + (lo[0] + c0) * cone.stride[0] +
+                       (lo[1] + c1) * cone.stride[1] +
+                       (lo[2] + c2) * cone.stride[2] + lo[3];
+        std::memcpy(dst, src, len[3] * sizeof(T));
+        dst += len[3];
+      }
   return Field(header.codec, std::move(arr));
 }
 
@@ -758,17 +869,23 @@ BlockEncoding compress_cache_dispatch(const NdArray<T>& arr, const Q& quant,
   return compress_impl<T, Q, StencilCache>(arr, quant, pred);
 }
 
-template <typename T, typename Q>
-Field decompress_cache_dispatch(const BlobHeader& header, const Q& quant,
-                                BlockPredictor pred,
-                                std::span<const std::uint32_t> codes,
-                                std::span<const std::byte> mode_bits,
-                                ByteReader& coeffs, ByteReader& unpred) {
-  if (pred == BlockPredictor::kLorenzo2)
-    return decompress_impl<T, Q, Stencil2Cache>(header, quant, pred, codes,
-                                                mode_bits, coeffs, unpred);
-  return decompress_impl<T, Q, StencilCache>(header, quant, pred, codes,
-                                             mode_bits, coeffs, unpred);
+// Runtime -> compile-time dispatch of a decode kernel: invokes
+// fn(quantizer, type_identity<T>, type_identity<Cache>) for the header's
+// value type and the predictor's stencil order.
+template <typename Fn>
+Field with_decode_kernel(const BlobHeader& header, BlockPredictor pred,
+                         QuantizerId quant, double quant_param, Fn&& fn) {
+  return with_quantizer(quant, header.abs_error_bound, quant_param,
+                        [&](const auto& q) {
+    const auto by_order = [&](auto value) {
+      if (pred == BlockPredictor::kLorenzo2)
+        return fn(q, value, std::type_identity<Stencil2Cache>{});
+      return fn(q, value, std::type_identity<StencilCache>{});
+    };
+    return header.dtype == DType::kFloat32
+               ? by_order(std::type_identity<float>{})
+               : by_order(std::type_identity<double>{});
+  });
 }
 
 }  // namespace
@@ -789,16 +906,42 @@ Field block_decompress(const BlobHeader& header, BlockPredictor pred,
                        std::span<const std::uint32_t> codes,
                        std::span<const std::byte> mode_bits,
                        ByteReader& coeffs, ByteReader& unpred) {
-  return with_quantizer(quant, header.abs_error_bound, quant_param,
-                        [&](auto q) {
-                          return header.dtype == DType::kFloat32
-                                     ? decompress_cache_dispatch<float>(
-                                           header, q, pred, codes, mode_bits,
-                                           coeffs, unpred)
-                                     : decompress_cache_dispatch<double>(
-                                           header, q, pred, codes, mode_bits,
-                                           coeffs, unpred);
-                        });
+  return with_decode_kernel(
+      header, pred, quant, quant_param,
+      [&](const auto& q, auto value, auto order) {
+        using T = typename decltype(value)::type;
+        using Cache = typename decltype(order)::type;
+        return decompress_impl<T, std::decay_t<decltype(q)>, Cache>(
+            header, q, pred, codes, mode_bits, coeffs, unpred);
+      });
+}
+
+Field block_decompress_region(const BlobHeader& header, BlockPredictor pred,
+                              QuantizerId quant, double quant_param,
+                              std::span<const std::uint32_t> codes,
+                              std::span<const std::byte> mode_bits,
+                              ByteReader& coeffs, ByteReader& unpred,
+                              const Region& box, std::size_t* reconstructed) {
+  validate_region(box, header.dims);
+  return with_decode_kernel(
+      header, pred, quant, quant_param,
+      [&](const auto& q, auto value, auto order) {
+        using T = typename decltype(value)::type;
+        using Cache = typename decltype(order)::type;
+        return decompress_region_impl<T, std::decay_t<decltype(q)>, Cache>(
+            header, q, pred, codes, mode_bits, coeffs, unpred, box,
+            reconstructed);
+      });
+}
+
+void block_check_streams(const BlobHeader& header, BlockPredictor pred,
+                         std::span<const std::uint32_t> codes,
+                         std::span<const std::byte> mode_bits,
+                         const ByteReader& coeffs, const ByteReader& unpred) {
+  const Geometry g = Geometry::from_dims(header.dims);
+  check_stream_demand(g, regression_allowed(pred, g.real_dims),
+                      dtype_size(header.dtype), codes, mode_bits,
+                      coeffs.remaining().size(), unpred.remaining().size());
 }
 
 }  // namespace eblcio

@@ -15,6 +15,7 @@
 #include "compressors/sz2.h"
 #include "compressors/sz3.h"
 #include "compressors/szx.h"
+#include "compressors/zone.h"
 #include "compressors/zfp.h"
 
 namespace eblcio {
@@ -41,6 +42,20 @@ bool Compressor::supports(const Field& field,
   return true;
 }
 
+Field Compressor::decompress_region(std::span<const std::byte> blob,
+                                    const Region& box, int threads,
+                                    std::size_t* reconstructed) {
+  validate_region(box, peek_header(blob).dims);
+  const Field full = decompress(blob, threads);
+  if (reconstructed) *reconstructed = full.num_elements();
+  const Shape shape{std::span<const std::size_t>(box.shape)};
+  Field out = full.dtype() == DType::kFloat32
+                  ? Field(full.name(), NdArray<float>(shape))
+                  : Field(full.name(), NdArray<double>(shape));
+  scatter_zone_into_region(full, 0, box, out);
+  return out;
+}
+
 void BlobHeader::encode(Bytes& out) const {
   append_pod<std::uint32_t>(out, kBlobMagic);
   append_string(out, codec);
@@ -57,13 +72,19 @@ BlobHeader BlobHeader::decode(ByteReader& r) {
                       "bad blob magic");
   BlobHeader h;
   h.codec = r.read_string();
-  h.dtype = static_cast<DType>(r.read_pod<std::uint8_t>());
+  const auto dtype = r.read_pod<std::uint8_t>();
+  EBLCIO_CHECK_STREAM(dtype <= static_cast<std::uint8_t>(DType::kFloat64),
+                      "bad blob dtype");
+  h.dtype = static_cast<DType>(dtype);
   const int nd = r.read_pod<std::uint8_t>();
   EBLCIO_CHECK_STREAM(nd >= 1 && nd <= kMaxDims, "bad blob dims");
   for (int i = 0; i < nd; ++i)
     h.dims.push_back(static_cast<std::size_t>(r.read_pod<std::uint64_t>()));
   h.abs_error_bound = r.read_pod<double>();
-  h.requested_mode = static_cast<BoundMode>(r.read_pod<std::uint8_t>());
+  const auto mode = r.read_pod<std::uint8_t>();
+  EBLCIO_CHECK_STREAM(mode <= static_cast<std::uint8_t>(BoundMode::kLossless),
+                      "bad blob bound mode");
+  h.requested_mode = static_cast<BoundMode>(mode);
   h.requested_bound = r.read_pod<double>();
   return h;
 }
@@ -142,6 +163,12 @@ Field decompress_any(std::span<const std::byte> blob, int threads) {
   ByteReader r(blob);
   const BlobHeader h = BlobHeader::decode(r);
   return compressor(h.codec).decompress(blob, threads);
+}
+
+Field decompress_region_any(std::span<const std::byte> blob, const Region& box,
+                            int threads, std::size_t* reconstructed) {
+  return compressor(peek_header(blob).codec)
+      .decompress_region(blob, box, threads, reconstructed);
 }
 
 BlobHeader peek_header(std::span<const std::byte> blob) {

@@ -13,6 +13,7 @@
 
 #include "common/bytes.h"
 #include "common/field.h"
+#include "common/region.h"
 
 namespace eblcio {
 
@@ -70,6 +71,17 @@ class Compressor {
   virtual Field decompress(std::span<const std::byte> blob,
                            int threads = 1) = 0;
 
+  // Reconstructs only `box` (in the blob's own coordinates): bit-identical
+  // to decompress() cropped to the box. Throws InvalidArgument when the box
+  // does not lie inside the blob's dims, and otherwise exactly when
+  // decompress() throws. The default is that full decode plus a crop;
+  // codecs whose predictions let a box be rebuilt from part of the stream
+  // override it. `reconstructed`, when non-null, receives the number of
+  // elements the call reconstructed.
+  virtual Field decompress_region(std::span<const std::byte> blob,
+                                  const Region& box, int threads,
+                                  std::size_t* reconstructed);
+
   // True if the codec can compress this field with these options.
   bool supports(const Field& field, const CompressOptions& opt) const;
 };
@@ -114,6 +126,15 @@ std::vector<std::string> all_compressor_names();
 
 // Decodes the header of any blob and dispatches to the producing codec.
 Field decompress_any(std::span<const std::byte> blob, int threads = 1);
+
+// Windowed decode: the values of the blob's field inside `box`, shaped
+// box.shape, bit-identical to decompress_any cropped to the box. Throws
+// InvalidArgument when the box does not lie inside the blob's dims, and
+// otherwise exactly when decompress_any throws. `reconstructed`, when
+// non-null, receives the number of elements the codec reconstructed.
+Field decompress_region_any(std::span<const std::byte> blob, const Region& box,
+                            int threads = 1,
+                            std::size_t* reconstructed = nullptr);
 
 // Reads just the header (for inspecting blobs without decompressing).
 BlobHeader peek_header(std::span<const std::byte> blob);

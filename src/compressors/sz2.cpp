@@ -4,6 +4,8 @@
 // (kLorenzoRegression, kLinearRecip) configuration of them — the same
 // kernels the composed codec framework drives with other component pairs.
 // The slab/stream framing below is frozen by the pinned reference blobs.
+// decompress_region rebuilds a query box from each touched slab's lower
+// cone only (block_decompress_region).
 #include "compressors/sz2.h"
 
 #include <algorithm>
@@ -81,52 +83,137 @@ Bytes Sz2Compressor::compress(const Field& field, const CompressOptions& opt) {
   return out;
 }
 
-Field Sz2Compressor::decompress(std::span<const std::byte> blob,
-                                int threads) {
-  ByteReader r(blob);
-  const BlobHeader header = BlobHeader::decode(r);
-  const auto nslabs = r.read_pod<std::uint32_t>();
-  EBLCIO_CHECK_STREAM(nslabs >= 1, "SZ2: bad slab count");
+namespace {
 
-  struct SlabMeta {
-    std::uint64_t ncodes;
+// A parsed SZ2 blob: the header, each slab's side streams, and the global
+// code stream (entropy-decoded in full: corruption anywhere in it must
+// throw, whatever part of the field a caller wants).
+struct Sz2Streams {
+  struct Slab {
+    BlobHeader header;  // dims[0] narrowed to the slab's rows
+    std::size_t row_start = 0;
+    std::span<const std::uint32_t> codes;
     std::span<const std::byte> mode_bits, coeffs, unpred;
   };
-  std::vector<SlabMeta> metas(nslabs);
-  for (auto& m : metas) {
-    m.ncodes = r.read_pod<std::uint64_t>();
-    m.mode_bits = read_sized(r);
-    m.coeffs = read_sized(r);
-    m.unpred = read_sized(r);
+  BlobHeader header;
+  std::vector<std::uint32_t> codes;
+  std::vector<Slab> slabs;
+
+  static Sz2Streams parse(std::span<const std::byte> blob) {
+    Sz2Streams s;
+    ByteReader r(blob);
+    s.header = BlobHeader::decode(r);
+    const auto nslabs = r.read_pod<std::uint32_t>();
+    EBLCIO_CHECK_STREAM(nslabs >= 1, "SZ2: bad slab count");
+    std::vector<std::uint64_t> ncodes(nslabs);
+    s.slabs.resize(nslabs);
+    for (std::uint32_t i = 0; i < nslabs; ++i) {
+      ncodes[i] = r.read_pod<std::uint64_t>();
+      s.slabs[i].mode_bits = read_sized(r);
+      s.slabs[i].coeffs = read_sized(r);
+      s.slabs[i].unpred = read_sized(r);
+    }
+    // Serial entropy decode of the global code stream.
+    s.codes = decode_code_stream(r);
+
+    std::size_t off = 0, row = 0;
+    for (std::uint32_t i = 0; i < nslabs; ++i) {
+      Slab& slab = s.slabs[i];
+      EBLCIO_CHECK_STREAM(ncodes[i] <= s.codes.size() - off,
+                          "SZ2: code stream size mismatch");
+      slab.codes = std::span<const std::uint32_t>(s.codes).subspan(
+          off, static_cast<std::size_t>(ncodes[i]));
+      off += slab.codes.size();
+      slab.header = s.header;
+      slab.header.codec = "SZ2";  // names every decoded slab and box part
+      slab.header.dims[0] =
+          slab_rows(s.header.dims[0], static_cast<int>(nslabs),
+                    static_cast<int>(i));
+      slab.row_start = row;
+      row += slab.header.dims[0];
+    }
+    EBLCIO_CHECK_STREAM(off == s.codes.size(),
+                        "SZ2: code stream size mismatch");
+    return s;
   }
-  // Serial entropy decode of the global code stream.
-  auto codes = decode_code_stream(r);
+};
+
+Field decode_slab(const Sz2Streams::Slab& slab) {
+  ByteReader coeffs(slab.coeffs);
+  ByteReader unpred(slab.unpred);
+  return block_decompress(slab.header, BlockPredictor::kLorenzoRegression,
+                          QuantizerId::kLinearRecip, 0.0, slab.codes,
+                          slab.mode_bits, coeffs, unpred);
+}
+
+}  // namespace
+
+Field Sz2Compressor::decompress(std::span<const std::byte> blob,
+                                int threads) {
+  const Sz2Streams s = Sz2Streams::parse(blob);
+  // One slab is the whole field: return it as decoded (already named
+  // "SZ2") instead of paying merge_slabs' full-field copy.
+  if (s.slabs.size() == 1) return decode_slab(s.slabs[0]);
 
   // Parallel per-slab reconstruction.
-  std::vector<Field> slab_fields(nslabs);
-  std::vector<std::size_t> code_offsets(nslabs, 0);
-  {
-    std::size_t off = 0;
-    for (std::uint32_t i = 0; i < nslabs; ++i) {
-      code_offsets[i] = off;
-      off += metas[i].ncodes;
-    }
-    EBLCIO_CHECK_STREAM(off == codes.size(), "SZ2: code stream size mismatch");
-  }
-  parallel_for(nslabs, std::max(threads, 1), [&](std::size_t i) {
-    BlobHeader slab_header = header;
-    slab_header.dims[0] =
-        slab_rows(header.dims[0], nslabs, static_cast<int>(i));
-    ByteReader coeffs(metas[i].coeffs);
-    ByteReader unpred(metas[i].unpred);
-    std::span<const std::uint32_t> slab_codes(
-        codes.data() + code_offsets[i], metas[i].ncodes);
-    slab_fields[i] = block_decompress(
-        slab_header, BlockPredictor::kLorenzoRegression,
-        QuantizerId::kLinearRecip, 0.0, slab_codes, metas[i].mode_bits,
-        coeffs, unpred);
+  std::vector<Field> slab_fields(s.slabs.size());
+  parallel_for(s.slabs.size(), std::max(threads, 1), [&](std::size_t i) {
+    slab_fields[i] = decode_slab(s.slabs[i]);
   });
-  return merge_slabs(slab_fields, header.dims, "SZ2");
+  return merge_slabs(slab_fields, s.header.dims, "SZ2");
+}
+
+Field Sz2Compressor::decompress_region(std::span<const std::byte> blob,
+                                       const Region& box, int threads,
+                                       std::size_t* reconstructed) {
+  const Sz2Streams s = Sz2Streams::parse(blob);
+  validate_region(box, s.header.dims);
+
+  // Slabs are independent fields stacked along dim 0: each one the box
+  // touches decodes its own part of the box (through its lower cone);
+  // the others only have their streams checked, so the windowed decode
+  // throws exactly when the full decode would.
+  const std::size_t box_lo = box.start[0];
+  const std::size_t box_hi = box_lo + box.shape[0];
+  std::vector<Field> parts(s.slabs.size());
+  std::vector<std::size_t> counts(s.slabs.size(), 0);
+  std::vector<bool> touched(s.slabs.size(), false);
+  for (std::size_t i = 0; i < s.slabs.size(); ++i) {
+    const Sz2Streams::Slab& slab = s.slabs[i];
+    touched[i] = std::max(box_lo, slab.row_start) <
+                 std::min(box_hi, slab.row_start + slab.header.dims[0]);
+  }
+  parallel_for(s.slabs.size(), std::max(threads, 1), [&](std::size_t i) {
+    const Sz2Streams::Slab& slab = s.slabs[i];
+    ByteReader coeffs(slab.coeffs);
+    ByteReader unpred(slab.unpred);
+    if (!touched[i]) {
+      block_check_streams(slab.header, BlockPredictor::kLorenzoRegression,
+                          slab.codes, slab.mode_bits, coeffs, unpred);
+      return;
+    }
+    const std::size_t lo = std::max(box_lo, slab.row_start);
+    const std::size_t hi =
+        std::min(box_hi, slab.row_start + slab.header.dims[0]);
+    Region local = box;
+    local.start[0] = lo - slab.row_start;
+    local.shape[0] = hi - lo;
+    parts[i] = block_decompress_region(
+        slab.header, BlockPredictor::kLorenzoRegression,
+        QuantizerId::kLinearRecip, 0.0, slab.codes, slab.mode_bits, coeffs,
+        unpred, local, &counts[i]);
+  });
+  if (reconstructed) {
+    *reconstructed = 0;
+    for (const std::size_t n : counts) *reconstructed += n;
+  }
+
+  // The touched slabs' parts are consecutive row runs of the box.
+  std::vector<Field> box_rows;
+  for (std::size_t i = 0; i < parts.size(); ++i)
+    if (touched[i]) box_rows.push_back(std::move(parts[i]));
+  if (box_rows.size() == 1) return std::move(box_rows[0]);
+  return merge_slabs(box_rows, box.shape, "SZ2");
 }
 
 }  // namespace eblcio

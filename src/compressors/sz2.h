@@ -31,6 +31,10 @@ class Sz2Compressor : public Compressor {
 
   Bytes compress(const Field& field, const CompressOptions& opt) override;
   Field decompress(std::span<const std::byte> blob, int threads) override;
+  // Reconstructs only the blocks in the box's lower cone of each slab the
+  // box touches (see compressors/README.md, "Windowed decode").
+  Field decompress_region(std::span<const std::byte> blob, const Region& box,
+                          int threads, std::size_t* reconstructed) override;
 };
 
 }  // namespace eblcio

@@ -70,22 +70,32 @@ void scatter_impl(const NdArray<T>& zone, std::size_t zone_row_start,
   }
 }
 
-// Decodes zone `i` of `zoned` and checks it really is that zone: a blob
+// Copies all of `part` into `out` starting at element `offset`.
+template <typename T>
+void copy_run(const Field& part, std::size_t offset, Field& out) {
+  const NdArray<T>& src = part.as<T>();
+  std::memcpy(out.as<T>().data() + offset, src.data(), src.size_bytes());
+}
+
+// Checks zone `i`'s blob header against the zone it claims to be: a blob
 // swapped in from elsewhere (or a forged extent) must fail cleanly here,
-// before any bytes land in a caller-visible Field.
-Field decode_zone(const ZonedField& zoned, std::size_t i) {
-  Field zone = decompress_any(zoned.blobs[i], 1);
-  EBLCIO_CHECK_STREAM(zone.dtype() == zoned.dtype,
+// before anything is decoded or lands in a caller-visible Field.
+void check_zone_header(const ZonedField& zoned, std::size_t i) {
+  const BlobHeader header = peek_header(zoned.blobs[i]);
+  EBLCIO_CHECK_STREAM(header.dtype == zoned.dtype,
                       "zone blob dtype mismatch");
-  const Shape& shape = zone.shape();
   EBLCIO_CHECK_STREAM(
-      shape.ndims() == static_cast<int>(zoned.dims.size()) &&
-          shape.dim(0) == static_cast<std::size_t>(zoned.extents[i].rows),
+      header.dims.size() == zoned.dims.size() &&
+          header.dims[0] == static_cast<std::size_t>(zoned.extents[i].rows),
       "zone blob shape does not match its extent");
-  for (int d = 1; d < shape.ndims(); ++d)
-    EBLCIO_CHECK_STREAM(shape.dim(d) == zoned.dims[d],
+  for (std::size_t d = 1; d < header.dims.size(); ++d)
+    EBLCIO_CHECK_STREAM(header.dims[d] == zoned.dims[d],
                         "zone blob shape does not match the field");
-  return zone;
+}
+
+Field decode_zone(const ZonedField& zoned, std::size_t i) {
+  check_zone_header(zoned, i);
+  return decompress_any(zoned.blobs[i], 1);
 }
 
 }  // namespace
@@ -119,6 +129,35 @@ void scatter_zone_into_region(const Field& zone, std::size_t zone_row_start,
   else
     scatter_impl<double>(zone.as<double>(), zone_row_start, region,
                          out.as<double>());
+}
+
+Region zone_part_of_region(const Region& region, const ZoneExtent& zone) {
+  const auto zone_start = static_cast<std::size_t>(zone.row_start);
+  const std::size_t lo = std::max(region.start[0], zone_start);
+  const std::size_t hi =
+      std::min(region.start[0] + region.shape[0],
+               zone_start + static_cast<std::size_t>(zone.rows));
+  EBLCIO_CHECK_ARG(lo < hi, "zone holds none of the region's rows");
+  Region part = region;
+  part.start[0] = lo - zone_start;
+  part.shape[0] = hi - lo;
+  return part;
+}
+
+void copy_zone_part_into_region(const Field& part, const ZoneExtent& zone,
+                                const Region& region, Field& out) {
+  const Region want = zone_part_of_region(region, zone);
+  EBLCIO_CHECK_STREAM(part.dtype() == out.dtype() &&
+                          part.shape().dims_vector() == want.shape,
+                      "decoded zone part does not match its box");
+  const std::size_t offset =
+      (static_cast<std::size_t>(zone.row_start) + want.start[0] -
+       region.start[0]) *
+      (out.num_elements() / region.shape[0]);
+  if (out.dtype() == DType::kFloat32)
+    copy_run<float>(part, offset, out);
+  else
+    copy_run<double>(part, offset, out);
 }
 
 ZoneCompressor::ZoneCompressor(std::string codec, int zones)
@@ -206,16 +245,17 @@ Field ZoneCompressor::decompress_region(const ZonedField& zoned,
   auto report = sweep_grid(
       covering,
       [&](const std::size_t& zone, SweepCellContext&) {
-        return decode_zone(zoned, zone);
+        check_zone_header(zoned, zone);
+        return decompress_region_any(
+            zoned.blobs[zone], zone_part_of_region(region, zoned.extents[zone]),
+            1);
       },
       sweep);
   report.rethrow_first_error();
 
   for (auto& cell : report.cells)
-    scatter_zone_into_region(
-        *cell.result,
-        static_cast<std::size_t>(zoned.extents[cell.cell].row_start), region,
-        out);
+    copy_zone_part_into_region(*cell.result, zoned.extents[cell.cell], region,
+                               out);
   return out;
 }
 

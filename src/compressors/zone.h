@@ -56,6 +56,18 @@ struct ZonedField {
 void scatter_zone_into_region(const Field& zone, std::size_t zone_row_start,
                               const Region& region, Field& out);
 
+// The rows of `region` that fall in `zone`, as a box in the zone's own
+// coordinates (dims 1..n are the region's). Throws InvalidArgument when
+// the zone holds none of the region's rows.
+Region zone_part_of_region(const Region& region, const ZoneExtent& zone);
+
+// Copies `part` — the zone_part_of_region box of `zone`, decoded — into
+// `out` (shaped region.shape). Dims 1..n already match the region, so the
+// part is one contiguous run of `out`. Throws CorruptStream when the part's
+// dtype or shape is not the one asked for.
+void copy_zone_part_into_region(const Field& part, const ZoneExtent& zone,
+                                const Region& region, Field& out);
+
 class ZoneCompressor {
  public:
   // `zones` is the requested shard count (clamped to the field's leading
@@ -77,8 +89,10 @@ class ZoneCompressor {
   // into the full field. Bit-identical between parallel and serial.
   static Field decompress_all(const ZonedField& zoned, bool parallel = true);
 
-  // Decodes only the zones covering `region` and assembles the region
-  // field. Throws InvalidArgument when the region falls outside the field.
+  // Decodes only the zones covering `region`, each through the windowed
+  // decode of its part of the box (decompress_region_any), and assembles
+  // the region field. Throws InvalidArgument when the region falls outside
+  // the field.
   static Field decompress_region(const ZonedField& zoned, const Region& region,
                                  bool parallel = true);
 

@@ -148,19 +148,20 @@ void fill_telemetry(TransportTelemetry& t, const TransportConfig& config,
   t.peak_inflight = peak_inflight;
 }
 
-// Checks a decoded zone field against the container's zone index entry
-// before any of its bytes are assembled: dims must match the dataset with
-// the extent's row count, so a swapped or forged blob fails cleanly.
-void check_zone_field(const Field& zone, const ChunkIndex& index,
-                      std::size_t zi, const std::string& path) {
+// Checks a zone blob's dims (from its header, or its decoded field) against
+// the container's zone index entry before any of its bytes are assembled:
+// dims must match the dataset with the extent's row count, so a swapped or
+// forged blob fails cleanly.
+void check_zone_dims(const std::vector<std::size_t>& zone_dims,
+                     const ChunkIndex& index, std::size_t zi,
+                     const std::string& path) {
   const auto& dims = index.meta.dims;
-  const Shape& s = zone.shape();
   EBLCIO_CHECK_STREAM(
-      s.ndims() == static_cast<int>(dims.size()) &&
-          s.dim(0) == static_cast<std::size_t>(index.zones[zi].rows),
+      zone_dims.size() == dims.size() &&
+          zone_dims[0] == static_cast<std::size_t>(index.zones[zi].rows),
       "zone blob does not match its index extent: " + path);
-  for (int d = 1; d < s.ndims(); ++d)
-    EBLCIO_CHECK_STREAM(s.dim(d) == dims[static_cast<std::size_t>(d)],
+  for (std::size_t d = 1; d < zone_dims.size(); ++d)
+    EBLCIO_CHECK_STREAM(zone_dims[d] == dims[d],
                         "zone blob does not match the dataset dims: " + path);
 }
 
@@ -622,24 +623,28 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
   double decompress_j = 0.0;
   TaskGroup producer;
 
-  // Consumer step shared by both paths: decodes one covering zone,
-  // validates it against the index, and scatters its intersection with the
-  // region into the output. Returns the dilated decode seconds. A corrupt
-  // zone throws here; no partial field escapes.
+  // Consumer step shared by both paths: validates one covering zone's blob
+  // header against the index, decodes only the zone's part of the region
+  // (the windowed decode), and copies it into the output. Returns the
+  // dilated decode seconds. A corrupt zone throws here; no partial field
+  // escapes.
   const auto consume_zone = [&](std::size_t i, const Bytes& blob) {
     const std::size_t zi = covering[i];
     WallTimer t;
-    Field zone = decompress_any(blob, 1);
-    check_zone_field(zone, index, zi, path);
+    const BlobHeader header = peek_header(blob);
+    check_zone_dims(header.dims, index, zi, path);
     if (!out_ready) {
-      out = make_region_field(index.meta.name, region, zone.dtype());
+      out = make_region_field(index.meta.name, region, header.dtype);
       out_ready = true;
     }
-    EBLCIO_CHECK_STREAM(zone.dtype() == out.dtype(),
+    EBLCIO_CHECK_STREAM(header.dtype == out.dtype(),
                         "zone blobs disagree on dtype: " + path);
-    scatter_zone_into_region(
-        zone, static_cast<std::size_t>(index.zones[zi].row_start), region,
-        out);
+    std::size_t reconstructed = 0;
+    const Field part = decompress_region_any(
+        blob, zone_part_of_region(region, index.zones[zi]), 1,
+        &reconstructed);
+    copy_zone_part_into_region(part, index.zones[zi], region, out);
+    rec.elements_reconstructed += reconstructed;
     const auto reading =
         monitor.record_compute("region-decompress", t.elapsed_s(), 1);
     rec.zone_decompress_s[i] = reading.seconds;
@@ -762,7 +767,7 @@ Field read_region_reference(PfsSimulator& pfs, const std::string& path,
   bool out_ready = false;
   for (auto& f : fetched) {
     Field zone = decompress_any(f.blob, 1);
-    check_zone_field(zone, index, f.zone, path);
+    check_zone_dims(zone.shape().dims_vector(), index, f.zone, path);
     if (!out_ready) {
       out = make_region_field(index.meta.name, region, zone.dtype());
       out_ready = true;

@@ -240,6 +240,10 @@ struct RegionReadRecord {
   std::size_t container_bytes = 0;  // whole container size on the PFS
   std::size_t bytes_fetched = 0;    // compressed bytes the query fetched
   std::size_t field_bytes = 0;      // reconstructed region size
+  // Elements the covering zones' windowed decodes reconstructed: the
+  // blocks in each zone's lower cone of the box for SZ2, whole zones for
+  // the codecs that decode in full and crop.
+  std::size_t elements_reconstructed = 0;
   // Modeled platform times, same recurrence as StreamReadRecord but over
   // the covering set only.
   double serial_total_s = 0.0;
@@ -266,9 +270,11 @@ struct RegionReadRecord {
 };
 
 // Reads `region` of a zoned container written by run_streamed_compress_write
-// through the streamed fetch→decode pipeline. Throws CorruptStream when the
-// container has no zone index or any covering zone is malformed (no partial
-// Field escapes), InvalidArgument when the region falls outside the dataset.
+// through the streamed fetch→decode pipeline; each covering zone decodes
+// only its part of the box (decompress_region_any). Throws CorruptStream
+// when the container has no zone index or any covering zone is malformed
+// (no partial Field escapes), InvalidArgument when the region falls outside
+// the dataset.
 RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
                                           const std::string& path,
                                           const Region& region,

@@ -149,6 +149,36 @@ TEST(CrossCodec, WrongCodecHeaderIsRejectedOrStructured) {
   EXPECT_TRUE(check_value_range_bound(f, ok, 1e-3));
 }
 
+TEST(BlobHeaderRobustness, OutOfRangeDtypeAndBoundModeBytesAreRejected) {
+  // Every codec's blob starts with the common header: magic, codec name,
+  // dtype byte, rank byte, dims, absolute bound, bound-mode byte, bound.
+  // Forged enum bytes must throw before any decoder trusts them.
+  const Field f = smooth_field_2d(24);
+  for (const std::string& name : all_compressor_names()) {
+    SCOPED_TRACE(name);
+    const Bytes blob = compressor(name).compress(f, options_for(name));
+    const std::size_t dtype_at = 4 + 4 + name.size();
+    const std::size_t mode_at =
+        dtype_at + 2 + 8 * f.shape().dims_vector().size() + 8;
+    ASSERT_EQ(static_cast<std::uint8_t>(blob[mode_at]),
+              static_cast<std::uint8_t>(options_for(name).mode));
+    for (const std::uint8_t bad : {2, 3, 0x80, 0xff}) {
+      Bytes forged = blob;
+      forged[dtype_at] = static_cast<std::byte>(bad);
+      EXPECT_THROW(peek_header(forged), CorruptStream);
+      EXPECT_THROW(decompress_any(forged), CorruptStream);
+      EXPECT_THROW(decompress_region_any(forged, {{0, 0}, {1, 1}}),
+                   CorruptStream);
+    }
+    for (const std::uint8_t bad : {3, 4, 0x80, 0xff}) {
+      Bytes forged = blob;
+      forged[mode_at] = static_cast<std::byte>(bad);
+      EXPECT_THROW(peek_header(forged), CorruptStream);
+      EXPECT_THROW(decompress_any(forged), CorruptStream);
+    }
+  }
+}
+
 TEST(CrossCodec, AllCodecsRoundTripAllDTypes) {
   CompressOptions lossy;
   lossy.error_bound = 1e-3;

@@ -13,6 +13,8 @@
 #include "common/error.h"
 #include "common/region.h"
 #include "common/rng.h"
+#include "compressors/backend.h"
+#include "compressors/block_core.h"
 #include "compressors/compressor.h"
 #include "compressors/zone.h"
 #include "core/pipeline.h"
@@ -225,6 +227,332 @@ TEST(ZoneCompressor, RejectsBadArguments) {
       InvalidArgument);
 }
 
+// --- windowed decode (decompress_region_any) --------------------------------
+
+// `f` with every value widened to double.
+Field widened(const Field& f) {
+  const NdArray<float>& src = f.as<float>();
+  NdArray<double> arr(src.shape());
+  for (std::size_t i = 0; i < src.num_elements(); ++i) arr[i] = src[i];
+  return Field(f.name() + "_f64", std::move(arr));
+}
+
+// The windowed decode must equal the full decode cropped to `box`, bit for
+// bit, and reconstruct no more than the full decode does.
+void expect_windowed_matches_full(std::span<const std::byte> blob,
+                                  const Region& box, int threads = 1) {
+  const Field full = decompress_any(blob, threads);
+  std::size_t reconstructed = 0;
+  const Field got = decompress_region_any(blob, box, threads, &reconstructed);
+  EXPECT_EQ(got.shape().dims_vector(), box.shape);
+  EXPECT_TRUE(bytes_equal(got, slice_region(full, box)));
+  EXPECT_GE(reconstructed, box.num_elements());
+  EXPECT_LE(reconstructed, full.num_elements());
+}
+
+bool throws(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error&) {
+    return true;
+  }
+  return false;
+}
+
+// On a possibly corrupt blob: the windowed decode throws exactly when the
+// full decode throws, and otherwise returns the full decode's crop.
+void expect_throw_parity(std::span<const std::byte> blob, const Region& box) {
+  Field full;
+  const bool full_threw = throws([&] { full = decompress_any(blob); });
+  Field got;
+  const bool windowed_threw =
+      throws([&] { got = decompress_region_any(blob, box); });
+  ASSERT_EQ(windowed_threw, full_threw);
+  if (!full_threw) EXPECT_TRUE(bytes_equal(got, slice_region(full, box)));
+}
+
+TEST(WindowedDecode, MatchesFullDecodeCropOnEveryEblcRankAndDtype) {
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  const Field f1 = noisy_field_1d(700);
+  const Field f2 = smooth_field_2d(40);
+  const Field f3 = smooth_field_3d(20);
+  Rng rng(404);
+  for (const Field& f : {f1, widened(f1), f2, widened(f2), f3, widened(f3),
+                         double_field_4d(8, 10)}) {
+    for (const std::string& codec : eblc_names()) {
+      Compressor& c = compressor(codec);
+      if (!c.supports(f, opt)) continue;
+      const Bytes blob = c.compress(f, opt);
+      for (int q = 0; q < 4; ++q) {
+        SCOPED_TRACE(codec + " " + f.name() + " query " + std::to_string(q));
+        expect_windowed_matches_full(
+            blob, random_region(rng, f.shape().dims_vector()));
+      }
+    }
+  }
+}
+
+TEST(WindowedDecode, Sz2ReconstructsOnlyTheLowerCone) {
+  const Field f = smooth_field_3d(24);  // 4^3 blocks of 6^3
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  const Bytes blob = compressor("SZ2").compress(f, opt);
+  std::size_t reconstructed = 0;
+  // [0, 7) on every axis rounds up to two blocks per axis: 12^3 elements.
+  (void)decompress_region_any(blob, {{3, 0, 6}, {4, 7, 1}}, 1, &reconstructed);
+  EXPECT_EQ(reconstructed, 12u * 12u * 12u);
+  // Other codecs decode in full and crop.
+  const Bytes sz3 = compressor("SZ3").compress(f, opt);
+  (void)decompress_region_any(sz3, {{3, 0, 6}, {4, 7, 1}}, 1, &reconstructed);
+  EXPECT_EQ(reconstructed, f.num_elements());
+}
+
+TEST(WindowedDecode, Sz2EdgeBoxes) {
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  // 20 = 3 whole blocks + a partial one per axis; 2D edges are 16.
+  for (const Field& f : {smooth_field_3d(20), widened(smooth_field_2d(40)),
+                         noisy_field_1d(600), double_field_4d(7, 8)}) {
+    const Bytes blob = compressor("SZ2").compress(f, opt);
+    const auto dims = f.shape().dims_vector();
+    const std::size_t nd = dims.size();
+    const std::vector<std::size_t> zeros(nd, 0), ones(nd, 1);
+    std::vector<std::size_t> last(nd), edge(nd), edge_len(nd);
+    for (std::size_t d = 0; d < nd; ++d) {
+      last[d] = dims[d] - 1;
+      const std::size_t block = nd == 1 ? 256 : nd == 2 ? 16 : 6;
+      edge[d] = std::min(block, dims[d] - 1);  // starts on a block edge
+      edge_len[d] = std::min(block, dims[d] - edge[d]);  // ends on the next
+    }
+    SCOPED_TRACE(f.name());
+    expect_windowed_matches_full(blob, {zeros, ones});  // the origin
+    std::size_t reconstructed = 0;
+    (void)decompress_region_any(blob, {last, ones}, 1, &reconstructed);
+    EXPECT_EQ(reconstructed, f.num_elements());  // the cone is everything
+    expect_windowed_matches_full(blob, {last, ones});
+    expect_windowed_matches_full(blob, {edge, edge_len});
+    expect_windowed_matches_full(blob, {zeros, dims});
+    Rng rng(9);
+    for (int q = 0; q < 6; ++q) {
+      std::vector<std::size_t> at(nd);
+      for (std::size_t d = 0; d < nd; ++d) at[d] = rng.next_below(dims[d]);
+      expect_windowed_matches_full(blob, {at, ones});  // single elements
+    }
+  }
+}
+
+TEST(WindowedDecode, MultiSlabSz2AppliesTheConePerSlab) {
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  opt.threads = 4;
+  Rng rng(57);
+  for (const Field& f : {smooth_field_3d(22), widened(smooth_field_2d(50))}) {
+    const Bytes blob = compressor("SZ2").compress(f, opt);
+    const auto dims = f.shape().dims_vector();
+    for (int q = 0; q < 8; ++q) {
+      const Region box = random_region(rng, dims);
+      SCOPED_TRACE(f.name() + " query " + std::to_string(q));
+      expect_windowed_matches_full(blob, box, 1);
+      expect_windowed_matches_full(blob, box, 4);
+    }
+    // One slab only, slab-straddling, and the whole field.
+    Region one = {std::vector<std::size_t>(dims.size(), 0), dims};
+    one.shape[0] = 2;
+    expect_windowed_matches_full(blob, one, 4);
+    Region straddle = one;
+    straddle.start[0] = dims[0] / 4 - 1;
+    straddle.shape[0] = dims[0] / 2;
+    expect_windowed_matches_full(blob, straddle, 4);
+    expect_windowed_matches_full(
+        blob, {std::vector<std::size_t>(dims.size(), 0), dims}, 4);
+  }
+}
+
+TEST(WindowedDecode, RejectsBoxesOutsideTheBlob) {
+  const Field f = smooth_field_3d(12);
+  CompressOptions opt;
+  for (const std::string& codec : {"SZ2", "SZ3"}) {
+    const Bytes blob = compressor(codec).compress(f, opt);
+    EXPECT_THROW(decompress_region_any(blob, {{0, 0}, {4, 4}}),
+                 InvalidArgument);
+    EXPECT_THROW(decompress_region_any(blob, {{0, 0, 10}, {1, 1, 3}}),
+                 InvalidArgument);
+    EXPECT_THROW(decompress_region_any(blob, {{0, 0, 0}, {0, 1, 1}}),
+                 InvalidArgument);
+  }
+}
+
+// --- windowed decode: throw parity with the full decode ---------------------
+
+class WindowedThrowParity : public ::testing::Test {
+ protected:
+  // Boxes whose cones stop well short of the end of the field, plus the
+  // far corner (whole-field cone).
+  const std::vector<Region> boxes_{
+      {{0, 0, 0}, {1, 1, 1}},
+      {{2, 3, 1}, {5, 4, 6}},
+      {{23, 23, 23}, {1, 1, 1}}};
+
+  static Field field() { return smooth_field_3d(24); }
+
+  // An absolute bound, so an outlier cannot widen it.
+  static CompressOptions absolute_options() {
+    CompressOptions opt;
+    opt.mode = BoundMode::kAbsolute;
+    opt.error_bound = 1e-3;
+    return opt;
+  }
+
+  // Byte offset of slab 0's code count in an SZ2 blob.
+  static std::size_t ncodes_offset(const Bytes& blob) {
+    Bytes header;
+    peek_header(blob).encode(header);
+    return header.size() + sizeof(std::uint32_t);
+  }
+
+  // A single-slab SZ2 blob framed by hand from block_compress's streams,
+  // after `edit` had its way with them.
+  static Bytes sz2_blob(const Field& f,
+                        const std::function<void(BlockEncoding&)>& edit) {
+    BlobHeader header =
+        peek_header(compressor("SZ2").compress(f, absolute_options()));
+    BlockEncoding enc =
+        block_compress(f, header.abs_error_bound,
+                       BlockPredictor::kLorenzoRegression,
+                       QuantizerId::kLinearRecip, 0.0);
+    edit(enc);
+    Bytes out;
+    header.encode(out);
+    append_pod<std::uint32_t>(out, 1);
+    append_pod<std::uint64_t>(out, enc.codes.size());
+    append_sized(out, enc.mode_bits);
+    append_sized(out, enc.coeffs);
+    append_sized(out, enc.unpred);
+    append_bytes(out, encode_code_stream(enc.codes, kQuantAlphabet));
+    return out;
+  }
+
+  void expect_parity_on_every_box(const Bytes& blob) {
+    for (const Region& box : boxes_) expect_throw_parity(blob, box);
+  }
+};
+
+TEST_F(WindowedThrowParity, HandFramedBlobMatchesTheCodec) {
+  EXPECT_EQ(sz2_blob(field(), [](BlockEncoding&) {}),
+            compressor("SZ2").compress(field(), absolute_options()));
+}
+
+TEST_F(WindowedThrowParity, Truncations) {
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  for (const int threads : {1, 4}) {
+    opt.threads = threads;
+    const Bytes blob = compressor("SZ2").compress(field(), opt);
+    Rng rng(17 + threads);
+    for (int trial = 0; trial < 30; ++trial) {
+      const Bytes cut(blob.begin(),
+                      blob.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.next_below(blob.size())));
+      SCOPED_TRACE("cut at " + std::to_string(cut.size()));
+      expect_parity_on_every_box(cut);
+    }
+  }
+}
+
+TEST_F(WindowedThrowParity, ForgedCodeCounts) {
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  for (const int threads : {1, 4}) {
+    opt.threads = threads;
+    const Bytes blob = compressor("SZ2").compress(field(), opt);
+    const std::size_t at = ncodes_offset(blob);
+    for (const std::int64_t delta : {-1, 1, -216, 216}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " delta " +
+                   std::to_string(delta));
+      Bytes forged = blob;
+      std::uint64_t n = 0;
+      std::memcpy(&n, forged.data() + at, 8);
+      n += static_cast<std::uint64_t>(delta);
+      std::memcpy(forged.data() + at, &n, 8);
+      expect_parity_on_every_box(forged);
+      if (threads == 1) continue;
+      // Move codes from slab 1 to slab 0: the total still matches, so
+      // only the slab the boxes never touch underruns.
+      ByteReader r(std::span<const std::byte>(forged).subspan(at + 8));
+      for (int stream = 0; stream < 3; ++stream) (void)read_sized(r);
+      const std::size_t slab1 = at + 8 + r.pos();
+      std::uint64_t n1 = 0;
+      std::memcpy(&n1, forged.data() + slab1, 8);
+      n1 -= static_cast<std::uint64_t>(delta);
+      std::memcpy(forged.data() + slab1, &n1, 8);
+      expect_parity_on_every_box(forged);
+    }
+  }
+}
+
+TEST_F(WindowedThrowParity, UnpredictableUnderrunAfterTheLastNeededBlock) {
+  // An outlier in the field's last element is an unpredictable value that
+  // only the last block consumes; dropping it from the stream leaves every
+  // box whose cone ends earlier able to decode — unless the demand is
+  // checked up front, as the full decode's incremental reads imply.
+  Field f = field();
+  NdArray<float>& arr = f.as<float>();
+  arr[arr.num_elements() - 1] = 1e6f;
+  const Bytes good = sz2_blob(f, [](BlockEncoding&) {});
+  expect_parity_on_every_box(good);
+  const Bytes bad = sz2_blob(f, [](BlockEncoding& enc) {
+    ASSERT_GE(enc.unpred.size(), sizeof(float));
+    enc.unpred.resize(enc.unpred.size() - sizeof(float));
+  });
+  EXPECT_THROW(decompress_any(bad), CorruptStream);
+  expect_parity_on_every_box(bad);
+}
+
+TEST_F(WindowedThrowParity, ForgedModeBitsAndCoefficients) {
+  // Turning on the regression bit of the last block asks for one
+  // coefficient record more than the stream holds.
+  const Bytes extra_reg = sz2_blob(field(), [](BlockEncoding& enc) {
+    for (std::size_t bit = enc.mode_bits.size() * 8; bit-- > 0;) {
+      const auto mask = static_cast<std::byte>(1u << (bit % 8));
+      if ((enc.mode_bits[bit / 8] & mask) == std::byte{0}) {
+        enc.mode_bits[bit / 8] |= mask;
+        return;
+      }
+    }
+  });
+  EXPECT_THROW(decompress_any(extra_reg), CorruptStream);
+  expect_parity_on_every_box(extra_reg);
+  const Bytes short_coeffs = sz2_blob(field(), [](BlockEncoding& enc) {
+    if (!enc.coeffs.empty()) enc.coeffs.pop_back();
+  });
+  expect_parity_on_every_box(short_coeffs);
+  const Bytes short_bits = sz2_blob(field(), [](BlockEncoding& enc) {
+    enc.mode_bits.pop_back();
+  });
+  EXPECT_THROW(decompress_any(short_bits), CorruptStream);
+  expect_parity_on_every_box(short_bits);
+}
+
+TEST_F(WindowedThrowParity, RandomByteFlips) {
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  for (const std::string& codec : {"SZ2", "SZ3"}) {
+    const Bytes blob = compressor(codec).compress(field(), opt);
+    Bytes header;
+    peek_header(blob).encode(header);
+    Rng rng(23);
+    for (int trial = 0; trial < 30; ++trial) {
+      Bytes flipped = blob;
+      const std::size_t at =
+          header.size() + rng.next_below(blob.size() - header.size());
+      flipped[at] ^= static_cast<std::byte>(1 + rng.next_below(255));
+      SCOPED_TRACE(codec + " flip at " + std::to_string(at));
+      expect_parity_on_every_box(flipped);
+    }
+  }
+}
+
 // --- zoned containers through every IoTool ----------------------------------
 
 class ZonedContainer : public ::testing::TestWithParam<std::string> {};
@@ -288,6 +616,42 @@ TEST_P(ZonedContainer, RandomQueryBoxesMatchSerialReference) {
                              region.shape[0])
                   .size());
   }
+}
+
+TEST_P(ZonedContainer, WindowedSz2QueriesMatchReferenceWithTransportOnAndOff) {
+  const Field f = smooth_field_3d(40);
+  PfsSimulator pfs;
+  PipelineConfig config;
+  config.codec = "SZ2";
+  config.error_bound = 1e-3;
+  config.io_library = GetParam();
+  StreamConfig stream;
+  stream.slabs = 5;  // 8-row zones
+  const auto wrec = run_streamed_compress_write(f, config, pfs, stream);
+
+  Rng rng(202);
+  for (int q = 0; q < 5; ++q) {
+    const Region region = random_region(rng, {40, 40, 40});
+    const Field ref = read_region_reference(pfs, wrec.path, region, GetParam());
+    for (const bool transport : {true, false}) {
+      stream.use_transport = transport;
+      const auto rec =
+          run_streamed_read_region(pfs, wrec.path, region, config, stream);
+      SCOPED_TRACE("query " + std::to_string(q) +
+                   (transport ? " transport" : " blocking"));
+      EXPECT_TRUE(bytes_equal(rec.field, ref));
+      // Each covering zone rebuilds at least its part of the box and at
+      // most the whole zone.
+      const std::size_t zone_elems = 8 * 40 * 40;
+      EXPECT_GE(rec.elements_reconstructed, region.num_elements());
+      EXPECT_LE(rec.elements_reconstructed,
+                static_cast<std::size_t>(rec.zones_decoded) * zone_elems);
+    }
+  }
+  // A box in the first block of a zone reconstructs one block row of it.
+  const auto corner = run_streamed_read_region(
+      pfs, wrec.path, {{8, 0, 0}, {1, 1, 1}}, config, stream);
+  EXPECT_EQ(corner.elements_reconstructed, 6u * 6u * 6u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllContainers, ZonedContainer,
