@@ -2,8 +2,9 @@
 // simulation (CESM-like) periodically dumps its state. The example lets the
 // compression advisor pick a codec under a PSNR floor, then checkpoints the
 // field through the chosen container's chunked-dataset API on the streamed
-// compress→write pipeline (slab i compresses while the container writes
-// slab i-1), restarts from it through the symmetric streamed fetch→
+// compress→write pipeline (slabs compress on parallel codec lanes while the
+// container writes them in order), restarts from it through the symmetric
+// streamed fetch→
 // decompress pipeline, verifies the bound, and reports the full time/energy
 // ledger against uncompressed checkpoints.
 //

@@ -42,7 +42,12 @@ Field merge_impl(const std::vector<Field>& slabs,
   NdArray<T> arr(Shape{std::span<const std::size_t>(dims)});
   std::size_t offset = 0;
   for (const Field& slab : slabs) {
+    // Slabs come from decoded streams: check each one before its copy.
+    EBLCIO_CHECK_STREAM(slab.dtype() == slabs[0].dtype(),
+                        "slabs disagree on dtype");
     const NdArray<T>& s = slab.as<T>();
+    EBLCIO_CHECK_STREAM(s.num_elements() <= arr.num_elements() - offset,
+                        "slab merge overruns the field");
     std::memcpy(arr.data() + offset, s.data(), s.num_elements() * sizeof(T));
     offset += s.num_elements();
   }

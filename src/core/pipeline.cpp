@@ -1,6 +1,10 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cstring>
+#include <mutex>
+#include <numeric>
+#include <type_traits>
 
 #include "common/buffer_pool.h"
 #include "common/timer.h"
@@ -8,7 +12,7 @@
 #include "compressors/compressor.h"
 #include "compressors/zone.h"
 #include "io/io_tool.h"
-#include "parallel/executor.h"
+#include "parallel/lanes.h"
 
 namespace eblcio {
 
@@ -100,19 +104,6 @@ WriteRecord run_compress_write(const Field& field,
 
 namespace {
 
-struct ProducedSlab {
-  std::size_t index = 0;
-  Bytes blob;
-};
-
-// Closes the channel on every exit path so neither stage can wedge the
-// other when one of them throws (a blocked push/pop returns once closed).
-template <typename T>
-struct ChannelCloser {
-  BoundedChannel<T>* channel;
-  ~ChannelCloser() { channel->close(); }
-};
-
 // The live client count the streamed pipelines feed the PFS contention
 // model for *blocking* transfers: every registered writer and reader fleet
 // across overlapping worlds, plus this client itself. Streams register
@@ -128,12 +119,6 @@ int self_inclusive_clients(const PfsSimulator& pfs) {
                   pfs.concurrent_writers() + pfs.concurrent_readers() + 1);
 }
 
-// One handle of a transported prefetch: slab ordinal + transport message.
-struct PrefetchedSlab {
-  std::size_t index = 0;
-  std::size_t handle = 0;
-};
-
 void fill_telemetry(TransportTelemetry& t, const TransportConfig& config,
                     std::size_t sectors, std::size_t credit_stalls,
                     double credit_stall_s, double mean_inflight,
@@ -148,21 +133,232 @@ void fill_telemetry(TransportTelemetry& t, const TransportConfig& config,
   t.peak_inflight = peak_inflight;
 }
 
-// Checks a zone blob's dims (from its header, or its decoded field) against
-// the container's zone index entry before any of its bytes are assembled:
-// dims must match the dataset with the extent's row count, so a swapped or
-// forged blob fails cleanly.
-void check_zone_dims(const std::vector<std::size_t>& zone_dims,
-                     const ChunkIndex& index, std::size_t zi,
-                     const std::string& path) {
+// Returns pooled blobs a failed pipeline never consumed.
+void release_pending(std::vector<Bytes>& blobs) {
+  for (Bytes& b : blobs)
+    if (!b.empty()) BufferPool::global().release(std::move(b));
+}
+
+// Rows [zone.row_start, + zone.rows) of `field` as a field of their own:
+// the slab split_slabs would cut there, extracted by the lane that codes
+// it.
+Field extract_slab(const Field& field, const ZoneExtent& zone) {
+  return field.visit([&](const auto& arr) {
+    using T = std::remove_cvref_t<decltype(*arr.data())>;
+    std::vector<std::size_t> dims = arr.shape().dims_vector();
+    const std::size_t row = arr.num_elements() / dims[0];
+    dims[0] = static_cast<std::size_t>(zone.rows);
+    NdArray<T> slab(Shape{std::span<const std::size_t>(dims)});
+    std::memcpy(slab.data(),
+                arr.data() + static_cast<std::size_t>(zone.row_start) * row,
+                slab.size_bytes());
+    return Field(field.name(), std::move(slab));
+  });
+}
+
+// Checks chunk `i`'s blob header against the container index before any
+// of its bytes are placed. Zoned containers: the dims must match the
+// dataset with the zone's row count, so a swapped or forged blob fails
+// cleanly. Version-1 containers carry no row extents, so only dims 1..n
+// are checked here; their row sum is checked once every header is known
+// (check_chunk_rows).
+void check_chunk_dims(const std::vector<std::size_t>& chunk_dims,
+                      const ChunkIndex& index, std::size_t i,
+                      const std::string& path) {
   const auto& dims = index.meta.dims;
   EBLCIO_CHECK_STREAM(
-      zone_dims.size() == dims.size() &&
-          zone_dims[0] == static_cast<std::size_t>(index.zones[zi].rows),
-      "zone blob does not match its index extent: " + path);
-  for (std::size_t d = 1; d < zone_dims.size(); ++d)
-    EBLCIO_CHECK_STREAM(zone_dims[d] == dims[d],
-                        "zone blob does not match the dataset dims: " + path);
+      chunk_dims.size() == dims.size() &&
+          (!index.zoned() ||
+           chunk_dims[0] == static_cast<std::size_t>(index.zones[i].rows)),
+      "chunk blob does not match its index extent: " + path);
+  for (std::size_t d = 1; d < chunk_dims.size(); ++d)
+    EBLCIO_CHECK_STREAM(chunk_dims[d] == dims[d],
+                        "chunk blob does not match the dataset dims: " + path);
+}
+
+// The running row sum of a version-1 container's chunks must tile the
+// dataset's leading dimension exactly.
+void check_chunk_rows(const std::vector<std::size_t>& rows,
+                      const ChunkIndex& index, const std::string& path) {
+  std::size_t total = 0;
+  for (const std::size_t r : rows) {
+    EBLCIO_CHECK_STREAM(r <= index.meta.dims[0] - total,
+                        "chunk rows overrun the dataset: " + path);
+    total += r;
+  }
+  EBLCIO_CHECK_STREAM(total == index.meta.dims[0],
+                      "chunk rows do not cover the dataset: " + path);
+}
+
+// A zero-filled field of `dtype` shaped `shape`.
+Field zero_field(const std::string& name, const std::vector<std::size_t>& shape,
+                 DType dtype) {
+  const Shape s{std::span<const std::size_t>(shape)};
+  return dtype == DType::kFloat32 ? Field(name, NdArray<float>(s))
+                                  : Field(name, NdArray<double>(s));
+}
+
+// The field a laned read assembles into. Allocated by the first lane that
+// places a chunk, from that chunk's dtype (the container's dtype_code tags
+// opaque compressed chunks, not the payload dtype); every later chunk must
+// agree. Lanes then copy into disjoint rows of it concurrently.
+class LaneOutput {
+ public:
+  LaneOutput(std::string name, std::vector<std::size_t> shape,
+             std::string path)
+      : name_(std::move(name)), shape_(std::move(shape)),
+        path_(std::move(path)) {}
+
+  Field& claim(DType dtype) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!ready_) {
+      field_ = zero_field(name_, shape_, dtype);
+      ready_ = true;
+    }
+    EBLCIO_CHECK_STREAM(dtype == field_.dtype(),
+                        "chunk blobs disagree on dtype: " + path_);
+    return field_;
+  }
+
+  Field take() { return std::move(field_); }
+
+ private:
+  std::mutex mu_;
+  std::string name_;
+  std::vector<std::size_t> shape_;
+  std::string path_;
+  Field field_;
+  bool ready_ = false;
+};
+
+// What one laned fetch→decode pass over a container's chunks measured.
+struct LanedRead {
+  int lanes = 1;
+  std::vector<double> fetch_s;
+  std::vector<double> decompress_s;
+  double fetch_j = 0.0;
+  double decompress_j = 0.0;
+  std::size_t bytes_fetched = 0;
+  double host_wall_s = 0.0;
+  double serial_total_s = 0.0;
+  double streamed_total_s = 0.0;
+  TransportTelemetry transport;
+};
+
+// Fetches chunks ids[0..n) of `reader` in order on the calling thread and
+// decodes them on codec lanes. decode(k, blob) runs on a lane under a core
+// budget slot and is timed; place(k, part) then puts its result in the
+// output. Monitor phases are named "<label>-fetch", "<label>-decompress",
+// etc. A failing fetch, decode, or placement propagates once every lane
+// settled, with every pooled blob returned.
+LanedRead read_on_lanes(
+    IoTool::ChunkReader& reader, PfsSimulator& pfs,
+    const std::vector<std::size_t>& ids, const StreamConfig& stream,
+    PowercapMonitor& monitor, const std::string& label,
+    const std::function<Field(std::size_t, const Bytes&)>& decode,
+    const std::function<void(std::size_t, Field&&)>& place) {
+  const std::size_t n = ids.size();
+  LanedRead r;
+  r.lanes = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(codec_lanes(1)), n));
+  r.fetch_s.assign(n, 0.0);
+  r.decompress_s.assign(n, 0.0);
+
+  // Open: the footer index and metadata arrived through ranged reads
+  // before the pipeline starts (open paid once).
+  const auto open_prep = monitor.record_compute(
+      label + "-read-prep", reader.open_cost().prep_seconds, 1);
+  const auto open_io = monitor.record_io(label + "-read-open",
+                                         reader.open_cost().transfer_seconds);
+  const double open_s = open_prep.seconds + open_io.seconds;
+  r.fetch_j = open_prep.joules + open_io.joules;
+
+  std::vector<Bytes> blobs(n);
+  std::vector<std::size_t> handles(n, 0), bytes(n, 0);
+  std::vector<double> fetch_j(n, 0.0), prep_s(n, 0.0);
+  std::vector<LaneSpan> spans(n);
+  // One chunk's fetch: prep is container work (compute at one core),
+  // transfer is PFS time.
+  const auto charge_fetch = [&](std::size_t k, const IoCost& cost) {
+    const auto prep =
+        monitor.record_compute(label + "-fetch-prep", cost.prep_seconds, 1);
+    const auto io = monitor.record_io(label + "-fetch", cost.transfer_seconds);
+    prep_s[k] = prep.seconds;
+    r.fetch_s[k] = prep.seconds + io.seconds;
+    fetch_j[k] = prep.joules + io.joules;
+  };
+
+  WallTimer wall;
+  LaneStages stages;
+  stages.source = [&](std::size_t k) {
+    if (stream.use_transport) {
+      // Stage the chunk's sector fetches (blocking only on credits); its
+      // lane awaits the assembled bytes.
+      handles[k] = reader.prefetch_chunk(ids[k]);
+      return;
+    }
+    IoCost cost;
+    blobs[k] = reader.read_chunk(ids[k], &cost, self_inclusive_clients(pfs));
+    charge_fetch(k, cost);
+  };
+  stages.lane = [&](std::size_t k) {
+    if (stream.use_transport) {
+      IoCost cost;
+      blobs[k] = reader.await_chunk(handles[k], ids[k], &cost);
+      charge_fetch(k, cost);
+    }
+    Field part;
+    {
+      CoreBudget::Slot slot;
+      spans[k].start_s = wall.elapsed_s();
+      part = decode(k, blobs[k]);
+      spans[k].end_s = wall.elapsed_s();
+    }
+    // The chunk is decoded; its buffer feeds the next fetch.
+    bytes[k] = blobs[k].size();
+    BufferPool::global().release(std::move(blobs[k]));
+    blobs[k] = Bytes();
+    place(k, std::move(part));
+  };
+  try {
+    run_ordered_lanes(n, r.lanes, static_cast<std::size_t>(stream.queue_depth),
+                      stages);
+  } catch (...) {
+    release_pending(blobs);
+    throw;
+  }
+  r.host_wall_s = wall.elapsed_s();
+
+  const auto readings = monitor.record_lanes(label + "-decompress", spans, 1);
+  std::vector<double> consume_s(n, 0.0);
+  double serial_fetch = 0.0, serial_decompress = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    r.decompress_s[k] = readings[k].seconds;
+    r.decompress_j += readings[k].joules;
+    r.fetch_j += fetch_j[k];
+    r.bytes_fetched += bytes[k];
+    consume_s[k] = prep_s[k] + readings[k].seconds;
+    serial_fetch += r.fetch_s[k];
+    serial_decompress += r.decompress_s[k];
+  }
+  // Serial reference: open, fetch everything, then decode everything.
+  r.serial_total_s = open_s + serial_fetch + serial_decompress;
+
+  const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
+  if (stream.use_transport) {
+    SectorReader& transport = *reader.transport();
+    const ReadTimeline timeline =
+        solve_read_timeline(stream.transport, transport.records(), consume_s,
+                            depth, open_s, r.lanes);
+    r.streamed_total_s = timeline.makespan_s;
+    fill_telemetry(r.transport, stream.transport, transport.records().size(),
+                   transport.stats().credit_stalls, timeline.credit_stall_s,
+                   timeline.mean_inflight, timeline.peak_inflight);
+  } else {
+    r.streamed_total_s = solve_blocking_read(r.fetch_s, r.decompress_s, depth,
+                                             open_s, r.lanes);
+  }
+  return r;
 }
 
 }  // namespace
@@ -177,11 +373,13 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   const CpuModel& cpu = cpu_model(config.cpu);
   IoTool& tool = io_tool(config.io_library);
 
-  const auto slabs = split_slabs(field, stream.slabs);
-  const std::size_t nslabs = slabs.size();
-  // Slabs are zones: the same slab_rows distribution, so the footer zone
-  // index places each chunk's row interval for later partial-region reads.
+  // Slabs are zones: the chunking layer's slab_rows distribution, so the
+  // footer zone index places each chunk's row interval for later
+  // partial-region reads.
   const auto zones = zone_extents(field.shape().dim(0), stream.slabs);
+  const std::size_t nslabs = zones.size();
+  const int lanes = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(codec_lanes(config.threads)), nslabs));
 
   CompressOptions opt;
   opt.mode = BoundMode::kValueRangeRel;
@@ -200,37 +398,12 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   rec.path = "/pfs/" + field.name() + ".eblc.stream." + tool.name();
   rec.slabs = static_cast<int>(nslabs);
   rec.queue_depth = stream.queue_depth;
+  rec.lanes = lanes;
   rec.original_bytes = field.size_bytes();
-  rec.slab_compress_s.resize(nslabs);
   rec.slab_write_s.resize(nslabs);
 
-  PowercapMonitor monitor(cpu);  // thread-safe: both stages record into it
-  BoundedChannel<ProducedSlab> channel(
-      static_cast<std::size_t>(stream.queue_depth));
-
+  PowercapMonitor monitor(cpu);  // thread-safe: lanes and writer record
   WallTimer wall;
-
-  // Producer: compresses slabs in order as one executor task (each slab may
-  // itself fan out onto the pool via opt.threads); blocks on the channel
-  // when queue_depth blobs await the writer.
-  TaskGroup producer;
-  double compress_j = 0.0;
-  producer.run([&] {
-    // The channel must close even when a slab fails to compress, or the
-    // consumer would block in pop() forever and the exception (captured
-    // by the group) would never surface through producer.wait().
-    ChannelCloser<ProducedSlab> closer{&channel};
-    for (std::size_t i = 0; i < nslabs; ++i) {
-      WallTimer t;
-      Bytes blob = comp.compress(slabs[i], slab_opt);
-      const auto reading = monitor.record_compute("stream-compress",
-                                                  t.elapsed_s(),
-                                                  config.threads);
-      rec.slab_compress_s[i] = reading.seconds;
-      compress_j += reading.joules;
-      channel.push({i, std::move(blob)});
-    }
-  });
 
   // Records one chunk-write IoCost: prep is container serialization work
   // (compute at one core), transfer is PFS time.
@@ -242,10 +415,6 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
                                      prep.joules + io.joules);
   };
 
-  // Consumer (this thread): streams chunks into the IoTool container, one
-  // append_chunk per slab, while the producer compresses ahead. If it
-  // throws, the closer unblocks the producer so the TaskGroup can unwind.
-  ChannelCloser<ProducedSlab> closer{&channel};
   ChunkedDatasetMeta meta;
   meta.name = field.name();
   meta.dtype_code = 2;  // opaque compressed chunks
@@ -261,28 +430,49 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   // transport timeline solver and the blocking-path reconstruction.
   std::vector<double> stage_prep_s(nslabs, 0.0);
   std::vector<std::size_t> chunk_bytes(nslabs, 0);
-  while (auto produced = channel.pop()) {
-    chunk_bytes[produced->index] = produced->blob.size();
-    const IoCost w = out.append_zone(produced->blob, zones[produced->index],
-                                     self_inclusive_clients(pfs));
+  std::vector<Bytes> blobs(nslabs);
+  std::vector<LaneSpan> spans(nslabs);
+
+  // Lanes extract and compress slabs; this thread appends them to the
+  // container strictly in slab order.
+  LaneStages stages;
+  stages.lane = [&](std::size_t i) {
+    const Field slab = extract_slab(field, zones[i]);
+    CoreBudget::Slot slot;
+    spans[i].start_s = wall.elapsed_s();
+    blobs[i] = comp.compress(slab, slab_opt);
+    spans[i].end_s = wall.elapsed_s();
+  };
+  stages.sink = [&](std::size_t i) {
+    chunk_bytes[i] = blobs[i].size();
+    const IoCost w =
+        out.append_zone(blobs[i], zones[i], self_inclusive_clients(pfs));
     if (stream.use_transport) {
       // Transport mode: the append only *staged* sectors (transfer is 0);
       // the wire cost lands in transport()->records() and is charged after
       // the drain, when every sector's contended price is known.
       const auto prep =
           monitor.record_compute("stream-write-prep", w.prep_seconds, 1);
-      stage_prep_s[produced->index] = prep.seconds;
-      rec.slab_write_s[produced->index] = prep.seconds;
+      stage_prep_s[i] = prep.seconds;
+      rec.slab_write_s[i] = prep.seconds;
       write_j += prep.joules;
     } else {
       const auto [seconds, joules] =
           charge_io("stream-write-prep", "stream-write", w);
-      rec.slab_write_s[produced->index] = seconds;
+      rec.slab_write_s[i] = seconds;
       write_j += joules;
     }
     // The blob has landed in the container; recycle its allocation for the
     // next slab's compress/staging buffers.
-    BufferPool::global().release(std::move(produced->blob));
+    BufferPool::global().release(std::move(blobs[i]));
+    blobs[i] = Bytes();
+  };
+  try {
+    run_ordered_lanes(nslabs, lanes,
+                      static_cast<std::size_t>(stream.queue_depth), stages);
+  } catch (...) {
+    release_pending(blobs);
+    throw;
   }
   // close() drains the transport rings first, so every sector has retired
   // (and priced itself) before the footer commits.
@@ -290,34 +480,17 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   const auto [close_s, close_j] =
       charge_io("stream-write-prep", "stream-write-close", close_cost);
   write_j += close_j;
-  producer.wait();
 
   rec.host_wall_s = wall.elapsed_s();
   rec.compressed_bytes = pfs.file_size(rec.path);
-  rec.compress_j = compress_j;
-
+  for (const EnergyReading& reading :
+       monitor.record_lanes("stream-compress", spans, config.threads)) {
+    rec.slab_compress_s.push_back(reading.seconds);
+    rec.compress_j += reading.joules;
+  }
+  const double serial_compress = std::accumulate(
+      rec.slab_compress_s.begin(), rec.slab_compress_s.end(), 0.0);
   const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
-  double serial_compress = 0.0;
-  for (std::size_t i = 0; i < nslabs; ++i)
-    serial_compress += rec.slab_compress_s[i];
-
-  // Runs the PR-8 blocking pipeline recurrence — the producer finishes
-  // slab i after slab i-1 and after a channel slot frees (the writer
-  // popped slab i-1-depth); the writer starts slab i when both it and the
-  // slab are ready — over the given per-slab write costs, returning the
-  // last write's finish time.
-  const auto blocking_recurrence = [&](const std::vector<double>& write_s) {
-    std::vector<double> fc(nslabs, 0.0), fw(nslabs, 0.0);
-    for (std::size_t i = 0; i < nslabs; ++i) {
-      double start = i > 0 ? fc[i - 1] : 0.0;
-      if (i >= depth + 2) start = std::max(start, fw[i - 2 - depth]);
-      else if (i == depth + 1) start = std::max(start, open_s);
-      fc[i] = start + rec.slab_compress_s[i];
-      const double writer_free = i > 0 ? fw[i - 1] : open_s;
-      fw[i] = std::max(fc[i], writer_free) + write_s[i];
-    }
-    return fw[nslabs - 1];
-  };
 
   if (stream.use_transport) {
     SectorWriter& transport = *out.transport();
@@ -338,14 +511,14 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
 
     const WriteTimeline timeline =
         solve_write_timeline(stream.transport, sectors, rec.slab_compress_s,
-                             stage_prep_s, depth, open_s);
+                             stage_prep_s, depth, open_s, lanes);
     rec.streamed_total_s = timeline.makespan_s + close_s;
     fill_telemetry(rec.transport, stream.transport, sectors.size(),
                    transport.stats().credit_stalls, timeline.credit_stall_s,
                    timeline.mean_inflight, timeline.peak_inflight);
 
     // Blocking-path reconstruction: what the identical chunk sequence
-    // would have cost through PR-8's one-append-per-chunk path — the same
+    // would have cost through the one-append-per-chunk path — the same
     // prep and transfer bytes, but per-chunk stripe RPCs and no overlap
     // between staging and the wire.
     const PfsConfig& pc = pfs.config();
@@ -364,13 +537,18 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
       offset += len;
       serial_write += blocking_write_s[i];
     }
-    rec.blocking_total_s = blocking_recurrence(blocking_write_s) + close_s;
+    rec.blocking_total_s = solve_blocking_write(rec.slab_compress_s,
+                                                blocking_write_s, depth,
+                                                open_s, lanes) +
+                           close_s;
     rec.serial_total_s = serial_compress + open_s + serial_write + close_s;
   } else {
-    double serial_write = 0.0;
-    for (std::size_t i = 0; i < nslabs; ++i)
-      serial_write += rec.slab_write_s[i];
-    rec.streamed_total_s = blocking_recurrence(rec.slab_write_s) + close_s;
+    const double serial_write = std::accumulate(
+        rec.slab_write_s.begin(), rec.slab_write_s.end(), 0.0);
+    rec.streamed_total_s = solve_blocking_write(rec.slab_compress_s,
+                                                rec.slab_write_s, depth,
+                                                open_s, lanes) +
+                           close_s;
     rec.blocking_total_s = rec.streamed_total_s;
     // Serial reference: the identical container writes, scheduled after all
     // compression instead of overlapped with it.
@@ -393,150 +571,58 @@ StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
   rec.queue_depth = stream.queue_depth;
   rec.container_bytes = pfs.file_size(path);
 
-  PowercapMonitor monitor(cpu);  // thread-safe: both stages record into it
-
-  // Open the container: the footer chunk index and dataset metadata arrive
-  // through ranged reads before the pipeline starts (open paid once).
+  PowercapMonitor monitor(cpu);  // thread-safe: fetcher and lanes record
   auto reader =
       tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
   if (stream.use_transport) reader.enable_transport(stream.transport);
-  const std::size_t nslabs = reader.index().chunks.size();
+  const ChunkIndex& index = reader.index();
+  const std::size_t nslabs = index.chunks.size();
   EBLCIO_CHECK_STREAM(nslabs >= 1, "chunked container holds no slabs");
   rec.slabs = static_cast<int>(nslabs);
-  rec.slab_fetch_s.resize(nslabs);
-  rec.slab_decompress_s.resize(nslabs);
+  std::vector<std::size_t> ids(nslabs);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
 
-  const auto open_prep = monitor.record_compute(
-      "stream-read-prep", reader.open_cost().prep_seconds, 1);
-  const auto open_io =
-      monitor.record_io("stream-read-open", reader.open_cost().transfer_seconds);
-  const double open_s = open_prep.seconds + open_io.seconds;
-  double fetch_j = open_prep.joules + open_io.joules;
-
-  WallTimer wall;
-  std::vector<Field> slab_fields(nslabs);
-  // Per-slab consumer-side compute (fetch prep + decompress), the transport
-  // timeline solver's consume column.
-  std::vector<double> consume_s(nslabs, 0.0);
-  double decompress_j = 0.0;
-  TaskGroup producer;
-
-  if (stream.use_transport) {
-    // Producer: stages each chunk's sector fetches through the transport
-    // (blocking only on channel credits) and hands the message handle
-    // over; the drainer ships sectors while this thread decompresses.
-    BoundedChannel<PrefetchedSlab> handles(
-        static_cast<std::size_t>(stream.queue_depth));
-    producer.run([&] {
-      ChannelCloser<PrefetchedSlab> closer{&handles};
-      for (std::size_t i = 0; i < nslabs; ++i)
-        handles.push({i, reader.prefetch_chunk(i)});
-    });
-
-    // Consumer (this thread): awaits each assembled chunk, charges its
-    // fetch, and decompresses it. A corrupt slab throws here; the closer
-    // unblocks the producer and no partial field escapes.
-    ChannelCloser<PrefetchedSlab> closer{&handles};
-    while (auto produced = handles.pop()) {
-      IoCost cost;
-      Bytes blob = reader.await_chunk(produced->handle, produced->index, &cost);
-      const auto prep =
-          monitor.record_compute("stream-fetch-prep", cost.prep_seconds, 1);
-      const auto io = monitor.record_io("stream-fetch", cost.transfer_seconds);
-      rec.slab_fetch_s[produced->index] = prep.seconds + io.seconds;
-      fetch_j += prep.joules + io.joules;
-      WallTimer t;
-      Field slab = decompress_any(blob, 1);
-      const auto reading =
-          monitor.record_compute("stream-decompress", t.elapsed_s(), 1);
-      rec.slab_decompress_s[produced->index] = reading.seconds;
-      consume_s[produced->index] = prep.seconds + reading.seconds;
-      decompress_j += reading.joules;
-      BufferPool::global().release(std::move(blob));
-      slab_fields[produced->index] = std::move(slab);
-    }
-    producer.wait();
+  // Zoned containers: each lane copies its slab straight into its own rows
+  // of the preallocated field. Version-1 containers only reveal their row
+  // extents through the chunk headers, so their slabs merge once every
+  // header is known.
+  const Region whole{std::vector<std::size_t>(index.meta.dims.size(), 0),
+                     index.meta.dims};
+  LaneOutput out(index.meta.name, index.meta.dims, path);
+  std::vector<Field> v1_slabs(index.zoned() ? 0 : nslabs);
+  std::vector<std::size_t> v1_rows(v1_slabs.size(), 0);
+  const LanedRead r = read_on_lanes(
+      reader, pfs, ids, stream, monitor, "stream",
+      [&](std::size_t k, const Bytes& blob) {
+        const BlobHeader header = peek_header(blob);
+        check_chunk_dims(header.dims, index, k, path);
+        if (!index.zoned()) v1_rows[k] = header.dims[0];
+        return decompress_any(blob, 1);
+      },
+      [&](std::size_t k, Field&& slab) {
+        if (!index.zoned()) {
+          v1_slabs[k] = std::move(slab);
+          return;
+        }
+        copy_zone_part_into_region(slab, index.zones[k], whole,
+                                   out.claim(slab.dtype()));
+      });
+  if (index.zoned()) {
+    rec.field = out.take();
   } else {
-    // Producer: fetches chunk i with blocking ranged PFS reads as one
-    // executor task while the consumer decompresses chunk i-1; blocks on
-    // the channel when queue_depth fetched slabs await the decompressor.
-    BoundedChannel<ProducedSlab> channel(
-        static_cast<std::size_t>(stream.queue_depth));
-    producer.run([&] {
-      ChannelCloser<ProducedSlab> closer{&channel};
-      for (std::size_t i = 0; i < nslabs; ++i) {
-        IoCost cost;
-        Bytes blob = reader.read_chunk(i, &cost, self_inclusive_clients(pfs));
-        const auto prep =
-            monitor.record_compute("stream-fetch-prep", cost.prep_seconds, 1);
-        const auto io =
-            monitor.record_io("stream-fetch", cost.transfer_seconds);
-        rec.slab_fetch_s[i] = prep.seconds + io.seconds;
-        fetch_j += prep.joules + io.joules;
-        channel.push({i, std::move(blob)});
-      }
-    });
-
-    // Consumer (this thread): decompresses slabs as they arrive. A corrupt
-    // slab throws here; the closer unblocks the producer and no partial
-    // field escapes (the exception propagates out of this function).
-    ChannelCloser<ProducedSlab> closer{&channel};
-    while (auto produced = channel.pop()) {
-      WallTimer t;
-      Field slab = decompress_any(produced->blob, 1);
-      const auto reading =
-          monitor.record_compute("stream-decompress", t.elapsed_s(), 1);
-      rec.slab_decompress_s[produced->index] = reading.seconds;
-      decompress_j += reading.joules;
-      // The fetched slab is decoded; its buffer feeds the next fetch.
-      BufferPool::global().release(std::move(produced->blob));
-      slab_fields[produced->index] = std::move(slab);
-    }
-    producer.wait();
+    check_chunk_rows(v1_rows, index, path);
+    rec.field = merge_slabs(v1_slabs, index.meta.dims, index.meta.name);
   }
-
-  rec.host_wall_s = wall.elapsed_s();
-  rec.fetch_j = fetch_j;
-  rec.decompress_j = decompress_j;
-  rec.field = merge_slabs(slab_fields, reader.index().meta.dims,
-                          reader.index().meta.name);
   rec.field_bytes = rec.field.size_bytes();
-
-  const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
-  double serial_fetch = 0.0, serial_decompress = 0.0;
-  for (std::size_t i = 0; i < nslabs; ++i) {
-    serial_fetch += rec.slab_fetch_s[i];
-    serial_decompress += rec.slab_decompress_s[i];
-  }
-
-  if (stream.use_transport) {
-    SectorReader& transport = *reader.transport();
-    const ReadTimeline timeline =
-        solve_read_timeline(stream.transport, transport.records(), consume_s,
-                            depth, open_s);
-    rec.streamed_total_s = timeline.makespan_s;
-    fill_telemetry(rec.transport, stream.transport,
-                   transport.records().size(),
-                   transport.stats().credit_stalls, timeline.credit_stall_s,
-                   timeline.mean_inflight, timeline.peak_inflight);
-  } else {
-    // Mirror of the write recurrence with the roles swapped: the fetcher
-    // finishes slab i after slab i-1 and after a channel slot frees (the
-    // decompressor popped slab i-1-depth when it finished slab i-2-depth);
-    // the first fetch waits for the index fetch at open. The decompressor
-    // starts slab i when both it and the fetched slab are ready.
-    std::vector<double> ff(nslabs, 0.0), fd(nslabs, 0.0);
-    for (std::size_t i = 0; i < nslabs; ++i) {
-      double start = i > 0 ? ff[i - 1] : open_s;
-      if (i >= depth + 2) start = std::max(start, fd[i - 2 - depth]);
-      ff[i] = start + rec.slab_fetch_s[i];
-      const double decomp_free = i > 0 ? fd[i - 1] : 0.0;
-      fd[i] = std::max(ff[i], decomp_free) + rec.slab_decompress_s[i];
-    }
-    rec.streamed_total_s = fd[nslabs - 1];
-  }
-  // Serial reference: open, fetch everything, then decompress everything.
-  rec.serial_total_s = open_s + serial_fetch + serial_decompress;
+  rec.lanes = r.lanes;
+  rec.slab_fetch_s = r.fetch_s;
+  rec.slab_decompress_s = r.decompress_s;
+  rec.fetch_j = r.fetch_j;
+  rec.decompress_j = r.decompress_j;
+  rec.host_wall_s = r.host_wall_s;
+  rec.serial_total_s = r.serial_total_s;
+  rec.streamed_total_s = r.streamed_total_s;
+  rec.transport = r.transport;
   return rec;
 }
 
@@ -544,33 +630,26 @@ Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
                          const std::string& io_library) {
   IoTool& tool = io_tool(io_library);
   auto reader = tool.open_chunked_reader(pfs, path);
-  const std::size_t nslabs = reader.index().chunks.size();
+  const ChunkIndex& index = reader.index();
+  const std::size_t nslabs = index.chunks.size();
   EBLCIO_CHECK_STREAM(nslabs >= 1, "chunked container holds no slabs");
   std::vector<Field> slab_fields(nslabs);
+  std::vector<std::size_t> rows(nslabs, 0);
   for (std::size_t i = 0; i < nslabs; ++i) {
     Bytes blob = reader.read_chunk(i);
+    const BlobHeader header = peek_header(blob);
+    check_chunk_dims(header.dims, index, i, path);
+    EBLCIO_CHECK_STREAM(i == 0 || header.dtype == slab_fields[0].dtype(),
+                        "chunk blobs disagree on dtype: " + path);
+    rows[i] = header.dims[0];
     slab_fields[i] = decompress_any(blob, 1);
     BufferPool::global().release(std::move(blob));
   }
-  return merge_slabs(slab_fields, reader.index().meta.dims,
-                     reader.index().meta.name);
+  check_chunk_rows(rows, index, path);
+  return merge_slabs(slab_fields, index.meta.dims, index.meta.name);
 }
 
 // --- Partial-region (zoned) reads -------------------------------------------
-
-namespace {
-
-// Allocates the region-shaped output field once the first zone reveals the
-// dtype (the container's dtype_code is the opaque-compressed tag, not the
-// payload dtype).
-Field make_region_field(const std::string& name, const Region& region,
-                        DType dtype) {
-  Shape shape{std::span<const std::size_t>(region.shape)};
-  return dtype == DType::kFloat32 ? Field(name, NdArray<float>(shape))
-                                  : Field(name, NdArray<double>(shape));
-}
-
-}  // namespace
 
 RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
                                           const std::string& path,
@@ -588,8 +667,7 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
   rec.queue_depth = stream.queue_depth;
   rec.container_bytes = pfs.file_size(path);
 
-  PowercapMonitor monitor(cpu);  // thread-safe: both stages record into it
-
+  PowercapMonitor monitor(cpu);  // thread-safe: fetcher and lanes record
   auto reader =
       tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
   if (stream.use_transport) reader.enable_transport(stream.transport);
@@ -605,149 +683,38 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
   const std::size_t nzones = covering.size();
   rec.zones_total = static_cast<int>(index.zones.size());
   rec.zones_decoded = static_cast<int>(nzones);
-  rec.zone_fetch_s.resize(nzones);
-  rec.zone_decompress_s.resize(nzones);
 
-  const auto open_prep = monitor.record_compute(
-      "region-read-prep", reader.open_cost().prep_seconds, 1);
-  const auto open_io = monitor.record_io("region-read-open",
-                                         reader.open_cost().transfer_seconds);
-  const double open_s = open_prep.seconds + open_io.seconds;
-  double fetch_j = open_prep.joules + open_io.joules;
-
-  WallTimer wall;
-  Field out;
-  bool out_ready = false;
-  std::vector<double> consume_s(nzones, 0.0);
-  std::size_t bytes_fetched = 0;
-  double decompress_j = 0.0;
-  TaskGroup producer;
-
-  // Consumer step shared by both paths: validates one covering zone's blob
-  // header against the index, decodes only the zone's part of the region
-  // (the windowed decode), and copies it into the output. Returns the
-  // dilated decode seconds. A corrupt zone throws here; no partial field
-  // escapes.
-  const auto consume_zone = [&](std::size_t i, const Bytes& blob) {
-    const std::size_t zi = covering[i];
-    WallTimer t;
-    const BlobHeader header = peek_header(blob);
-    check_zone_dims(header.dims, index, zi, path);
-    if (!out_ready) {
-      out = make_region_field(index.meta.name, region, header.dtype);
-      out_ready = true;
-    }
-    EBLCIO_CHECK_STREAM(header.dtype == out.dtype(),
-                        "zone blobs disagree on dtype: " + path);
-    std::size_t reconstructed = 0;
-    const Field part = decompress_region_any(
-        blob, zone_part_of_region(region, index.zones[zi]), 1,
-        &reconstructed);
-    copy_zone_part_into_region(part, index.zones[zi], region, out);
-    rec.elements_reconstructed += reconstructed;
-    const auto reading =
-        monitor.record_compute("region-decompress", t.elapsed_s(), 1);
-    rec.zone_decompress_s[i] = reading.seconds;
-    decompress_j += reading.joules;
-    return reading.seconds;
-  };
-
-  if (stream.use_transport) {
-    // Producer: stages each covering zone's sector fetches (in covering
-    // order) while the consumer decodes the previous zone.
-    BoundedChannel<PrefetchedSlab> handles(
-        static_cast<std::size_t>(stream.queue_depth));
-    producer.run([&] {
-      ChannelCloser<PrefetchedSlab> closer{&handles};
-      for (std::size_t i = 0; i < nzones; ++i)
-        handles.push({i, reader.prefetch_chunk(covering[i])});
-    });
-
-    ChannelCloser<PrefetchedSlab> closer{&handles};
-    while (auto produced = handles.pop()) {
-      IoCost cost;
-      Bytes blob =
-          reader.await_chunk(produced->handle, covering[produced->index],
-                             &cost);
-      const auto prep =
-          monitor.record_compute("region-fetch-prep", cost.prep_seconds, 1);
-      const auto io = monitor.record_io("region-fetch", cost.transfer_seconds);
-      rec.zone_fetch_s[produced->index] = prep.seconds + io.seconds;
-      fetch_j += prep.joules + io.joules;
-      bytes_fetched += blob.size();
-      consume_s[produced->index] =
-          prep.seconds + consume_zone(produced->index, blob);
-      BufferPool::global().release(std::move(blob));
-    }
-    producer.wait();
-  } else {
-    // Producer: issues one blocking ranged fetch per covering zone (in
-    // covering order) while the consumer decodes the previous zone.
-    BoundedChannel<ProducedSlab> channel(
-        static_cast<std::size_t>(stream.queue_depth));
-    producer.run([&] {
-      ChannelCloser<ProducedSlab> closer{&channel};
-      for (std::size_t i = 0; i < nzones; ++i) {
-        IoCost cost;
-        Bytes blob = reader.read_chunk(covering[i], &cost,
-                                       self_inclusive_clients(pfs));
-        const auto prep =
-            monitor.record_compute("region-fetch-prep", cost.prep_seconds, 1);
-        const auto io =
-            monitor.record_io("region-fetch", cost.transfer_seconds);
-        rec.zone_fetch_s[i] = prep.seconds + io.seconds;
-        fetch_j += prep.joules + io.joules;
-        bytes_fetched += blob.size();
-        channel.push({i, std::move(blob)});
-      }
-    });
-
-    ChannelCloser<ProducedSlab> closer{&channel};
-    while (auto produced = channel.pop()) {
-      consume_zone(produced->index, produced->blob);
-      BufferPool::global().release(std::move(produced->blob));
-    }
-    producer.wait();
-  }
-
-  rec.host_wall_s = wall.elapsed_s();
-  rec.fetch_j = fetch_j;
-  rec.decompress_j = decompress_j;
-  rec.bytes_fetched = bytes_fetched;
-  rec.field = std::move(out);
+  // Each lane decodes only its zone's part of the box (the windowed
+  // decode) and copies it into the region.
+  LaneOutput out(index.meta.name, region.shape, path);
+  std::vector<std::size_t> reconstructed(nzones, 0);
+  const LanedRead r = read_on_lanes(
+      reader, pfs, covering, stream, monitor, "region",
+      [&](std::size_t k, const Bytes& blob) {
+        const std::size_t zi = covering[k];
+        check_chunk_dims(peek_header(blob).dims, index, zi, path);
+        return decompress_region_any(
+            blob, zone_part_of_region(region, index.zones[zi]), 1,
+            &reconstructed[k]);
+      },
+      [&](std::size_t k, Field&& part) {
+        copy_zone_part_into_region(part, index.zones[covering[k]], region,
+                                   out.claim(part.dtype()));
+      });
+  rec.field = out.take();
   rec.field_bytes = rec.field.size_bytes();
-
-  const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
-  double serial_fetch = 0.0, serial_decompress = 0.0;
-  for (std::size_t i = 0; i < nzones; ++i) {
-    serial_fetch += rec.zone_fetch_s[i];
-    serial_decompress += rec.zone_decompress_s[i];
-  }
-
-  if (stream.use_transport) {
-    SectorReader& transport = *reader.transport();
-    const ReadTimeline timeline =
-        solve_read_timeline(stream.transport, transport.records(), consume_s,
-                            depth, open_s);
-    rec.streamed_total_s = timeline.makespan_s;
-    fill_telemetry(rec.transport, stream.transport,
-                   transport.records().size(),
-                   transport.stats().credit_stalls, timeline.credit_stall_s,
-                   timeline.mean_inflight, timeline.peak_inflight);
-  } else {
-    // Same recurrence as the full read pipeline, over the covering set
-    // only.
-    std::vector<double> ff(nzones, 0.0), fd(nzones, 0.0);
-    for (std::size_t i = 0; i < nzones; ++i) {
-      double start = i > 0 ? ff[i - 1] : open_s;
-      if (i >= depth + 2) start = std::max(start, fd[i - 2 - depth]);
-      ff[i] = start + rec.zone_fetch_s[i];
-      const double decomp_free = i > 0 ? fd[i - 1] : 0.0;
-      fd[i] = std::max(ff[i], decomp_free) + rec.zone_decompress_s[i];
-    }
-    rec.streamed_total_s = fd[nzones - 1];
-  }
-  rec.serial_total_s = open_s + serial_fetch + serial_decompress;
+  rec.elements_reconstructed = std::accumulate(
+      reconstructed.begin(), reconstructed.end(), std::size_t{0});
+  rec.lanes = r.lanes;
+  rec.zone_fetch_s = r.fetch_s;
+  rec.zone_decompress_s = r.decompress_s;
+  rec.bytes_fetched = r.bytes_fetched;
+  rec.fetch_j = r.fetch_j;
+  rec.decompress_j = r.decompress_j;
+  rec.host_wall_s = r.host_wall_s;
+  rec.serial_total_s = r.serial_total_s;
+  rec.streamed_total_s = r.streamed_total_s;
+  rec.transport = r.transport;
   return rec;
 }
 
@@ -767,9 +734,9 @@ Field read_region_reference(PfsSimulator& pfs, const std::string& path,
   bool out_ready = false;
   for (auto& f : fetched) {
     Field zone = decompress_any(f.blob, 1);
-    check_zone_dims(zone.shape().dims_vector(), index, f.zone, path);
+    check_chunk_dims(zone.shape().dims_vector(), index, f.zone, path);
     if (!out_ready) {
-      out = make_region_field(index.meta.name, region, zone.dtype());
+      out = zero_field(index.meta.name, region.shape, zone.dtype());
       out_ready = true;
     }
     EBLCIO_CHECK_STREAM(zone.dtype() == out.dtype(),
@@ -783,4 +750,3 @@ Field read_region_reference(PfsSimulator& pfs, const std::string& path,
 }
 
 }  // namespace eblcio
-

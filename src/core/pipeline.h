@@ -78,23 +78,38 @@ WriteRecord run_compress_write(const Field& field,
 // --- Streaming (chunked) write experiment ---------------------------------
 //
 // Instead of compressing the whole field and only then touching the PFS,
-// the field is split into slabs and pushed through a producer/consumer
-// pipeline on the shared executor: slab i compresses while the container's
-// chunked-dataset stream is still writing slab i-1. A bounded channel
-// between the stages provides backpressure (the producer stalls when
-// `queue_depth` compressed slabs are waiting). The container is whichever
+// the field is cut into slabs along dim 0 and streamed through the
+// container while it compresses. Slabs are independent blobs coded at one
+// whole-field absolute bound, so up to W of them compress at once on codec
+// *lanes* — executor tasks, each extracting its own slab rows
+// (parallel/lanes.h) — with W = Executor::concurrency() / config.threads
+// (1 on a one-core host). This thread appends the compressed slabs to the
+// container strictly in slab order, so the file is byte-identical to a
+// one-lane run. A queue of `queue_depth` coded slabs between the lanes and
+// the writer provides backpressure: slab i starts compressing once the
+// writer has taken slab i - (W + queue_depth). The container is whichever
 // IoTool config.io_library names — each compressed slab lands as one chunk
 // through IoTool::ChunkWriter, so the on-PFS file is a real HDF5/NetCDF/
 // ADIOS chunked dataset, not a bespoke stream format. This is the overlap
 // mechanism behind the paper's parallel write results (Figs. 10-12).
+//
+// Lanes of every pipeline in the process share one core budget: at most
+// CoreBudget::slots() lane codec calls run at once, and a lane's timer
+// starts only once it holds its slot, so overlapping pipelines queue
+// instead of inflating each other's per-slab seconds. The modeled
+// makespans schedule the codec stage on the lanes that ran (the solvers in
+// io/transport.h take the lane count), and the energy model charges the
+// node once for them (PowercapMonitor::record_lanes): over a host interval
+// where k lanes of the call run, the call draws node_power(k * threads),
+// shared by those k lanes.
 
 struct StreamConfig {
-  int slabs = 8;        // pipeline depth: slabs split along dim 0
-  int queue_depth = 2;  // slabs buffered in the channel before backpressure
+  int slabs = 8;        // slabs split along dim 0
+  int queue_depth = 2;  // slabs queued between the lanes and the serial stage
   // Sector-ring transport between the pipeline and the PFS (io/transport.h):
   // chunks are staged into fixed-size pooled sectors and shipped by a
   // doorbell task with ring_depth sectors in flight per channel, so slab
-  // compression, sector staging, and wire transfer all overlap. false
+  // coding, sector staging, and wire transfer all overlap. false
   // reverts to the blocking per-chunk append/fetch path (the container
   // bytes are identical either way).
   bool use_transport = true;
@@ -120,25 +135,27 @@ struct StreamWriteRecord {
   std::string path;        // chunked container on the PFS
   int slabs = 0;
   int queue_depth = 0;
+  int lanes = 1;  // codec lanes the slabs compressed on (<= slabs)
   std::size_t original_bytes = 0;
   std::size_t compressed_bytes = 0;  // whole container (header+chunks+index)
   // Modeled platform times. serial_total_s charges compress-everything-
-  // then-write-everything (the identical container writes, just not
-  // overlapped); streamed_total_s is the pipeline makespan from the
-  // per-slab recurrence (writer busy on slab i-1 while slab i compresses,
-  // bounded by queue_depth).
+  // then-write-everything on one core (the identical container writes,
+  // just not overlapped); streamed_total_s is the pipeline makespan with
+  // the slabs compressing on `lanes` lanes while the writer appends them
+  // in order, bounded by queue_depth.
   double serial_total_s = 0.0;
   double streamed_total_s = 0.0;
-  // Host wall clock of the real concurrent run (compress tasks genuinely
-  // overlap the writer thread on the executor).
+  // Host wall clock of the real concurrent run (lanes genuinely overlap
+  // one another and the writer thread on the executor).
   double host_wall_s = 0.0;
-  // What the same run would have cost through the PR-8 blocking per-chunk
+  // What the same run would have cost through the blocking per-chunk
   // append path (reconstructed from the identical compress samples and
   // per-chunk stripe pricing; equals streamed_total_s when the blocking
   // path actually ran). The transport's speedup is
   // blocking_total_s / streamed_total_s.
   double blocking_total_s = 0.0;
-  // Energy recorded through one shared thread-safe monitor.
+  // Energy recorded through one shared thread-safe monitor; compress_j
+  // charges the node once for concurrent lanes.
   double compress_j = 0.0;
   double write_j = 0.0;
   // Per-slab platform times feeding the recurrence (compress, write).
@@ -170,23 +187,29 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
 
 // --- Streaming (chunked) read experiment -----------------------------------
 //
-// The restart-time mirror of the write pipeline: a producer task fetches
-// chunk i from the container with ranged PFS reads while this thread
-// decompresses chunk i-1, connected by the same bounded channel. Fetch of
-// slab i overlaps decompression of slab i-1, so the makespan undercuts the
-// serial fetch-everything-then-decompress-everything schedule — the
-// paper's Sec. VI-A "doubly effective" read-side benefit, measured.
+// The restart-time mirror of the write pipeline: this thread fetches the
+// chunks in order with ranged PFS reads (or stages their sector fetches
+// through the transport) while up to W codec lanes decode the chunks
+// already fetched, each copying its slab straight into its own rows of the
+// preallocated field. Fetch i starts once chunk i - (1 + queue_depth) has
+// reached a lane. Fetching overlaps decoding, and decodes overlap each
+// other, so the makespan undercuts the serial fetch-everything-then-
+// decompress-everything schedule — the paper's Sec. VI-A "doubly
+// effective" read-side benefit, measured. Lanes, the core budget and the
+// lane-aware energy are as on the write side.
 
 struct StreamReadRecord {
   std::string io_library;
   std::string path;
   int slabs = 0;        // chunks found in the container index
   int queue_depth = 0;
+  int lanes = 1;        // codec lanes the chunks decoded on (<= slabs)
   std::size_t container_bytes = 0;  // compressed container size on the PFS
   std::size_t field_bytes = 0;      // reconstructed field size
   // Modeled platform times: serial_total_s charges open + every fetch +
   // every decompression back-to-back; streamed_total_s is the pipeline
-  // makespan (fetcher ahead of the decompressor, bounded by queue_depth).
+  // makespan (fetcher ahead of `lanes` decode lanes, bounded by
+  // queue_depth).
   double serial_total_s = 0.0;
   double streamed_total_s = 0.0;
   double host_wall_s = 0.0;
@@ -207,17 +230,21 @@ struct StreamReadRecord {
 // Reads a chunked container written by run_streamed_compress_write (or any
 // IoTool::ChunkWriter holding compressed slabs) back through the streamed
 // fetch→decompress pipeline. config.io_library must name the container's
-// tool; config.cpu selects the platform model. Only stream.queue_depth is
-// honoured (the slab count comes from the container's chunk index). Throws
+// tool; config.cpu selects the platform model. Only stream.queue_depth and
+// the transport settings are honoured (the slab count comes from the
+// container's chunk index). Every chunk's header is checked against the
+// index before any of its bytes are placed: zoned containers per zone
+// extent, version-1 containers by dims 1..n and a running row sum. Throws
 // CorruptStream — with no partial field escaping — when the container, its
-// chunk index, or any slab is malformed.
+// chunk index, or any slab is malformed or disagrees on dtype.
 StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
                                    const PipelineConfig& config,
                                    const StreamConfig& stream = {});
 
-// Serial reference for the same container: fetches every chunk in order,
-// then decompresses them in order, on the calling thread. Bit-for-bit
-// identical to run_streamed_read's field — the --verify baseline.
+// Serial reference for the same container: fetches and decompresses every
+// chunk in order on the calling thread (with the same header checks), then
+// merges them. Bit-for-bit identical to run_streamed_read's field — the
+// --verify baseline.
 Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
                          const std::string& io_library);
 
@@ -226,9 +253,9 @@ Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
 // The serving-scale query path: a client wants `region`, not the whole
 // field. The container's footer zone index resolves the query box to its
 // covering zones, and only those zones are fetched (ranged PFS reads) and
-// decoded — fetch of zone i overlaps decode of zone i-1 through the same
-// bounded channel as the full read pipeline. Bytes fetched therefore scale
-// with the query, not with the field.
+// decoded — on the same fetcher-plus-codec-lanes pipeline as the full
+// read, each lane copying its zone's part of the box into the region.
+// Bytes fetched therefore scale with the query, not with the field.
 
 struct RegionReadRecord {
   std::string io_library;
@@ -237,6 +264,7 @@ struct RegionReadRecord {
   int zones_total = 0;    // zones in the container's index
   int zones_decoded = 0;  // covering zones actually fetched + decoded
   int queue_depth = 0;
+  int lanes = 1;          // codec lanes the zones decoded on
   std::size_t container_bytes = 0;  // whole container size on the PFS
   std::size_t bytes_fetched = 0;    // compressed bytes the query fetched
   std::size_t field_bytes = 0;      // reconstructed region size
@@ -244,8 +272,8 @@ struct RegionReadRecord {
   // blocks in each zone's lower cone of the box for SZ2, whole zones for
   // the codecs that decode in full and crop.
   std::size_t elements_reconstructed = 0;
-  // Modeled platform times, same recurrence as StreamReadRecord but over
-  // the covering set only.
+  // Modeled platform times, same schedule as StreamReadRecord but over the
+  // covering set only.
   double serial_total_s = 0.0;
   double streamed_total_s = 0.0;
   double host_wall_s = 0.0;

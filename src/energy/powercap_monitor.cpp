@@ -44,6 +44,51 @@ EnergyReading PowercapMonitor::record_compute(const std::string& label,
   return integrate(label, platform_seconds, watts);
 }
 
+std::vector<EnergyReading> PowercapMonitor::record_lanes(
+    const std::string& label, std::span<const LaneSpan> spans, int threads) {
+  const int per_lane = std::max(threads, 1);
+  std::vector<double> cuts;
+  cuts.reserve(spans.size() * 2);
+  for (const LaneSpan& s : spans) {
+    EBLCIO_CHECK_ARG(s.end_s >= s.start_s, "lane span ends before it starts");
+    cuts.push_back(s.start_s);
+    cuts.push_back(s.end_s);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+  // Sweep the elementary intervals between span endpoints: a lane live
+  // over [a, b) alongside k-1 others draws node_power(k * threads) / k.
+  // lanes_seen records the one k a span saw throughout (-1 once it saw
+  // two), so an unshared span keeps record_compute's exact wattage.
+  std::vector<double> watt_seconds(spans.size(), 0.0);
+  std::vector<int> lanes_seen(spans.size(), 0);
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    const double a = cuts[c], b = cuts[c + 1];
+    int k = 0;
+    for (const LaneSpan& s : spans) k += s.start_s <= a && b <= s.end_s;
+    if (k == 0) continue;
+    const double share = cpu_->node_power_w(k * per_lane) / k;
+    for (std::size_t j = 0; j < spans.size(); ++j) {
+      if (!(spans[j].start_s <= a && b <= spans[j].end_s)) continue;
+      watt_seconds[j] += share * (b - a);
+      lanes_seen[j] = lanes_seen[j] == 0 || lanes_seen[j] == k ? k : -1;
+    }
+  }
+
+  std::vector<EnergyReading> out;
+  out.reserve(spans.size());
+  for (std::size_t j = 0; j < spans.size(); ++j) {
+    const double host = spans[j].end_s - spans[j].start_s;
+    const int k = lanes_seen[j];
+    const double watts = k > 0    ? cpu_->node_power_w(k * per_lane) / k
+                         : k < 0 ? watt_seconds[j] / host
+                                 : cpu_->node_power_w(per_lane);
+    out.push_back(integrate(label, host / cpu_->speed_factor, watts));
+  }
+  return out;
+}
+
 EnergyReading PowercapMonitor::record_io(const std::string& label,
                                          double seconds) {
   return integrate(label, seconds, cpu_->io_power_w());

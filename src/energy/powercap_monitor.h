@@ -9,6 +9,7 @@
 #pragma once
 
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,13 @@ struct PhaseEnergy {
   EnergyReading reading;
 };
 
+// One codec lane's host interval, in seconds on a clock shared by every
+// lane of one pipeline call.
+struct LaneSpan {
+  double start_s = 0.0;
+  double end_s = 0.0;
+};
+
 // Thread-safe: concurrent record_* calls (e.g. the streaming pipeline's
 // compress tasks and its PFS writer, or simmpi ranks sharing a monitor)
 // serialize on an internal mutex, so per-phase joules accumulate exactly.
@@ -45,6 +53,17 @@ class PowercapMonitor {
   // cores. Returns this phase's reading.
   EnergyReading record_compute(const std::string& label, double host_seconds,
                                int threads);
+
+  // Records the compute phases of one call's concurrent codec lanes, each
+  // running `threads` cores. The lanes share one node, which is charged
+  // once: over every host interval where k of the spans overlap, the node
+  // draws node_power_w(k * threads), split equally among those k lanes and
+  // dilated like record_compute. Each span is logged as its own `label`
+  // phase, in span order; a span that overlaps no other is charged exactly
+  // record_compute(label, end_s - start_s, threads).
+  std::vector<EnergyReading> record_lanes(const std::string& label,
+                                          std::span<const LaneSpan> spans,
+                                          int threads);
 
   // Records an I/O wait phase of `seconds` *platform* time (I/O time comes
   // from the PFS simulator, already in platform time).

@@ -255,6 +255,17 @@ std::size_t IoTool::ChunkWriter::payload_bytes() const {
 
 // --- ChunkReader -----------------------------------------------------------
 
+namespace {
+
+// A pooled ranged fetch that goes back to the BufferPool when it leaves
+// scope — after parsing, and on every corrupt-container throw.
+struct PooledFetch {
+  Bytes data;
+  ~PooledFetch() { BufferPool::global().release(std::move(data)); }
+};
+
+}  // namespace
+
 IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
                                  const std::string& path,
                                  int concurrent_clients)
@@ -266,19 +277,20 @@ IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
 
   // Locate the footer through its trailing start offset, then parse the
   // index and finally the header — three ranged fetches, open paid once.
-  const Bytes tail = stream_.read(size - 8, 8, concurrent_clients).data;
+  const PooledFetch tail{stream_.read(size - 8, 8, concurrent_clients).data};
   std::uint64_t footer_start = 0;
-  std::memcpy(&footer_start, tail.data(), 8);
+  std::memcpy(&footer_start, tail.data.data(), 8);
   EBLCIO_CHECK_STREAM(footer_start <= size - 8,
                       "chunked container: bad footer offset (unclosed "
                       "or truncated?): " + path);
 
-  const Bytes footer =
+  const PooledFetch footer_fetch{
       stream_
           .read(static_cast<std::size_t>(footer_start),
                 size - 8 - static_cast<std::size_t>(footer_start),
                 concurrent_clients)
-          .data;
+          .data};
+  const Bytes& footer = footer_fetch.data;
   ByteReader r(footer);
   const auto footer_magic = r.read_pod<std::uint32_t>();
   EBLCIO_CHECK_STREAM(footer_magic == kChunkFooterMagic ||
@@ -318,8 +330,9 @@ IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
       index_.chunks.empty()
           ? static_cast<std::size_t>(footer_start)
           : static_cast<std::size_t>(index_.chunks.front().offset);
-  const Bytes header =
-      stream_.read(0, header_len, concurrent_clients).data;
+  const PooledFetch header_fetch{
+      stream_.read(0, header_len, concurrent_clients).data};
+  const Bytes& header = header_fetch.data;
   index_.meta = decode_chunk_header(header, tool_->name(),
                                     zoned ? kZonedVersion : kChunkVersion);
   if (zoned) {

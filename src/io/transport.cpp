@@ -466,13 +466,37 @@ std::vector<std::vector<const SectorRecord*>> by_message(
   return out;
 }
 
+// In-order dispatch onto `lanes` identical codec lanes: job i starts once
+// it is ready, a lane is free, and job i-1 has started (the pipeline hands
+// slabs to lanes in slab order). body(start) returns the job's finish.
+class LaneSchedule {
+ public:
+  explicit LaneSchedule(int lanes) {
+    EBLCIO_CHECK_ARG(lanes >= 1, "lane count must be positive");
+    free_.assign(static_cast<std::size_t>(lanes), 0.0);
+  }
+
+  template <typename Body>
+  double run(double ready, Body&& body) {
+    const auto lane = std::min_element(free_.begin(), free_.end());
+    last_start_ = std::max({ready, *lane, last_start_});
+    *lane = body(last_start_);
+    return *lane;
+  }
+
+ private:
+  std::vector<double> free_;
+  double last_start_ = 0.0;
+};
+
 }  // namespace
 
 WriteTimeline solve_write_timeline(const TransportConfig& config,
                                    std::span<const SectorRecord> sectors,
                                    std::span<const double> produce_s,
                                    std::span<const double> stage_prep_s,
-                                   std::size_t queue_depth, double open_s) {
+                                   std::size_t queue_depth, double open_s,
+                                   int lanes) {
   WriteTimeline out;
   const std::size_t n = produce_s.size();
   if (n == 0) return out;
@@ -483,20 +507,21 @@ WriteTimeline solve_write_timeline(const TransportConfig& config,
   WireState wire(config, open_s);
   std::vector<Interval> spans;
   spans.reserve(sectors.size());
-  // fc: producer (compress) finish times, gated by the bounded channel the
-  // same way the blocking pipeline was — a slot frees when the consumer
-  // finishes *staging* message i-2-depth. tau: the staging cursor (the
-  // consumer opened the container first, so it starts at open_s).
-  std::vector<double> fc(n, 0.0), staged(n, 0.0);
+  // Compression runs on the lanes, admitted once the stager took message
+  // i - window. tau: the staging cursor (the consumer opened the container
+  // first, so it starts at open_s); taken[i] is when it took message i.
+  const std::size_t window = static_cast<std::size_t>(lanes) + queue_depth;
+  LaneSchedule schedule(lanes);
+  std::vector<double> taken(n, 0.0);
   double tau = open_s;
   double wire_end = open_s;
   for (std::size_t i = 0; i < n; ++i) {
-    double start = i > 0 ? fc[i - 1] : 0.0;
-    if (i >= queue_depth + 2) start = std::max(start, staged[i - 2 - queue_depth]);
-    else if (i == queue_depth + 1) start = std::max(start, open_s);
-    fc[i] = start + produce_s[i];
+    const double admit = i >= window ? taken[i - window] : 0.0;
+    const double fc = schedule.run(
+        admit, [&](double start) { return start + produce_s[i]; });
 
-    tau = std::max(tau, fc[i]);
+    tau = std::max(tau, fc);
+    taken[i] = tau;
     const std::size_t nsec = msgs[i].size();
     // The per-message container prep is paid while staging, spread across
     // the message's sectors by byte share (equal when bytes are equal).
@@ -517,7 +542,6 @@ WriteTimeline solve_write_timeline(const TransportConfig& config,
       spans.push_back({tau, done});
       wire_end = std::max(wire_end, done);
     }
-    staged[i] = tau;
   }
   out.makespan_s = wire_end;
   sweep_occupancy(spans, wire_end, &out.mean_inflight, &out.peak_inflight);
@@ -527,7 +551,8 @@ WriteTimeline solve_write_timeline(const TransportConfig& config,
 ReadTimeline solve_read_timeline(const TransportConfig& config,
                                  std::span<const SectorRecord> sectors,
                                  std::span<const double> consume_s,
-                                 std::size_t queue_depth, double open_s) {
+                                 std::size_t queue_depth, double open_s,
+                                 int lanes) {
   ReadTimeline out;
   const std::size_t n = consume_s.size();
   if (n == 0) return out;
@@ -537,13 +562,17 @@ ReadTimeline solve_read_timeline(const TransportConfig& config,
   std::vector<Interval> spans;
   spans.reserve(sectors.size());
   // tau: the request-staging cursor (requests are cheap descriptor writes,
-  // gated by credits and by the bounded handle queue — a slot frees when
-  // the consumer finishes message i-2-depth). fd: consumer finish times.
-  std::vector<double> fetched(n, 0.0), fd(n, 0.0);
+  // gated by credits and by the admission gate — message i - window must
+  // have reached a lane). A lane awaits its message's last sector, then
+  // decodes it.
+  const std::size_t window = 1 + queue_depth;
+  LaneSchedule schedule(lanes);
+  std::vector<double> dispatched(n, 0.0);
   double tau = open_s;
   double wire_end = open_s;
   for (std::size_t i = 0; i < n; ++i) {
-    if (i >= queue_depth + 2) tau = std::max(tau, fd[i - 2 - queue_depth]);
+    if (i >= window) tau = std::max(tau, dispatched[i - window]);
+    double fetched = 0.0;
     for (const SectorRecord* s : msgs[i]) {
       const double credit_at = wire.credit_free(s->channel);
       if (credit_at > tau) {
@@ -552,15 +581,61 @@ ReadTimeline solve_read_timeline(const TransportConfig& config,
       }
       const double done = wire.serve(*s, tau);
       spans.push_back({tau, done});
-      fetched[i] = std::max(fetched[i], done);
+      fetched = std::max(fetched, done);
       wire_end = std::max(wire_end, done);
     }
-    const double consumer_free = i > 0 ? fd[i - 1] : 0.0;
-    fd[i] = std::max(fetched[i], consumer_free) + consume_s[i];
+    const double fd = schedule.run(tau, [&](double start) {
+      dispatched[i] = start;
+      return std::max(start, fetched) + consume_s[i];
+    });
+    out.makespan_s = std::max(out.makespan_s, fd);
   }
-  out.makespan_s = fd[n - 1];
   sweep_occupancy(spans, wire_end, &out.mean_inflight, &out.peak_inflight);
   return out;
+}
+
+double solve_blocking_write(std::span<const double> produce_s,
+                            std::span<const double> write_s,
+                            std::size_t queue_depth, double open_s,
+                            int lanes) {
+  const std::size_t n = produce_s.size();
+  EBLCIO_CHECK_ARG(write_s.size() == n, "write_s must match produce_s");
+  const std::size_t window = static_cast<std::size_t>(lanes) + queue_depth;
+  LaneSchedule schedule(lanes);
+  std::vector<double> taken(n, 0.0);
+  double writer_free = open_s;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double admit = i >= window ? taken[i - window] : 0.0;
+    const double fc = schedule.run(
+        admit, [&](double start) { return start + produce_s[i]; });
+    taken[i] = std::max(fc, writer_free);
+    writer_free = taken[i] + write_s[i];
+  }
+  return writer_free;
+}
+
+double solve_blocking_read(std::span<const double> fetch_s,
+                           std::span<const double> consume_s,
+                           std::size_t queue_depth, double open_s,
+                           int lanes) {
+  const std::size_t n = fetch_s.size();
+  EBLCIO_CHECK_ARG(consume_s.size() == n, "consume_s must match fetch_s");
+  const std::size_t window = 1 + queue_depth;
+  LaneSchedule schedule(lanes);
+  std::vector<double> dispatched(n, 0.0);
+  double fetcher_free = open_s;
+  double makespan = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double start = fetcher_free;
+    if (i >= window) start = std::max(start, dispatched[i - window]);
+    fetcher_free = start + fetch_s[i];
+    const double fd = schedule.run(fetcher_free, [&](double lane_start) {
+      dispatched[i] = lane_start;
+      return lane_start + consume_s[i];
+    });
+    makespan = std::max(makespan, fd);
+  }
+  return makespan;
 }
 
 }  // namespace eblcio

@@ -232,19 +232,29 @@ class SectorReader {
 
 // --- Modeled timeline solvers ----------------------------------------------
 //
-// The deterministic platform schedules of a transported pipeline. Inputs
-// are modeled (platform) seconds: per-sector rpc_s/xfer_s from the retired
+// The deterministic platform schedules of a streamed pipeline. Inputs are
+// modeled (platform) seconds: per-sector rpc_s/xfer_s from the retired
 // records, per-message compute from the monitor (dilated). The wire model
 // serializes transfers on the shared client link in staging order — N
 // channels overlap per-sector RPC latency with the previous sector's
 // transfer, they do not multiply the client's bandwidth.
+//
+// Every solver takes the pipeline's codec lane count (parallel/lanes.h)
+// and schedules the codec stage — produce on the write side, consume on
+// the read side — on that many lanes, dispatched in message order as the
+// pipeline dispatches them, under its admission rule:
+//   - write: message i starts coding once a lane is free and the serial
+//     stage has taken message i - (lanes + queue_depth);
+//   - read: message i's fetch starts once message i - (1 + queue_depth)
+//     was dispatched to a lane.
+// With lanes = 1 each solver reproduces the one-producer/one-consumer
+// bounded-channel recurrence exactly.
 
-// Write side: message i becomes stageable when its compression finishes
-// (the same producer/queue recurrence the blocking pipeline used, with
-// staging completion in the writer's role); the staging cursor pays the
-// per-message container prep, stalls when the target channel is out of
-// credits, and each staged sector's transfer starts when its channel and
-// the link are free.
+// Write side: message i becomes stageable when its compression finishes;
+// the staging cursor takes messages in order, pays the per-message
+// container prep, stalls when the target channel is out of credits, and
+// each staged sector's transfer starts when its channel and the link are
+// free.
 struct WriteTimeline {
   double makespan_s = 0.0;      // last sector retired (open included)
   double credit_stall_s = 0.0;  // staging time lost waiting for credits
@@ -255,12 +265,13 @@ WriteTimeline solve_write_timeline(const TransportConfig& config,
                                    std::span<const SectorRecord> sectors,
                                    std::span<const double> produce_s,
                                    std::span<const double> stage_prep_s,
-                                   std::size_t queue_depth, double open_s);
+                                   std::size_t queue_depth, double open_s,
+                                   int lanes);
 
 // Read side: message i's sector requests are staged (costlessly) once a
-// pipeline slot frees, gated per sector by channel credits; the consumer
-// decodes message i (consume_s[i] = prep + decompress) once its last
-// sector lands and message i-1 is decoded.
+// pipeline slot frees, gated per sector by channel credits; a lane takes
+// message i in order once one is free, and decodes it (consume_s[i] =
+// prep + decompress) once its last sector landed.
 struct ReadTimeline {
   double makespan_s = 0.0;      // last message consumed
   double credit_stall_s = 0.0;
@@ -270,6 +281,24 @@ struct ReadTimeline {
 ReadTimeline solve_read_timeline(const TransportConfig& config,
                                  std::span<const SectorRecord> sectors,
                                  std::span<const double> consume_s,
-                                 std::size_t queue_depth, double open_s);
+                                 std::size_t queue_depth, double open_s,
+                                 int lanes);
+
+// The blocking (transport-off) pipelines, where each message is one
+// blocking container append or fetch. Write: message i is coded on a lane
+// (produce_s[i]) and written once it is coded and the writer is free
+// (write_s[i]; the writer opens the container first, open_s). Returns the
+// last write's finish time.
+double solve_blocking_write(std::span<const double> produce_s,
+                            std::span<const double> write_s,
+                            std::size_t queue_depth, double open_s,
+                            int lanes);
+
+// Read: the fetcher fetches message i after message i-1 (the first after
+// the open, open_s) and after the admission gate; a lane decodes it
+// (consume_s[i]) once fetched. Returns the last decode's finish time.
+double solve_blocking_read(std::span<const double> fetch_s,
+                           std::span<const double> consume_s,
+                           std::size_t queue_depth, double open_s, int lanes);
 
 }  // namespace eblcio

@@ -175,6 +175,7 @@ void Executor::run_task(Task& task) {
   }
   WallTimer timer;
   std::exception_ptr err;
+  running_.fetch_add(1);
   try {
     task.fn();
   } catch (...) {
@@ -182,6 +183,8 @@ void Executor::run_task(Task& task) {
   }
   task_seconds_.fetch_add(timer.elapsed_s());
   tasks_completed_.fetch_add(1);
+  // Before finish(): a waiter that sees its group done sees the task gone.
+  running_.fetch_sub(1);
   if (task.group) task.group->finish(err);
 }
 
@@ -416,6 +419,8 @@ ExecutorStats Executor::stats() const {
   s.placed_remote = placed_remote_.load();
   s.workers = alive_workers_.load();
   s.pods = npods_;
+  s.queued = queued_.load();
+  s.running = running_.load();
   return s;
 }
 

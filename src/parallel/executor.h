@@ -50,6 +50,10 @@ struct ExecutorStats {
   std::uint64_t placed_remote = 0;
   int workers = 0;                 // workers currently alive
   int pods = 0;                    // locality pods the workers split into
+  // Snapshot occupancy: tasks waiting in any queue, and tasks executing.
+  // Both are 0 once every submitted task has run (a drained executor).
+  std::size_t queued = 0;
+  int running = 0;
   double avg_task_seconds() const {
     return tasks_completed ? task_seconds / tasks_completed : 0.0;
   }
@@ -187,6 +191,7 @@ class Executor {
   std::atomic<std::uint64_t> submit_waits_{0};
   std::atomic<std::uint64_t> placed_local_{0};
   std::atomic<std::uint64_t> placed_remote_{0};
+  std::atomic<int> running_{0};
 
   // Round-robin cursor per pod for hinted placement (allocated to npods_).
   std::unique_ptr<std::atomic<std::uint32_t>[]> pod_rr_;

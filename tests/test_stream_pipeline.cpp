@@ -2,25 +2,48 @@
 // container round-trips through the IoTool formats, the compress/write
 // overlap the chunked mode exists for, and the symmetric fetch/decompress
 // overlap on the read side — plus robustness (corrupt slabs and chunk
-// indexes must fail cleanly, with no partial field escaping).
+// indexes must fail cleanly, with no partial field escaping) and the codec
+// lanes: byte parity with one-slab-at-a-time references, failure settling,
+// the process-wide core budget, the lane-aware timeline solvers, and the
+// lane energy sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <functional>
+#include <mutex>
 #include <numeric>
+#include <thread>
 
+#include "common/buffer_pool.h"
 #include "common/error.h"
+#include "common/rng.h"
+#include "compressors/chunking.h"
+#include "compressors/compressor.h"
+#include "compressors/zone.h"
 #include "core/pipeline.h"
+#include "energy/cpu_model.h"
+#include "energy/powercap_monitor.h"
 #include "io/io_tool.h"
 #include "io/pfs.h"
+#include "io/transport.h"
 #include "metrics/error_stats.h"
+#include "parallel/executor.h"
+#include "parallel/lanes.h"
 #include "test_util.h"
 
 namespace eblcio {
 namespace {
 
+using test::double_field_4d;
+using test::noisy_field_1d;
+using test::smooth_field_2d;
 using test::smooth_field_3d;
+
+bool same_bytes(std::span<const std::byte> a, std::span<const std::byte> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 TEST(PfsAppend, AppendEqualsWholeFileContent) {
   PfsSimulator pfs;
@@ -114,11 +137,12 @@ TEST(StreamPipeline, ChunkedStreamingBeatsSerialCompressThenWrite) {
   EXPECT_GT(rec.streamed_total_s, 0.0);
   EXPECT_LT(rec.streamed_total_s, rec.serial_total_s);
   EXPECT_GT(rec.overlap_saving_s(), 0.0);
-  // Overlap can never beat the sum of the slower stage plus one unit of
-  // the faster one; sanity-bound the model from below too.
+  // Overlap can never beat the compress stage spread over every lane;
+  // sanity-bound the model from below too.
   const double compress_total = std::accumulate(
       rec.slab_compress_s.begin(), rec.slab_compress_s.end(), 0.0);
-  EXPECT_GE(rec.streamed_total_s, compress_total);
+  ASSERT_GE(rec.lanes, 1);
+  EXPECT_GE(rec.streamed_total_s, compress_total / rec.lanes);
   // Energy was charged by both stages through the shared monitor.
   EXPECT_GT(rec.compress_j, 0.0);
   EXPECT_GT(rec.write_j, 0.0);
@@ -226,10 +250,12 @@ TEST(StreamRead, FetchOverlapsDecompression) {
   EXPECT_GT(rec.streamed_total_s, 0.0);
   EXPECT_LT(rec.streamed_total_s, rec.serial_total_s);
   EXPECT_GT(rec.overlap_saving_s(), 0.0);
-  // The pipeline can never finish before the decompress stage alone.
+  // The pipeline can never finish before the decompress stage spread over
+  // every lane.
   const double decompress_total = std::accumulate(
       rec.slab_decompress_s.begin(), rec.slab_decompress_s.end(), 0.0);
-  EXPECT_GE(rec.streamed_total_s, decompress_total);
+  ASSERT_GE(rec.lanes, 1);
+  EXPECT_GE(rec.streamed_total_s, decompress_total / rec.lanes);
   // Both stages charged energy through the shared monitor.
   EXPECT_GT(rec.fetch_j, 0.0);
   EXPECT_GT(rec.decompress_j, 0.0);
@@ -336,6 +362,415 @@ TEST_F(StreamReadRobustness, BadChunkIndexFailsCleanly) {
     std::memcpy(raw.data() + first_extent + 8, &huge, 8);
   });
   EXPECT_THROW((void)run_streamed_read(pfs_, path_, config_), Error);
+}
+
+// --- codec lanes --------------------------------------------------------------
+
+// `f` converted to double precision.
+Field as_double(const Field& f) {
+  const auto& in = f.as<float>();
+  NdArray<double> out(in.shape());
+  for (std::size_t i = 0; i < in.num_elements(); ++i) out[i] = in[i];
+  return Field(f.name(), std::move(out));
+}
+
+// The container a one-slab-at-a-time writer produces: split_slabs, compress
+// each slab at the whole-field absolute bound, append the zones in order.
+Bytes serial_container(const Field& f, const PipelineConfig& config,
+                       int slabs) {
+  Compressor& comp = compressor(config.codec);
+  CompressOptions opt;
+  opt.error_bound = config.error_bound;
+  CompressOptions slab_opt = opt;
+  slab_opt.mode = BoundMode::kAbsolute;
+  slab_opt.error_bound = absolute_bound_for(f, opt);
+  PfsSimulator pfs;
+  IoTool& tool = io_tool(config.io_library);
+  ChunkedDatasetMeta meta;
+  meta.name = f.name();
+  meta.dims = f.shape().dims_vector();
+  meta.attributes["content"] = "eblc-compressed";
+  meta.attributes["codec"] = comp.name();
+  const std::string path = "/pfs/serial";
+  auto out = tool.open_zoned(pfs, path, meta);
+  const auto parts = split_slabs(f, slabs);
+  const auto zones = zone_extents(f.shape().dim(0), slabs);
+  for (std::size_t i = 0; i < parts.size(); ++i)
+    out.append_zone(comp.compress(parts[i], slab_opt), zones[i]);
+  out.close();
+  return pfs.read_file(path);
+}
+
+TEST(CodecLanes, LanedPipelinesAreByteIdenticalToSerialReferences) {
+  // Every codec family x dtype x rank x slab count around the lane count,
+  // transport on and off: the laned container equals its blocking twin and
+  // the one-slab-at-a-time container, and the laned full and region reads
+  // equal the serial references.
+  const int w = codec_lanes(1);
+  const std::vector<Field> fields = {noisy_field_1d(4096), as_double(smooth_field_2d(40)),
+                                     smooth_field_3d(24), double_field_4d(20, 8)};
+  const std::vector<std::string> codecs = {"SZ2", "SZ3", "ZFP", "QoZ", "SZx",
+                                           "composed:lorenzo2+linear+huffman-lz"};
+  const std::vector<int> slab_counts = {1, std::max(1, w - 1), w + 1, 17};
+  Rng rng(77);
+  for (const std::string& codec : codecs) {
+    for (const Field& f : fields) {
+      PipelineConfig config;
+      config.codec = codec;
+      config.error_bound = 1e-3;
+      CompressOptions probe;
+      if (!compressor(codec).supports(f, probe)) continue;
+      for (const int slabs : slab_counts) {
+        SCOPED_TRACE(codec + " " + std::to_string(f.ndims()) + "D " +
+                     std::to_string(slabs) + " slabs");
+        StreamConfig stream;
+        stream.slabs = slabs;
+        PfsSimulator pfs, twin_pfs;
+        const auto rec = run_streamed_compress_write(f, config, pfs, stream);
+        EXPECT_EQ(rec.lanes, std::min(w, rec.slabs));
+        stream.use_transport = false;
+        const auto twin =
+            run_streamed_compress_write(f, config, twin_pfs, stream);
+        const Bytes bytes = pfs.read_file(rec.path);
+        EXPECT_TRUE(same_bytes(bytes, twin_pfs.read_file(twin.path)));
+        EXPECT_TRUE(same_bytes(bytes, serial_container(f, config, slabs)));
+
+        const Field ref = read_chunked_field(pfs, rec.path, config.io_library);
+        EXPECT_EQ(ref.name(), f.name());
+        Region box;
+        for (const std::size_t d : f.shape().dims_vector()) {
+          const std::size_t start = rng.next_below(d);
+          box.start.push_back(start);
+          box.shape.push_back(1 + rng.next_below(d - start));
+        }
+        const Field box_ref =
+            read_region_reference(pfs, rec.path, box, config.io_library);
+        for (const bool transport : {true, false}) {
+          stream.use_transport = transport;
+          const auto read = run_streamed_read(pfs, rec.path, config, stream);
+          EXPECT_EQ(read.field.name(), ref.name());
+          EXPECT_EQ(read.field.shape(), ref.shape());
+          EXPECT_TRUE(same_bytes(read.field.bytes(), ref.bytes()));
+          const auto region =
+              run_streamed_read_region(pfs, rec.path, box, config, stream);
+          EXPECT_TRUE(same_bytes(region.field.bytes(), box_ref.bytes()));
+        }
+      }
+    }
+  }
+}
+
+TEST(CodecLanes, CorruptMiddleChunkFailsCleanlyAndSettles) {
+  // A corrupt chunk in the middle of a many-slab container: the laned read
+  // throws CorruptStream (no deadlock, no field), every pooled buffer it
+  // took comes back, and no lane task is left on the executor.
+  const Field f = smooth_field_3d(34);
+  PfsSimulator pfs;
+  PipelineConfig config;
+  config.codec = "SZ3";
+  StreamConfig stream;
+  stream.slabs = 17;
+  const auto wrec = run_streamed_compress_write(f, config, pfs, stream);
+  const auto extent =
+      io_tool(config.io_library).open_chunked_reader(pfs, wrec.path)
+          .index().chunks[8];
+  Bytes raw = pfs.read_file(wrec.path);
+  for (std::size_t i = 0; i < extent.size; ++i)
+    raw[static_cast<std::size_t>(extent.offset) + i] ^= std::byte{0xff};
+  pfs.write_file(wrec.path, raw);
+
+  const Region middle{{14, 0, 0}, {6, 34, 34}};
+  for (const bool transport : {true, false}) {
+    SCOPED_TRACE(transport ? "transport" : "blocking");
+    stream.use_transport = transport;
+    BufferPool::global().reset_stats();
+    EXPECT_THROW((void)run_streamed_read(pfs, wrec.path, config, stream),
+                 CorruptStream);
+    EXPECT_THROW(
+        (void)run_streamed_read_region(pfs, wrec.path, middle, config, stream),
+        CorruptStream);
+    const auto pool = BufferPool::global().stats();
+    EXPECT_EQ(pool.acquires, pool.releases);
+    const auto ex = Executor::global().stats();
+    EXPECT_EQ(ex.queued, 0u);
+    EXPECT_EQ(ex.running, 0);
+  }
+  EXPECT_THROW((void)read_chunked_field(pfs, wrec.path, config.io_library),
+               CorruptStream);
+}
+
+TEST(CodecLanes, ConcurrentPipelinesStayWithinTheCoreBudget) {
+  // Three clients dump and restart at once: their lanes share one budget,
+  // so no more than concurrency() lane codec calls ever run together.
+  CoreBudget& budget = CoreBudget::global();
+  EXPECT_LE(budget.slots(), Executor::global().concurrency());
+  budget.reset_peak();
+  const Field f = smooth_field_3d(40);
+  PfsSimulator pfs;
+  std::vector<std::thread> clients;
+  std::vector<int> ok(3, 0);
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&, c] {
+      Field mine = f;
+      mine.set_name("client" + std::to_string(c));
+      PipelineConfig config;
+      config.codec = c == 1 ? "ZFP" : "SZ3";
+      StreamConfig stream;
+      stream.slabs = 10;
+      stream.use_transport = c != 2;
+      for (int round = 0; round < 3; ++round) {
+        const auto w = run_streamed_compress_write(mine, config, pfs, stream);
+        const auto r = run_streamed_read(pfs, w.path, config, stream);
+        ok[c] += check_value_range_bound(mine, r.field, config.error_bound);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(ok, std::vector<int>(3, 3));
+  EXPECT_GE(budget.peak(), 1);
+  EXPECT_LE(budget.peak(), budget.slots());
+  EXPECT_LE(budget.peak(), Executor::global().concurrency());
+  EXPECT_EQ(budget.held(), 0);
+}
+
+TEST(CodecLanes, OrderedLanesKeepSlabOrderAndAdmissionWindow) {
+  // The sink sees slabs strictly in order, at most `lanes` lanes run at
+  // once, and a slab enters the lanes only once the sink has taken slab
+  // i - (lanes + depth). (Taking slab k admits slab k + lanes + depth just
+  // before sink(k) runs, so a lane may start while `taken` still reads k.)
+  const std::size_t n = 23;
+  const int lanes = 3;
+  const std::size_t depth = 2;
+  std::mutex mu;
+  int running = 0, peak = 0;
+  std::size_t taken = 0;
+  std::vector<std::size_t> order;
+  bool window_ok = true;
+  LaneStages stages;
+  stages.lane = [&](std::size_t i) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      peak = std::max(peak, ++running);
+      window_ok &= i <= taken + lanes + depth;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * (i % 4)));
+    std::lock_guard<std::mutex> lock(mu);
+    --running;
+  };
+  stages.sink = [&](std::size_t i) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(i);
+    taken = i + 1;
+  };
+  run_ordered_lanes(n, lanes, depth, stages);
+  std::vector<std::size_t> expect(n);
+  std::iota(expect.begin(), expect.end(), std::size_t{0});
+  EXPECT_EQ(order, expect);
+  EXPECT_LE(peak, lanes);
+  EXPECT_TRUE(window_ok);
+
+  // A failing lane stops the loop and surfaces its exception.
+  stages.lane = [](std::size_t i) {
+    if (i == 5) throw CorruptStream("lane 5");
+  };
+  stages.sink = [](std::size_t) {};
+  EXPECT_THROW(run_ordered_lanes(n, lanes, depth, stages), CorruptStream);
+  EXPECT_THROW(run_ordered_lanes(n, lanes, depth, {.source = [](std::size_t) {},
+                                                   .lane = [](std::size_t) {},
+                                                   .sink = [](std::size_t) {}}),
+               InvalidArgument);
+}
+
+// --- the lane-aware timeline solvers ----------------------------------------
+
+// The one-lane recurrences the streamed pipelines ran before codec lanes,
+// verbatim: the bounded-channel producer/consumer with a slot freeing when
+// the consumer finished slab i-2-depth.
+double legacy_blocking_write(const std::vector<double>& produce,
+                             const std::vector<double>& write,
+                             std::size_t depth, double open_s) {
+  const std::size_t n = produce.size();
+  std::vector<double> fc(n, 0.0), fw(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double start = i > 0 ? fc[i - 1] : 0.0;
+    if (i >= depth + 2) start = std::max(start, fw[i - 2 - depth]);
+    else if (i == depth + 1) start = std::max(start, open_s);
+    fc[i] = start + produce[i];
+    const double writer_free = i > 0 ? fw[i - 1] : open_s;
+    fw[i] = std::max(fc[i], writer_free) + write[i];
+  }
+  return fw[n - 1];
+}
+
+double legacy_blocking_read(const std::vector<double>& fetch,
+                            const std::vector<double>& consume,
+                            std::size_t depth, double open_s) {
+  const std::size_t n = fetch.size();
+  std::vector<double> ff(n, 0.0), fd(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double start = i > 0 ? ff[i - 1] : open_s;
+    if (i >= depth + 2) start = std::max(start, fd[i - 2 - depth]);
+    ff[i] = start + fetch[i];
+    const double decomp_free = i > 0 ? fd[i - 1] : 0.0;
+    fd[i] = std::max(ff[i], decomp_free) + consume[i];
+  }
+  return fd[n - 1];
+}
+
+TEST(LaneSolvers, OneLaneMatchesTheLegacyBlockingRecurrences) {
+  Rng rng(9);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t n = 1 + rng.next_below(20);
+    const std::size_t depth = 1 + rng.next_below(4);
+    const double open_s = 0.01 * rng.next_double();
+    std::vector<double> a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = 0.01 * rng.next_double();
+      b[i] = 0.01 * rng.next_double();
+    }
+    EXPECT_EQ(solve_blocking_write(a, b, depth, open_s, 1),
+              legacy_blocking_write(a, b, depth, open_s));
+    EXPECT_EQ(solve_blocking_read(a, b, depth, open_s, 1),
+              legacy_blocking_read(a, b, depth, open_s));
+  }
+}
+
+TEST(LaneSolvers, OneLaneTransportTimelinesMatchTheLegacySolvers) {
+  // Recorded inputs (6 messages of 1-3 sectors on 2 channels with 2
+  // credits each) and the makespans, credit stalls and occupancies the
+  // one-lane solvers produced before lanes, bit for bit.
+  TransportConfig config;
+  config.sector_bytes = 64u << 10;
+  config.ring_depth = 2;
+  config.channels = 2;
+  std::vector<SectorRecord> sectors;
+  std::size_t ordinal = 0;
+  for (std::size_t m = 0; m < 6; ++m) {
+    const std::size_t nsec = 1 + m % 3;
+    for (std::size_t s = 0; s < nsec; ++s, ++ordinal) {
+      SectorRecord r;
+      r.message = m;
+      r.sector = ordinal;
+      r.channel = static_cast<int>(ordinal % 2);
+      r.bytes = s + 1 < nsec ? 65536 : 1000 * (m + 1);
+      r.rpc_s = 0.0004 + 0.0001 * static_cast<double>(m);
+      r.xfer_s = 0.0011 * static_cast<double>(r.bytes) / 65536.0 +
+                 0.00003 * static_cast<double>(s);
+      sectors.push_back(r);
+    }
+  }
+  const std::vector<double> slow = {0.004, 0.0021, 0.0063, 0.0009, 0.0052, 0.0031};
+  std::vector<double> fast = slow;
+  for (double& p : fast) p *= 0.05;
+  const std::vector<double> prep = {0.0002, 0.0001, 0.00035, 0.00005, 0.0003, 0.00015};
+  const std::vector<double> consume = {0.0035, 0.0012, 0.0071, 0.0024, 0.0008, 0.0049};
+  struct Pinned {
+    std::size_t depth;
+    double w_makespan, w_stall, w_mean;
+    int w_peak;
+    double r_makespan, r_stall, r_mean;
+    int r_peak;
+  };
+  const Pinned pinned[2][3] = {
+      {{1, 0x1.98fbffd12f808p-6, 0x0p+0, 0x1.0860b4426178p+0, 4,
+        0x1.59d33daf8df7ap-6, 0x1.a36e2eb1c432cp-10, 0x1.b323b7c04c345p+0, 4},
+       {2, 0x1.98fbffd12f808p-6, 0x0p+0, 0x1.0860b4426178p+0, 4,
+        0x1.5856c8b43958p-6, 0x1.cacc63f141207p-9, 0x1.9634cc46d323bp+1, 4},
+       {4, 0x1.98fbffd12f808p-6, 0x0p+0, 0x1.0860b4426178p+0, 4,
+        0x1.5856c8b43958p-6, 0x1.a61335d249e46p-8, 0x1.a4d926172333ap+1, 4}},
+      {{1, 0x1.5f89d4ac4e814p-7, 0x1.6d9f645b9f262p-8, 0x1.8ff65ff288a2bp+1, 4,
+        0x1.59d33daf8df7ap-6, 0x1.a36e2eb1c432cp-10, 0x1.b323b7c04c345p+0, 4},
+       {2, 0x1.5f89d4ac4e814p-7, 0x1.6e9b0cde09cf1p-8, 0x1.902430e01afe7p+1, 4,
+        0x1.5856c8b43958p-6, 0x1.cacc63f141207p-9, 0x1.9634cc46d323bp+1, 4},
+       {4, 0x1.5f89d4ac4e814p-7, 0x1.6e9b0cde09cf1p-8, 0x1.902430e01afe7p+1, 4,
+        0x1.5856c8b43958p-6, 0x1.a61335d249e46p-8, 0x1.a4d926172333ap+1, 4}}};
+  const std::vector<double>* produce[2] = {&slow, &fast};
+  for (int p = 0; p < 2; ++p) {
+    for (const Pinned& want : pinned[p]) {
+      SCOPED_TRACE("produce set " + std::to_string(p) + ", depth " +
+                   std::to_string(want.depth));
+      const auto w = solve_write_timeline(config, sectors, *produce[p], prep,
+                                          want.depth, 0.0007, 1);
+      EXPECT_EQ(w.makespan_s, want.w_makespan);
+      EXPECT_EQ(w.credit_stall_s, want.w_stall);
+      EXPECT_EQ(w.mean_inflight, want.w_mean);
+      EXPECT_EQ(w.peak_inflight, want.w_peak);
+      const auto r = solve_read_timeline(config, sectors, consume, want.depth,
+                                         0.0007, 1);
+      EXPECT_EQ(r.makespan_s, want.r_makespan);
+      EXPECT_EQ(r.credit_stall_s, want.r_stall);
+      EXPECT_EQ(r.mean_inflight, want.r_mean);
+      EXPECT_EQ(r.peak_inflight, want.r_peak);
+      // More lanes never lengthen these schedules.
+      EXPECT_LE(solve_write_timeline(config, sectors, *produce[p], prep,
+                                     want.depth, 0.0007, 4)
+                    .makespan_s,
+                w.makespan_s);
+      EXPECT_LE(solve_read_timeline(config, sectors, consume, want.depth,
+                                    0.0007, 4)
+                    .makespan_s,
+                r.makespan_s);
+    }
+  }
+}
+
+TEST(LaneSolvers, LanesScheduleTheCodecStageInParallel) {
+  // Eight equal slabs on four lanes with a free writer finish in two
+  // rounds; the read side's lanes decode four fetched slabs at once.
+  const std::vector<double> c(8, 1.0), zero(8, 0.0);
+  EXPECT_EQ(solve_blocking_write(c, zero, 2, 0.0, 4), 2.0);
+  EXPECT_EQ(solve_blocking_write(c, zero, 2, 0.0, 1), 8.0);
+  EXPECT_EQ(solve_blocking_read(zero, c, 2, 0.0, 4), 2.0);
+  EXPECT_EQ(solve_blocking_read(zero, c, 2, 0.0, 1), 8.0);
+  // The admission window binds: one lane-slot of queue and a slow writer
+  // keep at most lanes + depth slabs ahead of the writer.
+  const std::vector<double> slow_write(8, 2.0);
+  EXPECT_EQ(solve_blocking_write(c, slow_write, 1, 0.0, 4), 1.0 + 8 * 2.0);
+}
+
+// --- lane energy ---------------------------------------------------------------
+
+TEST(LaneEnergy, DisjointSpansEqualRecordCompute) {
+  const CpuModel& cpu = default_cpu();
+  for (const int threads : {1, 2}) {
+    const std::vector<LaneSpan> spans = {
+        {0.0, 0.013}, {0.013, 0.02}, {0.031, 0.0442}, {0.05, 0.05}};
+    PowercapMonitor lanes(cpu), serial(cpu);
+    const auto got = lanes.record_lanes("lane", spans, threads);
+    ASSERT_EQ(got.size(), spans.size());
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      const auto want = serial.record_compute(
+          "lane", spans[i].end_s - spans[i].start_s, threads);
+      EXPECT_EQ(got[i].seconds, want.seconds);
+      EXPECT_EQ(got[i].joules, want.joules);
+      EXPECT_EQ(got[i].samples, want.samples);
+    }
+    EXPECT_EQ(lanes.phases().size(), spans.size());
+  }
+}
+
+TEST(LaneEnergy, EqualOverlappingSpansChargeTheNodeOnce) {
+  const CpuModel& cpu = default_cpu();
+  const double t = 0.037;
+  for (const int k : {2, 3, 4}) {
+    const std::vector<LaneSpan> spans(static_cast<std::size_t>(k),
+                                      LaneSpan{0.0, t});
+    PowercapMonitor monitor(cpu);
+    double joules = 0.0;
+    for (const EnergyReading& r : monitor.record_lanes("lane", spans, 1)) {
+      EXPECT_DOUBLE_EQ(r.seconds, t / cpu.speed_factor);
+      joules += r.joules;
+    }
+    EXPECT_NEAR(joules, cpu.node_power_w(k) * t / cpu.speed_factor,
+                1e-12 * joules);
+  }
+  // Partial overlap: the shared interval is charged once at two cores,
+  // each lane's unshared time at one.
+  PowercapMonitor monitor(cpu);
+  const auto r = monitor.record_lanes("lane", std::vector<LaneSpan>{{0.0, 0.02}, {0.01, 0.03}}, 1);
+  const double want = (cpu.node_power_w(1) * 0.02 + cpu.node_power_w(2) * 0.01) /
+                      cpu.speed_factor;
+  EXPECT_NEAR(r[0].joules + r[1].joules, want, 1e-12 * want);
 }
 
 }  // namespace

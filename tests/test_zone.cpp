@@ -2,8 +2,9 @@
 // ZoneCompressor's parallel/serial bit-parity, region decodes against the
 // full-field slice, the zoned container index through every IoTool, random
 // query boxes vs the serial reference, and robustness (corrupt zone
-// indexes, truncated zone blobs, out-of-bounds queries must fail cleanly
-// with no partial field escaping).
+// indexes, truncated zone blobs, out-of-bounds queries, and forged
+// containers whose chunks disagree with the index in rows or dtype must
+// fail cleanly with no partial field escaping).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,11 +16,13 @@
 #include "common/rng.h"
 #include "compressors/backend.h"
 #include "compressors/block_core.h"
+#include "compressors/chunking.h"
 #include "compressors/compressor.h"
 #include "compressors/zone.h"
 #include "core/pipeline.h"
 #include "io/io_tool.h"
 #include "io/pfs.h"
+#include "metrics/error_stats.h"
 #include "test_util.h"
 
 namespace eblcio {
@@ -878,6 +881,127 @@ TEST(ZoneBackCompat, ZonedWriterRejectsPlainAppendAndBadPartitions) {
   EXPECT_THROW(writer.append_zone(blob, {9, 7}), InvalidArgument);
   // Closing before the zones cover the dataset rows is rejected.
   EXPECT_THROW(writer.close(), InvalidArgument);
+}
+
+// --- forged containers: chunk headers are checked before placement ----------
+
+class ForgedContainer : public ::testing::Test {
+ protected:
+  // 24^3 field cut into 4 six-row slabs, each compressed at the whole-field
+  // bound; `wide` is the first twelve rows as one blob, `as_f64` slab 2 of
+  // the same values in double precision.
+  void SetUp() override {
+    field_ = smooth_field_3d(24);
+    opt_.mode = BoundMode::kAbsolute;
+    CompressOptions rel;
+    opt_.error_bound = absolute_bound_for(field_, rel);
+    for (const Field& slab : split_slabs(field_, 4))
+      blobs_.push_back(compressor("SZ3").compress(slab, opt_));
+    wide_ = compressor("SZ3").compress(split_slabs(field_, 2)[0], opt_);
+    const Field slab2 = split_slabs(field_, 4)[2];
+    NdArray<double> d(slab2.shape());
+    for (std::size_t i = 0; i < d.num_elements(); ++i)
+      d[i] = slab2.as<float>()[i];
+    as_f64_ = compressor("SZ3").compress(Field(field_.name(), std::move(d)), opt_);
+  }
+
+  // Writes `blobs` as a zoned container claiming the honest 6-row extents,
+  // or as a version-1 container (no row extents at all).
+  void write(const std::vector<Bytes>& blobs, bool zoned) {
+    IoTool& tool = io_tool("HDF5");
+    ChunkedDatasetMeta meta;
+    meta.name = field_.name();
+    meta.dims = field_.shape().dims_vector();
+    auto out = zoned ? tool.open_zoned(pfs_, path_, meta)
+                     : tool.open_chunked(pfs_, path_, meta);
+    const auto zones = zone_extents(24, 4);
+    for (std::size_t i = 0; i < blobs.size(); ++i) {
+      if (zoned) out.append_zone(blobs[i], zones[i]);
+      else out.append_chunk(blobs[i]);
+    }
+    out.close();
+  }
+
+  // Every reader of the container must refuse it with CorruptStream.
+  void expect_rejected(bool zoned) {
+    PipelineConfig config;
+    StreamConfig stream;
+    for (const bool transport : {true, false}) {
+      stream.use_transport = transport;
+      EXPECT_THROW((void)run_streamed_read(pfs_, path_, config, stream),
+                   CorruptStream);
+      if (zoned)
+        EXPECT_THROW((void)run_streamed_read_region(pfs_, path_, box_, config,
+                                                    stream),
+                     CorruptStream);
+    }
+    EXPECT_THROW((void)read_chunked_field(pfs_, path_, "HDF5"), CorruptStream);
+    if (zoned)
+      EXPECT_THROW((void)read_region_reference(pfs_, path_, box_, "HDF5"),
+                   CorruptStream);
+  }
+
+  Field field_;
+  CompressOptions opt_;
+  std::vector<Bytes> blobs_;
+  Bytes wide_, as_f64_;
+  PfsSimulator pfs_;
+  const std::string path_ = "/pfs/forged";
+  const Region box_{{4, 0, 0}, {12, 24, 24}};  // zones 0-2
+};
+
+TEST_F(ForgedContainer, HonestChunksDecodeInBothLayouts) {
+  for (const bool zoned : {true, false}) {
+    write(blobs_, zoned);
+    PipelineConfig config;
+    const auto read = run_streamed_read(pfs_, path_, config);
+    const Field ref = read_chunked_field(pfs_, path_, "HDF5");
+    EXPECT_TRUE(bytes_equal(read.field, ref)) << zoned;
+    EXPECT_TRUE(check_value_range_bound(field_, read.field, 1e-3)) << zoned;
+  }
+}
+
+TEST_F(ForgedContainer, SwappedLargerZoneBlobFailsCleanly) {
+  auto blobs = blobs_;
+  blobs[1] = wide_;  // 12 rows where the index promises 6
+  write(blobs, true);
+  expect_rejected(true);
+}
+
+TEST_F(ForgedContainer, SwappedLargerV1ChunkFailsCleanly) {
+  // Without row extents the chunks would tile 30 rows of a 24-row field:
+  // the running row sum must stop it before any slab lands.
+  auto blobs = blobs_;
+  blobs[1] = wide_;
+  write(blobs, false);
+  expect_rejected(false);
+}
+
+TEST_F(ForgedContainer, MixedDtypeZoneFailsCleanly) {
+  auto blobs = blobs_;
+  blobs[2] = as_f64_;
+  write(blobs, true);
+  expect_rejected(true);
+}
+
+TEST_F(ForgedContainer, MixedDtypeV1ChunkFailsCleanly) {
+  auto blobs = blobs_;
+  blobs[2] = as_f64_;
+  write(blobs, false);
+  expect_rejected(false);
+}
+
+TEST(MergeSlabs, ChecksBoundsAndDtypeBeforeEachCopy) {
+  const Field f = smooth_field_3d(8);
+  auto slabs = split_slabs(f, 2);
+  const auto dims = f.shape().dims_vector();
+  EXPECT_TRUE(bytes_equal(merge_slabs(slabs, dims, f.name()), f));
+  slabs.push_back(slabs[0]);  // one slab too many
+  EXPECT_THROW((void)merge_slabs(slabs, dims, f.name()), CorruptStream);
+  slabs.pop_back();
+  NdArray<double> d(slabs[1].shape());
+  slabs[1] = Field(f.name(), std::move(d));
+  EXPECT_THROW((void)merge_slabs(slabs, dims, f.name()), CorruptStream);
 }
 
 }  // namespace
