@@ -342,13 +342,23 @@ void SectorReader::drain_loop() {
 }
 
 Bytes SectorReader::await(std::size_t handle, double* wire_s_out) {
-  Executor::BlockingScope blocking;
   std::unique_lock<std::mutex> lock(mu_);
   auto it = messages_.find(handle);
   EBLCIO_CHECK_ARG(it != messages_.end(),
                    "await on an unknown or already-awaited message");
-  done_cv_.wait(lock,
-                [&] { return it->second.done || error_ != nullptr; });
+  const auto landed = [&] { return it->second.done || error_ != nullptr; };
+  // request() staged every sector of the message, so until it lands a
+  // drainer is queued or running. A queued one runs here; a running one
+  // serves the whole queue before it exits. Neither needs another pool
+  // worker, so this wait declares no BlockingScope: codec lanes await on
+  // pool threads, and a scope per await grew and shrank the pool by a
+  // thread for nearly every chunk.
+  while (!landed()) {
+    lock.unlock();
+    const bool helped = drainer_.help_one();
+    lock.lock();
+    if (!helped) done_cv_.wait(lock, landed);
+  }
   if (error_ && !it->second.done) {
     // The message can never assemble; its buffer goes back now so a
     // caller that catches the error leaves the pool balanced.

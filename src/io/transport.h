@@ -180,8 +180,10 @@ class SectorReader {
   std::size_t request(std::size_t offset, std::size_t length);
 
   // Blocks until the message assembles; rethrows a wire error (a fetch
-  // that failed mid-message). `wire_s_out`, when given, receives the sum
-  // of the message's per-sector rpc_s + xfer_s.
+  // that failed mid-message). A queued drainer runs on the calling thread
+  // meanwhile, so an await on a pool thread never grows the pool.
+  // `wire_s_out`, when given, receives the sum of the message's per-sector
+  // rpc_s + xfer_s.
   Bytes await(std::size_t handle, double* wire_s_out = nullptr);
 
   // Blocks until every staged sector has been served.

@@ -445,14 +445,17 @@ void TaskGroup::run(std::function<void()> fn, int pod_hint) {
   ex_->submit(Executor::Task{std::move(fn), this, pod_hint});
 }
 
+bool TaskGroup::help_one() {
+  Executor::Task task;
+  if (!ex_->try_acquire_of_group(this, task)) return false;
+  ex_->help_runs_.fetch_add(1);
+  ex_->run_task(task);
+  return true;
+}
+
 void TaskGroup::wait() {
   while (pending_.load() > 0) {
-    Executor::Task task;
-    if (ex_->try_acquire_of_group(this, task)) {
-      ex_->help_runs_.fetch_add(1);
-      ex_->run_task(task);
-      continue;
-    }
+    if (help_one()) continue;
     std::unique_lock<std::mutex> lock(mu_);
     if (pending_.load() == 0) break;
     // Woken on every task completion; re-scan for queued work then.

@@ -228,6 +228,10 @@ class TaskGroup {
   // while waiting. Rethrows the first captured exception.
   void wait();
 
+  // Runs one still-queued task of this group on the calling thread.
+  // Returns false when none is queued (every task is running or done).
+  bool help_one();
+
   std::size_t pending() const { return pending_.load(); }
 
  private:

@@ -122,6 +122,27 @@ TEST(Executor, BlockingScopeLendsReplacementWorker) {
   EXPECT_EQ(received, 42);
 }
 
+TEST(Executor, HelpOneRunsAQueuedTaskOfItsGroupInline) {
+  // The only worker is pinned, so the group's task stays queued until the
+  // calling thread takes it; once it ran, nothing of the group is queued.
+  Executor ex(1);
+  std::atomic<bool> release{false};
+  TaskGroup blocker(ex);
+  blocker.run([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  TaskGroup group(ex);
+  const auto caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  group.run([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_TRUE(group.help_one());
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_FALSE(group.help_one());
+  EXPECT_EQ(group.pending(), 0u);
+  release.store(true);
+  blocker.wait();
+}
+
 TEST(Executor, ChannelDeliversInOrderAndCloses) {
   BoundedChannel<int> ch(2);
   std::vector<int> got;

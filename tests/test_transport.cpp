@@ -173,6 +173,39 @@ TEST(SectorReaderTest, AssemblesMessagesAndMatchesFile) {
   BufferPool::global().release(std::move(m2));
 }
 
+TEST(SectorReaderTest, AwaitOnTheOnlyPoolWorkerRunsTheDrainerItself) {
+  // A codec lane awaits its chunk on a pool thread. On a one-worker pool the
+  // drainer task queues behind the lane's own task, so the await must run
+  // it inline (a help run) instead of growing the pool by a thread.
+  PfsSimulator pfs;
+  const Bytes content = pattern_bytes(200000, 7);
+  pfs.write_file("/pfs/lane", content);
+  TransportConfig config;  // 4 sectors, within the 8 credits: no stall
+  config.sector_bytes = 64u << 10;
+
+  Executor ex(1);
+  Bytes got;
+  int workers_during_await = 0;
+  std::atomic<bool> done{false};
+  TaskGroup lane(ex);
+  lane.run([&] {
+    auto stream = pfs.open_read("/pfs/lane");
+    SectorReader reader(stream, config, ex);
+    got = reader.await(reader.request(0, content.size()));
+    workers_during_await = ex.stats().workers;
+    done.store(true);
+  });
+  // Spin rather than wait(): a waiting test thread would take the lane task
+  // and run it off the pool.
+  while (!done.load()) std::this_thread::yield();
+  const std::uint64_t help_runs = ex.stats().help_runs;
+  lane.wait();
+  EXPECT_EQ(got, content);
+  EXPECT_EQ(workers_during_await, 1);
+  EXPECT_EQ(help_runs, 1u);  // the drainer, run by the awaiting lane
+  BufferPool::global().release(std::move(got));
+}
+
 TEST(SectorTransportTest, RegistryCountsOnlyInFlightOccupancy) {
   PfsSimulator pfs;
   pfs.write_file("/pfs/idle", pattern_bytes(10000, 1));
