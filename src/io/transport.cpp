@@ -350,9 +350,8 @@ Bytes SectorReader::await(std::size_t handle, double* wire_s_out) {
   // request() staged every sector of the message, so until it lands a
   // drainer is queued or running. A queued one runs here; a running one
   // serves the whole queue before it exits. Neither needs another pool
-  // worker, so this wait declares no BlockingScope: codec lanes await on
-  // pool threads, and a scope per await grew and shrank the pool by a
-  // thread for nearly every chunk.
+  // worker, so no BlockingScope: codec lanes await on pool threads, and a
+  // scope would add a thread to the pool for each await.
   while (!landed()) {
     lock.unlock();
     const bool helped = drainer_.help_one();

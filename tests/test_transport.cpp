@@ -1,9 +1,9 @@
 // Sector-ring transport tests: file-byte parity with the blocking append
 // path, credit exhaustion and recovery, per-channel FIFO retirement,
 // in-flight-only registry accounting, contended pricing monotonicity,
-// concurrent N-writer × M-reader interleavings, and error-path hygiene
-// (a mid-stream wire failure must release every credit and pooled sector
-// buffer).
+// concurrent N-writer × M-reader interleavings, an await on a pool thread
+// that must not grow the pool, and error-path hygiene (a mid-stream wire
+// failure must release every credit and pooled sector buffer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
