@@ -322,80 +322,6 @@ EncoderScratch& encoder_scratch() {
   return sc;
 }
 
-// Heap-based length build over the compact (present, freqs) lists —
-// line-for-line the algorithm of huffman_code_lengths (same node insertion
-// order, same comparator, same Kraft fix-up), so its tie-break behavior is
-// exactly the one the frozen reference blobs were produced with. Writes
-// sc.lengths (parallel to sc.present).
-void heap_lengths_compact(EncoderScratch& sc) {
-  const std::size_t m = sc.present.size();
-  sc.lengths.assign(m, 0);
-  if (m == 1) {
-    sc.lengths[0] = 1;
-    return;
-  }
-  std::vector<TreeNode> nodes;
-  nodes.reserve(m * 2);
-  using Entry = std::pair<std::uint64_t, std::int32_t>;
-  auto cmp = [](const Entry& a, const Entry& b) { return a.first > b.first; };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
-  for (std::uint32_t i = 0; i < m; ++i) {
-    nodes.push_back({sc.freqs[i], -1, -1, i});
-    heap.emplace(sc.freqs[i], static_cast<std::int32_t>(nodes.size() - 1));
-  }
-  while (heap.size() > 1) {
-    const auto a = heap.top();
-    heap.pop();
-    const auto b = heap.top();
-    heap.pop();
-    nodes.push_back({a.first + b.first, a.second, b.second, 0});
-    heap.emplace(a.first + b.first,
-                 static_cast<std::int32_t>(nodes.size() - 1));
-  }
-  struct Item {
-    std::int32_t node;
-    int depth;
-  };
-  std::vector<Item> stack{{heap.top().second, 0}};
-  while (!stack.empty()) {
-    const Item it = stack.back();
-    stack.pop_back();
-    const TreeNode& nd = nodes[it.node];
-    if (nd.left < 0) {
-      sc.lengths[nd.symbol] = static_cast<std::uint8_t>(std::max(it.depth, 1));
-    } else {
-      stack.push_back({nd.left, it.depth + 1});
-      stack.push_back({nd.right, it.depth + 1});
-    }
-  }
-  bool overflow = false;
-  for (std::size_t i = 0; i < m; ++i)
-    if (sc.lengths[i] > kMaxHuffmanBits) {
-      sc.lengths[i] = kMaxHuffmanBits;
-      overflow = true;
-    }
-  if (overflow) {
-    auto kraft = [&]() {
-      long double k = 0;
-      for (std::size_t i = 0; i < m; ++i)
-        k += std::pow(2.0L, -static_cast<int>(sc.lengths[i]));
-      return k;
-    };
-    std::vector<std::uint32_t> order(m);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return sc.freqs[a] < sc.freqs[b];
-              });
-    std::size_t i = 0;
-    while (kraft() > 1.0L) {
-      const std::uint32_t s = order[i % order.size()];
-      if (sc.lengths[s] < kMaxHuffmanBits) ++sc.lengths[s];
-      ++i;
-    }
-  }
-}
-
 // In-place two-queue (Moffat-style) length construction over the compact
 // lists: leaves sorted ascending by (freq, symbol) form one queue, merged
 // nodes append to a second in nondecreasing weight order, so every merge
@@ -408,9 +334,11 @@ void heap_lengths_compact(EncoderScratch& sc) {
 // so any correct builder produces the same tree depths (the two picks may
 // swap roles on an a==b tie, but both children sit at the same depth).
 // Each merge therefore checks the next head against the second pick and
-// returns false on a tie, and the caller falls back to the retained heap
-// builder: identical lengths by the forcing argument on this path,
-// identical by construction on the other. Depths past kMaxHuffmanBits
+// returns false on a tie, and the caller falls back to the reference
+// builder, huffman_code_lengths, over the compact frequency list (its
+// symbols are then the compact indices, in the same insertion order):
+// identical lengths by the forcing argument on this path, identical by
+// construction on the other. Depths past kMaxHuffmanBits
 // also bail out so the Kraft fix-up runs only in its original form.
 bool moffat_lengths(EncoderScratch& sc) {
   const std::size_t m = sc.present.size();
@@ -530,7 +458,8 @@ Bytes huffman_encode(std::span<const std::uint32_t> symbols,
   }
 
   const std::size_t m = sc.present.size();
-  if (m > 0 && !moffat_lengths(sc)) heap_lengths_compact(sc);
+  if (m > 0 && !moffat_lengths(sc))
+    sc.lengths = huffman_code_lengths(sc.freqs);
 
   // RLE header runs straight off the compact lists: gaps between present
   // symbols are zero-length runs, adjacent equal lengths merge — exactly

@@ -28,9 +28,9 @@ inline constexpr std::uint8_t kBackendHuffman = 0;
 inline constexpr std::uint8_t kBackendHuffmanLz = 1;
 inline constexpr std::uint8_t kBackendLzRaw = 2;    // LZ77 over packed codes
 inline constexpr std::uint8_t kBackendRaw = 3;      // width-packed codes
-// Same bitstream as kBackendHuffman but decoded with the per-bit canonical
-// referee instead of the LUT walker — the composed framework's way of
-// keeping the reference decoder production-reachable.
+// Same bitstream as kBackendHuffman, emitted by the composed `+huffman`
+// encoder (kBackendHuffman is `+huffman-lut`); both decode through the LUT
+// decoder.
 inline constexpr std::uint8_t kBackendHuffmanCanonical = 4;
 
 // Byte width of a packed code for `alphabet_size` symbols.
@@ -158,6 +158,7 @@ inline std::vector<std::uint32_t> decode_code_stream(ByteReader& r) {
   auto blob = r.read_bytes(size);
   switch (backend) {
     case kBackendHuffman:
+    case kBackendHuffmanCanonical:
       return huffman_decode(blob);
     case kBackendHuffmanLz: {
       const Bytes huff = lz_decompress(blob);
@@ -169,8 +170,6 @@ inline std::vector<std::uint32_t> decode_code_stream(ByteReader& r) {
     }
     case kBackendRaw:
       return unpack_codes_raw(blob);
-    case kBackendHuffmanCanonical:
-      return huffman_decode_reference(blob);
     default:
       throw CorruptStream("bad backend tag");
   }

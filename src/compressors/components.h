@@ -47,8 +47,8 @@ enum class QuantizerId : std::uint8_t {
 inline constexpr int kNumQuantizers = 3;
 
 enum class EncoderId : std::uint8_t {
-  kHuffman = 0,     // canonical Huffman, per-bit canonical decode
-  kHuffmanLut = 1,  // canonical Huffman, multi-symbol LUT decode
+  kHuffman = 0,     // canonical Huffman (wire tag 4), LUT decode
+  kHuffmanLut = 1,  // canonical Huffman (wire tag 0), LUT decode
   kHuffmanLz = 2,   // Huffman then LZ77, smaller of the two (legacy SZ)
   kLz = 3,          // LZ77 over width-packed raw codes
   kRaw = 4,         // width-packed raw codes, no entropy stage

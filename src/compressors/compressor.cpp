@@ -167,8 +167,18 @@ Field decompress_any(std::span<const std::byte> blob, int threads) {
 
 Field decompress_region_any(std::span<const std::byte> blob, const Region& box,
                             int threads, std::size_t* reconstructed) {
-  return compressor(peek_header(blob).codec)
-      .decompress_region(blob, box, threads, reconstructed);
+  const BlobHeader h = peek_header(blob);
+  const bool whole =
+      box.shape == h.dims && box.start.size() == h.dims.size() &&
+      std::all_of(box.start.begin(), box.start.end(),
+                  [](std::size_t s) { return s == 0; });
+  if (!whole)
+    return compressor(h.codec).decompress_region(blob, box, threads,
+                                                 reconstructed);
+  // The whole extent: the full decode, exactly as decompress_any runs it.
+  Field f = compressor(h.codec).decompress(blob, threads);
+  if (reconstructed) *reconstructed = f.num_elements();
+  return f;
 }
 
 BlobHeader peek_header(std::span<const std::byte> blob) {

@@ -130,7 +130,8 @@ Field decompress_any(std::span<const std::byte> blob, int threads = 1);
 // Windowed decode: the values of the blob's field inside `box`, shaped
 // box.shape, bit-identical to decompress_any cropped to the box. Throws
 // InvalidArgument when the box does not lie inside the blob's dims, and
-// otherwise exactly when decompress_any throws. `reconstructed`, when
+// otherwise exactly when decompress_any throws. A box covering the blob's
+// whole extent returns decompress_any's field. `reconstructed`, when
 // non-null, receives the number of elements the codec reconstructed.
 Field decompress_region_any(std::span<const std::byte> blob, const Region& box,
                             int threads = 1,

@@ -8,7 +8,6 @@
 
 #include "common/buffer_pool.h"
 #include "common/timer.h"
-#include "compressors/chunking.h"
 #include "compressors/compressor.h"
 #include "compressors/zone.h"
 #include "io/io_tool.h"
@@ -156,55 +155,36 @@ Field extract_slab(const Field& field, const ZoneExtent& zone) {
   });
 }
 
-// Checks chunk `i`'s blob header against the container index before any
-// of its bytes are placed. Zoned containers: the dims must match the
-// dataset with the zone's row count, so a swapped or forged blob fails
-// cleanly. Version-1 containers carry no row extents, so only dims 1..n
-// are checked here; their row sum is checked once every header is known
-// (check_chunk_rows).
-void check_chunk_dims(const std::vector<std::size_t>& chunk_dims,
-                      const ChunkIndex& index, std::size_t i,
-                      const std::string& path) {
-  const auto& dims = index.meta.dims;
-  EBLCIO_CHECK_STREAM(
-      chunk_dims.size() == dims.size() &&
-          (!index.zoned() ||
-           chunk_dims[0] == static_cast<std::size_t>(index.zones[i].rows)),
-      "chunk blob does not match its index extent: " + path);
-  for (std::size_t d = 1; d < chunk_dims.size(); ++d)
-    EBLCIO_CHECK_STREAM(chunk_dims[d] == dims[d],
-                        "chunk blob does not match the dataset dims: " + path);
+// Checks zone `i`'s blob header against the container index before any of
+// its bytes are placed: its dims must be the dataset's with the zone's row
+// count, so a swapped or forged blob fails cleanly.
+void check_zone_dims(const std::vector<std::size_t>& blob_dims,
+                     const ChunkIndex& index, std::size_t i,
+                     const std::string& path) {
+  std::vector<std::size_t> expected = index.meta.dims;
+  expected[0] = static_cast<std::size_t>(index.zones[i].rows);
+  EBLCIO_CHECK_STREAM(blob_dims == expected,
+                      "chunk blob does not match its zone extent: " + path);
 }
 
-// The running row sum of a version-1 container's chunks must tile the
-// dataset's leading dimension exactly.
-void check_chunk_rows(const std::vector<std::size_t>& rows,
-                      const ChunkIndex& index, const std::string& path) {
-  std::size_t total = 0;
-  for (const std::size_t r : rows) {
-    EBLCIO_CHECK_STREAM(r <= index.meta.dims[0] - total,
-                        "chunk rows overrun the dataset: " + path);
-    total += r;
-  }
-  EBLCIO_CHECK_STREAM(total == index.meta.dims[0],
-                      "chunk rows do not cover the dataset: " + path);
+// The box a read serves: `box`, or the whole dataset when none is given.
+// Refuses a container holding no zones before any fetch.
+Region read_box(const ChunkIndex& index, const std::optional<Region>& box,
+                const std::string& path) {
+  EBLCIO_CHECK_STREAM(!index.chunks.empty(),
+                      "chunked container holds no zones: " + path);
+  if (box) return *box;
+  return Region{std::vector<std::size_t>(index.meta.dims.size(), 0),
+                index.meta.dims};
 }
 
-// A zero-filled field of `dtype` shaped `shape`.
-Field zero_field(const std::string& name, const std::vector<std::size_t>& shape,
-                 DType dtype) {
-  const Shape s{std::span<const std::size_t>(shape)};
-  return dtype == DType::kFloat32 ? Field(name, NdArray<float>(s))
-                                  : Field(name, NdArray<double>(s));
-}
-
-// The field a laned read assembles into. Allocated by the first lane that
-// places a chunk, from that chunk's dtype (the container's dtype_code tags
-// opaque compressed chunks, not the payload dtype); every later chunk must
-// agree. Lanes then copy into disjoint rows of it concurrently.
-class LaneOutput {
+// The field a read assembles into. Allocated zero-filled by the first zone
+// placed, from that zone's dtype (the container's dtype_code tags opaque
+// compressed chunks, not the payload dtype); every later zone must agree.
+// Lanes then copy into disjoint rows of it concurrently.
+class ReadOutput {
  public:
-  LaneOutput(std::string name, std::vector<std::size_t> shape,
+  ReadOutput(std::string name, std::vector<std::size_t> shape,
              std::string path)
       : name_(std::move(name)), shape_(std::move(shape)),
         path_(std::move(path)) {}
@@ -212,11 +192,13 @@ class LaneOutput {
   Field& claim(DType dtype) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!ready_) {
-      field_ = zero_field(name_, shape_, dtype);
+      const Shape s{std::span<const std::size_t>(shape_)};
+      field_ = dtype == DType::kFloat32 ? Field(name_, NdArray<float>(s))
+                                        : Field(name_, NdArray<double>(s));
       ready_ = true;
     }
     EBLCIO_CHECK_STREAM(dtype == field_.dtype(),
-                        "chunk blobs disagree on dtype: " + path_);
+                        "zone blobs disagree on dtype: " + path_);
     return field_;
   }
 
@@ -230,136 +212,6 @@ class LaneOutput {
   Field field_;
   bool ready_ = false;
 };
-
-// What one laned fetch→decode pass over a container's chunks measured.
-struct LanedRead {
-  int lanes = 1;
-  std::vector<double> fetch_s;
-  std::vector<double> decompress_s;
-  double fetch_j = 0.0;
-  double decompress_j = 0.0;
-  std::size_t bytes_fetched = 0;
-  double host_wall_s = 0.0;
-  double serial_total_s = 0.0;
-  double streamed_total_s = 0.0;
-  TransportTelemetry transport;
-};
-
-// Fetches chunks ids[0..n) of `reader` in order on the calling thread and
-// decodes them on codec lanes. decode(k, blob) runs on a lane under a core
-// budget slot and is timed; place(k, part) then puts its result in the
-// output. Monitor phases are named "<label>-fetch", "<label>-decompress",
-// etc. A failing fetch, decode, or placement propagates once every lane
-// settled, with every pooled blob returned.
-LanedRead read_on_lanes(
-    IoTool::ChunkReader& reader, PfsSimulator& pfs,
-    const std::vector<std::size_t>& ids, const StreamConfig& stream,
-    PowercapMonitor& monitor, const std::string& label,
-    const std::function<Field(std::size_t, const Bytes&)>& decode,
-    const std::function<void(std::size_t, Field&&)>& place) {
-  const std::size_t n = ids.size();
-  LanedRead r;
-  r.lanes = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(codec_lanes(1)), n));
-  r.fetch_s.assign(n, 0.0);
-  r.decompress_s.assign(n, 0.0);
-
-  // Open: the footer index and metadata arrived through ranged reads
-  // before the pipeline starts (open paid once).
-  const auto open_prep = monitor.record_compute(
-      label + "-read-prep", reader.open_cost().prep_seconds, 1);
-  const auto open_io = monitor.record_io(label + "-read-open",
-                                         reader.open_cost().transfer_seconds);
-  const double open_s = open_prep.seconds + open_io.seconds;
-  r.fetch_j = open_prep.joules + open_io.joules;
-
-  std::vector<Bytes> blobs(n);
-  std::vector<std::size_t> handles(n, 0), bytes(n, 0);
-  std::vector<double> fetch_j(n, 0.0), prep_s(n, 0.0);
-  std::vector<LaneSpan> spans(n);
-  // One chunk's fetch: prep is container work (compute at one core),
-  // transfer is PFS time.
-  const auto charge_fetch = [&](std::size_t k, const IoCost& cost) {
-    const auto prep =
-        monitor.record_compute(label + "-fetch-prep", cost.prep_seconds, 1);
-    const auto io = monitor.record_io(label + "-fetch", cost.transfer_seconds);
-    prep_s[k] = prep.seconds;
-    r.fetch_s[k] = prep.seconds + io.seconds;
-    fetch_j[k] = prep.joules + io.joules;
-  };
-
-  WallTimer wall;
-  LaneStages stages;
-  stages.source = [&](std::size_t k) {
-    if (stream.use_transport) {
-      // Stage the chunk's sector fetches (blocking only on credits); its
-      // lane awaits the assembled bytes.
-      handles[k] = reader.prefetch_chunk(ids[k]);
-      return;
-    }
-    IoCost cost;
-    blobs[k] = reader.read_chunk(ids[k], &cost, self_inclusive_clients(pfs));
-    charge_fetch(k, cost);
-  };
-  stages.lane = [&](std::size_t k) {
-    if (stream.use_transport) {
-      IoCost cost;
-      blobs[k] = reader.await_chunk(handles[k], ids[k], &cost);
-      charge_fetch(k, cost);
-    }
-    Field part;
-    {
-      CoreBudget::Slot slot;
-      spans[k].start_s = wall.elapsed_s();
-      part = decode(k, blobs[k]);
-      spans[k].end_s = wall.elapsed_s();
-    }
-    // The chunk is decoded; its buffer feeds the next fetch.
-    bytes[k] = blobs[k].size();
-    BufferPool::global().release(std::move(blobs[k]));
-    blobs[k] = Bytes();
-    place(k, std::move(part));
-  };
-  try {
-    run_ordered_lanes(n, r.lanes, static_cast<std::size_t>(stream.queue_depth),
-                      stages);
-  } catch (...) {
-    release_pending(blobs);
-    throw;
-  }
-  r.host_wall_s = wall.elapsed_s();
-
-  const auto readings = monitor.record_lanes(label + "-decompress", spans, 1);
-  std::vector<double> consume_s(n, 0.0);
-  double serial_fetch = 0.0, serial_decompress = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    r.decompress_s[k] = readings[k].seconds;
-    r.decompress_j += readings[k].joules;
-    r.fetch_j += fetch_j[k];
-    r.bytes_fetched += bytes[k];
-    consume_s[k] = prep_s[k] + readings[k].seconds;
-    serial_fetch += r.fetch_s[k];
-    serial_decompress += r.decompress_s[k];
-  }
-  // Serial reference: open, fetch everything, then decode everything.
-  r.serial_total_s = open_s + serial_fetch + serial_decompress;
-
-  const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
-  if (stream.use_transport) {
-    SectorReader& transport = *reader.transport();
-    const ReadTimeline timeline =
-        solve_read_timeline(stream.transport, transport.records(), consume_s,
-                            depth, open_s, r.lanes);
-    r.streamed_total_s = timeline.makespan_s;
-    fill_telemetry(r.transport, stream.transport, transport.records().size(),
-                   transport.stats().credit_stalls, timeline.credit_stall_s,
-                   timeline.mean_inflight, timeline.peak_inflight);
-  } else {
-    r.streamed_total_s = solve_blocking_read(r.fetch_s, r.decompress_s, depth,
-                                             open_s, r.lanes);
-  }
-  return r;
-}
 
 }  // namespace
 
@@ -558,104 +410,22 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   return rec;
 }
 
-StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
-                                   const PipelineConfig& config,
-                                   const StreamConfig& stream) {
-  EBLCIO_CHECK_ARG(stream.queue_depth >= 1, "queue depth must be positive");
-  const CpuModel& cpu = cpu_model(config.cpu);
-  IoTool& tool = io_tool(config.io_library);
+// --- Streamed and serial reads ----------------------------------------------
 
-  StreamReadRecord rec;
-  rec.io_library = tool.name();
-  rec.path = path;
-  rec.queue_depth = stream.queue_depth;
-  rec.container_bytes = pfs.file_size(path);
+namespace {
 
-  PowercapMonitor monitor(cpu);  // thread-safe: fetcher and lanes record
-  auto reader =
-      tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
-  if (stream.use_transport) reader.enable_transport(stream.transport);
-  const ChunkIndex& index = reader.index();
-  const std::size_t nslabs = index.chunks.size();
-  EBLCIO_CHECK_STREAM(nslabs >= 1, "chunked container holds no slabs");
-  rec.slabs = static_cast<int>(nslabs);
-  std::vector<std::size_t> ids(nslabs);
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-
-  // Zoned containers: each lane copies its slab straight into its own rows
-  // of the preallocated field. Version-1 containers only reveal their row
-  // extents through the chunk headers, so their slabs merge once every
-  // header is known.
-  const Region whole{std::vector<std::size_t>(index.meta.dims.size(), 0),
-                     index.meta.dims};
-  LaneOutput out(index.meta.name, index.meta.dims, path);
-  std::vector<Field> v1_slabs(index.zoned() ? 0 : nslabs);
-  std::vector<std::size_t> v1_rows(v1_slabs.size(), 0);
-  const LanedRead r = read_on_lanes(
-      reader, pfs, ids, stream, monitor, "stream",
-      [&](std::size_t k, const Bytes& blob) {
-        const BlobHeader header = peek_header(blob);
-        check_chunk_dims(header.dims, index, k, path);
-        if (!index.zoned()) v1_rows[k] = header.dims[0];
-        return decompress_any(blob, 1);
-      },
-      [&](std::size_t k, Field&& slab) {
-        if (!index.zoned()) {
-          v1_slabs[k] = std::move(slab);
-          return;
-        }
-        copy_zone_part_into_region(slab, index.zones[k], whole,
-                                   out.claim(slab.dtype()));
-      });
-  if (index.zoned()) {
-    rec.field = out.take();
-  } else {
-    check_chunk_rows(v1_rows, index, path);
-    rec.field = merge_slabs(v1_slabs, index.meta.dims, index.meta.name);
-  }
-  rec.field_bytes = rec.field.size_bytes();
-  rec.lanes = r.lanes;
-  rec.slab_fetch_s = r.fetch_s;
-  rec.slab_decompress_s = r.decompress_s;
-  rec.fetch_j = r.fetch_j;
-  rec.decompress_j = r.decompress_j;
-  rec.host_wall_s = r.host_wall_s;
-  rec.serial_total_s = r.serial_total_s;
-  rec.streamed_total_s = r.streamed_total_s;
-  rec.transport = r.transport;
-  return rec;
-}
-
-Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
-                         const std::string& io_library) {
-  IoTool& tool = io_tool(io_library);
-  auto reader = tool.open_chunked_reader(pfs, path);
-  const ChunkIndex& index = reader.index();
-  const std::size_t nslabs = index.chunks.size();
-  EBLCIO_CHECK_STREAM(nslabs >= 1, "chunked container holds no slabs");
-  std::vector<Field> slab_fields(nslabs);
-  std::vector<std::size_t> rows(nslabs, 0);
-  for (std::size_t i = 0; i < nslabs; ++i) {
-    Bytes blob = reader.read_chunk(i);
-    const BlobHeader header = peek_header(blob);
-    check_chunk_dims(header.dims, index, i, path);
-    EBLCIO_CHECK_STREAM(i == 0 || header.dtype == slab_fields[0].dtype(),
-                        "chunk blobs disagree on dtype: " + path);
-    rows[i] = header.dims[0];
-    slab_fields[i] = decompress_any(blob, 1);
-    BufferPool::global().release(std::move(blob));
-  }
-  check_chunk_rows(rows, index, path);
-  return merge_slabs(slab_fields, index.meta.dims, index.meta.name);
-}
-
-// --- Partial-region (zoned) reads -------------------------------------------
-
-RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
-                                          const std::string& path,
-                                          const Region& region,
-                                          const PipelineConfig& config,
-                                          const StreamConfig& stream) {
+// The one streamed read. Resolves `box` (the whole dataset when none is
+// given) to its covering zones from the footer index alone, fetches those
+// zones in order on the calling thread (or stages their sector fetches
+// through the transport) and decodes each on a codec lane — only its part
+// of the box (decompress_region_any, the plain full decode for a whole
+// zone) — copying the part into its rows of the preallocated output. A
+// failing fetch, decode, or placement propagates once every lane settled,
+// with every pooled blob returned.
+RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
+                               const std::optional<Region>& box,
+                               const PipelineConfig& config,
+                               const StreamConfig& stream) {
   EBLCIO_CHECK_ARG(stream.queue_depth >= 1, "queue depth must be positive");
   const CpuModel& cpu = cpu_model(config.cpu);
   IoTool& tool = io_tool(config.io_library);
@@ -663,7 +433,6 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
   RegionReadRecord rec;
   rec.io_library = tool.name();
   rec.path = path;
-  rec.region = region;
   rec.queue_depth = stream.queue_depth;
   rec.container_bytes = pfs.file_size(path);
 
@@ -672,81 +441,175 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
       tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
   if (stream.use_transport) reader.enable_transport(stream.transport);
   const ChunkIndex& index = reader.index();
-  EBLCIO_CHECK_STREAM(index.zoned(),
-                      "container has no zone index (written before zoning, "
-                      "or unzoned writer): " + path);
-  // Resolve the query box to its covering zones from the footer index
-  // alone; everything after this touches only those zones.
-  const std::vector<std::size_t> covering = reader.covering(region);
-  EBLCIO_CHECK_STREAM(!covering.empty(),
-                      "region resolves to no covering zones: " + path);
-  const std::size_t nzones = covering.size();
+  rec.region = read_box(index, box, path);
+  const Region& region = rec.region;
+  const std::vector<std::size_t> ids = reader.covering(region);
+  const std::size_t n = ids.size();
   rec.zones_total = static_cast<int>(index.zones.size());
-  rec.zones_decoded = static_cast<int>(nzones);
+  rec.zones_decoded = static_cast<int>(n);
+  rec.lanes = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(codec_lanes(1)), n));
+  rec.zone_fetch_s.assign(n, 0.0);
 
-  // Each lane decodes only its zone's part of the box (the windowed
-  // decode) and copies it into the region.
-  LaneOutput out(index.meta.name, region.shape, path);
-  std::vector<std::size_t> reconstructed(nzones, 0);
-  const LanedRead r = read_on_lanes(
-      reader, pfs, covering, stream, monitor, "region",
-      [&](std::size_t k, const Bytes& blob) {
-        const std::size_t zi = covering[k];
-        check_chunk_dims(peek_header(blob).dims, index, zi, path);
-        return decompress_region_any(
-            blob, zone_part_of_region(region, index.zones[zi]), 1,
-            &reconstructed[k]);
-      },
-      [&](std::size_t k, Field&& part) {
-        copy_zone_part_into_region(part, index.zones[covering[k]], region,
-                                   out.claim(part.dtype()));
-      });
+  // Open: the footer index and metadata arrived through ranged reads
+  // before the pipeline starts (open paid once).
+  const auto open_prep = monitor.record_compute(
+      "read-prep", reader.open_cost().prep_seconds, 1);
+  const auto open_io =
+      monitor.record_io("read-open", reader.open_cost().transfer_seconds);
+  const double open_s = open_prep.seconds + open_io.seconds;
+  rec.fetch_j = open_prep.joules + open_io.joules;
+
+  ReadOutput out(index.meta.name, region.shape, path);
+  std::vector<Bytes> blobs(n);
+  std::vector<std::size_t> handles(n, 0), bytes(n, 0), reconstructed(n, 0);
+  std::vector<double> fetch_j(n, 0.0), prep_s(n, 0.0);
+  std::vector<LaneSpan> spans(n);
+  // One zone's fetch: prep is container work (compute at one core),
+  // transfer is PFS time.
+  const auto charge_fetch = [&](std::size_t k, const IoCost& cost) {
+    const auto prep =
+        monitor.record_compute("fetch-prep", cost.prep_seconds, 1);
+    const auto io = monitor.record_io("fetch", cost.transfer_seconds);
+    prep_s[k] = prep.seconds;
+    rec.zone_fetch_s[k] = prep.seconds + io.seconds;
+    fetch_j[k] = prep.joules + io.joules;
+  };
+
+  WallTimer wall;
+  LaneStages stages;
+  stages.source = [&](std::size_t k) {
+    if (stream.use_transport) {
+      // Stage the zone's sector fetches (blocking only on credits); its
+      // lane awaits the assembled bytes.
+      handles[k] = reader.prefetch_chunk(ids[k]);
+      return;
+    }
+    IoCost cost;
+    blobs[k] = reader.read_chunk(ids[k], &cost, self_inclusive_clients(pfs));
+    charge_fetch(k, cost);
+  };
+  stages.lane = [&](std::size_t k) {
+    if (stream.use_transport) {
+      IoCost cost;
+      blobs[k] = reader.await_chunk(handles[k], ids[k], &cost);
+      charge_fetch(k, cost);
+    }
+    const ZoneExtent& zone = index.zones[ids[k]];
+    Field part;
+    {
+      CoreBudget::Slot slot;
+      spans[k].start_s = wall.elapsed_s();
+      check_zone_dims(peek_header(blobs[k]).dims, index, ids[k], path);
+      part = decompress_region_any(blobs[k], zone_part_of_region(region, zone),
+                                   1, &reconstructed[k]);
+      spans[k].end_s = wall.elapsed_s();
+    }
+    // The zone is decoded; its buffer feeds the next fetch.
+    bytes[k] = blobs[k].size();
+    BufferPool::global().release(std::move(blobs[k]));
+    blobs[k] = Bytes();
+    copy_zone_part_into_region(part, zone, region, out.claim(part.dtype()));
+  };
+  try {
+    run_ordered_lanes(n, rec.lanes,
+                      static_cast<std::size_t>(stream.queue_depth), stages);
+  } catch (...) {
+    release_pending(blobs);
+    throw;
+  }
+  rec.host_wall_s = wall.elapsed_s();
   rec.field = out.take();
   rec.field_bytes = rec.field.size_bytes();
-  rec.elements_reconstructed = std::accumulate(
-      reconstructed.begin(), reconstructed.end(), std::size_t{0});
-  rec.lanes = r.lanes;
-  rec.zone_fetch_s = r.fetch_s;
-  rec.zone_decompress_s = r.decompress_s;
-  rec.bytes_fetched = r.bytes_fetched;
-  rec.fetch_j = r.fetch_j;
-  rec.decompress_j = r.decompress_j;
-  rec.host_wall_s = r.host_wall_s;
-  rec.serial_total_s = r.serial_total_s;
-  rec.streamed_total_s = r.streamed_total_s;
-  rec.transport = r.transport;
+
+  const auto readings = monitor.record_lanes("decompress", spans, 1);
+  std::vector<double> consume_s(n, 0.0);
+  double serial_fetch = 0.0, serial_decompress = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    rec.zone_decompress_s.push_back(readings[k].seconds);
+    rec.decompress_j += readings[k].joules;
+    rec.fetch_j += fetch_j[k];
+    rec.bytes_fetched += bytes[k];
+    rec.elements_reconstructed += reconstructed[k];
+    consume_s[k] = prep_s[k] + readings[k].seconds;
+    serial_fetch += rec.zone_fetch_s[k];
+    serial_decompress += readings[k].seconds;
+  }
+  // Serial reference: open, fetch everything, then decode everything.
+  rec.serial_total_s = open_s + serial_fetch + serial_decompress;
+
+  const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
+  if (stream.use_transport) {
+    SectorReader& transport = *reader.transport();
+    const ReadTimeline timeline =
+        solve_read_timeline(stream.transport, transport.records(), consume_s,
+                            depth, open_s, rec.lanes);
+    rec.streamed_total_s = timeline.makespan_s;
+    fill_telemetry(rec.transport, stream.transport, transport.records().size(),
+                   transport.stats().credit_stalls, timeline.credit_stall_s,
+                   timeline.mean_inflight, timeline.peak_inflight);
+  } else {
+    rec.streamed_total_s =
+        solve_blocking_read(rec.zone_fetch_s, rec.zone_decompress_s, depth,
+                            open_s, rec.lanes);
+  }
   return rec;
+}
+
+// The one serial reference read: fetches, checks, decodes and places the
+// zones covering `box` (the whole dataset when none is given) one at a
+// time, in order, on the calling thread.
+Field read_reference(PfsSimulator& pfs, const std::string& path,
+                     const std::optional<Region>& box,
+                     const std::string& io_library) {
+  auto reader = io_tool(io_library).open_chunked_reader(pfs, path);
+  const ChunkIndex& index = reader.index();
+  const Region region = read_box(index, box, path);
+  ReadOutput out(index.meta.name, region.shape, path);
+  for (const std::size_t zi : reader.covering(region)) {
+    Bytes blob = reader.read_chunk(zi);
+    check_zone_dims(peek_header(blob).dims, index, zi, path);
+    const Field zone = decompress_any(blob, 1);
+    BufferPool::global().release(std::move(blob));
+    scatter_zone_into_region(
+        zone, static_cast<std::size_t>(index.zones[zi].row_start), region,
+        out.claim(zone.dtype()));
+  }
+  return out.take();
+}
+
+}  // namespace
+
+StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
+                                   const PipelineConfig& config,
+                                   const StreamConfig& stream) {
+  RegionReadRecord whole =
+      read_on_lanes(pfs, path, std::nullopt, config, stream);
+  StreamReadRecord rec;
+  rec.slabs = whole.zones_total;
+  rec.slab_fetch_s = std::move(whole.zone_fetch_s);
+  rec.slab_decompress_s = std::move(whole.zone_decompress_s);
+  static_cast<StreamReadBase&>(rec) = std::move(whole);
+  return rec;
+}
+
+Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
+                         const std::string& io_library) {
+  return read_reference(pfs, path, std::nullopt, io_library);
+}
+
+RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
+                                          const std::string& path,
+                                          const Region& region,
+                                          const PipelineConfig& config,
+                                          const StreamConfig& stream) {
+  return read_on_lanes(pfs, path, region, config, stream);
 }
 
 Field read_region_reference(PfsSimulator& pfs, const std::string& path,
                             const Region& region,
                             const std::string& io_library) {
-  IoTool& tool = io_tool(io_library);
-  auto reader = tool.open_chunked_reader(pfs, path);
-  const ChunkIndex& index = reader.index();
-  EBLCIO_CHECK_STREAM(index.zoned(),
-                      "container has no zone index: " + path);
-  auto fetched = reader.read_zones(region);
-  EBLCIO_CHECK_STREAM(!fetched.empty(),
-                      "region resolves to no covering zones: " + path);
-
-  Field out;
-  bool out_ready = false;
-  for (auto& f : fetched) {
-    Field zone = decompress_any(f.blob, 1);
-    check_chunk_dims(zone.shape().dims_vector(), index, f.zone, path);
-    if (!out_ready) {
-      out = zero_field(index.meta.name, region.shape, zone.dtype());
-      out_ready = true;
-    }
-    EBLCIO_CHECK_STREAM(zone.dtype() == out.dtype(),
-                        "zone blobs disagree on dtype: " + path);
-    scatter_zone_into_region(
-        zone, static_cast<std::size_t>(index.zones[f.zone].row_start), region,
-        out);
-    BufferPool::global().release(std::move(f.blob));
-  }
-  return out;
+  return read_reference(pfs, path, region, io_library);
 }
 
 }  // namespace eblcio

@@ -129,25 +129,34 @@ struct TransportTelemetry {
   int peak_inflight = 0;           // max sectors simultaneously in flight
 };
 
-struct StreamWriteRecord {
-  std::string codec;
+// The fields every streamed record shares.
+struct StreamRecordBase {
   std::string io_library;  // container the chunks streamed through
   std::string path;        // chunked container on the PFS
-  int slabs = 0;
   int queue_depth = 0;
-  int lanes = 1;  // codec lanes the slabs compressed on (<= slabs)
-  std::size_t original_bytes = 0;
-  std::size_t compressed_bytes = 0;  // whole container (header+chunks+index)
-  // Modeled platform times. serial_total_s charges compress-everything-
-  // then-write-everything on one core (the identical container writes,
-  // just not overlapped); streamed_total_s is the pipeline makespan with
-  // the slabs compressing on `lanes` lanes while the writer appends them
-  // in order, bounded by queue_depth.
+  int lanes = 1;  // codec lanes the slabs or zones were coded on
+  // Modeled platform times: serial_total_s runs every stage back-to-back
+  // on one core; streamed_total_s is the pipeline makespan with the codec
+  // stage on `lanes` lanes overlapping the container stage, bounded by
+  // queue_depth.
   double serial_total_s = 0.0;
   double streamed_total_s = 0.0;
   // Host wall clock of the real concurrent run (lanes genuinely overlap
-  // one another and the writer thread on the executor).
+  // one another and the container thread on the executor).
   double host_wall_s = 0.0;
+  // Sector-ring transport telemetry (zeros when use_transport was false).
+  TransportTelemetry transport;
+
+  double overlap_saving_s() const { return serial_total_s - streamed_total_s; }
+};
+
+// A streamed write. Its serial_total_s charges compress-everything-then-
+// write-everything (the identical container writes, just not overlapped).
+struct StreamWriteRecord : StreamRecordBase {
+  std::string codec;
+  int slabs = 0;
+  std::size_t original_bytes = 0;
+  std::size_t compressed_bytes = 0;  // whole container (header+chunks+index)
   // What the same run would have cost through the blocking per-chunk
   // append path (reconstructed from the identical compress samples and
   // per-chunk stripe pricing; equals streamed_total_s when the blocking
@@ -161,23 +170,20 @@ struct StreamWriteRecord {
   // Per-slab platform times feeding the recurrence (compress, write).
   std::vector<double> slab_compress_s;
   std::vector<double> slab_write_s;
-  // Sector-ring transport telemetry (zeros when use_transport was false).
-  TransportTelemetry transport;
 
   double ratio() const {
     return compressed_bytes
                ? static_cast<double>(original_bytes) / compressed_bytes
                : 0.0;
   }
-  double overlap_saving_s() const { return serial_total_s - streamed_total_s; }
 };
 
 // Runs the streamed experiment and leaves the chunked container at
 // record.path (readable by run_streamed_read / read_chunked_field with the
-// same io_library). The container is *zoned* (format version 2): each slab
-// lands with the row interval it covers in the footer zone index, so
-// partial-region readers (run_streamed_read_region) can later fetch only a
-// query's covering slabs. Each append is priced at the PFS's live
+// same io_library). Each slab lands with the row interval it covers in the
+// container's footer zone index, so partial-region readers
+// (run_streamed_read_region) can later fetch only a query's covering
+// slabs. Each append is priced at the PFS's live
 // concurrent_writers()+concurrent_readers() count, so overlapping streams
 // contend honestly.
 StreamWriteRecord run_streamed_compress_write(const Field& field,
@@ -185,109 +191,79 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
                                               PfsSimulator& pfs,
                                               const StreamConfig& stream = {});
 
-// --- Streaming (chunked) read experiment -----------------------------------
+// --- Streaming (chunked) read experiments ----------------------------------
 //
-// The restart-time mirror of the write pipeline: this thread fetches the
-// chunks in order with ranged PFS reads (or stages their sector fetches
-// through the transport) while up to W codec lanes decode the chunks
-// already fetched, each copying its slab straight into its own rows of the
-// preallocated field. Fetch i starts once chunk i - (1 + queue_depth) has
-// reached a lane. Fetching overlaps decoding, and decodes overlap each
-// other, so the makespan undercuts the serial fetch-everything-then-
-// decompress-everything schedule — the paper's Sec. VI-A "doubly
-// effective" read-side benefit, measured. Lanes, the core budget and the
-// lane-aware energy are as on the write side.
+// The restart-time mirror of the write pipeline, and the serving-scale
+// query path, are one pipeline: a read resolves a query box to its covering
+// zones through the container's footer zone index, then this thread fetches
+// those zones in order with ranged PFS reads (or stages their sector
+// fetches through the transport) while up to W codec lanes decode the
+// zones already fetched, each copying its zone's part of the box straight
+// into its own rows of the preallocated output. Fetch i starts once zone
+// i - (1 + queue_depth) has reached a lane. Fetching overlaps decoding, and
+// decodes overlap each other, so the makespan undercuts the serial
+// fetch-everything-then-decompress-everything schedule — the paper's
+// Sec. VI-A "doubly effective" read-side benefit, measured. A partial box
+// fetches only its covering zones, so bytes fetched scale with the query,
+// not with the field; a full restart is the whole-domain box, where every
+// zone decodes in full. Lanes, the core budget and the lane-aware energy
+// are as on the write side.
 
-struct StreamReadRecord {
-  std::string io_library;
-  std::string path;
-  int slabs = 0;        // chunks found in the container index
-  int queue_depth = 0;
-  int lanes = 1;        // codec lanes the chunks decoded on (<= slabs)
-  std::size_t container_bytes = 0;  // compressed container size on the PFS
-  std::size_t field_bytes = 0;      // reconstructed field size
-  // Modeled platform times: serial_total_s charges open + every fetch +
-  // every decompression back-to-back; streamed_total_s is the pipeline
-  // makespan (fetcher ahead of `lanes` decode lanes, bounded by
-  // queue_depth).
-  double serial_total_s = 0.0;
-  double streamed_total_s = 0.0;
-  double host_wall_s = 0.0;
+// The fields both streamed reads share.
+struct StreamReadBase : StreamRecordBase {
+  std::size_t container_bytes = 0;  // whole container size on the PFS
+  std::size_t bytes_fetched = 0;    // compressed bytes the read fetched
+  std::size_t field_bytes = 0;      // reconstructed field or region size
   // Energy recorded through one shared thread-safe monitor.
   double fetch_j = 0.0;
   double decompress_j = 0.0;
+  // The assembled field (or region, shaped region.shape).
+  Field field;
+};
+
+// A full restart. serial_total_s charges open + every fetch + every
+// decompression back-to-back.
+struct StreamReadRecord : StreamReadBase {
+  int slabs = 0;  // chunks found in the container index
   // Per-slab platform times feeding the recurrence (fetch, decompress).
   std::vector<double> slab_fetch_s;
   std::vector<double> slab_decompress_s;
-  // Sector-ring transport telemetry (zeros when use_transport was false).
-  TransportTelemetry transport;
-  // The reassembled field.
-  Field field;
-
-  double overlap_saving_s() const { return serial_total_s - streamed_total_s; }
 };
 
 // Reads a chunked container written by run_streamed_compress_write (or any
 // IoTool::ChunkWriter holding compressed slabs) back through the streamed
-// fetch→decompress pipeline. config.io_library must name the container's
-// tool; config.cpu selects the platform model. Only stream.queue_depth and
-// the transport settings are honoured (the slab count comes from the
-// container's chunk index). Every chunk's header is checked against the
-// index before any of its bytes are placed: zoned containers per zone
-// extent, version-1 containers by dims 1..n and a running row sum. Throws
-// CorruptStream — with no partial field escaping — when the container, its
-// chunk index, or any slab is malformed or disagrees on dtype.
+// pipeline: the whole-domain case of run_streamed_read_region.
+// config.io_library must name the container's tool; config.cpu selects the
+// platform model. Only stream.queue_depth and the transport settings are
+// honoured (the slab count comes from the container's chunk index). Every
+// chunk's header is checked against its zone extent before any of its
+// bytes are placed. Throws CorruptStream — with no partial field escaping
+// — when the container, its chunk index, or any slab is malformed or
+// disagrees on dtype.
 StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
                                    const PipelineConfig& config,
                                    const StreamConfig& stream = {});
 
-// Serial reference for the same container: fetches and decompresses every
-// chunk in order on the calling thread (with the same header checks), then
-// merges them. Bit-for-bit identical to run_streamed_read's field — the
+// Serial reference for the same container: read_region_reference over the
+// whole domain. Bit-for-bit identical to run_streamed_read's field — the
 // --verify baseline.
 Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
                          const std::string& io_library);
 
-// --- Partial-region (zoned) read experiment --------------------------------
-//
-// The serving-scale query path: a client wants `region`, not the whole
-// field. The container's footer zone index resolves the query box to its
-// covering zones, and only those zones are fetched (ranged PFS reads) and
-// decoded — on the same fetcher-plus-codec-lanes pipeline as the full
-// read, each lane copying its zone's part of the box into the region.
-// Bytes fetched therefore scale with the query, not with the field.
-
-struct RegionReadRecord {
-  std::string io_library;
-  std::string path;
+// A partial-region query: the same schedule as StreamReadRecord, over the
+// covering zones only.
+struct RegionReadRecord : StreamReadBase {
   Region region;
   int zones_total = 0;    // zones in the container's index
   int zones_decoded = 0;  // covering zones actually fetched + decoded
-  int queue_depth = 0;
-  int lanes = 1;          // codec lanes the zones decoded on
-  std::size_t container_bytes = 0;  // whole container size on the PFS
-  std::size_t bytes_fetched = 0;    // compressed bytes the query fetched
-  std::size_t field_bytes = 0;      // reconstructed region size
   // Elements the covering zones' windowed decodes reconstructed: the
   // blocks in each zone's lower cone of the box for SZ2, whole zones for
   // the codecs that decode in full and crop.
   std::size_t elements_reconstructed = 0;
-  // Modeled platform times, same schedule as StreamReadRecord but over the
-  // covering set only.
-  double serial_total_s = 0.0;
-  double streamed_total_s = 0.0;
-  double host_wall_s = 0.0;
-  double fetch_j = 0.0;
-  double decompress_j = 0.0;
   // Per-covering-zone platform times feeding the recurrence.
   std::vector<double> zone_fetch_s;
   std::vector<double> zone_decompress_s;
-  // Sector-ring transport telemetry (zeros when use_transport was false).
-  TransportTelemetry transport;
-  // The assembled region (shaped region.shape).
-  Field field;
 
-  double overlap_saving_s() const { return serial_total_s - streamed_total_s; }
   // Fetched compressed bytes relative to the whole container — the
   // amplification a full-field fetch would have paid instead.
   double fetch_fraction() const {
@@ -297,20 +273,19 @@ struct RegionReadRecord {
   }
 };
 
-// Reads `region` of a zoned container written by run_streamed_compress_write
-// through the streamed fetch→decode pipeline; each covering zone decodes
-// only its part of the box (decompress_region_any). Throws CorruptStream
-// when the container has no zone index or any covering zone is malformed
-// (no partial Field escapes), InvalidArgument when the region falls outside
-// the dataset.
+// Reads `region` of a container written by run_streamed_compress_write
+// through the streamed pipeline; each covering zone decodes only its part
+// of the box (decompress_region_any). Throws CorruptStream when the
+// container or any covering zone is malformed (no partial Field escapes),
+// InvalidArgument when the region falls outside the dataset.
 RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
                                           const std::string& path,
                                           const Region& region,
                                           const PipelineConfig& config,
                                           const StreamConfig& stream = {});
 
-// Serial reference for the same query: fetches the covering zones in order,
-// then decodes and assembles them in order, on the calling thread.
+// The one serial reference read: fetches, checks, decodes and places the
+// covering zones one at a time, in order, on the calling thread.
 // Bit-for-bit identical to run_streamed_read_region's field — the --verify
 // baseline for partial reads.
 Field read_region_reference(PfsSimulator& pfs, const std::string& path,

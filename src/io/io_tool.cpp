@@ -25,24 +25,18 @@ std::string lower(std::string s) {
 // offset in the trailing 8 bytes — the same locate-by-footer scheme BP
 // files use, which a reader can reach with three ranged fetches.
 //
-// Version 1 (the PR-4 wire format) is frozen: header version 1 + "CIDX"
-// footer holding (offset, size) per chunk. Version 2 adds the zone index:
-// header version 2 + "ZIDX" footer holding (offset, size, row_start, rows)
-// per chunk. A version-1 writer still emits byte-identical containers, and
-// the reader accepts both (cross-checking that the header version and the
-// footer magic agree).
-constexpr std::uint32_t kChunkMagic = 0x4b434245;        // "EBCK"
-constexpr std::uint32_t kChunkFooterMagic = 0x58444943;  // "CIDX"
-constexpr std::uint32_t kZoneFooterMagic = 0x5844495a;   // "ZIDX"
-constexpr std::uint16_t kChunkVersion = 1;
+// The wire format is frozen: header version 2 + "ZIDX" footer holding
+// (offset, size, row_start, rows) per chunk. Version 1 (a "CIDX" footer
+// without row extents) is retired; a reader refuses it as malformed.
+constexpr std::uint32_t kChunkMagic = 0x4b434245;       // "EBCK"
+constexpr std::uint32_t kZoneFooterMagic = 0x5844495a;  // "ZIDX"
 constexpr std::uint16_t kZonedVersion = 2;
 
 Bytes encode_chunk_header(const std::string& tool,
-                          const ChunkedDatasetMeta& meta,
-                          std::uint16_t version) {
+                          const ChunkedDatasetMeta& meta) {
   Bytes out;
   append_pod<std::uint32_t>(out, kChunkMagic);
-  append_pod<std::uint16_t>(out, version);
+  append_pod<std::uint16_t>(out, kZonedVersion);
   append_string(out, tool);
   append_string(out, meta.name);
   append_pod<std::uint8_t>(out, meta.dtype_code);
@@ -58,13 +52,12 @@ Bytes encode_chunk_header(const std::string& tool,
 }
 
 ChunkedDatasetMeta decode_chunk_header(std::span<const std::byte> bytes,
-                                       const std::string& expected_tool,
-                                       std::uint16_t expected_version) {
+                                       const std::string& expected_tool) {
   ByteReader r(bytes);
   EBLCIO_CHECK_STREAM(r.read_pod<std::uint32_t>() == kChunkMagic,
                       "chunked container: bad magic");
-  EBLCIO_CHECK_STREAM(r.read_pod<std::uint16_t>() == expected_version,
-                      "chunked container: header/footer version mismatch");
+  EBLCIO_CHECK_STREAM(r.read_pod<std::uint16_t>() == kZonedVersion,
+                      "chunked container: unsupported header version");
   const std::string tool = r.read_string();
   EBLCIO_CHECK_STREAM(tool == expected_tool,
                       "chunked container was written by " + tool +
@@ -81,19 +74,6 @@ ChunkedDatasetMeta decode_chunk_header(std::span<const std::byte> bytes,
     meta.attributes[k] = r.read_string();
   }
   return meta;
-}
-
-Bytes encode_chunk_footer(const std::vector<ChunkExtent>& extents,
-                          std::uint64_t footer_start) {
-  Bytes out;
-  append_pod<std::uint32_t>(out, kChunkFooterMagic);
-  append_pod<std::uint64_t>(out, static_cast<std::uint64_t>(extents.size()));
-  for (const auto& e : extents) {
-    append_pod<std::uint64_t>(out, e.offset);
-    append_pod<std::uint64_t>(out, e.size);
-  }
-  append_pod<std::uint64_t>(out, footer_start);
-  return out;
 }
 
 Bytes encode_zone_footer(const std::vector<ChunkExtent>& extents,
@@ -117,45 +97,18 @@ Bytes encode_zone_footer(const std::vector<ChunkExtent>& extents,
 // --- ChunkWriter -----------------------------------------------------------
 
 IoTool::ChunkWriter::ChunkWriter(const IoTool* tool, PfsSimulator& pfs,
-                                 std::string path, ChunkedDatasetMeta meta,
-                                 bool zoned)
+                                 std::string path, ChunkedDatasetMeta meta)
     : tool_(tool),
       stream_(pfs.open_append(path)),
       path_(std::move(path)),
-      meta_(std::move(meta)),
-      zoned_(zoned) {
+      meta_(std::move(meta)) {
   const ChunkProfile profile = tool_->chunk_profile();
-  const Bytes header = encode_chunk_header(
-      tool_->name(), meta_, zoned_ ? kZonedVersion : kChunkVersion);
+  const Bytes header = encode_chunk_header(tool_->name(), meta_);
   open_cost_.prep_seconds =
       profile.per_chunk_prep_s +
       static_cast<double>(header.size()) / profile.prep_bandwidth_bps;
   open_cost_.transfer_seconds = stream_.append(header).seconds;
   open_cost_.bytes_written = header.size();
-}
-
-IoCost IoTool::ChunkWriter::append_chunk(std::span<const std::byte> chunk,
-                                         int concurrent_clients) {
-  EBLCIO_CHECK_ARG(!closed_, "append_chunk after close: " + path_);
-  EBLCIO_CHECK_ARG(!zoned_,
-                   "zoned container requires append_zone: " + path_);
-  return append_raw(chunk, concurrent_clients);
-}
-
-IoCost IoTool::ChunkWriter::append_zone(std::span<const std::byte> chunk,
-                                        ZoneExtent zone,
-                                        int concurrent_clients) {
-  EBLCIO_CHECK_ARG(!closed_, "append_zone after close: " + path_);
-  EBLCIO_CHECK_ARG(zoned_,
-                   "append_zone on an unzoned container: " + path_);
-  EBLCIO_CHECK_ARG(zone.rows > 0, "zone covers no rows: " + path_);
-  const std::uint64_t expected =
-      zones_.empty() ? 0 : zones_.back().row_start + zones_.back().rows;
-  EBLCIO_CHECK_ARG(zone.row_start == expected,
-                   "zone extents must partition the rows in order: " + path_);
-  IoCost cost = append_raw(chunk, concurrent_clients);
-  zones_.push_back(zone);
-  return cost;
 }
 
 void IoTool::ChunkWriter::enable_transport(const TransportConfig& config) {
@@ -166,8 +119,15 @@ void IoTool::ChunkWriter::enable_transport(const TransportConfig& config) {
   transport_ = std::make_unique<SectorWriter>(stream_, config);
 }
 
-IoCost IoTool::ChunkWriter::append_raw(std::span<const std::byte> chunk,
-                                       int concurrent_clients) {
+IoCost IoTool::ChunkWriter::append_zone(std::span<const std::byte> chunk,
+                                        ZoneExtent zone,
+                                        int concurrent_clients) {
+  EBLCIO_CHECK_ARG(!closed_, "append_zone after close: " + path_);
+  EBLCIO_CHECK_ARG(zone.rows > 0, "zone covers no rows: " + path_);
+  const std::uint64_t expected =
+      zones_.empty() ? 0 : zones_.back().row_start + zones_.back().rows;
+  EBLCIO_CHECK_ARG(zone.row_start == expected,
+                   "zone extents must partition the rows in order: " + path_);
   const ChunkProfile profile = tool_->chunk_profile();
 
   IoCost cost;
@@ -176,6 +136,8 @@ IoCost IoTool::ChunkWriter::append_raw(std::span<const std::byte> chunk,
       static_cast<double>(chunk.size()) / profile.prep_bandwidth_bps;
   cost.bytes_written = chunk.size();
 
+  ChunkExtent extent;
+  extent.size = chunk.size();
   if (transport_) {
     // Transported append: the chunk is staged into pooled sectors and
     // shipped by the doorbell task; its wire cost lands per sector in the
@@ -184,33 +146,26 @@ IoCost IoTool::ChunkWriter::append_raw(std::span<const std::byte> chunk,
     // bytes_written() lags while sectors are in flight. The staging
     // memcpy into sector buffers is the tool's conversion-buffer copy, so
     // staging_copy tools take no extra pass here.
-    ChunkExtent extent;
     extent.offset = staged_bytes_;
-    extent.size = chunk.size();
     transport_->stage(extents_.size(), chunk);
     staged_bytes_ += chunk.size();
-    extents_.push_back(extent);
-    return cost;
-  }
-
-  ChunkExtent extent;
-  extent.offset = stream_.bytes_written();
-  extent.size = chunk.size();
-
-  if (profile.staging_copy) {
+  } else if (profile.staging_copy) {
     // The classic-model conversion buffer: the chunk really passes through
     // an intermediate copy before landing in the container. The copy is a
     // pooled buffer — append() lands the bytes in the PFS stripes, so the
     // staging allocation recycles across chunks.
+    extent.offset = stream_.bytes_written();
     Bytes staged = BufferPool::global().acquire(chunk.size());
     staged.resize(chunk.size());
     std::memcpy(staged.data(), chunk.data(), chunk.size());
     cost.transfer_seconds = stream_.append(staged, concurrent_clients).seconds;
     BufferPool::global().release(std::move(staged));
   } else {
+    extent.offset = stream_.bytes_written();
     cost.transfer_seconds = stream_.append(chunk, concurrent_clients).seconds;
   }
   extents_.push_back(extent);
+  zones_.push_back(zone);
   return cost;
 }
 
@@ -220,20 +175,16 @@ IoCost IoTool::ChunkWriter::close(int concurrent_clients) {
   // footer_start reads the stream's byte count). A wire error surfaces
   // here, before a broken container could be sealed.
   if (transport_) transport_->drain();
-  if (zoned_ && !meta_.dims.empty()) {
-    const std::uint64_t covered =
-        zones_.empty() ? 0 : zones_.back().row_start + zones_.back().rows;
-    EBLCIO_CHECK_ARG(covered == meta_.dims[0],
-                     "zone extents do not cover the dataset rows: " + path_);
-  }
+  const std::uint64_t covered =
+      zones_.empty() ? 0 : zones_.back().row_start + zones_.back().rows;
+  EBLCIO_CHECK_ARG(!meta_.dims.empty() && covered == meta_.dims[0],
+                   "zone extents do not cover the dataset rows: " + path_);
   const ChunkProfile profile = tool_->chunk_profile();
   const PfsConfig& pfs_config = stream_.pfs().config();
 
   const std::uint64_t footer_start =
       static_cast<std::uint64_t>(stream_.bytes_written());
-  const Bytes footer = zoned_
-                           ? encode_zone_footer(extents_, zones_, footer_start)
-                           : encode_chunk_footer(extents_, footer_start);
+  const Bytes footer = encode_zone_footer(extents_, zones_, footer_start);
   IoCost cost;
   cost.prep_seconds =
       profile.per_chunk_prep_s +
@@ -292,12 +243,9 @@ IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
           .data};
   const Bytes& footer = footer_fetch.data;
   ByteReader r(footer);
-  const auto footer_magic = r.read_pod<std::uint32_t>();
-  EBLCIO_CHECK_STREAM(footer_magic == kChunkFooterMagic ||
-                          footer_magic == kZoneFooterMagic,
+  EBLCIO_CHECK_STREAM(r.read_pod<std::uint32_t>() == kZoneFooterMagic,
                       "chunked container: bad footer magic: " + path);
-  const bool zoned = footer_magic == kZoneFooterMagic;
-  const std::size_t entry_bytes = zoned ? 32 : 16;
+  constexpr std::size_t entry_bytes = 32;
   const auto nchunks = r.read_pod<std::uint64_t>();
   EBLCIO_CHECK_STREAM(footer.size() >= 12 &&
                           nchunks == (footer.size() - 12) / entry_bytes &&
@@ -314,16 +262,14 @@ IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
                         "chunked container: chunk extent out of range: " +
                             path);
     index_.chunks.push_back(e);
-    if (zoned) {
-      ZoneExtent z;
-      z.row_start = r.read_pod<std::uint64_t>();
-      z.rows = r.read_pod<std::uint64_t>();
-      EBLCIO_CHECK_STREAM(z.rows > 0 && z.row_start == next_row,
-                          "chunked container: zone index is not a "
-                          "contiguous row partition: " + path);
-      next_row = z.row_start + z.rows;
-      index_.zones.push_back(z);
-    }
+    ZoneExtent z;
+    z.row_start = r.read_pod<std::uint64_t>();
+    z.rows = r.read_pod<std::uint64_t>();
+    EBLCIO_CHECK_STREAM(z.rows > 0 && z.row_start == next_row,
+                        "chunked container: zone index is not a "
+                        "contiguous row partition: " + path);
+    next_row = z.row_start + z.rows;
+    index_.zones.push_back(z);
   }
 
   const std::size_t header_len =
@@ -333,16 +279,13 @@ IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
   const PooledFetch header_fetch{
       stream_.read(0, header_len, concurrent_clients).data};
   const Bytes& header = header_fetch.data;
-  index_.meta = decode_chunk_header(header, tool_->name(),
-                                    zoned ? kZonedVersion : kChunkVersion);
-  if (zoned) {
-    // The zone index must cover exactly the dataset's leading dimension —
-    // a forged extent past the field (or short of it) fails here, before
-    // any partial read trusts it.
-    EBLCIO_CHECK_STREAM(
-        !index_.meta.dims.empty() && next_row == index_.meta.dims[0],
-        "chunked container: zone index does not cover the dataset: " + path);
-  }
+  index_.meta = decode_chunk_header(header, tool_->name());
+  // The zone index must cover exactly the dataset's leading dimension — a
+  // forged extent past the field (or short of it) fails here, before any
+  // read trusts it.
+  EBLCIO_CHECK_STREAM(
+      !index_.meta.dims.empty() && next_row == index_.meta.dims[0],
+      "chunked container: zone index does not cover the dataset: " + path);
 
   open_cost_.prep_seconds =
       profile.per_chunk_prep_s +
@@ -428,8 +371,6 @@ Bytes IoTool::ChunkReader::await_chunk(std::size_t handle, std::size_t i,
 
 std::vector<std::size_t> IoTool::ChunkReader::covering(
     const Region& region) const {
-  EBLCIO_CHECK_ARG(index_.zoned(),
-                   "container has no zone index: " + stream_.path());
   validate_region(region, index_.meta.dims);
   return covering_zones(index_.zones, region.start[0], region.shape[0]);
 }
@@ -446,16 +387,10 @@ std::vector<IoTool::ChunkReader::ZoneFetch> IoTool::ChunkReader::read_zones(
   return out;
 }
 
-IoTool::ChunkWriter IoTool::open_chunked(PfsSimulator& pfs,
-                                         const std::string& path,
-                                         ChunkedDatasetMeta meta) const {
-  return ChunkWriter(this, pfs, path, std::move(meta), /*zoned=*/false);
-}
-
 IoTool::ChunkWriter IoTool::open_zoned(PfsSimulator& pfs,
                                        const std::string& path,
                                        ChunkedDatasetMeta meta) const {
-  return ChunkWriter(this, pfs, path, std::move(meta), /*zoned=*/true);
+  return ChunkWriter(this, pfs, path, std::move(meta));
 }
 
 IoTool::ChunkReader IoTool::open_chunked_reader(PfsSimulator& pfs,

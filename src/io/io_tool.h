@@ -31,8 +31,8 @@ struct IoCost {
 //
 // A chunked dataset streams through a container one slab at a time: the
 // writer appends self-contained chunks through the PFS append path, and the
-// container commits a chunk index (offset/size per chunk) in its footer at
-// close. Readers load the index with ranged reads and then fetch chunks
+// container commits a chunk index (offset, size and row interval per chunk)
+// in its footer at close. Readers load the index with ranged reads and then fetch chunks
 // individually — which is what lets the streaming pipelines
 // (core/pipeline.h) run through the real container formats instead of a
 // bespoke stream file. Every tool shares one wire layout (header, appended
@@ -56,16 +56,14 @@ struct ChunkExtent {
   std::uint64_t size = 0;
 };
 
-// The decoded footer: dataset metadata plus every chunk's extent. Zoned
-// containers (version 2) additionally carry one ZoneExtent per chunk — the
-// row interval of the field that chunk's compressed blob covers — which is
-// what lets a reader resolve a query box to its covering chunks without
-// decoding anything.
+// The decoded footer: dataset metadata plus every chunk's extent and its
+// ZoneExtent — the row interval of the field that chunk's compressed blob
+// covers — which is what lets a reader resolve a query box to its
+// covering chunks without decoding anything.
 struct ChunkIndex {
   ChunkedDatasetMeta meta;
   std::vector<ChunkExtent> chunks;
-  std::vector<ZoneExtent> zones;  // empty for version-1 containers
-  bool zoned() const { return !zones.empty(); }
+  std::vector<ZoneExtent> zones;  // one per chunk, partitioning dims[0]
   std::size_t total_bytes() const {
     std::size_t n = 0;
     for (const auto& c : chunks) n += static_cast<std::size_t>(c.size);
@@ -98,20 +96,15 @@ class IoTool {
 
   // --- chunked-dataset streaming -----------------------------------------
 
-  // Stateful chunked-dataset writer. append_chunk streams one chunk
+  // Stateful chunked-dataset writer. append_zone streams one chunk
   // through the PFS append path (paying this tool's per-chunk prep plus
-  // per-touched-stripe RPCs and transfer); close() commits the chunk-index
-  // footer and the tool's close-time metadata syncs. The container is not
-  // readable until close() has run.
+  // per-touched-stripe RPCs and transfer) together with the row interval
+  // its payload covers; close() commits the chunk- and zone-index footer
+  // and the tool's close-time metadata syncs. The zone extents must arrive
+  // in order and partition the dataset's leading dimension by close() or
+  // close() throws. The container is not readable until close() has run.
   class ChunkWriter {
    public:
-    IoCost append_chunk(std::span<const std::byte> chunk,
-                        int concurrent_clients = 1);
-
-    // Zoned form (containers opened with open_zoned): appends one chunk
-    // together with the row interval its payload covers. The zone extents
-    // must arrive in order and partition the dataset's leading dimension
-    // by close() or close() throws.
     IoCost append_zone(std::span<const std::byte> chunk, ZoneExtent zone,
                        int concurrent_clients = 1);
 
@@ -137,19 +130,13 @@ class IoTool {
     // Payload bytes appended so far (container framing excluded).
     std::size_t payload_bytes() const;
     bool closed() const { return closed_; }
-    bool zoned() const { return zoned_; }
     // What writing the container header cost (charged at open).
     const IoCost& open_cost() const { return open_cost_; }
 
    private:
     friend class IoTool;
     ChunkWriter(const IoTool* tool, PfsSimulator& pfs, std::string path,
-                ChunkedDatasetMeta meta, bool zoned);
-
-    // Stages + appends one chunk and records its extent (shared by the
-    // plain and zoned append paths).
-    IoCost append_raw(std::span<const std::byte> chunk,
-                      int concurrent_clients);
+                ChunkedDatasetMeta meta);
 
     const IoTool* tool_;
     PfsSimulator::AppendStream stream_;
@@ -159,7 +146,6 @@ class IoTool {
     std::vector<ZoneExtent> zones_;
     IoCost open_cost_;
     bool closed_ = false;
-    bool zoned_ = false;
     // Container-offset cursor including staged-but-unretired sectors (the
     // stream's bytes_written() lags while sectors are in flight).
     std::size_t staged_bytes_ = 0;
@@ -177,7 +163,7 @@ class IoTool {
     // What opening the container (footer + header fetches) cost.
     const IoCost& open_cost() const { return open_cost_; }
 
-    // Fetches chunk `i`. The returned bytes are exactly what append_chunk
+    // Fetches chunk `i`. The returned bytes are exactly what append_zone
     // wrote. `cost_out`, when given, receives this fetch's prep/transfer.
     Bytes read_chunk(std::size_t i, IoCost* cost_out = nullptr,
                      int concurrent_clients = 1);
@@ -199,9 +185,8 @@ class IoTool {
                       IoCost* cost_out = nullptr);
 
     // Resolves a query box to the indices of the zones it intersects.
-    // Requires a zoned (version-2) container and a region that fits the
-    // dataset dims; the covering set is computed from the footer index
-    // alone — no chunk bytes are touched.
+    // Requires a region that fits the dataset dims; the covering set is
+    // computed from the footer index alone — no chunk bytes are touched.
     std::vector<std::size_t> covering(const Region& region) const;
 
     // One fetched zone: its index, its exact appended bytes, and what the
@@ -230,22 +215,18 @@ class IoTool {
     std::unique_ptr<SectorReader> transport_;
   };
 
-  // Opens a fresh chunked container at `path` (truncating any previous
-  // file) holding one chunked dataset described by `meta`.
-  ChunkWriter open_chunked(PfsSimulator& pfs, const std::string& path,
-                           ChunkedDatasetMeta meta) const;
-
-  // Opens a fresh *zoned* chunked container (format version 2): every
+  // Opens a fresh zoned chunked container at `path` (truncating any
+  // previous file) holding one chunked dataset described by `meta`: every
   // chunk is appended through append_zone with the row interval it covers,
   // and the footer commits a zone index alongside the chunk extents so
-  // readers can serve partial-region queries. Version-1 containers are
-  // byte-identical to what open_chunked always produced and still decode.
+  // readers can serve partial-region queries.
   ChunkWriter open_zoned(PfsSimulator& pfs, const std::string& path,
                          ChunkedDatasetMeta meta) const;
 
   // Opens a closed chunked container for reading. Throws CorruptStream
-  // when the container is malformed, unclosed, or was written by a
-  // different tool.
+  // when the container is malformed, unclosed, was written by a different
+  // tool, or is not zoned (a "CIDX" footer or a version-1 header) — all
+  // before any chunk is fetched.
   ChunkReader open_chunked_reader(PfsSimulator& pfs, const std::string& path,
                                   int concurrent_clients = 1) const;
 

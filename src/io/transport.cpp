@@ -177,9 +177,13 @@ void SectorWriter::drain_loop() {
 }
 
 void SectorWriter::drain() {
-  Executor::BlockingScope blocking;
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return inflight_ == 0 || error_ != nullptr; });
+  const auto settled = [&] { return inflight_ == 0 || error_ != nullptr; };
+  if (!settled()) {
+    // Only a drain that really waits blocks its pool thread.
+    Executor::BlockingScope blocking;
+    done_cv_.wait(lock, settled);
+  }
   if (error_) std::rethrow_exception(error_);
 }
 
@@ -372,9 +376,13 @@ Bytes SectorReader::await(std::size_t handle, double* wire_s_out) {
 }
 
 void SectorReader::drain() {
-  Executor::BlockingScope blocking;
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return inflight_ == 0 || error_ != nullptr; });
+  const auto settled = [&] { return inflight_ == 0 || error_ != nullptr; };
+  if (!settled()) {
+    // Only a drain that really waits blocks its pool thread.
+    Executor::BlockingScope blocking;
+    done_cv_.wait(lock, settled);
+  }
   if (error_) std::rethrow_exception(error_);
 }
 

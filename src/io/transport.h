@@ -123,6 +123,8 @@ class SectorWriter {
   std::size_t stage(std::size_t message, std::span<const std::byte> payload);
 
   // Blocks until every staged sector has retired; rethrows a wire error.
+  // Declares an Executor::BlockingScope only when it has to wait, so an
+  // idle drain on a pool thread never grows the pool.
   void drain();
 
   const TransportConfig& config() const { return config_; }
@@ -186,7 +188,8 @@ class SectorReader {
   // rpc_s + xfer_s.
   Bytes await(std::size_t handle, double* wire_s_out = nullptr);
 
-  // Blocks until every staged sector has been served.
+  // Blocks until every staged sector has been served (a BlockingScope
+  // only when it has to wait, as on the writer).
   void drain();
 
   const TransportConfig& config() const { return config_; }

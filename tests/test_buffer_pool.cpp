@@ -95,7 +95,7 @@ TEST(BufferPool, ThreadChurnStaysConsistent) {
 
 TEST(BufferPool, StreamedWritePipelineReachesSteadyStateReuse) {
   // After a first warm-up lap, the streamed write path (compress ->
-  // append_chunk -> recycle) should serve its slab buffers from the pool:
+  // append_zone -> recycle) should serve its slab buffers from the pool:
   // hits strictly increase across subsequent runs.
   const Field field = generate_dataset_dims("NYX", {32, 32, 32}, 3);
   PipelineConfig config;

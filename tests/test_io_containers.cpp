@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "compressors/zone.h"
 #include "io/h5lite.h"
 #include "io/io_tool.h"
 #include "io/nclite.h"
@@ -160,7 +161,7 @@ TEST(IoCosts, ContentionPropagatesToContainers) {
   EXPECT_GT(busy.transfer_seconds, solo.transfer_seconds * 2.0);
 }
 
-// --- chunked datasets (append_chunk / read_chunk through the footer index) --
+// --- chunked datasets (append_zone / read_chunk through the footer index) ---
 
 class ChunkedDataset : public ::testing::TestWithParam<std::string> {
  protected:
@@ -185,21 +186,22 @@ TEST_P(ChunkedDataset, RoundTripsBitForBit) {
   std::vector<Bytes> chunks;
   for (int i = 0; i < 5; ++i)
     chunks.push_back(chunk_bytes(10000 + 997 * i, static_cast<std::uint8_t>(i)));
+  const auto zones = zone_extents(40, 5);
 
-  auto writer = tool.open_chunked(pfs, "/c/ds", meta);
+  auto writer = tool.open_zoned(pfs, "/c/ds", meta);
   EXPECT_GT(writer.open_cost().total_seconds(), 0.0);
   std::size_t payload = 0;
-  for (const Bytes& c : chunks) {
-    const IoCost cost = writer.append_chunk(c);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const IoCost cost = writer.append_zone(chunks[i], zones[i]);
     EXPECT_GT(cost.total_seconds(), 0.0);
-    payload += c.size();
+    payload += chunks[i].size();
   }
   EXPECT_EQ(writer.payload_bytes(), payload);
   EXPECT_EQ(writer.chunks_written(), chunks.size());
   const IoCost close_cost = writer.close();
   EXPECT_GT(close_cost.total_seconds(), 0.0);
   EXPECT_TRUE(writer.closed());
-  EXPECT_THROW(writer.append_chunk(chunks[0]), InvalidArgument);
+  EXPECT_THROW(writer.append_zone(chunks[0], {40, 8}), InvalidArgument);
 
   auto reader = tool.open_chunked_reader(pfs, "/c/ds");
   const ChunkIndex& index = reader.index();
@@ -207,6 +209,7 @@ TEST_P(ChunkedDataset, RoundTripsBitForBit) {
   EXPECT_EQ(index.meta.dims, meta.dims);
   EXPECT_EQ(index.meta.attributes.at("content"), "eblc-compressed");
   ASSERT_EQ(index.chunks.size(), chunks.size());
+  EXPECT_EQ(index.zones, zones);
   EXPECT_EQ(index.total_bytes(), payload);
   EXPECT_GT(reader.open_cost().total_seconds(), 0.0);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
@@ -222,7 +225,8 @@ TEST_P(ChunkedDataset, EmptyDatasetRoundTrips) {
   PfsSimulator pfs;
   ChunkedDatasetMeta meta;
   meta.name = "empty";
-  auto writer = tool.open_chunked(pfs, "/c/empty", meta);
+  meta.dims = {0};  // zero rows: zero zones
+  auto writer = tool.open_zoned(pfs, "/c/empty", meta);
   writer.close();
   auto reader = tool.open_chunked_reader(pfs, "/c/empty");
   EXPECT_EQ(reader.index().chunks.size(), 0u);
@@ -236,8 +240,9 @@ TEST_P(ChunkedDataset, RejectsForeignAndCorruptContainers) {
   const std::string other = GetParam() == "HDF5" ? "NetCDF" : "HDF5";
   ChunkedDatasetMeta meta;
   meta.name = "x";
-  auto writer = io_tool(other).open_chunked(pfs, "/c/foreign", meta);
-  writer.append_chunk(Bytes(100, std::byte{1}));
+  meta.dims = {4};
+  auto writer = io_tool(other).open_zoned(pfs, "/c/foreign", meta);
+  writer.append_zone(Bytes(100, std::byte{1}), {0, 4});
   writer.close();
   EXPECT_THROW(tool.open_chunked_reader(pfs, "/c/foreign"), CorruptStream);
 
@@ -262,11 +267,12 @@ TEST(ChunkedCosts, MechanismGapShowsUpInChunkStreams) {
   for (int t = 0; t < 2; ++t) {
     ChunkedDatasetMeta meta;
     meta.name = "m";
+    meta.dims = {4};
     auto writer =
-        io_tool(tools[t]).open_chunked(pfs, std::string("/c/") + tools[t], meta);
+        io_tool(tools[t]).open_zoned(pfs, std::string("/c/") + tools[t], meta);
     total[t] += writer.open_cost().total_seconds();
-    for (int i = 0; i < 4; ++i)
-      total[t] += writer.append_chunk(chunk).total_seconds();
+    for (std::uint64_t i = 0; i < 4; ++i)
+      total[t] += writer.append_zone(chunk, {i, 1}).total_seconds();
     total[t] += writer.close().total_seconds();
   }
   EXPECT_GT(total[1], total[0] * 1.5);

@@ -105,7 +105,7 @@ TEST(StreamPipeline, RoundTripHoldsBound) {
   auto reader = io_tool("HDF5").open_chunked_reader(pfs, rec.path);
   const auto& chunks = reader.index().chunks;
   ASSERT_EQ(chunks.size(), 8u);
-  ASSERT_TRUE(reader.index().zoned());
+  ASSERT_EQ(reader.index().zones.size(), 8u);
   const std::size_t footer_bytes = 4 + 8 + 32 * chunks.size() + 8;
   EXPECT_EQ(chunks.front().offset + reader.index().total_bytes() +
                 footer_bytes,
@@ -327,8 +327,9 @@ TEST_F(StreamReadRobustness, UnclosedContainerFailsCleanly) {
   IoTool& tool = io_tool(config_.io_library);
   ChunkedDatasetMeta meta;
   meta.name = "unclosed";
-  auto writer = tool.open_chunked(pfs_, "/pfs/unclosed", meta);
-  writer.append_chunk(Bytes(4096, std::byte{0x5a}));
+  meta.dims = {8};
+  auto writer = tool.open_zoned(pfs_, "/pfs/unclosed", meta);
+  writer.append_zone(Bytes(4096, std::byte{0x5a}), {0, 4});
   EXPECT_THROW(run_streamed_read(pfs_, "/pfs/unclosed", config_), Error);
 }
 

@@ -206,6 +206,36 @@ TEST(SectorReaderTest, AwaitOnTheOnlyPoolWorkerRunsTheDrainerItself) {
   BufferPool::global().release(std::move(got));
 }
 
+TEST(SectorTransportTest, IdleDrainsOnTheOnlyPoolWorkerDoNotGrowThePool) {
+  // A drain with nothing in flight returns at once. It must not declare a
+  // BlockingScope, which would spawn a replacement worker for a wait that
+  // never happens (and retire it right after).
+  PfsSimulator pfs;
+  pfs.write_file("/pfs/idle-read", pattern_bytes(1000, 5));
+  Executor ex(1);
+  int peak_workers = 0;
+  std::atomic<bool> done{false};
+  TaskGroup task(ex);
+  task.run([&] {
+    auto ws = pfs.open_append("/pfs/idle-write");
+    auto rs = pfs.open_read("/pfs/idle-read");
+    SectorWriter writer(ws, TransportConfig{}, ex);
+    SectorReader reader(rs, TransportConfig{}, ex);
+    for (int i = 0; i < 16; ++i) {
+      writer.drain();
+      peak_workers = std::max(peak_workers, ex.stats().workers);
+      reader.drain();
+      peak_workers = std::max(peak_workers, ex.stats().workers);
+    }
+    done.store(true);
+  });
+  // Spin rather than wait(): a waiting test thread would take the task and
+  // run it off the pool.
+  while (!done.load()) std::this_thread::yield();
+  task.wait();
+  EXPECT_EQ(peak_workers, 1);
+}
+
 TEST(SectorTransportTest, RegistryCountsOnlyInFlightOccupancy) {
   PfsSimulator pfs;
   pfs.write_file("/pfs/idle", pattern_bytes(10000, 1));

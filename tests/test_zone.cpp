@@ -4,7 +4,9 @@
 // query boxes vs the serial reference, and robustness (corrupt zone
 // indexes, truncated zone blobs, out-of-bounds queries, and forged
 // containers whose chunks disagree with the index in rows or dtype must
-// fail cleanly with no partial field escaping).
+// fail cleanly with no partial field escaping; the retired version-1
+// layout is refused at open), and the full read as the whole-domain region
+// read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -571,7 +573,6 @@ TEST_P(ZonedContainer, FooterZoneIndexRoundTrips) {
   const auto wrec = run_streamed_compress_write(f, config, pfs, stream);
 
   auto reader = io_tool(GetParam()).open_chunked_reader(pfs, wrec.path);
-  ASSERT_TRUE(reader.index().zoned());
   EXPECT_EQ(reader.index().zones, zone_extents(40, 8));
 
   // covering() resolves boxes from the footer alone; read_zones fetches
@@ -827,44 +828,77 @@ TEST_F(ZoneRobustness, OutOfBoundsRegionIsInvalidArgument) {
       InvalidArgument);
 }
 
-// --- version-1 back-compat --------------------------------------------------
+// --- one container layout --------------------------------------------------
 
-TEST(ZoneBackCompat, V1ChunkedContainersStillDecodeAndRejectRegionQueries) {
-  // Containers written through the original open_chunked path carry no
-  // zone index: they must round-trip exactly as before, and partial-region
-  // APIs must refuse them cleanly rather than misread the v1 footer.
-  const Field f = smooth_field_3d(24);
-  PipelineConfig config;
-  config.codec = "SZ3";
-  PfsSimulator pfs;
-  CompressOptions opt;
-  opt.error_bound = config.error_bound;
-  const Bytes blob = compressor("SZ3").compress(f, opt);
+// The retired version-1 layout ("CIDX" footer, header version 1) carried no
+// zone index. A zoned container patched to either marker is malformed: the
+// open refuses it from the footer or header, before any chunk is fetched,
+// and so does every reader built on it.
+class RetiredV1Layout : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    config_.codec = "SZ3";
+    config_.io_library = GetParam();
+    StreamConfig stream;
+    stream.slabs = 3;
+    path_ =
+        run_streamed_compress_write(smooth_field_3d(12), config_, pfs_, stream)
+            .path;
+  }
 
-  IoTool& tool = io_tool("HDF5");
-  ChunkedDatasetMeta meta;
-  meta.name = f.name();
-  meta.dims = f.shape().dims_vector();
-  auto writer = tool.open_chunked(pfs, "/pfs/v1", meta);
-  EXPECT_THROW(writer.append_zone(blob, {0, 24}), InvalidArgument);
-  writer.append_chunk(blob);
-  writer.close();
+  // Patches the container's bytes, then expects every reader to refuse it
+  // with a CorruptStream whose message names `what`.
+  void expect_refused(const std::function<void(Bytes&)>& patch,
+                      const std::string& what) {
+    Bytes raw = pfs_.read_file(path_);
+    patch(raw);
+    pfs_.write_file(path_, raw);
+    try {
+      (void)io_tool(GetParam()).open_chunked_reader(pfs_, path_);
+      ADD_FAILURE() << "open accepted a retired layout";
+    } catch (const CorruptStream& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+    StreamConfig stream;
+    for (const bool transport : {true, false}) {
+      stream.use_transport = transport;
+      EXPECT_THROW((void)run_streamed_read(pfs_, path_, config_, stream),
+                   CorruptStream);
+    }
+    EXPECT_THROW((void)read_chunked_field(pfs_, path_, GetParam()),
+                 CorruptStream);
+  }
 
-  auto reader = tool.open_chunked_reader(pfs, "/pfs/v1");
-  EXPECT_FALSE(reader.index().zoned());
-  const Region region{{0, 0, 0}, {4, 24, 24}};
-  EXPECT_THROW(reader.covering(region), InvalidArgument);
-  EXPECT_THROW(run_streamed_read_region(pfs, "/pfs/v1", region, config),
-               CorruptStream);
-  EXPECT_THROW(read_region_reference(pfs, "/pfs/v1", region, "HDF5"),
-               CorruptStream);
+  PipelineConfig config_;
+  PfsSimulator pfs_;
+  std::string path_;
+};
 
-  // The full-field streamed read still serves v1 containers bit-for-bit.
-  const auto read = run_streamed_read(pfs, "/pfs/v1", config);
-  EXPECT_TRUE(bytes_equal(read.field, decompress_any(blob)));
+TEST_P(RetiredV1Layout, CidxFooterMagicIsRefused) {
+  expect_refused(
+      [](Bytes& raw) {
+        std::uint64_t footer_start = 0;
+        std::memcpy(&footer_start, raw.data() + raw.size() - 8, 8);
+        const std::uint32_t cidx = 0x58444943;  // "CIDX"
+        std::memcpy(raw.data() + footer_start, &cidx, 4);
+      },
+      "footer magic");
 }
 
-TEST(ZoneBackCompat, ZonedWriterRejectsPlainAppendAndBadPartitions) {
+TEST_P(RetiredV1Layout, VersionOneHeaderIsRefused) {
+  expect_refused(
+      [](Bytes& raw) {
+        const std::uint16_t v1 = 1;
+        std::memcpy(raw.data() + 4, &v1, 2);  // after the u32 "EBCK" magic
+      },
+      "header version");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllContainers, RetiredV1Layout,
+                         ::testing::Values("HDF5", "NetCDF", "ADIOS"));
+
+TEST(ZonedWriter, RejectsBadPartitions) {
   const Field f = smooth_field_3d(16);
   PfsSimulator pfs;
   IoTool& tool = io_tool("HDF5");
@@ -874,13 +908,97 @@ TEST(ZoneBackCompat, ZonedWriterRejectsPlainAppendAndBadPartitions) {
   const Bytes blob(512, std::byte{0x2a});
 
   auto writer = tool.open_zoned(pfs, "/pfs/z", meta);
-  EXPECT_THROW(writer.append_chunk(blob), InvalidArgument);
   EXPECT_THROW(writer.append_zone(blob, {0, 0}), InvalidArgument);
   writer.append_zone(blob, {0, 8});
   // Out-of-order / gapped extents are rejected immediately.
   EXPECT_THROW(writer.append_zone(blob, {9, 7}), InvalidArgument);
   // Closing before the zones cover the dataset rows is rejected.
   EXPECT_THROW(writer.close(), InvalidArgument);
+}
+
+// A box covering a blob's whole extent decodes exactly as decompress_any.
+TEST(WholeBoxDecode, EqualsDecompressAnyForEveryCodec) {
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  const Field f3 = smooth_field_3d(20);
+  const Field f4 = double_field_4d(8, 10);
+  for (const Field& f : {f3, widened(f3), f4}) {
+    std::vector<std::string> codecs = all_compressor_names();
+    codecs.push_back("composed:lorenzo1+linear+huffman");
+    for (const std::string& codec : codecs) {
+      Compressor& c = compressor(codec);
+      if (!c.supports(f, opt)) continue;
+      SCOPED_TRACE(codec + " " + f.name());
+      const Bytes blob = c.compress(f, opt);
+      const Region whole{std::vector<std::size_t>(f.ndims(), 0),
+                         f.shape().dims_vector()};
+      std::size_t reconstructed = 0;
+      const Field got = decompress_region_any(blob, whole, 1, &reconstructed);
+      EXPECT_TRUE(bytes_equal(got, decompress_any(blob)));
+      EXPECT_EQ(got.shape().dims_vector(), f.shape().dims_vector());
+      EXPECT_EQ(reconstructed, f.num_elements());
+    }
+  }
+}
+
+// The full restart is the whole-domain region read: same field, bytes,
+// fetch columns and modeled schedule.
+TEST(WholeDomainRead, FullReadIsTheWholeDomainRegionRead) {
+  const Field f = smooth_field_3d(24);
+  PfsSimulator pfs;
+  PipelineConfig config;
+  config.codec = "SZ2";
+  StreamConfig stream;
+  stream.slabs = 4;
+  const auto wrec = run_streamed_compress_write(f, config, pfs, stream);
+  const std::size_t payload =
+      io_tool("HDF5").open_chunked_reader(pfs, wrec.path).index().total_bytes();
+  const Region whole{{0, 0, 0}, {24, 24, 24}};
+  const auto sum = [](const std::vector<double>& v) {
+    double t = 0.0;
+    for (const double x : v) t += x;
+    return t;
+  };
+  for (const bool transport : {true, false}) {
+    SCOPED_TRACE(transport ? "transport" : "blocking");
+    stream.use_transport = transport;
+    const auto full = run_streamed_read(pfs, wrec.path, config, stream);
+    const auto region =
+        run_streamed_read_region(pfs, wrec.path, whole, config, stream);
+    EXPECT_TRUE(bytes_equal(full.field, region.field));
+    EXPECT_TRUE(bytes_equal(full.field, read_chunked_field(pfs, wrec.path,
+                                                           "HDF5")));
+    EXPECT_EQ(full.bytes_fetched, payload);
+    EXPECT_EQ(region.bytes_fetched, payload);
+    EXPECT_EQ(region.elements_reconstructed, f.num_elements());
+    EXPECT_EQ(full.slabs, 4);
+    EXPECT_EQ(region.zones_decoded, 4);
+    EXPECT_EQ(full.lanes, region.lanes);
+    // Fetch pricing is deterministic; decode seconds are host-timed.
+    EXPECT_EQ(full.slab_fetch_s, region.zone_fetch_s);
+    EXPECT_EQ(full.transport.sectors, region.transport.sectors);
+    // Serial makespan: open + every fetch + every decode, so the two agree
+    // once each run's own decode seconds are taken out.
+    const double full_open_fetch =
+        full.serial_total_s - sum(full.slab_decompress_s);
+    const double region_open_fetch =
+        region.serial_total_s - sum(region.zone_decompress_s);
+    EXPECT_NEAR(full_open_fetch, region_open_fetch,
+                1e-12 * full.serial_total_s);
+    if (transport) continue;
+    // Streamed makespan (blocking path): swapping the two runs' decode
+    // columns swaps their makespans.
+    const double open_s = full_open_fetch - sum(full.slab_fetch_s);
+    const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
+    EXPECT_NEAR(solve_blocking_read(full.slab_fetch_s,
+                                    region.zone_decompress_s, depth, open_s,
+                                    full.lanes),
+                region.streamed_total_s, 1e-12 * region.streamed_total_s);
+    EXPECT_NEAR(solve_blocking_read(region.zone_fetch_s,
+                                    full.slab_decompress_s, depth, open_s,
+                                    region.lanes),
+                full.streamed_total_s, 1e-12 * full.streamed_total_s);
+  }
 }
 
 // --- forged containers: chunk headers are checked before placement ----------
@@ -905,40 +1023,34 @@ class ForgedContainer : public ::testing::Test {
     as_f64_ = compressor("SZ3").compress(Field(field_.name(), std::move(d)), opt_);
   }
 
-  // Writes `blobs` as a zoned container claiming the honest 6-row extents,
-  // or as a version-1 container (no row extents at all).
-  void write(const std::vector<Bytes>& blobs, bool zoned) {
+  // Writes `blobs` as a zoned container claiming the honest 6-row extents.
+  void write(const std::vector<Bytes>& blobs) {
     IoTool& tool = io_tool("HDF5");
     ChunkedDatasetMeta meta;
     meta.name = field_.name();
     meta.dims = field_.shape().dims_vector();
-    auto out = zoned ? tool.open_zoned(pfs_, path_, meta)
-                     : tool.open_chunked(pfs_, path_, meta);
+    auto out = tool.open_zoned(pfs_, path_, meta);
     const auto zones = zone_extents(24, 4);
-    for (std::size_t i = 0; i < blobs.size(); ++i) {
-      if (zoned) out.append_zone(blobs[i], zones[i]);
-      else out.append_chunk(blobs[i]);
-    }
+    for (std::size_t i = 0; i < blobs.size(); ++i)
+      out.append_zone(blobs[i], zones[i]);
     out.close();
   }
 
   // Every reader of the container must refuse it with CorruptStream.
-  void expect_rejected(bool zoned) {
+  void expect_rejected() {
     PipelineConfig config;
     StreamConfig stream;
     for (const bool transport : {true, false}) {
       stream.use_transport = transport;
       EXPECT_THROW((void)run_streamed_read(pfs_, path_, config, stream),
                    CorruptStream);
-      if (zoned)
-        EXPECT_THROW((void)run_streamed_read_region(pfs_, path_, box_, config,
-                                                    stream),
-                     CorruptStream);
+      EXPECT_THROW((void)run_streamed_read_region(pfs_, path_, box_, config,
+                                                  stream),
+                   CorruptStream);
     }
     EXPECT_THROW((void)read_chunked_field(pfs_, path_, "HDF5"), CorruptStream);
-    if (zoned)
-      EXPECT_THROW((void)read_region_reference(pfs_, path_, box_, "HDF5"),
-                   CorruptStream);
+    EXPECT_THROW((void)read_region_reference(pfs_, path_, box_, "HDF5"),
+                 CorruptStream);
   }
 
   Field field_;
@@ -950,45 +1062,27 @@ class ForgedContainer : public ::testing::Test {
   const Region box_{{4, 0, 0}, {12, 24, 24}};  // zones 0-2
 };
 
-TEST_F(ForgedContainer, HonestChunksDecodeInBothLayouts) {
-  for (const bool zoned : {true, false}) {
-    write(blobs_, zoned);
-    PipelineConfig config;
-    const auto read = run_streamed_read(pfs_, path_, config);
-    const Field ref = read_chunked_field(pfs_, path_, "HDF5");
-    EXPECT_TRUE(bytes_equal(read.field, ref)) << zoned;
-    EXPECT_TRUE(check_value_range_bound(field_, read.field, 1e-3)) << zoned;
-  }
+TEST_F(ForgedContainer, HonestChunksDecode) {
+  write(blobs_);
+  PipelineConfig config;
+  const auto read = run_streamed_read(pfs_, path_, config);
+  const Field ref = read_chunked_field(pfs_, path_, "HDF5");
+  EXPECT_TRUE(bytes_equal(read.field, ref));
+  EXPECT_TRUE(check_value_range_bound(field_, read.field, 1e-3));
 }
 
 TEST_F(ForgedContainer, SwappedLargerZoneBlobFailsCleanly) {
   auto blobs = blobs_;
   blobs[1] = wide_;  // 12 rows where the index promises 6
-  write(blobs, true);
-  expect_rejected(true);
-}
-
-TEST_F(ForgedContainer, SwappedLargerV1ChunkFailsCleanly) {
-  // Without row extents the chunks would tile 30 rows of a 24-row field:
-  // the running row sum must stop it before any slab lands.
-  auto blobs = blobs_;
-  blobs[1] = wide_;
-  write(blobs, false);
-  expect_rejected(false);
+  write(blobs);
+  expect_rejected();
 }
 
 TEST_F(ForgedContainer, MixedDtypeZoneFailsCleanly) {
   auto blobs = blobs_;
   blobs[2] = as_f64_;
-  write(blobs, true);
-  expect_rejected(true);
-}
-
-TEST_F(ForgedContainer, MixedDtypeV1ChunkFailsCleanly) {
-  auto blobs = blobs_;
-  blobs[2] = as_f64_;
-  write(blobs, false);
-  expect_rejected(false);
+  write(blobs);
+  expect_rejected();
 }
 
 TEST(MergeSlabs, ChecksBoundsAndDtypeBeforeEachCopy) {
