@@ -1,5 +1,5 @@
 // Google-benchmark micro-kernels for the shared executor: dispatch
-// overhead, parallel_for fan-out, channel hand-off, and the streaming
+// overhead, parallel_for fan-out, work stealing, and the streaming
 // compress→write pipeline against its serial schedule.
 #include <benchmark/benchmark.h>
 
@@ -56,26 +56,6 @@ void BM_ParallelFor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ParallelFor)->Arg(1)->Arg(4)->Arg(16);
-
-// Producer/consumer hand-off through the bounded channel (the streaming
-// pipeline's coupling cost).
-void BM_ChannelHandoff(benchmark::State& state) {
-  const int n = 1024;
-  for (auto _ : state) {
-    BoundedChannel<int> ch(2);
-    TaskGroup group;
-    group.run([&] {
-      for (int i = 0; i < n; ++i) ch.push(i);
-      ch.close();
-    });
-    long long sum = 0;
-    while (auto v = ch.pop()) sum += *v;
-    group.wait();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ChannelHandoff);
 
 // Steal-path pressure — the datapoint for randomized victim selection.
 // One pool task floods its own deque with tiny subtasks, so every other

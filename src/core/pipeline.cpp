@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <tuple>
 #include <type_traits>
 
 #include "common/buffer_pool.h"
@@ -257,14 +258,16 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   PowercapMonitor monitor(cpu);  // thread-safe: lanes and writer record
   WallTimer wall;
 
-  // Records one chunk-write IoCost: prep is container serialization work
-  // (compute at one core), transfer is PFS time.
-  const auto charge_io = [&](const char* prep_label, const char* io_label,
-                             const IoCost& cost) {
-    const auto prep = monitor.record_compute(prep_label, cost.prep_seconds, 1);
+  // Records one container-write IoCost: prep is container serialization
+  // work (compute at one core), transfer is PFS time. Returns the prep and
+  // the total seconds and adds the joules to write_j.
+  double write_j = 0.0;
+  const auto charge_io = [&](const char* io_label, const IoCost& cost) {
+    const auto prep =
+        monitor.record_compute("stream-write-prep", cost.prep_seconds, 1);
     const auto io = monitor.record_io(io_label, cost.transfer_seconds);
-    return std::pair<double, double>(prep.seconds + io.seconds,
-                                     prep.joules + io.joules);
+    write_j += prep.joules + io.joules;
+    return std::pair<double, double>(prep.seconds, prep.seconds + io.seconds);
   };
 
   ChunkedDatasetMeta meta;
@@ -275,13 +278,10 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   meta.attributes["codec"] = rec.codec;
   auto out = tool.open_zoned(pfs, rec.path, meta);
   if (stream.use_transport) out.enable_transport(stream.transport);
-  auto [open_s, open_j] =
-      charge_io("stream-write-prep", "stream-write-open", out.open_cost());
-  double write_j = open_j;
-  // Per-slab container prep (compute) and payload size, kept for the
-  // transport timeline solver and the blocking-path reconstruction.
+  const double open_s = charge_io("stream-write-open", out.open_cost()).second;
+  // Per-slab container prep (compute), kept for the transport timeline
+  // solver and the blocking-path reconstruction.
   std::vector<double> stage_prep_s(nslabs, 0.0);
-  std::vector<std::size_t> chunk_bytes(nslabs, 0);
   std::vector<Bytes> blobs(nslabs);
   std::vector<LaneSpan> spans(nslabs);
 
@@ -296,24 +296,12 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     spans[i].end_s = wall.elapsed_s();
   };
   stages.sink = [&](std::size_t i) {
-    chunk_bytes[i] = blobs[i].size();
-    const IoCost w =
-        out.append_zone(blobs[i], zones[i], self_inclusive_clients(pfs));
-    if (stream.use_transport) {
-      // Transport mode: the append only *staged* sectors (transfer is 0);
-      // the wire cost lands in transport()->records() and is charged after
-      // the drain, when every sector's contended price is known.
-      const auto prep =
-          monitor.record_compute("stream-write-prep", w.prep_seconds, 1);
-      stage_prep_s[i] = prep.seconds;
-      rec.slab_write_s[i] = prep.seconds;
-      write_j += prep.joules;
-    } else {
-      const auto [seconds, joules] =
-          charge_io("stream-write-prep", "stream-write", w);
-      rec.slab_write_s[i] = seconds;
-      write_j += joules;
-    }
+    // A transported append only *staged* sectors (transfer is 0); the wire
+    // cost lands in transport()->records() and is charged after the drain,
+    // when every sector's contended price is known.
+    std::tie(stage_prep_s[i], rec.slab_write_s[i]) = charge_io(
+        "stream-write",
+        out.append_zone(blobs[i], zones[i], self_inclusive_clients(pfs)));
     // The blob has landed in the container; recycle its allocation for the
     // next slab's compress/staging buffers.
     BufferPool::global().release(std::move(blobs[i]));
@@ -328,10 +316,9 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   }
   // close() drains the transport rings first, so every sector has retired
   // (and priced itself) before the footer commits.
-  const IoCost close_cost = out.close(self_inclusive_clients(pfs));
-  const auto [close_s, close_j] =
-      charge_io("stream-write-prep", "stream-write-close", close_cost);
-  write_j += close_j;
+  const double close_s =
+      charge_io("stream-write-close", out.close(self_inclusive_clients(pfs)))
+          .second;
 
   rec.host_wall_s = wall.elapsed_s();
   rec.compressed_bytes = pfs.file_size(rec.path);
@@ -344,20 +331,25 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
       rec.slab_compress_s.begin(), rec.slab_compress_s.end(), 0.0);
   const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
 
+  // What each chunk's write cost through the blocking per-chunk append
+  // path: what ran, or under the transport its reconstruction — the same
+  // prep and transfer bytes, but per-chunk stripe RPCs and no overlap
+  // between staging and the wire.
+  std::vector<double> blocking_write_s = rec.slab_write_s;
   if (stream.use_transport) {
     SectorWriter& transport = *out.transport();
     const auto& sectors = transport.records();
+    blocking_write_s = blocking_write_seconds(
+        pfs, out.open_cost().bytes_written, sectors, stage_prep_s);
     // Charge the wire once, now that every sector has its contended price;
     // fold each message's wire seconds into its slab_write_s column.
     double wire_total = 0.0;
-    std::vector<double> slab_wire_s(nslabs, 0.0), slab_xfer_s(nslabs, 0.0);
+    std::vector<double> slab_wire_s(nslabs, 0.0);
     for (const SectorRecord& s : sectors) {
       wire_total += s.rpc_s + s.xfer_s;
       slab_wire_s[s.message] += s.rpc_s + s.xfer_s;
-      slab_xfer_s[s.message] += s.xfer_s;
     }
-    const auto wire = monitor.record_io("stream-write", wire_total);
-    write_j += wire.joules;
+    write_j += monitor.record_io("stream-write", wire_total).joules;
     for (std::size_t i = 0; i < nslabs; ++i)
       rec.slab_write_s[i] += slab_wire_s[i];
 
@@ -368,44 +360,18 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     fill_telemetry(rec.transport, stream.transport, sectors.size(),
                    transport.stats().credit_stalls, timeline.credit_stall_s,
                    timeline.mean_inflight, timeline.peak_inflight);
-
-    // Blocking-path reconstruction: what the identical chunk sequence
-    // would have cost through the one-append-per-chunk path — the same
-    // prep and transfer bytes, but per-chunk stripe RPCs and no overlap
-    // between staging and the wire.
-    const PfsConfig& pc = pfs.config();
-    std::vector<double> blocking_write_s(nslabs, 0.0);
-    std::size_t offset = out.open_cost().bytes_written;
-    double serial_write = 0.0;
-    for (std::size_t i = 0; i < nslabs; ++i) {
-      const std::size_t len = chunk_bytes[i];
-      const std::size_t stripes =
-          len ? (offset + len - 1) / pc.stripe_size - offset / pc.stripe_size +
-                    1
-              : (offset % pc.stripe_size != 0 ? 1 : 0);
-      blocking_write_s[i] = stage_prep_s[i] +
-                            static_cast<double>(stripes) * pc.rpc_latency_s +
-                            slab_xfer_s[i];
-      offset += len;
-      serial_write += blocking_write_s[i];
-    }
-    rec.blocking_total_s = solve_blocking_write(rec.slab_compress_s,
-                                                blocking_write_s, depth,
-                                                open_s, lanes) +
-                           close_s;
-    rec.serial_total_s = serial_compress + open_s + serial_write + close_s;
-  } else {
-    const double serial_write = std::accumulate(
-        rec.slab_write_s.begin(), rec.slab_write_s.end(), 0.0);
-    rec.streamed_total_s = solve_blocking_write(rec.slab_compress_s,
-                                                rec.slab_write_s, depth,
-                                                open_s, lanes) +
-                           close_s;
-    rec.blocking_total_s = rec.streamed_total_s;
-    // Serial reference: the identical container writes, scheduled after all
-    // compression instead of overlapped with it.
-    rec.serial_total_s = serial_compress + open_s + serial_write + close_s;
   }
+  rec.blocking_total_s = solve_blocking_write(rec.slab_compress_s,
+                                              blocking_write_s, depth, open_s,
+                                              lanes) +
+                         close_s;
+  if (!out.transport_enabled()) rec.streamed_total_s = rec.blocking_total_s;
+  // Serial reference: the identical container writes, scheduled after all
+  // compression instead of overlapped with it.
+  rec.serial_total_s =
+      serial_compress + open_s +
+      std::accumulate(blocking_write_s.begin(), blocking_write_s.end(), 0.0) +
+      close_s;
   rec.write_j = write_j;
   return rec;
 }
@@ -463,38 +429,18 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
   ReadOutput out(index.meta.name, region.shape, path);
   std::vector<Bytes> blobs(n);
   std::vector<std::size_t> handles(n, 0), bytes(n, 0), reconstructed(n, 0);
-  std::vector<double> fetch_j(n, 0.0), prep_s(n, 0.0);
+  std::vector<IoCost> fetch_cost(n);
   std::vector<LaneSpan> spans(n);
-  // One zone's fetch: prep is container work (compute at one core),
-  // transfer is PFS time.
-  const auto charge_fetch = [&](std::size_t k, const IoCost& cost) {
-    const auto prep =
-        monitor.record_compute("fetch-prep", cost.prep_seconds, 1);
-    const auto io = monitor.record_io("fetch", cost.transfer_seconds);
-    prep_s[k] = prep.seconds;
-    rec.zone_fetch_s[k] = prep.seconds + io.seconds;
-    fetch_j[k] = prep.joules + io.joules;
-  };
 
   WallTimer wall;
   LaneStages stages;
+  // The source starts zone k's fetch (the whole blocking fetch, or staging
+  // its sector fetches through the transport); its lane awaits the bytes.
   stages.source = [&](std::size_t k) {
-    if (stream.use_transport) {
-      // Stage the zone's sector fetches (blocking only on credits); its
-      // lane awaits the assembled bytes.
-      handles[k] = reader.prefetch_chunk(ids[k]);
-      return;
-    }
-    IoCost cost;
-    blobs[k] = reader.read_chunk(ids[k], &cost, self_inclusive_clients(pfs));
-    charge_fetch(k, cost);
+    handles[k] = reader.prefetch_chunk(ids[k], self_inclusive_clients(pfs));
   };
   stages.lane = [&](std::size_t k) {
-    if (stream.use_transport) {
-      IoCost cost;
-      blobs[k] = reader.await_chunk(handles[k], ids[k], &cost);
-      charge_fetch(k, cost);
-    }
+    blobs[k] = reader.await_chunk(handles[k], ids[k], &fetch_cost[k]);
     const ZoneExtent& zone = index.zones[ids[k]];
     Field part;
     {
@@ -522,16 +468,25 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
   rec.field = out.take();
   rec.field_bytes = rec.field.size_bytes();
 
-  const auto readings = monitor.record_lanes("decompress", spans, 1);
+  // Each zone's fetch, charged in zone order: prep is container work
+  // (compute at one core), transfer is PFS time.
   std::vector<double> consume_s(n, 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto prep =
+        monitor.record_compute("fetch-prep", fetch_cost[k].prep_seconds, 1);
+    const auto io = monitor.record_io("fetch", fetch_cost[k].transfer_seconds);
+    consume_s[k] = prep.seconds;
+    rec.zone_fetch_s[k] = prep.seconds + io.seconds;
+    rec.fetch_j += prep.joules + io.joules;
+  }
+  const auto readings = monitor.record_lanes("decompress", spans, 1);
   double serial_fetch = 0.0, serial_decompress = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     rec.zone_decompress_s.push_back(readings[k].seconds);
     rec.decompress_j += readings[k].joules;
-    rec.fetch_j += fetch_j[k];
     rec.bytes_fetched += bytes[k];
     rec.elements_reconstructed += reconstructed[k];
-    consume_s[k] = prep_s[k] + readings[k].seconds;
+    consume_s[k] += readings[k].seconds;
     serial_fetch += rec.zone_fetch_s[k];
     serial_decompress += readings[k].seconds;
   }

@@ -109,9 +109,11 @@ struct StreamConfig {
   // Sector-ring transport between the pipeline and the PFS (io/transport.h):
   // chunks are staged into fixed-size pooled sectors and shipped by a
   // doorbell task with ring_depth sectors in flight per channel, so slab
-  // coding, sector staging, and wire transfer all overlap. false
-  // reverts to the blocking per-chunk append/fetch path (the container
-  // bytes are identical either way).
+  // coding, sector staging, and wire transfer all overlap. false runs each
+  // chunk as one blocking append, or as one eager fetch that the lane's
+  // await picks up; the pipelines run the same stages either way, and the
+  // container bytes are identical. The flag enables the endpoint and picks
+  // the timeline model (the transport solvers, or the blocking ones).
   bool use_transport = true;
   TransportConfig transport;
 };

@@ -104,9 +104,7 @@ IoTool::ChunkWriter::ChunkWriter(const IoTool* tool, PfsSimulator& pfs,
       meta_(std::move(meta)) {
   const ChunkProfile profile = tool_->chunk_profile();
   const Bytes header = encode_chunk_header(tool_->name(), meta_);
-  open_cost_.prep_seconds =
-      profile.per_chunk_prep_s +
-      static_cast<double>(header.size()) / profile.prep_bandwidth_bps;
+  open_cost_.prep_seconds = profile.prep_seconds(header.size());
   open_cost_.transfer_seconds = stream_.append(header).seconds;
   open_cost_.bytes_written = header.size();
 }
@@ -131,9 +129,7 @@ IoCost IoTool::ChunkWriter::append_zone(std::span<const std::byte> chunk,
   const ChunkProfile profile = tool_->chunk_profile();
 
   IoCost cost;
-  cost.prep_seconds =
-      profile.per_chunk_prep_s +
-      static_cast<double>(chunk.size()) / profile.prep_bandwidth_bps;
+  cost.prep_seconds = profile.prep_seconds(chunk.size());
   cost.bytes_written = chunk.size();
 
   ChunkExtent extent;
@@ -186,9 +182,7 @@ IoCost IoTool::ChunkWriter::close(int concurrent_clients) {
       static_cast<std::uint64_t>(stream_.bytes_written());
   const Bytes footer = encode_zone_footer(extents_, zones_, footer_start);
   IoCost cost;
-  cost.prep_seconds =
-      profile.per_chunk_prep_s +
-      static_cast<double>(footer.size()) / profile.prep_bandwidth_bps;
+  cost.prep_seconds = profile.prep_seconds(footer.size());
   cost.transfer_seconds =
       stream_.append(footer, concurrent_clients).seconds +
       profile.close_header_syncs * pfs_config.open_latency_s +
@@ -288,41 +282,26 @@ IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
       "chunked container: zone index does not cover the dataset: " + path);
 
   open_cost_.prep_seconds =
-      profile.per_chunk_prep_s +
-      static_cast<double>(footer.size() + header.size() + 8) /
-          profile.prep_bandwidth_bps;
+      profile.prep_seconds(footer.size() + header.size() + 8);
   open_cost_.transfer_seconds = stream_.seconds_total();
   open_cost_.bytes_written = 0;
+  parked_.resize(index_.chunks.size());
+}
+
+IoTool::ChunkReader::~ChunkReader() {
+  for (auto& p : parked_)
+    if (p) BufferPool::global().release(std::move(p->data));
+}
+
+const ChunkExtent& IoTool::ChunkReader::extent(std::size_t i) const {
+  EBLCIO_CHECK_ARG(i < index_.chunks.size(),
+                   "chunk index out of range: " + stream_.path());
+  return index_.chunks[i];
 }
 
 Bytes IoTool::ChunkReader::read_chunk(std::size_t i, IoCost* cost_out,
                                       int concurrent_clients) {
-  EBLCIO_CHECK_ARG(i < index_.chunks.size(),
-                   "chunk index out of range: " + stream_.path());
-  const ChunkExtent& e = index_.chunks[i];
-  const ChunkProfile profile = tool_->chunk_profile();
-
-  auto fetched = stream_.read(static_cast<std::size_t>(e.offset),
-                              static_cast<std::size_t>(e.size),
-                              concurrent_clients);
-  if (profile.staging_copy) {
-    // Mirror the write path: the classic library stages fetched data
-    // through its conversion buffer before handing it to the caller. The
-    // drained fetch buffer goes straight back to the pool.
-    Bytes staged = BufferPool::global().acquire(fetched.data.size());
-    staged.resize(fetched.data.size());
-    std::memcpy(staged.data(), fetched.data.data(), fetched.data.size());
-    BufferPool::global().release(std::move(fetched.data));
-    fetched.data = std::move(staged);
-  }
-  if (cost_out) {
-    cost_out->prep_seconds =
-        profile.per_chunk_prep_s +
-        static_cast<double>(e.size) / profile.prep_bandwidth_bps;
-    cost_out->transfer_seconds = fetched.cost.seconds;
-    cost_out->bytes_written = 0;
-  }
-  return std::move(fetched.data);
+  return await_chunk(prefetch_chunk(i, concurrent_clients), i, cost_out);
 }
 
 void IoTool::ChunkReader::enable_transport(const TransportConfig& config) {
@@ -331,41 +310,47 @@ void IoTool::ChunkReader::enable_transport(const TransportConfig& config) {
   transport_ = std::make_unique<SectorReader>(stream_, config);
 }
 
-std::size_t IoTool::ChunkReader::prefetch_chunk(std::size_t i) {
-  EBLCIO_CHECK_ARG(transport_ != nullptr,
-                   "prefetch_chunk without transport: " + stream_.path());
-  EBLCIO_CHECK_ARG(i < index_.chunks.size(),
-                   "chunk index out of range: " + stream_.path());
-  const ChunkExtent& e = index_.chunks[i];
-  return transport_->request(static_cast<std::size_t>(e.offset),
-                             static_cast<std::size_t>(e.size));
+std::size_t IoTool::ChunkReader::prefetch_chunk(std::size_t i,
+                                                int concurrent_clients) {
+  const ChunkExtent& e = extent(i);
+  if (transport_)
+    return transport_->request(static_cast<std::size_t>(e.offset),
+                               static_cast<std::size_t>(e.size));
+  EBLCIO_CHECK_ARG(!parked_[i], "chunk prefetched twice: " + stream_.path());
+  parked_[i] = stream_.read(static_cast<std::size_t>(e.offset),
+                            static_cast<std::size_t>(e.size),
+                            concurrent_clients);
+  return i;
 }
 
 Bytes IoTool::ChunkReader::await_chunk(std::size_t handle, std::size_t i,
                                        IoCost* cost_out) {
-  EBLCIO_CHECK_ARG(transport_ != nullptr,
-                   "await_chunk without transport: " + stream_.path());
-  EBLCIO_CHECK_ARG(i < index_.chunks.size(),
-                   "chunk index out of range: " + stream_.path());
+  const ChunkExtent& e = extent(i);
+  IoCost cost;
+  Bytes data;
+  if (transport_) {
+    data = transport_->await(handle, &cost.transfer_seconds);
+  } else {
+    EBLCIO_CHECK_ARG(handle == i && parked_[i],
+                     "await_chunk on a chunk not prefetched: " +
+                         stream_.path());
+    data = std::move(parked_[i]->data);
+    cost.transfer_seconds = parked_[i]->cost.seconds;
+    parked_[i].reset();
+  }
   const ChunkProfile profile = tool_->chunk_profile();
-  double wire_s = 0.0;
-  Bytes data = transport_->await(handle, &wire_s);
   if (profile.staging_copy) {
-    // Same conversion-buffer mirror as read_chunk.
+    // Mirror the write path: the classic library stages fetched data
+    // through its conversion buffer before handing it to the caller. The
+    // drained fetch buffer goes straight back to the pool.
     Bytes staged = BufferPool::global().acquire(data.size());
     staged.resize(data.size());
     std::memcpy(staged.data(), data.data(), data.size());
     BufferPool::global().release(std::move(data));
     data = std::move(staged);
   }
-  if (cost_out) {
-    cost_out->prep_seconds =
-        profile.per_chunk_prep_s +
-        static_cast<double>(index_.chunks[i].size) /
-            profile.prep_bandwidth_bps;
-    cost_out->transfer_seconds = wire_s;
-    cost_out->bytes_written = 0;
-  }
+  cost.prep_seconds = profile.prep_seconds(static_cast<std::size_t>(e.size));
+  if (cost_out) *cost_out = cost;
   return data;
 }
 
@@ -373,18 +358,6 @@ std::vector<std::size_t> IoTool::ChunkReader::covering(
     const Region& region) const {
   validate_region(region, index_.meta.dims);
   return covering_zones(index_.zones, region.start[0], region.shape[0]);
-}
-
-std::vector<IoTool::ChunkReader::ZoneFetch> IoTool::ChunkReader::read_zones(
-    const Region& region, int concurrent_clients) {
-  std::vector<ZoneFetch> out;
-  for (std::size_t zone : covering(region)) {
-    ZoneFetch f;
-    f.zone = zone;
-    f.blob = read_chunk(zone, &f.cost, concurrent_clients);
-    out.push_back(std::move(f));
-  }
-  return out;
 }
 
 IoTool::ChunkWriter IoTool::open_zoned(PfsSimulator& pfs,

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -155,62 +156,62 @@ class IoTool {
 
   // Stateful chunked-dataset reader. Construction fetches and validates
   // the footer index with ranged reads (paying the open once, the way a
-  // real reader opens the file and walks to its index); read_chunk then
-  // fetches one chunk's extent.
+  // real reader opens the file and walks to its index); chunks are then
+  // fetched one extent at a time.
   class ChunkReader {
    public:
+    ~ChunkReader();  // releases prefetched chunks that were never awaited
+    ChunkReader(ChunkReader&&) = default;
+
     const ChunkIndex& index() const { return index_; }
     // What opening the container (footer + header fetches) cost.
     const IoCost& open_cost() const { return open_cost_; }
 
-    // Fetches chunk `i`. The returned bytes are exactly what append_zone
-    // wrote. `cost_out`, when given, receives this fetch's prep/transfer.
+    // Fetches chunk `i`: prefetch_chunk then await_chunk. The returned
+    // bytes are exactly what append_zone wrote. `cost_out`, when given,
+    // receives this fetch's prep/transfer.
     Bytes read_chunk(std::size_t i, IoCost* cost_out = nullptr,
                      int concurrent_clients = 1);
 
-    // Routes chunk fetches through a sector-ring transport endpoint:
-    // prefetch_chunk stages chunk i's ranged sector fetches (blocking only
-    // on channel credits) and returns a message handle; await_chunk blocks
-    // until the chunk assembles, applies the tool's staging copy, and
-    // reports the same prep pricing as read_chunk with the message's
-    // summed sector wire time as transfer. Call enable_transport after the
-    // reader reached its final location, at most once; one thread
-    // prefetches while another may await.
+    // The two halves of a chunk fetch; one thread prefetches while another
+    // may await. prefetch_chunk starts fetching chunk i and returns the
+    // handle await_chunk redeems. Without a transport it is the eager
+    // case: the blocking ranged fetch runs right away, priced at
+    // `concurrent_clients`, and its blob and cost are parked for
+    // await_chunk (each chunk at most once until awaited). With a
+    // transport it stages the chunk's sector fetches (blocking only on
+    // channel credits), priced at the PFS's live contended client count.
+    // await_chunk blocks until the chunk is in, applies the tool's staging
+    // copy, and reports the tool's prep pricing with the fetch's PFS time
+    // (the summed sector wire time under a transport) as transfer.
+    std::size_t prefetch_chunk(std::size_t i, int concurrent_clients = 1);
+    Bytes await_chunk(std::size_t handle, std::size_t i,
+                      IoCost* cost_out = nullptr);
+
+    // Routes chunk fetches through a sector-ring transport endpoint. Call
+    // after the reader reached its final location, at most once.
     void enable_transport(const TransportConfig& config);
     bool transport_enabled() const { return transport_ != nullptr; }
     SectorReader* transport() { return transport_.get(); }
     const SectorReader* transport() const { return transport_.get(); }
-    std::size_t prefetch_chunk(std::size_t i);
-    Bytes await_chunk(std::size_t handle, std::size_t i,
-                      IoCost* cost_out = nullptr);
 
     // Resolves a query box to the indices of the zones it intersects.
     // Requires a region that fits the dataset dims; the covering set is
     // computed from the footer index alone — no chunk bytes are touched.
     std::vector<std::size_t> covering(const Region& region) const;
 
-    // One fetched zone: its index, its exact appended bytes, and what the
-    // ranged fetch cost.
-    struct ZoneFetch {
-      std::size_t zone = 0;
-      Bytes blob;
-      IoCost cost;
-    };
-
-    // Fetches only the zones covering `region` — one ranged PFS fetch per
-    // covering chunk, nothing else.
-    std::vector<ZoneFetch> read_zones(const Region& region,
-                                      int concurrent_clients = 1);
-
    private:
     friend class IoTool;
     ChunkReader(const IoTool* tool, PfsSimulator& pfs,
                 const std::string& path, int concurrent_clients);
+    const ChunkExtent& extent(std::size_t i) const;
 
     const IoTool* tool_;
     PfsSimulator::ReadStream stream_;
     ChunkIndex index_;
     IoCost open_cost_;
+    // Eager fetches awaiting await_chunk, one slot per chunk.
+    std::vector<std::optional<PfsSimulator::RangeRead>> parked_;
     // Declared last so outstanding fetches settle before the stream dies.
     std::unique_ptr<SectorReader> transport_;
   };
@@ -239,6 +240,11 @@ class IoTool {
     int close_header_syncs = 0;  // NetCDF-style header rewrites (open each)
     int close_footer_rpcs = 0;   // HDF5/ADIOS index commit (RPC each)
     bool staging_copy = false;   // chunk really staged through a buffer
+    // Prep time for one chunk (or header/footer) of `bytes`.
+    double prep_seconds(std::size_t bytes) const {
+      return per_chunk_prep_s +
+             static_cast<double>(bytes) / prep_bandwidth_bps;
+    }
   };
   virtual ChunkProfile chunk_profile() const = 0;
 };

@@ -82,7 +82,7 @@ PfsSimulator::WriteResult PfsSimulator::append_file(
   StoredFile& f = it->second;
 
   // Fill the trailing partial stripe first, then allocate new units.
-  std::size_t stripes_touched = 0;
+  const std::size_t stripes_touched = append_stripes(f.size, data.size());
   std::size_t off = 0;
   if (!f.stripes.empty() && f.stripes.back().size() < f.stripe_size) {
     Bytes& tail = f.stripes.back();
@@ -90,13 +90,11 @@ PfsSimulator::WriteResult PfsSimulator::append_file(
         std::min(f.stripe_size - tail.size(), data.size());
     tail.insert(tail.end(), data.begin(), data.begin() + take);
     off += take;
-    ++stripes_touched;
   }
   while (off < data.size()) {
     const std::size_t len = std::min(f.stripe_size, data.size() - off);
     f.stripes.emplace_back(data.begin() + off, data.begin() + off + len);
     off += len;
-    ++stripes_touched;
   }
   f.size += data.size();
   lock.unlock();
@@ -112,6 +110,13 @@ PfsSimulator::WriteResult PfsSimulator::append_file(
     r.seconds += config_.open_latency_s +
                  config_.mds_service_s * static_cast<double>(clients);
   return r;
+}
+
+std::size_t PfsSimulator::append_stripes(std::size_t offset,
+                                         std::size_t length) const {
+  const std::size_t unit = config_.stripe_size;
+  if (length == 0) return offset % unit != 0 ? 1 : 0;
+  return (offset + length - 1) / unit - offset / unit + 1;
 }
 
 PfsSimulator::AppendStream PfsSimulator::open_append(const std::string& path) {

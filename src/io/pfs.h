@@ -70,6 +70,11 @@ class PfsSimulator {
                           std::span<const std::byte> data,
                           int concurrent_clients = 1);
 
+  // Stripe units an append of `length` bytes to a file holding `offset`
+  // bytes touches (one RPC each): the partial trailing unit it fills, even
+  // with nothing to add, plus every unit it opens.
+  std::size_t append_stripes(std::size_t offset, std::size_t length) const;
+
   // Stateful incremental writer over append_file: remembers whether the
   // open cost has been paid and accumulates bytes/seconds across appends.
   //

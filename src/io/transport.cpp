@@ -8,79 +8,48 @@
 #include "common/error.h"
 
 namespace eblcio {
-namespace {
 
-// Live contended client count at serve time. The serving endpoint holds
-// engage() on its stream while sectors are in flight, so the stream itself
-// is already in the registry — no +1 here.
-int live_clients(const PfsSimulator& pfs) {
-  return std::max(1, pfs.concurrent_writers() + pfs.concurrent_readers());
-}
+// --- SectorEndpoint ----------------------------------------------------------
 
-std::size_t sectors_for(std::size_t length, std::size_t sector_bytes) {
-  return length == 0 ? 1 : (length + sector_bytes - 1) / sector_bytes;
-}
-
-void validate_config(const TransportConfig& config) {
-  EBLCIO_CHECK_ARG(config.sector_bytes > 0, "sector size must be positive");
-  EBLCIO_CHECK_ARG(config.ring_depth >= 1, "ring depth must be >= 1");
-  EBLCIO_CHECK_ARG(config.channels >= 1, "transport needs >= 1 channel");
-}
-
-// Splits a WriteResult into its RPC/metadata share and its
-// bytes-over-bandwidth share.
-SectorRecord make_record(std::size_t message, std::size_t sector, int channel,
-                         int clients, const PfsSimulator::WriteResult& r) {
-  SectorRecord rec;
-  rec.message = message;
-  rec.sector = sector;
-  rec.channel = channel;
-  rec.bytes = r.bytes;
-  rec.clients = clients;
-  rec.xfer_s = r.effective_bw_bps > 0.0
-                   ? static_cast<double>(r.bytes) / r.effective_bw_bps
-                   : 0.0;
-  rec.rpc_s = std::max(0.0, r.seconds - rec.xfer_s);
-  return rec;
-}
-
-}  // namespace
-
-// --- SectorWriter ------------------------------------------------------------
-
-SectorWriter::SectorWriter(PfsSimulator::AppendStream& stream,
-                           TransportConfig config, Executor& ex)
-    : stream_(&stream), config_(config), drainer_(ex) {
-  validate_config(config_);
+SectorEndpoint::SectorEndpoint(const PfsSimulator& pfs,
+                               TransportConfig config, Executor& ex)
+    : drainer_(ex), pfs_(&pfs), config_(config) {
+  EBLCIO_CHECK_ARG(config_.sector_bytes > 0, "sector size must be positive");
+  EBLCIO_CHECK_ARG(config_.ring_depth >= 1, "ring depth must be >= 1");
+  EBLCIO_CHECK_ARG(config_.channels >= 1, "transport needs >= 1 channel");
   rings_.reserve(static_cast<std::size_t>(config_.channels));
   for (int c = 0; c < config_.channels; ++c)
     rings_.emplace_back(config_.ring_depth);
 }
 
-SectorWriter::~SectorWriter() {
-  // Let the drainer finish whatever is staged (or flushed, on error), then
-  // join it. The task swallows its own exceptions, so wait() cannot throw.
-  drainer_.wait();
+SectorEndpoint::~SectorEndpoint() {
+  // The derived endpoint waited for the serve loop; a doorbell that could
+  // not be rung leaves sectors queued, and they still own credits and
+  // buffers.
   std::lock_guard<std::mutex> lock(mu_);
   flush_locked();
 }
 
-std::size_t SectorWriter::stage(std::size_t message,
-                                std::span<const std::byte> payload) {
-  const std::size_t nsec = sectors_for(payload.size(), config_.sector_bytes);
-  std::size_t off = 0;
-  for (std::size_t s = 0; s < nsec; ++s) {
-    const std::size_t len =
-        std::min(config_.sector_bytes, payload.size() - off);
-    Pending ps;
-    ps.message = message;
+std::size_t SectorEndpoint::stage_sectors(
+    std::size_t message, std::size_t offset, std::size_t length,
+    const std::function<void(Sector&)>& fill) {
+  const std::size_t nsec =
+      length == 0 ? 1
+                  : (length + config_.sector_bytes - 1) / config_.sector_bytes;
+  std::size_t pos = 0;
+  for (std::size_t k = 0; k < nsec; ++k) {
+    Sector s;
+    s.message = message;
+    s.offset = offset + pos;
+    s.length = std::min(config_.sector_bytes, length - pos);
+    pos += s.length;
     {
       std::unique_lock<std::mutex> lock(mu_);
       if (error_) std::rethrow_exception(error_);
-      ps.sector = next_sector_;
-      ps.channel = static_cast<int>(
+      s.sector = next_sector_;
+      s.channel = static_cast<int>(
           next_sector_ % static_cast<std::size_t>(config_.channels));
-      SectorRing& ring = rings_[static_cast<std::size_t>(ps.channel)];
+      SectorRing& ring = rings_[static_cast<std::size_t>(s.channel)];
       if (!ring.has_credit()) {
         ++stats_.credit_stalls;
         Executor::BlockingScope blocking;
@@ -90,93 +59,111 @@ std::size_t SectorWriter::stage(std::size_t message,
       }
       ring.take_credit();
       ++next_sector_;
-      if (inflight_ == 0) stream_->engage();
+      if (inflight_ == 0) engage(true);
       ++inflight_;
       ++stats_.sectors;
-      stats_.bytes += len;
+      stats_.bytes += s.length;
     }
-    // Copy into the pooled sector buffer outside the lock: this is the
-    // staging memcpy the drainer's append will ship.
-    ps.data = BufferPool::global().acquire(len);
-    ps.data.resize(len);
-    if (len > 0) std::memcpy(ps.data.data(), payload.data() + off, len);
-    off += len;
+    if (fill) fill(s);
     bool doorbell = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(ps));
-      if (!drainer_active_) {
-        drainer_active_ = true;
-        doorbell = true;
+      queue_.push_back(std::move(s));
+      if (error_) {
+        // The wire failed while this sector was being filled: it retires
+        // unserved here, so the rethrow leaves no credit held.
+        flush_locked();
+        settle_locked();
+        std::rethrow_exception(error_);
       }
+      doorbell = !drainer_active_;
+      drainer_active_ = true;
     }
-    if (doorbell) drainer_.run([this] { drain_loop(); });
+    if (doorbell) drainer_.run([this] { serve_loop(); });
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.messages;
   return nsec;
 }
 
-void SectorWriter::flush_locked() {
-  while (!queue_.empty()) {
-    Pending& ps = queue_.front();
-    rings_[static_cast<std::size_t>(ps.channel)].retire();
+void SectorEndpoint::flush_locked() {
+  for (Sector& s : queue_) {
+    rings_[static_cast<std::size_t>(s.channel)].retire();
     --inflight_;
-    BufferPool::global().release(std::move(ps.data));
-    queue_.pop_front();
+    if (s.data) BufferPool::global().release(std::move(*s.data));
   }
+  queue_.clear();
 }
 
-void SectorWriter::drain_loop() {
+void SectorEndpoint::settle_locked() {
+  if (inflight_ == 0) engage(false);
+  credit_cv_.notify_all();
+  done_cv_.notify_all();
+}
+
+void SectorEndpoint::serve_loop() {
   for (;;) {
-    Pending ps;
+    Sector s;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (error_) {
         // A doorbell rung after the error landed: flush whatever was
-        // staged in the meantime so no buffer or credit leaks.
+        // staged in the meantime.
         flush_locked();
-        if (inflight_ == 0) stream_->disengage();
+        settle_locked();
         drainer_active_ = false;
-        credit_cv_.notify_all();
-        done_cv_.notify_all();
         return;
       }
       if (queue_.empty()) {
         drainer_active_ = false;
         return;
       }
-      ps = std::move(queue_.front());
+      s = std::move(queue_.front());
       queue_.pop_front();
     }
     SectorRecord rec;
-    bool failed = false;
+    std::exception_ptr failure;
     try {
-      const int clients = live_clients(stream_->pfs());
-      const auto r = stream_->append(ps.data, clients);
-      rec = make_record(ps.message, ps.sector, ps.channel, clients, r);
+      // Live contended client count at serve time. This endpoint holds its
+      // stream engaged while sectors are in flight, so the stream itself is
+      // already in the registry — no +1 here.
+      const int clients = std::max(
+          1, pfs_->concurrent_writers() + pfs_->concurrent_readers());
+      const PfsSimulator::WriteResult r = serve(s, clients);
+      // Split the cost into its bytes-over-bandwidth share and its
+      // RPC/metadata share.
+      rec.message = s.message;
+      rec.sector = s.sector;
+      rec.channel = s.channel;
+      rec.bytes = r.bytes;
+      rec.clients = clients;
+      rec.xfer_s = r.effective_bw_bps > 0.0
+                       ? static_cast<double>(r.bytes) / r.effective_bw_bps
+                       : 0.0;
+      rec.rpc_s = std::max(0.0, r.seconds - rec.xfer_s);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      error_ = std::current_exception();
-      failed = true;
+      failure = std::current_exception();
     }
-    BufferPool::global().release(std::move(ps.data));
     std::lock_guard<std::mutex> lock(mu_);
-    rings_[static_cast<std::size_t>(ps.channel)].retire();
+    rings_[static_cast<std::size_t>(s.channel)].retire();
     --inflight_;
-    if (failed) flush_locked();
-    else records_.push_back(rec);
-    if (inflight_ == 0) stream_->disengage();
-    credit_cv_.notify_all();
-    done_cv_.notify_all();
-    if (failed) {
+    if (failure) {
+      error_ = failure;
+      flush_locked();
+    } else {
+      land(s, rec);
+      records_.push_back(rec);
+    }
+    if (s.data) BufferPool::global().release(std::move(*s.data));
+    settle_locked();
+    if (failure) {
       drainer_active_ = false;
       return;
     }
   }
 }
 
-void SectorWriter::drain() {
+void SectorEndpoint::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   const auto settled = [&] { return inflight_ == 0 || error_ != nullptr; };
   if (!settled()) {
@@ -187,26 +174,53 @@ void SectorWriter::drain() {
   if (error_) std::rethrow_exception(error_);
 }
 
-TransportStats SectorWriter::stats() const {
+TransportStats SectorEndpoint::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
-int SectorWriter::inflight() const {
+int SectorEndpoint::inflight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return inflight_;
+}
+
+// --- SectorWriter ------------------------------------------------------------
+
+SectorWriter::SectorWriter(PfsSimulator::AppendStream& stream,
+                           TransportConfig config, Executor& ex)
+    : SectorEndpoint(stream.pfs(), config, ex), stream_(&stream) {}
+
+// Lets the drainer finish whatever is staged (or flushed, on error). The
+// serve loop swallows its own exceptions, so the wait cannot throw.
+SectorWriter::~SectorWriter() { drainer_.wait(); }
+
+std::size_t SectorWriter::stage(std::size_t message,
+                                std::span<const std::byte> payload) {
+  // The staging memcpy into the pooled sector buffer, outside the lock:
+  // the bytes the drainer's append will ship.
+  return stage_sectors(message, 0, payload.size(), [&](Sector& s) {
+    Bytes copy = BufferPool::global().acquire(s.length);
+    copy.resize(s.length);
+    if (s.length > 0)
+      std::memcpy(copy.data(), payload.data() + s.offset, s.length);
+    s.data = std::move(copy);
+  });
+}
+
+PfsSimulator::WriteResult SectorWriter::serve(Sector& s, int clients) {
+  return stream_->append(*s.data, clients);
+}
+
+void SectorWriter::engage(bool on) {
+  if (on) stream_->engage();
+  else stream_->disengage();
 }
 
 // --- SectorReader ------------------------------------------------------------
 
 SectorReader::SectorReader(PfsSimulator::ReadStream& stream,
                            TransportConfig config, Executor& ex)
-    : stream_(&stream), config_(config), drainer_(ex) {
-  validate_config(config_);
-  rings_.reserve(static_cast<std::size_t>(config_.channels));
-  for (int c = 0; c < config_.channels; ++c)
-    rings_.emplace_back(config_.ring_depth);
-}
+    : SectorEndpoint(stream.pfs(), config, ex), stream_(&stream) {}
 
 SectorReader::~SectorReader() {
   drainer_.wait();
@@ -214,11 +228,9 @@ SectorReader::~SectorReader() {
   // pooled buffers — give them back.
   for (auto& [handle, msg] : messages_)
     BufferPool::global().release(std::move(msg.data));
-  messages_.clear();
 }
 
 std::size_t SectorReader::request(std::size_t offset, std::size_t length) {
-  const std::size_t nsec = sectors_for(length, config_.sector_bytes);
   std::size_t handle = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -227,122 +239,35 @@ std::size_t SectorReader::request(std::size_t offset, std::size_t length) {
     Message msg;
     msg.data = BufferPool::global().acquire(length);
     msg.data.resize(length);
-    msg.remaining = nsec;
+    msg.offset = offset;
+    msg.remaining = length;
     messages_.emplace(handle, std::move(msg));
   }
-  std::size_t dst = 0;
-  for (std::size_t s = 0; s < nsec; ++s) {
-    const std::size_t len = std::min(config_.sector_bytes, length - dst);
-    Pending ps;
-    ps.message = handle;
-    ps.offset = offset + dst;
-    ps.length = len;
-    ps.dst = dst;
-    dst += len;
-    bool doorbell = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (error_) std::rethrow_exception(error_);
-      ps.sector = next_sector_;
-      ps.channel = static_cast<int>(
-          next_sector_ % static_cast<std::size_t>(config_.channels));
-      SectorRing& ring = rings_[static_cast<std::size_t>(ps.channel)];
-      if (!ring.has_credit()) {
-        ++stats_.credit_stalls;
-        Executor::BlockingScope blocking;
-        credit_cv_.wait(lock,
-                        [&] { return ring.has_credit() || error_ != nullptr; });
-        if (error_) std::rethrow_exception(error_);
-      }
-      ring.take_credit();
-      ++next_sector_;
-      if (inflight_ == 0) stream_->engage();
-      ++inflight_;
-      ++stats_.sectors;
-      stats_.bytes += len;
-      queue_.push_back(ps);
-      if (!drainer_active_) {
-        drainer_active_ = true;
-        doorbell = true;
-      }
-    }
-    if (doorbell) drainer_.run([this] { drain_loop(); });
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.messages;
+  stage_sectors(handle, offset, length);
   return handle;
 }
 
-void SectorReader::flush_locked() {
-  // Credits/descriptors of unserved sectors come back; the assembly
-  // buffers stay with their messages (await/destructor releases them).
-  while (!queue_.empty()) {
-    Pending& ps = queue_.front();
-    rings_[static_cast<std::size_t>(ps.channel)].retire();
-    --inflight_;
-    queue_.pop_front();
-  }
+PfsSimulator::WriteResult SectorReader::serve(Sector& s, int clients) {
+  auto r = stream_->read(s.offset, s.length, clients);
+  s.data = std::move(r.data);
+  return r.cost;
 }
 
-void SectorReader::drain_loop() {
-  for (;;) {
-    Pending ps;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (error_) {
-        flush_locked();
-        if (inflight_ == 0) stream_->disengage();
-        drainer_active_ = false;
-        credit_cv_.notify_all();
-        done_cv_.notify_all();
-        return;
-      }
-      if (queue_.empty()) {
-        drainer_active_ = false;
-        return;
-      }
-      ps = queue_.front();
-      queue_.pop_front();
-    }
-    SectorRecord rec;
-    Bytes fetched;
-    bool failed = false;
-    try {
-      const int clients = live_clients(stream_->pfs());
-      auto r = stream_->read(ps.offset, ps.length, clients);
-      rec = make_record(ps.message, ps.sector, ps.channel, clients, r.cost);
-      fetched = std::move(r.data);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      error_ = std::current_exception();
-      failed = true;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    rings_[static_cast<std::size_t>(ps.channel)].retire();
-    --inflight_;
-    if (failed) {
-      flush_locked();
-      if (inflight_ == 0) stream_->disengage();
-      credit_cv_.notify_all();
-      done_cv_.notify_all();
-      drainer_active_ = false;
-      return;
-    }
-    auto it = messages_.find(ps.message);
-    if (it != messages_.end()) {
-      Message& msg = it->second;
-      if (ps.length > 0)
-        std::memcpy(msg.data.data() + ps.dst, fetched.data(), ps.length);
-      msg.wire_s += rec.rpc_s + rec.xfer_s;
-      if (--msg.remaining == 0) msg.done = true;
-    }
-    records_.push_back(rec);
-    if (inflight_ == 0) stream_->disengage();
-    credit_cv_.notify_all();
-    done_cv_.notify_all();
-    lock.unlock();
-    BufferPool::global().release(std::move(fetched));
-  }
+void SectorReader::land(const Sector& s, const SectorRecord& rec) {
+  auto it = messages_.find(s.message);
+  if (it == messages_.end()) return;
+  Message& msg = it->second;
+  if (s.length > 0)
+    std::memcpy(msg.data.data() + (s.offset - msg.offset), s.data->data(),
+                s.length);
+  msg.wire_s += rec.rpc_s + rec.xfer_s;
+  msg.remaining -= s.length;
+  if (msg.remaining == 0) msg.done = true;
+}
+
+void SectorReader::engage(bool on) {
+  if (on) stream_->engage();
+  else stream_->disengage();
 }
 
 Bytes SectorReader::await(std::size_t handle, double* wire_s_out) {
@@ -373,27 +298,6 @@ Bytes SectorReader::await(std::size_t handle, double* wire_s_out) {
   messages_.erase(it);
   if (wire_s_out) *wire_s_out = msg.wire_s;
   return std::move(msg.data);
-}
-
-void SectorReader::drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto settled = [&] { return inflight_ == 0 || error_ != nullptr; };
-  if (!settled()) {
-    // Only a drain that really waits blocks its pool thread.
-    Executor::BlockingScope blocking;
-    done_cv_.wait(lock, settled);
-  }
-  if (error_) std::rethrow_exception(error_);
-}
-
-TransportStats SectorReader::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-int SectorReader::inflight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inflight_;
 }
 
 // --- Timeline solvers --------------------------------------------------------
@@ -629,6 +533,29 @@ double solve_blocking_write(std::span<const double> produce_s,
     writer_free = taken[i] + write_s[i];
   }
   return writer_free;
+}
+
+std::vector<double> blocking_write_seconds(
+    const PfsSimulator& pfs, std::size_t header_bytes,
+    std::span<const SectorRecord> sectors,
+    std::span<const double> stage_prep_s) {
+  const auto msgs = by_message(sectors, stage_prep_s.size());
+  const double rpc_s = pfs.config().rpc_latency_s;
+  std::vector<double> out(msgs.size(), 0.0);
+  std::size_t offset = header_bytes;
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    std::size_t bytes = 0;
+    double xfer_s = 0.0;
+    for (const SectorRecord* s : msgs[i]) {
+      bytes += s->bytes;
+      xfer_s += s->xfer_s;
+    }
+    out[i] = stage_prep_s[i] +
+             static_cast<double>(pfs.append_stripes(offset, bytes)) * rpc_s +
+             xfer_s;
+    offset += bytes;
+  }
+  return out;
 }
 
 double solve_blocking_read(std::span<const double> fetch_s,

@@ -36,8 +36,10 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -99,32 +101,23 @@ class SectorRing {
 
 // --- Endpoints ---------------------------------------------------------------
 
-// Write endpoint over one AppendStream. stage() splits a message into
-// <= sector_bytes pieces (round-robin across channels in staging order),
-// copies each into a pooled sector buffer under a channel credit, and
-// rings the doorbell; the doorbell task appends staged sectors to the PFS
-// in staging order — so the file bytes equal a blocking append of the same
-// messages — and retires descriptors. Exactly one thread may stage (the
-// pipeline's consumer); the drainer runs concurrently on the executor.
-// A wire error is captured, every staged sector is flushed (buffers
-// released, credits returned), and the error rethrows from the next
-// stage()/drain().
-class SectorWriter {
+// The direction-independent half of a sector endpoint (libips runs its tx
+// and rx halves off one descriptor-ring control block the same way): the
+// rings, credit acquisition, the doorbell, and the serve loop that dequeues
+// staged sectors in staging order, runs the endpoint's wire step on each,
+// retires its descriptor and — on a wire error — flushes every staged
+// sector so no credit or pooled buffer leaks, the error rethrowing from the
+// next stage or drain. The stream counts toward the PFS registry only while
+// sectors are in flight. Exactly one thread may stage; the serve loop runs
+// on the executor.
+class SectorEndpoint {
  public:
-  SectorWriter(PfsSimulator::AppendStream& stream, TransportConfig config,
-               Executor& ex = Executor::global());
-  ~SectorWriter();  // drains; a pending wire error is swallowed
-  SectorWriter(const SectorWriter&) = delete;
-  SectorWriter& operator=(const SectorWriter&) = delete;
+  SectorEndpoint(const SectorEndpoint&) = delete;
+  SectorEndpoint& operator=(const SectorEndpoint&) = delete;
 
-  // Stages `payload` as message `message`; blocks only when the target
-  // channel is out of credits. Returns the number of sectors staged (an
-  // empty payload still stages one empty sector so the message completes).
-  std::size_t stage(std::size_t message, std::span<const std::byte> payload);
-
-  // Blocks until every staged sector has retired; rethrows a wire error.
-  // Declares an Executor::BlockingScope only when it has to wait, so an
-  // idle drain on a pool thread never grows the pool.
+  // Blocks until every staged sector has been served; rethrows a wire
+  // error. Declares an Executor::BlockingScope only when it has to wait, so
+  // an idle drain on a pool thread never grows the pool.
   void drain();
 
   const TransportConfig& config() const { return config_; }
@@ -134,48 +127,99 @@ class SectorWriter {
   // no sectors are in flight (after drain()).
   const std::vector<SectorRecord>& records() const { return records_; }
 
- private:
-  struct Pending {
+ protected:
+  // One staged sector descriptor.
+  struct Sector {
     std::size_t message = 0;
-    std::size_t sector = 0;
+    std::size_t sector = 0;  // global staging ordinal
     int channel = 0;
-    Bytes data;  // pooled sector buffer
+    std::size_t offset = 0;  // position of its first byte (see stage_sectors)
+    std::size_t length = 0;
+    // The pooled buffer the sector owns, released once it is served or
+    // flushed: the writer's staged copy, the reader's fetched bytes.
+    std::optional<Bytes> data;
   };
 
-  void drain_loop();
-  void flush_locked();  // error path: release buffers, return credits
+  SectorEndpoint(const PfsSimulator& pfs, TransportConfig config,
+                 Executor& ex);
+  // Derived destructors wait for drainer_ first: the serve loop calls
+  // their hooks.
+  ~SectorEndpoint();
 
-  PfsSimulator::AppendStream* stream_;
-  TransportConfig config_;
+  // Stages `length` bytes of `message` as sector_bytes-sized sectors,
+  // round-robin across channels in staging order (an empty message still
+  // stages one empty sector so it completes). Sector offsets run from
+  // `offset`. Each sector takes a credit on its channel — blocking, under a
+  // BlockingScope, only while the channel has none — is passed to `fill`
+  // outside the lock, and rings the doorbell. Returns the sector count.
+  std::size_t stage_sectors(std::size_t message, std::size_t offset,
+                            std::size_t length,
+                            const std::function<void(Sector&)>& fill = {});
+
+  // The wire step, on the drainer outside the lock: moves one sector priced
+  // at `clients` contended clients.
+  virtual PfsSimulator::WriteResult serve(Sector& s, int clients) = 0;
+  // Under the lock, after a sector was served (message assembly).
+  virtual void land(const Sector& /*s*/, const SectorRecord& /*rec*/) {}
+  // Registers (true) or unregisters the stream with the PFS registry.
+  virtual void engage(bool on) = 0;
+
   TaskGroup drainer_;
-
   mutable std::mutex mu_;
+  std::condition_variable done_cv_;  // a sector retired or the wire failed
+  std::exception_ptr error_;
+
+ private:
+  void serve_loop();
+  void flush_locked();   // error path: every queued sector retires unserved
+  void settle_locked();  // disengage once idle, wake stagers and drains
+
+  const PfsSimulator* pfs_;
+  TransportConfig config_;
   std::condition_variable credit_cv_;  // staging waits for a descriptor
-  std::condition_variable done_cv_;    // drain() waits for the rings to empty
-  std::deque<Pending> queue_;
+  std::deque<Sector> queue_;
   std::vector<SectorRing> rings_;
   std::vector<SectorRecord> records_;
   TransportStats stats_;
   std::size_t next_sector_ = 0;
   int inflight_ = 0;
   bool drainer_active_ = false;
-  std::exception_ptr error_;
+};
+
+// Write endpoint over one AppendStream. stage() copies a message into
+// pooled sector buffers and the drainer appends them to the PFS in staging
+// order — so the file bytes equal a blocking append of the same messages.
+// A wire error rethrows from the next stage()/drain().
+class SectorWriter : public SectorEndpoint {
+ public:
+  SectorWriter(PfsSimulator::AppendStream& stream, TransportConfig config,
+               Executor& ex = Executor::global());
+  ~SectorWriter();  // drains; a pending wire error is swallowed
+
+  // Stages `payload` as message `message`; blocks only when the target
+  // channel is out of credits. Returns the number of sectors staged (an
+  // empty payload still stages one empty sector so the message completes).
+  std::size_t stage(std::size_t message, std::span<const std::byte> payload);
+
+ private:
+  PfsSimulator::WriteResult serve(Sector& s, int clients) override;
+  void engage(bool on) override;
+
+  PfsSimulator::AppendStream* stream_;
 };
 
 // Read endpoint over one ReadStream: the fetch mirror of SectorWriter.
 // request() stages the ranged sector fetches of one message (blocking only
-// on credits) and returns a message handle; the doorbell task serves the
-// fetches in staging order, assembling each message's bytes into a pooled
-// buffer; await() blocks until a message's last sector lands and hands the
+// on credits) and returns a message handle; the drainer serves the fetches
+// in staging order, assembling each message's bytes into a pooled buffer;
+// await() blocks until a message's last sector lands and hands the
 // assembled bytes (and the message's summed wire seconds) back. Exactly
 // one thread may request; await may run on a different thread.
-class SectorReader {
+class SectorReader : public SectorEndpoint {
  public:
   SectorReader(PfsSimulator::ReadStream& stream, TransportConfig config,
                Executor& ex = Executor::global());
   ~SectorReader();  // waits for the drainer; unawaited buffers released
-  SectorReader(const SectorReader&) = delete;
-  SectorReader& operator=(const SectorReader&) = delete;
 
   // Stages the sector fetches for [offset, offset + length) and returns
   // the message handle await() redeems.
@@ -188,51 +232,22 @@ class SectorReader {
   // rpc_s + xfer_s.
   Bytes await(std::size_t handle, double* wire_s_out = nullptr);
 
-  // Blocks until every staged sector has been served (a BlockingScope
-  // only when it has to wait, as on the writer).
-  void drain();
-
-  const TransportConfig& config() const { return config_; }
-  TransportStats stats() const;
-  int inflight() const;
-  const std::vector<SectorRecord>& records() const { return records_; }
-
  private:
-  struct Pending {
-    std::size_t message = 0;
-    std::size_t sector = 0;
-    int channel = 0;
-    std::size_t offset = 0;  // file offset of this sector
-    std::size_t length = 0;
-    std::size_t dst = 0;     // byte offset inside the message buffer
-  };
   struct Message {
-    Bytes data;  // pooled assembly buffer
-    std::size_t remaining = 0;
+    Bytes data;                 // pooled assembly buffer
+    std::size_t offset = 0;     // file offset of its first byte
+    std::size_t remaining = 0;  // bytes still to land
     double wire_s = 0.0;
     bool done = false;
   };
 
-  void drain_loop();
-  void flush_locked();
+  PfsSimulator::WriteResult serve(Sector& s, int clients) override;
+  void land(const Sector& s, const SectorRecord& rec) override;
+  void engage(bool on) override;
 
   PfsSimulator::ReadStream* stream_;
-  TransportConfig config_;
-  TaskGroup drainer_;
-
-  mutable std::mutex mu_;
-  std::condition_variable credit_cv_;
-  std::condition_variable done_cv_;
-  std::deque<Pending> queue_;
-  std::vector<SectorRing> rings_;
-  std::map<std::size_t, Message> messages_;
-  std::vector<SectorRecord> records_;
-  TransportStats stats_;
-  std::size_t next_sector_ = 0;
+  std::map<std::size_t, Message> messages_;  // guarded by mu_
   std::size_t next_message_ = 0;
-  int inflight_ = 0;
-  bool drainer_active_ = false;
-  std::exception_ptr error_;
 };
 
 // --- Modeled timeline solvers ----------------------------------------------
@@ -298,6 +313,17 @@ double solve_blocking_write(std::span<const double> produce_s,
                             std::span<const double> write_s,
                             std::size_t queue_depth, double open_s,
                             int lanes);
+
+// What each message of a transported write would have cost as one
+// blocking container append (the write record's blocking_total_s
+// reconstruction): its staging prep (stage_prep_s[i]), a per-stripe RPC
+// for every stripe appending its bytes touches (the messages follow
+// `header_bytes` in the container, in order), and its sectors' summed
+// transfer shares.
+std::vector<double> blocking_write_seconds(
+    const PfsSimulator& pfs, std::size_t header_bytes,
+    std::span<const SectorRecord> sectors,
+    std::span<const double> stage_prep_s);
 
 // Read: the fetcher fetches message i after message i-1 (the first after
 // the open, open_s) and after the admission gate; a lane decodes it

@@ -13,8 +13,8 @@
 // capacity provides backpressure. Threads that wait on a TaskGroup help
 // execute queued tasks instead of sleeping, which makes nested groups
 // (a task submitting subtasks and waiting on them) deadlock-free. Tasks
-// that legitimately block — a simmpi rank in recv(), a pipeline stage
-// waiting on a channel — declare it with BlockingScope, and the pool
+// that legitimately block — a simmpi rank in recv(), a transport stager
+// waiting for a sector credit — declare it with BlockingScope, and the pool
 // temporarily grows a replacement worker so blocked tasks never starve
 // runnable ones.
 #pragma once
@@ -26,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -264,51 +263,5 @@ void parallel_for(std::size_t n, int max_tasks,
 // every fan-out. Identity order when npods <= 1.
 std::vector<std::size_t> pod_interleaved_order(std::size_t ntasks,
                                                int npods);
-
-// Bounded single-producer/single-consumer-friendly channel used to connect
-// pipeline stages with backpressure. push() blocks while the channel holds
-// `capacity` items; pop() blocks until an item or close() arrives. Both
-// waits declare BlockingScope so pool tasks on either end never starve the
-// pool.
-template <typename T>
-class BoundedChannel {
- public:
-  explicit BoundedChannel(std::size_t capacity) : capacity_(capacity) {}
-
-  void push(T item) {
-    Executor::BlockingScope scope;
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-    if (closed_) return;  // dropped: consumer is gone
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-  }
-
-  // Returns nullopt once the channel is closed and drained.
-  std::optional<T> pop() {
-    Executor::BlockingScope scope;
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
- private:
-  const std::size_t capacity_;
-  std::mutex mu_;
-  std::condition_variable not_full_, not_empty_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
 
 }  // namespace eblcio

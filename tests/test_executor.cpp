@@ -1,10 +1,12 @@
 // Shared executor tests: stress, nesting, exception propagation, blocking
-// scopes, backpressure, channels, and accounting.
+// scopes, backpressure, and accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <numeric>
+#include <semaphore>
 #include <thread>
 #include <vector>
 
@@ -110,14 +112,18 @@ TEST(Executor, BlockingScopeLendsReplacementWorker) {
   // One worker; task A blocks until task B runs. Without BlockingScope the
   // single worker would sit in A forever and B would never start.
   Executor ex(1);
-  BoundedChannel<int> ch(1);
+  std::binary_semaphore sent(0);
   TaskGroup group(ex);
-  int received = 0;
+  int value = 0, received = 0;
   group.run([&] {
     Executor::BlockingScope scope;
-    received = ch.pop().value_or(-1);
+    sent.acquire();
+    received = value;
   });
-  group.run([&] { ch.push(42); });
+  group.run([&] {
+    value = 42;
+    sent.release();
+  });
   group.wait();
   EXPECT_EQ(received, 42);
 }
@@ -143,30 +149,6 @@ TEST(Executor, HelpOneRunsAQueuedTaskOfItsGroupInline) {
   blocker.wait();
 }
 
-TEST(Executor, ChannelDeliversInOrderAndCloses) {
-  BoundedChannel<int> ch(2);
-  std::vector<int> got;
-  TaskGroup group;
-  group.run([&] {
-    for (int i = 0; i < 50; ++i) ch.push(i);
-    ch.close();
-  });
-  while (auto v = ch.pop()) got.push_back(*v);
-  group.wait();
-  ASSERT_EQ(got.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(got[i], i);
-}
-
-TEST(Executor, PopAfterCloseDrainsThenEnds) {
-  BoundedChannel<int> ch(4);
-  ch.push(1);
-  ch.push(2);
-  ch.close();
-  EXPECT_EQ(ch.pop().value_or(-1), 1);
-  EXPECT_EQ(ch.pop().value_or(-1), 2);
-  EXPECT_FALSE(ch.pop().has_value());
-}
-
 TEST(Executor, StatsAccountTaskTime) {
   Executor ex(2);
   const auto before = ex.stats();
@@ -187,19 +169,23 @@ TEST(Executor, ManyBlockingTasksAllProgress) {
   // task to be live at once, far beyond the base worker count.
   Executor ex(2);
   const int n = 32;
-  std::vector<std::unique_ptr<BoundedChannel<int>>> links;
+  std::vector<int> tokens(n + 1, -1);
+  std::vector<std::unique_ptr<std::binary_semaphore>> links;
   for (int i = 0; i <= n; ++i)
-    links.push_back(std::make_unique<BoundedChannel<int>>(1));
+    links.push_back(std::make_unique<std::binary_semaphore>(0));
   TaskGroup group(ex);
   for (int i = 0; i < n; ++i)
     group.run([&, i] {
       Executor::BlockingScope scope;
-      const auto v = links[i]->pop();
-      links[i + 1]->push(v.value_or(0) + 1);
+      links[i]->acquire();
+      tokens[i + 1] = tokens[i] + 1;
+      links[i + 1]->release();
     });
-  links[0]->push(0);
+  tokens[0] = 0;
+  links[0]->release();
   group.wait();
-  EXPECT_EQ(links[n]->pop().value_or(-1), n);
+  links[n]->acquire();
+  EXPECT_EQ(tokens[n], n);
 }
 
 TEST(Executor, RejectsZeroCapacity) {

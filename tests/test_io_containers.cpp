@@ -2,6 +2,7 @@
 // metadata, and the modeled HDF5-vs-NetCDF cost gap (Fig. 11 mechanism).
 #include <gtest/gtest.h>
 
+#include "common/buffer_pool.h"
 #include "common/error.h"
 #include "compressors/zone.h"
 #include "io/h5lite.h"
@@ -171,6 +172,23 @@ class ChunkedDataset : public ::testing::TestWithParam<std::string> {
       b[i] = static_cast<std::byte>((i * 131 + tag) & 0xff);
     return b;
   }
+
+  // Writes a closed five-chunk container at `path`; returns its chunks.
+  static std::vector<Bytes> write_container(PfsSimulator& pfs,
+                                            const std::string& path) {
+    ChunkedDatasetMeta meta;
+    meta.name = "slabs";
+    meta.dims = {40, 30, 20};
+    std::vector<Bytes> chunks;
+    auto writer = io_tool(GetParam()).open_zoned(pfs, path, meta);
+    const auto zones = zone_extents(40, 5);
+    for (std::size_t i = 0; i < zones.size(); ++i) {
+      chunks.push_back(chunk_bytes(9000 + 613 * i, static_cast<std::uint8_t>(i)));
+      writer.append_zone(chunks.back(), zones[i]);
+    }
+    writer.close();
+    return chunks;
+  }
 };
 
 TEST_P(ChunkedDataset, RoundTripsBitForBit) {
@@ -251,6 +269,59 @@ TEST_P(ChunkedDataset, RejectsForeignAndCorruptContainers) {
   EXPECT_THROW(tool.open_chunked_reader(pfs, "/c/garbage"), CorruptStream);
   pfs.write_file("/c/tiny", Bytes(4, std::byte{1}));
   EXPECT_THROW(tool.open_chunked_reader(pfs, "/c/tiny"), CorruptStream);
+}
+
+TEST_P(ChunkedDataset, EagerPrefetchAwaitEqualsReadChunk) {
+  // Without a transport, prefetch_chunk fetches at once and await_chunk
+  // hands the parked blob back: on a quiet PFS, the same bytes and the
+  // same cost as read_chunk, with every prefetch issued ahead of the
+  // awaits as the streamed read's source runs ahead of its lanes.
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  const auto chunks = write_container(pfs, "/c/eager");
+  auto reader = tool.open_chunked_reader(pfs, "/c/eager");
+  std::vector<std::size_t> handles;
+  for (std::size_t i = 0; i < chunks.size(); ++i)
+    handles.push_back(reader.prefetch_chunk(i, 3));
+  EXPECT_THROW(reader.prefetch_chunk(2), InvalidArgument);  // still parked
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    IoCost eager, blocking;
+    const Bytes got = reader.await_chunk(handles[i], i, &eager);
+    EXPECT_EQ(got, chunks[i]);
+    EXPECT_EQ(reader.read_chunk(i, &blocking, 3), got);
+    EXPECT_EQ(eager.prep_seconds, blocking.prep_seconds);
+    EXPECT_EQ(eager.transfer_seconds, blocking.transfer_seconds);
+    EXPECT_EQ(eager.bytes_written, blocking.bytes_written);
+  }
+  EXPECT_THROW(reader.await_chunk(handles[0], 0), InvalidArgument);
+}
+
+TEST_P(ChunkedDataset, UnawaitedPrefetchesGoBackToThePool) {
+  // A reader destroyed with chunks prefetched but never awaited (a read
+  // that failed mid-stream) returns their pooled buffers, blocking or
+  // transported.
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  write_container(pfs, "/c/unawaited");
+  for (const bool transported : {false, true}) {
+    const auto before = BufferPool::global().stats();
+    {
+      auto reader = tool.open_chunked_reader(pfs, "/c/unawaited");
+      if (transported) {
+        TransportConfig config;
+        config.sector_bytes = 4096;
+        reader.enable_transport(config);
+      }
+      reader.prefetch_chunk(0);
+      reader.prefetch_chunk(2);
+      BufferPool::global().release(reader.read_chunk(3));
+      reader.prefetch_chunk(4);
+    }
+    const auto after = BufferPool::global().stats();
+    EXPECT_EQ(after.acquires - before.acquires,
+              after.releases - before.releases)
+        << (transported ? "transported" : "blocking");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTools, ChunkedDataset,

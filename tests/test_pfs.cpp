@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -228,6 +229,43 @@ TEST(PfsRead, ReaderRegistryTracksScopes) {
   pfs.reset_reader_peak();
   EXPECT_EQ(pfs.peak_concurrent_readers(), 0);
   EXPECT_THROW(PfsSimulator::ReaderScope(pfs, 0), InvalidArgument);
+}
+
+TEST(PfsAppend, AppendStripesIsWhatAppendFileCharges) {
+  // Random appends onto files of random size, with empty appends and
+  // stripe-aligned offsets mixed in: append_file charges one RPC per
+  // stripe append_stripes counts, and that count is every stripe unit the
+  // appended bytes land in, plus the partial trailing unit an empty append
+  // still touches.
+  PfsConfig pc;
+  pc.stripe_size = 4096;
+  std::vector<std::pair<std::size_t, std::size_t>> cases = {
+      {0, 0}, {0, 1}, {0, 4096}, {4096, 0}, {4096, 1}, {4095, 0},
+      {4095, 1}, {4095, 2}, {8192, 8192}, {100, 0}};
+  Rng rng(21);
+  for (int t = 0; t < 300; ++t) {
+    const std::size_t offset = rng.next_below(3) == 0
+                                   ? pc.stripe_size * rng.next_below(5)
+                                   : rng.next_below(5 * pc.stripe_size);
+    const std::size_t len =
+        rng.next_below(4) == 0 ? 0 : rng.next_below(5 * pc.stripe_size);
+    cases.emplace_back(offset, len);
+  }
+  for (const auto& [offset, len] : cases) {
+    std::size_t touched = 0;
+    for (std::size_t k = 0; k * pc.stripe_size <= offset + len; ++k) {
+      const std::size_t lo = k * pc.stripe_size, hi = lo + pc.stripe_size;
+      touched += len > 0 ? lo < offset + len && offset < hi
+                         : lo < offset && offset < hi;
+    }
+    PfsSimulator pfs(pc);
+    pfs.append_file("/f", random_bytes(offset, 5));  // creation pays open
+    const auto r = pfs.append_file("/f", random_bytes(len, 6));
+    EXPECT_EQ(pfs.append_stripes(offset, len), touched) << offset << "+" << len;
+    EXPECT_EQ(r.seconds, static_cast<double>(touched) * pc.rpc_latency_s +
+                             static_cast<double>(len) / r.effective_bw_bps)
+        << offset << "+" << len;
+  }
 }
 
 TEST(Pfs, RejectsBadConfig) {

@@ -636,6 +636,38 @@ TEST(LaneSolvers, OneLaneMatchesTheLegacyBlockingRecurrences) {
   }
 }
 
+TEST(LaneSolvers, BlockingWriteReconstructionOnAFixedInput) {
+  // A transported write's blocking_total_s: what each message would cost
+  // as one blocking append (prep + one RPC per stripe its append touches +
+  // its sectors' transfer shares), scheduled by solve_blocking_write. With
+  // 1000-byte stripes and a 137-byte header the four messages (0, 863,
+  // 2500 and 1000 bytes) touch 1 (the header's partial stripe), 1 (ending
+  // stripe-aligned), 3 and 2 stripes.
+  PfsConfig pc;
+  pc.stripe_size = 1000;
+  pc.rpc_latency_s = 1.0;
+  const PfsSimulator pfs(pc);
+  const auto sector = [](std::size_t message, std::size_t bytes,
+                         double xfer_s) {
+    SectorRecord s;
+    s.message = message;
+    s.bytes = bytes;
+    s.xfer_s = xfer_s;
+    return s;
+  };
+  const std::vector<SectorRecord> sectors = {
+      sector(0, 0, 0.0),    sector(1, 863, 2.0),  sector(2, 1024, 1.0),
+      sector(2, 1024, 1.0), sector(2, 452, 0.5),  sector(3, 1000, 4.0)};
+  const std::vector<double> prep = {0.5, 0.25, 0.125, 1.0};
+  const std::vector<double> write_s =
+      blocking_write_seconds(pfs, 137, sectors, prep);
+  EXPECT_EQ(write_s, (std::vector<double>{1.5, 3.25, 5.625, 7.0}));
+  const std::vector<double> produce = {1.0, 1.0, 1.0, 1.0};
+  const double close_s = 0.25;
+  EXPECT_EQ(solve_blocking_write(produce, write_s, 1, 0.5, 1) + close_s,
+            18.625);
+}
+
 TEST(LaneSolvers, OneLaneTransportTimelinesMatchTheLegacySolvers) {
   // Recorded inputs (6 messages of 1-3 sectors on 2 channels with 2
   // credits each) and the makespans, credit stalls and occupancies the
