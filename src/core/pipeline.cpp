@@ -119,18 +119,18 @@ int self_inclusive_clients(const PfsSimulator& pfs) {
                   pfs.concurrent_writers() + pfs.concurrent_readers() + 1);
 }
 
-void fill_telemetry(TransportTelemetry& t, const TransportConfig& config,
-                    std::size_t sectors, std::size_t credit_stalls,
-                    double credit_stall_s, double mean_inflight,
-                    int peak_inflight) {
-  t.channels = config.channels;
-  t.ring_depth = config.ring_depth;
-  t.sector_bytes = config.sector_bytes;
-  t.sectors = sectors;
-  t.credit_stalls = credit_stalls;
-  t.credit_stall_s = credit_stall_s;
-  t.mean_inflight = mean_inflight;
-  t.peak_inflight = peak_inflight;
+// A transported pipeline's telemetry: the endpoint's configuration and
+// host counters beside its modeled timeline.
+void fill_telemetry(TransportTelemetry& t, const SectorEndpoint& endpoint,
+                    const Timeline& timeline) {
+  t.channels = endpoint.config().channels;
+  t.ring_depth = endpoint.config().ring_depth;
+  t.sector_bytes = endpoint.config().sector_bytes;
+  t.sectors = endpoint.records().size();
+  t.credit_stalls = endpoint.stats().credit_stalls;
+  t.credit_stall_s = timeline.credit_stall_s;
+  t.mean_inflight = timeline.mean_inflight;
+  t.peak_inflight = timeline.peak_inflight;
 }
 
 // Returns pooled blobs a failed pipeline never consumed.
@@ -337,7 +337,7 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   // between staging and the wire.
   std::vector<double> blocking_write_s = rec.slab_write_s;
   if (stream.use_transport) {
-    SectorWriter& transport = *out.transport();
+    const SectorWriter& transport = *out.transport();
     const auto& sectors = transport.records();
     blocking_write_s = blocking_write_seconds(
         pfs, out.open_cost().bytes_written, sectors, stage_prep_s);
@@ -353,19 +353,20 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     for (std::size_t i = 0; i < nslabs; ++i)
       rec.slab_write_s[i] += slab_wire_s[i];
 
-    const WriteTimeline timeline =
+    const Timeline timeline =
         solve_write_timeline(stream.transport, sectors, rec.slab_compress_s,
                              stage_prep_s, depth, open_s, lanes);
     rec.streamed_total_s = timeline.makespan_s + close_s;
-    fill_telemetry(rec.transport, stream.transport, sectors.size(),
-                   transport.stats().credit_stalls, timeline.credit_stall_s,
-                   timeline.mean_inflight, timeline.peak_inflight);
+    fill_telemetry(rec.transport, transport, timeline);
   }
-  rec.blocking_total_s = solve_blocking_write(rec.slab_compress_s,
-                                              blocking_write_s, depth, open_s,
-                                              lanes) +
-                         close_s;
-  if (!out.transport_enabled()) rec.streamed_total_s = rec.blocking_total_s;
+  // The blocking makespan is the same solver over the eager wire.
+  rec.blocking_total_s =
+      solve_write_timeline(TransportConfig{}, eager_wire(nslabs),
+                           rec.slab_compress_s, blocking_write_s, depth,
+                           open_s, lanes)
+          .makespan_s +
+      close_s;
+  if (!stream.use_transport) rec.streamed_total_s = rec.blocking_total_s;
   // Serial reference: the identical container writes, scheduled after all
   // compression instead of overlapped with it.
   rec.serial_total_s =
@@ -469,15 +470,21 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
   rec.field_bytes = rec.field.size_bytes();
 
   // Each zone's fetch, charged in zone order: prep is container work
-  // (compute at one core), transfer is PFS time.
-  std::vector<double> consume_s(n, 0.0);
+  // (compute at one core), transfer is PFS time. The read solver's inputs:
+  // under the transport a lane pays the fetch prep before it decodes;
+  // without one each zone's whole blocking fetch is the fetcher's serial
+  // stage step.
+  std::vector<double> consume_s(n, 0.0), stage_s(n, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
     const auto prep =
         monitor.record_compute("fetch-prep", fetch_cost[k].prep_seconds, 1);
     const auto io = monitor.record_io("fetch", fetch_cost[k].transfer_seconds);
-    consume_s[k] = prep.seconds;
     rec.zone_fetch_s[k] = prep.seconds + io.seconds;
     rec.fetch_j += prep.joules + io.joules;
+    if (stream.use_transport)
+      consume_s[k] = prep.seconds;
+    else
+      stage_s[k] = rec.zone_fetch_s[k];
   }
   const auto readings = monitor.record_lanes("decompress", spans, 1);
   double serial_fetch = 0.0, serial_decompress = 0.0;
@@ -493,21 +500,14 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
   // Serial reference: open, fetch everything, then decode everything.
   rec.serial_total_s = open_s + serial_fetch + serial_decompress;
 
-  const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
-  if (stream.use_transport) {
-    SectorReader& transport = *reader.transport();
-    const ReadTimeline timeline =
-        solve_read_timeline(stream.transport, transport.records(), consume_s,
-                            depth, open_s, rec.lanes);
-    rec.streamed_total_s = timeline.makespan_s;
-    fill_telemetry(rec.transport, stream.transport, transport.records().size(),
-                   transport.stats().credit_stalls, timeline.credit_stall_s,
-                   timeline.mean_inflight, timeline.peak_inflight);
-  } else {
-    rec.streamed_total_s =
-        solve_blocking_read(rec.zone_fetch_s, rec.zone_decompress_s, depth,
-                            open_s, rec.lanes);
-  }
+  // The wire is the transport's retired sectors, or the eager one.
+  const SectorReader* transport = reader.transport();
+  const Timeline timeline = solve_read_timeline(
+      transport ? stream.transport : TransportConfig{},
+      transport ? transport->records() : eager_wire(n), consume_s, stage_s,
+      static_cast<std::size_t>(stream.queue_depth), open_s, rec.lanes);
+  rec.streamed_total_s = timeline.makespan_s;
+  if (transport) fill_telemetry(rec.transport, *transport, timeline);
   return rec;
 }
 

@@ -113,7 +113,9 @@ struct StreamConfig {
   // chunk as one blocking append, or as one eager fetch that the lane's
   // await picks up; the pipelines run the same stages either way, and the
   // container bytes are identical. The flag enables the endpoint and picks
-  // the timeline model (the transport solvers, or the blocking ones).
+  // the timeline model's inputs: each direction has one solver
+  // (io/transport.h), fed the retired sectors, or the eager wire whose
+  // every message pays its whole blocking append or fetch.
   bool use_transport = true;
   TransportConfig transport;
 };
@@ -160,10 +162,11 @@ struct StreamWriteRecord : StreamRecordBase {
   std::size_t original_bytes = 0;
   std::size_t compressed_bytes = 0;  // whole container (header+chunks+index)
   // What the same run would have cost through the blocking per-chunk
-  // append path (reconstructed from the identical compress samples and
-  // per-chunk stripe pricing; equals streamed_total_s when the blocking
-  // path actually ran). The transport's speedup is
-  // blocking_total_s / streamed_total_s.
+  // append path: the write solver over the eager wire, fed the identical
+  // compress samples and per-chunk appends (under the transport,
+  // reconstructed with per-chunk stripe pricing by blocking_write_seconds;
+  // equals streamed_total_s when the blocking path actually ran). The
+  // transport's speedup is blocking_total_s / streamed_total_s.
   double blocking_total_s = 0.0;
   // Energy recorded through one shared thread-safe monitor; compress_j
   // charges the node once for concurrent lanes.

@@ -94,11 +94,6 @@ EnergyReading PowercapMonitor::record_io(const std::string& label,
   return integrate(label, seconds, cpu_->io_power_w());
 }
 
-EnergyReading PowercapMonitor::record_raw(const std::string& label,
-                                          double seconds, double watts) {
-  return integrate(label, seconds, watts);
-}
-
 std::vector<PhaseEnergy> PowercapMonitor::phases() const {
   std::lock_guard<std::mutex> lock(mu_);
   return phases_;

@@ -69,10 +69,6 @@ class PowercapMonitor {
   // from the PFS simulator, already in platform time).
   EnergyReading record_io(const std::string& label, double seconds);
 
-  // Records an explicit (seconds, watts) segment, e.g. from simmpi.
-  EnergyReading record_raw(const std::string& label, double seconds,
-                           double watts);
-
   // Snapshot of the recorded phases. (Returned by value so callers never
   // iterate a vector another thread is appending to.)
   std::vector<PhaseEnergy> phases() const;

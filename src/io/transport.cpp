@@ -304,43 +304,6 @@ Bytes SectorReader::await(std::size_t handle, double* wire_s_out) {
 
 namespace {
 
-// Shared wire-state for both solvers: per-channel service and completion
-// history (for ring credits) plus the serialized client link.
-struct WireState {
-  explicit WireState(const TransportConfig& config, double start)
-      : chan_free(static_cast<std::size_t>(config.channels), start),
-        chan_done(static_cast<std::size_t>(config.channels)),
-        link_free(start),
-        depth(static_cast<std::size_t>(config.ring_depth)) {}
-
-  // When does the credit for the next sector staged on `channel` free?
-  // The ring holds `depth` descriptors, so the k-th staged sector waits
-  // for the completion of sector k-depth on its channel.
-  double credit_free(int channel) const {
-    const auto& hist = chan_done[static_cast<std::size_t>(channel)];
-    if (hist.size() < depth) return 0.0;
-    return hist[hist.size() - depth];
-  }
-
-  // Serves one staged sector: the channel issues its RPCs once free, the
-  // transfer serializes on the shared client link in staging order.
-  double serve(const SectorRecord& s, double staged_at) {
-    const std::size_t c = static_cast<std::size_t>(s.channel);
-    const double start = std::max(staged_at, chan_free[c]);
-    const double xfer_start = std::max(start + s.rpc_s, link_free);
-    const double done = xfer_start + s.xfer_s;
-    chan_free[c] = done;
-    link_free = done;
-    chan_done[c].push_back(done);
-    return done;
-  }
-
-  std::vector<double> chan_free;
-  std::vector<std::vector<double>> chan_done;
-  double link_free;
-  std::size_t depth;
-};
-
 struct Interval {
   double start = 0.0;
   double end = 0.0;
@@ -373,6 +336,83 @@ void sweep_occupancy(const std::vector<Interval>& spans, double horizon,
   *mean_out = busy / horizon;
   *peak_out = peak;
 }
+
+// The wire both solvers stage onto: per-channel service and completion
+// history (for ring credits), the serialized client link, and the serial
+// staging cursor `tau` (the stage opened the container first, so it starts
+// at open_s), with its credit stalls and every sector's [staged, retired)
+// span.
+struct Wire {
+  Wire(const TransportConfig& config, double open_s, std::size_t sectors)
+      : chan_free(static_cast<std::size_t>(config.channels), open_s),
+        chan_done(static_cast<std::size_t>(config.channels)),
+        link_free(open_s),
+        depth(static_cast<std::size_t>(config.ring_depth)),
+        tau(open_s),
+        end(open_s) {
+    spans.reserve(sectors);
+  }
+
+  // When does the credit for the next sector staged on `channel` free?
+  // The ring holds `depth` descriptors, so the k-th staged sector waits
+  // for the completion of sector k-depth on its channel.
+  double credit_free(int channel) const {
+    const auto& hist = chan_done[static_cast<std::size_t>(channel)];
+    if (hist.size() < depth) return 0.0;
+    return hist[hist.size() - depth];
+  }
+
+  // Stages one message's sectors in order: each waits for its channel's
+  // credit, the cursor pays its byte share (equal when bytes are equal) of
+  // the message's serial stage step, and the channel issues its RPCs once
+  // free while the transfer serializes on the link. Returns when the last
+  // sector landed (0 for a message without sectors).
+  double stage(const std::vector<const SectorRecord*>& msg, double stage_s) {
+    std::size_t msg_bytes = 0;
+    for (const SectorRecord* s : msg) msg_bytes += s->bytes;
+    double landed = 0.0;
+    for (const SectorRecord* s : msg) {
+      const double share =
+          msg_bytes > 0 ? static_cast<double>(s->bytes) /
+                              static_cast<double>(msg_bytes)
+                        : 1.0 / static_cast<double>(msg.size());
+      const double credit_at = credit_free(s->channel);
+      if (credit_at > tau) {
+        credit_stall_s += credit_at - tau;
+        tau = credit_at;
+      }
+      tau += stage_s * share;
+      const std::size_t c = static_cast<std::size_t>(s->channel);
+      const double start = std::max(tau, chan_free[c]);
+      const double xfer_start = std::max(start + s->rpc_s, link_free);
+      const double done = xfer_start + s->xfer_s;
+      chan_free[c] = done;
+      link_free = done;
+      chan_done[c].push_back(done);
+      spans.push_back({tau, done});
+      landed = std::max(landed, done);
+      end = std::max(end, done);
+    }
+    return landed;
+  }
+
+  Timeline timeline(double makespan_s) const {
+    Timeline out;
+    out.makespan_s = makespan_s;
+    out.credit_stall_s = credit_stall_s;
+    sweep_occupancy(spans, end, &out.mean_inflight, &out.peak_inflight);
+    return out;
+  }
+
+  std::vector<double> chan_free;
+  std::vector<std::vector<double>> chan_done;
+  double link_free;
+  std::size_t depth;
+  double tau;
+  double end;  // last sector retired
+  double credit_stall_s = 0.0;
+  std::vector<Interval> spans;
+};
 
 // Groups records by message ordinal; records arrive in staging order, so
 // each message's sectors are contiguous and in order.
@@ -412,127 +452,69 @@ class LaneSchedule {
 
 }  // namespace
 
-WriteTimeline solve_write_timeline(const TransportConfig& config,
-                                   std::span<const SectorRecord> sectors,
-                                   std::span<const double> produce_s,
-                                   std::span<const double> stage_prep_s,
-                                   std::size_t queue_depth, double open_s,
-                                   int lanes) {
-  WriteTimeline out;
+std::vector<SectorRecord> eager_wire(std::size_t messages) {
+  std::vector<SectorRecord> out(messages);
+  for (std::size_t i = 0; i < messages; ++i) {
+    out[i].message = i;
+    out[i].sector = i;
+  }
+  return out;
+}
+
+Timeline solve_write_timeline(const TransportConfig& config,
+                              std::span<const SectorRecord> sectors,
+                              std::span<const double> produce_s,
+                              std::span<const double> stage_prep_s,
+                              std::size_t queue_depth, double open_s,
+                              int lanes) {
   const std::size_t n = produce_s.size();
-  if (n == 0) return out;
   EBLCIO_CHECK_ARG(stage_prep_s.size() == n,
                    "stage_prep_s must match produce_s");
   const auto msgs = by_message(sectors, n);
-
-  WireState wire(config, open_s);
-  std::vector<Interval> spans;
-  spans.reserve(sectors.size());
+  Wire wire(config, open_s, sectors.size());
   // Compression runs on the lanes, admitted once the stager took message
-  // i - window. tau: the staging cursor (the consumer opened the container
-  // first, so it starts at open_s); taken[i] is when it took message i.
+  // i - window; taken[i] is when the staging cursor took message i.
   const std::size_t window = static_cast<std::size_t>(lanes) + queue_depth;
   LaneSchedule schedule(lanes);
   std::vector<double> taken(n, 0.0);
-  double tau = open_s;
-  double wire_end = open_s;
   for (std::size_t i = 0; i < n; ++i) {
     const double admit = i >= window ? taken[i - window] : 0.0;
     const double fc = schedule.run(
         admit, [&](double start) { return start + produce_s[i]; });
-
-    tau = std::max(tau, fc);
-    taken[i] = tau;
-    const std::size_t nsec = msgs[i].size();
-    // The per-message container prep is paid while staging, spread across
-    // the message's sectors by byte share (equal when bytes are equal).
-    std::size_t msg_bytes = 0;
-    for (const SectorRecord* s : msgs[i]) msg_bytes += s->bytes;
-    for (const SectorRecord* s : msgs[i]) {
-      const double share =
-          msg_bytes > 0 ? static_cast<double>(s->bytes) /
-                              static_cast<double>(msg_bytes)
-                        : 1.0 / static_cast<double>(nsec);
-      const double credit_at = wire.credit_free(s->channel);
-      if (credit_at > tau) {
-        out.credit_stall_s += credit_at - tau;
-        tau = credit_at;
-      }
-      tau += stage_prep_s[i] * share;
-      const double done = wire.serve(*s, tau);
-      spans.push_back({tau, done});
-      wire_end = std::max(wire_end, done);
-    }
+    wire.tau = std::max(wire.tau, fc);
+    taken[i] = wire.tau;
+    wire.stage(msgs[i], stage_prep_s[i]);
   }
-  out.makespan_s = wire_end;
-  sweep_occupancy(spans, wire_end, &out.mean_inflight, &out.peak_inflight);
-  return out;
+  return wire.timeline(wire.end);
 }
 
-ReadTimeline solve_read_timeline(const TransportConfig& config,
-                                 std::span<const SectorRecord> sectors,
-                                 std::span<const double> consume_s,
-                                 std::size_t queue_depth, double open_s,
-                                 int lanes) {
-  ReadTimeline out;
+Timeline solve_read_timeline(const TransportConfig& config,
+                             std::span<const SectorRecord> sectors,
+                             std::span<const double> consume_s,
+                             std::span<const double> stage_s,
+                             std::size_t queue_depth, double open_s,
+                             int lanes) {
   const std::size_t n = consume_s.size();
-  if (n == 0) return out;
+  EBLCIO_CHECK_ARG(stage_s.size() == n, "stage_s must match consume_s");
   const auto msgs = by_message(sectors, n);
-
-  WireState wire(config, open_s);
-  std::vector<Interval> spans;
-  spans.reserve(sectors.size());
-  // tau: the request-staging cursor (requests are cheap descriptor writes,
-  // gated by credits and by the admission gate — message i - window must
-  // have reached a lane). A lane awaits its message's last sector, then
-  // decodes it.
+  Wire wire(config, open_s, sectors.size());
+  // Message i's requests wait for the admission gate (message i - window
+  // must have reached a lane); a lane awaits its message's last sector,
+  // then decodes it.
   const std::size_t window = 1 + queue_depth;
   LaneSchedule schedule(lanes);
   std::vector<double> dispatched(n, 0.0);
-  double tau = open_s;
-  double wire_end = open_s;
+  double makespan = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (i >= window) tau = std::max(tau, dispatched[i - window]);
-    double fetched = 0.0;
-    for (const SectorRecord* s : msgs[i]) {
-      const double credit_at = wire.credit_free(s->channel);
-      if (credit_at > tau) {
-        out.credit_stall_s += credit_at - tau;
-        tau = credit_at;
-      }
-      const double done = wire.serve(*s, tau);
-      spans.push_back({tau, done});
-      fetched = std::max(fetched, done);
-      wire_end = std::max(wire_end, done);
-    }
-    const double fd = schedule.run(tau, [&](double start) {
+    if (i >= window) wire.tau = std::max(wire.tau, dispatched[i - window]);
+    const double fetched = wire.stage(msgs[i], stage_s[i]);
+    const double fd = schedule.run(wire.tau, [&](double start) {
       dispatched[i] = start;
       return std::max(start, fetched) + consume_s[i];
     });
-    out.makespan_s = std::max(out.makespan_s, fd);
+    makespan = std::max(makespan, fd);
   }
-  sweep_occupancy(spans, wire_end, &out.mean_inflight, &out.peak_inflight);
-  return out;
-}
-
-double solve_blocking_write(std::span<const double> produce_s,
-                            std::span<const double> write_s,
-                            std::size_t queue_depth, double open_s,
-                            int lanes) {
-  const std::size_t n = produce_s.size();
-  EBLCIO_CHECK_ARG(write_s.size() == n, "write_s must match produce_s");
-  const std::size_t window = static_cast<std::size_t>(lanes) + queue_depth;
-  LaneSchedule schedule(lanes);
-  std::vector<double> taken(n, 0.0);
-  double writer_free = open_s;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double admit = i >= window ? taken[i - window] : 0.0;
-    const double fc = schedule.run(
-        admit, [&](double start) { return start + produce_s[i]; });
-    taken[i] = std::max(fc, writer_free);
-    writer_free = taken[i] + write_s[i];
-  }
-  return writer_free;
+  return wire.timeline(makespan);
 }
 
 std::vector<double> blocking_write_seconds(
@@ -556,30 +538,6 @@ std::vector<double> blocking_write_seconds(
     offset += bytes;
   }
   return out;
-}
-
-double solve_blocking_read(std::span<const double> fetch_s,
-                           std::span<const double> consume_s,
-                           std::size_t queue_depth, double open_s,
-                           int lanes) {
-  const std::size_t n = fetch_s.size();
-  EBLCIO_CHECK_ARG(consume_s.size() == n, "consume_s must match fetch_s");
-  const std::size_t window = 1 + queue_depth;
-  LaneSchedule schedule(lanes);
-  std::vector<double> dispatched(n, 0.0);
-  double fetcher_free = open_s;
-  double makespan = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double start = fetcher_free;
-    if (i >= window) start = std::max(start, dispatched[i - window]);
-    fetcher_free = start + fetch_s[i];
-    const double fd = schedule.run(fetcher_free, [&](double lane_start) {
-      dispatched[i] = lane_start;
-      return lane_start + consume_s[i];
-    });
-    makespan = std::max(makespan, fd);
-  }
-  return makespan;
 }
 
 }  // namespace eblcio

@@ -252,12 +252,21 @@ class SectorReader : public SectorEndpoint {
 
 // --- Modeled timeline solvers ----------------------------------------------
 //
-// The deterministic platform schedules of a streamed pipeline. Inputs are
-// modeled (platform) seconds: per-sector rpc_s/xfer_s from the retired
-// records, per-message compute from the monitor (dilated). The wire model
-// serializes transfers on the shared client link in staging order — N
-// channels overlap per-sector RPC latency with the previous sector's
-// transfer, they do not multiply the client's bandwidth.
+// The deterministic platform schedules of a streamed pipeline, one solver
+// per direction. Inputs are modeled (platform) seconds: per-sector
+// rpc_s/xfer_s from the retired records, per-message compute from the
+// monitor (dilated). The wire model serializes transfers on the shared
+// client link in staging order — N channels overlap per-sector RPC latency
+// with the previous sector's transfer, they do not multiply the client's
+// bandwidth.
+//
+// Both solvers stage each message's sectors in order from one serial
+// staging cursor: a sector waits for its channel's credit, then the cursor
+// pays the sector's byte share of the message's serial stage step, then
+// the sector is served. The transport-off (blocking) pipelines are the
+// eager-wire case: eager_wire() gives one zero-cost sector per message on
+// channel 0, which never waits for a credit, and each message pays its
+// whole blocking container append or fetch as its stage step.
 //
 // Every solver takes the pipeline's codec lane count (parallel/lanes.h)
 // and schedules the codec stage — produce on the write side, consume on
@@ -269,67 +278,51 @@ class SectorReader : public SectorEndpoint {
 //     was dispatched to a lane.
 // With lanes = 1 each solver reproduces the one-producer/one-consumer
 // bounded-channel recurrence exactly.
-
-// Write side: message i becomes stageable when its compression finishes;
-// the staging cursor takes messages in order, pays the per-message
-// container prep, stalls when the target channel is out of credits, and
-// each staged sector's transfer starts when its channel and the link are
-// free.
-struct WriteTimeline {
-  double makespan_s = 0.0;      // last sector retired (open included)
+struct Timeline {
+  double makespan_s = 0.0;      // write: last sector retired (open
+                                // included); read: last message consumed
   double credit_stall_s = 0.0;  // staging time lost waiting for credits
   double mean_inflight = 0.0;   // time-averaged sectors in flight
   int peak_inflight = 0;        // max sectors simultaneously in flight
 };
-WriteTimeline solve_write_timeline(const TransportConfig& config,
-                                   std::span<const SectorRecord> sectors,
-                                   std::span<const double> produce_s,
-                                   std::span<const double> stage_prep_s,
-                                   std::size_t queue_depth, double open_s,
-                                   int lanes);
 
-// Read side: message i's sector requests are staged (costlessly) once a
-// pipeline slot frees, gated per sector by channel credits; a lane takes
-// message i in order once one is free, and decodes it (consume_s[i] =
-// prep + decompress) once its last sector landed.
-struct ReadTimeline {
-  double makespan_s = 0.0;      // last message consumed
-  double credit_stall_s = 0.0;
-  double mean_inflight = 0.0;
-  int peak_inflight = 0;
-};
-ReadTimeline solve_read_timeline(const TransportConfig& config,
-                                 std::span<const SectorRecord> sectors,
-                                 std::span<const double> consume_s,
-                                 std::size_t queue_depth, double open_s,
-                                 int lanes);
+// One zero-cost sector per message on channel 0: the wire of a pipeline
+// whose every message is one blocking append or fetch. Any valid
+// TransportConfig schedules it identically.
+std::vector<SectorRecord> eager_wire(std::size_t messages);
 
-// The blocking (transport-off) pipelines, where each message is one
-// blocking container append or fetch. Write: message i is coded on a lane
-// (produce_s[i]) and written once it is coded and the writer is free
-// (write_s[i]; the writer opens the container first, open_s). Returns the
-// last write's finish time.
-double solve_blocking_write(std::span<const double> produce_s,
-                            std::span<const double> write_s,
-                            std::size_t queue_depth, double open_s,
-                            int lanes);
+// Write side: message i becomes stageable when its compression finishes;
+// the staging cursor takes messages in order and pays the per-message
+// container prep (stage_prep_s), and each staged sector's transfer starts
+// when its channel and the link are free.
+Timeline solve_write_timeline(const TransportConfig& config,
+                              std::span<const SectorRecord> sectors,
+                              std::span<const double> produce_s,
+                              std::span<const double> stage_prep_s,
+                              std::size_t queue_depth, double open_s,
+                              int lanes);
 
 // What each message of a transported write would have cost as one
 // blocking container append (the write record's blocking_total_s
-// reconstruction): its staging prep (stage_prep_s[i]), a per-stripe RPC
-// for every stripe appending its bytes touches (the messages follow
-// `header_bytes` in the container, in order), and its sectors' summed
-// transfer shares.
+// reconstruction, the eager wire's stage_prep_s): its staging prep
+// (stage_prep_s[i]), a per-stripe RPC for every stripe appending its bytes
+// touches (the messages follow `header_bytes` in the container, in order),
+// and its sectors' summed transfer shares.
 std::vector<double> blocking_write_seconds(
     const PfsSimulator& pfs, std::size_t header_bytes,
     std::span<const SectorRecord> sectors,
     std::span<const double> stage_prep_s);
 
-// Read: the fetcher fetches message i after message i-1 (the first after
-// the open, open_s) and after the admission gate; a lane decodes it
-// (consume_s[i]) once fetched. Returns the last decode's finish time.
-double solve_blocking_read(std::span<const double> fetch_s,
-                           std::span<const double> consume_s,
-                           std::size_t queue_depth, double open_s, int lanes);
+// Read side: message i's sector requests are staged once a pipeline slot
+// frees, paying stage_s[i] (zero under the transport, where requests are
+// cheap descriptor writes; the whole blocking fetch on the eager wire); a
+// lane takes message i in order once one is free, and decodes it
+// (consume_s[i]) once its last sector landed.
+Timeline solve_read_timeline(const TransportConfig& config,
+                             std::span<const SectorRecord> sectors,
+                             std::span<const double> consume_s,
+                             std::span<const double> stage_s,
+                             std::size_t queue_depth, double open_s,
+                             int lanes);
 
 }  // namespace eblcio

@@ -185,6 +185,20 @@ TEST(QuantizerTies, RandomDifferentialRecipVsDivide) {
   EXPECT_GT(checked, 100000);  // the comparison actually exercised codes
 }
 
+// At the radius guard the two linear quantizers are not code-identical: the
+// reciprocal quotient lands an ulp under radius - 1 where the exact divide
+// lands on it, so kLinearRecip codes the value and kLinear stores it
+// exactly. The two wire ids therefore keep separate implementations.
+TEST(QuantizerTies, RadiusGuardSplitsRecipFromDivide) {
+  const double eb = 0.4745943310917578;
+  const double value = 31102.064893767256;
+  const LinearQuantizer recip(eb);
+  const DivLinearQuantizer div(eb);
+  double r1 = 0.0, r2 = 0.0;
+  EXPECT_EQ(recip.quantize<double>(value, 0.0, &r1), 65535u);
+  EXPECT_EQ(div.quantize<double>(value, 0.0, &r2), 0u);
+}
+
 // The vectorized row path must stay bit-identical to the scalar path even
 // when the row contains half-integer ties (the any_tie redo).
 TEST(QuantizerTies, RowPathMatchesScalarOnTies) {

@@ -415,6 +415,19 @@ TEST(HuffmanEncoderDifferential, QuantizerAlphabetNormal) {
   expect_encoders_agree(syms, 65537, "quantizer normal");
 }
 
+TEST(HuffmanEncoderDifferential, AlphabetPastScratchTakesTheReferencePath) {
+  // One entry past the pooled scratch's 2^17-entry bound: huffman_encode
+  // hands the input to the reference encoder, which is therefore production
+  // code. Symbols sit at the top of the alphabet, including its last entry.
+  const std::uint32_t alphabet = (1u << 17) + 1;
+  Rng rng(131073);
+  std::vector<std::uint32_t> syms;
+  for (int i = 0; i < 20000; ++i)
+    syms.push_back(alphabet - 1 - static_cast<std::uint32_t>(
+                                      rng.next_below(1 + rng.next_below(300))));
+  expect_encoders_agree(syms, alphabet, "alphabet past scratch");
+}
+
 TEST(HuffmanEncoderDifferential, FibonacciDepthForcesKraftFixup) {
   // Fibonacci frequencies drive depth past kMaxHuffmanBits, so the Moffat
   // pass bails to the reference heap builder and its Kraft fix-up; the

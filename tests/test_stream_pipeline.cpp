@@ -177,6 +177,36 @@ TEST(StreamPipeline, SingleSlabDegeneratesGracefully) {
   EXPECT_EQ(read.field.shape(), f.shape());
 }
 
+TEST(StreamPipeline, BlockingPathRecordsCarryNoTransportTelemetry) {
+  // The blocking path's makespans come from the transport solvers over the
+  // eager wire, but its records report no transport.
+  const Field f = smooth_field_3d(16);
+  PfsSimulator pfs;
+  PipelineConfig config;
+  config.codec = "SZx";
+  StreamConfig stream;
+  stream.slabs = 4;
+  stream.use_transport = false;
+  const auto write = run_streamed_compress_write(f, config, pfs, stream);
+  const auto read = run_streamed_read(pfs, write.path, config, stream);
+  const auto region = run_streamed_read_region(
+      pfs, write.path, Region{{2, 0, 0}, {9, 16, 16}}, config, stream);
+  EXPECT_EQ(write.streamed_total_s, write.blocking_total_s);
+  EXPECT_GT(read.streamed_total_s, 0.0);
+  EXPECT_GT(region.streamed_total_s, 0.0);
+  for (const TransportTelemetry* t :
+       {&write.transport, &read.transport, &region.transport}) {
+    EXPECT_EQ(t->channels, 0);
+    EXPECT_EQ(t->ring_depth, 0);
+    EXPECT_EQ(t->sector_bytes, 0u);
+    EXPECT_EQ(t->sectors, 0u);
+    EXPECT_EQ(t->credit_stalls, 0u);
+    EXPECT_EQ(t->credit_stall_s, 0.0);
+    EXPECT_EQ(t->mean_inflight, 0.0);
+    EXPECT_EQ(t->peak_inflight, 0);
+  }
+}
+
 TEST(StreamPipeline, RejectsBadConfig) {
   const Field f = smooth_field_3d(8);
   PfsSimulator pfs;
@@ -618,31 +648,86 @@ double legacy_blocking_read(const std::vector<double>& fetch,
   return fd[n - 1];
 }
 
+// The transport-off pipelines' makespans: each direction's one solver over
+// the eager wire, every message paying its whole blocking write or fetch as
+// its stage step.
+double eager_write(const std::vector<double>& produce,
+                   const std::vector<double>& write, std::size_t depth,
+                   double open_s, int lanes,
+                   const TransportConfig& config = {}) {
+  return solve_write_timeline(config, eager_wire(produce.size()), produce,
+                              write, depth, open_s, lanes)
+      .makespan_s;
+}
+
+double eager_read(const std::vector<double>& fetch,
+                  const std::vector<double>& consume, std::size_t depth,
+                  double open_s, int lanes,
+                  const TransportConfig& config = {}) {
+  return solve_read_timeline(config, eager_wire(fetch.size()), consume, fetch,
+                             depth, open_s, lanes)
+      .makespan_s;
+}
+
 TEST(LaneSolvers, OneLaneMatchesTheLegacyBlockingRecurrences) {
+  // Any valid wire configuration schedules the eager wire identically.
   Rng rng(9);
   for (int trial = 0; trial < 500; ++trial) {
     const std::size_t n = 1 + rng.next_below(20);
     const std::size_t depth = 1 + rng.next_below(4);
     const double open_s = 0.01 * rng.next_double();
+    TransportConfig config;
+    config.channels = 1 + static_cast<int>(rng.next_below(3));
+    config.ring_depth = 1 + static_cast<int>(rng.next_below(4));
     std::vector<double> a(n), b(n);
     for (std::size_t i = 0; i < n; ++i) {
       a[i] = 0.01 * rng.next_double();
       b[i] = 0.01 * rng.next_double();
     }
-    EXPECT_EQ(solve_blocking_write(a, b, depth, open_s, 1),
+    EXPECT_EQ(eager_write(a, b, depth, open_s, 1, config),
               legacy_blocking_write(a, b, depth, open_s));
-    EXPECT_EQ(solve_blocking_read(a, b, depth, open_s, 1),
+    EXPECT_EQ(eager_read(a, b, depth, open_s, 1, config),
               legacy_blocking_read(a, b, depth, open_s));
+  }
+}
+
+TEST(LaneSolvers, EagerWireReproducesTheBlockingSolversOnLanes) {
+  // Makespans the dedicated transport-off solvers produced on these inputs
+  // before they became the eager-wire case, bit for bit:
+  // {lanes, depth, write, read}.
+  const std::vector<double> code = {0.011,  0.0062, 0.0143, 0.0029,
+                                    0.0097, 0.0081, 0.0124, 0.0045};
+  const std::vector<double> io = {0.0012, 0.0025, 0.0008, 0.0047,
+                                  0.0019, 0.0011, 0.0006, 0.0021};
+  struct Pinned {
+    int lanes;
+    std::size_t depth;
+    double write, read;
+  };
+  const Pinned pinned[] = {
+      {2, 1, 0x1.3d07c84b5dcc6p-5, 0x1.367a0f9096bb9p-5},
+      {2, 3, 0x1.3d07c84b5dcc6p-5, 0x1.367a0f9096bb9p-5},
+      {3, 1, 0x1.e83e425aee632p-6, 0x1.05532617c1bdap-5},
+      {3, 3, 0x1.e1b089a027526p-6, 0x1.05532617c1bdap-5},
+      {4, 1, 0x1.bf487fcb923a2p-6, 0x1.a858793dd97f6p-6},
+      {4, 3, 0x1.ab9f559b3d07cp-6, 0x1.a858793dd97f6p-6}};
+  for (const Pinned& want : pinned) {
+    SCOPED_TRACE(std::to_string(want.lanes) + " lanes, depth " +
+                 std::to_string(want.depth));
+    EXPECT_EQ(eager_write(code, io, want.depth, 0.0007, want.lanes),
+              want.write);
+    EXPECT_EQ(eager_read(io, code, want.depth, 0.0007, want.lanes),
+              want.read);
   }
 }
 
 TEST(LaneSolvers, BlockingWriteReconstructionOnAFixedInput) {
   // A transported write's blocking_total_s: what each message would cost
   // as one blocking append (prep + one RPC per stripe its append touches +
-  // its sectors' transfer shares), scheduled by solve_blocking_write. With
-  // 1000-byte stripes and a 137-byte header the four messages (0, 863,
-  // 2500 and 1000 bytes) touch 1 (the header's partial stripe), 1 (ending
-  // stripe-aligned), 3 and 2 stripes.
+  // its sectors' transfer shares), scheduled by the write solver over the
+  // eager wire. With 1000-byte stripes and a 137-byte header the four
+  // messages (0, 863, 2500 and 1000 bytes) touch 1 (the header's partial
+  // stripe), 1 (ending stripe-aligned), 3 and 2 stripes.
   PfsConfig pc;
   pc.stripe_size = 1000;
   pc.rpc_latency_s = 1.0;
@@ -664,8 +749,7 @@ TEST(LaneSolvers, BlockingWriteReconstructionOnAFixedInput) {
   EXPECT_EQ(write_s, (std::vector<double>{1.5, 3.25, 5.625, 7.0}));
   const std::vector<double> produce = {1.0, 1.0, 1.0, 1.0};
   const double close_s = 0.25;
-  EXPECT_EQ(solve_blocking_write(produce, write_s, 1, 0.5, 1) + close_s,
-            18.625);
+  EXPECT_EQ(eager_write(produce, write_s, 1, 0.5, 1) + close_s, 18.625);
 }
 
 TEST(LaneSolvers, OneLaneTransportTimelinesMatchTheLegacySolvers) {
@@ -697,6 +781,7 @@ TEST(LaneSolvers, OneLaneTransportTimelinesMatchTheLegacySolvers) {
   for (double& p : fast) p *= 0.05;
   const std::vector<double> prep = {0.0002, 0.0001, 0.00035, 0.00005, 0.0003, 0.00015};
   const std::vector<double> consume = {0.0035, 0.0012, 0.0071, 0.0024, 0.0008, 0.0049};
+  const std::vector<double> no_stage(consume.size(), 0.0);
   struct Pinned {
     std::size_t depth;
     double w_makespan, w_stall, w_mean;
@@ -728,8 +813,8 @@ TEST(LaneSolvers, OneLaneTransportTimelinesMatchTheLegacySolvers) {
       EXPECT_EQ(w.credit_stall_s, want.w_stall);
       EXPECT_EQ(w.mean_inflight, want.w_mean);
       EXPECT_EQ(w.peak_inflight, want.w_peak);
-      const auto r = solve_read_timeline(config, sectors, consume, want.depth,
-                                         0.0007, 1);
+      const auto r = solve_read_timeline(config, sectors, consume, no_stage,
+                                         want.depth, 0.0007, 1);
       EXPECT_EQ(r.makespan_s, want.r_makespan);
       EXPECT_EQ(r.credit_stall_s, want.r_stall);
       EXPECT_EQ(r.mean_inflight, want.r_mean);
@@ -739,8 +824,8 @@ TEST(LaneSolvers, OneLaneTransportTimelinesMatchTheLegacySolvers) {
                                      want.depth, 0.0007, 4)
                     .makespan_s,
                 w.makespan_s);
-      EXPECT_LE(solve_read_timeline(config, sectors, consume, want.depth,
-                                    0.0007, 4)
+      EXPECT_LE(solve_read_timeline(config, sectors, consume, no_stage,
+                                    want.depth, 0.0007, 4)
                     .makespan_s,
                 r.makespan_s);
     }
@@ -751,14 +836,14 @@ TEST(LaneSolvers, LanesScheduleTheCodecStageInParallel) {
   // Eight equal slabs on four lanes with a free writer finish in two
   // rounds; the read side's lanes decode four fetched slabs at once.
   const std::vector<double> c(8, 1.0), zero(8, 0.0);
-  EXPECT_EQ(solve_blocking_write(c, zero, 2, 0.0, 4), 2.0);
-  EXPECT_EQ(solve_blocking_write(c, zero, 2, 0.0, 1), 8.0);
-  EXPECT_EQ(solve_blocking_read(zero, c, 2, 0.0, 4), 2.0);
-  EXPECT_EQ(solve_blocking_read(zero, c, 2, 0.0, 1), 8.0);
+  EXPECT_EQ(eager_write(c, zero, 2, 0.0, 4), 2.0);
+  EXPECT_EQ(eager_write(c, zero, 2, 0.0, 1), 8.0);
+  EXPECT_EQ(eager_read(zero, c, 2, 0.0, 4), 2.0);
+  EXPECT_EQ(eager_read(zero, c, 2, 0.0, 1), 8.0);
   // The admission window binds: one lane-slot of queue and a slow writer
   // keep at most lanes + depth slabs ahead of the writer.
   const std::vector<double> slow_write(8, 2.0);
-  EXPECT_EQ(solve_blocking_write(c, slow_write, 1, 0.0, 4), 1.0 + 8 * 2.0);
+  EXPECT_EQ(eager_write(c, slow_write, 1, 0.0, 4), 1.0 + 8 * 2.0);
 }
 
 // --- lane energy ---------------------------------------------------------------

@@ -991,17 +991,23 @@ TEST(WholeDomainRead, FullReadIsTheWholeDomainRegionRead) {
     EXPECT_NEAR(full_open_fetch, region_open_fetch,
                 1e-12 * full.serial_total_s);
     if (transport) continue;
-    // Streamed makespan (blocking path): swapping the two runs' decode
-    // columns swaps their makespans.
+    // Streamed makespan (blocking path, the read solver over the eager
+    // wire): swapping the two runs' decode columns swaps their makespans.
     const double open_s = full_open_fetch - sum(full.slab_fetch_s);
-    const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
-    EXPECT_NEAR(solve_blocking_read(full.slab_fetch_s,
-                                    region.zone_decompress_s, depth, open_s,
-                                    full.lanes),
+    const auto eager_read = [&](const std::vector<double>& fetch,
+                                const std::vector<double>& consume,
+                                int lanes) {
+      return solve_read_timeline(TransportConfig{}, eager_wire(fetch.size()),
+                                 consume, fetch,
+                                 static_cast<std::size_t>(stream.queue_depth),
+                                 open_s, lanes)
+          .makespan_s;
+    };
+    EXPECT_NEAR(eager_read(full.slab_fetch_s, region.zone_decompress_s,
+                           full.lanes),
                 region.streamed_total_s, 1e-12 * region.streamed_total_s);
-    EXPECT_NEAR(solve_blocking_read(region.zone_fetch_s,
-                                    full.slab_decompress_s, depth, open_s,
-                                    region.lanes),
+    EXPECT_NEAR(eager_read(region.zone_fetch_s, full.slab_decompress_s,
+                           region.lanes),
                 full.streamed_total_s, 1e-12 * full.streamed_total_s);
   }
 }
