@@ -8,6 +8,7 @@
 #include <iostream>
 #include <mutex>
 #include <ostream>
+#include <thread>
 
 namespace eblcio::bench {
 
@@ -282,9 +283,27 @@ std::string JsonObject::dump(int indent) const {
 }
 
 bool write_json_file(const std::string& path, const JsonObject& json) {
+  // The host and build keys bench/e2e/compare.py matches on, so a perf gate
+  // can refuse to compare runs from different machines or builds.
+  JsonObject meta;
+  meta.set("nproc",
+           static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+#ifdef __OPTIMIZE__
+      .set("optimize", std::uint64_t{1})
+#else
+      .set("optimize", std::uint64_t{0})
+#endif
+#ifdef NDEBUG
+      .set("ndebug", std::uint64_t{1})
+#else
+      .set("ndebug", std::uint64_t{0})
+#endif
+      .set("compiler", std::string(__VERSION__));
+  JsonObject stamped = json;
+  stamped.set("meta", meta);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
-  const std::string body = json.dump(0) + "\n";
+  const std::string body = stamped.dump(0) + "\n";
   const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
   return std::fclose(f) == 0 && ok;
 }

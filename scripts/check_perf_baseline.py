@@ -25,6 +25,13 @@ and hide in the ratio), a second, looser memcpy-normalized gate
 (tolerance 0.6) backstops substrate-wide slowdowns. All other kernels
 normalize against `memcpy` for the informational report.
 
+Every BENCH_*.json carries a "meta" object with the host and build keys
+bench/e2e/compare.py matches on (nproc, optimize, ndebug, compiler). When
+both files carry them and any differs, the check refuses to gate: a
+normalized ratio taken across core counts or build flags says nothing
+about the code. A file without them is reported as unstamped and gated as
+before.
+
 Only kernels listed via --kernel (default: huffman_decode) gate the build;
 everything else is reported for the artifact log. To refresh a baseline
 after an intentional perf change, either re-emit straight from the bench:
@@ -46,6 +53,8 @@ import json
 import shutil
 import sys
 
+META_KEYS = ("nproc", "optimize", "ndebug", "compiler")
+
 
 def throughput(kernels: dict, name: str) -> float:
     k = kernels.get(name)
@@ -55,6 +64,14 @@ def throughput(kernels: dict, name: str) -> float:
     if not v or v <= 0:
         raise SystemExit(f"kernel '{name}' has no throughput value")
     return float(v)
+
+
+def host_build(doc: dict):
+    """The doc's host/build stamp, or None when it lacks any key."""
+    meta = doc.get("meta", {})
+    if not all(key in meta for key in META_KEYS):
+        return None
+    return {key: meta[key] for key in META_KEYS}
 
 
 def main() -> int:
@@ -82,9 +99,25 @@ def main() -> int:
         return 0
 
     with open(args.baseline) as f:
-        base = json.load(f)["kernels"]
+        base_doc = json.load(f)
     with open(args.current) as f:
-        cur = json.load(f)["kernels"]
+        cur_doc = json.load(f)
+    base, cur = base_doc["kernels"], cur_doc["kernels"]
+
+    stamps = {"baseline": host_build(base_doc),
+              "current": host_build(cur_doc)}
+    unstamped = [side for side, stamp in stamps.items() if stamp is None]
+    if unstamped:
+        print(f"unstamped: {' and '.join(unstamped)} carries no "
+              f"{'/'.join(META_KEYS)}; gating without the host check")
+    elif stamps["baseline"] != stamps["current"]:
+        differ = [key for key in META_KEYS
+                  if stamps["baseline"][key] != stamps["current"][key]]
+        raise SystemExit(
+            "refusing to gate: baseline and current were taken on "
+            "different hosts or builds (" +
+            ", ".join(f"{key}: {stamps['baseline'][key]!r} vs "
+                      f"{stamps['current'][key]!r}" for key in differ) + ")")
 
     normalizers = {
         "huffman_decode": "huffman_decode_reference",

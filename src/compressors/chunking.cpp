@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/buffer_pool.h"
 #include "common/error.h"
@@ -9,31 +10,6 @@
 
 namespace eblcio {
 namespace {
-
-template <typename T>
-std::vector<Field> split_impl(const Field& field, int nchunks) {
-  const NdArray<T>& arr = field.as<T>();
-  const Shape& shape = arr.shape();
-  const std::size_t d0 = shape.dim(0);
-  const int chunks = static_cast<int>(
-      std::min<std::size_t>(d0, static_cast<std::size_t>(nchunks)));
-  const std::size_t row_elems = shape.num_elements() / d0;
-
-  std::vector<Field> out;
-  out.reserve(chunks);
-  std::size_t start = 0;
-  for (int c = 0; c < chunks; ++c) {
-    const std::size_t rows = slab_rows(d0, chunks, c);
-    std::vector<std::size_t> dims = shape.dims_vector();
-    dims[0] = rows;
-    NdArray<T> slab(Shape{std::span<const std::size_t>(dims)});
-    std::memcpy(slab.data(), arr.data() + start * row_elems,
-                rows * row_elems * sizeof(T));
-    out.emplace_back(field.name(), std::move(slab));
-    start += rows;
-  }
-  return out;
-}
 
 template <typename T>
 Field merge_impl(const std::vector<Field>& slabs,
@@ -62,11 +38,34 @@ std::size_t slab_rows(std::size_t d0, int nchunks, int c) {
          (static_cast<std::size_t>(c) < d0 % nchunks ? 1 : 0);
 }
 
+Field extract_slab(const Field& field, const ZoneExtent& zone) {
+  return field.visit([&](const auto& arr) {
+    using T = std::remove_cvref_t<decltype(*arr.data())>;
+    std::vector<std::size_t> dims = arr.shape().dims_vector();
+    const std::size_t row = arr.num_elements() / dims[0];
+    dims[0] = static_cast<std::size_t>(zone.rows);
+    NdArray<T> slab(Shape{std::span<const std::size_t>(dims)});
+    std::memcpy(slab.data(),
+                arr.data() + static_cast<std::size_t>(zone.row_start) * row,
+                slab.size_bytes());
+    return Field(field.name(), std::move(slab));
+  });
+}
+
 std::vector<Field> split_slabs(const Field& field, int nchunks) {
   EBLCIO_CHECK_ARG(nchunks >= 1, "chunk count must be positive");
-  if (field.dtype() == DType::kFloat32)
-    return split_impl<float>(field, nchunks);
-  return split_impl<double>(field, nchunks);
+  const std::size_t d0 = field.shape().dim(0);
+  const int chunks = static_cast<int>(
+      std::min<std::size_t>(d0, static_cast<std::size_t>(nchunks)));
+  std::vector<Field> out;
+  out.reserve(static_cast<std::size_t>(chunks));
+  std::size_t start = 0;
+  for (int c = 0; c < chunks; ++c) {
+    const std::size_t rows = slab_rows(d0, chunks, c);
+    out.push_back(extract_slab(field, {start, rows}));
+    start += rows;
+  }
+  return out;
 }
 
 Field merge_slabs(const std::vector<Field>& slabs,

@@ -14,6 +14,7 @@
 
 #include "common/bytes.h"
 #include "common/field.h"
+#include "common/region.h"
 #include "compressors/compressor.h"
 
 namespace eblcio {
@@ -38,6 +39,11 @@ std::vector<Field> split_slabs(const Field& field, int nchunks);
 
 // Rows assigned to slab `c` of `nchunks` when splitting extent `d0`.
 std::size_t slab_rows(std::size_t d0, int nchunks, int c);
+
+// Rows [zone.row_start, + zone.rows) of `field` as a field of their own:
+// the slab split_slabs cuts there. The streamed write's lanes extract
+// their zones through it.
+Field extract_slab(const Field& field, const ZoneExtent& zone);
 
 // Reassembles slabs split by split_slabs into one field shaped `dims`.
 Field merge_slabs(const std::vector<Field>& slabs,

@@ -173,13 +173,7 @@ Bytes ComposedCompressor::compress(const Field& field,
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "composed codecs are error-bounded lossy compressors");
 
-  BlobHeader header;
-  header.codec = name_;
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
+  const BlobHeader header = lossy_header(name_, field, opt);
 
   const double quant_param = quant_param_for(config_.quantizer, field);
 

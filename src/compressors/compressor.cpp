@@ -103,6 +103,18 @@ double absolute_bound_for(const Field& field, const CompressOptions& opt) {
   throw InvalidArgument("bad bound mode");
 }
 
+BlobHeader lossy_header(const std::string& codec, const Field& field,
+                        const CompressOptions& opt) {
+  BlobHeader h;
+  h.codec = codec;
+  h.dtype = field.dtype();
+  h.dims = field.shape().dims_vector();
+  h.abs_error_bound = absolute_bound_for(field, opt);
+  h.requested_mode = opt.mode;
+  h.requested_bound = opt.error_bound;
+  return h;
+}
+
 Compressor& compressor(const std::string& name) {
   static std::map<std::string, std::unique_ptr<Compressor>> registry = [] {
     std::map<std::string, std::unique_ptr<Compressor>> m;

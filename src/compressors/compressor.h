@@ -111,6 +111,11 @@ struct BlobHeader {
 // Converts the requested bound to an absolute bound for `field`.
 double absolute_bound_for(const Field& field, const CompressOptions& opt);
 
+// The header an error-bounded lossy codec writes for `field`: its dtype
+// and dims, absolute_bound_for's bound, and the requested mode and bound.
+BlobHeader lossy_header(const std::string& codec, const Field& field,
+                        const CompressOptions& opt);
+
 // --- Registry --------------------------------------------------------------
 
 // Looks up a codec by (case-insensitive) name. Throws InvalidArgument for

@@ -434,4 +434,10 @@ InterpPayload interp_payload_decode(std::span<const std::byte> payload) {
   return p;
 }
 
+Field interp_payload_decompress(const BlobHeader& header,
+                                std::span<const std::byte> payload) {
+  const InterpPayload p = interp_payload_decode(payload);
+  return interp_decompress(header, p.config, p.codes, p.anchors, p.unpred);
+}
+
 }  // namespace eblcio

@@ -66,4 +66,10 @@ struct InterpPayload {
 };
 InterpPayload interp_payload_decode(std::span<const std::byte> payload);
 
+// Decodes one SZ3 or QoZ payload (interp_payload_encode's layout) into the
+// field `header` describes: the payload kernel both codecs' decompress
+// hands to decompress_chunked.
+Field interp_payload_decompress(const BlobHeader& header,
+                                std::span<const std::byte> payload);
+
 }  // namespace eblcio

@@ -107,12 +107,6 @@ Bytes qoz_payload_compress(const Field& field, const BlobHeader& header,
   return interp_payload_encode(config, enc);
 }
 
-Field qoz_payload_decompress(const BlobHeader& header,
-                             std::span<const std::byte> payload) {
-  const InterpPayload p = interp_payload_decode(payload);
-  return interp_decompress(header, p.config, p.codes, p.anchors, p.unpred);
-}
-
 }  // namespace
 
 Bytes QozCompressor::compress(const Field& field, const CompressOptions& opt) {
@@ -120,19 +114,13 @@ Bytes QozCompressor::compress(const Field& field, const CompressOptions& opt) {
                    "QoZ is an error-bounded lossy compressor");
   if (field.ndims() < 2)
     throw Unsupported("QoZ is not capable of compressing 1D data");
-  BlobHeader header;
-  header.codec = name();
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
-  return compress_chunked(header, field, opt, qoz_payload_compress);
+  return compress_chunked(lossy_header(name(), field, opt), field, opt,
+                          qoz_payload_compress);
 }
 
 Field QozCompressor::decompress(std::span<const std::byte> blob,
                                 int threads) {
-  return decompress_chunked(blob, threads, qoz_payload_decompress);
+  return decompress_chunked(blob, threads, interp_payload_decompress);
 }
 
 }  // namespace eblcio

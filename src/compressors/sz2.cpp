@@ -26,13 +26,7 @@ Bytes Sz2Compressor::compress(const Field& field, const CompressOptions& opt) {
     throw Unsupported(
         "the OpenMP version of SZ2 does not support 1D or 4D data");
 
-  BlobHeader header;
-  header.codec = name();
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
+  const BlobHeader header = lossy_header(name(), field, opt);
 
   // Stage 1 (parallel over slabs): prediction + quantization. A single
   // slab is the whole field — compress it in place instead of paying

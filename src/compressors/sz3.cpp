@@ -15,30 +15,18 @@ Bytes sz3_payload_compress(const Field& field, const BlobHeader& header,
   return interp_payload_encode(config, enc);
 }
 
-Field sz3_payload_decompress(const BlobHeader& header,
-                             std::span<const std::byte> payload) {
-  const InterpPayload p = interp_payload_decode(payload);
-  return interp_decompress(header, p.config, p.codes, p.anchors, p.unpred);
-}
-
 }  // namespace
 
 Bytes Sz3Compressor::compress(const Field& field, const CompressOptions& opt) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "SZ3 is an error-bounded lossy compressor");
-  BlobHeader header;
-  header.codec = name();
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
-  return compress_chunked(header, field, opt, sz3_payload_compress);
+  return compress_chunked(lossy_header(name(), field, opt), field, opt,
+                          sz3_payload_compress);
 }
 
 Field Sz3Compressor::decompress(std::span<const std::byte> blob,
                                 int threads) {
-  return decompress_chunked(blob, threads, sz3_payload_decompress);
+  return decompress_chunked(blob, threads, interp_payload_decompress);
 }
 
 }  // namespace eblcio

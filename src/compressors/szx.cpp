@@ -181,14 +181,8 @@ Field payload_decompress(const BlobHeader& header,
 Bytes SzxCompressor::compress(const Field& field, const CompressOptions& opt) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "SZx is an error-bounded lossy compressor");
-  BlobHeader header;
-  header.codec = name();
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
-  return compress_chunked(header, field, opt, payload_compress);
+  return compress_chunked(lossy_header(name(), field, opt), field, opt,
+                          payload_compress);
 }
 
 Field SzxCompressor::decompress(std::span<const std::byte> blob,

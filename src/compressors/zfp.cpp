@@ -414,13 +414,7 @@ Field zfp_decompress_impl(const BlobHeader& header,
 Bytes ZfpCompressor::compress(const Field& field, const CompressOptions& opt) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "ZFP here implements fixed-accuracy (lossy) mode only");
-  BlobHeader header;
-  header.codec = name();
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
+  const BlobHeader header = lossy_header(name(), field, opt);
 
   Bytes out;
   header.encode(out);

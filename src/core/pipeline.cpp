@@ -1,14 +1,13 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <tuple>
-#include <type_traits>
 
 #include "common/buffer_pool.h"
 #include "common/timer.h"
+#include "compressors/chunking.h"
 #include "compressors/compressor.h"
 #include "compressors/zone.h"
 #include "io/io_tool.h"
@@ -137,23 +136,6 @@ void fill_telemetry(TransportTelemetry& t, const SectorEndpoint& endpoint,
 void release_pending(std::vector<Bytes>& blobs) {
   for (Bytes& b : blobs)
     if (!b.empty()) BufferPool::global().release(std::move(b));
-}
-
-// Rows [zone.row_start, + zone.rows) of `field` as a field of their own:
-// the slab split_slabs would cut there, extracted by the lane that codes
-// it.
-Field extract_slab(const Field& field, const ZoneExtent& zone) {
-  return field.visit([&](const auto& arr) {
-    using T = std::remove_cvref_t<decltype(*arr.data())>;
-    std::vector<std::size_t> dims = arr.shape().dims_vector();
-    const std::size_t row = arr.num_elements() / dims[0];
-    dims[0] = static_cast<std::size_t>(zone.rows);
-    NdArray<T> slab(Shape{std::span<const std::size_t>(dims)});
-    std::memcpy(slab.data(),
-                arr.data() + static_cast<std::size_t>(zone.row_start) * row,
-                slab.size_bytes());
-    return Field(field.name(), std::move(slab));
-  });
 }
 
 // Checks zone `i`'s blob header against the container index before any of

@@ -1,11 +1,13 @@
 // Tests for the shared grid-bench scaffolding (bench/bench_util.h): flag
 // parsing into BenchEnv/SweepOptions, streamed-row ordering and table
 // formatting, serial-vs-sweep bit-parity through run_grid_bench's verify
-// path, and the memoized measure_compression returning identical records
-// to concurrent cells.
+// path, the memoized measure_compression returning identical records
+// to concurrent cells, and the host/build stamp on every BENCH_*.json.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -282,6 +284,22 @@ TEST(BenchUtilMeasure, ConcurrentCellsSharingAKeyGetIdenticalRecords) {
       });
   EXPECT_EQ(summary.stats.completed, cells.size());
   EXPECT_EQ(distinct.size(), 1u);
+}
+
+TEST(BenchJson, WriteStampsHostAndBuildMeta) {
+  bench::JsonObject doc;
+  doc.set("bench", std::string("stamp"));
+  const std::string path = ::testing::TempDir() + "bench_stamp.json";
+  ASSERT_TRUE(bench::write_json_file(path, doc));
+  std::ifstream in(path);
+  std::stringstream body;
+  body << in.rdbuf();
+  const std::string text = body.str();
+  EXPECT_NE(text.find("\"bench\": \"stamp\""), std::string::npos);
+  for (const char* key : {"\"meta\": {", "\"nproc\": ", "\"optimize\": ",
+                          "\"ndebug\": ", "\"compiler\": "})
+    EXPECT_NE(text.find(key), std::string::npos) << key;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 #include "codec/huffman.h"
 #include "common/buffer_pool.h"
 #include "common/rng.h"
+#include "compressors/chunking.h"
 #include "compressors/compressor.h"
-#include "compressors/zone.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
 #include "io/pfs.h"
@@ -131,25 +131,40 @@ TEST(BufferPool, StreamedWritePipelineReachesSteadyStateReuse) {
 TEST(BufferPool, ZoneCompressSteadyStateIsAllocationFree) {
   // The per-zone codec path (bitstream take -> huffman/lz blob -> code
   // stream framing) acquires every working buffer from the pool and
-  // releases it once framed. After one warm lap, a serial zone compress
-  // must therefore run with zero fresh pool allocations: every acquire is
-  // a hit. (Serial keeps all acquires on one thread, i.e. one shard, so
-  // the assertion is exact rather than scheduling-dependent.)
+  // releases it once framed. After one warm lap, a serial per-zone
+  // compress loop must therefore run with zero fresh pool allocations:
+  // every acquire is a hit. (Serial keeps all acquires on one thread, i.e.
+  // one shard, so the assertion is exact rather than scheduling-dependent.)
   const Field field = generate_dataset_dims("NYX", {32, 32, 32}, 3);
   CompressOptions opt;
   opt.error_bound = 1e-3;
-  const ZoneCompressor zc("SZ3", 4);
+  // Zones compress at the whole field's absolute bound, as the streamed
+  // write's do.
+  CompressOptions zone_opt;
+  zone_opt.mode = BoundMode::kAbsolute;
+  zone_opt.error_bound = absolute_bound_for(field, opt);
+  const std::vector<Field> zones = split_slabs(field, 4);
+  Compressor& sz3 = compressor("SZ3");
 
   BufferPool& pool = BufferPool::global();
-  ZonedField warm = zc.compress(field, opt, /*parallel=*/false);
-  warm.recycle();  // zone blobs rejoin the pool for the next lap
+  const auto lap = [&] {
+    std::vector<Bytes> blobs;
+    for (const Field& zone : zones)
+      blobs.push_back(sz3.compress(zone, zone_opt));
+    return blobs;
+  };
+  const auto recycle = [&](std::vector<Bytes>& blobs) {
+    for (Bytes& b : blobs) pool.release(std::move(b));
+  };
+  std::vector<Bytes> warm = lap();
+  recycle(warm);  // zone blobs rejoin the pool for the next lap
   pool.reset_stats();
 
-  ZonedField hot = zc.compress(field, opt, /*parallel=*/false);
+  std::vector<Bytes> hot = lap();
   const auto s = pool.stats();
   EXPECT_GT(s.acquires, 0u);
   EXPECT_EQ(s.acquires, s.hits);  // steady state: no per-zone allocations
-  hot.recycle();
+  recycle(hot);
 }
 
 TEST(BufferPool, HuffmanEncodeSteadyStateIsAllocationFree) {

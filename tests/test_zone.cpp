@@ -1,6 +1,6 @@
-// Zone-sharded compression and partial-region reads: extent math, the
-// ZoneCompressor's parallel/serial bit-parity, region decodes against the
-// full-field slice, the zoned container index through every IoTool, random
+// Zone-sharded containers and partial-region reads: extent math, region
+// reads on every codec, rank and dtype against the serial reference and the
+// full read's slice, the zoned container index through every IoTool, random
 // query boxes vs the serial reference, and robustness (corrupt zone
 // indexes, truncated zone blobs, out-of-bounds queries, and forged
 // containers whose chunks disagree with the index in rows or dtype must
@@ -58,6 +58,14 @@ Field slice_region(const Field& full, const Region& region) {
   return out;
 }
 
+// `f` with every value widened to double.
+Field widened(const Field& f) {
+  const NdArray<float>& src = f.as<float>();
+  NdArray<double> arr(src.shape());
+  for (std::size_t i = 0; i < src.num_elements(); ++i) arr[i] = src[i];
+  return Field(f.name() + "_f64", std::move(arr));
+}
+
 Region random_region(Rng& rng, const std::vector<std::size_t>& dims) {
   Region r;
   for (std::size_t d : dims) {
@@ -95,6 +103,10 @@ TEST(ZoneExtents, ClampsToLeadingExtent) {
   for (const auto& z : ext) EXPECT_EQ(z.rows, 1u);
 }
 
+TEST(ZoneExtents, RejectsNonPositiveZoneCount) {
+  EXPECT_THROW(zone_extents(16, 0), InvalidArgument);
+}
+
 TEST(CoveringZones, IntersectionIsContiguousRun) {
   const auto ext = zone_extents(40, 8);  // 5 rows each
   EXPECT_EQ(covering_zones(ext, 0, 40).size(), 8u);
@@ -121,126 +133,59 @@ TEST(RegionValidate, RejectsEmptyAndOutOfBounds) {
   EXPECT_THROW(validate_region({{0}, {8}}, dims), InvalidArgument);
 }
 
-// --- ZoneCompressor ---------------------------------------------------------
+// --- region reads through the zoned container -------------------------------
 
-TEST(ZoneCompressor, ParallelDecodeMatchesSerialAndUnzonedBitForBit) {
-  const Field f = smooth_field_3d(40);
-  CompressOptions opt;
-  opt.error_bound = 1e-3;
-  const ZoneCompressor zc("SZ3", 8);
-
-  const ZonedField zoned = zc.compress(f, opt, /*parallel=*/true);
-  EXPECT_EQ(zoned.zones(), 8u);
-  const ZonedField serial_zoned = zc.compress(f, opt, /*parallel=*/false);
-  ASSERT_EQ(serial_zoned.zones(), zoned.zones());
-  for (std::size_t i = 0; i < zoned.zones(); ++i)
-    EXPECT_EQ(zoned.blobs[i], serial_zoned.blobs[i]) << "zone " << i;
-
-  const Field par = ZoneCompressor::decompress_all(zoned, true);
-  const Field ser = ZoneCompressor::decompress_all(zoned, false);
-  EXPECT_TRUE(bytes_equal(par, ser));
-
-  // The acceptance bar: zones shard exactly like the streamed pipeline's
-  // slabs and compress at the whole-field absolute bound, so the merged
-  // zone reconstruction is bit-identical to the unzoned chunked path.
+// Streams `f` out as a `zones`-zone `codec` container. Every box read
+// through the laned region pipeline must equal the serial reference and
+// the box's slice of the laned full read, bit for bit.
+void expect_region_reads_agree(const Field& f, const std::string& codec,
+                               int zones, const std::vector<Region>& boxes) {
   PfsSimulator pfs;
-  PipelineConfig pc;
-  pc.codec = "SZ3";
-  pc.error_bound = 1e-3;
+  PipelineConfig config;
+  config.codec = codec;
+  config.error_bound = 1e-3;
   StreamConfig stream;
-  stream.slabs = 8;
-  const auto wrec = run_streamed_compress_write(f, pc, pfs, stream);
-  const Field chunked = run_streamed_read(pfs, wrec.path, pc).field;
-  EXPECT_TRUE(bytes_equal(par, chunked));
-}
-
-TEST(ZoneCompressor, RegionDecodeMatchesFullDecodeSlice) {
-  const Field f = smooth_field_3d(40);
-  CompressOptions opt;
-  opt.error_bound = 1e-3;
-  const ZoneCompressor zc("SZ3", 8);
-  const ZonedField zoned = zc.compress(f, opt);
-  const Field full = ZoneCompressor::decompress_all(zoned);
-
-  Rng rng(31);
-  for (int q = 0; q < 6; ++q) {
-    const Region region = random_region(rng, zoned.dims);
-    const Field got = ZoneCompressor::decompress_region(zoned, region);
-    const Field got_serial =
-        ZoneCompressor::decompress_region(zoned, region, false);
-    const Field want = slice_region(full, region);
-    EXPECT_TRUE(bytes_equal(got, want)) << "query " << q;
-    EXPECT_TRUE(bytes_equal(got_serial, want)) << "query " << q;
+  stream.slabs = zones;
+  const auto wrec = run_streamed_compress_write(f, config, pfs, stream);
+  const Field full = run_streamed_read(pfs, wrec.path, config).field;
+  ASSERT_EQ(full.shape(), f.shape());
+  for (const Region& box : boxes) {
+    const Field got =
+        run_streamed_read_region(pfs, wrec.path, box, config).field;
+    EXPECT_TRUE(bytes_equal(
+        got, read_region_reference(pfs, wrec.path, box, config.io_library)));
+    EXPECT_TRUE(bytes_equal(got, slice_region(full, box)));
   }
 }
 
-TEST(ZoneCompressor, BoundaryStraddlingRegions) {
-  const Field f = smooth_field_3d(40);  // 8 zones of 5 rows
-  CompressOptions opt;
-  opt.error_bound = 1e-3;
-  const ZonedField zoned = ZoneCompressor("SZ3", 8).compress(f, opt);
-  const Field full = ZoneCompressor::decompress_all(zoned);
-  // Straddle one boundary, several boundaries, and align exactly on one.
-  for (const Region& region :
-       {Region{{4, 0, 0}, {2, 40, 40}}, Region{{3, 10, 5}, {20, 7, 30}},
-        Region{{5, 0, 0}, {5, 40, 40}}, Region{{0, 0, 0}, {40, 40, 40}}}) {
-    const Field got = ZoneCompressor::decompress_region(zoned, region);
-    EXPECT_TRUE(bytes_equal(got, slice_region(full, region)));
-  }
-}
-
-TEST(ZoneCompressor, CoversEveryRankAndDtype) {
-  CompressOptions opt;
-  opt.error_bound = 1e-3;
+TEST(ZonedRegionRead, EveryEblcCodecRankAndDtype) {
+  const Field f1 = noisy_field_1d(600);
+  const Field f2 = smooth_field_2d(48);
+  const Field f3 = smooth_field_3d(24);
   Rng rng(77);
-  for (const Field& f : {noisy_field_1d(600), smooth_field_2d(48),
-                         smooth_field_3d(24), double_field_4d(8, 12)}) {
-    const ZonedField zoned = ZoneCompressor("SZ3", 4).compress(f, opt);
-    const Field full = ZoneCompressor::decompress_all(zoned);
-    EXPECT_EQ(full.shape(), f.shape());
-    for (int q = 0; q < 3; ++q) {
-      const Region region = random_region(rng, zoned.dims);
-      const Field got = ZoneCompressor::decompress_region(zoned, region);
-      EXPECT_TRUE(bytes_equal(got, slice_region(full, region)))
-          << f.name() << " query " << q;
+  for (const Field& f : {f1, widened(f1), f2, widened(f2), f3, widened(f3),
+                         double_field_4d(8, 12)}) {
+    for (const std::string& codec : eblc_names()) {
+      if (codec == "QoZ" && f.ndims() == 1) continue;  // QoZ refuses 1D
+      SCOPED_TRACE(codec + " " + f.name());
+      std::vector<Region> boxes;
+      for (int q = 0; q < 3; ++q)
+        boxes.push_back(random_region(rng, f.shape().dims_vector()));
+      expect_region_reads_agree(f, codec, 4, boxes);
     }
   }
 }
 
-TEST(ZoneCompressor, WorksForEveryEblcCodec) {
-  const Field f = smooth_field_3d(32);
-  CompressOptions opt;
-  opt.error_bound = 1e-3;
-  const Region region{{5, 8, 0}, {10, 16, 32}};
-  for (const std::string& codec : eblc_names()) {
-    const ZonedField zoned = ZoneCompressor(codec, 4).compress(f, opt);
-    const Field full = ZoneCompressor::decompress_all(zoned);
-    const Field got = ZoneCompressor::decompress_region(zoned, region);
-    EXPECT_TRUE(bytes_equal(got, slice_region(full, region))) << codec;
-  }
-}
-
-TEST(ZoneCompressor, RejectsBadArguments) {
-  const Field f = smooth_field_3d(16);
-  CompressOptions opt;
-  EXPECT_THROW(ZoneCompressor("SZ3", 0), InvalidArgument);
-  const ZonedField zoned = ZoneCompressor("SZ3", 4).compress(f, opt);
-  EXPECT_THROW(ZoneCompressor::decompress_region(zoned, {{0, 0}, {4, 4}}),
-               InvalidArgument);
-  EXPECT_THROW(
-      ZoneCompressor::decompress_region(zoned, {{0, 0, 0}, {17, 16, 16}}),
-      InvalidArgument);
+TEST(ZonedRegionRead, BoundaryStraddlingRegions) {
+  // 8 zones of 5 rows: straddle one boundary, several boundaries, align
+  // exactly on one, and take the whole field.
+  expect_region_reads_agree(
+      smooth_field_3d(40), "SZ3", 8,
+      {Region{{4, 0, 0}, {2, 40, 40}}, Region{{3, 10, 5}, {20, 7, 30}},
+       Region{{5, 0, 0}, {5, 40, 40}}, Region{{0, 0, 0}, {40, 40, 40}}});
 }
 
 // --- windowed decode (decompress_region_any) --------------------------------
-
-// `f` with every value widened to double.
-Field widened(const Field& f) {
-  const NdArray<float>& src = f.as<float>();
-  NdArray<double> arr(src.shape());
-  for (std::size_t i = 0; i < src.num_elements(); ++i) arr[i] = src[i];
-  return Field(f.name() + "_f64", std::move(arr));
-}
 
 // The windowed decode must equal the full decode cropped to `box`, bit for
 // bit, and reconstruct no more than the full decode does.
@@ -831,6 +776,8 @@ TEST_F(ZoneRobustness, OutOfBoundsRegionIsInvalidArgument) {
   EXPECT_THROW(
       read_region_reference(pfs_, path_, {{24, 0, 0}, {1, 1, 1}}, "HDF5"),
       InvalidArgument);
+  EXPECT_THROW(read_region_reference(pfs_, path_, {{0, 0}, {4, 4}}, "HDF5"),
+               InvalidArgument);
 }
 
 // --- one container layout --------------------------------------------------
