@@ -1,5 +1,6 @@
 // Micro-kernels for the codec substrate: bitstream, Huffman, LZ77, shuffle,
-// quantizer, and end-to-end single-codec throughput on a fixed field.
+// quantizer, and end-to-end single-codec throughput (SZ2, ZFP) on a fixed
+// field.
 // These are the building-block numbers behind every figure bench.
 //
 // Unlike the figure benches this binary is a perf harness: each kernel runs
@@ -26,6 +27,7 @@
 #include "compressors/compressor.h"
 #include "compressors/quantizer.h"
 #include "data/dataset.h"
+#include "metrics/error_stats.h"
 
 namespace {
 
@@ -132,6 +134,8 @@ int main(int argc, char** argv) {
   copt.error_bound = 1e-3;
   Compressor& sz2 = compressor("SZ2");
   const Bytes sz2_blob = sz2.compress(field, copt);
+  Compressor& zfp = compressor("ZFP");
+  const Bytes zfp_blob = zfp.compress(field, copt);
 
   std::vector<KernelResult> rows;
 
@@ -224,6 +228,12 @@ int main(int argc, char** argv) {
     const Bytes b = sz2.compress(field, copt);
     return sz2.decompress(b, 1).size_bytes();
   }));
+  rows.push_back(run_kernel("zfp_compress", reps, fb, 0, [&] {
+    return zfp.compress(field, copt).size();
+  }));
+  rows.push_back(run_kernel("zfp_decompress", reps, fb, 0, [&] {
+    return zfp.decompress(zfp_blob, 1).size_bytes();
+  }));
 
   // Round-trip sanity while we're here: the bench must never publish
   // numbers for a broken codec path.
@@ -240,6 +250,11 @@ int main(int argc, char** argv) {
   if (huffman_decode(huff_blob_lowent) != syms_lowent ||
       huffman_decode_reference(huff_blob_lowent) != syms_lowent) {
     std::fprintf(stderr, "FATAL: low-entropy huffman round trip mismatch\n");
+    return 1;
+  }
+  if (!check_value_range_bound(field, zfp.decompress(zfp_blob, 1),
+                               copt.error_bound)) {
+    std::fprintf(stderr, "FATAL: zfp round trip exceeds its bound\n");
     return 1;
   }
   if (lz_decompress(lz_blob) != corpus) {

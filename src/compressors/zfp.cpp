@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -133,63 +135,141 @@ int max_precision(int emax, int minexp, int d) {
 
 // ---------------------------------------------------------------------------
 // Embedded bit-plane coder (ZFP's group-tested scheme, unlimited bit budget;
-// the plane cutoff kmin plays the role of the rate control).
+// the plane cutoff kmin plays the role of the rate control). Plane k of a
+// block is the word whose bit i is bit k of coefficient i. Coefficients
+// below the frontier (significant in an earlier plane) are coded verbatim;
+// the rest as runs of a group-test 1 and the unary distance to the next 1,
+// whose terminating 1 is implicit at position n-1; a group-test 0 ends the
+// plane. See src/compressors/README.md "ZFP embedded coder".
+
+// Transposes, in place, the 64/w independent w×w bit matrices packed side
+// by side in the rows a[0..w): bit j of lane L of a[i] trades places with
+// bit i of lane L of a[j]. This is the recursive block swap of Hacker's
+// Delight 7-3 run on every w-bit lane at once; w is a power of two <= 64.
+void transpose_lanes(std::uint64_t* a, int w) {
+  // Stage j swaps the off-diagonal j×j blocks: kLow[s] keeps the low
+  // j = 2^s bits of every 2j-bit group.
+  static constexpr std::uint64_t kLow[] = {
+      0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
+      0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL};
+  for (int s = std::countr_zero(static_cast<unsigned>(w)) - 1; s >= 0; --s) {
+    const int j = 1 << s;
+    for (int k = 0; k < w; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & kLow[s];
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
+// Both coders hold the coded planes kmin..63 as plane[k - kmin]. Moving
+// between coefficients and p = 64 - kmin planes is an n×p bit transpose.
+// Packing coefficient i into lane i / w of row i % w, with w = p rounded
+// up to a power of two, makes it 64/w w×w transposes that transpose_lanes
+// runs together, so a block with few coded planes pays for few.
+int plane_width(int p) {
+  return static_cast<int>(std::bit_ceil(static_cast<unsigned>(p)));
+}
 
 void encode_ints(BitWriter& bw, const std::uint64_t* u, int n, int kmin) {
+  const int w = plane_width(kIntPrec - kmin);
+  std::array<std::uint64_t, 64> plane{};
+  for (int i = 0; i < n; ++i)
+    plane[i & (w - 1)] |= (u[i] >> kmin) << (i & ~(w - 1));
+  transpose_lanes(plane.data(), w);
   int frontier = 0;  // zfp's persistent per-block significance frontier
   for (int k = kIntPrec - 1; k >= kmin; --k) {
-    std::uint64_t x = 0;
-    for (int i = 0; i < n; ++i)
-      x |= ((u[i] >> k) & std::uint64_t{1}) << i;
-    // Verbatim bits for coefficients inside the frontier.
+    std::uint64_t x = plane[k - kmin];
     bw.put_bits(x, frontier);
     x = frontier < 64 ? (x >> frontier) : 0;
-    // Group-test + unary advance for the remainder.
     int m = frontier;
     while (m < n) {
-      const std::uint32_t has = (x != 0);
-      bw.put_bit(has);
-      if (!has) break;
-      while (m < n - 1) {
-        const auto b = static_cast<std::uint32_t>(x & 1);
-        bw.put_bit(b);
-        if (b) break;
-        x >>= 1;
-        ++m;
+      if (!x) {
+        bw.put_bit(0);  // group test: no more 1s this plane
+        break;
       }
-      // Consume the 1: explicit, or implicit at the last position (the
-      // group test already told the decoder a 1 remains).
-      x >>= 1;
-      ++m;
+      const int t = std::countr_zero(x);
+      if (m + t < n - 1) {
+        // Group-test 1, t zeros, the explicit 1.
+        bw.put_bits(1 | (std::uint64_t{2} << t), t + 2);
+        x >>= t + 1;
+        m += t + 1;
+      } else {
+        // The 1 sits at n-1: group-test 1 and t zeros; the 1 is implied.
+        bw.put_bits(1, t + 1);
+        m = n;
+      }
     }
-    frontier = std::max(frontier, m);
+    frontier = m;
   }
 }
 
 void decode_ints(BitReader& br, std::uint64_t* u, int n, int kmin) {
-  std::fill(u, u + n, 0);
+  if (kmin >= kIntPrec) {  // no coded planes (only a forged emax gets here)
+    std::fill(u, u + n, 0);
+    return;
+  }
+  constexpr int kWin = BitReader::kPeekMax;
+  std::array<std::uint64_t, 64> plane{};
   int frontier = 0;
   for (int k = kIntPrec - 1; k >= kmin; --k) {
     std::uint64_t x = br.get_bits(frontier);
     int m = frontier;
+    // Group tests and runs, read from a window of kWin stream bits that
+    // is consumed and re-peeked only when used up.
+    std::uint64_t win = br.peek_bits(kWin);
+    int used = 0;
     while (m < n) {
-      if (!br.get_bit()) break;  // group test: no more 1s this plane
-      while (m < n - 1) {
-        if (br.get_bit()) break;  // unary scan to the next 1
-        ++m;
+      if (used == kWin) {
+        br.consume(used);
+        win = br.peek_bits(kWin);
+        used = 0;
       }
-      x |= std::uint64_t{1} << m;  // explicit 1, or implicit at position n-1
+      if (!((win >> used++) & 1)) break;  // group test: no more 1s
+      // Unary run to the next 1; the 1 at n-1 is implicit.
+      for (;;) {
+        const int span = n - 1 - m;
+        const int look = std::min(span, kWin - used);
+        const std::uint64_t bits =
+            (win >> used) & ((std::uint64_t{1} << look) - 1);
+        if (bits) {
+          const int t = std::countr_zero(bits);
+          used += t + 1;
+          m += t;
+          break;
+        }
+        used += look;
+        m += look;
+        if (look == span) break;
+        br.consume(used);
+        win = br.peek_bits(kWin);
+        used = 0;
+      }
+      x |= std::uint64_t{1} << m;
       ++m;
     }
-    frontier = std::max(frontier, m);
-    for (int j = 0; j < n; ++j)
-      u[j] |= ((x >> j) & std::uint64_t{1}) << k;
+    br.consume(used);
+    frontier = m;
+    plane[k - kmin] = x;
   }
+  const int w = plane_width(kIntPrec - kmin);
+  transpose_lanes(plane.data(), w);
+  const std::uint64_t lane =
+      w == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << w) - 1;
+  for (int i = 0; i < n; ++i)
+    u[i] = ((plane[i & (w - 1)] >> (i & ~(w - 1))) & lane) << kmin;
 }
 
 // ---------------------------------------------------------------------------
 // Geometry: maps a global block index to a gather/scatter region, treating
 // 4D fields as a stack of 3D slices.
+
+// A block's place in the block grid: its slice and (z, y, x) block
+// coordinates.
+struct BlockPos {
+  std::size_t slice = 0;
+  std::array<std::size_t, 3> b{};
+};
 
 struct ZfpGeometry {
   int d = 1;                // intrinsic block dimensionality (1..3)
@@ -221,63 +301,72 @@ struct ZfpGeometry {
     g.total_blocks = g.slices * g.blocks_per_slice;
     return g;
   }
+
+  BlockPos pos(std::size_t block) const {
+    BlockPos p;
+    p.slice = block / blocks_per_slice;
+    block %= blocks_per_slice;
+    p.b[2] = block % bg[2];
+    block /= bg[2];
+    p.b[1] = block % bg[1];
+    p.b[0] = block / bg[1];
+    return p;
+  }
+
+  // Steps to the next block index (x fastest), so a sweep over a block
+  // range pays no div/mod per block.
+  void next(BlockPos& p) const {
+    for (int i = 2; i >= 0; --i) {
+      if (++p.b[i] < bg[i]) return;
+      p.b[i] = 0;
+    }
+    ++p.slice;
+  }
 };
+
+// The valid extent of a block along each axis: 4 inside the field, fewer
+// at its upper edges, 1 along unit (non-intrinsic) axes.
+std::array<std::size_t, 3> block_extent(const ZfpGeometry& g,
+                                        const BlockPos& p) {
+  std::array<std::size_t, 3> e;
+  for (int i = 0; i < 3; ++i)
+    e[i] = std::min<std::size_t>(4, g.n[i] - 4 * p.b[i]);
+  return e;
+}
 
 // Gathers one 4^d block (clamp-padded at edges) into vals[4^d].
 template <typename T>
-void gather_block(const ZfpGeometry& g, const T* base, std::size_t block,
+void gather_block(const ZfpGeometry& g, const T* base, const BlockPos& p,
                   double* vals) {
-  const std::size_t slice = block / g.blocks_per_slice;
-  std::size_t b = block % g.blocks_per_slice;
-  const T* src = base + slice * g.slice_elems;
-
-  // Block origin in (z, y, x).
-  const std::size_t bx = b % g.bg[2];
-  b /= g.bg[2];
-  const std::size_t by = b % g.bg[1];
-  const std::size_t bz = b / g.bg[1];
-  const std::size_t oz = bz * 4, oy = by * 4, ox = bx * 4;
-
-  const int nvals_z = g.d >= 3 ? 4 : 1;
-  const int nvals_y = g.d >= 2 ? 4 : 1;
+  const T* src = base + p.slice * g.slice_elems;
+  const auto e = block_extent(g, p);
+  const std::size_t nz = g.d >= 3 ? 4 : 1, ny = g.d >= 2 ? 4 : 1;
   int idx = 0;
-  for (int z = 0; z < nvals_z; ++z) {
-    const std::size_t cz = std::min(oz + z, g.n[0] - 1);
-    for (int y = 0; y < nvals_y; ++y) {
-      const std::size_t cy = std::min(oy + y, g.n[1] - 1);
-      for (int x = 0; x < 4; ++x) {
-        const std::size_t cx = std::min(ox + x, g.n[2] - 1);
-        vals[idx++] = static_cast<double>(
-            src[(cz * g.n[1] + cy) * g.n[2] + cx]);
-      }
+  for (std::size_t z = 0; z < nz; ++z) {
+    const std::size_t cz = 4 * p.b[0] + std::min(z, e[0] - 1);
+    for (std::size_t y = 0; y < ny; ++y) {
+      const std::size_t cy = 4 * p.b[1] + std::min(y, e[1] - 1);
+      const T* row = src + (cz * g.n[1] + cy) * g.n[2] + 4 * p.b[2];
+      for (std::size_t x = 0; x < 4; ++x)
+        vals[idx++] = static_cast<double>(row[std::min(x, e[2] - 1)]);
     }
   }
 }
 
 // Scatters the valid region of a reconstructed block back into the field.
 template <typename T>
-void scatter_block(const ZfpGeometry& g, T* base, std::size_t block,
+void scatter_block(const ZfpGeometry& g, T* base, const BlockPos& p,
                    const double* vals) {
-  const std::size_t slice = block / g.blocks_per_slice;
-  std::size_t b = block % g.blocks_per_slice;
-  T* dst = base + slice * g.slice_elems;
-
-  const std::size_t bx = b % g.bg[2];
-  b /= g.bg[2];
-  const std::size_t by = b % g.bg[1];
-  const std::size_t bz = b / g.bg[1];
-  const std::size_t oz = bz * 4, oy = by * 4, ox = bx * 4;
-
-  const int nvals_z = g.d >= 3 ? 4 : 1;
-  const int nvals_y = g.d >= 2 ? 4 : 1;
-  int idx = 0;
-  for (int z = 0; z < nvals_z; ++z) {
-    for (int y = 0; y < nvals_y; ++y) {
-      for (int x = 0; x < 4; ++x, ++idx) {
-        const std::size_t cz = oz + z, cy = oy + y, cx = ox + x;
-        if (cz >= g.n[0] || cy >= g.n[1] || cx >= g.n[2]) continue;
-        dst[(cz * g.n[1] + cy) * g.n[2] + cx] = static_cast<T>(vals[idx]);
-      }
+  T* dst = base + p.slice * g.slice_elems;
+  const auto e = block_extent(g, p);
+  const std::size_t ny = g.d >= 2 ? 4 : 1;
+  for (std::size_t z = 0; z < e[0]; ++z) {
+    for (std::size_t y = 0; y < e[1]; ++y) {
+      T* row = dst + ((4 * p.b[0] + z) * g.n[1] + 4 * p.b[1] + y) * g.n[2] +
+               4 * p.b[2];
+      const double* v = vals + (z * ny + y) * 4;
+      for (std::size_t x = 0; x < e[2]; ++x)
+        row[x] = static_cast<T>(v[x]);
     }
   }
 }
@@ -287,8 +376,19 @@ void scatter_block(const ZfpGeometry& g, T* base, std::size_t block,
 
 void encode_block(BitWriter& bw, const double* vals, int d, int minexp) {
   const int n = 1 << (2 * d);
-  double amax = 0.0;
-  for (int i = 0; i < n; ++i) amax = std::max(amax, std::fabs(vals[i]));
+  // Largest magnitude, in four lanes so the scan vectorizes (max is exact
+  // and order-free on finite input). The same pass rejects NaN and ±Inf,
+  // which the fixed-point conversion below cannot represent.
+  std::array<double, 4> lane{};
+  bool finite = true;
+  for (int i = 0; i < n; i += 4)
+    for (int l = 0; l < 4; ++l) {
+      const double a = std::fabs(vals[i + l]);
+      lane[l] = std::max(lane[l], a);
+      finite &= a <= std::numeric_limits<double>::max();
+    }
+  if (!finite) throw Unsupported("ZFP does not support non-finite values");
+  const double amax = *std::max_element(lane.begin(), lane.end());
 
   int emax = 0;
   if (amax > 0.0) std::frexp(amax, &emax);
@@ -342,7 +442,8 @@ void decode_block(BitReader& br, double* vals, int d, int minexp) {
 }
 
 int minexp_for(double tolerance) {
-  if (tolerance <= 0.0) return -1074;  // full precision
+  if (!(tolerance > 0.0)) return -1074;  // full precision (also NaN)
+  if (std::isinf(tolerance)) return 1024;  // just past log2(DBL_MAX)
   return static_cast<int>(std::floor(std::log2(tolerance)));
 }
 
@@ -365,8 +466,9 @@ Bytes zfp_compress_impl(const Field& field, const BlobHeader& header,
     const std::size_t hi = g.total_blocks * (c + 1) / nchunks;
     BitWriter bw;
     double vals[64];
-    for (std::size_t blk = lo; blk < hi; ++blk) {
-      gather_block(g, base, blk, vals);
+    BlockPos p = g.pos(lo);
+    for (std::size_t blk = lo; blk < hi; ++blk, g.next(p)) {
+      gather_block(g, base, p, vals);
       encode_block(bw, vals, g.d, minexp);
     }
     streams[c] = bw.take();
@@ -392,6 +494,10 @@ Field zfp_decompress_impl(const BlobHeader& header,
   ByteReader r(payload);
   const auto nchunks = r.read_pod<std::uint32_t>();
   EBLCIO_CHECK_STREAM(nchunks >= 1, "ZFP: empty stream table");
+  // Bound the untrusted count by the bytes its size table needs before
+  // allocating for it.
+  EBLCIO_CHECK_STREAM(nchunks <= r.remaining().size() / 8,
+                      "ZFP: stream table exceeds payload");
   std::vector<std::uint64_t> sizes(nchunks);
   for (auto& s : sizes) s = r.read_pod<std::uint64_t>();
 
@@ -401,9 +507,10 @@ Field zfp_decompress_impl(const BlobHeader& header,
     const std::size_t lo = g.total_blocks * c / nchunks;
     const std::size_t hi = g.total_blocks * (c + 1) / nchunks;
     BitReader br(r.read_bytes(sizes[c]));
-    for (std::size_t blk = lo; blk < hi; ++blk) {
+    BlockPos p = g.pos(lo);
+    for (std::size_t blk = lo; blk < hi; ++blk, g.next(p)) {
       decode_block(br, vals, g.d, minexp);
-      scatter_block(g, base, blk, vals);
+      scatter_block(g, base, p, vals);
     }
   }
   return Field("ZFP", std::move(arr));

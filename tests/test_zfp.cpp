@@ -1,11 +1,16 @@
-// ZFP compressor tests: transform correctness, fixed-accuracy bound
-// guarantees, the compression-only OpenMP policy.
+// ZFP compressor tests: fixed-accuracy bound guarantees, the
+// compression-only OpenMP policy, rejection of non-finite input and of
+// forged stream tables, and ZfpGolden, which freezes the embedded coder's
+// bytes: the stream, its decode, and the decode of truncated, shortened
+// and byte-flipped copies, across 1D-4D, f32/f64, four bounds and 1 or 4
+// sub-streams.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -159,6 +164,40 @@ TEST(Zfp, DoublePrecisionPath) {
   EXPECT_TRUE(check_value_range_bound(f, r, 1e-4));
 }
 
+TEST(Zfp, NonFiniteInputIsUnsupported) {
+  Compressor& c = compressor("ZFP");
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (double bad : kBad) {
+    for (int threads : {1, 4}) {
+      Field f = smooth_field_3d(16);
+      f.as<float>()[1234] = static_cast<float>(bad);
+      EXPECT_THROW(c.compress(f, rel(1e-3, threads)), Unsupported)
+          << bad << " threads=" << threads;
+      NdArray<double> arr(Shape{4, 8, 8, 8});
+      arr[300] = bad;
+      CompressOptions abs_opt = rel(1e-6, threads);
+      abs_opt.mode = BoundMode::kAbsolute;
+      EXPECT_THROW(c.compress(Field("f64", std::move(arr)), abs_opt),
+                   Unsupported)
+          << bad << " f64 threads=" << threads;
+    }
+  }
+}
+
+TEST(Zfp, ForgedChunkCountIsCorruptStream) {
+  // A real 16^3 blob with its stream-table count patched to 2^32 - 1: the
+  // decoder must reject the count before sizing a table for it.
+  Compressor& c = compressor("ZFP");
+  Bytes blob = c.compress(smooth_field_3d(16), rel(1e-3));
+  ByteReader r(blob);
+  (void)BlobHeader::decode(r);
+  const std::size_t at = blob.size() - r.remaining().size();
+  const std::uint32_t forged = 0xFFFFFFFFu;
+  std::memcpy(blob.data() + at, &forged, sizeof forged);
+  EXPECT_THROW(c.decompress(blob, 1), CorruptStream);
+}
 
 // --- ZfpGolden: the ZFP stream, frozen -------------------------------------
 //
