@@ -2,8 +2,13 @@
 // metadata, and the modeled HDF5-vs-NetCDF cost gap (Fig. 11 mechanism).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
+
 #include "common/buffer_pool.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "compressors/zone.h"
 #include "io/h5lite.h"
 #include "io/io_tool.h"
@@ -347,6 +352,169 @@ TEST(ChunkedCosts, MechanismGapShowsUpInChunkStreams) {
     total[t] += writer.close().total_seconds();
   }
   EXPECT_GT(total[1], total[0] * 1.5);
+}
+
+
+// --- IoGolden: the one-dataset files, frozen --------------------------------
+//
+// Every (tool, payload, clients) cell pins the FNV-1a of the file the tool
+// leaves on the PFS, bytes_written, prep_seconds and transfer_seconds (as
+// exact hex floats), and the FNV-1a of what read_field/read_blob hands back.
+// Payloads are pure Rng arithmetic, no libm, so the hashes are
+// host-independent. Any change that moves one of them changes a container
+// layout or a modeled cost. Re-harvest (only for an intentional format or
+// cost-model revision) with
+//   EBLCIO_DUMP_IO_GOLDEN=1 ./test_io_containers --gtest_filter='IoGolden.*'
+
+std::uint64_t fnv1a(std::span<const std::byte> data) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::byte b : data) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+template <typename T>
+Field golden_payload(std::string name, const std::vector<std::size_t>& dims) {
+  NdArray<T> arr(Shape{std::span<const std::size_t>(dims)});
+  Rng rng(0x10ULL + dims.size());
+  double v = 0.0;
+  for (std::size_t i = 0; i < arr.num_elements(); ++i) {
+    v = 0.75 * v + (rng.next_double() - 0.5);
+    arr[i] = static_cast<T>(v + 0.125 * static_cast<double>(i % 17));
+  }
+  return Field(std::move(name), std::move(arr));
+}
+
+struct IoGoldenCase {
+  const char* tool;
+  const char* payload;
+  int clients;
+  std::uint64_t file;
+  std::size_t bytes_written;
+  double prep_seconds, transfer_seconds;
+  std::uint64_t decoded;
+};
+
+constexpr IoGoldenCase kIoGolden[] = {
+    {"HDF5", "f32_3d_named", 1, 0x869165bd1f5350f9ULL, 4388,
+     0x1.5bd0660f2e4cp-16, 0x1.c8f3c2ffabe6p-11, 0xb768589f711169b0ULL},
+    {"HDF5", "f32_3d_named", 7, 0x869165bd1f5350f9ULL, 4388,
+     0x1.5bd0660f2e4cp-16, 0x1.03f122b426aa5p-10, 0xb768589f711169b0ULL},
+    {"HDF5", "f64_4d_unnamed", 1, 0x79d633b22adedeceULL, 2956,
+     0x1.57cf5548bd3eap-16, 0x1.c8af1e72620adp-11, 0x81485a7fcbe4fb52ULL},
+    {"HDF5", "f64_4d_unnamed", 7, 0x79d633b22adedeceULL, 2956,
+     0x1.57cf5548bd3eap-16, 0x1.03ce19615e4d2p-10, 0x81485a7fcbe4fb52ULL},
+    {"HDF5", "f32_3p5mib", 1, 0x39e8d36570da8e1dULL, 3670107,
+     0x1.4b2f4226afdbfp-11, 0x1.317f13866f9b4p-9, 0x2a808f9556e4ca37ULL},
+    {"HDF5", "f32_3p5mib", 7, 0x39e8d36570da8e1dULL, 3670107,
+     0x1.4b2f4226afdbfp-11, 0x1.44cde3f90e494p-9, 0x2a808f9556e4ca37ULL},
+    {"HDF5", "blob5000", 1, 0x0d8826c99ee5a6cdULL, 5088,
+     0x1.5dc57a6a76b8cp-16, 0x1.c91550eeed51ep-11, 0x11a066004d56dfffULL},
+    {"HDF5", "blob5000", 7, 0x0d8826c99ee5a6cdULL, 5088,
+     0x1.5dc57a6a76b8cp-16, 0x1.0402432645641p-10, 0x11a066004d56dfffULL},
+    {"NetCDF", "f32_3d_named", 1, 0xe3288dcd0ceba803ULL, 4374,
+     0x1.100ae50b5d006p-14, 0x1.43f3dd25af4e8p-9, 0xb768589f711169b0ULL},
+    {"NetCDF", "f32_3d_named", 7, 0xe3288dcd0ceba803ULL, 4374,
+     0x1.100ae50b5d006p-14, 0x1.53af7cdac70b7p-9, 0xb768589f711169b0ULL},
+    {"NetCDF", "f64_4d_unnamed", 1, 0x3ac95e527fec49edULL, 2942,
+     0x1.095e73c0a094dp-14, 0x1.43e2b4025cd7cp-9, 0x81485a7fcbe4fb52ULL},
+    {"NetCDF", "f64_4d_unnamed", 7, 0x3ac95e527fec49edULL, 2942,
+     0x1.095e73c0a094dp-14, 0x1.539df83162dcep-9, 0x81485a7fcbe4fb52ULL},
+    {"NetCDF", "f32_3p5mib", 1, 0xbb9fcf021a72142cULL, 3670069,
+     0x1.0f2dad83b615ap-8, 0x1.019adb25b74fdp-8, 0x2a808f9556e4ca37ULL},
+    {"NetCDF", "f32_3p5mib", 7, 0xbb9fcf021a72142cULL, 3670069,
+     0x1.0f2dad83b615ap-8, 0x1.0b42422826f3fp-8, 0x2a808f9556e4ca37ULL},
+    {"NetCDF", "blob5000", 1, 0x9bc16a4270e29742ULL, 5074,
+     0x1.134e06f8d5b5bp-14, 0x1.43fc40a17fa98p-9, 0x11a066004d56dfffULL},
+    {"NetCDF", "blob5000", 7, 0x9bc16a4270e29742ULL, 5074,
+     0x1.134e06f8d5b5bp-14, 0x1.53b80d13d6684p-9, 0x11a066004d56dfffULL},
+    {"ADIOS", "f32_3d_named", 1, 0x366e70aefb5d95e2ULL, 4394,
+     0x1.61f95e142139p-17, 0x1.e32aef8b8d79ep-11, 0xb768589f711169b0ULL},
+    {"ADIOS", "f32_3d_named", 7, 0x366e70aefb5d95e2ULL, 4394,
+     0x1.61f95e142139p-17, 0x1.110cb9be6ed7cp-10, 0xb768589f711169b0ULL},
+    {"ADIOS", "f64_4d_unnamed", 1, 0x7fd2e5c88e8075f1ULL, 2962,
+     0x1.5bf7c4ea77a5p-17, 0x1.e2e64afe439ebp-11, 0x81485a7fcbe4fb52ULL},
+    {"ADIOS", "f64_4d_unnamed", 7, 0x7fd2e5c88e8075f1ULL, 2962,
+     0x1.5bf7c4ea77a5p-17, 0x1.10e9b06ba67a8p-10, 0x81485a7fcbe4fb52ULL},
+    {"ADIOS", "f32_3p5mib", 1, 0x87ee77aed0403133ULL, 3670089,
+     0x1.eb881b3963c65p-12, 0x1.380c9508a2af9p-9, 0x2a808f9556e4ca37ULL},
+    {"ADIOS", "f32_3p5mib", 7, 0x87ee77aed0403133ULL, 3670089,
+     0x1.eb881b3963c65p-12, 0x1.4b5b6454be485p-9, 0x2a808f9556e4ca37ULL},
+    {"ADIOS", "blob5000", 1, 0x058d4018da9c192eULL, 5094,
+     0x1.64e8fc9d0ddc3p-17, 0x1.e34c7d7acee5bp-11, 0x11a066004d56dfffULL},
+    {"ADIOS", "blob5000", 7, 0x058d4018da9c192eULL, 5094,
+     0x1.64e8fc9d0ddc3p-17, 0x1.111dda308d917p-10, 0x11a066004d56dfffULL},
+};
+
+// Writes `payload` through `tool` on a fresh PFS and reports the cell.
+IoGoldenCase io_golden_cell(const char* tool, const char* payload,
+                            int clients) {
+  IoTool& io = io_tool(tool);
+  PfsSimulator pfs;
+  const std::string p = payload;
+  IoCost cost;
+  std::uint64_t decoded = 0;
+  if (p == "blob5000") {
+    Bytes blob(5000);
+    Rng rng(0xb10bULL);
+    for (auto& b : blob) b = static_cast<std::byte>(rng.next_below(256));
+    cost = io.write_blob(pfs, "/g", "compressed", blob, clients);
+    decoded = fnv1a(io.read_blob(pfs, "/g", "compressed"));
+  } else {
+    const Field f =
+        p == "f32_3d_named" ? golden_payload<float>("temp", {12, 10, 9})
+        : p == "f64_4d_unnamed" ? golden_payload<double>("", {3, 4, 5, 6})
+                                : golden_payload<float>("big", {14, 256, 256});
+    cost = io.write_field(pfs, "/g", f, clients);
+    const Field back = io.read_field(pfs, "/g");
+    EXPECT_EQ(back.shape(), f.shape());
+    EXPECT_EQ(back.name(), f.name().empty() ? "data" : f.name());
+    decoded = fnv1a(back.bytes());
+  }
+  return {tool,
+          payload,
+          clients,
+          fnv1a(pfs.read_file("/g")),
+          cost.bytes_written,
+          cost.prep_seconds,
+          cost.transfer_seconds,
+          decoded};
+}
+
+TEST(IoGolden, WholeFileBytesAndCostsArePinned) {
+  const bool dump = std::getenv("EBLCIO_DUMP_IO_GOLDEN") != nullptr;
+  std::size_t i = 0;
+  for (const char* tool : {"HDF5", "NetCDF", "ADIOS"})
+    for (const char* payload :
+         {"f32_3d_named", "f64_4d_unnamed", "f32_3p5mib", "blob5000"})
+      for (int clients : {1, 7}) {
+        const IoGoldenCase got = io_golden_cell(tool, payload, clients);
+        if (dump) {
+          std::printf(
+              "    {\"%s\", \"%s\", %d, 0x%016llxULL, %zu,\n"
+              "     %a, %a, 0x%016llxULL},\n",
+              tool, payload, clients,
+              static_cast<unsigned long long>(got.file), got.bytes_written,
+              got.prep_seconds, got.transfer_seconds,
+              static_cast<unsigned long long>(got.decoded));
+          continue;
+        }
+        ASSERT_LT(i, std::size(kIoGolden));
+        const IoGoldenCase& want = kIoGolden[i++];
+        SCOPED_TRACE(std::string(tool) + " " + payload + " x" +
+                     std::to_string(clients));
+        ASSERT_STREQ(want.tool, tool);
+        ASSERT_STREQ(want.payload, payload);
+        ASSERT_EQ(want.clients, clients);
+        EXPECT_EQ(got.file, want.file);
+        EXPECT_EQ(got.bytes_written, want.bytes_written);
+        EXPECT_EQ(got.prep_seconds, want.prep_seconds);
+        EXPECT_EQ(got.transfer_seconds, want.transfer_seconds);
+        EXPECT_EQ(got.decoded, want.decoded);
+      }
+  if (!dump) EXPECT_EQ(i, std::size(kIoGolden));
 }
 
 }  // namespace
