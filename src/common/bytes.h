@@ -1,5 +1,5 @@
 // Little-endian POD serialization helpers used by every on-disk/in-blob
-// format in the library (compressed headers, H5Lite/NcLite containers).
+// format in the library (compressed headers, the I/O tools' containers).
 #pragma once
 
 #include <cstddef>
@@ -35,6 +35,8 @@ inline void append_string(Bytes& out, const std::string& s) {
 }
 
 // Sequential reader over a byte span; throws CorruptStream on underrun.
+// Every bound is checked as `n <= size - pos` (pos never passes size), so
+// a forged length near 2^64 cannot wrap the check.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::byte> data) : data_(data) {}
@@ -42,27 +44,20 @@ class ByteReader {
   template <typename T>
   T read_pod() {
     static_assert(std::is_trivially_copyable_v<T>);
-    EBLCIO_CHECK_STREAM(pos_ + sizeof(T) <= data_.size(),
-                        "unexpected end of stream");
+    skip(sizeof(T));
     T v;
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
+    std::memcpy(&v, data_.data() + pos_ - sizeof(T), sizeof(T));
     return v;
   }
 
   std::string read_string() {
-    const auto n = read_pod<std::uint32_t>();
-    EBLCIO_CHECK_STREAM(pos_ + n <= data_.size(), "unexpected end of stream");
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
+    const auto s = read_bytes(read_pod<std::uint32_t>());
+    return std::string(reinterpret_cast<const char*>(s.data()), s.size());
   }
 
   std::span<const std::byte> read_bytes(std::size_t n) {
-    EBLCIO_CHECK_STREAM(pos_ + n <= data_.size(), "unexpected end of stream");
-    auto s = data_.subspan(pos_, n);
-    pos_ += n;
-    return s;
+    skip(n);
+    return data_.subspan(pos_ - n, n);
   }
 
   void skip(std::size_t n) {

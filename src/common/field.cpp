@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 
 namespace eblcio {
@@ -16,6 +17,22 @@ std::span<const std::byte> Field::bytes() const {
     return std::span<const std::byte>(
         reinterpret_cast<const std::byte*>(arr.data()), arr.size_bytes());
   });
+}
+
+Field field_from_bytes(std::string name, DType dtype,
+                       std::span<const std::size_t> dims,
+                       std::span<const std::byte> raw) {
+  const auto n = checked_num_elements(dims, dtype_size(dtype));
+  EBLCIO_CHECK_STREAM(dims.size() >= 1 && dims.size() <= kMaxDims && n &&
+                          *n * dtype_size(dtype) == raw.size(),
+                      "field bytes do not match their shape");
+  auto rebuild = [&](auto arr) {
+    std::memcpy(arr.data(), raw.data(), raw.size());
+    return Field(std::move(name), std::move(arr));
+  };
+  const Shape shape{dims};
+  return dtype == DType::kFloat32 ? rebuild(NdArray<float>(shape))
+                                  : rebuild(NdArray<double>(shape));
 }
 
 Field::Range Field::value_range() const {

@@ -80,4 +80,11 @@ class Field {
   std::variant<NdArray<float>, NdArray<double>> data_;
 };
 
+// Rebuilds a field from the exact raw bytes of its buffer (a container
+// dataset or a lossless payload). Throws CorruptStream unless `dims` is a
+// valid shape whose byte size is raw.size().
+Field field_from_bytes(std::string name, DType dtype,
+                       std::span<const std::size_t> dims,
+                       std::span<const std::byte> raw);
+
 }  // namespace eblcio

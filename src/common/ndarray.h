@@ -8,7 +8,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,29 +22,38 @@ namespace eblcio {
 // sets span 1D (HACC) to 4D (S3D).
 inline constexpr int kMaxDims = 4;
 
+// Element count of an array with extents `dims`, or nullopt when an
+// extent is zero or the count times `elem_bytes` does not fit in size_t.
+// Every shape read from untrusted bytes passes this before anything is
+// sized from it.
+inline std::optional<std::size_t> checked_num_elements(
+    std::span<const std::size_t> dims, std::size_t elem_bytes = 1) {
+  std::size_t bytes = elem_bytes;
+  for (std::size_t d : dims) {
+    if (d == 0 || bytes > std::numeric_limits<std::size_t>::max() / d)
+      return std::nullopt;
+    bytes *= d;
+  }
+  return bytes / elem_bytes;
+}
+
 // Shape of a k-d array. Dimensions are stored slowest-varying first
 // (row-major), matching SDRBench conventions (e.g. CESM is 26x1800x3600).
+// A shape's element count always fits in size_t, in bytes of the widest
+// element type (double).
 class Shape {
  public:
   Shape() = default;
-  Shape(std::initializer_list<std::size_t> dims) {
-    EBLCIO_CHECK_ARG(dims.size() >= 1 && dims.size() <= kMaxDims,
-                     "shape must have 1..4 dimensions");
-    ndims_ = static_cast<int>(dims.size());
-    int i = 0;
-    for (std::size_t d : dims) {
-      EBLCIO_CHECK_ARG(d > 0, "shape dimensions must be positive");
-      dims_[i++] = d;
-    }
-  }
+  Shape(std::initializer_list<std::size_t> dims)
+      : Shape(std::span<const std::size_t>(dims.begin(), dims.size())) {}
   explicit Shape(std::span<const std::size_t> dims) {
     EBLCIO_CHECK_ARG(dims.size() >= 1 && dims.size() <= kMaxDims,
                      "shape must have 1..4 dimensions");
+    EBLCIO_CHECK_ARG(checked_num_elements(dims, sizeof(double)).has_value(),
+                     "shape dimensions must be positive and their product "
+                     "must fit in memory");
     ndims_ = static_cast<int>(dims.size());
-    for (int i = 0; i < ndims_; ++i) {
-      EBLCIO_CHECK_ARG(dims[i] > 0, "shape dimensions must be positive");
-      dims_[i] = dims[i];
-    }
+    for (int i = 0; i < ndims_; ++i) dims_[i] = dims[i];
   }
 
   int ndims() const { return ndims_; }

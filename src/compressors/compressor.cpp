@@ -80,6 +80,9 @@ BlobHeader BlobHeader::decode(ByteReader& r) {
   EBLCIO_CHECK_STREAM(nd >= 1 && nd <= kMaxDims, "bad blob dims");
   for (int i = 0; i < nd; ++i)
     h.dims.push_back(static_cast<std::size_t>(r.read_pod<std::uint64_t>()));
+  EBLCIO_CHECK_STREAM(checked_num_elements(h.dims, dtype_size(h.dtype)),
+                      "bad blob dims: zero extent or element count "
+                      "overflow");
   h.abs_error_bound = r.read_pod<double>();
   const auto mode = r.read_pod<std::uint8_t>();
   EBLCIO_CHECK_STREAM(mode <= static_cast<std::uint8_t>(BoundMode::kLossless),

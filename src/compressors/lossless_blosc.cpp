@@ -27,7 +27,7 @@ Field BloscLikeCompressor::decompress(std::span<const std::byte> blob,
   const BlobHeader header = BlobHeader::decode(r);
   const Bytes shuffled = lz_decompress(r.remaining());
   const Bytes raw = unshuffle_bytes(shuffled, dtype_size(header.dtype));
-  return field_from_bytes(header, raw);
+  return field_from_bytes(header.codec, header.dtype, header.dims, raw);
 }
 
 }  // namespace eblcio

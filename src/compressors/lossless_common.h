@@ -1,10 +1,7 @@
-// Shared plumbing for the lossless baselines: header construction and
-// rebuilding a typed Field from exact raw bytes.
+// Shared plumbing for the lossless baselines: header construction (a
+// payload decodes back through common/field.h's field_from_bytes).
 #pragma once
 
-#include <cstring>
-
-#include "common/error.h"
 #include "compressors/compressor.h"
 
 namespace eblcio {
@@ -20,21 +17,6 @@ inline BlobHeader lossless_header(const std::string& codec,
   h.requested_mode = opt.mode;
   h.requested_bound = 0.0;
   return h;
-}
-
-inline Field field_from_bytes(const BlobHeader& header,
-                              std::span<const std::byte> raw) {
-  const Shape shape{std::span<const std::size_t>(header.dims)};
-  const std::size_t expect = shape.num_elements() * dtype_size(header.dtype);
-  EBLCIO_CHECK_STREAM(raw.size() == expect, "lossless: payload size mismatch");
-  if (header.dtype == DType::kFloat32) {
-    NdArray<float> arr(shape);
-    std::memcpy(arr.data(), raw.data(), raw.size());
-    return Field(header.codec, std::move(arr));
-  }
-  NdArray<double> arr(shape);
-  std::memcpy(arr.data(), raw.data(), raw.size());
-  return Field(header.codec, std::move(arr));
 }
 
 }  // namespace eblcio

@@ -146,7 +146,7 @@ Field FpcCompressor::decompress(std::span<const std::byte> blob,
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
   const Bytes raw = fpc_decompress_words(r.remaining());
-  return field_from_bytes(header, raw);
+  return field_from_bytes(header.codec, header.dtype, header.dims, raw);
 }
 
 }  // namespace eblcio

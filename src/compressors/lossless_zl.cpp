@@ -18,7 +18,7 @@ Field ZlCompressor::decompress(std::span<const std::byte> blob,
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
   const Bytes raw = lz_decompress(r.remaining());
-  return field_from_bytes(header, raw);
+  return field_from_bytes(header.codec, header.dtype, header.dims, raw);
 }
 
 }  // namespace eblcio

@@ -6,17 +6,219 @@
 
 #include "common/buffer_pool.h"
 #include "common/error.h"
-#include "io/adioslite.h"
-#include "io/h5lite.h"
-#include "io/nclite.h"
 
 namespace eblcio {
+
+// A library's row: its name, its one-dataset file layout, and the cost
+// constants of its write mechanism. Chunked containers share one wire
+// format (below) and differ only in the cost constants.
+struct IoTool::Profile {
+  enum class Layout {
+    kChunkTable,      // magic, version, count, meta, total, (len, bytes)...
+    kHeaderThenData,  // magic, count, meta, size; then the data section
+    kDataThenFooter,  // magic, data; footer index; footer start offset
+  };
+  const char* name;
+  Layout layout;
+  std::uint32_t magic;
+  double prep_bandwidth_bps;  // serialization / staging throughput
+  double per_item_prep_s;     // fixed prep per file, chunk, header or footer
+  int header_syncs;  // NetCDF-style header rewrites (enddef + close; open each)
+  int chunked_footer_rpcs;  // chunked close: index commit (RPC each)
+  bool staging_copy;        // data really passes through a conversion buffer
+
+  // Prep time for one file (or chunk, header, footer) of `bytes`.
+  double prep_seconds(std::size_t bytes) const {
+    return per_item_prep_s + static_cast<double>(bytes) / prep_bandwidth_bps;
+  }
+  // A one-dataset file commits a footer index only in the BP layout.
+  int file_footer_rpcs() const {
+    return layout == Layout::kDataThenFooter ? 1 : 0;
+  }
+};
+
 namespace {
+
+using Layout = IoTool::Profile::Layout;
+
+// The libraries (Fig. 11 mechanisms). HDF5 writes chunks direct from the
+// caller's buffer and commits its chunk B-tree with one RPC. Classic
+// NetCDF stages all data through a single-threaded conversion buffer and
+// rewrites its monolithic header on enddef and close. ADIOS/BP appends
+// large sequential segments and commits one footer index at close — the
+// cheapest write path of the three.
+constexpr IoTool::Profile kProfiles[] = {
+    {"HDF5", Layout::kChunkTable, 0x494c3548 /* "H5LI" */, 6.0e9, 2.0e-5, 0,
+     1, false},
+    {"NetCDF", Layout::kHeaderThenData, 0x05464443 /* "CDF\x05" */, 0.9e9,
+     6.0e-5, 2, 0, true},
+    {"ADIOS", Layout::kDataThenFooter, 0x4f494442 /* "BDIO" */, 8.0e9,
+     1.0e-5, 0, 1, false},
+};
+
+constexpr std::uint16_t kH5Version = 1;
+constexpr std::size_t kH5ChunkSize = 1u << 20;
+constexpr std::uint32_t kBpFooterMagic = 0x52544f46;  // "FOTR"
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return s;
+}
+
+// The classic-model conversion buffer: `data` really passes through an
+// intermediate pooled copy; the caller releases it to the BufferPool.
+Bytes staged_copy(std::span<const std::byte> data) {
+  Bytes staged = BufferPool::global().acquire(data.size());
+  staged.resize(data.size());
+  std::memcpy(staged.data(), data.data(), data.size());
+  return staged;
+}
+
+// The dataset metadata codec every container shares: name, dtype, rank
+// (u8 in the one-dataset files, u32 in the chunked header), dims and
+// string attributes.
+template <typename Rank>
+void append_meta(Bytes& out, const ChunkedDatasetMeta& meta) {
+  append_string(out, meta.name);
+  append_pod<std::uint8_t>(out, meta.dtype_code);
+  append_pod<Rank>(out, static_cast<Rank>(meta.dims.size()));
+  for (std::size_t d : meta.dims) append_pod<std::uint64_t>(out, d);
+  append_pod<std::uint32_t>(out,
+                            static_cast<std::uint32_t>(meta.attributes.size()));
+  for (const auto& [k, v] : meta.attributes) {
+    append_string(out, k);
+    append_string(out, v);
+  }
+}
+
+template <typename Rank>
+ChunkedDatasetMeta read_meta(ByteReader& r) {
+  ChunkedDatasetMeta meta;
+  meta.name = r.read_string();
+  meta.dtype_code = r.read_pod<std::uint8_t>();
+  const auto ndims = r.read_pod<Rank>();
+  for (Rank i = 0; i < ndims; ++i)
+    meta.dims.push_back(static_cast<std::size_t>(r.read_pod<std::uint64_t>()));
+  const auto nattrs = r.read_pod<std::uint32_t>();
+  for (std::uint32_t i = 0; i < nattrs; ++i) {
+    std::string k = r.read_string();
+    meta.attributes[k] = r.read_string();
+  }
+  return meta;
+}
+
+// Production files hold one dataset; any other count is malformed.
+void read_dataset_count(ByteReader& r, const char* tool) {
+  EBLCIO_CHECK_STREAM(r.read_pod<std::uint32_t>() == 1,
+                      std::string(tool) + ": file does not hold one dataset");
+}
+
+// Serializes one dataset in `p`'s layout.
+Bytes encode_file(const IoTool::Profile& p, const ChunkedDatasetMeta& meta,
+                  std::span<const std::byte> data) {
+  Bytes out;
+  append_pod<std::uint32_t>(out, p.magic);
+  switch (p.layout) {
+    case Layout::kChunkTable: {
+      append_pod<std::uint16_t>(out, kH5Version);
+      append_pod<std::uint32_t>(out, 1);
+      append_meta<std::uint8_t>(out, meta);
+      const std::size_t nchunks =
+          (data.size() + kH5ChunkSize - 1) / kH5ChunkSize;
+      append_pod<std::uint64_t>(out, data.size());
+      append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(nchunks));
+      for (std::size_t off = 0; off < data.size(); off += kH5ChunkSize) {
+        const auto chunk = data.subspan(off, std::min(kH5ChunkSize,
+                                                      data.size() - off));
+        append_pod<std::uint64_t>(out, chunk.size());
+        append_bytes(out, chunk);
+      }
+      break;
+    }
+    case Layout::kHeaderThenData:
+      append_pod<std::uint32_t>(out, 1);
+      append_meta<std::uint8_t>(out, meta);
+      append_pod<std::uint64_t>(out, data.size());
+      append_bytes(out, data);
+      break;
+    case Layout::kDataThenFooter: {
+      const std::uint64_t data_start = out.size();
+      append_bytes(out, data);
+      const std::uint64_t footer_start = out.size();
+      append_pod<std::uint32_t>(out, kBpFooterMagic);
+      append_pod<std::uint32_t>(out, 1);
+      append_meta<std::uint8_t>(out, meta);
+      append_pod<std::uint64_t>(out, data_start);
+      append_pod<std::uint64_t>(out, data.size());
+      append_pod<std::uint64_t>(out, footer_start);
+      break;
+    }
+  }
+  return out;
+}
+
+// Parses a file in `p`'s layout into its dataset's metadata and bytes.
+// Every length and offset is checked against the bytes actually present
+// before anything is sized from it.
+ChunkedDatasetMeta decode_file(const IoTool::Profile& p,
+                               std::span<const std::byte> bytes, Bytes& data) {
+  const std::string bad = std::string(p.name) + ": ";
+  ByteReader r(bytes);
+  EBLCIO_CHECK_STREAM(r.read_pod<std::uint32_t>() == p.magic,
+                      bad + "bad magic");
+  ChunkedDatasetMeta meta;
+  switch (p.layout) {
+    case Layout::kChunkTable: {
+      EBLCIO_CHECK_STREAM(r.read_pod<std::uint16_t>() == kH5Version,
+                          bad + "bad version");
+      read_dataset_count(r, p.name);
+      meta = read_meta<std::uint8_t>(r);
+      const auto total = r.read_pod<std::uint64_t>();
+      const auto nchunks = r.read_pod<std::uint32_t>();
+      EBLCIO_CHECK_STREAM(total <= r.remaining().size(),
+                          bad + "data size past end of file");
+      data.reserve(static_cast<std::size_t>(total));
+      for (std::uint32_t c = 0; c < nchunks; ++c) {
+        const auto chunk =
+            r.read_bytes(static_cast<std::size_t>(r.read_pod<std::uint64_t>()));
+        data.insert(data.end(), chunk.begin(), chunk.end());
+      }
+      EBLCIO_CHECK_STREAM(data.size() == total, bad + "chunk size mismatch");
+      break;
+    }
+    case Layout::kHeaderThenData: {
+      read_dataset_count(r, p.name);
+      meta = read_meta<std::uint8_t>(r);
+      const auto size = r.read_pod<std::uint64_t>();
+      const auto section = r.read_bytes(static_cast<std::size_t>(size));
+      data.assign(section.begin(), section.end());
+      break;
+    }
+    case Layout::kDataThenFooter: {
+      // The footer's start offset lives in the trailing 8 bytes.
+      EBLCIO_CHECK_STREAM(bytes.size() >= 12, bad + "file too small");
+      std::uint64_t footer_start = 0;
+      std::memcpy(&footer_start, bytes.data() + bytes.size() - 8, 8);
+      EBLCIO_CHECK_STREAM(footer_start <= bytes.size() - 8,
+                          bad + "bad footer offset");
+      ByteReader f(bytes.subspan(static_cast<std::size_t>(footer_start)));
+      EBLCIO_CHECK_STREAM(f.read_pod<std::uint32_t>() == kBpFooterMagic,
+                          bad + "bad footer magic");
+      read_dataset_count(f, p.name);
+      meta = read_meta<std::uint8_t>(f);
+      const auto offset = f.read_pod<std::uint64_t>();
+      const auto size = f.read_pod<std::uint64_t>();
+      EBLCIO_CHECK_STREAM(offset <= footer_start &&
+                              size <= footer_start - offset,
+                          bad + "segment out of range");
+      const auto segment = bytes.subspan(static_cast<std::size_t>(offset),
+                                         static_cast<std::size_t>(size));
+      data.assign(segment.begin(), segment.end());
+      break;
+    }
+  }
+  return meta;
 }
 
 // Shared chunked-container framing. The header is written at open, chunks
@@ -38,16 +240,7 @@ Bytes encode_chunk_header(const std::string& tool,
   append_pod<std::uint32_t>(out, kChunkMagic);
   append_pod<std::uint16_t>(out, kZonedVersion);
   append_string(out, tool);
-  append_string(out, meta.name);
-  append_pod<std::uint8_t>(out, meta.dtype_code);
-  append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(meta.dims.size()));
-  for (std::size_t d : meta.dims) append_pod<std::uint64_t>(out, d);
-  append_pod<std::uint32_t>(out,
-                            static_cast<std::uint32_t>(meta.attributes.size()));
-  for (const auto& [k, v] : meta.attributes) {
-    append_string(out, k);
-    append_string(out, v);
-  }
+  append_meta<std::uint32_t>(out, meta);
   return out;
 }
 
@@ -62,18 +255,7 @@ ChunkedDatasetMeta decode_chunk_header(std::span<const std::byte> bytes,
   EBLCIO_CHECK_STREAM(tool == expected_tool,
                       "chunked container was written by " + tool +
                           ", not " + expected_tool);
-  ChunkedDatasetMeta meta;
-  meta.name = r.read_string();
-  meta.dtype_code = r.read_pod<std::uint8_t>();
-  const auto ndims = r.read_pod<std::uint32_t>();
-  for (std::uint32_t i = 0; i < ndims; ++i)
-    meta.dims.push_back(static_cast<std::size_t>(r.read_pod<std::uint64_t>()));
-  const auto nattrs = r.read_pod<std::uint32_t>();
-  for (std::uint32_t i = 0; i < nattrs; ++i) {
-    std::string k = r.read_string();
-    meta.attributes[k] = r.read_string();
-  }
-  return meta;
+  return read_meta<std::uint32_t>(r);
 }
 
 Bytes encode_zone_footer(const std::vector<ChunkExtent>& extents,
@@ -102,7 +284,7 @@ IoTool::ChunkWriter::ChunkWriter(const IoTool* tool, PfsSimulator& pfs,
       stream_(pfs.open_append(path)),
       path_(std::move(path)),
       meta_(std::move(meta)) {
-  const ChunkProfile profile = tool_->chunk_profile();
+  const Profile& profile = tool_->profile_;
   const Bytes header = encode_chunk_header(tool_->name(), meta_);
   open_cost_.prep_seconds = profile.prep_seconds(header.size());
   open_cost_.transfer_seconds = stream_.append(header).seconds;
@@ -126,7 +308,7 @@ IoCost IoTool::ChunkWriter::append_zone(std::span<const std::byte> chunk,
       zones_.empty() ? 0 : zones_.back().row_start + zones_.back().rows;
   EBLCIO_CHECK_ARG(zone.row_start == expected,
                    "zone extents must partition the rows in order: " + path_);
-  const ChunkProfile profile = tool_->chunk_profile();
+  const Profile& profile = tool_->profile_;
 
   IoCost cost;
   cost.prep_seconds = profile.prep_seconds(chunk.size());
@@ -151,9 +333,7 @@ IoCost IoTool::ChunkWriter::append_zone(std::span<const std::byte> chunk,
     // pooled buffer — append() lands the bytes in the PFS stripes, so the
     // staging allocation recycles across chunks.
     extent.offset = stream_.bytes_written();
-    Bytes staged = BufferPool::global().acquire(chunk.size());
-    staged.resize(chunk.size());
-    std::memcpy(staged.data(), chunk.data(), chunk.size());
+    Bytes staged = staged_copy(chunk);
     cost.transfer_seconds = stream_.append(staged, concurrent_clients).seconds;
     BufferPool::global().release(std::move(staged));
   } else {
@@ -175,7 +355,7 @@ IoCost IoTool::ChunkWriter::close(int concurrent_clients) {
       zones_.empty() ? 0 : zones_.back().row_start + zones_.back().rows;
   EBLCIO_CHECK_ARG(!meta_.dims.empty() && covered == meta_.dims[0],
                    "zone extents do not cover the dataset rows: " + path_);
-  const ChunkProfile profile = tool_->chunk_profile();
+  const Profile& profile = tool_->profile_;
   const PfsConfig& pfs_config = stream_.pfs().config();
 
   const std::uint64_t footer_start =
@@ -185,8 +365,8 @@ IoCost IoTool::ChunkWriter::close(int concurrent_clients) {
   cost.prep_seconds = profile.prep_seconds(footer.size());
   cost.transfer_seconds =
       stream_.append(footer, concurrent_clients).seconds +
-      profile.close_header_syncs * pfs_config.open_latency_s +
-      profile.close_footer_rpcs * pfs_config.rpc_latency_s;
+      profile.header_syncs * pfs_config.open_latency_s +
+      profile.chunked_footer_rpcs * pfs_config.rpc_latency_s;
   cost.bytes_written = footer.size();
   closed_ = true;
   return cost;
@@ -215,7 +395,7 @@ IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
                                  const std::string& path,
                                  int concurrent_clients)
     : tool_(tool), stream_(pfs.open_read(path)) {
-  const ChunkProfile profile = tool_->chunk_profile();
+  const Profile& profile = tool_->profile_;
   const std::size_t size = stream_.size();
   EBLCIO_CHECK_STREAM(size >= 8 + 4 + 2,
                       "chunked container too small: " + path);
@@ -338,14 +518,12 @@ Bytes IoTool::ChunkReader::await_chunk(std::size_t handle, std::size_t i,
     cost.transfer_seconds = parked_[i]->cost.seconds;
     parked_[i].reset();
   }
-  const ChunkProfile profile = tool_->chunk_profile();
+  const Profile& profile = tool_->profile_;
   if (profile.staging_copy) {
     // Mirror the write path: the classic library stages fetched data
     // through its conversion buffer before handing it to the caller. The
     // drained fetch buffer goes straight back to the pool.
-    Bytes staged = BufferPool::global().acquire(data.size());
-    staged.resize(data.size());
-    std::memcpy(staged.data(), data.data(), data.size());
+    Bytes staged = staged_copy(data);
     BufferPool::global().release(std::move(data));
     data = std::move(staged);
   }
@@ -372,14 +550,80 @@ IoTool::ChunkReader IoTool::open_chunked_reader(PfsSimulator& pfs,
   return ChunkReader(this, pfs, path, concurrent_clients);
 }
 
+// --- one-dataset files -----------------------------------------------------
+
+std::string IoTool::name() const { return profile_.name; }
+
+IoCost IoTool::write_dataset(PfsSimulator& pfs, const std::string& path,
+                             const ChunkedDatasetMeta& meta,
+                             std::span<const std::byte> data,
+                             int concurrent_clients) const {
+  // A staging_copy library passes the data through its conversion buffer
+  // on the way into the file.
+  Bytes staged;
+  if (profile_.staging_copy) {
+    staged.assign(data.begin(), data.end());
+    data = staged;
+  }
+  const Bytes encoded = encode_file(profile_, meta, data);
+
+  IoCost cost;
+  cost.prep_seconds = profile_.prep_seconds(encoded.size());
+  cost.transfer_seconds =
+      pfs.write_file(path, encoded, concurrent_clients).seconds +
+      profile_.header_syncs * pfs.config().open_latency_s +
+      profile_.file_footer_rpcs() * pfs.config().rpc_latency_s;
+  cost.bytes_written = encoded.size();
+  return cost;
+}
+
+IoCost IoTool::write_field(PfsSimulator& pfs, const std::string& path,
+                           const Field& field, int concurrent_clients) const {
+  ChunkedDatasetMeta meta;
+  meta.name = field.name().empty() ? "data" : field.name();
+  meta.dtype_code = field.dtype() == DType::kFloat32 ? 0 : 1;
+  meta.dims = field.shape().dims_vector();
+  return write_dataset(pfs, path, meta, field.bytes(), concurrent_clients);
+}
+
+IoCost IoTool::write_blob(PfsSimulator& pfs, const std::string& path,
+                          const std::string& dataset_name,
+                          std::span<const std::byte> blob,
+                          int concurrent_clients) const {
+  ChunkedDatasetMeta meta;
+  meta.name = dataset_name;
+  meta.dims = {blob.size()};
+  meta.attributes["content"] = "eblc-compressed";
+  return write_dataset(pfs, path, meta, blob, concurrent_clients);
+}
+
+Field IoTool::read_field(PfsSimulator& pfs, const std::string& path) const {
+  Bytes data;
+  const ChunkedDatasetMeta meta =
+      decode_file(profile_, pfs.read_file(path), data);
+  EBLCIO_CHECK_STREAM(meta.dtype_code <= 1,
+                      name() + ": dataset is not a field");
+  return field_from_bytes(meta.name, static_cast<DType>(meta.dtype_code),
+                          meta.dims, data);
+}
+
+Bytes IoTool::read_blob(PfsSimulator& pfs, const std::string& path,
+                        const std::string& dataset_name) const {
+  Bytes data;
+  const ChunkedDatasetMeta meta =
+      decode_file(profile_, pfs.read_file(path), data);
+  EBLCIO_CHECK_ARG(meta.name == dataset_name,
+                   name() + ": no dataset named " + dataset_name);
+  return data;
+}
+
 IoTool& io_tool(const std::string& name) {
-  static H5LiteTool h5;
-  static NcLiteTool nc;
-  static AdiosLiteTool bp;
+  static IoTool tools[] = {IoTool(kProfiles[0]), IoTool(kProfiles[1]),
+                           IoTool(kProfiles[2])};
   const std::string key = lower(name);
-  if (key == "hdf5" || key == "h5") return h5;
-  if (key == "netcdf" || key == "nc") return nc;
-  if (key == "adios" || key == "bp") return bp;
+  if (key == "hdf5" || key == "h5") return tools[0];
+  if (key == "netcdf" || key == "nc") return tools[1];
+  if (key == "adios" || key == "bp") return tools[2];
   throw InvalidArgument("unknown I/O tool: " + name);
 }
 

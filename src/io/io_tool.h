@@ -5,6 +5,17 @@
 // through the PFS simulator. The returned cost separates container
 // preparation time (real serialization work, charged as compute) from PFS
 // transfer time, because the two phases draw different power.
+//
+// There is one IoTool class; HDF5, NetCDF and ADIOS are three rows of a
+// profile table in io_tool.cpp. A row names the library, fixes its
+// one-dataset file layout (HDF5: header + 1 MiB chunk table; NetCDF: header
+// then data; ADIOS: data then footer index) and holds the cost constants
+// its mechanism implies: prep bandwidth and per-item prep, header rewrites,
+// footer-commit RPCs, and whether data really stages through a conversion
+// buffer. Every read, write and cost formula is written once over the row.
+// A one-dataset file costs prep_seconds(file bytes) as prep, and the PFS
+// write plus header_syncs x open latency plus the layout's footer-commit
+// RPC (ADIOS only) as transfer.
 #pragma once
 
 #include <map>
@@ -43,10 +54,11 @@ struct IoCost {
 // and rewrites the header at close; ADIOS appends segments and commits one
 // footer RPC).
 
-// Dataset-level metadata carried by a chunked container.
+// Dataset-level metadata: what a chunked container's header and a
+// one-dataset file carry beside the payload bytes.
 struct ChunkedDatasetMeta {
   std::string name;
-  std::uint8_t dtype_code = 2;  // same codes as H5Dataset / NcVariable
+  std::uint8_t dtype_code = 2;  // 0=float32, 1=float64, 2=opaque bytes
   std::vector<std::size_t> dims;  // logical dims of the full dataset
   std::map<std::string, std::string> attributes;
 };
@@ -74,26 +86,35 @@ struct ChunkIndex {
 
 class IoTool {
  public:
-  virtual ~IoTool() = default;
-  virtual std::string name() const = 0;
+  IoTool(const IoTool&) = delete;
+  IoTool& operator=(const IoTool&) = delete;
 
-  // Writes an uncompressed field as a dataset named field.name().
-  virtual IoCost write_field(PfsSimulator& pfs, const std::string& path,
-                             const Field& field,
-                             int concurrent_clients = 1) = 0;
+  // One row of the library table; opaque outside io_tool.cpp.
+  struct Profile;
 
-  // Writes an opaque compressed blob as a dataset with shape metadata.
-  virtual IoCost write_blob(PfsSimulator& pfs, const std::string& path,
-                            const std::string& dataset_name,
-                            std::span<const std::byte> blob,
-                            int concurrent_clients = 1) = 0;
+  std::string name() const;
 
-  // Reads back the single dataset in `path` written by write_field.
-  virtual Field read_field(PfsSimulator& pfs, const std::string& path) = 0;
+  // Writes an uncompressed field as a one-dataset file; the dataset is
+  // named field.name() ("data" when the field is unnamed).
+  IoCost write_field(PfsSimulator& pfs, const std::string& path,
+                     const Field& field, int concurrent_clients = 1) const;
 
-  // Reads back a blob written by write_blob.
-  virtual Bytes read_blob(PfsSimulator& pfs, const std::string& path,
-                          const std::string& dataset_name) = 0;
+  // Writes an opaque compressed blob as a one-dataset file with shape
+  // metadata.
+  IoCost write_blob(PfsSimulator& pfs, const std::string& path,
+                    const std::string& dataset_name,
+                    std::span<const std::byte> blob,
+                    int concurrent_clients = 1) const;
+
+  // Reads back the field written by write_field. Throws CorruptStream when
+  // the file is not this tool's, does not hold exactly one dataset, or its
+  // dtype and dims do not describe its bytes.
+  Field read_field(PfsSimulator& pfs, const std::string& path) const;
+
+  // Reads back a blob written by write_blob; InvalidArgument when the
+  // file's dataset is not named `dataset_name`.
+  Bytes read_blob(PfsSimulator& pfs, const std::string& path,
+                  const std::string& dataset_name) const;
 
   // --- chunked-dataset streaming -----------------------------------------
 
@@ -231,25 +252,19 @@ class IoTool {
   ChunkReader open_chunked_reader(PfsSimulator& pfs, const std::string& path,
                                   int concurrent_clients = 1) const;
 
- protected:
-  // Per-tool chunk mechanics: how chunk staging is priced and which
-  // metadata syncs close() performs.
-  struct ChunkProfile {
-    double prep_bandwidth_bps = 6.0e9;  // chunk staging/prep throughput
-    double per_chunk_prep_s = 2.0e-5;   // fixed per-chunk prep
-    int close_header_syncs = 0;  // NetCDF-style header rewrites (open each)
-    int close_footer_rpcs = 0;   // HDF5/ADIOS index commit (RPC each)
-    bool staging_copy = false;   // chunk really staged through a buffer
-    // Prep time for one chunk (or header/footer) of `bytes`.
-    double prep_seconds(std::size_t bytes) const {
-      return per_chunk_prep_s +
-             static_cast<double>(bytes) / prep_bandwidth_bps;
-    }
-  };
-  virtual ChunkProfile chunk_profile() const = 0;
+ private:
+  friend IoTool& io_tool(const std::string& name);
+  explicit IoTool(const Profile& profile) : profile_(profile) {}
+  IoCost write_dataset(PfsSimulator& pfs, const std::string& path,
+                       const ChunkedDatasetMeta& meta,
+                       std::span<const std::byte> data,
+                       int concurrent_clients) const;
+
+  const Profile& profile_;
 };
 
-// Registry: "HDF5" or "NetCDF" (case-insensitive).
+// Registry: "HDF5"/"h5", "NetCDF"/"nc" or "ADIOS"/"bp" (case-insensitive);
+// InvalidArgument for any other name.
 IoTool& io_tool(const std::string& name);
 const std::vector<std::string>& io_tool_names();
 

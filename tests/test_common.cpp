@@ -2,6 +2,8 @@
 // formatting, byte serialization and the table printer.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/bytes.h"
 #include "common/cli.h"
 #include "common/error.h"
@@ -39,6 +41,26 @@ TEST(Shape, Equality) {
 TEST(Shape, RejectsBadDims) {
   EXPECT_THROW(Shape({0, 3}), InvalidArgument);
   EXPECT_THROW(Shape({1, 2, 3, 4, 5}), InvalidArgument);
+  // Element counts whose byte size wraps size_t, even when the wrapped
+  // product is small (16 x 16 x 0xFF00000000000010 wraps to 4096).
+  EXPECT_THROW(Shape({16, 16, 0xFF00000000000010ULL}), InvalidArgument);
+  EXPECT_THROW(Shape({std::size_t{1} << 31, std::size_t{1} << 31}),
+               InvalidArgument);
+  const std::vector<std::size_t> huge = {std::size_t{1} << 62};
+  EXPECT_THROW(Shape{std::span<const std::size_t>(huge)}, InvalidArgument);
+}
+
+TEST(Shape, CheckedNumElements) {
+  const std::vector<std::size_t> dims = {16, 16, 16};
+  EXPECT_EQ(checked_num_elements(dims, 4), 4096u);
+  const std::vector<std::size_t> zero = {16, 0, 16};
+  EXPECT_FALSE(checked_num_elements(zero));
+  const std::vector<std::size_t> wraps = {16, 16, 0xFF00000000000010ULL};
+  EXPECT_FALSE(checked_num_elements(wraps));
+  // The count fits; count x element width does not.
+  const std::vector<std::size_t> wide = {std::size_t{1} << 62};
+  EXPECT_EQ(checked_num_elements(wide, 2), std::size_t{1} << 62);
+  EXPECT_FALSE(checked_num_elements(wide, 4));
 }
 
 TEST(NdArray, IndexingMatchesLinearLayout) {
@@ -173,6 +195,23 @@ TEST(Bytes, ReaderThrowsOnUnderrun) {
   append_pod<std::uint16_t>(b, 7);
   ByteReader r(b);
   EXPECT_THROW(r.read_pod<std::uint64_t>(), CorruptStream);
+}
+
+TEST(Bytes, ForgedLengthsCannotWrapTheBound) {
+  // pos + n wraps for n near 2^64; every read checks n <= size - pos.
+  Bytes b(16, std::byte{1});
+  ByteReader r(b);
+  r.skip(3);
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(r.read_bytes(max - 2), CorruptStream);
+  EXPECT_THROW(r.read_bytes(max), CorruptStream);
+  EXPECT_THROW(r.skip(max - 2), CorruptStream);
+  EXPECT_EQ(r.read_bytes(13).size(), 13u);
+  EXPECT_THROW(r.read_bytes(1), CorruptStream);
+  Bytes s;
+  append_pod<std::uint32_t>(s, 0xffffffffu);  // string longer than the span
+  ByteReader rs(s);
+  EXPECT_THROW(rs.read_string(), CorruptStream);
 }
 
 TEST(Table, AlignsColumns) {

@@ -7,7 +7,6 @@
 #include "compressors/compressor.h"
 #include "core/estimator.h"
 #include "data/dataset.h"
-#include "io/adioslite.h"
 #include "io/io_tool.h"
 #include "metrics/quality_report.h"
 #include "test_util.h"
@@ -141,69 +140,12 @@ TEST(Estimator, IsCheap) {
   EXPECT_LE(est.sampled_values, 262144u + 128u);
 }
 
-// --- AdiosLite ---------------------------------------------------------------
+// --- ADIOS -------------------------------------------------------------------
+//
+// The ADIOS row's round trips and damaged-file cases run with HDF5's and
+// NetCDF's in test_io_containers (ContainerRoundTrip, ForgedFile).
 
-TEST(AdiosLite, RegistryLookup) {
-  EXPECT_EQ(io_tool("ADIOS").name(), "ADIOS");
-  EXPECT_EQ(io_tool("bp").name(), "ADIOS");
-}
-
-TEST(AdiosLite, FieldRoundTripThroughPfs) {
-  PfsSimulator pfs;
-  const Field f = smooth_field_3d(24);
-  io_tool("ADIOS").write_field(pfs, "/bp/f", f);
-  const Field r = io_tool("ADIOS").read_field(pfs, "/bp/f");
-  ASSERT_EQ(r.shape(), f.shape());
-  for (std::size_t i = 0; i < f.num_elements(); ++i)
-    EXPECT_EQ(r.as<float>()[i], f.as<float>()[i]);
-}
-
-TEST(AdiosLite, BlobRoundTrip) {
-  PfsSimulator pfs;
-  Bytes blob(3000);
-  for (std::size_t i = 0; i < blob.size(); ++i)
-    blob[i] = static_cast<std::byte>(i * 7);
-  io_tool("ADIOS").write_blob(pfs, "/bp/b", "x", blob);
-  EXPECT_EQ(io_tool("ADIOS").read_blob(pfs, "/bp/b", "x"), blob);
-}
-
-TEST(AdiosLite, MultiVariableProcessGroups) {
-  AdiosLiteFile file;
-  for (int i = 0; i < 3; ++i) {
-    BpVariable v;
-    v.name = "var" + std::to_string(i);
-    v.dtype_code = 2;
-    v.dims = {64};
-    v.data = Bytes(64, static_cast<std::byte>(i + 1));
-    v.attributes["step"] = std::to_string(i);
-    file.append_variable(std::move(v));
-  }
-  int syncs = -1;
-  const Bytes enc = file.encode(&syncs);
-  EXPECT_EQ(syncs, 1);  // single footer write at close
-  const AdiosLiteFile back = AdiosLiteFile::decode(enc);
-  ASSERT_EQ(back.variables().size(), 3u);
-  EXPECT_EQ(back.variable("var1").data[0], std::byte{2});
-  EXPECT_EQ(back.variable("var2").attributes.at("step"), "2");
-}
-
-TEST(AdiosLite, TruncationThrows) {
-  AdiosLiteFile file;
-  BpVariable v;
-  v.name = "x";
-  v.dtype_code = 2;
-  v.dims = {512};
-  v.data = Bytes(512, std::byte{9});
-  file.append_variable(std::move(v));
-  const Bytes good = file.encode();
-  Rng rng(11);
-  for (int i = 0; i < 25; ++i) {
-    Bytes cut(good.begin(), good.begin() + rng.next_below(good.size()));
-    EXPECT_THROW(AdiosLiteFile::decode(cut), Error);
-  }
-}
-
-TEST(AdiosLite, CheapestWritePathOfTheThree) {
+TEST(AdiosTool, CheapestWritePathOfTheThree) {
   // BP's append + single footer sync should undercut both HDF5 (chunk
   // tables) and NetCDF (staging + header rewrites).
   PfsSimulator pfs;
@@ -215,7 +157,7 @@ TEST(AdiosLite, CheapestWritePathOfTheThree) {
   EXPECT_LT(h5.total_seconds(), nc.total_seconds());
 }
 
-TEST(AdiosLite, EndToEndCompressedCheckpoint) {
+TEST(AdiosTool, EndToEndCompressedCheckpoint) {
   PfsSimulator pfs;
   const Field f = generate_dataset_dims("ISABEL", {8, 48, 48}, 4);
   CompressOptions o;

@@ -1,18 +1,19 @@
-// H5Lite / NcLite container tests: round-trips through the PFS, format
-// metadata, and the modeled HDF5-vs-NetCDF cost gap (Fig. 11 mechanism).
+// I/O tool container tests: one-dataset files and chunked containers for
+// HDF5, NetCDF and ADIOS through the PFS, clean rejection of damaged and
+// forged files, the modeled HDF5-vs-NetCDF cost gap (Fig. 11 mechanism),
+// and IoGolden, which freezes the one-dataset files' bytes and costs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 
 #include "common/buffer_pool.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "compressors/zone.h"
-#include "io/h5lite.h"
 #include "io/io_tool.h"
-#include "io/nclite.h"
 #include "test_util.h"
 
 namespace eblcio {
@@ -26,6 +27,7 @@ TEST(IoRegistry, NamesAndLookup) {
   EXPECT_EQ(io_tool("netcdf").name(), "NetCDF");
   EXPECT_EQ(io_tool("h5").name(), "HDF5");
   EXPECT_EQ(io_tool("adios").name(), "ADIOS");  // extension tool
+  EXPECT_EQ(io_tool("bp").name(), "ADIOS");
   EXPECT_THROW(io_tool("posix"), InvalidArgument);
   // The paper's Sec. IV-D sweep covers exactly HDF5 and NetCDF.
   EXPECT_EQ(io_tool_names().size(), 2u);
@@ -67,73 +69,149 @@ TEST_P(ContainerRoundTrip, BlobThroughPfs) {
   EXPECT_EQ(tool.read_blob(pfs, "/data/b", "compressed"), blob);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothLibraries, ContainerRoundTrip,
-                         ::testing::Values("HDF5", "NetCDF"));
-
-TEST(H5Lite, MultiDatasetFile) {
-  H5LiteFile file;
-  H5Dataset a;
-  a.name = "alpha";
-  a.dtype_code = 0;
-  a.dims = {4};
-  a.data = Bytes(16, std::byte{1});
-  a.attributes["units"] = "K";
-  file.add_dataset(a);
-  H5Dataset b;
-  b.name = "beta";
-  b.dtype_code = 2;
-  b.dims = {9};
-  b.data = Bytes(9, std::byte{2});
-  file.add_dataset(b);
-
-  const Bytes encoded = file.encode();
-  const H5LiteFile back = H5LiteFile::decode(encoded);
-  ASSERT_EQ(back.datasets().size(), 2u);
-  EXPECT_EQ(back.dataset("alpha").attributes.at("units"), "K");
-  EXPECT_EQ(back.dataset("beta").data, b.data);
-  EXPECT_THROW(back.dataset("gamma"), InvalidArgument);
+TEST_P(ContainerRoundTrip, LargeBlobSpansSeveralChunks) {
+  // Past HDF5's 1 MiB chunk size the payload splits over its chunk table.
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  Bytes blob((3u << 20) + 5);
+  for (std::size_t i = 0; i < blob.size(); ++i)
+    blob[i] = static_cast<std::byte>(i * 7 + (i >> 20));
+  const IoCost cost = tool.write_blob(pfs, "/data/big", "big", blob);
+  EXPECT_GT(cost.bytes_written, blob.size());
+  EXPECT_EQ(tool.read_blob(pfs, "/data/big", "big"), blob);
 }
 
-TEST(H5Lite, ChunkedLayoutSplitsLargeData) {
-  H5LiteFile file;
-  H5Dataset d;
-  d.name = "big";
-  d.dtype_code = 2;
-  d.dims = {3u << 20};
-  d.data = Bytes(3u << 20, std::byte{7});
-  file.add_dataset(std::move(d));
-  const Bytes encoded = file.encode();
-  const H5LiteFile back = H5LiteFile::decode(encoded);
-  EXPECT_EQ(back.dataset("big").data.size(), 3u << 20);
+TEST_P(ContainerRoundTrip, WrongDatasetNameIsInvalidArgument) {
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  tool.write_blob(pfs, "/data/b", "compressed", Bytes(64, std::byte{1}));
+  EXPECT_THROW(tool.read_blob(pfs, "/data/b", "other"), InvalidArgument);
 }
 
-TEST(H5Lite, RejectsCorruptMagic) {
-  Bytes bad(16, std::byte{0});
-  EXPECT_THROW(H5LiteFile::decode(bad), CorruptStream);
+TEST_P(ContainerRoundTrip, RejectsBadMagicAndForeignFiles) {
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  pfs.write_file("/data/zeros", Bytes(64, std::byte{0}));
+  EXPECT_THROW(tool.read_field(pfs, "/data/zeros"), CorruptStream);
+  EXPECT_THROW(tool.read_blob(pfs, "/data/zeros", "x"), CorruptStream);
+  // Another tool's file is refused by its magic.
+  const std::string other = GetParam() == "HDF5" ? "ADIOS" : "HDF5";
+  io_tool(other).write_blob(pfs, "/data/foreign", "x", Bytes(32));
+  EXPECT_THROW(tool.read_blob(pfs, "/data/foreign", "x"), CorruptStream);
 }
 
-TEST(NcLite, HeaderThenDataLayout) {
-  NcLiteFile file;
-  NcVariable v;
-  v.name = "temp";
-  v.dtype_code = 0;
-  v.dims = {2, 3};
-  v.data = Bytes(24, std::byte{5});
-  v.attributes["units"] = "degC";
-  file.add_variable(std::move(v));
-
-  int syncs = 0;
-  const Bytes encoded = file.encode(&syncs);
-  EXPECT_EQ(syncs, 2);  // enddef + close for one variable
-  const NcLiteFile back = NcLiteFile::decode(encoded);
-  EXPECT_EQ(back.variable("temp").attributes.at("units"), "degC");
-  EXPECT_EQ(back.variable("temp").data.size(), 24u);
+TEST_P(ContainerRoundTrip, TruncatedFilesAreCorruptStreams) {
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  tool.write_blob(pfs, "/data/good", "x", Bytes(4096, std::byte{0x41}));
+  const Bytes good = pfs.read_file("/data/good");
+  Rng rng(7);
+  for (int trial = 0; trial < 30; ++trial) {
+    pfs.write_file("/data/cut",
+                   std::span(good).first(rng.next_below(good.size())));
+    EXPECT_THROW(tool.read_blob(pfs, "/data/cut", "x"), CorruptStream);
+  }
 }
 
-TEST(NcLite, RejectsCorruptMagic) {
-  Bytes bad(16, std::byte{9});
-  EXPECT_THROW(NcLiteFile::decode(bad), CorruptStream);
+// --- forged one-dataset files ----------------------------------------------
+//
+// Each case writes a valid file, overwrites one field with a forged value
+// and expects a clean CorruptStream: no bad_alloc, length_error or
+// out-of-range read. Offsets follow the frozen layouts for a dataset
+// named "f" of rank `rank`, no attributes and `data` payload bytes.
+
+struct FieldOffsets {
+  std::size_t count, dims, size, offset;  // offset: ADIOS segment only
+};
+
+FieldOffsets field_offsets(const std::string& tool, std::size_t rank,
+                           std::size_t data) {
+  const std::size_t meta = 11 + 8 * rank;  // name, dtype, rank, dims, attrs
+  if (tool == "HDF5") return {6, 17, 10 + meta, 0};  // size: chunk total
+  if (tool == "NetCDF") return {4, 15, 8 + meta, 0};
+  const std::size_t footer = 4 + data;  // ADIOS: data, then footer
+  return {footer + 4, footer + 15, footer + 16 + meta, footer + 8 + meta};
 }
+
+class ForgedFile : public ::testing::TestWithParam<std::string> {
+ protected:
+  // Writes a 16^3 f32 field named "f", forges the `width`-byte field at
+  // `at` to `value` and reads it back as a field (and, for damage a blob
+  // read also sees, as a blob).
+  void expect_corrupt(std::size_t at, std::uint64_t value,
+                      std::size_t width = 8, bool blob_too = true) {
+    IoTool& tool = io_tool(GetParam());
+    PfsSimulator pfs;
+    NdArray<float> arr(Shape{16, 16, 16});
+    tool.write_field(pfs, "/f", Field("f", std::move(arr)));
+    Bytes bytes = pfs.read_file("/f");
+    ASSERT_LE(at + width, bytes.size());
+    std::memcpy(bytes.data() + at, &value, width);
+    pfs.write_file("/f", bytes);
+    EXPECT_THROW(tool.read_field(pfs, "/f"), CorruptStream);
+    if (blob_too) {
+      EXPECT_THROW(tool.read_blob(pfs, "/f", "f"), CorruptStream);
+    }
+  }
+  FieldOffsets at() const { return field_offsets(GetParam(), 3, 16384); }
+};
+
+TEST_P(ForgedFile, DatasetCountOtherThanOne) {
+  expect_corrupt(at().count, 0, 4);
+  expect_corrupt(at().count, 2, 4);
+}
+
+TEST_P(ForgedFile, DataSizePastTheFile) {
+  // HDF5's chunk-table total, NetCDF's data size, ADIOS's segment size.
+  expect_corrupt(at().size, std::uint64_t{1} << 40);
+  expect_corrupt(at().size, ~std::uint64_t{0} - 3);
+}
+
+TEST_P(ForgedFile, DimsWhoseElementCountOverflows) {
+  // 16 x 16 x 0xFF00000000000010 wraps to 4096 elements; 2^40 fits in
+  // size_t but not in the file.
+  expect_corrupt(at().dims + 16, 0xFF00000000000010ULL, 8, false);
+  expect_corrupt(at().dims + 16, std::uint64_t{1} << 40, 8, false);
+  expect_corrupt(at().dims, 0, 8, false);
+}
+
+TEST(ForgedHdf5File, ChunkLength) {
+  PfsSimulator pfs;
+  IoTool& tool = io_tool("HDF5");
+  tool.write_field(pfs, "/f", Field("f", NdArray<float>(Shape{16, 16, 16})));
+  Bytes bytes = pfs.read_file("/f");
+  const std::size_t len_at = field_offsets("HDF5", 3, 16384).size + 12;
+  for (std::uint64_t forged : {~std::uint64_t{0} - 40, std::uint64_t{16383}}) {
+    std::memcpy(bytes.data() + len_at, &forged, 8);
+    pfs.write_file("/f", bytes);
+    EXPECT_THROW(tool.read_field(pfs, "/f"), CorruptStream);
+  }
+}
+
+TEST(ForgedAdiosFile, FooterOffsetAndSegmentExtent) {
+  PfsSimulator pfs;
+  IoTool& tool = io_tool("ADIOS");
+  tool.write_field(pfs, "/f", Field("f", NdArray<float>(Shape{16, 16, 16})));
+  const Bytes good = pfs.read_file("/f");
+  auto forge = [&](std::size_t at, std::uint64_t value) {
+    Bytes bytes = good;
+    std::memcpy(bytes.data() + at, &value, 8);
+    pfs.write_file("/f", bytes);
+    EXPECT_THROW(tool.read_field(pfs, "/f"), CorruptStream) << at;
+  };
+  const std::size_t tail = good.size() - 8;
+  forge(tail, ~std::uint64_t{0} - 3);  // footer start 2^64 - 4
+  forge(tail, tail + 1);
+  forge(tail, 3);  // inside the data: no footer magic there
+  const std::size_t offset_at = field_offsets("ADIOS", 3, 16384).offset;
+  forge(offset_at, ~std::uint64_t{0} - 7);  // offset + size wraps
+  forge(offset_at, 5);                      // segment runs into the footer
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTools, ContainerRoundTrip,
+                         ::testing::Values("HDF5", "NetCDF", "ADIOS"));
+INSTANTIATE_TEST_SUITE_P(AllTools, ForgedFile,
+                         ::testing::Values("HDF5", "NetCDF", "ADIOS"));
 
 TEST(IoCosts, NetCdfCostsMoreThanHdf5) {
   // The Fig. 11 finding, from mechanism: classic-model staging + header

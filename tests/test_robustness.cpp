@@ -4,10 +4,11 @@
 // eblcio::Error or return a correctly-shaped field — never crash or hang.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "common/rng.h"
 #include "compressors/compressor.h"
-#include "io/h5lite.h"
-#include "io/nclite.h"
 #include "metrics/error_stats.h"
 #include "test_util.h"
 
@@ -97,37 +98,61 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("SZ2", "SZ3", "ZFP", "QoZ", "SZx", "zstd", "C-Blosc2",
                       "fpzip", "FPC"));
 
-TEST(ContainerRobustness, H5LiteTruncation) {
-  H5LiteFile file;
-  H5Dataset d;
-  d.name = "x";
-  d.dtype_code = 2;
-  d.dims = {4096};
-  d.data = Bytes(4096, std::byte{0x41});
-  file.add_dataset(std::move(d));
-  const Bytes good = file.encode();
-  Rng rng(7);
-  for (int trial = 0; trial < 30; ++trial) {
-    Bytes cut(good.begin(),
-              good.begin() + rng.next_below(good.size()));
-    EXPECT_THROW(H5LiteFile::decode(cut), Error);
+// --- forged blob lengths and dims -----------------------------------------
+
+// Overwrites the u64 at `at` of `blob` with `value`.
+Bytes forge_u64(Bytes blob, std::size_t at, std::uint64_t value) {
+  std::memcpy(blob.data() + at, &value, 8);
+  return blob;
+}
+
+class ForgedBlobDims : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ForgedBlobDims, ElementCountOverflowIsCorruptStream) {
+  // dims[2] of a 16^3 f32 blob forged so the element count wraps to 4096:
+  // ZFP indexed past its buffer, SZ3 shifted by 64 and SZx returned a
+  // 4096-element field before the header checked the count.
+  Compressor& c = compressor(GetParam());
+  const Bytes blob = c.compress(smooth_field_3d(16), options_for(GetParam()));
+  std::uint32_t name_len = 0;
+  std::memcpy(&name_len, blob.data() + 4, 4);
+  const std::size_t dims_at = 4 + 4 + name_len + 2;  // magic, codec, dtype, nd
+  for (std::uint64_t forged : {0xFF00000000000010ULL, 0x0ULL}) {
+    const Bytes bad = forge_u64(blob, dims_at + 16, forged);
+    EXPECT_THROW(c.decompress(bad, 1), CorruptStream) << forged;
+    EXPECT_THROW(decompress_any(bad), CorruptStream) << forged;
   }
 }
 
-TEST(ContainerRobustness, NcLiteTruncation) {
-  NcLiteFile file;
-  NcVariable v;
-  v.name = "x";
-  v.dtype_code = 2;
-  v.dims = {4096};
-  v.data = Bytes(4096, std::byte{0x42});
-  file.add_variable(std::move(v));
-  const Bytes good = file.encode();
-  Rng rng(8);
-  for (int trial = 0; trial < 30; ++trial) {
-    Bytes cut(good.begin(),
-              good.begin() + rng.next_below(good.size()));
-    EXPECT_THROW(NcLiteFile::decode(cut), Error);
+INSTANTIATE_TEST_SUITE_P(AllEblcs, ForgedBlobDims,
+                         ::testing::Values("SZ2", "SZ3", "ZFP", "QoZ", "SZx"));
+
+TEST(ForgedBlobLength, LengthsThatWrapThePositionAreCorruptStreams) {
+  // A forged u64 length n read at `at` with pos + n wrapping to 7 passed
+  // ByteReader's old `pos + n <= size` check, and the blob decoded past its
+  // end with no error (SZ3's single-slab payload size: 2^64 - 56 at 55).
+  auto expect_corrupt = [](const char* codec, const Bytes& blob,
+                           std::size_t at) {
+    const Bytes bad = forge_u64(blob, at, std::uint64_t{7} - (at + 8));
+    EXPECT_THROW(compressor(codec).decompress(bad, 1), CorruptStream)
+        << codec << " @" << at;
+  };
+  const Field f = smooth_field_3d(16);
+  const Bytes sz3 = compressor("SZ3").compress(f, options_for("SZ3"));
+  std::uint64_t payload = 0;
+  std::memcpy(&payload, sz3.data() + 55, 8);
+  ASSERT_EQ(payload, sz3.size() - 63);
+  expect_corrupt("SZ3", sz3, 55);
+  // SZ2's first slab: after the 54-byte header, the slab count and the
+  // slab's code count come its sized mode-bit, coefficient and
+  // unpredictable-value sections.
+  const Bytes sz2 = compressor("SZ2").compress(f, options_for("SZ2"));
+  std::size_t at = 54 + 4 + 8;
+  for (int section = 0; section < 3; ++section) {
+    expect_corrupt("SZ2", sz2, at);
+    std::uint64_t len = 0;
+    std::memcpy(&len, sz2.data() + at, 8);
+    at += 8 + static_cast<std::size_t>(len);
   }
 }
 
