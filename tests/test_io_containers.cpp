@@ -156,6 +156,31 @@ class ForgedFile : public ::testing::TestWithParam<std::string> {
   FieldOffsets at() const { return field_offsets(GetParam(), 3, 16384); }
 };
 
+TEST_P(ForgedFile, OffsetsMatchTheLayout) {
+  // The offsets the cases below forge hold what the layout says they do.
+  PfsSimulator pfs;
+  io_tool(GetParam())
+      .write_field(pfs, "/f", Field("f", NdArray<float>(Shape{16, 16, 16})));
+  const Bytes bytes = pfs.read_file("/f");
+  auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, 8);
+    return v;
+  };
+  std::uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + at().count, 4);
+  EXPECT_EQ(count, 1u);
+  for (std::size_t d = 0; d < 3; ++d) EXPECT_EQ(u64_at(at().dims + 8 * d), 16u);
+  EXPECT_EQ(u64_at(at().size), 16384u);
+  if (GetParam() == "HDF5") {
+    EXPECT_EQ(u64_at(at().size + 12), 16384u);  // the one chunk's length
+  }
+  if (GetParam() == "ADIOS") {
+    EXPECT_EQ(u64_at(at().offset), 4u);
+    EXPECT_EQ(u64_at(bytes.size() - 8), 4u + 16384u);
+  }
+}
+
 TEST_P(ForgedFile, DatasetCountOtherThanOne) {
   expect_corrupt(at().count, 0, 4);
   expect_corrupt(at().count, 2, 4);
