@@ -2,14 +2,17 @@
 // overlapping matches, corrupt streams.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 
 #include "codec/intcodec.h"
+#include "codec/shuffle.h"
 #include "compressors/backend.h"
 #include "codec/lz77.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "compressors/components.h"
 
 namespace eblcio {
 namespace {
@@ -165,6 +168,102 @@ TEST(Lz77, BackendKeepsLzBranchForHeterogeneousStreams) {
   EXPECT_LE(blob.size(), lz.size() + 16);  // LZ payload + backend framing
   ByteReader r(blob);
   EXPECT_EQ(decode_code_stream(r), codes);
+}
+
+// --- byte pin of the match finder ------------------------------------------
+//
+// FNV-1a of lz_compress at four probe budgets over the three input shapes
+// the library feeds it. Inputs use Rng uniforms and plain arithmetic only,
+// so they are identical on every platform.
+
+std::uint64_t fnv1a(std::span<const std::byte> data) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::byte b : data) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// A smooth f32 random walk, byte-shuffled as the Blosc path does.
+Bytes shuffled_walk() {
+  Rng rng(41);
+  std::vector<float> v(1 << 15);
+  double x = 0.0;
+  for (float& e : v) {
+    x = 0.99 * x + (rng.next_double() - 0.5);
+    e = static_cast<float>(x);
+  }
+  return shuffle_bytes(std::as_bytes(std::span<const float>(v)), 4);
+}
+
+// The huffman-lz stage's input: a Huffman blob of Lorenzo quantization
+// codes of a noisy walk at bound 1e-2.
+Bytes huffman_quant_codes() {
+  Rng rng(42);
+  std::vector<std::uint32_t> codes(1 << 16);
+  double x = 0.0, recon = 0.0;
+  const double eb = 1e-2;
+  for (std::uint32_t& c : codes) {
+    x += 0.05 * (rng.next_double() - 0.5);
+    const auto q = static_cast<std::int64_t>(
+        std::floor((x - recon) / (2 * eb) + 0.5));
+    recon += static_cast<double>(q) * 2 * eb;
+    c = static_cast<std::uint32_t>(q + kQuantRadius);
+  }
+  return huffman_encode(codes, kQuantAlphabet);
+}
+
+// Over 64 KiB of random bytes with 96-byte repeats at distances 65535,
+// 65536 and 65537: the edges of the 64 KiB window.
+Bytes far_repeats() {
+  Rng rng(43);
+  Bytes data(4 * 65536);
+  for (auto& b : data) b = static_cast<std::byte>(rng.next_below(256));
+  const std::size_t dists[] = {65535, 65536, 65537};
+  for (std::size_t k = 0; k < 9; ++k) {
+    const std::size_t at = 66000 + k * 20000;
+    const std::size_t d = dists[k % 3];
+    std::memcpy(data.data() + at, data.data() + at - d, 96);
+  }
+  return data;
+}
+
+TEST(Lz77, ProbeBudgetBytePin) {
+  struct Case {
+    const char* input;
+    int probes;
+    std::uint64_t fnv;
+  };
+  const Case cases[] = {
+      {"shuffled", 1, 0x724908510eaf5e45ULL},
+      {"shuffled", 8, 0xdec968f14581d632ULL},
+      {"shuffled", 32, 0x5ff5e53a2f3cdd8eULL},
+      {"shuffled", 128, 0x2fe90cd9a02aa584ULL},
+      {"huffman", 1, 0x1db69821b7cbbac9ULL},
+      {"huffman", 8, 0xa3d501291036d11bULL},
+      {"huffman", 32, 0xa3d501291036d11bULL},
+      {"huffman", 128, 0xa3d501291036d11bULL},
+      {"far", 1, 0x4a87026f848410bfULL},
+      {"far", 8, 0x3dde85ced16c12c0ULL},
+      {"far", 32, 0x3dde85ced16c12c0ULL},
+      {"far", 128, 0x3dde85ced16c12c0ULL},
+  };
+  const Bytes shuffled = shuffled_walk();
+  const Bytes huffman = huffman_quant_codes();
+  const Bytes far = far_repeats();
+  for (const Case& c : cases) {
+    const std::string input = c.input;
+    const Bytes& data =
+        input == "shuffled" ? shuffled : input == "huffman" ? huffman : far;
+    LzOptions opt;
+    opt.max_probes = c.probes;
+    const Bytes blob = lz_compress(data, opt);
+    EXPECT_EQ(fnv1a(blob), c.fnv)
+        << c.input << " probes=" << c.probes << std::hex << " got 0x"
+        << fnv1a(blob);
+    EXPECT_EQ(lz_decompress(blob), data) << c.input;
+  }
 }
 
 class Lz77Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
