@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <map>
 #include <mutex>
 
@@ -97,8 +98,12 @@ double absolute_bound_for(const Field& field, const CompressOptions& opt) {
     case BoundMode::kAbsolute:
       return opt.error_bound;
     case BoundMode::kValueRangeRel: {
-      const auto range = field.value_range();
-      return opt.error_bound * range.span();
+      // A NaN first element or an infinity makes the span non-finite, and
+      // no finite bound follows from it.
+      const double span = field.value_range().span();
+      if (!std::isfinite(span))
+        throw Unsupported("value-range bound of a non-finite value range");
+      return opt.error_bound * span;
     }
     case BoundMode::kLossless:
       return 0.0;

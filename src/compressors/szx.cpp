@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "codec/bitstream.h"
 #include "common/error.h"
@@ -48,11 +49,17 @@ Bytes szx_payload_compress(const Field& field, const BlobHeader& header,
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::size_t lo = b * kBlock;
     const std::size_t hi = std::min(n, lo + kBlock);
+    // The min/max scan also rejects NaN and +-Inf: a NaN never moves
+    // bmin/bmax, so it would decode as an in-range value.
     double bmin = x[lo], bmax = x[lo];
-    for (std::size_t i = lo + 1; i < hi; ++i) {
-      bmin = std::min(bmin, static_cast<double>(x[i]));
-      bmax = std::max(bmax, static_cast<double>(x[i]));
+    bool finite = true;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto v = static_cast<double>(x[i]);
+      bmin = std::min(bmin, v);
+      bmax = std::max(bmax, v);
+      finite &= std::fabs(v) <= std::numeric_limits<double>::max();
     }
+    if (!finite) throw Unsupported("SZx does not support non-finite values");
     const double range = bmax - bmin;
     if (range <= eb2) {
       // Constant block — but only if the midpoint, *as stored in T*, still

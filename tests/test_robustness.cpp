@@ -4,7 +4,9 @@
 // eblcio::Error or return a correctly-shaped field — never crash or hang.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/rng.h"
@@ -229,6 +231,86 @@ TEST(CrossCodec, AllCodecsRoundTripAllDTypes) {
         EXPECT_TRUE(check_value_range_bound(f, r, 1e-3)) << name;
     }
   }
+}
+
+// --- non-finite input -------------------------------------------------------
+
+// A 16^3 f32 field sin(0.1 i) with one bad element at `at`.
+Field sine_with(float bad, std::size_t at) {
+  NdArray<float> arr(Shape{16, 16, 16});
+  for (std::size_t i = 0; i < arr.num_elements(); ++i)
+    arr[i] = static_cast<float>(std::sin(0.1 * static_cast<double>(i)));
+  arr[at] = bad;
+  return Field("sine", std::move(arr));
+}
+
+CompressOptions rel_1e3(int threads = 1) {
+  CompressOptions o;
+  o.mode = BoundMode::kValueRangeRel;
+  o.error_bound = 1e-3;
+  o.threads = threads;
+  return o;
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+class SzFamily : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SzFamily, InfiniteValueRangeIsUnsupported) {
+  // One +-Inf makes the value-range-relative bound infinite; the codecs
+  // then left most finite elements far off. A NaN first element poisons
+  // the range the same way.
+  Compressor& c = compressor(GetParam());
+  for (const float bad : {kInf, -kInf})
+    for (const std::size_t at : {std::size_t{0}, std::size_t{1234}})
+      EXPECT_THROW(c.compress(sine_with(bad, at), rel_1e3()), Unsupported)
+          << bad << " at " << at;
+  EXPECT_THROW(c.compress(sine_with(kNaN, 0), rel_1e3()), Unsupported);
+}
+
+TEST_P(SzFamily, InteriorNaNRoundTripsBitExactly) {
+  // value_range skips a NaN that is not the first element, so the bound
+  // stays finite. SZ2, SZ3 and QoZ store the NaN verbatim; SZx rejects it.
+  Compressor& c = compressor(GetParam());
+  const Field f = sine_with(kNaN, 1234);
+  if (GetParam() == "SZx") {
+    for (int threads : {1, 4})
+      EXPECT_THROW(c.compress(f, rel_1e3(threads)), Unsupported);
+    return;
+  }
+  const Field r = c.decompress(c.compress(f, rel_1e3()), 1);
+  const auto& in = f.as<float>();
+  const auto& out = r.as<float>();
+  std::uint32_t a, b;
+  std::memcpy(&a, &in[1234], 4);
+  std::memcpy(&b, &out[1234], 4);
+  EXPECT_EQ(a, b);
+  const double eb = 1e-3 * f.value_range().span();
+  for (std::size_t i = 0; i < in.num_elements(); ++i)
+    if (i != 1234) ASSERT_LE(std::fabs(out[i] - in[i]), eb) << i;
+}
+
+INSTANTIATE_TEST_SUITE_P(Eblcs, SzFamily,
+                         ::testing::Values("SZ2", "SZ3", "QoZ", "SZx"));
+
+TEST(Szx, NonFiniteInputIsUnsupported) {
+  // SZx decoded a NaN as an in-range value with no error. Every block's
+  // min/max scan now rejects NaN and +-Inf, under absolute bounds too.
+  Compressor& c = compressor("SZx");
+  for (const float bad : {kNaN, kInf, -kInf})
+    for (int threads : {1, 4}) {
+      CompressOptions abs_opt = rel_1e3(threads);
+      abs_opt.mode = BoundMode::kAbsolute;
+      for (const std::size_t at : {std::size_t{0}, std::size_t{1234}})
+        EXPECT_THROW(c.compress(sine_with(bad, at), abs_opt), Unsupported)
+            << bad << " at " << at << " threads=" << threads;
+      NdArray<double> arr(Shape{4, 8, 8, 8});
+      arr[300] = bad;
+      EXPECT_THROW(c.compress(Field("f64", std::move(arr)), abs_opt),
+                   Unsupported)
+          << bad << " f64 threads=" << threads;
+    }
 }
 
 }  // namespace
