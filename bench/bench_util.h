@@ -78,6 +78,9 @@ const Field& bench_dataset(const std::string& name, const BenchEnv& env);
 // The paper's error-bound sweep (Figs. 5/7/11): 1e-1 .. 1e-5.
 const std::vector<double>& paper_bounds();
 
+// The Sec. IV-C strong-scaling thread sweep: 1, 2, 4, ..., 64.
+const std::vector<int>& paper_thread_sweep();
+
 // The four Table-II data sets in figure order.
 const std::vector<std::string>& paper_datasets();
 

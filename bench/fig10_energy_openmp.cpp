@@ -8,7 +8,6 @@
 
 #include "bench_util.h"
 #include "compressors/compressor.h"
-#include "parallel/omp_pipeline.h"
 
 using namespace eblcio;
 
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
       std::printf("\n(%s)\n", dataset.c_str());
       TextTable t({"Threads", "SZ2 c/d (J)", "SZ3 c/d (J)", "ZFP c/d (J)",
                    "QoZ c/d (J)", "SZx c/d (J)"});
-      for (int threads : paper_thread_sweep()) {
+      for (int threads : bench::paper_thread_sweep()) {
         std::vector<std::string> row = {std::to_string(threads)};
         for (const std::string& codec : eblc_names()) {
           CompressOptions opt;

@@ -17,6 +17,8 @@ namespace {
 
 constexpr std::uint32_t kLzMagic = 0x4c5a4542;  // "BEZL"
 constexpr int kMaxMatch = 1 << 12;
+constexpr std::size_t kWindow = 1u << 16;  // farthest match distance
+constexpr std::size_t kMinMatch = 4;       // shortest match worth a token
 
 inline std::uint32_t hash4(const std::byte* p) {
   std::uint32_t v;
@@ -76,27 +78,90 @@ Bytes emit_blob(std::size_t n, const std::vector<Token>& tokens,
   return out;
 }
 
-// The shared greedy tokenizer: `find` is the per-position match search,
-// returning the best (len, dist) under the original chain semantics —
-// candidates in recency order, a fixed probe budget, strictly-improving
-// acceptance — and `insert` adds one position to the search structure.
-// Both matchers below plug into this loop, so their token streams are
-// identical by construction.
-template <typename Find, typename Insert>
-Bytes tokenize(std::span<const std::byte> data, const LzOptions& opt,
-               Find find, Insert insert) {
+// Evaluates candidate `c` against position `pos` exactly as the original
+// chain walk did. Two exact rejects skip the full extension without
+// affecting the output: (a) a first-4-bytes mismatch proves the candidate
+// is a hash collision that cannot reach kMinMatch (sub-minimum best_len
+// updates only ever gate which later candidates get *evaluated*, never
+// which match is finally emitted); (b) a mismatch one byte past the
+// current best proves len <= best_len.
+inline void consider_candidate(const std::byte* base, std::size_t n,
+                               std::size_t pos, std::size_t c,
+                               std::size_t max_len, std::uint32_t pos4,
+                               std::size_t* best_len, std::size_t* best_dist) {
+  std::uint32_t c4;
+  std::memcpy(&c4, base + c, 4);
+  if (c4 != pos4) return;
+  if (*best_len != 0 && !(c + *best_len < n && pos + *best_len < n &&
+                          base[c + *best_len] == base[pos + *best_len]))
+    return;
+  // max_len <= n - pos < n - c, so both sides extend max_len bytes.
+  const std::size_t len = match_length(base + c, base + pos, max_len);
+  if (len > *best_len) {
+    *best_len = len;
+    *best_dist = pos - c;
+  }
+}
+
+// Greedy hash-chain tokenizer over a 64 KiB window: candidates in recency
+// order, a fixed probe budget, strictly-improving acceptance. Successor
+// links are 16-bit gaps, so the chain working set stays small enough to be
+// cache-resident. A gap that cannot be represented would land out of the
+// window for every position that still reaches its predecessor, so the
+// sentinel is exactly equivalent to following the link and failing the
+// window check. HeadIndex narrows the bucket-head table to the smallest
+// type the input length fits (128 KiB of heads instead of 256 KiB for the
+// common uint32_t case) — the head values are the same absolute positions
+// either way, so the search is unchanged.
+template <typename HeadIndex>
+Bytes compress_window(std::span<const std::byte> data, int max_probes) {
+  constexpr std::size_t kHashSize = 1u << 15;
+  constexpr HeadIndex kNil = std::numeric_limits<HeadIndex>::max();
+  constexpr std::uint16_t kFarGap = 0xFFFF;  // no (reachable) predecessor
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   const std::size_t n = data.size();
+  const std::byte* base = data.data();
+
+  std::vector<HeadIndex> head(kHashSize, kNil);
+  std::vector<std::uint16_t> gap(n > 0 ? n : 1, kFarGap);
+
+  // Makes p the newest entry of its hash bucket. Gaps are stored as gap-1:
+  // representable predecessor gaps are 1..65535, and a larger gap is
+  // unreachable within the <= 65536-byte window anyway.
+  const auto insert = [&](std::size_t p, std::uint32_t h) {
+    const HeadIndex predecessor = head[h];
+    if (predecessor != kNil &&
+        p - static_cast<std::size_t>(predecessor) <= 0xFFFF)
+      gap[p] = static_cast<std::uint16_t>(
+          p - static_cast<std::size_t>(predecessor) - 1);
+    head[h] = static_cast<HeadIndex>(p);
+  };
+
   std::vector<Token> tokens;
   Bytes literals;
   literals.reserve(n / 4);
-
   std::size_t pos = 0;
   std::size_t lit_start = 0;
   while (pos < n) {
     std::size_t best_len = 0;
     std::size_t best_dist = 0;
-    if (pos + 4 <= n) find(pos, &best_len, &best_dist);
-    if (best_len >= static_cast<std::size_t>(opt.min_match)) {
+    if (pos + 4 <= n) {
+      const std::uint32_t h = hash4(base + pos);
+      std::uint32_t pos4;
+      std::memcpy(&pos4, base + pos, 4);
+      const std::size_t max_len = std::min<std::size_t>(kMaxMatch, n - pos);
+      std::size_t c =
+          head[h] == kNil ? kNone : static_cast<std::size_t>(head[h]);
+      int probes = max_probes;
+      while (c != kNone && probes-- > 0 && pos - c <= kWindow) {
+        consider_candidate(base, n, pos, c, max_len, pos4, &best_len,
+                           &best_dist);
+        const std::uint16_t g = gap[c];
+        c = g == kFarGap ? kNone : c - g - 1;
+      }
+      insert(pos, h);
+    }
+    if (best_len >= kMinMatch) {
       tokens.push_back({static_cast<std::uint32_t>(pos - lit_start),
                         static_cast<std::uint32_t>(best_len),
                         static_cast<std::uint32_t>(best_dist)});
@@ -104,7 +169,8 @@ Bytes tokenize(std::span<const std::byte> data, const LzOptions& opt,
                       data.begin() + pos);
       // Insert hash entries inside the match (sparsely, for speed).
       const std::size_t end = pos + best_len;
-      for (std::size_t p = pos + 1; p + 4 <= n && p < end; p += 2) insert(p);
+      for (std::size_t p = pos + 1; p + 4 <= n && p < end; p += 2)
+        insert(p, hash4(base + p));
       pos = end;
       lit_start = pos;
     } else {
@@ -118,143 +184,12 @@ Bytes tokenize(std::span<const std::byte> data, const LzOptions& opt,
   return emit_blob(n, tokens, literals);
 }
 
-// Evaluates candidate `c` against position `pos` exactly as the original
-// chain walk did. Two exact rejects skip the full extension without
-// affecting the output: (a) a mismatch one byte past the current best
-// proves len <= best_len; (b) when min_match >= 4, a first-4-bytes
-// mismatch proves the candidate is a hash collision that cannot reach
-// min_match (sub-minimum best_len updates only ever gate which later
-// candidates get *evaluated*, never which match is finally emitted).
-inline void consider_candidate(const std::byte* base, std::size_t n,
-                               std::size_t pos, std::size_t c,
-                               std::size_t max_len, bool prefix_reject,
-                               std::uint32_t pos4, std::size_t* best_len,
-                               std::size_t* best_dist) {
-  if (prefix_reject) {
-    std::uint32_t c4;
-    std::memcpy(&c4, base + c, 4);
-    if (c4 != pos4) return;
-  }
-  if (*best_len != 0 && !(c + *best_len < n && pos + *best_len < n &&
-                          base[c + *best_len] == base[pos + *best_len]))
-    return;
-  // max_len <= n - pos < n - c, so both sides extend max_len bytes.
-  const std::size_t len = match_length(base + c, base + pos, max_len);
-  if (len > *best_len) {
-    *best_len = len;
-    *best_dist = pos - c;
-  }
-}
-
-// Match finder for windows up to 64 KiB (every in-tree caller): successor
-// links are 16-bit gaps, so the chain working set stays small enough to be
-// cache-resident. A gap that cannot be represented would land out of the
-// window for every position that still reaches its predecessor, so the
-// sentinel is exactly equivalent to following the link and failing the
-// window check. HeadIndex narrows the bucket-head table to the smallest
-// type the input length fits (128 KiB of heads instead of 256 KiB for the
-// common uint32_t case) — the head values are the same absolute positions
-// either way, so the search is unchanged.
-template <typename HeadIndex>
-Bytes compress_small_window(std::span<const std::byte> data,
-                            const LzOptions& opt) {
-  constexpr std::size_t kHashSize = 1u << 15;
-  constexpr HeadIndex kNil = std::numeric_limits<HeadIndex>::max();
-  constexpr std::uint16_t kFarGap = 0xFFFF;  // no (reachable) predecessor
-  const std::size_t n = data.size();
-  const std::byte* base = data.data();
-  const bool prefix_reject = opt.min_match >= 4;
-
-  std::vector<HeadIndex> head(kHashSize, kNil);
-  std::vector<std::uint16_t> gap(n > 0 ? n : 1, kFarGap);
-
-  const auto link = [&](std::size_t p, HeadIndex predecessor) {
-    // Stored as gap-1: representable predecessor gaps are 1..65535, and a
-    // larger gap is unreachable within the <= 65536-byte window anyway.
-    if (predecessor == kNil ||
-        p - static_cast<std::size_t>(predecessor) > 0xFFFF)
-      return;
-    gap[p] =
-        static_cast<std::uint16_t>(p - static_cast<std::size_t>(predecessor) -
-                                   1);
-  };
-  const auto insert = [&](std::size_t p) {
-    const std::uint32_t h = hash4(base + p);
-    link(p, head[h]);
-    head[h] = static_cast<HeadIndex>(p);
-  };
-  const auto find = [&](std::size_t pos, std::size_t* best_len,
-                        std::size_t* best_dist) {
-    const std::uint32_t h = hash4(base + pos);
-    std::uint32_t pos4;
-    std::memcpy(&pos4, base + pos, 4);
-    const std::size_t max_len = std::min<std::size_t>(kMaxMatch, n - pos);
-    std::size_t c = (head[h] == kNil) ? std::numeric_limits<std::size_t>::max()
-                                      : static_cast<std::size_t>(head[h]);
-    int probes = opt.max_probes;
-    while (c != std::numeric_limits<std::size_t>::max() && probes-- > 0 &&
-           pos - c <= opt.window) {
-      consider_candidate(base, n, pos, c, max_len, prefix_reject, pos4,
-                         best_len, best_dist);
-      const std::uint16_t g = gap[c];
-      c = (g == kFarGap) ? std::numeric_limits<std::size_t>::max() : c - g - 1;
-    }
-    link(pos, head[h]);
-    head[h] = static_cast<HeadIndex>(pos);
-  };
-  return tokenize(data, opt, find, insert);
-}
-
-// General match finder: absolute predecessor indices (uint32_t up to 4 GiB
-// inputs, uint64_t beyond), identical search semantics.
-template <typename Index>
-Bytes compress_indexed(std::span<const std::byte> data, const LzOptions& opt) {
-  constexpr std::size_t kHashSize = 1u << 15;
-  constexpr Index kNil = std::numeric_limits<Index>::max();
-  const std::size_t n = data.size();
-  const std::byte* base = data.data();
-  const bool prefix_reject = opt.min_match >= 4;
-
-  std::vector<Index> head(kHashSize, kNil);
-  std::vector<Index> prev(n > 0 ? n : 1, kNil);
-
-  const auto insert = [&](std::size_t p) {
-    const std::uint32_t h = hash4(base + p);
-    prev[p] = head[h];
-    head[h] = static_cast<Index>(p);
-  };
-  const auto find = [&](std::size_t pos, std::size_t* best_len,
-                        std::size_t* best_dist) {
-    const std::uint32_t h = hash4(base + pos);
-    std::uint32_t pos4;
-    std::memcpy(&pos4, base + pos, 4);
-    const std::size_t max_len = std::min<std::size_t>(kMaxMatch, n - pos);
-    Index cand = head[h];
-    int probes = opt.max_probes;
-    while (cand != kNil && probes-- > 0 &&
-           pos - static_cast<std::size_t>(cand) <= opt.window) {
-      const std::size_t c = static_cast<std::size_t>(cand);
-      consider_candidate(base, n, pos, c, max_len, prefix_reject, pos4,
-                         best_len, best_dist);
-      cand = prev[c];
-    }
-    prev[pos] = head[h];
-    head[h] = static_cast<Index>(pos);
-  };
-  return tokenize(data, opt, find, insert);
-}
-
 }  // namespace
 
 Bytes lz_compress(std::span<const std::byte> data, const LzOptions& opt) {
-  if (opt.window <= (1u << 16)) {
-    if (data.size() < std::numeric_limits<std::uint32_t>::max())
-      return compress_small_window<std::uint32_t>(data, opt);
-    return compress_small_window<std::uint64_t>(data, opt);
-  }
   if (data.size() < std::numeric_limits<std::uint32_t>::max())
-    return compress_indexed<std::uint32_t>(data, opt);
-  return compress_indexed<std::uint64_t>(data, opt);
+    return compress_window<std::uint32_t>(data, opt.max_probes);
+  return compress_window<std::uint64_t>(data, opt.max_probes);
 }
 
 Bytes lz_decompress(std::span<const std::byte> blob) {

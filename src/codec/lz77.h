@@ -14,13 +14,10 @@
 
 namespace eblcio {
 
+// The window (64 KiB) and the minimum match (4 bytes) are fixed.
 struct LzOptions {
   // Maximum hash-chain probes per position; higher = better ratio, slower.
   int max_probes = 32;
-  // Window size in bytes (power of two).
-  std::size_t window = 1u << 16;
-  // Minimum match length worth encoding.
-  int min_match = 4;
 };
 
 // Compresses `data` into a self-describing blob.

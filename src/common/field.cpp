@@ -35,6 +35,35 @@ Field field_from_bytes(std::string name, DType dtype,
                                   : rebuild(NdArray<double>(shape));
 }
 
+Field centered_sample(const Field& field, std::size_t max_edge) {
+  return field.visit([&](const auto& arr) {
+    using T = std::remove_cvref_t<decltype(*arr.data())>;
+    const Shape& s = arr.shape();
+    const int nd = s.ndims();
+    std::array<std::size_t, kMaxDims> dims{}, start{};
+    for (int d = 0; d < nd; ++d) {
+      dims[d] = std::min(s.dim(d), max_edge);
+      start[d] = (s.dim(d) - dims[d]) / 2;
+    }
+    NdArray<T> out(Shape{std::span<const std::size_t>(dims.data(), nd)});
+    const auto strides = s.strides();
+    const std::size_t row = dims[nd - 1];
+    T* dst = out.data();
+    // One last-axis row per step; the leading axes' index of row r is r in
+    // mixed radix over dims[0..nd-2].
+    for (std::size_t r = 0; r < out.num_elements() / row; ++r, dst += row) {
+      std::size_t rem = r;
+      std::size_t src = start[nd - 1];
+      for (int d = nd - 2; d >= 0; --d) {
+        src += (start[d] + rem % dims[d]) * strides[d];
+        rem /= dims[d];
+      }
+      std::copy_n(arr.data() + src, row, dst);
+    }
+    return Field(field.name(), std::move(out));
+  });
+}
+
 Field::Range Field::value_range() const {
   // Eight independent accumulator lanes so the scan vectorizes (the
   // strict-compare ternary is exactly the minps/maxps hardware semantics,

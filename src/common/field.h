@@ -87,4 +87,8 @@ Field field_from_bytes(std::string name, DType dtype,
                        std::span<const std::size_t> dims,
                        std::span<const std::byte> raw);
 
+// The centered sub-box of `field` with at most `max_edge` elements per
+// axis: a sample whose trials cost the same on any field size.
+Field centered_sample(const Field& field, std::size_t max_edge);
+
 }  // namespace eblcio

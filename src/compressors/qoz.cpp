@@ -23,43 +23,11 @@ InterpConfig qoz_base_config() {
   return c;
 }
 
-// Extracts a centered sample sub-field (up to 48 per dimension) used by the
-// tuning trials.
-template <typename T>
-Field sample_region(const Field& field) {
-  const NdArray<T>& arr = field.as<T>();
-  const Shape& s = arr.shape();
-  const int nd = s.ndims();
-  std::vector<std::size_t> dims(nd), start(nd);
-  for (int d = 0; d < nd; ++d) {
-    dims[d] = std::min<std::size_t>(s.dim(d), 48);
-    start[d] = (s.dim(d) - dims[d]) / 2;
-  }
-  NdArray<T> sample(Shape{std::span<const std::size_t>(dims)});
-  const auto src_strides = s.strides();
-  const auto dst_strides = sample.shape().strides();
-  std::array<std::size_t, kMaxDims> c{};
-  const std::size_t total = sample.num_elements();
-  for (std::size_t lin = 0; lin < total; ++lin) {
-    std::size_t rem = lin;
-    std::size_t src = 0;
-    for (int d = 0; d < nd; ++d) {
-      c[d] = rem / dst_strides[d];
-      rem %= dst_strides[d];
-      src += (start[d] + c[d]) * src_strides[d];
-    }
-    sample[lin] = arr.data()[src];
-  }
-  return Field(field.name(), std::move(sample));
-}
-
 // Trials each gamma candidate on the sample and returns the config with the
 // best quality/size score: highest compression ratio among candidates within
 // 1 dB of the best PSNR observed.
 InterpConfig tune_config(const Field& field, double abs_eb) {
-  Field sample = field.dtype() == DType::kFloat32
-                     ? sample_region<float>(field)
-                     : sample_region<double>(field);
+  const Field sample = centered_sample(field, 48);
 
   struct Trial {
     InterpConfig config;

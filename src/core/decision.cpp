@@ -13,35 +13,6 @@
 namespace eblcio {
 namespace {
 
-// Centered sample region (at most 64 per dimension) so the advisor stays
-// cheap even on production-size fields.
-template <typename T>
-Field sample_region(const Field& field) {
-  const NdArray<T>& arr = field.as<T>();
-  const Shape& s = arr.shape();
-  const int nd = s.ndims();
-  std::vector<std::size_t> dims(nd), start(nd);
-  for (int d = 0; d < nd; ++d) {
-    dims[d] = std::min<std::size_t>(s.dim(d), 64);
-    start[d] = (s.dim(d) - dims[d]) / 2;
-  }
-  NdArray<T> sample(Shape{std::span<const std::size_t>(dims)});
-  const auto src_strides = s.strides();
-  const auto dst_strides = sample.shape().strides();
-  const std::size_t total = sample.num_elements();
-  for (std::size_t lin = 0; lin < total; ++lin) {
-    std::size_t rem = lin;
-    std::size_t src = 0;
-    for (int d = 0; d < nd; ++d) {
-      const std::size_t c = rem / dst_strides[d];
-      rem %= dst_strides[d];
-      src += (start[d] + c) * src_strides[d];
-    }
-    sample[lin] = arr.data()[src];
-  }
-  return Field(field.name(), std::move(sample));
-}
-
 double candidate_score(const AdvisorCandidate& c, Objective objective) {
   if (!c.feasible) return -1.0;
   switch (objective) {
@@ -67,10 +38,10 @@ AdvisorReport advise_compression(const Field& field,
                                  const AdvisorConstraints& constraints,
                                  const AdvisorProgressFn& on_trial) {
   // Shared read-only inputs of every cell: the sample is built once here
-  // and only read by the trials (see the header's reentrancy note).
-  const Field sample = field.dtype() == DType::kFloat32
-                           ? sample_region<float>(field)
-                           : sample_region<double>(field);
+  // and only read by the trials (see the header's reentrancy note). A
+  // centered sample (at most 64 per axis) keeps the advisor cheap even on
+  // production-size fields.
+  const Field sample = centered_sample(field, 64);
   const CpuModel& cpu = cpu_model(constraints.cpu);
   const std::vector<std::string>& codecs =
       constraints.codecs.empty() ? eblc_names() : constraints.codecs;
@@ -89,7 +60,6 @@ AdvisorReport advise_compression(const Field& field,
 
   SweepOptions sweep;
   sweep.parallel = constraints.parallel;
-  sweep.max_tasks = constraints.max_concurrent_trials;
   sweep.repeat = constraints.repeat;
 
   const std::size_t total = cells.size();

@@ -37,12 +37,11 @@ struct AdvisorConstraints {
   std::vector<double> error_bounds = {1e-1, 1e-2, 1e-3, 1e-4, 1e-5};
   std::vector<std::string> codecs;     // empty = all five EBLCs
   std::string cpu = "9480";
-  // Sweep execution: trials fan out as cells on the shared executor by
-  // default; parallel = false runs them in order on the calling thread
-  // (identical results — cells are independent and deterministic apart
-  // from measured kernel time).
+  // Sweep execution: trials fan out as cells on the shared executor, one
+  // task per trial, by default; parallel = false runs them in order on the
+  // calling thread (identical results — cells are independent and
+  // deterministic apart from measured kernel time).
   bool parallel = true;
-  int max_concurrent_trials = 0;  // <= 0: one executor task per trial
   // When set, each trial's compression is timed under the Sec. IV-C
   // repetition protocol and the mean kernel time feeds the energy model.
   std::optional<RepeatConfig> repeat;

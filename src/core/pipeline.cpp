@@ -203,7 +203,6 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
                                               PfsSimulator& pfs,
                                               const StreamConfig& stream) {
   EBLCIO_CHECK_ARG(stream.slabs >= 1, "stream needs at least one slab");
-  EBLCIO_CHECK_ARG(stream.queue_depth >= 1, "queue depth must be positive");
   Compressor& comp = compressor(config.codec);
   const CpuModel& cpu = cpu_model(config.cpu);
   IoTool& tool = io_tool(config.io_library);
@@ -232,7 +231,6 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   rec.io_library = tool.name();
   rec.path = "/pfs/" + field.name() + ".eblc.stream." + tool.name();
   rec.slabs = static_cast<int>(nslabs);
-  rec.queue_depth = stream.queue_depth;
   rec.lanes = lanes;
   rec.original_bytes = field.size_bytes();
   rec.slab_write_s.resize(nslabs);
@@ -290,8 +288,7 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     blobs[i] = Bytes();
   };
   try {
-    run_ordered_lanes(nslabs, lanes,
-                      static_cast<std::size_t>(stream.queue_depth), stages);
+    run_ordered_lanes(nslabs, lanes, kStreamQueueDepth, stages);
   } catch (...) {
     release_pending(blobs);
     throw;
@@ -311,7 +308,6 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   }
   const double serial_compress = std::accumulate(
       rec.slab_compress_s.begin(), rec.slab_compress_s.end(), 0.0);
-  const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
 
   // What each chunk's write cost through the blocking per-chunk append
   // path: what ran, or under the transport its reconstruction — the same
@@ -337,15 +333,15 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
 
     const Timeline timeline =
         solve_write_timeline(stream.transport, sectors, rec.slab_compress_s,
-                             stage_prep_s, depth, open_s, lanes);
+                             stage_prep_s, kStreamQueueDepth, open_s, lanes);
     rec.streamed_total_s = timeline.makespan_s + close_s;
     fill_telemetry(rec.transport, transport, timeline);
   }
   // The blocking makespan is the same solver over the eager wire.
   rec.blocking_total_s =
       solve_write_timeline(TransportConfig{}, eager_wire(nslabs),
-                           rec.slab_compress_s, blocking_write_s, depth,
-                           open_s, lanes)
+                           rec.slab_compress_s, blocking_write_s,
+                           kStreamQueueDepth, open_s, lanes)
           .makespan_s +
       close_s;
   if (!stream.use_transport) rec.streamed_total_s = rec.blocking_total_s;
@@ -375,14 +371,12 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
                                const std::optional<Region>& box,
                                const PipelineConfig& config,
                                const StreamConfig& stream) {
-  EBLCIO_CHECK_ARG(stream.queue_depth >= 1, "queue depth must be positive");
   const CpuModel& cpu = cpu_model(config.cpu);
   IoTool& tool = io_tool(config.io_library);
 
   RegionReadRecord rec;
   rec.io_library = tool.name();
   rec.path = path;
-  rec.queue_depth = stream.queue_depth;
   rec.container_bytes = pfs.file_size(path);
 
   PowercapMonitor monitor(cpu);  // thread-safe: fetcher and lanes record
@@ -441,8 +435,7 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
     copy_zone_part_into_region(part, zone, region, out.claim(part.dtype()));
   };
   try {
-    run_ordered_lanes(n, rec.lanes,
-                      static_cast<std::size_t>(stream.queue_depth), stages);
+    run_ordered_lanes(n, rec.lanes, kStreamQueueDepth, stages);
   } catch (...) {
     release_pending(blobs);
     throw;
@@ -487,7 +480,7 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
   const Timeline timeline = solve_read_timeline(
       transport ? stream.transport : TransportConfig{},
       transport ? transport->records() : eager_wire(n), consume_s, stage_s,
-      static_cast<std::size_t>(stream.queue_depth), open_s, rec.lanes);
+      kStreamQueueDepth, open_s, rec.lanes);
   rec.streamed_total_s = timeline.makespan_s;
   if (transport) fill_telemetry(rec.transport, *transport, timeline);
   return rec;

@@ -85,13 +85,14 @@ WriteRecord run_compress_write(const Field& field,
 // (parallel/lanes.h) — with W = Executor::concurrency() / config.threads
 // (1 on a one-core host). This thread appends the compressed slabs to the
 // container strictly in slab order, so the file is byte-identical to a
-// one-lane run. A queue of `queue_depth` coded slabs between the lanes and
-// the writer provides backpressure: slab i starts compressing once the
-// writer has taken slab i - (W + queue_depth). The container is whichever
-// IoTool config.io_library names — each compressed slab lands as one chunk
-// through IoTool::ChunkWriter, so the on-PFS file is a real HDF5/NetCDF/
-// ADIOS chunked dataset, not a bespoke stream format. This is the overlap
-// mechanism behind the paper's parallel write results (Figs. 10-12).
+// one-lane run. A queue of kStreamQueueDepth coded slabs between the lanes
+// and the writer provides backpressure: slab i starts compressing once the
+// writer has taken slab i - (W + kStreamQueueDepth). The container is
+// whichever IoTool config.io_library names — each compressed slab lands as
+// one chunk through IoTool::ChunkWriter, so the on-PFS file is a real
+// HDF5/NetCDF/ADIOS chunked dataset, not a bespoke stream format. This is
+// the overlap mechanism behind the paper's parallel write results
+// (Figs. 10-12).
 //
 // Lanes of every pipeline in the process share one core budget: at most
 // CoreBudget::slots() lane codec calls run at once, and a lane's timer
@@ -103,9 +104,12 @@ WriteRecord run_compress_write(const Field& field,
 // where k lanes of the call run, the call draws node_power(k * threads),
 // shared by those k lanes.
 
+// Slabs queued between the lanes and the serial stage of every streamed
+// pipeline.
+inline constexpr std::size_t kStreamQueueDepth = 2;
+
 struct StreamConfig {
-  int slabs = 8;        // slabs split along dim 0
-  int queue_depth = 2;  // slabs queued between the lanes and the serial stage
+  int slabs = 8;  // slabs split along dim 0
   // Sector-ring transport between the pipeline and the PFS (io/transport.h):
   // chunks are staged into fixed-size pooled sectors and shipped by a
   // doorbell task with ring_depth sectors in flight per channel, so slab
@@ -137,12 +141,11 @@ struct TransportTelemetry {
 struct StreamRecordBase {
   std::string io_library;  // container the chunks streamed through
   std::string path;        // chunked container on the PFS
-  int queue_depth = 0;
   int lanes = 1;  // codec lanes the slabs or zones were coded on
   // Modeled platform times: serial_total_s runs every stage back-to-back
   // on one core; streamed_total_s is the pipeline makespan with the codec
   // stage on `lanes` lanes overlapping the container stage, bounded by
-  // queue_depth.
+  // kStreamQueueDepth.
   double serial_total_s = 0.0;
   double streamed_total_s = 0.0;
   // Host wall clock of the real concurrent run (lanes genuinely overlap
@@ -205,14 +208,14 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
 // fetches through the transport) while up to W codec lanes decode the
 // zones already fetched, each copying its zone's part of the box straight
 // into its own rows of the preallocated output. Fetch i starts once zone
-// i - (1 + queue_depth) has reached a lane. Fetching overlaps decoding, and
-// decodes overlap each other, so the makespan undercuts the serial
-// fetch-everything-then-decompress-everything schedule — the paper's
-// Sec. VI-A "doubly effective" read-side benefit, measured. A partial box
-// fetches only its covering zones, so bytes fetched scale with the query,
-// not with the field; a full restart is the whole-domain box, where every
-// zone decodes in full. Lanes, the core budget and the lane-aware energy
-// are as on the write side.
+// i - (1 + kStreamQueueDepth) has reached a lane. Fetching overlaps
+// decoding, and decodes overlap each other, so the makespan undercuts the
+// serial fetch-everything-then-decompress-everything schedule — the
+// paper's Sec. VI-A "doubly effective" read-side benefit, measured. A
+// partial box fetches only its covering zones, so bytes fetched scale
+// with the query, not with the field; a full restart is the whole-domain
+// box, where every zone decodes in full. Lanes, the core budget and the
+// lane-aware energy are as on the write side.
 
 // The fields both streamed reads share.
 struct StreamReadBase : StreamRecordBase {
@@ -239,8 +242,8 @@ struct StreamReadRecord : StreamReadBase {
 // IoTool::ChunkWriter holding compressed slabs) back through the streamed
 // pipeline: the whole-domain case of run_streamed_read_region.
 // config.io_library must name the container's tool; config.cpu selects the
-// platform model. Only stream.queue_depth and the transport settings are
-// honoured (the slab count comes from the container's chunk index). Every
+// platform model. Only the transport settings of `stream` are honoured
+// (the slab count comes from the container's chunk index). Every
 // chunk's header is checked against its zone extent before any of its
 // bytes are placed. Throws CorruptStream — with no partial field escaping
 // — when the container, its chunk index, or any slab is malformed or

@@ -1,6 +1,7 @@
 #include "core/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 
 #include "common/timer.h"
@@ -14,8 +15,9 @@ namespace {
 // The emit cursor advances *before* the callback runs, so a throwing
 // callback cannot double-emit a cell. The first callback exception is
 // captured (not propagated mid-grid): it suppresses every later callback,
-// makes unstarted cells skip (via aborted()), and rethrows from run_sweep
-// once the grid has settled — identically in serial and parallel mode.
+// keeps unstarted cells from running (via aborted()), and rethrows from
+// run_sweep once the grid has settled — identically in serial and parallel
+// mode.
 class OrderedEmitter {
  public:
   OrderedEmitter(std::size_t n,
@@ -25,9 +27,7 @@ class OrderedEmitter {
   void complete(SweepCellStatus st, SweepStats& stats) {
     std::lock_guard<std::mutex> lock(mu_);
     const std::size_t i = st.index;
-    if (st.skipped)
-      ++stats.skipped;
-    else if (st.error)
+    if (st.error)
       ++stats.failed;
     else
       ++stats.completed;
@@ -82,10 +82,8 @@ SweepStats run_sweep(
   auto eval_one = [&](std::size_t i) {
     SweepCellStatus st;
     st.index = i;
-    if ((options.cancel && options.cancel->requested()) || emitter.aborted()) {
-      st.skipped = true;
-    } else {
-      SweepCellContext ctx(i, options.cancel, repeat);
+    if (!emitter.aborted()) {
+      SweepCellContext ctx(i, repeat);
       WallTimer timer;
       try {
         eval(i, ctx);

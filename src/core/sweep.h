@@ -14,9 +14,9 @@
 //    order — partial tables render incrementally and deterministically;
 //  * one failing cell never aborts the grid: its exception is captured in
 //    its slot (callers inspect, or rethrow_first_error());
-//  * cancellation is cooperative: cells not yet started when the token
-//    fires are marked skipped, and skipped cells are still streamed so
-//    consumers see every index;
+//  * a throwing on-cell callback aborts the grid: cells not yet started
+//    are not evaluated, and the callback's exception rethrows once the
+//    running cells settle;
 //  * the per-cell repetition protocol (core/experiment.h) is available
 //    through the cell context, configured once per sweep, and produces
 //    bit-for-bit the statistics the serial path produces.
@@ -26,7 +26,6 @@
 // equivalence directly testable.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -40,22 +39,6 @@
 
 namespace eblcio {
 
-// Cooperative cancellation token shared between a sweep and its caller
-// (or between a sweep and its own on-cell callback). Thread-safe: any
-// thread may request() at any time; the sweep observes the flag before
-// starting each not-yet-running cell and marks the remainder skipped.
-// Cells already executing are not interrupted — long-running cells poll
-// SweepCellContext::cancel_requested() and return early if they care.
-// Requesting cancellation is idempotent and cannot be revoked.
-class SweepCancel {
- public:
-  void request() { flag_.store(true, std::memory_order_relaxed); }
-  bool requested() const { return flag_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
 struct SweepOptions {
   Executor* executor = nullptr;  // null = Executor::global()
   bool parallel = true;          // false = in-order on the calling thread
@@ -64,7 +47,6 @@ struct SweepOptions {
   // when cells are themselves heavyweight worlds (a 512-rank simmpi cell
   // lends 512 replacement workers while it runs).
   int max_tasks = 0;
-  SweepCancel* cancel = nullptr;
   // Engages ctx.repeat() with this protocol; cells may also call
   // ctx.repeat() without it and get the default RepeatConfig. Grid
   // benches build this from their --reps budget via
@@ -77,15 +59,10 @@ struct SweepOptions {
 // the running sweep.
 class SweepCellContext {
  public:
-  SweepCellContext(std::size_t index, const SweepCancel* cancel,
-                   const RepeatConfig& repeat)
-      : index_(index), cancel_(cancel), repeat_(repeat) {}
+  SweepCellContext(std::size_t index, const RepeatConfig& repeat)
+      : index_(index), repeat_(repeat) {}
 
   std::size_t index() const { return index_; }
-
-  // True once cancellation was requested; long-running cells may poll it
-  // and return early (their partial result is still recorded).
-  bool cancel_requested() const { return cancel_ && cancel_->requested(); }
 
   // Runs `sample` under the sweep's repetition protocol (Sec. IV-C: up to
   // max_runs, or until the 95% CI tightens) and returns the statistics.
@@ -95,24 +72,21 @@ class SweepCellContext {
 
  private:
   std::size_t index_;
-  const SweepCancel* cancel_;
   const RepeatConfig& repeat_;
 };
 
 // Per-cell outcome of the type-erased layer.
 struct SweepCellStatus {
   std::size_t index = 0;
-  bool skipped = false;      // cancelled before evaluation started
   std::exception_ptr error;  // the cell threw; isolated to this slot
   double seconds = 0.0;      // host wall clock of this evaluation
-  bool ok() const { return !skipped && !error; }
+  bool ok() const { return !error; }
 };
 
 struct SweepStats {
   std::size_t cells = 0;
   std::size_t completed = 0;
   std::size_t failed = 0;
-  std::size_t skipped = 0;
   double wall_s = 0.0;        // whole-grid host wall clock
   double cell_seconds = 0.0;  // summed per-cell wall clock
 };
@@ -121,7 +95,7 @@ namespace detail {
 // Type-erased engine: evaluates eval(i, ctx) for i in [0, n), streaming
 // on_cell(status) in index order (on_cell may be null). Cell exceptions
 // are captured per status. An exception thrown by on_cell itself aborts
-// the sweep: later callbacks are suppressed, unstarted cells are skipped,
+// the sweep: later callbacks are suppressed, unstarted cells are not run,
 // and the first callback exception rethrows from run_sweep once in-flight
 // cells settle — the same observable behavior in serial and parallel mode.
 SweepStats run_sweep(std::size_t n,
@@ -137,7 +111,6 @@ struct SweepCell {
   Cell cell{};
   std::optional<Result> result;  // engaged iff the cell completed
   std::exception_ptr error;      // engaged iff the cell threw
-  bool skipped = false;          // cancelled before start
   double seconds = 0.0;          // host wall clock of the evaluation
   bool ok() const { return result.has_value(); }
 };
@@ -155,7 +128,7 @@ struct SweepReport {
 
 // Evaluates eval(cell, ctx) -> Result over every cell of the domain and
 // returns the outcomes in domain order. `on_cell` (optional) is invoked
-// once per cell — including failed and skipped ones — serialized and in
+// once per cell — including failed ones — serialized and in
 // domain order, as soon as every earlier cell has also resolved; this is
 // the streaming hook incremental tables build on (the figure/table
 // benches consume it through bench/bench_util.h::run_grid_bench, which
@@ -187,7 +160,6 @@ SweepReport<Cell, Result> sweep_grid(
   };
   auto emit = [&](const SweepCellStatus& st) {
     SweepCell<Cell, Result>& c = report.cells[st.index];
-    c.skipped = st.skipped;
     c.error = st.error;
     c.seconds = st.seconds;
     if (on_cell) on_cell(c);

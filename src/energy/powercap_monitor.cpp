@@ -7,10 +7,9 @@
 
 namespace eblcio {
 
-PowercapMonitor::PowercapMonitor(const CpuModel& cpu, double sample_dt_s)
-    : cpu_(&cpu), sample_dt_s_(sample_dt_s) {
-  EBLCIO_CHECK_ARG(sample_dt_s > 0.0, "sample interval must be positive");
-}
+namespace {
+constexpr double kSampleDtS = 0.01;  // powercap sampling interval
+}  // namespace
 
 EnergyReading PowercapMonitor::integrate(const std::string& label,
                                          double seconds, double watts) {
@@ -23,7 +22,7 @@ EnergyReading PowercapMonitor::integrate(const std::string& label,
   double remaining = seconds;
   int samples = 0;
   while (remaining > 0.0) {
-    const double dt = std::min(remaining, sample_dt_s_);
+    const double dt = std::min(remaining, kSampleDtS);
     rapl_.advance(dt, watts);
     remaining -= dt;
     ++samples;

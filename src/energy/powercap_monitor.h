@@ -5,7 +5,7 @@
 // benches record each *really measured* kernel runtime here; the monitor
 // dilates it onto the target platform (speed factor), applies the node
 // power model at the phase's utilization, and integrates energy through
-// RaplSimulator with discrete sampling — E = Σ P(tᵢ)Δt.
+// RaplSimulator with discrete 10 ms sampling — E = Σ P(tᵢ)Δt.
 #pragma once
 
 #include <mutex>
@@ -44,7 +44,7 @@ struct LaneSpan {
 // serialize on an internal mutex, so per-phase joules accumulate exactly.
 class PowercapMonitor {
  public:
-  explicit PowercapMonitor(const CpuModel& cpu, double sample_dt_s = 0.01);
+  explicit PowercapMonitor(const CpuModel& cpu) : cpu_(&cpu) {}
 
   const CpuModel& cpu() const { return *cpu_; }
 
@@ -80,7 +80,6 @@ class PowercapMonitor {
                           double watts);
 
   const CpuModel* cpu_;
-  double sample_dt_s_;
   mutable std::mutex mu_;
   RaplSimulator rapl_;
   std::vector<PhaseEnergy> phases_;

@@ -77,6 +77,15 @@ TEST(BenchUtilFlags, RepeatConfigUsesSharedProtocolClamp) {
   EXPECT_EQ(paper.max_runs, 25);
 }
 
+TEST(PaperGrids, ThreadSweepMatchesPaper) {
+  const auto& sweep = bench::paper_thread_sweep();
+  ASSERT_EQ(sweep.size(), 7u);
+  EXPECT_EQ(sweep.front(), 1);
+  EXPECT_EQ(sweep.back(), 64);
+  for (std::size_t i = 1; i < sweep.size(); ++i)
+    EXPECT_EQ(sweep[i], sweep[i - 1] * 2);  // powers of two (Sec. IV-C)
+}
+
 TEST(StreamedTableTest, MatchesTextTableFrameWhenCellsFit) {
   // With cells no wider than the (min_width-padded) header, the streamed
   // output is byte-identical to TextTable's — same frame, same alignment.

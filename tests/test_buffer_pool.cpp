@@ -108,7 +108,6 @@ TEST(BufferPool, StreamedWritePipelineReachesSteadyStateReuse) {
   config.io_library = "NetCDF";
   StreamConfig stream;
   stream.slabs = 8;
-  stream.queue_depth = 2;
 
   BufferPool& pool = BufferPool::global();
   pool.reset_stats();

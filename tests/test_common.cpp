@@ -2,7 +2,9 @@
 // formatting, byte serialization and the table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/cli.h"
@@ -104,6 +106,40 @@ TEST(Field, TypedAccessorThrowsOnWrongType) {
   Field f("t", NdArray<float>(Shape{2}));
   EXPECT_NO_THROW(f.as<float>());
   EXPECT_THROW(f.as<double>(), InvalidArgument);
+}
+
+TEST(Field, CenteredSampleCopiesTheCentralBox) {
+  // Every sampled element is the source element at the box's offset, for
+  // edges shorter and longer than max_edge, in 1 to 4 dimensions and both
+  // dtypes.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {100}, {7, 70}, {9, 50, 3}, {3, 20, 6, 11}};
+  for (const auto& dims : shapes) {
+    const Shape shape{std::span<const std::size_t>(dims)};
+    NdArray<double> arr(shape);
+    for (std::size_t i = 0; i < arr.num_elements(); ++i)
+      arr[i] = static_cast<double>(i);
+    const Field sample = centered_sample(Field("f", std::move(arr)), 8);
+    const auto& out = sample.as<double>();
+    const auto src = shape.strides();
+    const auto dst = out.shape().strides();
+    for (std::size_t i = 0; i < out.num_elements(); ++i) {
+      std::size_t at = 0;
+      for (int d = 0; d < shape.ndims(); ++d) {
+        const std::size_t edge = std::min<std::size_t>(dims[d], 8);
+        EXPECT_EQ(out.shape().dim(d), edge);
+        at += ((dims[d] - edge) / 2 + i / dst[d] % edge) * src[d];
+      }
+      ASSERT_EQ(out[i], static_cast<double>(at)) << i;
+    }
+  }
+  NdArray<float> f32(Shape{5, 5});
+  f32[12] = 3.5f;
+  const Field s32 = centered_sample(Field("g", std::move(f32)), 1);
+  EXPECT_EQ(s32.dtype(), DType::kFloat32);
+  EXPECT_EQ(s32.num_elements(), 1u);
+  EXPECT_EQ(s32.as<float>()[0], 3.5f);
+  EXPECT_EQ(s32.name(), "g");
 }
 
 TEST(Rng, Deterministic) {

@@ -101,7 +101,7 @@ TEST(Monitor, ComputePhaseDilatesBySpeedFactor) {
 
 TEST(Monitor, EnergyIsSumOfSampledPower) {
   const auto& cpu = cpu_model("8160");
-  PowercapMonitor mon(cpu, 0.01);
+  PowercapMonitor mon(cpu);
   mon.record_compute("a", 0.5, 4);
   mon.record_io("b", 0.25);
   const auto total = mon.total();

@@ -215,10 +215,6 @@ TEST(StreamPipeline, RejectsBadConfig) {
   bad.slabs = 0;
   EXPECT_THROW(run_streamed_compress_write(f, config, pfs, bad),
                InvalidArgument);
-  bad.slabs = 2;
-  bad.queue_depth = 0;
-  EXPECT_THROW(run_streamed_compress_write(f, config, pfs, bad),
-               InvalidArgument);
 }
 
 // --- streamed write through every container ---------------------------------

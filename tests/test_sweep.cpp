@@ -1,6 +1,6 @@
 // Sweep-engine tests: deterministic result ordering under parallel
-// execution, in-order streaming, per-cell exception isolation, mid-sweep
-// cancellation, repetition-protocol parity with the serial path, measured
+// execution, in-order streaming, per-cell exception isolation, callback
+// aborts, repetition-protocol parity with the serial path, measured
 // overlap speedup, and the refactored advisor/estimator/multi-node sites.
 #include <gtest/gtest.h>
 
@@ -100,32 +100,6 @@ TEST(Sweep, CellExceptionIsIsolated) {
   EXPECT_THROW(report.rethrow_first_error(), InvalidArgument);
 }
 
-TEST(Sweep, CancellationSkipsUnstartedCells) {
-  // max_tasks = 1 runs the cells in order inside one executor task, so
-  // cancelling from the on-cell stream after cell 3 deterministically
-  // skips cells 4..15; skipped cells are still streamed.
-  SweepCancel cancel;
-  SweepOptions options;
-  options.max_tasks = 1;
-  options.cancel = &cancel;
-  std::vector<int> cells(16, 0);
-  std::vector<std::pair<std::size_t, bool>> streamed;  // (index, skipped)
-  const auto report = sweep_grid(
-      cells, [](const int&, SweepCellContext&) { return 1; }, options,
-      [&](const SweepCell<int, int>& cell) {
-        streamed.push_back({cell.index, cell.skipped});
-        if (cell.index == 3) cancel.request();
-      });
-  EXPECT_EQ(report.stats.completed, 4u);
-  EXPECT_EQ(report.stats.skipped, 12u);
-  ASSERT_EQ(streamed.size(), 16u);
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(streamed[i].first, i);
-    EXPECT_EQ(streamed[i].second, i > 3);
-    EXPECT_EQ(report.cells[i].skipped, i > 3);
-  }
-}
-
 TEST(Sweep, CallbackExceptionAbortsGridUniformly) {
   // A throwing on_cell stops further callbacks, skips unstarted cells, and
   // rethrows from sweep_grid — identically in serial and parallel mode.
@@ -151,23 +125,6 @@ TEST(Sweep, CallbackExceptionAbortsGridUniformly) {
   };
   EXPECT_EQ(run(false), 3u);  // cells 0..2 streamed, then the abort
   EXPECT_EQ(run(true), 3u);
-}
-
-TEST(Sweep, CancelRequestedVisibleInsideCells) {
-  SweepCancel cancel;
-  SweepOptions options;
-  options.parallel = false;
-  options.cancel = &cancel;
-  std::vector<int> cells(4, 0);
-  int observed = 0;
-  sweep_grid(cells, [&](const int&, SweepCellContext& ctx) {
-    if (ctx.index() == 1) cancel.request();
-    if (ctx.cancel_requested()) ++observed;
-    return 0;
-  }, options);
-  // Cell 1 requested mid-grid; cells 2/3 were skipped before starting, so
-  // only cell 1 itself observed the flag from inside.
-  EXPECT_EQ(observed, 1);
 }
 
 TEST(Sweep, RepetitionStatsMatchSerialPathBitForBit) {

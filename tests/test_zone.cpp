@@ -945,9 +945,8 @@ TEST(WholeDomainRead, FullReadIsTheWholeDomainRegionRead) {
                                 const std::vector<double>& consume,
                                 int lanes) {
       return solve_read_timeline(TransportConfig{}, eager_wire(fetch.size()),
-                                 consume, fetch,
-                                 static_cast<std::size_t>(stream.queue_depth),
-                                 open_s, lanes)
+                                 consume, fetch, kStreamQueueDepth, open_s,
+                                 lanes)
           .makespan_s;
     };
     EXPECT_NEAR(eager_read(full.slab_fetch_s, region.zone_decompress_s,
