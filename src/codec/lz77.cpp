@@ -78,13 +78,13 @@ Bytes emit_blob(std::size_t n, const std::vector<Token>& tokens,
   return out;
 }
 
-// Evaluates candidate `c` against position `pos` exactly as the original
-// chain walk did. Two exact rejects skip the full extension without
-// affecting the output: (a) a first-4-bytes mismatch proves the candidate
-// is a hash collision that cannot reach kMinMatch (sub-minimum best_len
-// updates only ever gate which later candidates get *evaluated*, never
-// which match is finally emitted); (b) a mismatch one byte past the
-// current best proves len <= best_len.
+// Evaluates candidate `c` against position `pos`, keeping the longer match.
+// Two exact rejects skip the full extension without affecting the output:
+// (a) a first-4-bytes mismatch proves the candidate is a hash collision
+// that cannot reach kMinMatch (sub-minimum best_len updates only ever gate
+// which later candidates get *evaluated*, never which match is finally
+// emitted); (b) a mismatch one byte past the current best proves
+// len <= best_len.
 inline void consider_candidate(const std::byte* base, std::size_t n,
                                std::size_t pos, std::size_t c,
                                std::size_t max_len, std::uint32_t pos4,
