@@ -1,31 +1,34 @@
-// Sector-ring transport scaling: how the streamed-write makespan responds
-// to sector size, ring depth (credits per channel), channel count, and
-// contending PFS clients — the knobs of the io/transport endpoint.
+// Sector transport scaling: how the modeled streamed-write makespan
+// responds to sector size, ring depth (credits per channel), channel
+// count, and contending PFS clients — the knobs of the io/transport model.
 //
 // Each grid cell builds its own PFS world with a deliberately wire-heavy
 // configuration (small stripes, fat per-stripe RPC, modest client link):
 // the regime the transport exists for, where the blocking per-chunk append
 // path serializes compression behind stripe RPCs and transfer. The cell
-// streams the dataset out twice — once through the sector-ring transport
+// streams the dataset out twice — once with the sector plan
 // (run_streamed_compress_write, stream.use_transport = true) and once
-// through the PR-8 blocking path — and requires the two containers to be
-// byte-identical ("bitpar" column; nonzero exit on any mismatch). The
-// speedup column is blocking_total_s / streamed_total_s from the
-// transported run's own reconstruction, so both schedules rest on the same
-// host compress samples.
+// without — and requires the two containers to be byte-identical
+// ("bitpar" column; nonzero exit on any mismatch). The speedup column is
+// blocking_total_s / streamed_total_s from the transported run's own
+// reconstruction, so both schedules rest on the same host compress
+// samples.
 //
 // Grid flags as in every grid bench: --scale/--reps/--seed/--serial/
-// --verify/--jobs; plus --eb, --codec, --dataset, --json. Modeled-time and
-// occupancy columns ride on host-measured kernel timings and are excluded
-// from the --verify row comparison; sector counts and bit parity are
-// deterministic and kept.
+// --verify/--jobs; plus --eb, --codec, --dataset, --json. Modeled-time,
+// stall and occupancy columns ride on host-measured kernel timings and
+// are excluded from the --verify row comparison; sector counts and bit
+// parity are deterministic and kept.
 //
-// After the grid, a kernel section times the full transported write
-// (streamed_write) vs the blocking write (streamed_write_serial) plus the
-// memcpy calibration row, and writes everything to BENCH_transport.json.
-// CI's Release leg gates streamed_write throughput, normalized in-run by
-// streamed_write_serial, against bench/baselines/BENCH_transport.json
-// (scripts/check_perf_baseline.py).
+// After the grid, a kernel section times the streamed write on its codec
+// lanes (streamed_write) against a one-thread reference that compresses
+// the same slabs in order and appends them through IoTool::ChunkWriter
+// (streamed_write_serial; its container must match the streamed one byte
+// for byte, or the bench exits FATAL), plus the memcpy calibration row,
+// and writes everything to BENCH_transport.json. CI's Release leg gates
+// streamed_write throughput, normalized in-run by streamed_write_serial —
+// the host overlap of the codec lanes — against
+// bench/baselines/BENCH_transport.json (scripts/check_perf_baseline.py).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -35,7 +38,11 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
+#include "compressors/chunking.h"
+#include "compressors/compressor.h"
+#include "compressors/zone.h"
 #include "core/pipeline.h"
+#include "io/io_tool.h"
 #include "io/pfs.h"
 
 using namespace eblcio;
@@ -78,6 +85,33 @@ PfsConfig wire_heavy_pfs() {
   pc.client_bandwidth_bps = 4e6;
   pc.ost_bandwidth_bps = 1.2e9;
   return pc;
+}
+
+// The one-thread reference of a streamed write: the same slabs, coded at
+// the same whole-field absolute bound, compressed in slab order and
+// appended through the container's chunk writer on the calling thread.
+// Returns the container size.
+std::size_t serial_streamed_write(const Field& field,
+                                  const PipelineConfig& config, int slabs,
+                                  PfsSimulator& pfs, const std::string& path) {
+  Compressor& comp = compressor(config.codec);
+  CompressOptions opt;
+  opt.mode = BoundMode::kValueRangeRel;
+  opt.error_bound = config.error_bound;
+  opt.threads = config.threads;
+  CompressOptions slab_opt = opt;
+  slab_opt.mode = BoundMode::kAbsolute;
+  slab_opt.error_bound = absolute_bound_for(field, opt);
+  ChunkedDatasetMeta meta;
+  meta.name = field.name();
+  meta.dims = field.shape().dims_vector();
+  meta.attributes["content"] = "eblc-compressed";
+  meta.attributes["codec"] = comp.name();
+  auto out = io_tool(config.io_library).open_zoned(pfs, path, meta);
+  for (const ZoneExtent& zone : zone_extents(field.shape().dim(0), slabs))
+    out.append_zone(comp.compress(extract_slab(field, zone), slab_opt), zone);
+  out.close();
+  return pfs.file_size(path);
 }
 
 }  // namespace
@@ -262,18 +296,28 @@ int main(int argc, char** argv) {
           return static_cast<std::size_t>(dst[0]);
         }));
   }
+  Bytes streamed_container, serial_container;
   kernels.push_back(run_kernel("streamed_write", reps, field_mb, [&] {
     PfsSimulator pfs(wire_heavy_pfs());
     StreamConfig s = kstream;
     s.use_transport = true;
-    return run_streamed_compress_write(field, kcfg, pfs, s).compressed_bytes;
+    const auto rec = run_streamed_compress_write(field, kcfg, pfs, s);
+    streamed_container = pfs.read_file(rec.path);
+    return rec.compressed_bytes;
   }));
   kernels.push_back(run_kernel("streamed_write_serial", reps, field_mb, [&] {
     PfsSimulator pfs(wire_heavy_pfs());
-    StreamConfig s = kstream;
-    s.use_transport = false;
-    return run_streamed_compress_write(field, kcfg, pfs, s).compressed_bytes;
+    const std::size_t size =
+        serial_streamed_write(field, kcfg, kstream.slabs, pfs, "/pfs/serial");
+    serial_container = pfs.read_file("/pfs/serial");
+    return size;
   }));
+  if (streamed_container != serial_container) {
+    std::fprintf(stderr,
+                 "FATAL: the streamed write's container differs from the "
+                 "one-thread reference's\n");
+    return 1;
+  }
 
   std::printf("\nstreamed write, host wall (best of %d):\n", reps);
   bench::StreamedTable ktable({"kernel", "best (ms)", "MB/s"});

@@ -16,8 +16,11 @@ huffman_encode against huffman_encode_reference, and
 huffman_encode_lowent against huffman_encode_reference_lowent
 (bench_micro_codecs), zone_decode (parallel full-field zone decode)
 against zone_decode_serial (bench_zone_scaling), and streamed_write
-(sector-ring transport write) against streamed_write_serial (the blocking
-append path, bench_transport_scaling). Both halves of a pair run
+(the streamed write on its codec lanes) against streamed_write_serial
+(a one-thread reference compressing the same slabs in order and
+appending them through the same container writer, byte-identical or the
+bench exits FATAL; bench_transport_scaling), so that gate measures the
+host overlap of the codec lanes. Both halves of a pair run
 the identical payload in the same process seconds apart, which cancels
 machine and noisy-neighbour variance far better than a bandwidth row can.
 Because a pair shares its substrate (a regression there would slow both

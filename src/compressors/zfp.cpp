@@ -23,6 +23,13 @@ constexpr int kIntPrec = 64;
 constexpr int kScaleBits = 62;
 constexpr int kEmaxBits = 12;
 constexpr int kEmaxBias = 2048;
+// Blocks below 2^-961 need an encode scale 2^(62 - emax) past DBL_MAX, and
+// below 2^-1012 a decode scale 2^(emax - 62) under the smallest subnormal.
+// Those blocks scale in two steps, one of them by kScaleStep; scaling by a
+// power of two away from the overflow and underflow ranges is exact, so
+// the two steps round exactly as one ideal multiply would.
+constexpr double kScaleStep = 0x1p512;
+constexpr int kScaleStepExp = 512;
 
 // ---------------------------------------------------------------------------
 // Lifted transform (the ZFP non-orthogonal transform; matrix in TVCG'14).
@@ -402,9 +409,16 @@ void encode_block(BitWriter& bw, const double* vals, int d, int minexp) {
 
   // Block-floating-point conversion.
   std::array<std::int64_t, 64> iblock;
-  const double scale = std::ldexp(1.0, kScaleBits - emax);
-  for (int i = 0; i < n; ++i)
-    iblock[i] = static_cast<std::int64_t>(vals[i] * scale);
+  const int shift = kScaleBits - emax;
+  if (shift < std::numeric_limits<double>::max_exponent) {
+    const double scale = std::ldexp(1.0, shift);
+    for (int i = 0; i < n; ++i)
+      iblock[i] = static_cast<std::int64_t>(vals[i] * scale);
+  } else {
+    const double scale = std::ldexp(1.0, shift - kScaleStepExp);
+    for (int i = 0; i < n; ++i)
+      iblock[i] = static_cast<std::int64_t>(vals[i] * kScaleStep * scale);
+  }
 
   fwd_xform(iblock.data(), d);
 
@@ -436,9 +450,18 @@ void decode_block(BitReader& br, double* vals, int d, int minexp) {
 
   inv_xform(iblock.data(), d);
 
-  const double scale = std::ldexp(1.0, emax - kScaleBits);
-  for (int i = 0; i < n; ++i)
-    vals[i] = static_cast<double>(iblock[i]) * scale;
+  // 2^-1074 is the smallest subnormal.
+  const int shift = emax - kScaleBits;
+  if (shift >= std::numeric_limits<double>::min_exponent -
+                   std::numeric_limits<double>::digits) {
+    const double scale = std::ldexp(1.0, shift);
+    for (int i = 0; i < n; ++i)
+      vals[i] = static_cast<double>(iblock[i]) * scale;
+  } else {
+    const double scale = std::ldexp(1.0, shift + kScaleStepExp);
+    for (int i = 0; i < n; ++i)
+      vals[i] = static_cast<double>(iblock[i]) * scale / kScaleStep;
+  }
 }
 
 int minexp_for(double tolerance) {

@@ -104,32 +104,24 @@ WriteRecord run_compress_write(const Field& field,
 namespace {
 
 // The live client count the streamed pipelines feed the PFS contention
-// model for *blocking* transfers: every registered writer and reader fleet
-// across overlapping worlds, plus this client itself. Streams register
-// with the PFS only while their data is in flight (see
-// AppendStream::engage), so at call time the caller's own stream is not
-// yet counted — the +1 adds it, exactly reproducing what the old
-// whole-function WriterScope/ReaderScope registration fed the model. A
-// lone pipeline sees 1; overlapping streams contend honestly. (Transport
-// endpoints price their sectors themselves, while engaged, without the
-// +1.)
+// model: every registered writer and reader fleet across overlapping
+// worlds, plus this client itself. Streams register with the PFS only
+// while their bytes move (see AppendStream), so at call time the caller's
+// own stream is not yet counted — the +1 adds it. A lone pipeline sees 1;
+// overlapping streams contend honestly. The sector plan prices each
+// message's sectors at the same count.
 int self_inclusive_clients(const PfsSimulator& pfs) {
   return std::max(1,
                   pfs.concurrent_writers() + pfs.concurrent_readers() + 1);
 }
 
-// A transported pipeline's telemetry: the endpoint's configuration and
-// host counters beside its modeled timeline.
-void fill_telemetry(TransportTelemetry& t, const SectorEndpoint& endpoint,
-                    const Timeline& timeline) {
-  t.channels = endpoint.config().channels;
-  t.ring_depth = endpoint.config().ring_depth;
-  t.sector_bytes = endpoint.config().sector_bytes;
-  t.sectors = endpoint.records().size();
-  t.credit_stalls = endpoint.stats().credit_stalls;
-  t.credit_stall_s = timeline.credit_stall_s;
-  t.mean_inflight = timeline.mean_inflight;
-  t.peak_inflight = timeline.peak_inflight;
+// A transported pipeline's telemetry: the transport's configuration and
+// planned sector count beside its modeled timeline.
+TransportTelemetry telemetry(const TransportConfig& config,
+                             std::size_t sectors, const Timeline& t) {
+  return {config.channels,  config.ring_depth, config.sector_bytes,
+          sectors,          t.credit_stalls,   t.credit_stall_s,
+          t.mean_inflight,  t.peak_inflight};
 }
 
 // Returns pooled blobs a failed pipeline never consumed.
@@ -257,11 +249,11 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   meta.attributes["content"] = "eblc-compressed";
   meta.attributes["codec"] = rec.codec;
   auto out = tool.open_zoned(pfs, rec.path, meta);
-  if (stream.use_transport) out.enable_transport(stream.transport);
   const double open_s = charge_io("stream-write-open", out.open_cost()).second;
-  // Per-slab container prep (compute), kept for the transport timeline
-  // solver and the blocking-path reconstruction.
+  // Per-slab container prep (compute) and offset/contention: the inputs of
+  // the transport timeline and of the blocking-path reconstruction.
   std::vector<double> stage_prep_s(nslabs, 0.0);
+  std::vector<WireMessage> messages(nslabs);
   std::vector<Bytes> blobs(nslabs);
   std::vector<LaneSpan> spans(nslabs);
 
@@ -276,12 +268,14 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     spans[i].end_s = wall.elapsed_s();
   };
   stages.sink = [&](std::size_t i) {
-    // A transported append only *staged* sectors (transfer is 0); the wire
-    // cost lands in transport()->records() and is charged after the drain,
-    // when every sector's contended price is known.
-    std::tie(stage_prep_s[i], rec.slab_write_s[i]) = charge_io(
-        "stream-write",
-        out.append_zone(blobs[i], zones[i], self_inclusive_clients(pfs)));
+    messages[i] = {out.open_cost().bytes_written + out.payload_bytes(),
+                   blobs[i].size(), self_inclusive_clients(pfs)};
+    IoCost cost = out.append_zone(blobs[i], zones[i], messages[i].clients);
+    // Under the transport the planned sectors replace the blocking
+    // transfer; they are charged once the whole stream is planned.
+    if (stream.use_transport) cost.transfer_seconds = 0.0;
+    std::tie(stage_prep_s[i], rec.slab_write_s[i]) =
+        charge_io("stream-write", cost);
     // The blob has landed in the container; recycle its allocation for the
     // next slab's compress/staging buffers.
     BufferPool::global().release(std::move(blobs[i]));
@@ -293,8 +287,6 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     release_pending(blobs);
     throw;
   }
-  // close() drains the transport rings first, so every sector has retired
-  // (and priced itself) before the footer commits.
   const double close_s =
       charge_io("stream-write-close", out.close(self_inclusive_clients(pfs)))
           .second;
@@ -315,12 +307,11 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   // between staging and the wire.
   std::vector<double> blocking_write_s = rec.slab_write_s;
   if (stream.use_transport) {
-    const SectorWriter& transport = *out.transport();
-    const auto& sectors = transport.records();
+    const auto sectors = plan_sectors(pfs, stream.transport,
+                                      SectorOp::kAppend, messages);
     blocking_write_s = blocking_write_seconds(
         pfs, out.open_cost().bytes_written, sectors, stage_prep_s);
-    // Charge the wire once, now that every sector has its contended price;
-    // fold each message's wire seconds into its slab_write_s column.
+    // Charge the planned wire once and fold it into slab_write_s.
     double wire_total = 0.0;
     std::vector<double> slab_wire_s(nslabs, 0.0);
     for (const SectorRecord& s : sectors) {
@@ -335,7 +326,7 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
         solve_write_timeline(stream.transport, sectors, rec.slab_compress_s,
                              stage_prep_s, kStreamQueueDepth, open_s, lanes);
     rec.streamed_total_s = timeline.makespan_s + close_s;
-    fill_telemetry(rec.transport, transport, timeline);
+    rec.transport = telemetry(stream.transport, sectors.size(), timeline);
   }
   // The blocking makespan is the same solver over the eager wire.
   rec.blocking_total_s =
@@ -361,10 +352,9 @@ namespace {
 
 // The one streamed read. Resolves `box` (the whole dataset when none is
 // given) to its covering zones from the footer index alone, fetches those
-// zones in order on the calling thread (or stages their sector fetches
-// through the transport) and decodes each on a codec lane — only its part
-// of the box (decompress_region_any, the plain full decode for a whole
-// zone) — copying the part into its rows of the preallocated output. A
+// zones in order on the calling thread and decodes each on a codec lane —
+// only its part of the box (decompress_region_any, the plain full decode
+// for a whole zone) — copying the part into its rows of the preallocated output. A
 // failing fetch, decode, or placement propagates once every lane settled,
 // with every pooled blob returned.
 RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
@@ -382,7 +372,6 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
   PowercapMonitor monitor(cpu);  // thread-safe: fetcher and lanes record
   auto reader =
       tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
-  if (stream.use_transport) reader.enable_transport(stream.transport);
   const ChunkIndex& index = reader.index();
   rec.region = read_box(index, box, path);
   const Region& region = rec.region;
@@ -405,19 +394,20 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
 
   ReadOutput out(index.meta.name, region.shape, path);
   std::vector<Bytes> blobs(n);
-  std::vector<std::size_t> handles(n, 0), bytes(n, 0), reconstructed(n, 0);
+  std::vector<std::size_t> bytes(n, 0), reconstructed(n, 0);
   std::vector<IoCost> fetch_cost(n);
+  std::vector<WireMessage> messages(n);
   std::vector<LaneSpan> spans(n);
 
   WallTimer wall;
   LaneStages stages;
-  // The source starts zone k's fetch (the whole blocking fetch, or staging
-  // its sector fetches through the transport); its lane awaits the bytes.
+  // The source fetches zone k; its lane decodes the bytes.
   stages.source = [&](std::size_t k) {
-    handles[k] = reader.prefetch_chunk(ids[k], self_inclusive_clients(pfs));
+    const ChunkExtent& e = index.chunks[ids[k]];
+    messages[k] = {e.offset, e.size, self_inclusive_clients(pfs)};
+    blobs[k] = reader.read_chunk(ids[k], &fetch_cost[k], messages[k].clients);
   };
   stages.lane = [&](std::size_t k) {
-    blobs[k] = reader.await_chunk(handles[k], ids[k], &fetch_cost[k]);
     const ZoneExtent& zone = index.zones[ids[k]];
     Field part;
     {
@@ -443,6 +433,18 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
   rec.host_wall_s = wall.elapsed_s();
   rec.field = out.take();
   rec.field_bytes = rec.field.size_bytes();
+
+  // The wire: the planned sector fetches, which replace each zone's
+  // blocking fetch as its transfer, or the eager one.
+  const auto sectors =
+      stream.use_transport
+          ? plan_sectors(pfs, stream.transport, SectorOp::kFetch, messages)
+          : eager_wire(n);
+  if (stream.use_transport) {
+    for (IoCost& cost : fetch_cost) cost.transfer_seconds = 0.0;
+    for (const SectorRecord& s : sectors)
+      fetch_cost[s.message].transfer_seconds += s.rpc_s + s.xfer_s;
+  }
 
   // Each zone's fetch, charged in zone order: prep is container work
   // (compute at one core), transfer is PFS time. The read solver's inputs:
@@ -475,14 +477,12 @@ RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
   // Serial reference: open, fetch everything, then decode everything.
   rec.serial_total_s = open_s + serial_fetch + serial_decompress;
 
-  // The wire is the transport's retired sectors, or the eager one.
-  const SectorReader* transport = reader.transport();
   const Timeline timeline = solve_read_timeline(
-      transport ? stream.transport : TransportConfig{},
-      transport ? transport->records() : eager_wire(n), consume_s, stage_s,
-      kStreamQueueDepth, open_s, rec.lanes);
+      stream.use_transport ? stream.transport : TransportConfig{}, sectors,
+      consume_s, stage_s, kStreamQueueDepth, open_s, rec.lanes);
   rec.streamed_total_s = timeline.makespan_s;
-  if (transport) fill_telemetry(rec.transport, *transport, timeline);
+  if (stream.use_transport)
+    rec.transport = telemetry(stream.transport, sectors.size(), timeline);
   return rec;
 }
 

@@ -110,28 +110,26 @@ inline constexpr std::size_t kStreamQueueDepth = 2;
 
 struct StreamConfig {
   int slabs = 8;  // slabs split along dim 0
-  // Sector-ring transport between the pipeline and the PFS (io/transport.h):
-  // chunks are staged into fixed-size pooled sectors and shipped by a
-  // doorbell task with ring_depth sectors in flight per channel, so slab
-  // coding, sector staging, and wire transfer all overlap. false runs each
-  // chunk as one blocking append, or as one eager fetch that the lane's
-  // await picks up; the pipelines run the same stages either way, and the
-  // container bytes are identical. The flag enables the endpoint and picks
-  // the timeline model's inputs: each direction has one solver
-  // (io/transport.h), fed the retired sectors, or the eager wire whose
-  // every message pays its whole blocking append or fetch.
+  // Sector transport model between the pipeline and the PFS
+  // (io/transport.h). The chunks always move as blocking container appends
+  // and fetches, so the container bytes do not depend on the flag. When
+  // set, each chunk's wire time is re-priced as the planned sectors of
+  // `transport` (plan_sectors), and each direction's timeline solver
+  // overlaps slab coding, sector staging on ring_depth credits per
+  // channel, and wire transfer; when clear, the solver gets the eager
+  // wire, whose every message pays its whole blocking append or fetch.
   bool use_transport = true;
   TransportConfig transport;
 };
 
 // Transport columns shared by the streamed write/read/region records; all
-// zero when the blocking path ran.
+// zero when use_transport was false.
 struct TransportTelemetry {
   int channels = 0;
   int ring_depth = 0;
   std::size_t sector_bytes = 0;
-  std::size_t sectors = 0;         // sector transfers on the wire
-  std::size_t credit_stalls = 0;   // host waits for a free descriptor
+  std::size_t sectors = 0;         // planned sector transfers
+  std::size_t credit_stalls = 0;   // modeled sectors that waited for a credit
   double credit_stall_s = 0.0;     // modeled staging time lost to credits
   double mean_inflight = 0.0;      // time-averaged sectors in flight
   int peak_inflight = 0;           // max sectors simultaneously in flight
@@ -151,7 +149,7 @@ struct StreamRecordBase {
   // Host wall clock of the real concurrent run (lanes genuinely overlap
   // one another and the container thread on the executor).
   double host_wall_s = 0.0;
-  // Sector-ring transport telemetry (zeros when use_transport was false).
+  // Sector transport telemetry (zeros when use_transport was false).
   TransportTelemetry transport;
 
   double overlap_saving_s() const { return serial_total_s - streamed_total_s; }
@@ -204,9 +202,8 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
 // The restart-time mirror of the write pipeline, and the serving-scale
 // query path, are one pipeline: a read resolves a query box to its covering
 // zones through the container's footer zone index, then this thread fetches
-// those zones in order with ranged PFS reads (or stages their sector
-// fetches through the transport) while up to W codec lanes decode the
-// zones already fetched, each copying its zone's part of the box straight
+// those zones in order with ranged PFS reads while up to W codec lanes
+// decode the zones already fetched, each copying its zone's part of the box straight
 // into its own rows of the preallocated output. Fetch i starts once zone
 // i - (1 + kStreamQueueDepth) has reached a lane. Fetching overlaps
 // decoding, and decodes overlap each other, so the makespan undercuts the

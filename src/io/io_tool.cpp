@@ -291,14 +291,6 @@ IoTool::ChunkWriter::ChunkWriter(const IoTool* tool, PfsSimulator& pfs,
   open_cost_.bytes_written = header.size();
 }
 
-void IoTool::ChunkWriter::enable_transport(const TransportConfig& config) {
-  EBLCIO_CHECK_ARG(!closed_, "enable_transport after close: " + path_);
-  EBLCIO_CHECK_ARG(transport_ == nullptr,
-                   "transport already enabled: " + path_);
-  staged_bytes_ = stream_.bytes_written();
-  transport_ = std::make_unique<SectorWriter>(stream_, config);
-}
-
 IoCost IoTool::ChunkWriter::append_zone(std::span<const std::byte> chunk,
                                         ZoneExtent zone,
                                         int concurrent_clients) {
@@ -316,28 +308,16 @@ IoCost IoTool::ChunkWriter::append_zone(std::span<const std::byte> chunk,
 
   ChunkExtent extent;
   extent.size = chunk.size();
-  if (transport_) {
-    // Transported append: the chunk is staged into pooled sectors and
-    // shipped by the doorbell task; its wire cost lands per sector in the
-    // endpoint's records, priced at completion-time contention. The
-    // extent's offset comes from the staging cursor — the stream's
-    // bytes_written() lags while sectors are in flight. The staging
-    // memcpy into sector buffers is the tool's conversion-buffer copy, so
-    // staging_copy tools take no extra pass here.
-    extent.offset = staged_bytes_;
-    transport_->stage(extents_.size(), chunk);
-    staged_bytes_ += chunk.size();
-  } else if (profile.staging_copy) {
+  extent.offset = stream_.bytes_written();
+  if (profile.staging_copy) {
     // The classic-model conversion buffer: the chunk really passes through
     // an intermediate copy before landing in the container. The copy is a
     // pooled buffer — append() lands the bytes in the PFS stripes, so the
     // staging allocation recycles across chunks.
-    extent.offset = stream_.bytes_written();
     Bytes staged = staged_copy(chunk);
     cost.transfer_seconds = stream_.append(staged, concurrent_clients).seconds;
     BufferPool::global().release(std::move(staged));
   } else {
-    extent.offset = stream_.bytes_written();
     cost.transfer_seconds = stream_.append(chunk, concurrent_clients).seconds;
   }
   extents_.push_back(extent);
@@ -347,10 +327,6 @@ IoCost IoTool::ChunkWriter::append_zone(std::span<const std::byte> chunk,
 
 IoCost IoTool::ChunkWriter::close(int concurrent_clients) {
   EBLCIO_CHECK_ARG(!closed_, "double close: " + path_);
-  // Every staged sector must land before the footer commits (and before
-  // footer_start reads the stream's byte count). A wire error surfaces
-  // here, before a broken container could be sealed.
-  if (transport_) transport_->drain();
   const std::uint64_t covered =
       zones_.empty() ? 0 : zones_.back().row_start + zones_.back().rows;
   EBLCIO_CHECK_ARG(!meta_.dims.empty() && covered == meta_.dims[0],
@@ -465,59 +441,19 @@ IoTool::ChunkReader::ChunkReader(const IoTool* tool, PfsSimulator& pfs,
       profile.prep_seconds(footer.size() + header.size() + 8);
   open_cost_.transfer_seconds = stream_.seconds_total();
   open_cost_.bytes_written = 0;
-  parked_.resize(index_.chunks.size());
-}
-
-IoTool::ChunkReader::~ChunkReader() {
-  for (auto& p : parked_)
-    if (p) BufferPool::global().release(std::move(p->data));
-}
-
-const ChunkExtent& IoTool::ChunkReader::extent(std::size_t i) const {
-  EBLCIO_CHECK_ARG(i < index_.chunks.size(),
-                   "chunk index out of range: " + stream_.path());
-  return index_.chunks[i];
 }
 
 Bytes IoTool::ChunkReader::read_chunk(std::size_t i, IoCost* cost_out,
                                       int concurrent_clients) {
-  return await_chunk(prefetch_chunk(i, concurrent_clients), i, cost_out);
-}
-
-void IoTool::ChunkReader::enable_transport(const TransportConfig& config) {
-  EBLCIO_CHECK_ARG(transport_ == nullptr,
-                   "transport already enabled: " + stream_.path());
-  transport_ = std::make_unique<SectorReader>(stream_, config);
-}
-
-std::size_t IoTool::ChunkReader::prefetch_chunk(std::size_t i,
-                                                int concurrent_clients) {
-  const ChunkExtent& e = extent(i);
-  if (transport_)
-    return transport_->request(static_cast<std::size_t>(e.offset),
-                               static_cast<std::size_t>(e.size));
-  EBLCIO_CHECK_ARG(!parked_[i], "chunk prefetched twice: " + stream_.path());
-  parked_[i] = stream_.read(static_cast<std::size_t>(e.offset),
-                            static_cast<std::size_t>(e.size),
-                            concurrent_clients);
-  return i;
-}
-
-Bytes IoTool::ChunkReader::await_chunk(std::size_t handle, std::size_t i,
-                                       IoCost* cost_out) {
-  const ChunkExtent& e = extent(i);
+  EBLCIO_CHECK_ARG(i < index_.chunks.size(),
+                   "chunk index out of range: " + stream_.path());
+  const ChunkExtent& e = index_.chunks[i];
+  PfsSimulator::RangeRead fetched =
+      stream_.read(static_cast<std::size_t>(e.offset),
+                   static_cast<std::size_t>(e.size), concurrent_clients);
   IoCost cost;
-  Bytes data;
-  if (transport_) {
-    data = transport_->await(handle, &cost.transfer_seconds);
-  } else {
-    EBLCIO_CHECK_ARG(handle == i && parked_[i],
-                     "await_chunk on a chunk not prefetched: " +
-                         stream_.path());
-    data = std::move(parked_[i]->data);
-    cost.transfer_seconds = parked_[i]->cost.seconds;
-    parked_[i].reset();
-  }
+  cost.transfer_seconds = fetched.cost.seconds;
+  Bytes data = std::move(fetched.data);
   const Profile& profile = tool_->profile_;
   if (profile.staging_copy) {
     // Mirror the write path: the classic library stages fetched data

@@ -19,8 +19,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,7 +26,6 @@
 #include "common/field.h"
 #include "common/region.h"
 #include "io/pfs.h"
-#include "io/transport.h"
 
 namespace eblcio {
 
@@ -132,21 +129,6 @@ class IoTool {
 
     IoCost close(int concurrent_clients = 1);
 
-    // Routes subsequent appends through a sector-ring transport endpoint
-    // (io/transport.h): each chunk is *staged* into pooled fixed-size
-    // sectors and the doorbell task ships them asynchronously, priced at
-    // the PFS's live contended client count — the returned IoCost carries
-    // only the prep share (transfer_seconds = 0); per-sector wire costs
-    // accumulate in transport()->records(). Sectors land in staging
-    // order, so the container bytes are identical to the blocking path.
-    // close() drains the rings before committing the footer. Call after
-    // the writer has reached its final location (the endpoint keeps a
-    // pointer to this writer's stream), at most once.
-    void enable_transport(const TransportConfig& config);
-    bool transport_enabled() const { return transport_ != nullptr; }
-    SectorWriter* transport() { return transport_.get(); }
-    const SectorWriter* transport() const { return transport_.get(); }
-
     const std::string& path() const { return path_; }
     std::size_t chunks_written() const { return extents_.size(); }
     // Payload bytes appended so far (container framing excluded).
@@ -168,11 +150,6 @@ class IoTool {
     std::vector<ZoneExtent> zones_;
     IoCost open_cost_;
     bool closed_ = false;
-    // Container-offset cursor including staged-but-unretired sectors (the
-    // stream's bytes_written() lags while sectors are in flight).
-    std::size_t staged_bytes_ = 0;
-    // Declared last so it drains before the stream is destroyed.
-    std::unique_ptr<SectorWriter> transport_;
   };
 
   // Stateful chunked-dataset reader. Construction fetches and validates
@@ -181,40 +158,17 @@ class IoTool {
   // fetched one extent at a time.
   class ChunkReader {
    public:
-    ~ChunkReader();  // releases prefetched chunks that were never awaited
-    ChunkReader(ChunkReader&&) = default;
-
     const ChunkIndex& index() const { return index_; }
     // What opening the container (footer + header fetches) cost.
     const IoCost& open_cost() const { return open_cost_; }
 
-    // Fetches chunk `i`: prefetch_chunk then await_chunk. The returned
-    // bytes are exactly what append_zone wrote. `cost_out`, when given,
-    // receives this fetch's prep/transfer.
+    // Fetches chunk `i` with one ranged read priced at
+    // `concurrent_clients`, applies the tool's staging copy, and returns
+    // exactly the bytes append_zone wrote. `cost_out`, when given,
+    // receives the tool's prep pricing and the fetch's PFS time as
+    // transfer.
     Bytes read_chunk(std::size_t i, IoCost* cost_out = nullptr,
                      int concurrent_clients = 1);
-
-    // The two halves of a chunk fetch; one thread prefetches while another
-    // may await. prefetch_chunk starts fetching chunk i and returns the
-    // handle await_chunk redeems. Without a transport it is the eager
-    // case: the blocking ranged fetch runs right away, priced at
-    // `concurrent_clients`, and its blob and cost are parked for
-    // await_chunk (each chunk at most once until awaited). With a
-    // transport it stages the chunk's sector fetches (blocking only on
-    // channel credits), priced at the PFS's live contended client count.
-    // await_chunk blocks until the chunk is in, applies the tool's staging
-    // copy, and reports the tool's prep pricing with the fetch's PFS time
-    // (the summed sector wire time under a transport) as transfer.
-    std::size_t prefetch_chunk(std::size_t i, int concurrent_clients = 1);
-    Bytes await_chunk(std::size_t handle, std::size_t i,
-                      IoCost* cost_out = nullptr);
-
-    // Routes chunk fetches through a sector-ring transport endpoint. Call
-    // after the reader reached its final location, at most once.
-    void enable_transport(const TransportConfig& config);
-    bool transport_enabled() const { return transport_ != nullptr; }
-    SectorReader* transport() { return transport_.get(); }
-    const SectorReader* transport() const { return transport_.get(); }
 
     // Resolves a query box to the indices of the zones it intersects.
     // Requires a region that fits the dataset dims; the covering set is
@@ -225,16 +179,11 @@ class IoTool {
     friend class IoTool;
     ChunkReader(const IoTool* tool, PfsSimulator& pfs,
                 const std::string& path, int concurrent_clients);
-    const ChunkExtent& extent(std::size_t i) const;
 
     const IoTool* tool_;
     PfsSimulator::ReadStream stream_;
     ChunkIndex index_;
     IoCost open_cost_;
-    // Eager fetches awaiting await_chunk, one slot per chunk.
-    std::vector<std::optional<PfsSimulator::RangeRead>> parked_;
-    // Declared last so outstanding fetches settle before the stream dies.
-    std::unique_ptr<SectorReader> transport_;
   };
 
   // Opens a fresh zoned chunked container at `path` (truncating any

@@ -82,7 +82,7 @@ PfsSimulator::WriteResult PfsSimulator::append_file(
   StoredFile& f = it->second;
 
   // Fill the trailing partial stripe first, then allocate new units.
-  const std::size_t stripes_touched = append_stripes(f.size, data.size());
+  const std::size_t offset = f.size;
   std::size_t off = 0;
   if (!f.stripes.empty() && f.stripes.back().size() < f.stripe_size) {
     Bytes& tail = f.stripes.back();
@@ -99,16 +99,24 @@ PfsSimulator::WriteResult PfsSimulator::append_file(
   f.size += data.size();
   lock.unlock();
 
-  const int clients = std::max(concurrent_clients, 1);
-  const double bw = effective_bandwidth(clients);
-  WriteResult r;
-  r.bytes = data.size();
-  r.effective_bw_bps = bw;
-  r.seconds = static_cast<double>(stripes_touched) * config_.rpc_latency_s +
-              static_cast<double>(data.size()) / bw;
+  WriteResult r = append_price(offset, data.size(), concurrent_clients);
   if (creating)
     r.seconds += config_.open_latency_s +
-                 config_.mds_service_s * static_cast<double>(clients);
+                 config_.mds_service_s *
+                     static_cast<double>(std::max(concurrent_clients, 1));
+  return r;
+}
+
+PfsSimulator::WriteResult PfsSimulator::append_price(
+    std::size_t offset, std::size_t length, int concurrent_clients) const {
+  const double bw = effective_bandwidth(std::max(concurrent_clients, 1));
+  WriteResult r;
+  r.bytes = length;
+  r.effective_bw_bps = bw;
+  r.seconds =
+      static_cast<double>(append_stripes(offset, length)) *
+          config_.rpc_latency_s +
+      static_cast<double>(length) / bw;
   return r;
 }
 
@@ -126,41 +134,36 @@ PfsSimulator::AppendStream PfsSimulator::open_append(const std::string& path) {
 
 PfsSimulator::WriteResult PfsSimulator::AppendStream::append(
     std::span<const std::byte> data, int concurrent_clients) {
-  // Count this stream as a live writer only for the transfer itself (a
-  // transport endpoint holding engage() across its burst stays counted).
-  const bool transient = !engaged_;
-  if (transient) engage();
-  WriteResult r = pfs_->append_file(path_, data, concurrent_clients);
-  if (transient) disengage();
+  // Count this stream as a live writer only for the transfer itself.
+  WriteResult r;
+  {
+    const WriterScope moving(*pfs_);
+    r = pfs_->append_file(path_, data, concurrent_clients);
+  }
   bytes_ += r.bytes;
   seconds_ += r.seconds;
   return r;
 }
 
-void PfsSimulator::AppendStream::engage() {
-  if (engaged_ || pfs_ == nullptr) return;
-  engaged_ = true;
-  pfs_->register_writers(1);
-}
-
-void PfsSimulator::AppendStream::disengage() {
-  if (!engaged_ || pfs_ == nullptr) return;
-  engaged_ = false;
-  pfs_->unregister_writers(1);
-}
-
-double PfsSimulator::range_read_seconds(std::size_t bytes,
-                                        std::size_t stripes_touched,
-                                        int concurrent_clients,
-                                        bool pay_open) const {
+PfsSimulator::WriteResult PfsSimulator::read_price(std::size_t offset,
+                                                   std::size_t length,
+                                                   int concurrent_clients,
+                                                   bool pay_open) const {
+  const std::size_t unit = config_.stripe_size;
+  // Stripe unit k holds [k * unit, (k + 1) * unit).
+  const std::size_t stripes_touched =
+      length == 0 ? 0 : (offset + length - 1) / unit - offset / unit + 1;
   const int clients = std::max(concurrent_clients, 1);
-  double seconds =
-      static_cast<double>(stripes_touched) * config_.rpc_latency_s +
-      static_cast<double>(bytes) / effective_bandwidth(clients);
+  const double bw = effective_bandwidth(clients);
+  WriteResult r;
+  r.bytes = length;
+  r.effective_bw_bps = bw;
+  r.seconds = static_cast<double>(stripes_touched) * config_.rpc_latency_s +
+              static_cast<double>(length) / bw;
   if (pay_open)
-    seconds += config_.open_latency_s +
-               config_.mds_service_s * static_cast<double>(clients);
-  return seconds;
+    r.seconds += config_.open_latency_s +
+                 config_.mds_service_s * static_cast<double>(clients);
+  return r;
 }
 
 PfsSimulator::WriteResult PfsSimulator::read_cost(
@@ -169,15 +172,10 @@ PfsSimulator::WriteResult PfsSimulator::read_cost(
   auto it = files_.find(path);
   EBLCIO_CHECK_ARG(it != files_.end(), "no such file: " + path);
   const std::size_t size = it->second.size;
-  const std::size_t nstripes = it->second.stripes.size();
   lock.unlock();
   // One open plus a per-stripe RPC for every stripe the whole-file read
   // touches — the same pricing a matching sequence of appends paid.
-  WriteResult r;
-  r.bytes = size;
-  r.seconds = range_read_seconds(size, nstripes, concurrent_clients, true);
-  r.effective_bw_bps = effective_bandwidth(concurrent_clients);
-  return r;
+  return read_price(0, size, concurrent_clients, true);
 }
 
 PfsSimulator::RangeRead PfsSimulator::read_range(const std::string& path,
@@ -200,13 +198,11 @@ PfsSimulator::RangeRead PfsSimulator::read_range(const std::string& path,
   // allocation-free at this layer (consumers release() once drained).
   r.data = BufferPool::global().acquire(length);
   r.data.reserve(length);
-  std::size_t stripes_touched = 0;
   if (length > 0) {
     // Stripe unit k holds [k * stripe_size, (k + 1) * stripe_size); only
     // the trailing unit may be partial, so indexing is direct.
     const std::size_t first = offset / f.stripe_size;
     const std::size_t last = (offset + length - 1) / f.stripe_size;
-    stripes_touched = last - first + 1;
     for (std::size_t k = first; k <= last; ++k) {
       const std::size_t stripe_begin = k * f.stripe_size;
       const std::size_t lo =
@@ -219,11 +215,7 @@ PfsSimulator::RangeRead PfsSimulator::read_range(const std::string& path,
   }
   lock.unlock();
 
-  r.cost.bytes = length;
-  r.cost.effective_bw_bps = effective_bandwidth(concurrent_clients);
-  r.cost.seconds =
-      range_read_seconds(length, stripes_touched, concurrent_clients,
-                         pay_open);
+  r.cost = read_price(offset, length, concurrent_clients, pay_open);
   return r;
 }
 
@@ -237,27 +229,16 @@ PfsSimulator::ReadStream PfsSimulator::open_read(
 
 PfsSimulator::RangeRead PfsSimulator::ReadStream::read(
     std::size_t offset, std::size_t length, int concurrent_clients) {
-  const bool transient = !engaged_;
-  if (transient) engage();
-  RangeRead r =
-      pfs_->read_range(path_, offset, length, concurrent_clients, !opened_);
-  if (transient) disengage();
+  // Count this stream as a live reader only for the transfer itself.
+  RangeRead r;
+  {
+    const ReaderScope moving(*pfs_);
+    r = pfs_->read_range(path_, offset, length, concurrent_clients, !opened_);
+  }
   opened_ = true;
   bytes_ += r.cost.bytes;
   seconds_ += r.cost.seconds;
   return r;
-}
-
-void PfsSimulator::ReadStream::engage() {
-  if (engaged_ || pfs_ == nullptr) return;
-  engaged_ = true;
-  pfs_->register_readers(1);
-}
-
-void PfsSimulator::ReadStream::disengage() {
-  if (!engaged_ || pfs_ == nullptr) return;
-  engaged_ = false;
-  pfs_->unregister_readers(1);
 }
 
 Bytes PfsSimulator::read_file(const std::string& path) const {

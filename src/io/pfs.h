@@ -75,13 +75,18 @@ class PfsSimulator {
   // with nothing to add, plus every unit it opens.
   std::size_t append_stripes(std::size_t offset, std::size_t length) const;
 
+  // What appending `length` bytes to a file holding `offset` bytes costs
+  // under `concurrent_clients`-way contention, the creation charge aside:
+  // one RPC per stripe append_stripes() counts plus transfer time.
+  // append_file charges it; the sector plan prices appended sectors with it.
+  WriteResult append_price(std::size_t offset, std::size_t length,
+                           int concurrent_clients = 1) const;
+
   // Stateful incremental writer over append_file: remembers whether the
   // open cost has been paid and accumulates bytes/seconds across appends.
   //
   // Registry accounting: the stream counts toward concurrent_writers()
-  // only while data is actually moving — append() registers transiently
-  // for the duration of the transfer, and a transport endpoint holds
-  // engage() across its in-flight burst — so an open-but-idle stream never
+  // only while append() moves its bytes, so an open-but-idle stream never
   // inflates contended pricing for its whole scope.
   class AppendStream {
    public:
@@ -92,20 +97,7 @@ class PfsSimulator {
     std::size_t bytes_written() const { return bytes_; }
     double seconds_total() const { return seconds_; }
 
-    // Registers this stream as an active writer until disengage() (used by
-    // the sector transport while its rings hold in-flight descriptors).
-    // Both are idempotent; the destructor disengages.
-    void engage();
-    void disengage();
-    bool engaged() const { return engaged_; }
-
-    ~AppendStream() { disengage(); }
-    AppendStream(AppendStream&& o) noexcept
-        : pfs_(o.pfs_), path_(std::move(o.path_)), bytes_(o.bytes_),
-          seconds_(o.seconds_), engaged_(o.engaged_) {
-      o.pfs_ = nullptr;
-      o.engaged_ = false;
-    }
+    AppendStream(AppendStream&&) = default;
     AppendStream(const AppendStream&) = delete;
     AppendStream& operator=(const AppendStream&) = delete;
     AppendStream& operator=(AppendStream&&) = delete;
@@ -119,7 +111,6 @@ class PfsSimulator {
     std::string path_;
     std::size_t bytes_ = 0;
     double seconds_ = 0.0;
-    bool engaged_ = false;
   };
 
   // Opens (creating or truncating) `path` for incremental writes.
@@ -149,11 +140,20 @@ class PfsSimulator {
                        std::size_t length, int concurrent_clients = 1,
                        bool pay_open = true) const;
 
+  // What fetching bytes [offset, offset + length) costs under
+  // `concurrent_clients`-way contention: a per-stripe RPC for every stripe
+  // unit the extent touches plus transfer, and with `pay_open` the
+  // open/metadata latency. read_range and read_cost charge it; the sector
+  // plan prices fetched sectors with it.
+  WriteResult read_price(std::size_t offset, std::size_t length,
+                         int concurrent_clients = 1,
+                         bool pay_open = true) const;
+
   // Stateful incremental reader over read_range: the open/metadata cost is
   // paid exactly once (on the first fetch), and bytes/seconds accumulate
   // across fetches — the fetch mirror of AppendStream, with the same
-  // in-flight-only registry accounting (read() registers transiently; a
-  // transport endpoint holds engage() across its burst).
+  // registry accounting (the stream counts toward concurrent_readers()
+  // only while read() moves its bytes).
   class ReadStream {
    public:
     RangeRead read(std::size_t offset, std::size_t length,
@@ -165,20 +165,7 @@ class PfsSimulator {
     std::size_t bytes_read() const { return bytes_; }
     double seconds_total() const { return seconds_; }
 
-    // Registers this stream as an active reader until disengage(); both
-    // idempotent, destructor disengages. See AppendStream::engage().
-    void engage();
-    void disengage();
-    bool engaged() const { return engaged_; }
-
-    ~ReadStream() { disengage(); }
-    ReadStream(ReadStream&& o) noexcept
-        : pfs_(o.pfs_), path_(std::move(o.path_)), size_(o.size_),
-          opened_(o.opened_), bytes_(o.bytes_), seconds_(o.seconds_),
-          engaged_(o.engaged_) {
-      o.pfs_ = nullptr;
-      o.engaged_ = false;
-    }
+    ReadStream(ReadStream&&) = default;
     ReadStream(const ReadStream&) = delete;
     ReadStream& operator=(const ReadStream&) = delete;
     ReadStream& operator=(ReadStream&&) = delete;
@@ -194,7 +181,6 @@ class PfsSimulator {
     bool opened_ = false;
     std::size_t bytes_ = 0;
     double seconds_ = 0.0;
-    bool engaged_ = false;
   };
 
   // Opens `path` for incremental ranged reads. Throws when absent.
@@ -270,13 +256,9 @@ class PfsSimulator {
   };
 
   double effective_bandwidth(int concurrent_clients) const;
-  // Shared read pricing: per-touched-stripe RPCs + transfer, with the
-  // open/metadata charge only when `pay_open`.
-  double range_read_seconds(std::size_t bytes, std::size_t stripes_touched,
-                            int concurrent_clients, bool pay_open) const;
 
-  // Registry bookkeeping shared by the scopes and the stream engagement:
-  // adjust the live count and CAS the high-water mark.
+  // Registry bookkeeping shared by the scopes: adjust the live count and
+  // CAS the high-water mark.
   void register_writers(int n);
   void unregister_writers(int n) { writers_.fetch_sub(n); }
   void register_readers(int n) const;

@@ -1,303 +1,48 @@
 #include "io/transport.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
-#include "common/buffer_pool.h"
 #include "common/error.h"
 
 namespace eblcio {
 
-// --- SectorEndpoint ----------------------------------------------------------
+// --- Sector plan -------------------------------------------------------------
 
-SectorEndpoint::SectorEndpoint(const PfsSimulator& pfs,
-                               TransportConfig config, Executor& ex)
-    : drainer_(ex), pfs_(&pfs), config_(config) {
-  EBLCIO_CHECK_ARG(config_.sector_bytes > 0, "sector size must be positive");
-  EBLCIO_CHECK_ARG(config_.ring_depth >= 1, "ring depth must be >= 1");
-  EBLCIO_CHECK_ARG(config_.channels >= 1, "transport needs >= 1 channel");
-  rings_.reserve(static_cast<std::size_t>(config_.channels));
-  for (int c = 0; c < config_.channels; ++c)
-    rings_.emplace_back(config_.ring_depth);
-}
-
-SectorEndpoint::~SectorEndpoint() {
-  // The derived endpoint waited for the serve loop; a doorbell that could
-  // not be rung leaves sectors queued, and they still own credits and
-  // buffers.
-  std::lock_guard<std::mutex> lock(mu_);
-  flush_locked();
-}
-
-std::size_t SectorEndpoint::stage_sectors(
-    std::size_t message, std::size_t offset, std::size_t length,
-    const std::function<void(Sector&)>& fill) {
-  const std::size_t nsec =
-      length == 0 ? 1
-                  : (length + config_.sector_bytes - 1) / config_.sector_bytes;
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < nsec; ++k) {
-    Sector s;
-    s.message = message;
-    s.offset = offset + pos;
-    s.length = std::min(config_.sector_bytes, length - pos);
-    pos += s.length;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (error_) std::rethrow_exception(error_);
-      s.sector = next_sector_;
-      s.channel = static_cast<int>(
-          next_sector_ % static_cast<std::size_t>(config_.channels));
-      SectorRing& ring = rings_[static_cast<std::size_t>(s.channel)];
-      if (!ring.has_credit()) {
-        ++stats_.credit_stalls;
-        Executor::BlockingScope blocking;
-        credit_cv_.wait(lock,
-                        [&] { return ring.has_credit() || error_ != nullptr; });
-        if (error_) std::rethrow_exception(error_);
-      }
-      ring.take_credit();
-      ++next_sector_;
-      if (inflight_ == 0) engage(true);
-      ++inflight_;
-      ++stats_.sectors;
-      stats_.bytes += s.length;
-    }
-    if (fill) fill(s);
-    bool doorbell = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(s));
-      if (error_) {
-        // The wire failed while this sector was being filled: it retires
-        // unserved here, so the rethrow leaves no credit held.
-        flush_locked();
-        settle_locked();
-        std::rethrow_exception(error_);
-      }
-      doorbell = !drainer_active_;
-      drainer_active_ = true;
-    }
-    if (doorbell) drainer_.run([this] { serve_loop(); });
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.messages;
-  return nsec;
-}
-
-void SectorEndpoint::flush_locked() {
-  for (Sector& s : queue_) {
-    rings_[static_cast<std::size_t>(s.channel)].retire();
-    --inflight_;
-    if (s.data) BufferPool::global().release(std::move(*s.data));
-  }
-  queue_.clear();
-}
-
-void SectorEndpoint::settle_locked() {
-  if (inflight_ == 0) engage(false);
-  credit_cv_.notify_all();
-  done_cv_.notify_all();
-}
-
-void SectorEndpoint::serve_loop() {
-  for (;;) {
-    Sector s;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (error_) {
-        // A doorbell rung after the error landed: flush whatever was
-        // staged in the meantime.
-        flush_locked();
-        settle_locked();
-        drainer_active_ = false;
-        return;
-      }
-      if (queue_.empty()) {
-        drainer_active_ = false;
-        return;
-      }
-      s = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    SectorRecord rec;
-    std::exception_ptr failure;
-    try {
-      // Live contended client count at serve time. This endpoint holds its
-      // stream engaged while sectors are in flight, so the stream itself is
-      // already in the registry — no +1 here.
-      const int clients = std::max(
-          1, pfs_->concurrent_writers() + pfs_->concurrent_readers());
-      const PfsSimulator::WriteResult r = serve(s, clients);
-      // Split the cost into its bytes-over-bandwidth share and its
-      // RPC/metadata share.
-      rec.message = s.message;
-      rec.sector = s.sector;
-      rec.channel = s.channel;
-      rec.bytes = r.bytes;
-      rec.clients = clients;
+std::vector<SectorRecord> plan_sectors(const PfsSimulator& pfs,
+                                       const TransportConfig& config,
+                                       SectorOp op,
+                                       std::span<const WireMessage> messages) {
+  EBLCIO_CHECK_ARG(config.sector_bytes > 0, "sector size must be positive");
+  EBLCIO_CHECK_ARG(config.ring_depth >= 1, "ring depth must be >= 1");
+  EBLCIO_CHECK_ARG(config.channels >= 1, "transport needs >= 1 channel");
+  const auto channels = static_cast<std::size_t>(config.channels);
+  std::vector<SectorRecord> out;
+  for (std::size_t m = 0; m < messages.size(); ++m) {
+    const WireMessage& msg = messages[m];
+    std::size_t pos = 0;
+    do {
+      const std::size_t length = std::min(config.sector_bytes, msg.bytes - pos);
+      const PfsSimulator::WriteResult r =
+          op == SectorOp::kAppend
+              ? pfs.append_price(msg.offset + pos, length, msg.clients)
+              : pfs.read_price(msg.offset + pos, length, msg.clients,
+                               /*pay_open=*/false);
+      SectorRecord rec;
+      rec.message = m;
+      rec.sector = out.size();
+      rec.channel = static_cast<int>(rec.sector % channels);
+      rec.bytes = length;
+      rec.clients = msg.clients;
       rec.xfer_s = r.effective_bw_bps > 0.0
-                       ? static_cast<double>(r.bytes) / r.effective_bw_bps
+                       ? static_cast<double>(length) / r.effective_bw_bps
                        : 0.0;
       rec.rpc_s = std::max(0.0, r.seconds - rec.xfer_s);
-    } catch (...) {
-      failure = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    rings_[static_cast<std::size_t>(s.channel)].retire();
-    --inflight_;
-    if (failure) {
-      error_ = failure;
-      flush_locked();
-    } else {
-      land(s, rec);
-      records_.push_back(rec);
-    }
-    if (s.data) BufferPool::global().release(std::move(*s.data));
-    settle_locked();
-    if (failure) {
-      drainer_active_ = false;
-      return;
-    }
+      out.push_back(rec);
+      pos += length;
+    } while (pos < msg.bytes);
   }
-}
-
-void SectorEndpoint::drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto settled = [&] { return inflight_ == 0 || error_ != nullptr; };
-  if (!settled()) {
-    // Only a drain that really waits blocks its pool thread.
-    Executor::BlockingScope blocking;
-    done_cv_.wait(lock, settled);
-  }
-  if (error_) std::rethrow_exception(error_);
-}
-
-TransportStats SectorEndpoint::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-int SectorEndpoint::inflight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inflight_;
-}
-
-// --- SectorWriter ------------------------------------------------------------
-
-SectorWriter::SectorWriter(PfsSimulator::AppendStream& stream,
-                           TransportConfig config, Executor& ex)
-    : SectorEndpoint(stream.pfs(), config, ex), stream_(&stream) {}
-
-// Lets the drainer finish whatever is staged (or flushed, on error). The
-// serve loop swallows its own exceptions, so the wait cannot throw.
-SectorWriter::~SectorWriter() { drainer_.wait(); }
-
-std::size_t SectorWriter::stage(std::size_t message,
-                                std::span<const std::byte> payload) {
-  // The staging memcpy into the pooled sector buffer, outside the lock:
-  // the bytes the drainer's append will ship.
-  return stage_sectors(message, 0, payload.size(), [&](Sector& s) {
-    Bytes copy = BufferPool::global().acquire(s.length);
-    copy.resize(s.length);
-    if (s.length > 0)
-      std::memcpy(copy.data(), payload.data() + s.offset, s.length);
-    s.data = std::move(copy);
-  });
-}
-
-PfsSimulator::WriteResult SectorWriter::serve(Sector& s, int clients) {
-  return stream_->append(*s.data, clients);
-}
-
-void SectorWriter::engage(bool on) {
-  if (on) stream_->engage();
-  else stream_->disengage();
-}
-
-// --- SectorReader ------------------------------------------------------------
-
-SectorReader::SectorReader(PfsSimulator::ReadStream& stream,
-                           TransportConfig config, Executor& ex)
-    : SectorEndpoint(stream.pfs(), config, ex), stream_(&stream) {}
-
-SectorReader::~SectorReader() {
-  drainer_.wait();
-  // Messages that were assembled (or aborted) but never awaited still own
-  // pooled buffers — give them back.
-  for (auto& [handle, msg] : messages_)
-    BufferPool::global().release(std::move(msg.data));
-}
-
-std::size_t SectorReader::request(std::size_t offset, std::size_t length) {
-  std::size_t handle = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (error_) std::rethrow_exception(error_);
-    handle = next_message_++;
-    Message msg;
-    msg.data = BufferPool::global().acquire(length);
-    msg.data.resize(length);
-    msg.offset = offset;
-    msg.remaining = length;
-    messages_.emplace(handle, std::move(msg));
-  }
-  stage_sectors(handle, offset, length);
-  return handle;
-}
-
-PfsSimulator::WriteResult SectorReader::serve(Sector& s, int clients) {
-  auto r = stream_->read(s.offset, s.length, clients);
-  s.data = std::move(r.data);
-  return r.cost;
-}
-
-void SectorReader::land(const Sector& s, const SectorRecord& rec) {
-  auto it = messages_.find(s.message);
-  if (it == messages_.end()) return;
-  Message& msg = it->second;
-  if (s.length > 0)
-    std::memcpy(msg.data.data() + (s.offset - msg.offset), s.data->data(),
-                s.length);
-  msg.wire_s += rec.rpc_s + rec.xfer_s;
-  msg.remaining -= s.length;
-  if (msg.remaining == 0) msg.done = true;
-}
-
-void SectorReader::engage(bool on) {
-  if (on) stream_->engage();
-  else stream_->disengage();
-}
-
-Bytes SectorReader::await(std::size_t handle, double* wire_s_out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = messages_.find(handle);
-  EBLCIO_CHECK_ARG(it != messages_.end(),
-                   "await on an unknown or already-awaited message");
-  const auto landed = [&] { return it->second.done || error_ != nullptr; };
-  // request() staged every sector of the message, so until it lands a
-  // drainer is queued or running. A queued one runs here; a running one
-  // serves the whole queue before it exits. Neither needs another pool
-  // worker, so no BlockingScope: codec lanes await on pool threads, and a
-  // scope would add a thread to the pool for each await.
-  while (!landed()) {
-    lock.unlock();
-    const bool helped = drainer_.help_one();
-    lock.lock();
-    if (!helped) done_cv_.wait(lock, landed);
-  }
-  if (error_ && !it->second.done) {
-    // The message can never assemble; its buffer goes back now so a
-    // caller that catches the error leaves the pool balanced.
-    BufferPool::global().release(std::move(it->second.data));
-    messages_.erase(it);
-    std::rethrow_exception(error_);
-  }
-  Message msg = std::move(it->second);
-  messages_.erase(it);
-  if (wire_s_out) *wire_s_out = msg.wire_s;
-  return std::move(msg.data);
+  return out;
 }
 
 // --- Timeline solvers --------------------------------------------------------
@@ -378,6 +123,7 @@ struct Wire {
                         : 1.0 / static_cast<double>(msg.size());
       const double credit_at = credit_free(s->channel);
       if (credit_at > tau) {
+        ++credit_stalls;
         credit_stall_s += credit_at - tau;
         tau = credit_at;
       }
@@ -400,6 +146,7 @@ struct Wire {
     Timeline out;
     out.makespan_s = makespan_s;
     out.credit_stall_s = credit_stall_s;
+    out.credit_stalls = credit_stalls;
     sweep_occupancy(spans, end, &out.mean_inflight, &out.peak_inflight);
     return out;
   }
@@ -411,6 +158,7 @@ struct Wire {
   double tau;
   double end;  // last sector retired
   double credit_stall_s = 0.0;
+  std::size_t credit_stalls = 0;
   std::vector<Interval> spans;
 };
 

@@ -1,51 +1,30 @@
-// Sector-ring transport: the asynchronous bottom half between the streamed
-// pipelines and the PFS simulator.
+// Sector transport model: how the streamed pipelines' chunks would move
+// between the node and the PFS as fixed-size sectors over several channels.
 //
 // Modeled on the SRIO/DMA endpoint design of Cai900205's libips (fixed-size
-// sectors, per-channel descriptor rings, doorbell-driven completion): an
-// endpoint owns N channels, each with a ring of K fixed-size sector
-// descriptors (= K credits). A producer *stages* a message's bytes into
-// free sectors — copying into pooled sector buffers and consuming one
-// credit per sector — rings a doorbell (an executor task), and blocks only
-// when its target channel is out of credits. The doorbell task drains the
-// staged sectors in staging order, pricing each transfer at the PFS's
-// *live* contended client count, and retires descriptors in per-channel
-// FIFO order, returning credits to stalled producers.
-//
-// Because sectors are served strictly in staging order, the container file
-// bytes are identical to what the blocking per-chunk append path writes —
-// the transport changes when bytes move and what each movement costs, never
-// what lands on the PFS.
-//
-// Registry accounting: an endpoint registers its stream with the PFS
-// writer/reader registry only while sectors are in flight (engage on the
-// 0→1 transition, disengage when the rings empty), so an idle open stream
-// no longer inflates concurrent_writers()/concurrent_readers() pricing for
-// its whole scope.
-//
-// The endpoints are host machinery (threads, locks, pooled buffers). The
-// modeled platform timeline of a transported pipeline — where staging
+// sectors, per-channel descriptor rings, credit-based backpressure): an
+// endpoint owns N channels, each with a ring of K sector descriptors (= K
+// credits). The bytes themselves always move through the blocking
+// container append and chunk fetch; what the transport contributes is the
+// *modeled* wire. plan_sectors() splits a stream's messages (compressed
+// slabs or chunks) into sectors and prices each one on the PFS model, and
+// the deterministic solvers below schedule those sectors — where staging
 // stalls on credits, how channels overlap per-stripe RPC latency with
-// transfer, how many sectors are in flight — is computed after the fact by
-// the deterministic solvers at the bottom of this header, from the retired
-// SectorRecords plus the pipeline's per-message compute times.
+// transfer, how many sectors are in flight — beside the pipeline's
+// per-message compute times.
+//
+// Contention rule: every sector of a message is priced at the message's
+// self-inclusive client count — the PFS's registered writers plus readers
+// plus the moving stream itself, read when the message was appended or
+// fetched. Below 7 clients the 2.8 GB/s client link caps the effective
+// bandwidth on the default PFS, so the count does not move the price there.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <exception>
-#include <functional>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "common/bytes.h"
 #include "io/pfs.h"
-#include "parallel/executor.h"
 
 namespace eblcio {
 
@@ -55,206 +34,55 @@ struct TransportConfig {
   int channels = 2;                       // independent sector rings
 };
 
-// One retired sector descriptor: which message it carried, its staging
-// ordinal and channel, and the modeled cost split of its wire transfer
-// (per-stripe RPC share vs bytes-over-bandwidth share) at the contended
+// One sector descriptor of a planned stream: which message it carried, its
+// ordinal in the stream and its channel, and the modeled cost split of its
+// wire transfer (per-stripe RPC share vs bytes-over-bandwidth share) at the
 // client count it was priced with.
 struct SectorRecord {
   std::size_t message = 0;  // producer message (slab / chunk ordinal)
-  std::size_t sector = 0;   // global staging ordinal
+  std::size_t sector = 0;   // ordinal in the whole stream
   int channel = 0;
   std::size_t bytes = 0;
-  int clients = 1;     // live contended client count at serve time
+  int clients = 1;     // self-inclusive client count of its message
   double rpc_s = 0.0;  // RPC/metadata share of the transfer
   double xfer_s = 0.0; // bytes / effective-bandwidth share
 };
 
-// Host-side counters for one endpoint's lifetime.
-struct TransportStats {
-  std::size_t messages = 0;
-  std::size_t sectors = 0;
+// --- Sector plan -------------------------------------------------------------
+
+// Which PFS operation carries a planned stream's sectors.
+enum class SectorOp {
+  kAppend,  // appends to a file that already exists (its header landed)
+  kFetch,   // ranged reads of a file whose open was already paid
+};
+
+// One message of a planned stream: where its bytes sit in the file, how
+// many there are, and the self-inclusive client count when it moved.
+struct WireMessage {
+  std::size_t offset = 0;
   std::size_t bytes = 0;
-  std::size_t credit_stalls = 0;  // host waits for a free descriptor
+  int clients = 1;
 };
 
-// Per-channel descriptor ring: `depth` credits. Staging a sector takes a
-// credit; serving it retires the oldest in-flight descriptor (per-channel
-// FIFO — the drainer serves in staging order). Guarded by the owning
-// endpoint's mutex.
-class SectorRing {
- public:
-  explicit SectorRing(int depth) : depth_(depth) {}
-  bool has_credit() const { return inflight_ < depth_; }
-  void take_credit() { ++inflight_; ++staged_; }
-  void retire() { --inflight_; ++retired_; }
-  int inflight() const { return inflight_; }
-  int depth() const { return depth_; }
-  std::size_t staged() const { return staged_; }
-  std::size_t retired() const { return retired_; }
-
- private:
-  int depth_;
-  int inflight_ = 0;
-  std::size_t staged_ = 0;
-  std::size_t retired_ = 0;
-};
-
-// --- Endpoints ---------------------------------------------------------------
-
-// The direction-independent half of a sector endpoint (libips runs its tx
-// and rx halves off one descriptor-ring control block the same way): the
-// rings, credit acquisition, the doorbell, and the serve loop that dequeues
-// staged sectors in staging order, runs the endpoint's wire step on each,
-// retires its descriptor and — on a wire error — flushes every staged
-// sector so no credit or pooled buffer leaks, the error rethrowing from the
-// next stage or drain. The stream counts toward the PFS registry only while
-// sectors are in flight. Exactly one thread may stage; the serve loop runs
-// on the executor.
-class SectorEndpoint {
- public:
-  SectorEndpoint(const SectorEndpoint&) = delete;
-  SectorEndpoint& operator=(const SectorEndpoint&) = delete;
-
-  // Blocks until every staged sector has been served; rethrows a wire
-  // error. Declares an Executor::BlockingScope only when it has to wait, so
-  // an idle drain on a pool thread never grows the pool.
-  void drain();
-
-  const TransportConfig& config() const { return config_; }
-  TransportStats stats() const;
-  int inflight() const;
-  // Retired descriptors in service (= staging) order. Stable only while
-  // no sectors are in flight (after drain()).
-  const std::vector<SectorRecord>& records() const { return records_; }
-
- protected:
-  // One staged sector descriptor.
-  struct Sector {
-    std::size_t message = 0;
-    std::size_t sector = 0;  // global staging ordinal
-    int channel = 0;
-    std::size_t offset = 0;  // position of its first byte (see stage_sectors)
-    std::size_t length = 0;
-    // The pooled buffer the sector owns, released once it is served or
-    // flushed: the writer's staged copy, the reader's fetched bytes.
-    std::optional<Bytes> data;
-  };
-
-  SectorEndpoint(const PfsSimulator& pfs, TransportConfig config,
-                 Executor& ex);
-  // Derived destructors wait for drainer_ first: the serve loop calls
-  // their hooks.
-  ~SectorEndpoint();
-
-  // Stages `length` bytes of `message` as sector_bytes-sized sectors,
-  // round-robin across channels in staging order (an empty message still
-  // stages one empty sector so it completes). Sector offsets run from
-  // `offset`. Each sector takes a credit on its channel — blocking, under a
-  // BlockingScope, only while the channel has none — is passed to `fill`
-  // outside the lock, and rings the doorbell. Returns the sector count.
-  std::size_t stage_sectors(std::size_t message, std::size_t offset,
-                            std::size_t length,
-                            const std::function<void(Sector&)>& fill = {});
-
-  // The wire step, on the drainer outside the lock: moves one sector priced
-  // at `clients` contended clients.
-  virtual PfsSimulator::WriteResult serve(Sector& s, int clients) = 0;
-  // Under the lock, after a sector was served (message assembly).
-  virtual void land(const Sector& /*s*/, const SectorRecord& /*rec*/) {}
-  // Registers (true) or unregisters the stream with the PFS registry.
-  virtual void engage(bool on) = 0;
-
-  TaskGroup drainer_;
-  mutable std::mutex mu_;
-  std::condition_variable done_cv_;  // a sector retired or the wire failed
-  std::exception_ptr error_;
-
- private:
-  void serve_loop();
-  void flush_locked();   // error path: every queued sector retires unserved
-  void settle_locked();  // disengage once idle, wake stagers and drains
-
-  const PfsSimulator* pfs_;
-  TransportConfig config_;
-  std::condition_variable credit_cv_;  // staging waits for a descriptor
-  std::deque<Sector> queue_;
-  std::vector<SectorRing> rings_;
-  std::vector<SectorRecord> records_;
-  TransportStats stats_;
-  std::size_t next_sector_ = 0;
-  int inflight_ = 0;
-  bool drainer_active_ = false;
-};
-
-// Write endpoint over one AppendStream. stage() copies a message into
-// pooled sector buffers and the drainer appends them to the PFS in staging
-// order — so the file bytes equal a blocking append of the same messages.
-// A wire error rethrows from the next stage()/drain().
-class SectorWriter : public SectorEndpoint {
- public:
-  SectorWriter(PfsSimulator::AppendStream& stream, TransportConfig config,
-               Executor& ex = Executor::global());
-  ~SectorWriter();  // drains; a pending wire error is swallowed
-
-  // Stages `payload` as message `message`; blocks only when the target
-  // channel is out of credits. Returns the number of sectors staged (an
-  // empty payload still stages one empty sector so the message completes).
-  std::size_t stage(std::size_t message, std::span<const std::byte> payload);
-
- private:
-  PfsSimulator::WriteResult serve(Sector& s, int clients) override;
-  void engage(bool on) override;
-
-  PfsSimulator::AppendStream* stream_;
-};
-
-// Read endpoint over one ReadStream: the fetch mirror of SectorWriter.
-// request() stages the ranged sector fetches of one message (blocking only
-// on credits) and returns a message handle; the drainer serves the fetches
-// in staging order, assembling each message's bytes into a pooled buffer;
-// await() blocks until a message's last sector lands and hands the
-// assembled bytes (and the message's summed wire seconds) back. Exactly
-// one thread may request; await may run on a different thread.
-class SectorReader : public SectorEndpoint {
- public:
-  SectorReader(PfsSimulator::ReadStream& stream, TransportConfig config,
-               Executor& ex = Executor::global());
-  ~SectorReader();  // waits for the drainer; unawaited buffers released
-
-  // Stages the sector fetches for [offset, offset + length) and returns
-  // the message handle await() redeems.
-  std::size_t request(std::size_t offset, std::size_t length);
-
-  // Blocks until the message assembles; rethrows a wire error (a fetch
-  // that failed mid-message). A queued drainer runs on the calling thread
-  // meanwhile, so an await on a pool thread never grows the pool.
-  // `wire_s_out`, when given, receives the sum of the message's per-sector
-  // rpc_s + xfer_s.
-  Bytes await(std::size_t handle, double* wire_s_out = nullptr);
-
- private:
-  struct Message {
-    Bytes data;                 // pooled assembly buffer
-    std::size_t offset = 0;     // file offset of its first byte
-    std::size_t remaining = 0;  // bytes still to land
-    double wire_s = 0.0;
-    bool done = false;
-  };
-
-  PfsSimulator::WriteResult serve(Sector& s, int clients) override;
-  void land(const Sector& s, const SectorRecord& rec) override;
-  void engage(bool on) override;
-
-  PfsSimulator::ReadStream* stream_;
-  std::map<std::size_t, Message> messages_;  // guarded by mu_
-  std::size_t next_message_ = 0;
-};
+// Splits each message, in order, into sector_bytes-sized sectors (an empty
+// message still takes one empty sector) and gives sector k of the whole
+// stream to channel k % channels. Each sector is priced as one PFS
+// operation on its own extent at its message's client count — an append
+// pays a per-stripe RPC for every stripe append_stripes() counts from the
+// sector's offset plus its transfer; a fetch pays the ranged-read price
+// without the open — and split into xfer_s = bytes / effective bandwidth
+// and rpc_s = seconds - xfer_s. Throws InvalidArgument on an invalid
+// config.
+std::vector<SectorRecord> plan_sectors(const PfsSimulator& pfs,
+                                       const TransportConfig& config,
+                                       SectorOp op,
+                                       std::span<const WireMessage> messages);
 
 // --- Modeled timeline solvers ----------------------------------------------
 //
 // The deterministic platform schedules of a streamed pipeline, one solver
 // per direction. Inputs are modeled (platform) seconds: per-sector
-// rpc_s/xfer_s from the retired records, per-message compute from the
+// rpc_s/xfer_s from the planned records, per-message compute from the
 // monitor (dilated). The wire model serializes transfers on the shared
 // client link in staging order — N channels overlap per-sector RPC latency
 // with the previous sector's transfer, they do not multiply the client's
@@ -282,6 +110,7 @@ struct Timeline {
   double makespan_s = 0.0;      // write: last sector retired (open
                                 // included); read: last message consumed
   double credit_stall_s = 0.0;  // staging time lost waiting for credits
+  std::size_t credit_stalls = 0;  // sectors that waited for a credit
   double mean_inflight = 0.0;   // time-averaged sectors in flight
   int peak_inflight = 0;        // max sectors simultaneously in flight
 };

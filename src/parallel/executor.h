@@ -13,8 +13,8 @@
 // capacity provides backpressure. Threads that wait on a TaskGroup help
 // execute queued tasks instead of sleeping, which makes nested groups
 // (a task submitting subtasks and waiting on them) deadlock-free. Tasks
-// that legitimately block — a simmpi rank in recv(), a transport stager
-// waiting for a sector credit — declare it with BlockingScope, and the pool
+// that legitimately block — a simmpi rank in recv(), a codec lane waiting
+// for a CoreBudget slot — declare it with BlockingScope, and the pool
 // temporarily grows a replacement worker so blocked tasks never starve
 // runnable ones.
 #pragma once

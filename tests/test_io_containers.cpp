@@ -379,57 +379,22 @@ TEST_P(ChunkedDataset, RejectsForeignAndCorruptContainers) {
   EXPECT_THROW(tool.open_chunked_reader(pfs, "/c/tiny"), CorruptStream);
 }
 
-TEST_P(ChunkedDataset, EagerPrefetchAwaitEqualsReadChunk) {
-  // Without a transport, prefetch_chunk fetches at once and await_chunk
-  // hands the parked blob back: on a quiet PFS, the same bytes and the
-  // same cost as read_chunk, with every prefetch issued ahead of the
-  // awaits as the streamed read's source runs ahead of its lanes.
+TEST_P(ChunkedDataset, ReadChunkLeavesThePoolBalanced) {
+  // The open's footer and header fetches, each chunk's pooled fetch and
+  // the tool's staging copy all go back to the BufferPool once the caller
+  // releases what read_chunk returned.
   IoTool& tool = io_tool(GetParam());
   PfsSimulator pfs;
-  const auto chunks = write_container(pfs, "/c/eager");
-  auto reader = tool.open_chunked_reader(pfs, "/c/eager");
-  std::vector<std::size_t> handles;
-  for (std::size_t i = 0; i < chunks.size(); ++i)
-    handles.push_back(reader.prefetch_chunk(i, 3));
-  EXPECT_THROW(reader.prefetch_chunk(2), InvalidArgument);  // still parked
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    IoCost eager, blocking;
-    const Bytes got = reader.await_chunk(handles[i], i, &eager);
-    EXPECT_EQ(got, chunks[i]);
-    EXPECT_EQ(reader.read_chunk(i, &blocking, 3), got);
-    EXPECT_EQ(eager.prep_seconds, blocking.prep_seconds);
-    EXPECT_EQ(eager.transfer_seconds, blocking.transfer_seconds);
-    EXPECT_EQ(eager.bytes_written, blocking.bytes_written);
+  write_container(pfs, "/c/balanced");
+  const auto before = BufferPool::global().stats();
+  {
+    auto reader = tool.open_chunked_reader(pfs, "/c/balanced");
+    for (const std::size_t i : {0u, 2u, 3u, 4u})
+      BufferPool::global().release(reader.read_chunk(i));
   }
-  EXPECT_THROW(reader.await_chunk(handles[0], 0), InvalidArgument);
-}
-
-TEST_P(ChunkedDataset, UnawaitedPrefetchesGoBackToThePool) {
-  // A reader destroyed with chunks prefetched but never awaited (a read
-  // that failed mid-stream) returns their pooled buffers, blocking or
-  // transported.
-  IoTool& tool = io_tool(GetParam());
-  PfsSimulator pfs;
-  write_container(pfs, "/c/unawaited");
-  for (const bool transported : {false, true}) {
-    const auto before = BufferPool::global().stats();
-    {
-      auto reader = tool.open_chunked_reader(pfs, "/c/unawaited");
-      if (transported) {
-        TransportConfig config;
-        config.sector_bytes = 4096;
-        reader.enable_transport(config);
-      }
-      reader.prefetch_chunk(0);
-      reader.prefetch_chunk(2);
-      BufferPool::global().release(reader.read_chunk(3));
-      reader.prefetch_chunk(4);
-    }
-    const auto after = BufferPool::global().stats();
-    EXPECT_EQ(after.acquires - before.acquires,
-              after.releases - before.releases)
-        << (transported ? "transported" : "blocking");
-  }
+  const auto after = BufferPool::global().stats();
+  EXPECT_EQ(after.acquires - before.acquires,
+            after.releases - before.releases);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTools, ChunkedDataset,

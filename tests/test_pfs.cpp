@@ -231,6 +231,66 @@ TEST(PfsRead, ReaderRegistryTracksScopes) {
   EXPECT_THROW(PfsSimulator::ReaderScope(pfs, 0), InvalidArgument);
 }
 
+TEST(PfsRegistry, StreamsCountOnlyWhileTheirBytesMove) {
+  // Open-but-idle streams never register; append() and read() register
+  // transiently, so the peaks see each stream once and the live counts
+  // return to zero after every transfer.
+  PfsSimulator pfs;
+  pfs.write_file("/idle", random_bytes(10000, 1));
+  auto ws = pfs.open_append("/idle2");
+  auto rs = pfs.open_read("/idle");
+  EXPECT_EQ(pfs.concurrent_writers(), 0);
+  EXPECT_EQ(pfs.concurrent_readers(), 0);
+  pfs.reset_writer_peak();
+  pfs.reset_reader_peak();
+  EXPECT_EQ(pfs.peak_concurrent_writers(), 0);
+  EXPECT_EQ(pfs.peak_concurrent_readers(), 0);
+  for (int i = 0; i < 3; ++i) {
+    ws.append(random_bytes(50000, 2 + i));
+    EXPECT_EQ(pfs.concurrent_writers(), 0);
+    const auto fetched = rs.read(1000 * i, 1000);
+    EXPECT_EQ(fetched.data.size(), 1000u);
+    EXPECT_EQ(pfs.concurrent_readers(), 0);
+  }
+  EXPECT_EQ(pfs.peak_concurrent_writers(), 1);
+  EXPECT_EQ(pfs.peak_concurrent_readers(), 1);
+  // A failing fetch unregisters too.
+  EXPECT_THROW(rs.read(9000, 2000), InvalidArgument);
+  EXPECT_EQ(pfs.concurrent_readers(), 0);
+}
+
+TEST(PfsPrice, AppendAndReadPricesAreWhatTheTransfersCharge) {
+  // append_file and read_range charge exactly the const pricing helpers,
+  // which is what lets the sector plan price sectors without moving them.
+  PfsConfig pc;
+  pc.stripe_size = 4096;
+  PfsSimulator pfs(pc);
+  auto ws = pfs.open_append("/p");
+  const std::size_t lengths[] = {137, 0, 5000, 4096, 1, 20000};
+  std::size_t offset = 0;
+  for (const std::size_t n : lengths) {
+    const auto r = ws.append(random_bytes(n, n), 3);
+    auto want = pfs.append_price(offset, n, 3);
+    if (offset == 0)
+      want.seconds += pc.open_latency_s + 3 * pc.mds_service_s;
+    EXPECT_EQ(r.seconds, want.seconds) << offset;
+    EXPECT_EQ(r.effective_bw_bps, want.effective_bw_bps);
+    offset += n;
+  }
+  offset = 0;
+  for (const std::size_t n : lengths) {
+    for (const bool open : {false, true}) {
+      const auto got = pfs.read_range("/p", offset, n, 5, open);
+      const auto want = pfs.read_price(offset, n, 5, open);
+      EXPECT_EQ(got.cost.seconds, want.seconds) << offset;
+      EXPECT_EQ(got.cost.bytes, n);
+    }
+    offset += n;
+  }
+  EXPECT_EQ(pfs.read_cost("/p", 2).seconds,
+            pfs.read_price(0, offset, 2, true).seconds);
+}
+
 TEST(PfsAppend, AppendStripesIsWhatAppendFileCharges) {
   // Random appends onto files of random size, with empty appends and
   // stripe-aligned offsets mixed in: append_file charges one RPC per

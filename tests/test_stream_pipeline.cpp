@@ -809,12 +809,15 @@ TEST(LaneSolvers, OneLaneTransportTimelinesMatchTheLegacySolvers) {
       EXPECT_EQ(w.credit_stall_s, want.w_stall);
       EXPECT_EQ(w.mean_inflight, want.w_mean);
       EXPECT_EQ(w.peak_inflight, want.w_peak);
+      // A stall is a sector that waited, and every wait costs time.
+      EXPECT_EQ(w.credit_stalls > 0, w.credit_stall_s > 0.0);
       const auto r = solve_read_timeline(config, sectors, consume, no_stage,
                                          want.depth, 0.0007, 1);
       EXPECT_EQ(r.makespan_s, want.r_makespan);
       EXPECT_EQ(r.credit_stall_s, want.r_stall);
       EXPECT_EQ(r.mean_inflight, want.r_mean);
       EXPECT_EQ(r.peak_inflight, want.r_peak);
+      EXPECT_EQ(r.credit_stalls > 0, r.credit_stall_s > 0.0);
       // More lanes never lengthen these schedules.
       EXPECT_LE(solve_write_timeline(config, sectors, *produce[p], prep,
                                      want.depth, 0.0007, 4)

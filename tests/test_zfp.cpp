@@ -6,6 +6,8 @@
 // sub-streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -183,6 +185,30 @@ TEST(Zfp, NonFiniteInputIsUnsupported) {
                    Unsupported)
           << bad << " f64 threads=" << threads;
     }
+  }
+}
+
+TEST(Zfp, SubnormalBlocksHonourTheBound) {
+  // Every block here peaks below 2^-961, where the 2^(62 - emax) encode
+  // scale overflows a double and, below 2^-1012, the 2^(emax - 62) decode
+  // scale underflows to zero: both must apply in exact steps.
+  Compressor& c = compressor("ZFP");
+  NdArray<double> arr(Shape{8, 8, 8});
+  for (std::size_t i = 0; i < arr.num_elements(); ++i)
+    arr[i] = 1e-310 * std::sin(0.1 * static_cast<double>(i) + 0.3);
+  const Field f("subnormal", std::move(arr));
+  for (const double bound : {1e-312, 1e-314, 1e-318}) {
+    CompressOptions opt;
+    opt.mode = BoundMode::kAbsolute;
+    opt.error_bound = bound;
+    const Field r = c.decompress(c.compress(f, opt), 1);
+    const auto& a = f.as<double>();
+    const auto& b = r.as<double>();
+    ASSERT_EQ(a.num_elements(), b.num_elements());
+    double max_err = 0.0;
+    for (std::size_t i = 0; i < a.num_elements(); ++i)
+      max_err = std::max(max_err, std::fabs(a[i] - b[i]));
+    EXPECT_LE(max_err, bound) << "bound " << bound;
   }
 }
 
