@@ -354,9 +354,9 @@ namespace {
 // given) to its covering zones from the footer index alone, fetches those
 // zones in order on the calling thread and decodes each on a codec lane —
 // only its part of the box (decompress_region_any, the plain full decode
-// for a whole zone) — copying the part into its rows of the preallocated output. A
-// failing fetch, decode, or placement propagates once every lane settled,
-// with every pooled blob returned.
+// for a whole zone) — copying the part into its rows of the preallocated
+// output. A failing fetch, decode, or placement propagates once every
+// lane settled, with every pooled blob returned.
 RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
                                const std::optional<Region>& box,
                                const PipelineConfig& config,

@@ -203,16 +203,16 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
 // query path, are one pipeline: a read resolves a query box to its covering
 // zones through the container's footer zone index, then this thread fetches
 // those zones in order with ranged PFS reads while up to W codec lanes
-// decode the zones already fetched, each copying its zone's part of the box straight
-// into its own rows of the preallocated output. Fetch i starts once zone
-// i - (1 + kStreamQueueDepth) has reached a lane. Fetching overlaps
-// decoding, and decodes overlap each other, so the makespan undercuts the
-// serial fetch-everything-then-decompress-everything schedule — the
-// paper's Sec. VI-A "doubly effective" read-side benefit, measured. A
-// partial box fetches only its covering zones, so bytes fetched scale
-// with the query, not with the field; a full restart is the whole-domain
-// box, where every zone decodes in full. Lanes, the core budget and the
-// lane-aware energy are as on the write side.
+// decode the zones already fetched, each copying its zone's part of the
+// box straight into its own rows of the preallocated output. Fetch i
+// starts once zone i - (1 + kStreamQueueDepth) has reached a lane.
+// Fetching overlaps decoding, and decodes overlap each other, so the
+// makespan undercuts the serial fetch-everything-then-decompress-everything
+// schedule — the paper's Sec. VI-A "doubly effective" read-side benefit,
+// measured. A partial box fetches only its covering zones, so bytes fetched
+// scale with the query, not with the field; a full restart is the
+// whole-domain box, where every zone decodes in full. Lanes, the core
+// budget and the lane-aware energy are as on the write side.
 
 // The fields both streamed reads share.
 struct StreamReadBase : StreamRecordBase {

@@ -76,8 +76,9 @@ TEST(SectorPlan, SplitsMessagesRoundRobinInStreamOrder) {
 TEST(SectorPlan, RejectsInvalidConfigs) {
   PfsSimulator pfs;
   const std::vector<WireMessage> messages = {{0, 100, 1}};
-  for (TransportConfig bad : {TransportConfig{0, 4, 2}, TransportConfig{256, 0, 2},
-                              TransportConfig{256, 4, 0}})
+  for (const TransportConfig bad :
+       {TransportConfig{0, 4, 2}, TransportConfig{256, 0, 2},
+        TransportConfig{256, 4, 0}})
     EXPECT_THROW(plan_sectors(pfs, bad, SectorOp::kAppend, messages),
                  InvalidArgument);
 }
