@@ -3,31 +3,25 @@
 // versus writing the original data. Stacked: compression energy +
 // write energy.
 //
-// Each rank's compression kernel is really measured once per codec; the
-// rank fleets then run through simmpi, every rank advancing its simulated
-// clock by its compute time and by the PFS write time under N-way
-// contention — the mechanism behind the paper's 256 -> 512 core jump for
-// uncompressed I/O.
+// Each rank's compression kernel is really measured once per codec; a
+// rank fleet is then a fold over its ranks: every rank charges its
+// compute time plus the PFS write time under N-way contention (the
+// mechanism behind the paper's 256 -> 512 core jump for uncompressed
+// I/O), and the fleet completes at the slowest rank.
 //
-// The (cores × variant) grid — 30 cells — executes as a sweep on the
-// shared executor (core/sweep.h): independent worlds batch concurrently,
-// bounded by --max-worlds, and rows stream out in deterministic order.
-// Each world registers its writing fleet with the PFS writer registry; by
-// default every cell owns a private PFS (results identical to --serial),
-// while --shared-pfs couples the batched worlds through one file system so
-// the contention model is fed the true number of simultaneously-writing
-// clients across overlapping worlds.
+// The (cores × variant) grid — 30 cells — runs on the grid-bench driver
+// (bench_util.h::run_grid_bench). Each cell registers its writing fleet on
+// a private PFS, so every cell is a pure function of its inputs and
+// --verify compares every column bit-for-bit.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <map>
-#include <mutex>
 
 #include "bench_util.h"
 #include "compressors/compressor.h"
-#include "core/sweep.h"
 #include "energy/powercap_monitor.h"
-#include "io/io_tool.h"
-#include "parallel/simmpi.h"
+#include "io/pfs.h"
 
 using namespace eblcio;
 
@@ -40,32 +34,23 @@ struct ScaleResult {
 };
 
 // Runs `cores` ranks; each charges `comp_s` of compute (0 for the Original
-// baseline) then writes `bytes` to the PFS. The fleet holds a WriterScope
-// on `pfs` for the world's lifetime; contention is the larger of the
-// world's own size and the registered writer count (they are equal unless
-// worlds share the PFS).
+// baseline) then writes `bytes` to a private PFS. The fleet holds a
+// WriterScope for the world's lifetime; contention is the larger of the
+// world's own size and the registered writer count.
 ScaleResult run_scale(int cores, double comp_s, std::size_t bytes,
-                      const CpuModel& cpu, PfsSimulator& pfs) {
+                      const CpuModel& cpu) {
+  PfsSimulator pfs;
   PfsSimulator::WriterScope fleet(pfs, cores);
-  std::mutex mu;
-  double max_comp_s = 0.0, max_write_s = 0.0, wall = 0.0;
-
-  SimMpiWorld::run(cores, [&](Communicator& comm) {
+  const int clients = std::max(cores, pfs.concurrent_writers());
+  const double write_s = pfs.transfer_seconds(bytes, clients);
+  double max_comp_s = 0.0, wall = 0.0;
+  for (int rank = 0; rank < cores; ++rank) {
     // Small deterministic load imbalance, as on a real machine.
-    const double jitter =
-        1.0 + 0.05 * static_cast<double>(comm.rank() % 7) / 7.0;
+    const double jitter = 1.0 + 0.05 * static_cast<double>(rank % 7) / 7.0;
     const double my_comp = comp_s * jitter;
-    comm.advance_time(my_comp);
-    const double t_before = comm.sim_time();
-    const int clients = std::max(comm.size(), pfs.concurrent_writers());
-    const double write_s = pfs.transfer_seconds(bytes, clients);
-    comm.advance_time(write_s);
-    comm.barrier();
-    std::lock_guard<std::mutex> lock(mu);
-    max_comp_s = std::max(max_comp_s, t_before);
-    max_write_s = std::max(max_write_s, write_s);
-    wall = std::max(wall, comm.sim_time());
-  });
+    max_comp_s = std::max(max_comp_s, my_comp);
+    wall = std::max(wall, my_comp + write_s);
+  }
 
   // Fleet-level energy: ranks fill nodes with cpu.cores cores each; during
   // compression every occupied core draws active power on top of the
@@ -77,7 +62,7 @@ ScaleResult run_scale(int cores, double comp_s, std::size_t bytes,
                static_cast<double>(nodes) * cpu.packages * cpu.tdp_w);
   ScaleResult r;
   r.compress_j = fleet_active_w * max_comp_s;
-  r.write_j = nodes * cpu.io_power_w() * max_write_s;
+  r.write_j = nodes * cpu.io_power_w() * write_s;
   r.wall_s = wall;
   return r;
 }
@@ -88,9 +73,6 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
   const double eb = args.get_double("eb", 1e-3);
-  const bool serial = args.get_bool("serial", false);
-  const bool shared_pfs = args.get_bool("shared-pfs", false);
-  const int max_worlds = args.get_int("max-worlds", 3);
   bench::print_bench_header(
       "Fig. 12",
       "Multi-node compress+write energy, NYX, HDF5, Platinum 8160", env);
@@ -117,9 +99,8 @@ int main(int argc, char** argv) {
     points[codec] = {rec.compress_s, blob.size()};
   }
 
-  // The node×rank grid: 6 core counts × (4 codecs + Original) = 30 worlds,
-  // batched as sweep cells. Cell order is row-major so the streamed
-  // completions assemble rows deterministically.
+  // The node×rank grid: 6 core counts × (4 codecs + Original) = 30 worlds.
+  // Cell order is row-major so the streamed fragments assemble rows.
   struct WorldCell {
     int cores = 0;
     std::string variant;  // codec name or "Original"
@@ -133,71 +114,33 @@ int main(int argc, char** argv) {
                        points[codec].bytes});
     cells.push_back({cores, "Original", 0.0, f.size_bytes()});
   }
+  const std::size_t per_row = codecs.size() + 1;
 
-  PfsSimulator shared;  // only coupled into cells with --shared-pfs
-  SweepOptions sweep;
-  sweep.parallel = !serial;
-  sweep.max_tasks = max_worlds;
-
-  auto eval_cell = [&](const WorldCell& cell, SweepCellContext&) {
-    PfsSimulator local;
-    return run_scale(cell.cores, cell.comp_s, cell.bytes, cpu,
-                     shared_pfs ? shared : local);
+  auto eval = [&](const WorldCell& cell, SweepCellContext&) {
+    return run_scale(cell.cores, cell.comp_s, cell.bytes, cpu);
   };
-  const auto report = sweep_grid(cells, eval_cell, sweep);
-  report.rethrow_first_error();
+  auto render = [](const WorldCell& cell, const ScaleResult& r) {
+    return std::vector<std::string>{
+        cell.variant == "Original"
+            ? fmt_double(r.write_j, 0)
+            : fmt_double(r.compress_j, 0) + "+" + fmt_double(r.write_j, 0)};
+  };
 
-  // --verify: re-run the identical grid in order on this thread and check
-  // the batched results cell for cell (the per-world-PFS simulation is a
-  // pure function of its inputs, so equality must be bit-for-bit).
-  if (args.get_bool("verify", false) && (serial || shared_pfs)) {
-    std::printf(
-        "verify: SKIPPED — only meaningful for the batched per-world-PFS "
-        "mode\n(drop --serial/--shared-pfs to cross-check batched against "
-        "serial)\n");
-  } else if (args.get_bool("verify", false)) {
-    SweepOptions ref_opt;
-    ref_opt.parallel = false;
-    const auto ref = sweep_grid(cells, eval_cell, ref_opt);
-    bool identical = true;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      identical = identical &&
-                  report.cells[i].result->compress_j ==
-                      ref.cells[i].result->compress_j &&
-                  report.cells[i].result->write_j ==
-                      ref.cells[i].result->write_j &&
-                  report.cells[i].result->wall_s == ref.cells[i].result->wall_s;
-    std::printf("verify: batched results %s the serial reference\n",
-                identical ? "bit-identical to" : "DIFFER FROM");
-  }
-
-  TextTable t({"Cores", "SZ2 c+w (J)", "SZ3 c+w (J)", "ZFP c+w (J)",
-               "QoZ c+w (J)", "Original w (J)"});
-  const std::size_t row_len = codecs.size() + 1;
-  for (std::size_t lo = 0; lo < report.cells.size(); lo += row_len) {
-    std::vector<std::string> row = {
-        std::to_string(report.cells[lo].cell.cores)};
-    for (std::size_t k = 0; k < row_len; ++k) {
-      const ScaleResult& r = *report.cells[lo + k].result;
-      const bool original = report.cells[lo + k].cell.variant == "Original";
-      row.push_back(original ? fmt_double(r.write_j, 0)
-                             : fmt_double(r.compress_j, 0) + "+" +
-                                   fmt_double(r.write_j, 0));
-    }
-    t.add_row(row);
-  }
-  t.print(std::cout);
-
-  std::printf(
-      "\nsweep: %zu worlds, %s, wall %.3f s (summed cell time %.3f s)%s\n",
-      report.stats.cells, serial ? "serial" : "batched on the executor",
-      report.stats.wall_s, report.stats.cell_seconds,
-      shared_pfs ? "" : "; per-world PFS (results identical to --serial)");
-  if (shared_pfs)
-    std::printf(
-        "shared PFS: peak %d simultaneously-registered writers fed the\n"
-        "contention model (worlds overlapped on the executor)\n",
-        shared.peak_concurrent_writers());
+  // Header-width columns: the frame the figure has always printed.
+  bench::StreamedTable table({"Cores", "SZ2 c+w (J)", "SZ3 c+w (J)",
+                              "ZFP c+w (J)", "QoZ c+w (J)", "Original w (J)"},
+                             std::cout, 0);
+  std::vector<std::string> row;
+  const auto summary = bench::run_grid_bench(
+      std::move(cells), env, eval, render,
+      [&](const WorldCell& cell, std::size_t index,
+          const std::vector<std::string>& fragment) {
+        if (index % per_row == 0) row = {std::to_string(cell.cores)};
+        row.insert(row.end(), fragment.begin(), fragment.end());
+        if (row.size() == 1 + per_row) table.add_row(row);
+      });
+  table.finish();
+  bench::print_grid_summary(summary);
 
   std::printf(
       "\nExpected shape (paper Fig. 12): for the compressed runs the write\n"
@@ -205,5 +148,5 @@ int main(int argc, char** argv) {
       "grows sub-linearly with core count; the uncompressed baseline jumps\n"
       "sharply from 256 to 512 cores as the PFS saturates, and at 512\n"
       "cores compress+write beats writing the original (~25%% saving).\n");
-  return 0;
+  return summary.exit_code();
 }

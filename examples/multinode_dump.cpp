@@ -1,8 +1,8 @@
 // multinode_dump — the Sec. IV-E experiment as a runnable program: R ranks
-// (tasks under simmpi) each compress their copy of a NYX field and write
-// it to the shared Lustre-class PFS, with per-rank simulated clocks and a
-// node-level energy ledger. Compare against the same fleet writing
-// uncompressed data.
+// (one executor task each) compress their copy of a NYX field and write
+// it to the shared Lustre-class PFS; the fleet's wall time is its slowest
+// rank's compute + write, and a node-level ledger prices the energy.
+// Compare against the same fleet writing uncompressed data.
 //
 //   ./examples/multinode_dump [--ranks=64] [--codec=SZ3] [--eb=1e-3]
 //
@@ -17,9 +17,11 @@
 //   ./examples/multinode_dump --parallel-sweep [--nodes=1,2,4]
 //       [--rpn=2,4,8,16] [--codec=SZ3] [--eb=1e-3] [--serial]
 //       [--max-worlds=4]
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
+#include <vector>
 
 #include "common/cli.h"
 #include "common/format.h"
@@ -30,7 +32,7 @@
 #include "energy/cpu_model.h"
 #include "io/io_tool.h"
 #include "metrics/error_stats.h"
-#include "parallel/simmpi.h"
+#include "parallel/executor.h"
 
 using namespace eblcio;
 
@@ -52,45 +54,46 @@ struct WorldResult {
   std::size_t blob_bytes = 0;
 };
 
-// One world: `ranks` ranks really compress `field` and write their blobs
-// to `pfs`, contending with every other writer registered on it. Energy
-// uses `nodes` explicitly (the node×rank grid fixes both axes).
+// One world: `ranks` ranks really compress `field` (one executor task per
+// rank) and write their blobs to `pfs`, contending with every other writer
+// registered on it. The fleet completes at its slowest rank. Energy uses
+// `nodes` explicitly (the node×rank grid fixes both axes).
 WorldResult run_world(const Field& field, const std::string& codec, double eb,
                       const CpuModel& cpu, int nodes, int ranks,
                       PfsSimulator& pfs, const std::string& dump_prefix) {
   PfsSimulator::WriterScope fleet(pfs, ranks);
-  WorldResult result;  // written by rank 0 only, read after the world joins
+  WorldResult result;
+  std::vector<double> comp_s(ranks), write_s(ranks);
 
-  SimMpiWorld::run(ranks, [&](Communicator& comm) {
+  parallel_for(static_cast<std::size_t>(ranks), 0, [&](std::size_t rank) {
     CompressOptions opt;
     opt.error_bound = eb;
     WallTimer timer;
     const Bytes blob = compressor(codec).compress(field, opt);
-    const double comp_s = timer.elapsed_s() / cpu.speed_factor;
-    comm.advance_time(comp_s);
+    comp_s[rank] = timer.elapsed_s() / cpu.speed_factor;
 
     // The PFS itself is thread-safe; contention is the larger of this
     // world's fleet and the writers registered across batched worlds.
-    const int clients = std::max(comm.size(), pfs.concurrent_writers());
+    const int clients = std::max(ranks, pfs.concurrent_writers());
     const IoCost cost = io_tool("HDF5").write_blob(
-        pfs, dump_prefix + "/rank" + std::to_string(comm.rank()),
-        field.name(), blob, clients);
-    const double write_s = cost.total_seconds();
-    comm.advance_time(write_s);
-
-    const double max_comp = comm.allreduce_max(comp_s);
-    const double max_write = comm.allreduce_max(write_s);
-    comm.barrier();
-    if (comm.rank() == 0) {
-      const int cores_per_node = (ranks + nodes - 1) / nodes;
-      result.comp_j = nodes * cpu.node_power_w(cores_per_node) * max_comp;
-      result.write_j = nodes * cpu.io_power_w() * max_write;
-      result.orig_j = nodes * cpu.io_power_w() *
-                      pfs.transfer_seconds(field.size_bytes(), clients);
-      result.wall_s = comm.sim_time();
-      result.blob_bytes = blob.size();
-    }
+        pfs, dump_prefix + "/rank" + std::to_string(rank), field.name(),
+        blob, clients);
+    write_s[rank] = cost.total_seconds();
+    if (rank == 0) result.blob_bytes = blob.size();
   });
+
+  double max_comp = 0.0, max_write = 0.0;
+  for (int rank = 0; rank < ranks; ++rank) {
+    max_comp = std::max(max_comp, comp_s[rank]);
+    max_write = std::max(max_write, write_s[rank]);
+    result.wall_s = std::max(result.wall_s, comp_s[rank] + write_s[rank]);
+  }
+  const int clients = std::max(ranks, pfs.concurrent_writers());
+  const int cores_per_node = (ranks + nodes - 1) / nodes;
+  result.comp_j = nodes * cpu.node_power_w(cores_per_node) * max_comp;
+  result.write_j = nodes * cpu.io_power_w() * max_write;
+  result.orig_j = nodes * cpu.io_power_w() *
+                  pfs.transfer_seconds(field.size_bytes(), clients);
   return result;
 }
 

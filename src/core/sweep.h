@@ -44,8 +44,8 @@ struct SweepOptions {
   bool parallel = true;          // false = in-order on the calling thread
   // Caps concurrently-runnable cell tasks by grouping consecutive cells
   // into at most this many tasks (<= 0: one task per cell). Bound this
-  // when cells are themselves heavyweight worlds (a 512-rank simmpi cell
-  // lends 512 replacement workers while it runs).
+  // when cells are heavyweight (each holds its own working set while it
+  // runs).
   int max_tasks = 0;
   // Engages ctx.repeat() with this protocol; cells may also call
   // ctx.repeat() without it and get the default RepeatConfig. Grid

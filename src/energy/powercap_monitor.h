@@ -40,7 +40,7 @@ struct LaneSpan {
 };
 
 // Thread-safe: concurrent record_* calls (e.g. the streaming pipeline's
-// compress tasks and its PFS writer, or simmpi ranks sharing a monitor)
+// compress tasks and its PFS writer sharing a monitor)
 // serialize on an internal mutex, so per-phase joules accumulate exactly.
 class PowercapMonitor {
  public:

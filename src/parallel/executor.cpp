@@ -120,6 +120,7 @@ bool Executor::spawn_worker_locked() {
     threads_[slot].join();  // reap the retired thread that used this slot
   }
   alive_workers_.fetch_add(1);
+  spawned_.fetch_add(1);
   Worker* w = slots_[slot].get();
   threads_[slot] = std::thread([this, w, slot] { worker_loop(w, slot); });
   return true;
@@ -417,6 +418,7 @@ ExecutorStats Executor::stats() const {
   s.submit_waits = submit_waits_.load();
   s.placed_local = placed_local_.load();
   s.placed_remote = placed_remote_.load();
+  s.spawned = spawned_.load() - static_cast<std::uint64_t>(base_workers_);
   s.workers = alive_workers_.load();
   s.pods = npods_;
   s.queued = queued_.load();

@@ -1,8 +1,8 @@
 // Shared work-stealing task executor — the one concurrency substrate for
 // the whole library.
 //
-// Every parallel site (slab codecs, the strong-scaling sweep, simmpi ranks,
-// the streaming compress→write pipeline) used to spin its own threads or
+// Every parallel site (slab codecs, grid sweeps, codec lanes, the
+// streaming compress→write pipeline) used to spin its own threads or
 // OpenMP teams; they now all submit tasks here. One process-wide pool
 // (Executor::global()) owns the worker threads, so repeated experiment
 // cells reuse warm threads instead of re-spawning, and per-task wall-clock
@@ -13,10 +13,9 @@
 // capacity provides backpressure. Threads that wait on a TaskGroup help
 // execute queued tasks instead of sleeping, which makes nested groups
 // (a task submitting subtasks and waiting on them) deadlock-free. Tasks
-// that legitimately block — a simmpi rank in recv(), a codec lane waiting
-// for a CoreBudget slot — declare it with BlockingScope, and the pool
-// temporarily grows a replacement worker so blocked tasks never starve
-// runnable ones.
+// that legitimately block — a codec lane waiting for a CoreBudget slot —
+// declare it with BlockingScope, and the pool temporarily grows a
+// replacement worker so blocked tasks never starve runnable ones.
 #pragma once
 
 #include <atomic>
@@ -47,6 +46,9 @@ struct ExecutorStats {
   // placed_local + placed_remote equals the number of hinted submissions.
   std::uint64_t placed_local = 0;
   std::uint64_t placed_remote = 0;
+  // Replacement workers started since construction (the base workers
+  // excluded): one per BlockingScope the live workers could not cover.
+  std::uint64_t spawned = 0;
   int workers = 0;                 // workers currently alive
   int pods = 0;                    // locality pods the workers split into
   // Snapshot occupancy: tasks waiting in any queue, and tasks executing.
@@ -78,7 +80,7 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Process-wide pool shared by codecs, pipelines, and simmpi.
+  // Process-wide pool shared by codecs, pipelines, and sweeps.
   static Executor& global();
 
   // Base worker count (excludes temporary replacements for blocked tasks).
@@ -139,8 +141,8 @@ class Executor {
   bool try_steal(const Worker* self, Task& out);
   // Acquire used by helping waiters: takes only tasks belonging to
   // `group`. Helpers must never run arbitrary tasks — an unrelated task
-  // that blocks on the helper's own progress (a simmpi rank awaiting a
-  // collective with the helper's rank) would deadlock on its stack.
+  // that blocks on the helper's own progress (a lane waiting for a
+  // CoreBudget slot the helper's stack holds) would deadlock on its stack.
   bool try_acquire_of_group(const TaskGroup* group, Task& out);
   void notify_one_worker();
   void begin_blocking();
@@ -190,6 +192,7 @@ class Executor {
   std::atomic<std::uint64_t> submit_waits_{0};
   std::atomic<std::uint64_t> placed_local_{0};
   std::atomic<std::uint64_t> placed_remote_{0};
+  std::atomic<std::uint64_t> spawned_{0};  // every spawn, base workers too
   std::atomic<int> running_{0};
 
   // Round-robin cursor per pod for hinted placement (allocated to npods_).

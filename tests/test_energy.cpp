@@ -155,8 +155,8 @@ TEST(Dvfs, EnergyOptimalFrequencyIsInterior) {
 }
 
 TEST(Monitor, ConcurrentChargesAccumulateExactly) {
-  // Regression: the streaming pipeline and simmpi ranks charge one monitor
-  // from concurrent tasks. Every phase must land and the joules must equal
+  // Regression: the streaming pipeline's tasks charge one monitor
+  // concurrently. Every phase must land and the joules must equal
   // the serial sum — lost updates would silently shrink Fig. 11/12 energy.
   const auto& cpu = cpu_model("9480");
   PowercapMonitor expected(cpu);

@@ -109,23 +109,28 @@ TEST(Executor, BackpressureBoundsInjectionQueue) {
 }
 
 TEST(Executor, BlockingScopeLendsReplacementWorker) {
-  // One worker; task A blocks until task B runs. Without BlockingScope the
-  // single worker would sit in A forever and B would never start.
+  // One worker; task A blocks on it until task B runs. B is submitted once
+  // A is running on the worker, so A's BlockingScope must spawn a
+  // replacement worker (B itself may run there or on the helping caller).
   Executor ex(1);
-  std::binary_semaphore sent(0);
+  const std::uint64_t spawned_before = ex.stats().spawned;
+  std::binary_semaphore sent(0), started(0);
   TaskGroup group(ex);
   int value = 0, received = 0;
   group.run([&] {
     Executor::BlockingScope scope;
+    started.release();
     sent.acquire();
     received = value;
   });
+  started.acquire();
   group.run([&] {
     value = 42;
     sent.release();
   });
   group.wait();
   EXPECT_EQ(received, 42);
+  EXPECT_GE(ex.stats().spawned - spawned_before, 1u);
 }
 
 TEST(Executor, HelpOneRunsAQueuedTaskOfItsGroupInline) {

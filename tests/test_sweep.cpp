@@ -20,7 +20,6 @@
 #include "core/estimator.h"
 #include "core/sweep.h"
 #include "io/pfs.h"
-#include "parallel/simmpi.h"
 #include "test_util.h"
 
 namespace eblcio {
@@ -302,10 +301,10 @@ TEST(Pfs, ConcurrentAppendsFromManyTasksStayIntact) {
 }
 
 TEST(MultiNode, BatchedWorldsFeedTrueWriterCountToSharedPfs) {
-  // Three simmpi worlds as sweep cells against one PFS. Serial: worlds
-  // never overlap, so the peak registered-writer count is exactly the
-  // largest fleet. Batched: the peak can only grow (overlapping fleets
-  // sum) and never exceed the whole-grid fleet sum.
+  // Three rank fleets as sweep cells against one PFS, each folded over its
+  // ranks. Serial: worlds never overlap, so the peak registered-writer
+  // count is exactly the largest fleet. Batched: the peak can only grow
+  // (overlapping fleets sum) and never exceed the whole-grid fleet sum.
   const std::vector<int> fleets = {3, 5, 4};
   auto run = [&](bool parallel) {
     PfsSimulator pfs;
@@ -315,13 +314,11 @@ TEST(MultiNode, BatchedWorldsFeedTrueWriterCountToSharedPfs) {
                                          SweepCellContext&) {
       PfsSimulator::WriterScope fleet(pfs, nranks);
       double total = 0.0;
-      SimMpiWorld::run(nranks, [&](Communicator& comm) {
-        const int clients = std::max(comm.size(), pfs.concurrent_writers());
+      for (int rank = 0; rank < nranks; ++rank) {
+        const int clients = std::max(nranks, pfs.concurrent_writers());
         EXPECT_GE(clients, nranks);
-        comm.advance_time(pfs.transfer_seconds(1 << 20, clients));
-        const double world_max = comm.allreduce_max(comm.sim_time());
-        if (comm.rank() == 0) total = world_max;
-      });
+        total = std::max(total, pfs.transfer_seconds(1 << 20, clients));
+      }
       return total;
     }, options);
     report.rethrow_first_error();
