@@ -12,7 +12,7 @@
 // The (cores × variant) grid — 30 cells — runs on the grid-bench driver
 // (bench_util.h::run_grid_bench). Each cell registers its writing fleet on
 // a private PFS, so every cell is a pure function of its inputs and
-// --verify compares every column bit-for-bit.
+// --verify's serial rerun must reproduce every rendered column exactly.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
