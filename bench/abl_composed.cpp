@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const auto env = bench::BenchEnv::from_cli(args);
   const std::string dataset = args.get("dataset", "CESM");
   const double eb = args.get_double("eb", 1e-3);
+  args.reject_unknown();
   bench::print_bench_header(
       "Ablation", "Composed codecs: predictor x quantizer x encoder grid",
       env);

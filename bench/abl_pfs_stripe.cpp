@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const auto env = bench::BenchEnv::from_cli(args);
   const std::size_t bytes =
       static_cast<std::size_t>(args.get_int("mb", 32)) << 20;
+  args.reject_unknown();
   bench::print_bench_header(
       "Ablation", "PFS stripe count vs contention (per-client write time)",
       env);

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
   const double eb = args.get_double("eb", 1e-3);
+  args.reject_unknown();
   bench::print_bench_header(
       "Extension", "DVFS sweep: compression energy vs frequency (MAX 9480)",
       env);

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
   const double eblc_bound = args.get_double("eb", 1e-2);
+  args.reject_unknown();
   bench::print_bench_header(
       "Fig. 1", "Lossless versus EBLC compression ratios (SDRBench sets)",
       env);

@@ -19,6 +19,7 @@ using namespace eblcio;
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
+  args.reject_unknown();
   bench::print_bench_header(
       "Fig. 5",
       "Comp+decomp runtime vs REL bound, serial, Intel Xeon CPU Max 9480",

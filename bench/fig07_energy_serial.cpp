@@ -20,6 +20,7 @@ using namespace eblcio;
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
+  args.reject_unknown();
   bench::print_bench_header(
       "Fig. 7", "Serial comp+decomp energy across data sets and CPUs", env);
 

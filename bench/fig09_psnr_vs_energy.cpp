@@ -14,6 +14,7 @@ using namespace eblcio;
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
+  args.reject_unknown();
   bench::print_bench_header(
       "Fig. 9", "PSNR vs total energy, S3D, MAX 9480", env);
 

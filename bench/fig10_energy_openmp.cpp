@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   auto env = bench::BenchEnv::from_cli(args);
   const double eb = args.get_double("eb", 1e-3);
+  args.reject_unknown();
   bench::print_bench_header(
       "Fig. 10", "OpenMP comp+decomp energy vs threads (REL 1e-3)", env);
 

@@ -34,6 +34,7 @@ WriteEnergy energy_of(const IoCost& cost, const CpuModel& cpu) {
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
+  args.reject_unknown();
   bench::print_bench_header(
       "Fig. 11", "Write energy to PFS: compressed vs Original (MAX 9480)",
       env);

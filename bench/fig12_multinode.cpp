@@ -3,11 +3,12 @@
 // versus writing the original data. Stacked: compression energy +
 // write energy.
 //
-// Each rank's compression kernel is really measured once per codec; a
-// rank fleet is then a fold over its ranks: every rank charges its
-// compute time plus the PFS write time under N-way contention (the
-// mechanism behind the paper's 256 -> 512 core jump for uncompressed
-// I/O), and the fleet completes at the slowest rank.
+// Each rank's compression kernel is really measured per codec, under the
+// Sec. IV-C repetition protocol for --reps (bench::measure_compression
+// keeps the fastest run); a rank fleet is then a fold over its ranks:
+// every rank charges its compute time plus the PFS write time under N-way
+// contention (the mechanism behind the paper's 256 -> 512 core jump for
+// uncompressed I/O), and the fleet completes at the slowest rank.
 //
 // The (cores × variant) grid — 30 cells — runs on the grid-bench driver
 // (bench_util.h::run_grid_bench). Each cell registers its writing fleet on
@@ -73,6 +74,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
   const double eb = args.get_double("eb", 1e-3);
+  args.reject_unknown();
   bench::print_bench_header(
       "Fig. 12",
       "Multi-node compress+write energy, NYX, HDF5, Platinum 8160", env);
@@ -82,8 +84,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> codecs = {"SZ2", "SZ3", "ZFP", "QoZ"};
   const std::vector<int> core_counts = {16, 32, 64, 128, 256, 512};
 
-  // One real compression measurement per codec; per-rank compute time is
-  // the platform-dilated kernel time.
+  // One repeated compression measurement per codec; per-rank compute time
+  // is the platform-dilated kernel time.
   struct CodecPoint {
     double comp_s;
     std::size_t bytes;
@@ -94,9 +96,8 @@ int main(int argc, char** argv) {
     cfg.codec = codec;
     cfg.error_bound = eb;
     cfg.cpu = cpu.name;
-    Bytes blob;
-    CompressionRecord rec = run_compression(f, cfg, &blob);
-    points[codec] = {rec.compress_s, blob.size()};
+    const CompressionRecord rec = bench::measure_compression(f, cfg, env);
+    points[codec] = {rec.compress_s, rec.compressed_bytes};
   }
 
   // The node×rank grid: 6 core counts × (4 codecs + Original) = 30 worlds.

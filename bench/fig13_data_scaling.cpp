@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const double eb = args.get_double("eb", 1e-3);
   const int base = args.get_int("base", 48);
   const int max_factor = args.get_int("max-factor", 5);
+  args.reject_unknown();
   bench::print_bench_header(
       "Fig. 13", "Serial energy vs inflated NYX size (Platinum 8260M)", env);
 

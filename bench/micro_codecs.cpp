@@ -1,16 +1,17 @@
 // Micro-kernels for the codec substrate: bitstream, Huffman, LZ77, shuffle,
-// quantizer, and end-to-end single-codec throughput (SZ2, ZFP) on a fixed
-// field.
+// quantizer, the field value range every value-range-relative bound reads,
+// and end-to-end single-codec throughput (SZ2, SZ3, ZFP) on a fixed field.
 // These are the building-block numbers behind every figure bench.
 //
 // Unlike the figure benches this binary is a perf harness: each kernel runs
 // --reps times and the best (least-noisy) wall time is reported, as a text
 // table and as machine-readable BENCH_codecs.json (see --json). CI's
-// Release leg runs it and fails when huffman-decode throughput regresses
-// more than 25% against bench/baselines/BENCH_codecs.json, normalized by
-// the memcpy calibration row to damp machine-to-machine variance
-// (scripts/check_perf_baseline.py; see src/codec/README.md for how to
-// refresh the baseline).
+// Release leg runs it and fails when a gated kernel (the Huffman coders,
+// sz2_roundtrip, lz_compress, value_range) regresses more than 25%
+// against bench/baselines/BENCH_codecs.json, normalized by an in-run
+// reference or by the memcpy calibration row to damp machine-to-machine
+// variance (scripts/check_perf_baseline.py; see src/codec/README.md for
+// how to refresh the baseline).
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -118,6 +119,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const int reps = std::max(1, args.get_int("reps", 5));
   const std::string json_path = args.get("json", "BENCH_codecs.json");
+  args.reject_unknown();
 
   std::printf("micro_codecs: codec-substrate kernels, best of %d reps\n",
               reps);
@@ -134,6 +136,8 @@ int main(int argc, char** argv) {
   copt.error_bound = 1e-3;
   Compressor& sz2 = compressor("SZ2");
   const Bytes sz2_blob = sz2.compress(field, copt);
+  Compressor& sz3 = compressor("SZ3");
+  const Bytes sz3_blob = sz3.compress(field, copt);
   Compressor& zfp = compressor("ZFP");
   const Bytes zfp_blob = zfp.compress(field, copt);
 
@@ -149,6 +153,14 @@ int main(int argc, char** argv) {
           return static_cast<std::size_t>(dst[0]);
         }));
   }
+
+  // The value range over the same bytes as the memcpy row, which
+  // normalizes it: one vector min/max pass should run near copy speed.
+  rows.push_back(run_kernel(
+      "value_range", reps, static_cast<double>(field_bytes.size()), 0, [&] {
+        const Field::Range r = field.value_range();
+        return static_cast<std::size_t>(r.max > r.min);
+      }));
 
   rows.push_back(run_kernel(
       "huffman_encode", reps, 0, static_cast<double>(syms.size()),
@@ -228,6 +240,12 @@ int main(int argc, char** argv) {
     const Bytes b = sz2.compress(field, copt);
     return sz2.decompress(b, 1).size_bytes();
   }));
+  rows.push_back(run_kernel("sz3_compress", reps, fb, 0, [&] {
+    return sz3.compress(field, copt).size();
+  }));
+  rows.push_back(run_kernel("sz3_decompress", reps, fb, 0, [&] {
+    return sz3.decompress(sz3_blob, 1).size_bytes();
+  }));
   rows.push_back(run_kernel("zfp_compress", reps, fb, 0, [&] {
     return zfp.compress(field, copt).size();
   }));
@@ -255,6 +273,11 @@ int main(int argc, char** argv) {
   if (!check_value_range_bound(field, zfp.decompress(zfp_blob, 1),
                                copt.error_bound)) {
     std::fprintf(stderr, "FATAL: zfp round trip exceeds its bound\n");
+    return 1;
+  }
+  if (!check_value_range_bound(field, sz3.decompress(sz3_blob, 1),
+                               copt.error_bound)) {
+    std::fprintf(stderr, "FATAL: sz3 round trip exceeds its bound\n");
     return 1;
   }
   if (lz_decompress(lz_blob) != corpus) {

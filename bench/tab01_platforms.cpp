@@ -11,6 +11,7 @@ using namespace eblcio;
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
+  args.reject_unknown();
   bench::print_bench_header("Table I", "Summary of Node Specifications", env);
 
   TextTable t({"System", "Intel CPU Model", "Cores", "RAM", "CPU TDP",

@@ -10,6 +10,7 @@ using namespace eblcio;
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
+  args.reject_unknown();
   bench::print_bench_header("Table II",
                             "Data Sets for Benchmarking Lossy Compressors",
                             env);

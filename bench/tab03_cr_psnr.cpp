@@ -16,6 +16,7 @@ using namespace eblcio;
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto env = bench::BenchEnv::from_cli(args);
+  args.reject_unknown();
   bench::print_bench_header(
       "Table III", "Select EBLC statistics (CR and PSNR)", env);
 

@@ -123,6 +123,7 @@ int main(int argc, char** argv) {
   const std::string codec = args.get("codec", "SZx");
   const std::string dataset = args.get("dataset", "NYX");
   const std::string json_path = args.get("json", "BENCH_transport.json");
+  args.reject_unknown();
   bench::print_bench_header(
       "Transport",
       "Streamed write vs sector size x ring depth x channels x clients",

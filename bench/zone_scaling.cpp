@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
   const std::string codec = args.get("codec", "SZ3");
   const std::string dataset = args.get("dataset", "NYX");
   const std::string json_path = args.get("json", "BENCH_zones.json");
+  args.reject_unknown();
   bench::print_bench_header(
       "Zones", "Partial-region decode vs zones x clients x query size", env);
 

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   const std::string codec = args.get("codec", "SZ3");
   const double eb = args.get_double("eb", 1e-3);
   const bool parallel = args.get_bool("parallel-sweep", true);
+  args.reject_unknown();
 
   const Field sample = generate_dataset_dims(
       dataset, scaled_dims(dataset_spec(dataset),

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   const double psnr_floor = args.get_double("psnr", 70.0);
   const int steps = args.get_int("steps", 4);
   const std::string io_name = args.get("io", "HDF5");
+  args.reject_unknown();
 
   // The simulation state: one CESM-like atmosphere variable per step.
   std::printf("climate checkpointing demo: %d dumps, PSNR floor %.0f dB, %s\n",

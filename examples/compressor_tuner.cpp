@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   const double psnr_floor = args.get_double("psnr", 60.0);
   const bool parallel = args.get_bool("parallel-sweep", true);
   const int reps = args.get_int("reps", 1);
+  args.reject_unknown();
 
   const DatasetSpec& spec = dataset_spec(dataset);
   const Field field = generate_dataset_dims(

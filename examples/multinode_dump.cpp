@@ -104,6 +104,8 @@ int run_grid_sweep(const CliArgs& args, const Field& field,
   const std::vector<int> rpn_counts =
       parse_int_list(args.get("rpn", "2,4,8,16"));
   const bool serial = args.get_bool("serial", false);
+  const int max_worlds = args.get_int("max-worlds", 4);
+  args.reject_unknown();
 
   struct GridCell {
     int nodes = 0;
@@ -122,7 +124,7 @@ int run_grid_sweep(const CliArgs& args, const Field& field,
   PfsSimulator pfs;  // one PFS shared by every world of the sweep
   SweepOptions sweep;
   sweep.parallel = !serial;
-  sweep.max_tasks = args.get_int("max-worlds", 4);
+  sweep.max_tasks = max_worlds;
 
   using Cell = SweepCell<GridCell, WorldResult>;
   const auto report = sweep_grid(
@@ -167,6 +169,7 @@ int main(int argc, char** argv) {
     return run_grid_sweep(args, field, codec, eb, cpu);
 
   const int ranks = args.get_int("ranks", 64);
+  args.reject_unknown();
   std::printf("multi-node dump: %d ranks x %s of NYX, %s @ eb=%s, %s\n\n",
               ranks, human_bytes(field.size_bytes()).c_str(), codec.c_str(),
               fmt_error_bound(eb).c_str(), cpu.name.c_str());

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string codec = args.get("codec", "SZ3");
   const double eb = args.get_double("eb", 1e-3);
+  args.reject_unknown();
 
   // 1. A 128^3 slice of the NYX cosmology benchmark (synthetic stand-in).
   const Field field = generate_dataset_dims("NYX", {128, 128, 128});

@@ -35,9 +35,13 @@ normalized ratio taken across core counts or build flags says nothing
 about the code. A file without them is reported as unstamped and gated as
 before.
 
-Only kernels listed via --kernel (default: huffman_decode) gate the build;
-everything else is reported for the artifact log. To refresh a baseline
-after an intentional perf change, either re-emit straight from the bench:
+Only kernels listed via --kernel gate the build (default: the four
+Huffman rows, sz2_roundtrip, lz_compress and value_range of
+bench_micro_codecs); everything else is reported for the artifact log.
+value_range (Field::value_range over the micro field) is memcpy-normalized:
+both rows stream the same bytes, and a scalar min/max loop reads about
+0.45x of the baseline. To refresh a baseline after an intentional perf
+change, either re-emit straight from the bench:
 
     ./build/bench_micro_codecs --reps=7 --json=bench/baselines/BENCH_codecs.json
     ./build/bench_zone_scaling --reps=7 --json=bench/baselines/BENCH_zones.json
@@ -84,7 +88,8 @@ def main() -> int:
     ap.add_argument("--kernel", action="append", default=None,
                     help="gating kernel(s); default: huffman_decode, "
                          "huffman_decode_lowent, huffman_encode, "
-                         "huffman_encode_lowent, sz2_roundtrip, lz_compress")
+                         "huffman_encode_lowent, sz2_roundtrip, lz_compress, "
+                         "value_range")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed normalized-throughput drop (default 0.25)")
     ap.add_argument("--update", action="store_true",
@@ -92,7 +97,7 @@ def main() -> int:
     args = ap.parse_args()
     gates = args.kernel or ["huffman_decode", "huffman_decode_lowent",
                             "huffman_encode", "huffman_encode_lowent",
-                            "sz2_roundtrip", "lz_compress"]
+                            "sz2_roundtrip", "lz_compress", "value_range"]
 
     if args.update:
         with open(args.current) as f:

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/error.h"
+
 namespace eblcio {
 
 CliArgs::CliArgs(int argc, char** argv) {
@@ -24,32 +26,43 @@ CliArgs::CliArgs(int argc, char** argv) {
   }
 }
 
+const std::string* CliArgs::find(const std::string& name) const {
+  read_.insert(name);
+  auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool CliArgs::has(const std::string& name) const {
-  return flags_.count(name) > 0;
+  return find(name) != nullptr;
 }
 
 std::string CliArgs::get(const std::string& name,
                          const std::string& def) const {
-  auto it = flags_.find(name);
-  return it == flags_.end() ? def : it->second;
+  const std::string* v = find(name);
+  return v ? *v : def;
 }
 
 double CliArgs::get_double(const std::string& name, double def) const {
-  auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = find(name);
+  return v ? std::strtod(v->c_str(), nullptr) : def;
 }
 
 int CliArgs::get_int(const std::string& name, int def) const {
-  auto it = flags_.find(name);
-  return it == flags_.end()
-             ? def
-             : static_cast<int>(std::strtol(it->second.c_str(), nullptr, 10));
+  const std::string* v = find(name);
+  return v ? static_cast<int>(std::strtol(v->c_str(), nullptr, 10)) : def;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool def) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = find(name);
+  if (!v) return def;
+  return *v == "true" || *v == "1" || *v == "yes";
+}
+
+void CliArgs::reject_unknown() const {
+  std::string unknown;
+  for (const auto& [name, value] : flags_)
+    if (!read_.count(name)) unknown += (unknown.empty() ? "--" : ", --") + name;
+  EBLCIO_CHECK_ARG(unknown.empty(), "unknown flag(s): " + unknown);
 }
 
 }  // namespace eblcio

@@ -65,35 +65,46 @@ Field centered_sample(const Field& field, std::size_t max_edge) {
 }
 
 Field::Range Field::value_range() const {
-  // Eight independent accumulator lanes so the scan vectorizes (the
-  // strict-compare ternary is exactly the minps/maxps hardware semantics,
-  // so no fast-math is needed). min/max are associative and commutative,
-  // so lane-splitting reorders the evaluation without changing the
-  // result; a NaN element never replaces an accumulator (strict compare
-  // is false), matching the skip in the scalar formulation, and a NaN
-  // first element poisons every lane just as it poisoned the scalar
-  // accumulator.
+  // Eight accumulator lanes: element i goes to lane i mod 8, the lanes fold
+  // in order, then the tail. The lanes are 16-byte GCC vectors (two for
+  // f32, four for f64) because GCC compiles a std::array of lanes to
+  // scalar minss/maxss. The strict-compare select `v < lo ? v : lo` is
+  // exactly minps/maxps, so no fast-math is needed. min/max are
+  // associative and commutative, so lane-splitting reorders the
+  // evaluation without changing the result; a NaN element never replaces
+  // an accumulator (strict compare is false), and a NaN first element
+  // poisons every lane just as it poisoned a scalar accumulator.
   return visit([](const auto& arr) {
     Field::Range r;
     const std::size_t n = arr.num_elements();
     if (n == 0) return r;
     const auto* p = arr.data();
     using T = std::remove_cvref_t<decltype(p[0])>;
+    typedef T V __attribute__((vector_size(16)));
     constexpr std::size_t kLanes = 8;
-    std::array<T, kLanes> lo_l, hi_l;
-    lo_l.fill(p[0]);
-    hi_l.fill(p[0]);
+    constexpr std::size_t kPerVec = sizeof(V) / sizeof(T);
+    constexpr std::size_t kVecs = kLanes / kPerVec;
+    V first{};
+    // Element-wise, not p[0] + V{}: adding +0 would turn a -0 into +0.
+    for (std::size_t e = 0; e < kPerVec; ++e) first[e] = p[0];
+    V lo_v[kVecs], hi_v[kVecs];
+    for (std::size_t k = 0; k < kVecs; ++k) lo_v[k] = hi_v[k] = first;
     std::size_t i = 0;
+    // Unrolled so the four f64 vectors stay in registers, not on the stack.
     for (; i + kLanes <= n; i += kLanes)
-      for (std::size_t j = 0; j < kLanes; ++j) {
-        const T v = p[i + j];
-        lo_l[j] = v < lo_l[j] ? v : lo_l[j];
-        hi_l[j] = v > hi_l[j] ? v : hi_l[j];
+#pragma GCC unroll 4
+      for (std::size_t k = 0; k < kVecs; ++k) {
+        V v{};
+        std::memcpy(&v, p + i + k * kPerVec, sizeof(V));
+        lo_v[k] = v < lo_v[k] ? v : lo_v[k];
+        hi_v[k] = v > hi_v[k] ? v : hi_v[k];
       }
-    T lo = lo_l[0], hi = hi_l[0];
+    T lo = lo_v[0][0], hi = hi_v[0][0];
     for (std::size_t j = 1; j < kLanes; ++j) {
-      lo = lo_l[j] < lo ? lo_l[j] : lo;
-      hi = hi_l[j] > hi ? hi_l[j] : hi;
+      const T l = lo_v[j / kPerVec][j % kPerVec];
+      const T h = hi_v[j / kPerVec][j % kPerVec];
+      lo = l < lo ? l : lo;
+      hi = h > hi ? h : hi;
     }
     for (; i < n; ++i) {
       const T v = p[i];

@@ -313,11 +313,11 @@ Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
       config.anchor_stride ? config.anchor_stride : auto_anchor_stride(g);
   const double abs_eb = header.abs_error_bound;
 
+  // The zero-filled output is the reconstruction buffer: predictions read
+  // only anchors and already-reconstructed values, exactly what a separate
+  // zero-filled buffer would hold at those positions.
   NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  // recon entries are anchors or quantizer round-trips: exactly
-  // T-representable, so storing T halves the buffer bandwidth with
-  // bit-identical reads.
-  std::vector<T> recon(g.num_elements(), T{0});
+  T* recon = arr.data();
   ByteReader anchor_r(anchors);
   ByteReader unpred_r(unpred);
 
@@ -328,9 +328,7 @@ Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
         for (a[3] = 0; a[3] < g.dim[3]; a[3] += anchor_stride) {
           const std::size_t lin = a[0] * g.stride[0] + a[1] * g.stride[1] +
                                   a[2] * g.stride[2] + a[3];
-          const T v = anchor_r.read_pod<T>();
-          recon[lin] = v;
-          arr[lin] = v;
+          recon[lin] = anchor_r.read_pod<T>();
         }
 
   std::size_t code_idx = 0;
@@ -348,8 +346,8 @@ Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
              // Predictions read only previous-level recon values, so
              // computing the whole row up front (including slots that turn
              // out unpredictable, where the value goes unused) is safe.
-             predict_row(g, recon.data(), c, d, h, config.cubic, base,
-                         start3, step3, predbuf.data());
+             predict_row(g, recon, c, d, h, config.cubic, base, start3,
+                         step3, predbuf.data());
              const Q& quant = quants[level];
              std::size_t i = 0;
              for (std::size_t c3 = start3; c3 < g.dim[3];
@@ -357,15 +355,10 @@ Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
                EBLCIO_CHECK_STREAM(code_idx < codes.size(),
                                    "interp: code stream underrun");
                const std::uint32_t code = codes[code_idx++];
-               const std::size_t lin = base + c3;
-               T out;
-               if (code == 0) {
-                 out = unpred_r.read_pod<T>();
-               } else {
-                 out = static_cast<T>(quant.recover(predbuf[i], code));
-               }
-               recon[lin] = out;
-               arr[lin] = out;
+               recon[base + c3] =
+                   code == 0
+                       ? unpred_r.read_pod<T>()
+                       : static_cast<T>(quant.recover(predbuf[i], code));
              }
            });
   EBLCIO_CHECK_STREAM(code_idx == codes.size(),

@@ -18,6 +18,7 @@ ErrorStats stats_impl(const NdArray<T>& a, const NdArray<T>& b) {
 
   double lo = a[0], hi = a[0];
   double sum_sq = 0.0;
+  double sum_e = 0.0;
   double max_abs = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double x = a[i];
@@ -25,6 +26,7 @@ ErrorStats stats_impl(const NdArray<T>& a, const NdArray<T>& b) {
     hi = std::max(hi, x);
     const double e = x - static_cast<double>(b[i]);
     sum_sq += e * e;
+    sum_e += e;
     max_abs = std::max(max_abs, std::abs(e));
   }
   st.mse = sum_sq / static_cast<double>(n);
@@ -42,10 +44,7 @@ ErrorStats stats_impl(const NdArray<T>& a, const NdArray<T>& b) {
 
   // Lag-1 autocorrelation of the pointwise error signal.
   if (n > 1) {
-    double mean_e = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      mean_e += (static_cast<double>(a[i]) - b[i]);
-    mean_e /= static_cast<double>(n);
+    const double mean_e = sum_e / static_cast<double>(n);
     double num = 0.0, den = 0.0;
     double prev = (static_cast<double>(a[0]) - b[0]) - mean_e;
     den += prev * prev;

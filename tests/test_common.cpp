@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -90,6 +91,98 @@ TEST(Field, DTypeAndRange) {
   EXPECT_DOUBLE_EQ(r.min, -3.0);
   EXPECT_DOUBLE_EQ(r.max, 7.0);
   EXPECT_DOUBLE_EQ(r.span(), 10.0);
+}
+
+// The std::array formulation of Field::value_range, kept as the referee:
+// element i goes to lane i mod 8, the lanes fold in order, then the tail.
+template <typename T>
+Field::Range scalar_lane_range(const NdArray<T>& arr) {
+  Field::Range r;
+  const std::size_t n = arr.num_elements();
+  const T* p = arr.data();
+  constexpr std::size_t kLanes = 8;
+  std::array<T, kLanes> lo_l, hi_l;
+  lo_l.fill(p[0]);
+  hi_l.fill(p[0]);
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes)
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      const T v = p[i + j];
+      lo_l[j] = v < lo_l[j] ? v : lo_l[j];
+      hi_l[j] = v > hi_l[j] ? v : hi_l[j];
+    }
+  T lo = lo_l[0], hi = hi_l[0];
+  for (std::size_t j = 1; j < kLanes; ++j) {
+    lo = lo_l[j] < lo ? lo_l[j] : lo;
+    hi = hi_l[j] > hi ? hi_l[j] : hi;
+  }
+  for (; i < n; ++i) {
+    const T v = p[i];
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+  }
+  r.min = static_cast<double>(lo);
+  r.max = static_cast<double>(hi);
+  return r;
+}
+
+// Draws from ±0, NaN, ±inf and small integers, the values whose order and
+// sign the lane fold must preserve.
+template <typename T>
+T special_value(Rng& rng) {
+  constexpr T kPalette[] = {T(0.0),
+                            T(-0.0),
+                            std::numeric_limits<T>::quiet_NaN(),
+                            std::numeric_limits<T>::infinity(),
+                            -std::numeric_limits<T>::infinity()};
+  const std::uint64_t k = rng.next_below(12);
+  return k < 5 ? kPalette[k] : static_cast<T>(static_cast<int>(k) - 8);
+}
+
+template <typename T>
+void expect_range_matches_referee(NdArray<T> arr, const char* what) {
+  const Field::Range want = scalar_lane_range(arr);
+  const Field f("t", std::move(arr));
+  const Field::Range got = f.value_range();
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(Field::Range)), 0)
+      << what << " n=" << f.num_elements() << " bytes=" << sizeof(T)
+      << ": got [" << got.min << ", " << got.max << "], want [" << want.min
+      << ", " << want.max << "]";
+}
+
+template <typename T>
+void check_value_range_against_referee() {
+  Rng rng(sizeof(T));
+  for (std::size_t n = 1; n <= 40; ++n)
+    for (int trial = 0; trial < 400; ++trial) {
+      NdArray<T> arr(Shape{n});
+      for (std::size_t i = 0; i < n; ++i) arr[i] = special_value<T>(rng);
+      expect_range_matches_referee(std::move(arr), "random");
+    }
+  // NaN first poisons the result; NaN inside is skipped.
+  for (std::size_t n : {1u, 7u, 8u, 9u, 33u}) {
+    NdArray<T> first(Shape{n}), inside(Shape{n});
+    for (std::size_t i = 0; i < n; ++i)
+      first[i] = inside[i] = static_cast<T>(i) - T(3);
+    first[0] = std::numeric_limits<T>::quiet_NaN();
+    inside[n / 2] = std::numeric_limits<T>::quiet_NaN();
+    expect_range_matches_referee(std::move(first), "NaN first");
+    expect_range_matches_referee(std::move(inside), "NaN inside");
+  }
+  // Large array: the vector body dominates, extremes in every lane and
+  // in the tail.
+  const std::size_t big = (1u << 18) + 5;
+  NdArray<T> arr(Shape{big});
+  for (std::size_t i = 0; i < big; ++i)
+    arr[i] = static_cast<T>(rng.normal() * 100.0);
+  arr[big - 1] = T(-1e6);
+  arr[big / 3] = T(1e6);
+  expect_range_matches_referee(std::move(arr), "large");
+}
+
+TEST(Field, ValueRangeMatchesScalarLaneReferee) {
+  check_value_range_against_referee<float>();
+  check_value_range_against_referee<double>();
 }
 
 TEST(Field, BytesViewMatchesData) {
@@ -195,6 +288,32 @@ TEST(Cli, DefaultsWhenMissing) {
   CliArgs args(1, const_cast<char**>(argv));
   EXPECT_EQ(args.get_int("threads", 4), 4);
   EXPECT_FALSE(args.has("anything"));
+}
+
+TEST(Cli, RejectUnknownAcceptsReadFlags) {
+  const char* argv[] = {"prog", "--verify", "--reps=3", "--json", "out.json"};
+  CliArgs args(5, const_cast<char**>(argv));
+  EXPECT_TRUE(args.get_bool("verify"));
+  EXPECT_EQ(args.get_int("reps", 1), 3);
+  EXPECT_TRUE(args.has("json"));
+  EXPECT_FALSE(args.has("serial"));  // read but absent: fine
+  EXPECT_NO_THROW(args.reject_unknown());
+}
+
+TEST(Cli, RejectUnknownNamesUnreadFlags) {
+  const char* argv[] = {"prog", "--verfy", "--reps=3", "--max-worlds=2"};
+  CliArgs args(4, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_int("reps", 1), 3);
+  EXPECT_FALSE(args.get_bool("verify"));
+  try {
+    args.reject_unknown();
+    FAIL() << "an unread flag was accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--verfy"), std::string::npos) << what;
+    EXPECT_NE(what.find("--max-worlds"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--reps"), std::string::npos) << what;
+  }
 }
 
 TEST(Format, HumanBytesDecimalUnits) {

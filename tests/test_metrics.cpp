@@ -2,9 +2,13 @@
 // autocorrelation behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "metrics/error_stats.h"
 #include "test_util.h"
 
@@ -100,6 +104,86 @@ TEST(Metrics, DoublePrecisionFields) {
   const Field fa("a", std::move(a)), fb("b", std::move(b));
   const auto st = compute_error_stats(fa, fb);
   EXPECT_NEAR(st.max_abs_error, 1e-12, 1e-15);
+}
+
+// The three-pass formulation compute_error_stats replaced, kept as the
+// referee: pass one for MSE and range, pass two for the mean error, pass
+// three for the lag-1 autocorrelation.
+template <typename T>
+ErrorStats three_pass_stats(const NdArray<T>& a, const NdArray<T>& b) {
+  const std::size_t n = a.num_elements();
+  ErrorStats st;
+  double lo = a[0], hi = a[0];
+  double sum_sq = 0.0;
+  double max_abs = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = a[i];
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+    const double e = x - static_cast<double>(b[i]);
+    sum_sq += e * e;
+    max_abs = std::max(max_abs, std::abs(e));
+  }
+  st.mse = sum_sq / static_cast<double>(n);
+  st.max_abs_error = max_abs;
+  st.value_range = hi - lo;
+  st.max_rel_error =
+      st.value_range > 0 ? max_abs / st.value_range
+                         : (max_abs > 0 ? std::numeric_limits<double>::infinity()
+                                        : 0.0);
+  st.psnr_db = st.mse > 0
+                   ? 20.0 * std::log10(std::abs(hi) / std::sqrt(st.mse))
+                   : std::numeric_limits<double>::infinity();
+  if (n > 1) {
+    double mean_e = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      mean_e += (static_cast<double>(a[i]) - b[i]);
+    mean_e /= static_cast<double>(n);
+    double num = 0.0, den = 0.0;
+    double prev = (static_cast<double>(a[0]) - b[0]) - mean_e;
+    den += prev * prev;
+    for (std::size_t i = 1; i < n; ++i) {
+      const double cur = (static_cast<double>(a[i]) - b[i]) - mean_e;
+      num += prev * cur;
+      den += cur * cur;
+      prev = cur;
+    }
+    st.error_autocorr_lag1 = den > 0 ? num / den : 0.0;
+  }
+  return st;
+}
+
+template <typename T>
+void expect_matches_three_pass(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  NdArray<T> a(Shape{n}), b(Shape{n});
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = static_cast<T>(std::sin(0.003 * i) * 50.0 + rng.normal());
+    // A biased, correlated error, so the mean error is far from zero.
+    b[i] = static_cast<T>(a[i] + 0.01 + 0.02 * std::sin(0.1 * i) +
+                          0.005 * rng.normal());
+  }
+  const ErrorStats want = three_pass_stats(a, b);
+  const Field fa("a", std::move(a)), fb("b", std::move(b));
+  const ErrorStats got = compute_error_stats(fa, fb);
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " bytes=" << sizeof(T));
+  EXPECT_EQ(std::memcmp(&got.mse, &want.mse, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got.psnr_db, &want.psnr_db, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got.max_abs_error, &want.max_abs_error,
+                        sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got.max_rel_error, &want.max_rel_error,
+                        sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got.value_range, &want.value_range,
+                        sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got.error_autocorr_lag1, &want.error_autocorr_lag1,
+                        sizeof(double)), 0);
+}
+
+TEST(Metrics, TwoPassStatsMatchThreePassReferee) {
+  for (std::size_t n : {1u, 2u, 3u, 17u, 4096u, 262144u}) {
+    expect_matches_three_pass<float>(n, 100 + n);
+    expect_matches_three_pass<double>(n, 200 + n);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "compressors/compressor.h"
+#include "compressors/interp_core.h"
 #include "data/dataset.h"
 #include "metrics/error_stats.h"
 #include "test_util.h"
@@ -145,6 +146,32 @@ TEST(Sz3, TruncatedBlobThrows) {
   Bytes blob = c.compress(smooth_field_2d(), rel(1e-3));
   blob.resize(blob.size() * 2 / 3);
   EXPECT_THROW(c.decompress(blob, 1), CorruptStream);
+}
+
+// Decode reconstructs into its output, so a code span that ends early or
+// runs long must still be caught before a field is returned.
+TEST(Sz3, InterpDecodeRejectsCodeSpanOfWrongLength) {
+  for (const Field& f : {smooth_field_3d(24), double_field_4d()}) {
+    const BlobHeader header = lossy_header("SZ3", f, rel(1e-3));
+    const InterpConfig config;
+    const InterpEncoding enc =
+        interp_compress(f, header.abs_error_bound, config);
+    ASSERT_GT(enc.codes.size(), 1u);
+    const std::span<const std::uint32_t> codes(enc.codes);
+    EXPECT_EQ(interp_decompress(header, config, codes, enc.anchors,
+                                enc.unpred)
+                  .shape(),
+              f.shape());
+    EXPECT_THROW(interp_decompress(header, config,
+                                   codes.first(codes.size() - 1),
+                                   enc.anchors, enc.unpred),
+                 CorruptStream);
+    std::vector<std::uint32_t> extended = enc.codes;
+    extended.push_back(32768);  // a zero-residual code
+    EXPECT_THROW(interp_decompress(header, config, extended, enc.anchors,
+                                   enc.unpred),
+                 CorruptStream);
+  }
 }
 
 }  // namespace
