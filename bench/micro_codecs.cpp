@@ -7,11 +7,11 @@
 // --reps times and the best (least-noisy) wall time is reported, as a text
 // table and as machine-readable BENCH_codecs.json (see --json). CI's
 // Release leg runs it and fails when a gated kernel (the Huffman coders,
-// sz2_roundtrip, lz_compress, value_range) regresses more than 25%
-// against bench/baselines/BENCH_codecs.json, normalized by an in-run
-// reference or by the memcpy calibration row to damp machine-to-machine
-// variance (scripts/check_perf_baseline.py; see src/codec/README.md for
-// how to refresh the baseline).
+// the NYX SZ3 slab decode, sz2_roundtrip, lz_compress, value_range)
+// regresses more than 25% against bench/baselines/BENCH_codecs.json,
+// normalized by an in-run reference or by the memcpy calibration row to
+// damp machine-to-machine variance (scripts/check_perf_baseline.py; see
+// src/codec/README.md for how to refresh the baseline).
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "compressors/compressor.h"
+#include "compressors/interp_core.h"
 #include "compressors/quantizer.h"
 #include "data/dataset.h"
 #include "metrics/error_stats.h"
@@ -48,9 +49,9 @@ std::vector<std::uint32_t> code_stream() {
 
 // Low-entropy quantizer-code stream: geometric symbol distribution over a
 // 64-symbol alphabet, so typical canonical code lengths are <= 5 bits. This
-// is the regime the double-symbol Huffman LUT packs two symbols per table
-// slot for; the `huffman_decode_lowent` row makes that win visible and
-// gateable (normalized in-run by `huffman_decode_reference_lowent`).
+// is the regime the Huffman LUT packs up to four codes per table slot for;
+// the `huffman_decode_lowent` row makes that win visible and gateable
+// (normalized in-run by `huffman_decode_reference_lowent`).
 std::vector<std::uint32_t> code_stream_lowent() {
   Rng rng(6);
   std::vector<std::uint32_t> syms(1 << 18);
@@ -60,6 +61,17 @@ std::vector<std::uint32_t> code_stream_lowent() {
     s = v;
   }
   return syms;
+}
+
+// The quantization codes SZ3 entropy-codes for one NYX 24x192x192 slab at
+// value-range-relative 1e-3: the stream a checkpoint restart decodes, and
+// the `huffman_decode_sz3` row's input (normalized in-run by
+// `huffman_decode_reference_sz3` over the same blob).
+InterpEncoding sz3_slab_codes() {
+  const Field slab = generate_dataset_dims("NYX", {24, 192, 192}, 7);
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  return interp_compress(slab, absolute_bound_for(slab, opt), InterpConfig{});
 }
 
 // Mixed runs/low-entropy segments: the corpus the LZ rows have always used.
@@ -128,6 +140,9 @@ int main(int argc, char** argv) {
   const Bytes huff_blob = huffman_encode(syms, 65537);
   const auto syms_lowent = code_stream_lowent();
   const Bytes huff_blob_lowent = huffman_encode(syms_lowent, 64);
+  const InterpEncoding sz3_codes = sz3_slab_codes();
+  const Bytes huff_blob_sz3 =
+      huffman_encode(sz3_codes.codes, sz3_codes.alphabet_size);
   const Bytes corpus = lz_corpus();
   const Bytes lz_blob = lz_compress(corpus);
   const Field& field = micro_field();
@@ -191,6 +206,15 @@ int main(int argc, char** argv) {
       "huffman_decode_reference_lowent", reps, 0,
       static_cast<double>(syms_lowent.size()),
       [&] { return huffman_decode_reference(huff_blob_lowent).size(); }));
+
+  rows.push_back(run_kernel(
+      "huffman_decode_sz3", reps, 0,
+      static_cast<double>(sz3_codes.codes.size()),
+      [&] { return huffman_decode(huff_blob_sz3).size(); }));
+  rows.push_back(run_kernel(
+      "huffman_decode_reference_sz3", reps, 0,
+      static_cast<double>(sz3_codes.codes.size()),
+      [&] { return huffman_decode_reference(huff_blob_sz3).size(); }));
 
   rows.push_back(run_kernel(
       "lz_compress", reps, static_cast<double>(corpus.size()), 0,
@@ -268,6 +292,11 @@ int main(int argc, char** argv) {
   if (huffman_decode(huff_blob_lowent) != syms_lowent ||
       huffman_decode_reference(huff_blob_lowent) != syms_lowent) {
     std::fprintf(stderr, "FATAL: low-entropy huffman round trip mismatch\n");
+    return 1;
+  }
+  if (huffman_decode(huff_blob_sz3) != sz3_codes.codes ||
+      huffman_decode_reference(huff_blob_sz3) != sz3_codes.codes) {
+    std::fprintf(stderr, "FATAL: sz3 slab huffman round trip mismatch\n");
     return 1;
   }
   if (!check_value_range_bound(field, zfp.decompress(zfp_blob, 1),

@@ -12,8 +12,9 @@ normalized throughputs:
 Paired gating kernels normalize against an in-binary reference of the same
 code path: huffman_decode against huffman_decode_reference,
 huffman_decode_lowent against huffman_decode_reference_lowent,
-huffman_encode against huffman_encode_reference, and
-huffman_encode_lowent against huffman_encode_reference_lowent
+huffman_decode_sz3 against huffman_decode_reference_sz3 (the code stream
+of one NYX SZ3 slab), huffman_encode against huffman_encode_reference,
+and huffman_encode_lowent against huffman_encode_reference_lowent
 (bench_micro_codecs), zone_decode (parallel full-field zone decode)
 against zone_decode_serial (bench_zone_scaling), and streamed_write
 (the streamed write on its codec lanes) against streamed_write_serial
@@ -35,7 +36,7 @@ normalized ratio taken across core counts or build flags says nothing
 about the code. A file without them is reported as unstamped and gated as
 before.
 
-Only kernels listed via --kernel gate the build (default: the four
+Only kernels listed via --kernel gate the build (default: the five
 Huffman rows, sz2_roundtrip, lz_compress and value_range of
 bench_micro_codecs); everything else is reported for the artifact log.
 value_range (Field::value_range over the micro field) is memcpy-normalized:
@@ -87,7 +88,8 @@ def main() -> int:
     ap.add_argument("--current", default="BENCH_codecs.json")
     ap.add_argument("--kernel", action="append", default=None,
                     help="gating kernel(s); default: huffman_decode, "
-                         "huffman_decode_lowent, huffman_encode, "
+                         "huffman_decode_lowent, huffman_decode_sz3, "
+                         "huffman_encode, "
                          "huffman_encode_lowent, sz2_roundtrip, lz_compress, "
                          "value_range")
     ap.add_argument("--tolerance", type=float, default=0.25,
@@ -96,6 +98,7 @@ def main() -> int:
                     help="promote --current to --baseline and skip gating")
     args = ap.parse_args()
     gates = args.kernel or ["huffman_decode", "huffman_decode_lowent",
+                            "huffman_decode_sz3",
                             "huffman_encode", "huffman_encode_lowent",
                             "sz2_roundtrip", "lz_compress", "value_range"]
 
@@ -130,6 +133,7 @@ def main() -> int:
     normalizers = {
         "huffman_decode": "huffman_decode_reference",
         "huffman_decode_lowent": "huffman_decode_reference_lowent",
+        "huffman_decode_sz3": "huffman_decode_reference_sz3",
         "huffman_encode": "huffman_encode_reference",
         "huffman_encode_lowent": "huffman_encode_reference_lowent",
         "zone_decode": "zone_decode_serial",

@@ -196,7 +196,6 @@ struct DecodeSetup {
   std::array<std::uint64_t, kMaxHuffmanBits + 2> first_code{};
   std::array<std::uint32_t, kMaxHuffmanBits + 2> first_index{};
   std::array<std::uint32_t, kMaxHuffmanBits + 2> num_codes{};
-  int max_len = 0;
 };
 
 DecodeSetup decode_setup(std::span<const std::byte> blob) {
@@ -214,22 +213,35 @@ DecodeSetup decode_setup(std::span<const std::byte> blob) {
   EBLCIO_CHECK_STREAM(min_bytes <= s.payload.size(),
                       "huffman symbol count exceeds payload");
 
-  std::size_t npresent = 0;
-  for (std::uint32_t sym = 0; sym < s.alphabet_size; ++sym)
-    if (s.lengths[sym] > 0) ++npresent;
-  s.order.reserve(npresent);
-  for (std::uint32_t sym = 0; sym < s.alphabet_size; ++sym)
-    if (s.lengths[sym] > 0) s.order.push_back(sym);
-  std::sort(s.order.begin(), s.order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (s.lengths[a] != s.lengths[b])
-                return s.lengths[a] < s.lengths[b];
-              return a < b;
-            });
-
-  for (std::uint32_t sym : s.order) {
-    ++s.num_codes[s.lengths[sym]];
-    s.max_len = std::max<int>(s.max_len, s.lengths[sym]);
+  // Canonical order by counting sort: one pass counts the codes of each
+  // length, a second places every symbol at its length's next slot, so
+  // symbols land in (length, symbol) order with no comparison sort. Both
+  // passes skip eight absent symbols per word: a quantizer alphabet holds
+  // a few hundred codes among its 65537 symbols.
+  const auto for_each_present = [&s](auto&& fn) {
+    const std::uint8_t* len = s.lengths.data();
+    std::uint32_t sym = 0;
+    for (; sym + 8 <= s.alphabet_size; sym += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, len + sym, 8);
+      if (word == 0) continue;
+      for (std::uint32_t k = sym; k < sym + 8; ++k)
+        if (len[k] > 0) fn(k);
+    }
+    for (; sym < s.alphabet_size; ++sym)
+      if (len[sym] > 0) fn(sym);
+  };
+  for_each_present(
+      [&s](std::uint32_t sym) { ++s.num_codes[s.lengths[sym]]; });
+  // Kraft: an over-subscribed length set (never written by the encoder)
+  // has canonical codes that overflow their length, which the per-bit
+  // walk and the LUT would resolve differently. Summed in units of
+  // 2^-kMaxHuffmanBits and checked per step, so it cannot overflow.
+  std::uint64_t kraft = 0;
+  for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+    kraft += std::uint64_t{s.num_codes[len]} << (kMaxHuffmanBits - len);
+    EBLCIO_CHECK_STREAM(kraft <= std::uint64_t{1} << kMaxHuffmanBits,
+                        "huffman code lengths over-subscribed");
   }
   std::uint64_t code = 0;
   std::uint32_t idx = 0;
@@ -239,6 +251,11 @@ DecodeSetup decode_setup(std::span<const std::byte> blob) {
     code = (code + s.num_codes[len]) << 1;
     idx += s.num_codes[len];
   }
+  s.order.resize(idx);
+  std::array<std::uint32_t, kMaxHuffmanBits + 2> next = s.first_index;
+  for_each_present([&s, &next](std::uint32_t sym) {
+    s.order[next[s.lengths[sym]]++] = sym;
+  });
   return s;
 }
 
@@ -598,108 +615,115 @@ std::vector<std::uint32_t> huffman_decode(std::span<const std::byte> blob) {
   if (decode_degenerate(s, &result)) return result;
 
   // Single-level lookup table over the next kHuffmanLutBits stream bits
-  // with zstd-style multi-symbol packing: when the first code in the
-  // window is followed by a second complete code and their combined
-  // length still fits the table width, the entry carries BOTH decoded
-  // symbols, so one table load emits two symbols. Low-entropy
-  // quantizer-code streams (typical lengths <= 5 bits) take the double
-  // path almost every lookup. Longer (rare) codes and invalid prefixes
-  // fall into the per-bit canonical walk, which also carries the
-  // corrupt-stream checks. Entries whose prefix extends a long code — or
-  // no code at all — keep nsyms == 0.
-  struct Lut1Entry {
-    std::uint32_t sym = 0;
+  // with zstd-style multi-symbol packing: an entry carries the canonical
+  // ranks (indices into s.order) of up to four consecutive complete codes
+  // in its window, so one table load emits up to four symbols. Ranks, not
+  // symbol values, keep the entry at 8 bytes for any alphabet: a code of
+  // <= 11 bits has rank < 2^11 (decode_setup enforces Kraft), so the
+  // leading rank always fits its u16, and s.order lists the short codes
+  // first, so the follow-on u8 ranks cover the 256 shortest. Longer
+  // (rare) codes and invalid prefixes fall into the per-bit canonical
+  // walk, which also carries the corrupt-stream checks: entries whose
+  // window starts a long code — or no code at all — keep nsyms == 0.
+  struct CodeEntry {
+    std::uint16_t rank = 0;
     std::uint8_t len = 0;  // 0 => not decodable within the table width
   };
-  // 8-byte packed entry so the table stays 16 KiB (L1-resident) and the
-  // batch loop is branch-free: both symbols share one u32 (a packed pair
-  // always has combined length <= 11 bits; pairs whose symbol values do
-  // not fit 16 bits fall back to a single entry), and the loop writes
-  // dst[i] and dst[i+1] unconditionally, advancing i by nsyms — the
-  // second write is garbage for single entries and is overwritten by the
-  // next iteration.
-  struct LutEntry {
-    std::uint32_t syms = 0;  // single: sym; pair: sym0 | (sym1 << 16)
-    std::uint8_t len = 0;    // bits consumed when emitting nsyms symbols
-    std::uint8_t shr = 0;    // 0 for single, 16 for pair: sym0 mask shift
-    std::uint8_t nsyms = 0;  // 0 = fallback, 1 = single, 2 = packed pair
-  };
+  // 8-byte entry so the table stays 16 KiB (L1-resident) and the batch
+  // loop is branch-free: it writes dst[i..i+3] unconditionally from the
+  // four ranks and advances i by nsyms. Unused ranks are 0 (a valid
+  // index); their writes are overwritten by the next iteration. The entry
+  // is one u64 the loop unpacks in registers, with the consumed length in
+  // the low byte so the accumulator shift reads it straight off the load:
+  //   bits 0-7 len | 8-15 nsyms (0 = fallback, else 1..4) |
+  //   16-31 leading rank | 32-39, 40-47, 48-55 follow-on ranks.
   // Fixed table width so the peek mask is a compile-time constant in the
   // decode loop; short codes replicate across the unused high index bits.
-  std::vector<Lut1Entry> lut1(std::size_t{1} << kHuffmanLutBits);
+  constexpr std::size_t kLutSize = std::size_t{1} << kHuffmanLutBits;
+  std::vector<CodeEntry> code_lut(kLutSize);
   for (std::uint32_t idx = 0; idx < s.order.size(); ++idx) {
-    const std::uint32_t sym = s.order[idx];
-    const int len = s.lengths[sym];
+    const int len = s.lengths[s.order[idx]];
     if (len > kHuffmanLutBits) break;  // order is sorted by length
     const std::uint64_t code =
         s.first_code[len] + (idx - s.first_index[len]);
     const std::uint64_t rev = reverse_bits(code, len);
     // The code occupies the low `len` stream bits; every setting of the
-    // remaining high table bits maps to the same symbol.
+    // remaining high table bits maps to the same code.
     for (std::uint64_t hi = 0;
          hi < (std::uint64_t{1} << (kHuffmanLutBits - len)); ++hi)
-      lut1[rev | (hi << len)] = {sym, static_cast<std::uint8_t>(len)};
+      code_lut[rev | (hi << len)] = {static_cast<std::uint16_t>(idx),
+                                     static_cast<std::uint8_t>(len)};
   }
-  // Packing pass: after the first code, the remaining (width - len0) index
-  // bits are genuine stream bits; a second code is baked in only when it
-  // fits entirely inside them (len1 <= width - len0, i.e. a single-symbol
-  // lookup at the shifted index cannot have matched zero-padding).
-  std::vector<LutEntry> lut(std::size_t{1} << kHuffmanLutBits);
-  for (std::size_t idx = 0; idx < lut.size(); ++idx) {
-    const Lut1Entry e0 = lut1[idx];
-    if (e0.len == 0) continue;  // fallback entry
-    LutEntry e;
-    e.syms = e0.sym;
-    e.len = e0.len;
-    e.shr = 0;
-    e.nsyms = 1;
-    const Lut1Entry e1 = lut1[idx >> e0.len];
-    if (e1.len != 0 && e0.len + e1.len <= kHuffmanLutBits &&
-        e0.sym < 0x10000u && e1.sym < 0x10000u) {
-      e.syms = e0.sym | (e1.sym << 16);
-      e.len = static_cast<std::uint8_t>(e0.len + e1.len);
-      e.shr = 16;
-      e.nsyms = 2;
+  // Packing pass: after `used` bits, only the remaining (width - used)
+  // index bits are genuine stream bits; a further code is baked in only
+  // when it fits entirely inside them (a lookup at the shifted index
+  // cannot then have matched zero-padding) and its rank fits a u8.
+  std::vector<std::uint64_t> lut(kLutSize, 0);
+  for (std::size_t idx = 0; idx < kLutSize; ++idx) {
+    const CodeEntry first = code_lut[idx];
+    if (first.len == 0) continue;  // fallback entry
+    std::uint64_t ranks = first.rank;
+    int used = first.len;
+    int nsyms = 1;
+    while (nsyms < 4) {
+      const CodeEntry c = code_lut[idx >> used];
+      if (c.len == 0 || used + c.len > kHuffmanLutBits || c.rank > 0xFF)
+        break;
+      ranks |= std::uint64_t{c.rank} << (8 + 8 * nsyms);
+      used += c.len;
+      ++nsyms;
     }
-    lut[idx] = e;
+    lut[idx] = static_cast<std::uint64_t>(used) |
+               static_cast<std::uint64_t>(nsyms) << 8 | ranks << 16;
   }
 
   result.resize(s.count);
   std::uint32_t* dst = result.data();
-  const std::uint64_t lut_mask = (std::uint64_t{1} << kHuffmanLutBits) - 1;
+  const std::uint32_t* order = s.order.data();
+  const std::uint64_t lut_mask = kLutSize - 1;
   BitReader br(s.payload);
   std::uint64_t i = 0;
   while (i < s.count) {
-    // One refill covers a batch of short codes: shift a local accumulator
+    // One refill covers a batch of lookups: shift a local accumulator
     // copy and commit the consumed total once, so the per-symbol work is
-    // (at most) a table load plus a shift — and half a load on streams
-    // where the double-symbol entries dominate. The i + 2 guard keeps the
-    // double-write in bounds and stops a pair entry from over-consuming
-    // past the final symbol.
+    // at most a table load plus a shift — and a quarter of a load where
+    // four-code entries dominate. Each lookup consumes at most
+    // kHuffmanLutBits bits, so avail / kHuffmanLutBits lookups only ever
+    // index buffered bits; the batch's fixed trip count (5 in the stream
+    // interior) keeps its exit branch predictable. The count bound keeps
+    // i + 4 <= count at every lookup, which keeps the four writes in
+    // bounds and stops a packed entry from over-consuming past the final
+    // symbol.
     std::uint64_t acc = br.refill_acc();
     const int avail = br.bits_buffered();
-    if (avail >= kHuffmanLutBits && i + 2 <= s.count) {
+    if (avail >= kHuffmanLutBits && i + 4 <= s.count) {
       int consumed = 0;
       bool long_code = false;
-      while (i + 2 <= s.count && consumed + kHuffmanLutBits <= avail) {
-        const LutEntry e = lut[acc & lut_mask];
-        if (e.nsyms == 0) {
+      const std::uint64_t nlookups = std::min<std::uint64_t>(
+          avail / kHuffmanLutBits, (s.count - i) / 4);
+      for (std::uint64_t k = 0; k < nlookups; ++k) {
+        const std::uint64_t e = lut[acc & lut_mask];
+        const unsigned nsyms = (e >> 8) & 0xFF;
+        if (nsyms == 0) {
           long_code = true;
           break;
         }
-        dst[i] = e.syms & (0xFFFFFFFFu >> e.shr);
-        dst[i + 1] = e.syms >> 16;  // garbage for singles; overwritten
-        i += e.nsyms;
-        acc >>= e.len;
-        consumed += e.len;
+        dst[i] = order[(e >> 16) & 0xFFFF];
+        dst[i + 1] = order[(e >> 32) & 0xFF];
+        dst[i + 2] = order[(e >> 40) & 0xFF];
+        dst[i + 3] = order[(e >> 48) & 0xFF];
+        const int len = static_cast<int>(e & 0xFF);
+        i += nsyms;
+        acc >>= len;
+        consumed += len;
       }
       br.consume(consumed);
       if (long_code) dst[i++] = decode_symbol_slow(s, br);
       continue;
     }
-    // Tail: fewer than kHuffmanLutBits buffered bits or a single symbol
-    // left. The canonical per-bit walk handles zero-padded short reads
-    // and carries the corrupt-stream checks; at most a handful of
+    // Tail: fewer than kHuffmanLutBits buffered bits or fewer than four
+    // symbols left. The canonical per-bit walk handles zero-padded short
+    // reads and carries the corrupt-stream checks; at most a handful of
     // symbols ever take this path.
     dst[i++] = decode_symbol_slow(s, br);
   }

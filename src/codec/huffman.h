@@ -23,7 +23,8 @@ inline constexpr int kMaxHuffmanBits = 32;
 
 // Width of the single-level decode lookup table: codes up to this length
 // (the overwhelming majority on SZ-style quantization-code streams) decode
-// with one table load; longer codes fall back to the canonical per-bit
+// from one table load, which emits up to four consecutive codes that fit
+// the width together; longer codes fall back to the canonical per-bit
 // walk. Must not exceed BitReader::kPeekMax.
 inline constexpr int kHuffmanLutBits = 11;
 
@@ -47,7 +48,9 @@ Bytes huffman_encode(std::span<const std::uint32_t> symbols,
 Bytes huffman_encode_reference(std::span<const std::uint32_t> symbols,
                                std::uint32_t alphabet_size);
 
-// Decodes a blob produced by huffman_encode (table-driven fast path).
+// Decodes a blob produced by huffman_encode (table-driven fast path: an
+// 11-bit table whose entries pack the canonical ranks of up to four codes;
+// see src/codec/README.md, "Table-driven Huffman decode").
 std::vector<std::uint32_t> huffman_decode(std::span<const std::byte> blob);
 
 // Per-bit canonical reference decoder over the same blob format. Kept as

@@ -201,6 +201,15 @@ Bytes lz_decompress(std::span<const std::byte> blob) {
   auto lit_blob = r.read_bytes(lit_size);
   const auto lit_syms = huffman_decode(lit_blob);
   const auto ntokens = r.read_pod<std::uint64_t>();
+  // Bound the header's sizes by what the payload can encode before any
+  // allocation: every token takes at least two varint bytes, and every
+  // output byte is a literal or lies in a match of at most kMaxMatch.
+  // Both sides stay far below 2^64, since ntokens is capped by the blob.
+  EBLCIO_CHECK_STREAM(ntokens <= r.remaining().size() / 2,
+                      "LZ token count exceeds payload");
+  EBLCIO_CHECK_STREAM(
+      orig_size <= lit_syms.size() + ntokens * std::uint64_t{kMaxMatch},
+      "LZ size exceeds its tokens");
 
   // Narrow the literal symbols to bytes once, so literal runs below are
   // bulk copies instead of per-byte symbol casts.
@@ -225,6 +234,8 @@ Bytes lz_decompress(std::span<const std::byte> blob) {
                lits.begin() + static_cast<std::ptrdiff_t>(lit_pos + lit_run));
     lit_pos += lit_run;
     if (match_len > 0) {
+      // The encoder never emits a longer match.
+      EBLCIO_CHECK_STREAM(match_len <= kMaxMatch, "LZ match too long");
       const auto dist = varint_decode(r);
       EBLCIO_CHECK_STREAM(dist > 0 && dist <= out.size(), "bad match dist");
       EBLCIO_CHECK_STREAM(match_len <= orig_size - out.size(),

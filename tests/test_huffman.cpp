@@ -6,10 +6,15 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "codec/huffman.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "compressors/compressor.h"
+#include "compressors/interp_core.h"
+#include "data/dataset.h"
 
 namespace eblcio {
 namespace {
@@ -240,54 +245,71 @@ TEST(HuffmanDifferential, OverflowSafeCountGuard) {
   EXPECT_THROW(huffman_decode_reference(blob), CorruptStream);
 }
 
-// The double-symbol LUT packs two decoded symbols into one table slot when
-// their combined code length fits the table width. These differentials
-// stress that packing specifically: streams dominated by short codes (pair
-// hits on nearly every lookup), odd symbol counts (the decode loop's
-// last-symbol guard must refuse a pair write past the end), and symbols
-// too wide for the packed u16 fields.
+// The LUT packs the canonical ranks of up to four consecutive codes into
+// one table slot when they all fit the table width. These differentials
+// stress that packing specifically: streams dominated by short codes
+// (four-code hits on nearly every lookup), every count remainder mod 4
+// (the decode loop's i + 4 guard must refuse a packed write past the
+// end), alphabets whose short codes outnumber the u8 follow-on ranks, and
+// symbols past 16 bits.
 
-TEST(HuffmanDifferential, LowEntropyGeometricPairsEveryParity) {
+// Both decoders return `syms` for the encoded stream.
+void expect_decoders_agree(const std::vector<std::uint32_t>& syms,
+                           std::uint32_t alphabet, const std::string& what) {
+  const Bytes blob = huffman_encode(syms, alphabet);
+  const auto fast = huffman_decode(blob);
+  ASSERT_EQ(fast, huffman_decode_reference(blob)) << what;
+  ASSERT_EQ(fast, syms) << what;
+}
+
+// Number of codes of at most kHuffmanLutBits bits the encoder assigns.
+std::size_t short_code_count(const std::vector<std::uint32_t>& syms,
+                             std::uint32_t alphabet) {
+  std::vector<std::uint64_t> freqs(alphabet, 0);
+  for (std::uint32_t s : syms) ++freqs[s];
+  const auto lengths = huffman_code_lengths(freqs);
+  return static_cast<std::size_t>(
+      std::count_if(lengths.begin(), lengths.end(), [](std::uint8_t l) {
+        return l > 0 && l <= kHuffmanLutBits;
+      }));
+}
+
+TEST(HuffmanDifferential, LowEntropyGeometricPacksEveryRemainder) {
   Rng rng(123);
   for (int round = 0; round < 12; ++round) {
     // Geometric symbols: the top few codes are 1-3 bits, so most LUT slots
-    // hold packed pairs. Vary the count by round so streams end on every
-    // parity and the i+2<=count guard sees both final shapes.
+    // hold three or four codes. Vary the count by round so streams end on
+    // every remainder mod 4 and the i + 4 <= count guard sees each shape.
     std::vector<std::uint32_t> syms;
-    const int count = 3001 + round;  // odd and even totals
+    const int count = 3001 + round;
     for (int i = 0; i < count; ++i) {
       std::uint32_t v = 0;
       while (v < 63 && rng.next_double() < 0.5) ++v;
       syms.push_back(v);
     }
-    const Bytes blob = huffman_encode(syms, 64);
-    const auto fast = huffman_decode(blob);
-    const auto slow = huffman_decode_reference(blob);
-    ASSERT_EQ(fast, slow) << "round " << round;
-    ASSERT_EQ(fast, syms) << "round " << round;
+    expect_decoders_agree(syms, 64, "round " + std::to_string(round));
   }
 }
 
-TEST(HuffmanDifferential, TinyCountsNeverPairPastEnd) {
-  // Counts 1..8 over a pair-heavy alphabet: the shortest streams are all
-  // tail for the pair loop, so any out-of-bounds second write would land
-  // on the result vector's edge.
+TEST(HuffmanDifferential, TinyCountsNeverPackPastEnd) {
+  // Counts 1..12 over a three-symbol alphabet (codes of 1 and 2 bits, so
+  // every slot packs four codes): the shortest streams are all tail for
+  // the packed loop, and each remainder mod 4 ends a stream, so a write
+  // or a consume past the final symbol would show on the result's edge.
   Rng rng(7);
-  for (int count = 1; count <= 8; ++count) {
+  for (int count = 1; count <= 12; ++count) {
     std::vector<std::uint32_t> syms;
     for (int i = 0; i < count; ++i)
-      syms.push_back(static_cast<std::uint32_t>(rng.next_below(4)));
-    const Bytes blob = huffman_encode(syms, 4);
-    EXPECT_EQ(huffman_decode(blob), syms) << "count " << count;
-    EXPECT_EQ(huffman_decode_reference(blob), syms) << "count " << count;
+      syms.push_back(static_cast<std::uint32_t>(rng.next_below(3)));
+    expect_decoders_agree(syms, 3, "count " + std::to_string(count));
   }
 }
 
-TEST(HuffmanDifferential, WideSymbolsFallBackToSingleSlots) {
-  // Symbols >= 2^16 cannot pack into the LUT's u16 pair fields. Use the
-  // quantizer-shaped alphabet (65537 symbols) with the widest symbol as
-  // the most frequent: its code is short enough to pair by length, so the
-  // width check is the only thing keeping it on the single-symbol path.
+TEST(HuffmanDifferential, WideSymbolsPackByRank) {
+  // Entries hold ranks into the canonical order, not symbol values, so
+  // symbol 65536 of the quantizer-shaped alphabet packs like any other.
+  // Make it the most frequent symbol: its code is the shortest, and most
+  // slots hold it beside symbol 32768.
   Rng rng(31);
   std::vector<std::uint32_t> syms;
   for (int i = 0; i < 6000; ++i) {
@@ -300,17 +322,33 @@ TEST(HuffmanDifferential, WideSymbolsFallBackToSingleSlots) {
       syms.push_back(static_cast<std::uint32_t>(rng.next_below(65537)));
     }
   }
-  const Bytes blob = huffman_encode(syms, 65537);
-  const auto fast = huffman_decode(blob);
-  EXPECT_EQ(fast, huffman_decode_reference(blob));
-  EXPECT_EQ(fast, syms);
+  expect_decoders_agree(syms, 65537, "wide");
 }
 
-TEST(HuffmanDifferential, PairAndSlowPathInterleave) {
+TEST(HuffmanDifferential, PackingStopsAtRank256) {
+  // Symbol 0 takes half the stream (a 1-bit code) and 512 near-uniform
+  // symbols share the rest (codes of about 10 bits): more than 256 codes
+  // of <= 11 bits, and a 1-bit code followed by a 10-bit one fits a slot.
+  // A follow-on code of rank >= 256 must end its entry (its u8 rank
+  // cannot hold it), while a leading code of any rank still decodes from
+  // the table.
+  Rng rng(57);
+  std::vector<std::uint32_t> syms;
+  for (int i = 0; i < 40001; ++i) {
+    if (rng.next_below(2) == 0)
+      syms.push_back(0);
+    else
+      syms.push_back(1 + static_cast<std::uint32_t>(rng.next_below(512)));
+  }
+  ASSERT_GT(short_code_count(syms, 513), 256u);
+  expect_decoders_agree(syms, 513, "rank 256");
+}
+
+TEST(HuffmanDifferential, PackedAndSlowPathInterleave) {
   // Fibonacci frequencies again, but with the common (short-code) symbols
-  // dominating: decode alternates between packed-pair hits and the
-  // canonical slow path for the >11-bit codes, exercising the
-  // consumed-bits bookkeeping across the transition.
+  // dominating: decode alternates between packed hits and the canonical
+  // slow path for the >11-bit codes, exercising the consumed-bits
+  // bookkeeping across the transition.
   const int n = 48;
   std::vector<std::uint64_t> freqs(n);
   std::uint64_t a = 1, b = 1;
@@ -335,37 +373,66 @@ TEST(HuffmanDifferential, PairAndSlowPathInterleave) {
           n - 1 - rng.next_below(6)));
     }
   }
-  const Bytes blob = huffman_encode(syms, n);
-  const auto fast = huffman_decode(blob);
-  EXPECT_EQ(fast, huffman_decode_reference(blob));
-  EXPECT_EQ(fast, syms);
+  expect_decoders_agree(syms, n, "interleave");
 }
 
-TEST(HuffmanDifferential, ForgedCountTruncatesInsidePairRun) {
+TEST(HuffmanDifferential, ForgedCountTruncatesInsidePackedEntry) {
   // Shrink the header count so decoding must stop mid-stream: both
   // decoders return exactly `forged` symbols, agree on them, and never
-  // read past the adjusted count even when the cut lands between the two
-  // symbols of a packed pair.
+  // read past the adjusted count, whichever of an entry's four codes the
+  // cut lands after. The 1- and 2-bit codes of a three-symbol alphabet
+  // pack four per entry; the geometric stream mixes entry sizes.
   Rng rng(43);
-  std::vector<std::uint32_t> syms;
+  std::vector<std::uint32_t> tiny;
+  std::vector<std::uint32_t> geometric;
   for (int i = 0; i < 4096; ++i) {
+    tiny.push_back(static_cast<std::uint32_t>(rng.next_below(3)));
     std::uint32_t v = 0;
     while (v < 63 && rng.next_double() < 0.5) ++v;
-    syms.push_back(v);
+    geometric.push_back(v);
   }
-  const Bytes good = huffman_encode(syms, 64);
-  for (const std::uint64_t forged : {std::uint64_t{4095},
-                                     std::uint64_t{2048},
-                                     std::uint64_t{1}}) {
-    Bytes blob = good;
-    std::memcpy(blob.data(), &forged, sizeof forged);
-    const auto fast = huffman_decode(blob);
-    const auto slow = huffman_decode_reference(blob);
-    ASSERT_EQ(fast.size(), forged);
-    ASSERT_EQ(fast, slow) << "forged " << forged;
-    for (std::size_t i = 0; i < forged; ++i)
-      ASSERT_EQ(fast[i], syms[i]) << "forged " << forged << " idx " << i;
+  for (const auto& [syms, alphabet] :
+       {std::pair{tiny, 3u}, std::pair{geometric, 64u}}) {
+    const Bytes good = huffman_encode(syms, alphabet);
+    for (const std::uint64_t forged :
+         {4095, 4094, 4093, 4092, 2049, 2048, 7, 6, 5, 4, 3, 2, 1}) {
+      Bytes blob = good;
+      std::memcpy(blob.data(), &forged, sizeof forged);
+      const auto fast = huffman_decode(blob);
+      const auto slow = huffman_decode_reference(blob);
+      ASSERT_EQ(fast.size(), forged);
+      ASSERT_EQ(fast, slow) << "forged " << forged;
+      for (std::size_t i = 0; i < forged; ++i)
+        ASSERT_EQ(fast[i], syms[i]) << "forged " << forged << " idx " << i;
+    }
   }
+}
+
+TEST(HuffmanDifferential, OverSubscribedLengthsRejectedByBoth) {
+  // Three 1-bit codes break Kraft: the canonical code 2 overflows its one
+  // bit, and the table and the per-bit walk would decode it differently.
+  // decode_setup rejects the header for both decoders.
+  Bytes blob;
+  append_pod<std::uint64_t>(blob, 16);  // count
+  append_pod<std::uint32_t>(blob, 3);   // alphabet
+  append_pod<std::uint32_t>(blob, 1);   // one RLE run
+  append_pod<std::uint8_t>(blob, 1);    // length 1 ...
+  append_pod<std::uint32_t>(blob, 3);   // ... for all three symbols
+  append_pod<std::uint64_t>(blob, 2);   // payload bytes
+  append_pod<std::uint16_t>(blob, 0xA5A5);
+  EXPECT_THROW(huffman_decode(blob), CorruptStream);
+  EXPECT_THROW(huffman_decode_reference(blob), CorruptStream);
+}
+
+TEST(HuffmanDifferential, NyxSz3SlabCodeStream) {
+  // The quantization codes SZ3 entropy-codes for one NYX 24x192x192 slab
+  // at value-range-relative 1e-3: the stream a checkpoint restart decodes.
+  const Field slab = generate_dataset_dims("NYX", {24, 192, 192}, 7);
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  const InterpEncoding enc =
+      interp_compress(slab, absolute_bound_for(slab, opt), InterpConfig{});
+  expect_decoders_agree(enc.codes, enc.alphabet_size, "nyx sz3 slab");
 }
 
 // --- Hot encoder vs reference encoder (differential) -----------------------

@@ -130,6 +130,24 @@ TEST(Lz77, RejectsForgedHugeTokenLengths) {
   EXPECT_THROW(lz_decompress(forge(2, huge, 2)), CorruptStream);
 }
 
+TEST(Lz77, RejectsForgedHugeOriginalSize) {
+  // The header's orig_size was reserved before anything checked it: 2^40
+  // and 2^62 threw std::bad_alloc and 2^33 reserved 8 GiB before the size
+  // mismatch. Its bound from the literal and token counts rejects all
+  // three before any allocation.
+  Rng rng(12);
+  Bytes data(1000);
+  for (auto& b : data) b = static_cast<std::byte>(rng.next_below(8));
+  const Bytes blob = lz_compress(data);
+  ASSERT_EQ(lz_decompress(blob), data);
+  for (const int log2 : {33, 40, 62}) {
+    Bytes bad = blob;
+    const std::uint64_t forged = std::uint64_t{1} << log2;
+    std::memcpy(bad.data() + 4, &forged, sizeof forged);  // after magic
+    EXPECT_THROW(lz_decompress(bad), CorruptStream) << "2^" << log2;
+  }
+}
+
 TEST(Lz77, ProbeDepthTradesRatioForSpeed) {
   std::string s;
   Rng rng(6);

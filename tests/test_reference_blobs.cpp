@@ -160,7 +160,7 @@ TEST(ReferenceBlobs, HuffmanNormalStream) {
 
 TEST(ReferenceBlobs, HuffmanGeometricStream) {
   // Low-entropy geometric stream: typical code lengths <= 5 bits, the
-  // regime the multi-symbol LUT packs two symbols per slot for.
+  // regime the multi-symbol LUT packs up to four codes per slot for.
   Rng rng(6);
   std::vector<std::uint32_t> syms(1 << 16);
   for (auto& s : syms) {

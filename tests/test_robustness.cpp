@@ -158,6 +158,32 @@ TEST(ForgedBlobLength, LengthsThatWrapThePositionAreCorruptStreams) {
   }
 }
 
+TEST(ForgedBlobLength, LzOriginalSizeInsideSz3CodeStreamIsCorruptStream) {
+  // A tag-1 (Huffman + LZ) code stream carries an LZ header whose u64
+  // orig_size was reserved before any check: 2^40 threw std::bad_alloc out
+  // of decompress_any instead of CorruptStream.
+  const Field f = smooth_field_3d(32);
+  const Bytes sz3 = compressor("SZ3").compress(f, options_for("SZ3"));
+  // The single-slab payload at 63: stride, gamma, cubic flag, code count,
+  // then the sized anchor and unpredictable-value sections.
+  std::size_t at = 63 + 8 + 8 + 1 + 8;
+  for (int section = 0; section < 2; ++section) {
+    std::uint64_t len = 0;
+    std::memcpy(&len, sz3.data() + at, 8);
+    at += 8 + static_cast<std::size_t>(len);
+  }
+  ASSERT_EQ(static_cast<std::uint8_t>(sz3[at]), 1) << "not a tag-1 stream";
+  std::uint32_t magic = 0;
+  std::memcpy(&magic, sz3.data() + at + 9, 4);  // after tag and u64 size
+  ASSERT_EQ(magic, 0x4c5a4542u);
+  const std::size_t orig_size_at = at + 9 + 4;
+  for (const int log2 : {33, 40, 62}) {
+    const Bytes bad =
+        forge_u64(sz3, orig_size_at, std::uint64_t{1} << log2);
+    EXPECT_THROW(decompress_any(bad), CorruptStream) << "2^" << log2;
+  }
+}
+
 TEST(CrossCodec, WrongCodecHeaderIsRejectedOrStructured) {
   // Feed an SZ3 blob to SZx's decoder: the self-describing header carries
   // "SZ3", and dispatch via decompress_any is correct, but a direct call
