@@ -91,17 +91,23 @@ void print_bench_header(const std::string& id, const std::string& title,
 // Repeated measurement of a compression pipeline cell, reusing the
 // pipeline runner. The number of runs follows the shared repetition
 // protocol (up to env.reps, stopping early on a tight 95% CI); the record
-// kept is the least-noisy (fastest host) run, with quality and size
-// deterministic across runs. When called from a sweep cell, pass `ctx` so
-// the repetitions run under the sweep's configured protocol. Thread-safe
-// and memoized per (field, codec, bound, threads): concurrent cells
-// sharing a key block on one measurement and all observe bit-identical
-// records — which is what makes --verify's sweep-vs-serial comparison
-// exact even for measured quantities.
+// kept carries the fastest host compress and the fastest host decompress
+// of those runs, each taken on its own (see keep_fastest_times), with
+// quality and size deterministic across runs. When called from a sweep
+// cell, pass `ctx` so the repetitions run under the sweep's configured
+// protocol. Thread-safe and memoized per (field, codec, bound, threads):
+// concurrent cells sharing a key block on one measurement and all observe
+// bit-identical records — which is what makes --verify's sweep-vs-serial
+// comparison exact even for measured quantities.
 CompressionRecord measure_compression(const Field& field,
                                       const PipelineConfig& config,
                                       const BenchEnv& env,
                                       const SweepCellContext* ctx = nullptr);
+
+// Folds one more run of the same cell into `kept`: each host time becomes
+// the smaller of the two, so a compress-only column (Fig. 12's c+w) gets
+// the fastest compress even when another run had the fastest sum.
+void keep_fastest_times(CompressionRecord& kept, const CompressionRecord& run);
 
 // ---------------------------------------------------------------------------
 // Grid-bench scaffolding: streamed tables and the sweep/verify driver.

@@ -5,10 +5,11 @@
 //
 // Each rank's compression kernel is really measured per codec, under the
 // Sec. IV-C repetition protocol for --reps (bench::measure_compression
-// keeps the fastest run); a rank fleet is then a fold over its ranks:
-// every rank charges its compute time plus the PFS write time under N-way
-// contention (the mechanism behind the paper's 256 -> 512 core jump for
-// uncompressed I/O), and the fleet completes at the slowest rank.
+// keeps the fastest compress of those runs); a rank fleet is then a fold
+// over its ranks: every rank charges its compute time plus the PFS write
+// time under N-way contention (the mechanism behind the paper's 256 -> 512
+// core jump for uncompressed I/O), and the fleet completes at the slowest
+// rank.
 //
 // The (cores × variant) grid — 30 cells — runs on the grid-bench driver
 // (bench_util.h::run_grid_bench). Each cell registers its writing fleet on

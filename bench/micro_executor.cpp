@@ -85,78 +85,6 @@ void BM_StealChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_StealChurn);
 
-// Same flood shape on a two-pod pool — the datapoint for locality-aware
-// victim preference. Counters split the steal traffic into pod-local and
-// cross-pod so the same-pod-first policy is visible: with ample local work
-// the local share dominates, and the remote share is what the policy
-// avoids paying on multi-node hosts.
-void BM_StealChurnPodded(benchmark::State& state) {
-  Executor ex(4, 4096, /*pods=*/2);
-  const int n = 4096;
-  const auto before = ex.stats();
-  for (auto _ : state) {
-    std::atomic<int> count{0};
-    TaskGroup outer(ex);
-    outer.run([&] {
-      TaskGroup inner(ex);
-      for (int i = 0; i < n; ++i) inner.run([&] { count.fetch_add(1); });
-      inner.wait();
-    });
-    outer.wait();
-    benchmark::DoNotOptimize(count.load());
-  }
-  const auto after = ex.stats();
-  const double iters =
-      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
-  state.counters["local_steals_per_iter"] = benchmark::Counter(
-      static_cast<double>(after.pod_local_steals - before.pod_local_steals) /
-      iters);
-  state.counters["remote_steals_per_iter"] = benchmark::Counter(
-      static_cast<double>(after.pod_remote_steals -
-                          before.pod_remote_steals) /
-      iters);
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_StealChurnPodded);
-
-// Pod-hinted placement on a two-pod pool — the datapoint for the
-// submit-side half of locality: each task carries the pod hint the chunked
-// compressors derive from slab ownership, and the counters report how many
-// hinted tasks actually ran inside their hinted pod versus were pulled
-// cross-pod by stealing. With per-task work keeping the pods busy, the
-// local share should stay near 1.0.
-void BM_PodPlacement(benchmark::State& state) {
-  Executor ex(4, 4096, /*pods=*/2);
-  const int n = 2048;
-  const auto before = ex.stats();
-  for (auto _ : state) {
-    std::atomic<unsigned> sink{0};
-    TaskGroup group(ex);
-    for (int i = 0; i < n; ++i)
-      group.run(
-          [&, i] {
-            // Dependent LCG chain: unfoldable per-task work so the deques
-            // hold depth and placement (not starvation stealing) decides
-            // where tasks run.
-            unsigned x = static_cast<unsigned>(i) + 1;
-            for (int k = 0; k < 4096; ++k) x = x * 1664525u + 1013904223u;
-            sink.fetch_add(x, std::memory_order_relaxed);
-          },
-          i % 2);
-    group.wait();
-    benchmark::DoNotOptimize(sink.load());
-  }
-  const auto after = ex.stats();
-  const double local =
-      static_cast<double>(after.placed_local - before.placed_local);
-  const double remote =
-      static_cast<double>(after.placed_remote - before.placed_remote);
-  state.counters["pod_local_share"] =
-      local + remote > 0 ? local / (local + remote) : 0.0;
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_PodPlacement);
-
 // The sweep engine over a 25-cell grid (the advisor's codec×bound shape):
 // Arg(0) = serial reference path, Arg(1) = batched on the executor. The
 // cells sleep rather than spin so the overlap win is visible even on

@@ -95,14 +95,11 @@ Bytes compress_chunked(const BlobHeader& header, const Field& field,
   std::vector<Bytes> blobs(slabs.size());
   CompressOptions serial_opt = opt;
   serial_opt.threads = 1;
-  // parallel_for's deterministic block->pod mapping places slab i's
-  // compress task on the pod that owns slab i's buffers.
-  Executor& ex = opt.executor ? *opt.executor : Executor::global();
   parallel_for(slabs.size(), opt.threads, [&](std::size_t i) {
     BlobHeader slab_header = header;
     slab_header.dims = slabs[i].shape().dims_vector();
     blobs[i] = kernel(slabs[i], slab_header, serial_opt);
-  }, ex);
+  });
 
   append_pod<std::uint8_t>(out, kLayoutChunked);
   append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(blobs.size()));

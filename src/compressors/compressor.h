@@ -17,8 +17,6 @@
 
 namespace eblcio {
 
-class Executor;
-
 // Error-bound interpretation. The paper uses value-range relative bounds
 // throughout (its footnote 1); absolute bounds are provided for
 // completeness, and lossless codecs ignore the bound.
@@ -35,10 +33,6 @@ struct CompressOptions {
   // with the same asymmetries the reference implementations have (e.g. ZFP
   // parallelizes compression only; see each codec's header).
   int threads = 1;
-  // Executor the parallel fan-out runs on (null = Executor::global()).
-  // Tests and NUMA-aware callers use this to pin the slab tasks onto a
-  // pool with an explicit pod layout.
-  Executor* executor = nullptr;
 };
 
 // Capabilities, mirroring the restrictions the paper notes in Sec. IV-C

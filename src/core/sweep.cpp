@@ -1,6 +1,5 @@
 #include "core/sweep.h"
 
-#include <algorithm>
 #include <atomic>
 #include <mutex>
 
@@ -98,29 +97,8 @@ SweepStats run_sweep(
   if (!options.parallel) {
     for (std::size_t i = 0; i < n; ++i) eval_one(i);
   } else {
-    Executor& ex = options.executor ? *options.executor : Executor::global();
-    const std::size_t ntasks =
-        options.max_tasks <= 0
-            ? n
-            : std::min<std::size_t>(n,
-                                    static_cast<std::size_t>(options.max_tasks));
-    // Consecutive cell blocks map to consecutive locality pods, so a
-    // zone/slab-ordered domain keeps each cell's working set on the pod
-    // that owns it (placement hint only — stealing still balances).
-    // Pod-interleaved submission feeds every pod from the first few
-    // blocks, so no pod starves into cross-stealing the early batch.
-    const int npods = ex.pods();
-    TaskGroup group(ex);
-    for (std::size_t t : pod_interleaved_order(ntasks, npods)) {
-      const std::size_t lo = n * t / ntasks;
-      const std::size_t hi = n * (t + 1) / ntasks;
-      group.run(
-          [&eval_one, lo, hi] {
-            for (std::size_t i = lo; i < hi; ++i) eval_one(i);
-          },
-          static_cast<int>(t * static_cast<std::size_t>(npods) / ntasks));
-    }
-    group.wait();
+    parallel_for(n, options.max_tasks, eval_one,
+                 options.executor ? *options.executor : Executor::global());
   }
 
   stats.wall_s = sweep_timer.elapsed_s();

@@ -34,23 +34,19 @@ struct ExecutorStats {
   std::uint64_t tasks_completed = 0;
   double task_seconds = 0.0;       // summed per-task wall clock
   std::uint64_t steals = 0;        // tasks taken from another worker's deque
-  std::uint64_t pod_local_steals = 0;   // steals from a same-pod victim
-  std::uint64_t pod_remote_steals = 0;  // steals that crossed a pod boundary
   std::uint64_t help_runs = 0;     // tasks run inline by a waiting thread
   std::uint64_t submit_waits = 0;  // submissions throttled by backpressure
-  // Pod-hinted tasks, classified where they *ran*: local means on a worker
-  // of the hinted pod — or inline on a waiting off-pool thread, which owns
-  // the fan-out's buffers and so never crosses a memory node. Remote means
-  // a worker of another pod executed it (a cross-pod steal moved it).
-  // Every hinted task lands in exactly one bucket, so
-  // placed_local + placed_remote equals the number of hinted submissions.
+  // Kept only because the end-to-end benchmark reads them, with the values
+  // of a pool that is one locality domain: every steal is local
+  // (pod_local_steals == steals) and no task carries a placement hint
+  // (placed_local == placed_remote == 0).
+  std::uint64_t pod_local_steals = 0;
   std::uint64_t placed_local = 0;
   std::uint64_t placed_remote = 0;
   // Replacement workers started since construction (the base workers
   // excluded): one per BlockingScope the live workers could not cover.
   std::uint64_t spawned = 0;
   int workers = 0;                 // workers currently alive
-  int pods = 0;                    // locality pods the workers split into
   // Snapshot occupancy: tasks waiting in any queue, and tasks executing.
   // Both are 0 once every submitted task has run (a drained executor).
   std::size_t queued = 0;
@@ -67,14 +63,7 @@ class Executor {
   // threads <= 0 picks the hardware concurrency (at least 2 so producer/
   // consumer pipelines overlap even on one-core hosts). queue_capacity
   // bounds the external injection queue; full-queue submissions block.
-  // pods <= 0 auto-detects the machine's NUMA node count (1 when sysfs is
-  // unavailable); pods > 0 forces that many locality pods. Workers split
-  // into contiguous pods and thieves scan same-pod victims before crossing
-  // a pod boundary, so under plentiful work tasks tend to stay on the
-  // memory node that spawned them; cross-pod stealing still happens
-  // whenever a pod runs dry, so no task is ever stranded.
-  explicit Executor(int threads = 0, std::size_t queue_capacity = 4096,
-                    int pods = 0);
+  explicit Executor(int threads = 0, std::size_t queue_capacity = 4096);
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -85,9 +74,6 @@ class Executor {
 
   // Base worker count (excludes temporary replacements for blocked tasks).
   int concurrency() const { return base_workers_; }
-
-  // Number of locality pods the workers are partitioned into.
-  int pods() const { return npods_; }
 
   ExecutorStats stats() const;
 
@@ -114,24 +100,13 @@ class Executor {
   struct Task {
     std::function<void()> fn;
     TaskGroup* group = nullptr;
-    // Locality pod this task's working set lives on; -1 = no preference.
-    // Hinted tasks are *placed* onto a worker of that pod (see submit);
-    // stealing is unchanged, so work conservation holds regardless.
-    int pod_hint = -1;
   };
 
   struct Worker {
     std::mutex mu;
     std::deque<Task> deque;
-    int pod = 0;  // locality pod; fixed at slot creation
   };
 
-  static int detect_pods();    // NUMA node count from sysfs; 1 on failure
-  int pod_of_slot(int slot) const;
-  // Contiguous base-worker slot range [begin, end) forming pod `pod`
-  // (non-empty: pods are clamped to the base worker count).
-  int pod_slot_begin(int pod) const;
-  int pod_slot_end(int pod) const;
   bool spawn_worker_locked();  // requires spawn_mu_; false at the hard cap
   void worker_loop(Worker* self, int slot);
   void run_task(Task& task);
@@ -155,7 +130,6 @@ class Executor {
   const int base_workers_;
   const std::size_t queue_capacity_;
   const int max_workers_;
-  const int npods_;
 
   // Worker slots are pre-sized so stealers can scan without locking the
   // slot array; slots [0, alive_workers_) are populated.
@@ -186,17 +160,10 @@ class Executor {
   std::atomic<std::uint64_t> tasks_completed_{0};
   std::atomic<double> task_seconds_{0.0};
   std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> pod_local_steals_{0};
-  std::atomic<std::uint64_t> pod_remote_steals_{0};
   std::atomic<std::uint64_t> help_runs_{0};
   std::atomic<std::uint64_t> submit_waits_{0};
-  std::atomic<std::uint64_t> placed_local_{0};
-  std::atomic<std::uint64_t> placed_remote_{0};
   std::atomic<std::uint64_t> spawned_{0};  // every spawn, base workers too
   std::atomic<int> running_{0};
-
-  // Round-robin cursor per pod for hinted placement (allocated to npods_).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> pod_rr_;
 };
 
 // A set of tasks submitted together and awaited together. wait() helps the
@@ -218,13 +185,6 @@ class TaskGroup {
   // Submits one task. Blocks when the executor's injection queue is full
   // (backpressure), unless called from a pool worker (local push).
   void run(std::function<void()> fn);
-
-  // Submits one task with a locality-pod placement hint: the task is
-  // enqueued onto a worker of pod `pod_hint % pods()` so its working set
-  // stays on the memory node that owns it. pod_hint < 0 = no preference.
-  // Hinted placement bypasses the injection queue (like a local push), so
-  // callers should use it for bounded fan-outs, not unbounded streams.
-  void run(std::function<void()> fn, int pod_hint);
 
   // Waits for every submitted task, executing this group's queued tasks
   // while waiting. Rethrows the first captured exception.
@@ -248,23 +208,11 @@ class TaskGroup {
 };
 
 // Runs body(i) for i in [0, n) as executor tasks and waits. At most
-// max_tasks tasks are created (consecutive-index blocks); max_tasks <= 0
-// means one task per index. The calling thread helps execute. Blocks map
-// to locality pods deterministically (block t -> pod t*pods/ntasks) and
-// are submitted pod-interleaved so every pod is fed from the first few
-// submissions.
+// max_tasks tasks are created, each a block of consecutive indices run in
+// order, submitted in block order; max_tasks <= 0 means one task per
+// index. The calling thread helps execute; n == 1 runs inline.
 void parallel_for(std::size_t n, int max_tasks,
                   const std::function<void(std::size_t)>& body,
                   Executor& ex = Executor::global());
-
-// Submission order for a hinted fan-out of `ntasks` blocks over `npods`
-// pods (block t hinted to pod t*npods/ntasks): round-robins across the
-// pods' block ranges, so every pod receives a task within the first
-// `npods` submissions. Emitting one pod's whole batch before the next
-// pod's first task would let the idle pods' workers wake to empty deques
-// and cross-steal the early batch, defeating placement at the start of
-// every fan-out. Identity order when npods <= 1.
-std::vector<std::size_t> pod_interleaved_order(std::size_t ntasks,
-                                               int npods);
 
 }  // namespace eblcio

@@ -2,7 +2,8 @@
 // parsing into BenchEnv/SweepOptions, streamed-row ordering and table
 // formatting, serial-vs-sweep bit-parity through run_grid_bench's verify
 // path, the memoized measure_compression returning identical records
-// to concurrent cells, and the host/build stamp on every BENCH_*.json.
+// to concurrent cells and keeping the fastest compress and decompress,
+// and the host/build stamp on every BENCH_*.json.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -293,6 +294,32 @@ TEST(BenchUtilMeasure, ConcurrentCellsSharingAKeyGetIdenticalRecords) {
       });
   EXPECT_EQ(summary.stats.completed, cells.size());
   EXPECT_EQ(distinct.size(), 1u);
+}
+
+TEST(BenchUtilMeasure, KeepsFastestCompressAndDecompressSeparately) {
+  // Run A has the faster compress, run B the faster decompress: the kept
+  // record takes one column from each, in either order, so a
+  // compress-only column is not tied to the run with the fastest sum.
+  CompressionRecord a;
+  a.compressed_bytes = 1234;
+  a.ratio = 8.0;
+  a.host_compress_s = 1.0;
+  a.host_decompress_s = 3.0;
+  CompressionRecord b = a;
+  b.host_compress_s = 2.0;
+  b.host_decompress_s = 0.5;
+
+  CompressionRecord kept = a;
+  bench::keep_fastest_times(kept, b);
+  EXPECT_EQ(kept.host_compress_s, 1.0);
+  EXPECT_EQ(kept.host_decompress_s, 0.5);
+  EXPECT_EQ(kept.compressed_bytes, 1234u);
+  EXPECT_EQ(kept.ratio, 8.0);
+
+  kept = b;
+  bench::keep_fastest_times(kept, a);
+  EXPECT_EQ(kept.host_compress_s, 1.0);
+  EXPECT_EQ(kept.host_decompress_s, 0.5);
 }
 
 TEST(BenchJson, WriteStampsHostAndBuildMeta) {

@@ -2,12 +2,9 @@
 // distribution, chunk container layout.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "compressors/chunking.h"
-#include "parallel/executor.h"
 #include "test_util.h"
 
 namespace eblcio {
@@ -85,76 +82,6 @@ TEST(Chunking, ContainerRoundTripSingleAndChunked) {
     for (std::size_t i = 0; i < f.num_elements(); ++i)
       EXPECT_EQ(r.as<float>()[i], f.as<float>()[i]);
   }
-}
-
-TEST(Chunking, PoddedChunkedCompressPlacesSlabsPodLocally) {
-  // Route a real chunked compression through an explicitly podded pool via
-  // CompressOptions::executor. parallel_for's deterministic block->pod
-  // mapping hints slab i onto the pod owning slab i's buffers; with real
-  // per-slab work keeping every worker busy, >=90% of the hinted tasks
-  // must actually run pod-locally.
-  // Tall dim0 -> many slabs: the hinted fan-out is long enough that the
-  // unavoidable cross-pod steals at the drained tail stay a small share.
-  NdArray<float> arr(Shape{256, 64, 64});
-  for (std::size_t i = 0; i < arr.num_elements(); ++i)
-    arr[i] = static_cast<float>(i % 251);
-  const Field f("tall", std::move(arr));
-  BlobHeader header;
-  header.codec = "test";
-  header.dtype = f.dtype();
-  header.dims = f.shape().dims_vector();
-  PayloadCompressFn kernel = [](const Field& field, const BlobHeader&,
-                                const CompressOptions&) {
-    auto raw = field.bytes();
-    Bytes out(raw.begin(), raw.end());
-    // A dependent per-byte chain over the slab (unvectorizable, so tens
-    // of microseconds per task): each pod's deques hold real depth for
-    // several scheduler quanta, so placement — not starvation stealing —
-    // decides where slab tasks run, even on a single-CPU host.
-    unsigned x = 1;
-    for (int pass = 0; pass < 2; ++pass)
-      for (std::byte b : out)
-        x = x * 1664525u + std::to_integer<unsigned>(b);
-    out.push_back(std::byte{static_cast<std::uint8_t>(x)});
-    return out;
-  };
-
-  Executor ex(4, 4096, 2);
-  CompressOptions opt;
-  opt.threads = 256;  // one slab per row block -> many hinted tasks
-  opt.executor = &ex;
-
-  // On a multi-core host one lap suffices; a single-CPU host time-slices
-  // the workers, and an unlucky schedule can hand one worker several
-  // consecutive quanta in which it legitimately cross-steals a starving
-  // pod dry. Placement conservation must hold on EVERY lap; the >=90%
-  // locality property must show up within a few schedules.
-  bool reached_local_share = false;
-  for (int attempt = 0; attempt < 4 && !reached_local_share; ++attempt) {
-    const auto before = ex.stats();
-    // Occupy every worker while the fan-out is being enqueued (the busy-
-    // pipeline shape: workers are mid-slab when the next batch arrives).
-    // Without this, on a single-CPU host the first worker to wake sees an
-    // almost-empty pool and steals the few submitted tasks cross-pod
-    // before placement has anything to say.
-    TaskGroup warm(ex);
-    for (int i = 0; i < 4; ++i)
-      warm.run([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(4));
-      });
-    const Bytes blob = compress_chunked(header, f, opt, kernel);
-    warm.wait();
-    const auto after = ex.stats();
-    EXPECT_GT(blob.size(), f.size_bytes());
-
-    const std::uint64_t local = after.placed_local - before.placed_local;
-    const std::uint64_t remote = after.placed_remote - before.placed_remote;
-    ASSERT_EQ(local + remote, f.shape().dim(0))
-        << "every hinted slab task classifies exactly once";
-    reached_local_share = local * 10 >= (local + remote) * 9;
-  }
-  EXPECT_TRUE(reached_local_share)
-      << "no schedule reached >=90% pod-local slab placement";
 }
 
 TEST(Chunking, ChunkedLayoutTagAfterHeader) {

@@ -2,6 +2,7 @@
 // scopes, backpressure, and accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -90,6 +91,44 @@ TEST(Executor, ParallelForZeroAndOne) {
   EXPECT_EQ(calls, 0);
   parallel_for(1, 4, [&](std::size_t i) { calls += static_cast<int>(i) + 1; });
   EXPECT_EQ(calls, 1);  // runs inline
+}
+
+TEST(Executor, ParallelForRunsOneTaskPerBlock) {
+  // The fan-out shape every caller (chunked codecs, sweeps) relies on: at
+  // most max_tasks tasks, each a contiguous block of consecutive indices
+  // [n*t/ntasks, n*(t+1)/ntasks) run in order on one thread.
+  Executor ex(4);
+  for (const std::size_t n : {2u, 7u, 64u}) {
+    for (const int max_tasks : {0, 1, 3, static_cast<int>(n) + 5}) {
+      std::vector<std::thread::id> thread_of(n);
+      std::vector<int> seq_of(n, -1);
+      std::vector<int> runs(n, 0);
+      std::atomic<int> seq{0};
+      const auto before = ex.stats();
+      parallel_for(n, max_tasks, [&](std::size_t i) {
+        thread_of[i] = std::this_thread::get_id();
+        seq_of[i] = seq.fetch_add(1);
+        ++runs[i];
+      }, ex);
+      const auto after = ex.stats();
+      const std::size_t ntasks =
+          max_tasks <= 0 ? n
+                         : std::min(n, static_cast<std::size_t>(max_tasks));
+      EXPECT_EQ(after.tasks_completed - before.tasks_completed, ntasks)
+          << "n " << n << " max_tasks " << max_tasks;
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i], 1) << i;
+      for (std::size_t t = 0; t < ntasks; ++t) {
+        const std::size_t lo = n * t / ntasks;
+        const std::size_t hi = n * (t + 1) / ntasks;
+        for (std::size_t i = lo + 1; i < hi; ++i) {
+          EXPECT_EQ(thread_of[i], thread_of[lo])
+              << "n " << n << " max_tasks " << max_tasks << " index " << i;
+          EXPECT_GT(seq_of[i], seq_of[i - 1])
+              << "n " << n << " max_tasks " << max_tasks << " index " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Executor, BackpressureBoundsInjectionQueue) {
@@ -197,122 +236,28 @@ TEST(Executor, RejectsZeroCapacity) {
   EXPECT_THROW(Executor(1, 0), InvalidArgument);
 }
 
-TEST(Executor, PodCountDetectsOrOverrides) {
-  // Auto-detection must land on at least one pod, and never more pods
-  // than workers.
-  Executor auto_ex(4);
-  EXPECT_GE(auto_ex.pods(), 1);
-  EXPECT_LE(auto_ex.pods(), 4);
-  // Explicit override wins, clamped to the worker count.
-  EXPECT_EQ(Executor(4, 4096, 2).pods(), 2);
-  EXPECT_EQ(Executor(2, 4096, 8).pods(), 2);
-  EXPECT_EQ(Executor(4, 4096, 2).stats().pods, 2);
-}
-
-TEST(Executor, PoddedPoolCompletesFanOutAndAccountsSteals) {
-  // Two pods over four workers; one producer task floods its own deque so
-  // every other worker must steal. All tasks must still run exactly once
-  // (cross-pod stealing keeps work conserved), and every steal is
-  // classified as exactly one of pod-local / pod-remote.
-  Executor ex(4, 4096, 2);
-  const auto before = ex.stats();
-  std::atomic<int> count{0};
+TEST(Executor, FloodFromOnePoolTaskRunsEveryTaskOnce) {
+  // One pool task floods its own deque, so every other worker can only
+  // get work by stealing. Every task must still run exactly once, and the
+  // executor must drain completely.
+  Executor ex(4);
   const int n = 5000;
+  std::vector<std::atomic<int>> runs(n);
   TaskGroup outer(ex);
   outer.run([&] {
     TaskGroup inner(ex);
     for (int i = 0; i < n; ++i)
-      inner.run([&] {
-        count.fetch_add(1);
+      inner.run([&, i] {
+        runs[i].fetch_add(1);
         std::this_thread::sleep_for(std::chrono::microseconds(1));
       });
     inner.wait();
   });
   outer.wait();
-  EXPECT_EQ(count.load(), n);
-  const auto after = ex.stats();
-  EXPECT_EQ(after.steals - before.steals,
-            (after.pod_local_steals - before.pod_local_steals) +
-                (after.pod_remote_steals - before.pod_remote_steals));
-}
-
-TEST(Executor, PodHintedPlacementIsConserved) {
-  // Every hinted task is classified exactly once at run time, as pod-local
-  // or pod-remote — whether it ran on a worker of the hinted pod, was
-  // stolen cross-pod, or was help-run inline by the waiting submitter.
-  Executor ex(4, 4096, 2);
-  const auto before = ex.stats();
-  std::atomic<int> count{0};
-  const int n = 3000;
-  TaskGroup group(ex);
-  for (int i = 0; i < n; ++i)
-    group.run([&] { count.fetch_add(1); }, i % 2);
-  group.wait();
-  EXPECT_EQ(count.load(), n);
-  const auto after = ex.stats();
-  EXPECT_EQ((after.placed_local - before.placed_local) +
-                (after.placed_remote - before.placed_remote),
-            static_cast<std::uint64_t>(n));
-}
-
-TEST(Executor, PodHintedPlacementIsMostlyLocalUnderPlentifulWork) {
-  // With every worker kept busy by its own deque, cross-pod stealing is
-  // rare, so hinted tasks overwhelmingly run inside their hinted pod. This
-  // is the property the chunked compressors rely on: slab i's task lands
-  // on the pod that owns slab i's buffers.
-  Executor ex(4, 4096, 2);
-  const auto before = ex.stats();
-  std::atomic<unsigned> sink{0};
-  const int n = 4000;
-  TaskGroup group(ex);
-  for (int i = 0; i < n; ++i)
-    group.run(
-        [&, i] {
-          // A dependent LCG chain the compiler cannot fold: each task
-          // costs a few microseconds, so deques build depth and workers
-          // stay fed from their own pod instead of starving into steals.
-          unsigned x = static_cast<unsigned>(i) + 1;
-          for (int k = 0; k < 20000; ++k) x = x * 1664525u + 1013904223u;
-          sink.fetch_add(x, std::memory_order_relaxed);
-        },
-        i % 2);
-  group.wait();
-  const auto after = ex.stats();
-  const std::uint64_t local = after.placed_local - before.placed_local;
-  const std::uint64_t remote = after.placed_remote - before.placed_remote;
-  ASSERT_EQ(local + remote, static_cast<std::uint64_t>(n));
-  EXPECT_GE(local, static_cast<std::uint64_t>(n) * 9 / 10)
-      << "local " << local << " remote " << remote;
-}
-
-TEST(Executor, UnhintedTasksDoNotCountAsPlacements) {
-  Executor ex(2, 4096, 2);
-  const auto before = ex.stats();
-  std::atomic<int> count{0};
-  TaskGroup group(ex);
-  for (int i = 0; i < 500; ++i) group.run([&] { count.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(count.load(), 500);
-  const auto after = ex.stats();
-  EXPECT_EQ(after.placed_local, before.placed_local);
-  EXPECT_EQ(after.placed_remote, before.placed_remote);
-}
-
-TEST(Executor, SinglePodClassifiesAllStealsLocal) {
-  Executor ex(3, 4096, 1);
-  std::atomic<int> count{0};
-  TaskGroup outer(ex);
-  outer.run([&] {
-    TaskGroup inner(ex);
-    for (int i = 0; i < 2000; ++i) inner.run([&] { count.fetch_add(1); });
-    inner.wait();
-  });
-  outer.wait();
-  EXPECT_EQ(count.load(), 2000);
+  for (int i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
   const auto s = ex.stats();
-  EXPECT_EQ(s.pods, 1);
-  EXPECT_EQ(s.pod_remote_steals, 0u);
-  EXPECT_EQ(s.pod_local_steals, s.steals);
+  EXPECT_EQ(s.queued, 0u);
+  EXPECT_EQ(s.running, 0);
 }
 
 }  // namespace

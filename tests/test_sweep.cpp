@@ -60,6 +60,33 @@ TEST(Sweep, ResultsInDomainOrderUnderParallelExecution) {
   EXPECT_EQ(report.stats.failed, 0u);
 }
 
+TEST(Sweep, MaxTasksBoundsCellTasks) {
+  // max_tasks groups consecutive cells into that many executor tasks;
+  // results still land, and stream, in domain order.
+  Executor ex(4);
+  SweepOptions options;
+  options.executor = &ex;
+  options.max_tasks = 3;
+  std::vector<int> cells;
+  for (int i = 0; i < 10; ++i) cells.push_back(i);
+  std::vector<std::size_t> streamed;
+  const auto before = ex.stats();
+  const auto report = sweep_grid(
+      cells, [](const int& cell, SweepCellContext&) { return cell + 100; },
+      options,
+      [&](const SweepCell<int, int>& cell) { streamed.push_back(cell.index); });
+  const auto after = ex.stats();
+  EXPECT_EQ(after.tasks_completed - before.tasks_completed, 3u);
+  ASSERT_EQ(report.cells.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(report.cells[i].index, i);
+    ASSERT_TRUE(report.cells[i].result.has_value()) << i;
+    EXPECT_EQ(*report.cells[i].result, static_cast<int>(i) + 100);
+  }
+  ASSERT_EQ(streamed.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(streamed[i], i);
+}
+
 TEST(Sweep, SerialAndParallelEmitIdenticalSequences) {
   std::vector<int> cells;
   for (int i = 0; i < 24; ++i) cells.push_back(i * 7 + 1);
