@@ -5,7 +5,7 @@
 // trials when handed composed codec names, here rendered as a full table.
 //
 // The kNumPredictors x kNumQuantizers x kNumEncoders grid (75 cells) runs
-// on the shared executor; rows stream as cells resolve. --verify re-runs
+// on sweep threads; rows stream as cells resolve. --verify re-runs
 // the grid serially and compares the deterministic columns (ratio, PSNR,
 // sizes) bit-for-bit; the host-timing columns are excluded — wall clock is
 // run-to-run noise. measure_compression memoizes per cell key, so the

@@ -3,8 +3,8 @@
 // gray-box prediction a capacity planner would use instead of compressing
 // the archive to size it.
 //
-// The dataset×codec×bound grid (3×3×2 = 18 cells) runs as a sweep on the
-// shared executor via bench_util.h::run_grid_bench: every cell estimates
+// The dataset×codec×bound grid (3×3×2 = 18 cells) runs as a sweep on
+// sweep threads via bench_util.h::run_grid_bench: every cell estimates
 // from a per-dataset RatioSample taken once up front (the pre-screen
 // regime) and then really compresses for the measured baseline; rows
 // stream in deterministic domain order. --verify compares the

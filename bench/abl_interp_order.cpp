@@ -1,8 +1,8 @@
 // Ablation — interpolation order in the SZ3/QoZ engine (DESIGN.md §5.3):
 // cubic (4-point) vs linear (2-point) prediction, per data set and bound.
 //
-// The dataset×bound×order grid (3×2×2 = 12 cells) runs as a sweep on the
-// shared executor; rows stream as cells resolve. --verify compares the
+// The dataset×bound×order grid (3×2×2 = 12 cells) runs as a sweep on
+// sweep threads; rows stream as cells resolve. --verify compares the
 // deterministic columns (ratio, PSNR) bit-for-bit; the compress-time
 // column is excluded — wall clock is run-to-run noise.
 #include <cstdio>

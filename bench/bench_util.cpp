@@ -190,7 +190,7 @@ void print_grid_summary(const GridRunSummary& s) {
       "\nsweep: %zu cells, %s, wall %.3f s (summed cell time %.3f s)\n",
       s.stats.cells,
       s.serial ? "serial (in order on the calling thread)"
-               : "batched on the shared executor",
+               : "batched on sweep threads",
       s.stats.wall_s, s.stats.cell_seconds);
   if (s.stats.failed) std::printf("sweep: %zu failed\n", s.stats.failed);
   if (!s.verified) return;

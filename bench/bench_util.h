@@ -11,10 +11,11 @@
 //                 used up to 25, stopping early on a tight 95% CI)
 //   --seed=<n>    generator seed
 //   --serial      evaluate the grid in order on the calling thread instead
-//                 of batching cells on the shared executor
+//                 of batching cells on sweep threads
 //   --verify      after the sweep, re-run the identical grid serially and
 //                 require the rendered rows to match bit-for-bit
-//   --jobs=<n>    cap concurrently-batched cells (0 = one task per cell)
+//   --jobs=<n>    cap concurrently-batched cells (0 = one sweep thread per
+//                 executor worker)
 #pragma once
 
 #include <cstddef>
@@ -42,7 +43,7 @@ struct BenchEnv {
   std::uint64_t seed = 42;
   bool serial = false;  // --serial: in-order grid on the calling thread
   bool verify = false;  // --verify: cross-check sweep against a serial rerun
-  int jobs = 0;         // --jobs: cap concurrently-batched cells (0 = all)
+  int jobs = 0;         // --jobs: cap concurrently-batched cells
 
   static BenchEnv from_cli(const CliArgs& args) {
     BenchEnv env;

@@ -1,8 +1,8 @@
 // Fig. 5 — Runtime of compression + decompression across EBLCs, data sets
 // and relative error bounds on the Intel Xeon CPU MAX 9480.
 //
-// The dataset×bound×codec grid (4×5×5 = 100 cells) runs as a sweep on the
-// shared executor (bench_util.h::run_grid_bench over core/sweep.h); each
+// The dataset×bound×codec grid (4×5×5 = 100 cells) runs as a sweep on
+// sweep threads (bench_util.h::run_grid_bench over core/sweep.h); each
 // table row streams out the moment its five codec cells have resolved.
 // --serial evaluates the cells in order on this thread, --verify proves
 // the batched rows bit-identical to a serial rerun (host measurements are

@@ -4,7 +4,7 @@
 // measured kernel runtimes dilated onto each platform's power model.
 //
 // The cpu×dataset×bound×codec grid (3×4×5×5 = 300 cells) runs as a sweep
-// on the shared executor; every platform's energy derives from the same
+// on sweep threads; every platform's energy derives from the same
 // memoized host measurement (cells sharing a kernel key block on one
 // measurement), so tables stream per (CPU, dataset) while the grid is
 // still running and --verify is exact even for the measured columns.

@@ -86,15 +86,14 @@ void BM_StealChurn(benchmark::State& state) {
 BENCHMARK(BM_StealChurn);
 
 // The sweep engine over a 25-cell grid (the advisor's codec×bound shape):
-// Arg(0) = serial reference path, Arg(1) = batched on the executor. The
-// cells sleep rather than spin so the overlap win is visible even on
+// Arg(0) = serial reference path, Arg(1) = batched on 8 sweep threads.
+// The cells sleep rather than spin so the overlap win is visible even on
 // heavily shared CI hosts.
 void BM_SweepGrid25(benchmark::State& state) {
   const bool parallel = state.range(0) != 0;
-  Executor ex(8);
   SweepOptions options;
   options.parallel = parallel;
-  options.executor = &ex;
+  options.max_tasks = 8;
   std::vector<int> cells(25);
   std::iota(cells.begin(), cells.end(), 0);
   for (auto _ : state) {

@@ -1,8 +1,8 @@
 // Table III — Select EBLC Statistics (compression ratio and PSNR) for
 // SZ3 / ZFP / SZx on NYX, HACC and S3D at REL bounds 1e-1, 1e-3, 1e-5.
 //
-// The dataset×bound×codec grid (3×3×3 = 27 cells) runs as a sweep on the
-// shared executor; each table row streams the moment its three codec
+// The dataset×bound×codec grid (3×3×3 = 27 cells) runs as a sweep on
+// sweep threads; each table row streams the moment its three codec
 // cells resolve. --serial, --verify and --reps behave as documented in
 // bench/README.md.
 #include <cstdio>

@@ -3,7 +3,7 @@
 // on a sample of your data set under a quality floor and rank the
 // candidates for each optimization objective.
 //
-// The codec×bound trials execute as a grid sweep on the shared executor
+// The codec×bound trials execute as a grid sweep on sweep threads
 // (core/sweep.h); completed trials stream as progress lines in
 // deterministic domain order while the grid is still running.
 //

@@ -8,7 +8,7 @@
 //
 // With --parallel-sweep the program runs the node×rank grid instead:
 // every (nodes, ranks-per-node) world is one sweep cell, the worlds batch
-// concurrently on the shared executor (core/sweep.h), rows stream as they
+// concurrently on sweep threads (core/sweep.h), rows stream as they
 // complete in deterministic order, and all worlds share one PFS whose
 // contention model is fed the true number of simultaneously-writing
 // clients through the writer registry (overlapping worlds contend, as the
@@ -116,7 +116,7 @@ int run_grid_sweep(const CliArgs& args, const Field& field,
     for (int rpn : rpn_counts) cells.push_back({nodes, rpn});
 
   std::printf("node×rank sweep: %zu worlds (%s), %s of NYX per rank, %s\n\n",
-              cells.size(), serial ? "serial" : "batched on the executor",
+              cells.size(), serial ? "serial" : "batched on sweep threads",
               human_bytes(field.size_bytes()).c_str(), cpu.name.c_str());
   std::printf("%6s %5s %6s | %12s %12s %12s %10s\n", "nodes", "rpn", "ranks",
               "comp (J)", "write (J)", "orig w (J)", "verdict");

@@ -37,8 +37,8 @@ struct AdvisorConstraints {
   std::vector<double> error_bounds = {1e-1, 1e-2, 1e-3, 1e-4, 1e-5};
   std::vector<std::string> codecs;     // empty = all five EBLCs
   std::string cpu = "9480";
-  // Sweep execution: trials fan out as cells on the shared executor, one
-  // task per trial, by default; parallel = false runs them in order on the
+  // Sweep execution: trials fan out as cells on sweep threads (one per
+  // executor worker) by default; parallel = false runs them in order on the
   // calling thread (identical results — cells are independent and
   // deterministic apart from measured kernel time).
   bool parallel = true;
@@ -71,7 +71,7 @@ using AdvisorProgressFn = std::function<void(
 
 // Trials every (codec, bound) pair on a centered sample of `field` (fast)
 // and ranks them under the constraints. Trials execute as a grid sweep on
-// the shared executor (see core/sweep.h and constraints.parallel).
+// sweep threads (see core/sweep.h and constraints.parallel).
 AdvisorReport advise_compression(const Field& field,
                                  const AdvisorConstraints& constraints,
                                  const AdvisorProgressFn& on_trial = nullptr);

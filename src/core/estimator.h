@@ -71,7 +71,7 @@ struct RatioGridEntry {
 
 // Pre-screens the codec×bound grid through the estimator, sampling the
 // field once and fanning the cells out per `options` (default: parallel on
-// the shared executor). Entries come back in domain (codec-major) order;
+// sweep threads). Entries come back in domain (codec-major) order;
 // `on_entry` streams them in that same order with running progress. A
 // failing cell (e.g. a codec with no ratio model) is reported in its
 // entry's `error` and never aborts the rest of the grid.

@@ -1,9 +1,13 @@
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "common/timer.h"
+#include "parallel/executor.h"
 
 namespace eblcio {
 namespace detail {
@@ -97,8 +101,28 @@ SweepStats run_sweep(
   if (!options.parallel) {
     for (std::size_t i = 0; i < n; ++i) eval_one(i);
   } else {
-    parallel_for(n, options.max_tasks, eval_one,
-                 options.executor ? *options.executor : Executor::global());
+    // k runners, the calling thread among them, each taking the next cell
+    // off one counter. Cells run on these threads, never as pool tasks: a
+    // cell may wait on pool work (a streamed pipeline's lanes).
+    const std::size_t k = std::min<std::size_t>(
+        n, static_cast<std::size_t>(options.max_tasks > 0
+                                        ? options.max_tasks
+                                        : Executor::global().concurrency()));
+    std::atomic<std::size_t> next{0};
+    auto runner = [&] {
+      for (std::size_t i = next++; i < n; i = next++) eval_one(i);
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(k - 1);
+    for (std::size_t t = 1; t < k; ++t) {
+      try {
+        threads.emplace_back(runner);
+      } catch (const std::system_error&) {
+        break;  // fewer runners still run every cell
+      }
+    }
+    runner();
+    for (auto& t : threads) t.join();
   }
 
   stats.wall_s = sweep_timer.elapsed_s();

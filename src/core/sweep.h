@@ -1,12 +1,16 @@
-// Generic grid-sweep engine — the one way every paper-scale grid fans its
-// independent cells out onto the shared executor.
+// Generic grid-sweep engine — the one way every paper-scale grid fans out
+// its independent cells.
 //
 // The paper's headline artifacts are grids: the Sec. VII advisor trials a
 // codec×bound table, capacity planning pre-screens the same grid through
 // the gray-box estimator (ref. [51]), and the Sec. IV-E experiment sweeps
 // node×rank worlds. Every cell is independent, so a sweep takes a cell
 // domain (any vector of descriptors), a per-cell evaluation functor, and
-// options, and executes the cells as one TaskGroup on the executor.
+// options, and runs the cells on threads the sweep owns (the calling
+// thread among them; SweepOptions::max_tasks sets how many), each taking
+// the next unstarted cell in domain order. Cells are not executor tasks,
+// so a cell may wait on pool work (a streamed pipeline's codec lanes)
+// without holding a pool worker.
 //
 // Guarantees, regardless of how execution interleaves:
 //  * results land in *domain order* (cell i's outcome is slot i), and the
@@ -35,17 +39,15 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "parallel/executor.h"
 
 namespace eblcio {
 
 struct SweepOptions {
-  Executor* executor = nullptr;  // null = Executor::global()
-  bool parallel = true;          // false = in-order on the calling thread
-  // Caps concurrently-runnable cell tasks by grouping consecutive cells
-  // into at most this many tasks (<= 0: one task per cell). Bound this
-  // when cells are heavyweight (each holds its own working set while it
-  // runs).
+  bool parallel = true;  // false = in-order on the calling thread
+  // Caps the cells running at once: the sweep runs its cells on
+  // min(cells, max_tasks) threads, the calling thread included (<= 0:
+  // Executor::global().concurrency() threads). Bound this when cells are
+  // heavyweight (each holds its own working set while it runs).
   int max_tasks = 0;
   // Engages ctx.repeat() with this protocol; cells may also call
   // ctx.repeat() without it and get the default RepeatConfig. Grid

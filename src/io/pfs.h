@@ -202,7 +202,7 @@ class PfsSimulator {
   // Historically every experiment told the contention model how many
   // clients were writing (`concurrent_clients`), which is only honest while
   // one world owns the file system. When independent (nodes, ranks) worlds
-  // batch concurrently on the executor, each world registers its writing
+  // batch concurrently as sweep cells, each world registers its writing
   // fleet for its lifetime and asks concurrent_writers() for the *true*
   // number of simultaneously-writing clients across every overlapping
   // world — the count the Fig. 12 contention model should be fed.

@@ -16,14 +16,12 @@ Executor::Executor(int threads, std::size_t queue_capacity)
     : base_workers_(threads > 0
                         ? threads
                         : std::max(2u, std::thread::hardware_concurrency())),
-      queue_capacity_(queue_capacity),
-      max_workers_(base_workers_ + 4096) {
+      queue_capacity_(queue_capacity) {
   EBLCIO_CHECK_ARG(queue_capacity >= 1, "queue capacity must be positive");
-  slots_.resize(max_workers_);
-  threads_.resize(max_workers_);
-  target_workers_.store(base_workers_);
-  std::lock_guard<std::mutex> lock(spawn_mu_);
-  for (int i = 0; i < base_workers_; ++i) spawn_worker_locked();
+  for (int i = 0; i < base_workers_; ++i)
+    slots_.push_back(std::make_unique<Worker>());
+  for (auto& w : slots_)
+    threads_.emplace_back([this, w = w.get()] { worker_loop(w); });
 }
 
 Executor::~Executor() {
@@ -33,8 +31,7 @@ Executor::~Executor() {
   }
   wake_cv_.notify_all();
   inj_not_full_.notify_all();
-  for (auto& t : threads_)
-    if (t.joinable()) t.join();
+  for (auto& t : threads_) t.join();
 }
 
 Executor& Executor::global() {
@@ -42,31 +39,7 @@ Executor& Executor::global() {
   return ex;
 }
 
-bool Executor::spawn_worker_locked() {
-  int slot = -1;
-  {
-    std::lock_guard<std::mutex> lock(free_mu_);
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
-  }
-  if (slot < 0) {
-    slot = published_workers_.load();
-    if (slot >= max_workers_) return false;  // pool at its hard cap
-    slots_[slot] = std::make_unique<Worker>();
-    published_workers_.store(slot + 1);  // publish after construction
-  } else if (threads_[slot].joinable()) {
-    threads_[slot].join();  // reap the retired thread that used this slot
-  }
-  alive_workers_.fetch_add(1);
-  spawned_.fetch_add(1);
-  Worker* w = slots_[slot].get();
-  threads_[slot] = std::thread([this, w, slot] { worker_loop(w, slot); });
-  return true;
-}
-
-void Executor::worker_loop(Worker* self, int slot) {
+void Executor::worker_loop(Worker* self) {
   tl_executor_ = this;
   tl_worker_ = self;
   while (true) {
@@ -76,28 +49,11 @@ void Executor::worker_loop(Worker* self, int slot) {
       run_task(task);
       continue;
     }
-    // Spare replacement worker (its blocked peer returned)? The retire
-    // decision must serialize with begin_blocking's spawn decision on
-    // spawn_mu_, or a concurrent retire + spawn-skip could erode the
-    // runnable worker count below the target.
-    if (alive_workers_.load() > target_workers_.load()) {
-      std::lock_guard<std::mutex> spawn_lock(spawn_mu_);
-      if (alive_workers_.load() > target_workers_.load()) {
-        alive_workers_.fetch_sub(1);
-        std::lock_guard<std::mutex> free_lock(free_mu_);
-        free_slots_.push_back(slot);
-        tl_executor_ = nullptr;
-        tl_worker_ = nullptr;
-        return;
-      }
-    }
     std::unique_lock<std::mutex> lock(wake_mu_);
     if (stop_.load()) break;
     if (queued_.load() == 0)
-      wake_cv_.wait(lock, [&] {
-        return stop_.load() || queued_.load() > 0 ||
-               alive_workers_.load() > target_workers_.load();
-      });
+      wake_cv_.wait(lock,
+                    [&] { return stop_.load() || queued_.load() > 0; });
   }
   tl_executor_ = nullptr;
   tl_worker_ = nullptr;
@@ -120,7 +76,7 @@ void Executor::run_task(Task& task) {
 }
 
 void Executor::submit(Task task) {
-  if (tl_executor_ == this && tl_worker_) {
+  if (on_worker()) {
     // Pool thread: push to the owner's deque (LIFO end). Local pushes are
     // not bounded — task recursion depth bounds them naturally, and
     // blocking a worker on its own queue would deadlock nested groups.
@@ -135,7 +91,6 @@ void Executor::submit(Task task) {
   std::unique_lock<std::mutex> lock(inj_mu_);
   if (injection_.size() >= queue_capacity_) {
     submit_waits_.fetch_add(1);
-    Executor::BlockingScope scope;  // submitting task may be a pool task
     inj_not_full_.wait(lock, [&] {
       return injection_.size() < queue_capacity_ || stop_.load();
     });
@@ -175,22 +130,21 @@ bool Executor::try_pop_injection(Task& out) {
 }
 
 bool Executor::try_steal(const Worker* self, Task& out) {
-  const int published = published_workers_.load();
-  if (published <= 0) return false;
+  const int nworkers = static_cast<int>(slots_.size());
   // Randomized victim selection: scanning upward from slot 0 made every
   // thief hammer worker 0's deque lock first, so under fan-out from one
   // producer all thieves serialized on the same mutex. A per-thread random
   // starting slot spreads the scan pressure uniformly across victims; the
-  // circular scan still visits every published worker, so no queued task
-  // is ever missed.
+  // circular scan still visits every worker, so no queued task is ever
+  // missed.
   static thread_local Rng steal_rng(
       0x9e3779b97f4a7c15ULL ^
       static_cast<std::uint64_t>(
           std::hash<std::thread::id>{}(std::this_thread::get_id())));
   const int start = static_cast<int>(
-      steal_rng.next_below(static_cast<std::uint64_t>(published)));
-  for (int k = 0; k < published; ++k) {
-    const int i = start + k < published ? start + k : start + k - published;
+      steal_rng.next_below(static_cast<std::uint64_t>(nworkers)));
+  for (int k = 0; k < nworkers; ++k) {
+    const int i = start + k < nworkers ? start + k : start + k - nworkers;
     Worker* victim = slots_[i].get();
     if (victim == self) continue;
     std::lock_guard<std::mutex> lock(victim->mu);
@@ -221,8 +175,7 @@ bool Executor::try_acquire_of_group(const TaskGroup* group, Task& out) {
     }
     return false;
   };
-  if (tl_executor_ == this && tl_worker_ && take_from(tl_worker_, true))
-    return true;
+  if (on_worker() && take_from(tl_worker_, true)) return true;
   {
     std::lock_guard<std::mutex> lock(inj_mu_);
     for (std::size_t i = 0; i < injection_.size(); ++i) {
@@ -234,8 +187,7 @@ bool Executor::try_acquire_of_group(const TaskGroup* group, Task& out) {
       return true;
     }
   }
-  const int published = published_workers_.load();
-  if (published <= 0) return false;
+  const int nworkers = static_cast<int>(slots_.size());
   // Randomized starting victim, same rationale as try_steal: a helper
   // that always scans up from slot 0 would contend on worker 0's lock.
   static thread_local Rng acquire_rng(
@@ -243,9 +195,9 @@ bool Executor::try_acquire_of_group(const TaskGroup* group, Task& out) {
       static_cast<std::uint64_t>(
           std::hash<std::thread::id>{}(std::this_thread::get_id())));
   const int start = static_cast<int>(
-      acquire_rng.next_below(static_cast<std::uint64_t>(published)));
-  for (int k = 0; k < published; ++k) {
-    const int i = start + k < published ? start + k : start + k - published;
+      acquire_rng.next_below(static_cast<std::uint64_t>(nworkers)));
+  for (int k = 0; k < nworkers; ++k) {
+    const int i = start + k < nworkers ? start + k : start + k - nworkers;
     Worker* victim = slots_[i].get();
     if (victim == tl_worker_) continue;
     if (take_from(victim, false)) {
@@ -261,41 +213,6 @@ void Executor::notify_one_worker() {
   wake_cv_.notify_one();
 }
 
-void Executor::begin_blocking() {
-  // target++ and the spawn decision form one critical section on
-  // spawn_mu_, pairing with the worker retire check: at every release of
-  // spawn_mu_, alive >= target holds. A blocking task without a
-  // replacement worker is a liveness hole (peers it waits on may never be
-  // scheduled), so hitting the hard cap is a structured error, not a
-  // silent degradation into deadlock.
-  std::lock_guard<std::mutex> lock(spawn_mu_);
-  target_workers_.fetch_add(1);
-  if (alive_workers_.load() < target_workers_.load() &&
-      !spawn_worker_locked()) {
-    target_workers_.fetch_sub(1);
-    throw Error("executor worker cap reached: cannot cover a blocking task");
-  }
-}
-
-void Executor::end_blocking() {
-  {
-    std::lock_guard<std::mutex> lock(spawn_mu_);
-    target_workers_.fetch_sub(1);
-  }
-  // Let one idle worker notice it is now spare and retire.
-  std::lock_guard<std::mutex> lock(wake_mu_);
-  wake_cv_.notify_one();
-}
-
-Executor::BlockingScope::BlockingScope()
-    : ex_(tl_worker_ ? tl_executor_ : nullptr) {
-  if (ex_) ex_->begin_blocking();
-}
-
-Executor::BlockingScope::~BlockingScope() {
-  if (ex_) ex_->end_blocking();
-}
-
 ExecutorStats Executor::stats() const {
   ExecutorStats s;
   s.tasks_completed = tasks_completed_.load();
@@ -304,8 +221,6 @@ ExecutorStats Executor::stats() const {
   s.pod_local_steals = s.steals;
   s.help_runs = help_runs_.load();
   s.submit_waits = submit_waits_.load();
-  s.spawned = spawned_.load() - static_cast<std::uint64_t>(base_workers_);
-  s.workers = alive_workers_.load();
   s.queued = queued_.load();
   s.running = running_.load();
   return s;

@@ -1,21 +1,24 @@
 // Shared work-stealing task executor — the one concurrency substrate for
 // the whole library.
 //
-// Every parallel site (slab codecs, grid sweeps, codec lanes, the
-// streaming compress→write pipeline) used to spin its own threads or
-// OpenMP teams; they now all submit tasks here. One process-wide pool
-// (Executor::global()) owns the worker threads, so repeated experiment
-// cells reuse warm threads instead of re-spawning, and per-task wall-clock
-// accounting is available in one place for the energy layer and benches.
+// The slab codecs and the codec lanes of the streamed pipelines submit
+// their tasks here. One process-wide pool (Executor::global()) owns a
+// fixed set of worker threads, so repeated codec calls reuse warm threads
+// instead of re-spawning, and per-task wall-clock accounting is available
+// in one place for the energy layer and benches.
 //
 // Structure: each worker owns a deque (LIFO for its own pushes, FIFO for
 // thieves); external submissions land in a bounded injection queue whose
 // capacity provides backpressure. Threads that wait on a TaskGroup help
 // execute queued tasks instead of sleeping, which makes nested groups
-// (a task submitting subtasks and waiting on them) deadlock-free. Tasks
-// that legitimately block — a codec lane waiting for a CoreBudget slot —
-// declare it with BlockingScope, and the pool temporarily grows a
-// replacement worker so blocked tasks never starve runnable ones.
+// (a task submitting subtasks and waiting on them) deadlock-free.
+//
+// The rule that keeps a fixed pool live: a pool task never waits on
+// anything outside its own TaskGroup. Work that waits on other threads —
+// a grid-sweep cell running a streamed pipeline — runs on threads of its
+// own (core/sweep.h), never as a pool task. The one bounded exception is
+// a codec lane waiting for a CoreBudget slot (parallel/lanes.h says why
+// that wait always ends).
 #pragma once
 
 #include <atomic>
@@ -43,10 +46,6 @@ struct ExecutorStats {
   std::uint64_t pod_local_steals = 0;
   std::uint64_t placed_local = 0;
   std::uint64_t placed_remote = 0;
-  // Replacement workers started since construction (the base workers
-  // excluded): one per BlockingScope the live workers could not cover.
-  std::uint64_t spawned = 0;
-  int workers = 0;                 // workers currently alive
   // Snapshot occupancy: tasks waiting in any queue, and tasks executing.
   // Both are 0 once every submitted task has run (a drained executor).
   std::size_t queued = 0;
@@ -69,30 +68,16 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Process-wide pool shared by codecs, pipelines, and sweeps.
+  // Process-wide pool shared by the codecs and the streamed pipelines.
   static Executor& global();
 
-  // Base worker count (excludes temporary replacements for blocked tasks).
+  // Worker count, fixed for the executor's lifetime.
   int concurrency() const { return base_workers_; }
 
+  // True on the calling thread iff it is one of this executor's workers.
+  bool on_worker() const { return tl_executor_ == this && tl_worker_; }
+
   ExecutorStats stats() const;
-
-  // Declares that the current pool task may block outside the executor's
-  // control (condition variables, channels, message recv). While the scope
-  // is alive the pool keeps an extra worker so runnable tasks still make
-  // progress; constructed outside a pool thread it is a no-op. Throws
-  // Error when the pool's hard worker cap prevents covering the blocked
-  // task — deadlock would be the alternative.
-  class BlockingScope {
-   public:
-    BlockingScope();
-    ~BlockingScope();
-    BlockingScope(const BlockingScope&) = delete;
-    BlockingScope& operator=(const BlockingScope&) = delete;
-
-   private:
-    Executor* ex_;
-  };
 
  private:
   friend class TaskGroup;
@@ -107,8 +92,7 @@ class Executor {
     std::deque<Task> deque;
   };
 
-  bool spawn_worker_locked();  // requires spawn_mu_; false at the hard cap
-  void worker_loop(Worker* self, int slot);
+  void worker_loop(Worker* self);
   void run_task(Task& task);
   void submit(Task task);  // local push for pool threads, else injection
   bool try_pop_local(Worker* self, Task& out);
@@ -120,8 +104,6 @@ class Executor {
   // CoreBudget slot the helper's stack holds) would deadlock on its stack.
   bool try_acquire_of_group(const TaskGroup* group, Task& out);
   void notify_one_worker();
-  void begin_blocking();
-  void end_blocking();
 
   // Worker context of the current thread (null off-pool).
   static thread_local Executor* tl_executor_;
@@ -129,23 +111,11 @@ class Executor {
 
   const int base_workers_;
   const std::size_t queue_capacity_;
-  const int max_workers_;
 
-  // Worker slots are pre-sized so stealers can scan without locking the
-  // slot array; slots [0, alive_workers_) are populated.
+  // Every worker is built before any thread starts, so stealers scan the
+  // fixed-size slot array without locking it.
   std::vector<std::unique_ptr<Worker>> slots_;
-  std::atomic<int> published_workers_{0};
-
-  std::mutex spawn_mu_;
   std::vector<std::thread> threads_;
-  std::atomic<int> alive_workers_{0};
-  std::atomic<int> target_workers_{0};
-
-  // Slot indices of retired replacement workers, available for reuse. Own
-  // lock so a spawner holding spawn_mu_ can join a retiring thread without
-  // a lock cycle.
-  std::mutex free_mu_;
-  std::vector<int> free_slots_;
 
   std::mutex inj_mu_;
   std::condition_variable inj_not_full_;
@@ -162,7 +132,6 @@ class Executor {
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> help_runs_{0};
   std::atomic<std::uint64_t> submit_waits_{0};
-  std::atomic<std::uint64_t> spawned_{0};  // every spawn, base workers too
   std::atomic<int> running_{0};
 };
 

