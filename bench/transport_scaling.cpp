@@ -24,9 +24,13 @@
 // lanes (streamed_write) against a one-thread reference that compresses
 // the same slabs in order and appends them through IoTool::ChunkWriter
 // (streamed_write_serial; its container must match the streamed one byte
-// for byte, or the bench exits FATAL), plus the memcpy calibration row,
-// and writes everything to BENCH_transport.json. CI's Release leg gates
-// streamed_write throughput, normalized in-run by streamed_write_serial —
+// for byte, or the bench exits FATAL). It then times the streamed read of
+// that container on its codec lanes (streamed_read, run_streamed_read)
+// against the serial reference read (streamed_read_serial,
+// read_chunked_field); the two fields must be bit-identical, or the bench
+// exits FATAL. With the memcpy calibration row, everything goes to
+// BENCH_transport.json. CI's Release leg gates streamed_write and
+// streamed_read throughput, each normalized in-run by its serial row —
 // the host overlap of the codec lanes — against
 // bench/baselines/BENCH_transport.json (scripts/check_perf_baseline.py).
 #include <algorithm>
@@ -319,8 +323,28 @@ int main(int argc, char** argv) {
                  "one-thread reference's\n");
     return 1;
   }
+  // Both reads restart the container streamed_write wrote.
+  PfsSimulator read_pfs(wire_heavy_pfs());
+  const std::string read_path = "/pfs/restart";
+  read_pfs.write_file(read_path, streamed_container);
+  Field streamed_field, serial_field;
+  kernels.push_back(run_kernel("streamed_read", reps, field_mb, [&] {
+    streamed_field =
+        run_streamed_read(read_pfs, read_path, kcfg, kstream).field;
+    return streamed_field.size_bytes();
+  }));
+  kernels.push_back(run_kernel("streamed_read_serial", reps, field_mb, [&] {
+    serial_field = read_chunked_field(read_pfs, read_path, kcfg.io_library);
+    return serial_field.size_bytes();
+  }));
+  if (!std::ranges::equal(streamed_field.bytes(), serial_field.bytes())) {
+    std::fprintf(stderr,
+                 "FATAL: the streamed read's field differs from the serial "
+                 "reference read's\n");
+    return 1;
+  }
 
-  std::printf("\nstreamed write, host wall (best of %d):\n", reps);
+  std::printf("\nstreamed write and read, host wall (best of %d):\n", reps);
   bench::StreamedTable ktable({"kernel", "best (ms)", "MB/s"});
   for (const auto& k : kernels)
     ktable.add_row({k.name, fmt_double(k.seconds * 1e3, 3),

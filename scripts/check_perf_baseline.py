@@ -16,11 +16,14 @@ huffman_decode_sz3 against huffman_decode_reference_sz3 (the code stream
 of one NYX SZ3 slab), huffman_encode against huffman_encode_reference,
 and huffman_encode_lowent against huffman_encode_reference_lowent
 (bench_micro_codecs), zone_decode (parallel full-field zone decode)
-against zone_decode_serial (bench_zone_scaling), and streamed_write
+against zone_decode_serial (bench_zone_scaling), streamed_write
 (the streamed write on its codec lanes) against streamed_write_serial
 (a one-thread reference compressing the same slabs in order and
 appending them through the same container writer, byte-identical or the
-bench exits FATAL; bench_transport_scaling), so that gate measures the
+bench exits FATAL; bench_transport_scaling), and streamed_read (the
+streamed read of that container on its codec lanes) against
+streamed_read_serial (the serial reference read, read_chunked_field,
+bit-identical or the bench exits FATAL), so those two gates measure the
 host overlap of the codec lanes. Both halves of a pair run
 the identical payload in the same process seconds apart, which cancels
 machine and noisy-neighbour variance far better than a bandwidth row can.
@@ -138,6 +141,7 @@ def main() -> int:
         "huffman_encode_lowent": "huffman_encode_reference_lowent",
         "zone_decode": "zone_decode_serial",
         "streamed_write": "streamed_write_serial",
+        "streamed_read": "streamed_read_serial",
     }
 
     # A gated kernel absent from either file is a hard failure, not a

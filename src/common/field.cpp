@@ -35,6 +35,25 @@ Field field_from_bytes(std::string name, DType dtype,
                                   : rebuild(NdArray<double>(shape));
 }
 
+Field unfilled_field(std::string name, DType dtype, const Shape& shape) {
+  return dtype == DType::kFloat32
+             ? Field(std::move(name), NdArray<float>(shape, kUnfilled))
+             : Field(std::move(name), NdArray<double>(shape, kUnfilled));
+}
+
+void copy_into(const Field& src, Field& dst, std::size_t offset) {
+  EBLCIO_CHECK_STREAM(src.dtype() == dst.dtype() &&
+                          offset <= dst.num_elements() &&
+                          src.num_elements() <= dst.num_elements() - offset,
+                      "copied field does not fit its destination");
+  const auto raw = src.bytes();
+  auto* base = dst.dtype() == DType::kFloat32
+                   ? static_cast<void*>(dst.as<float>().data())
+                   : static_cast<void*>(dst.as<double>().data());
+  std::memcpy(static_cast<std::byte*>(base) + offset * dtype_size(dst.dtype()),
+              raw.data(), raw.size());
+}
+
 Field centered_sample(const Field& field, std::size_t max_edge) {
   return field.visit([&](const auto& arr) {
     using T = std::remove_cvref_t<decltype(*arr.data())>;

@@ -87,6 +87,14 @@ Field field_from_bytes(std::string name, DType dtype,
                        std::span<const std::size_t> dims,
                        std::span<const std::byte> raw);
 
+// A field of `dtype` shaped `shape` whose elements start unwritten
+// (NdArray's unfilled constructor), for a decoder that writes every one.
+Field unfilled_field(std::string name, DType dtype, const Shape& shape);
+
+// Copies all of `src` into `dst` from element `offset` on. Throws
+// CorruptStream, before writing, unless the dtypes agree and src fits.
+void copy_into(const Field& src, Field& dst, std::size_t offset);
+
 // The centered sub-box of `field` with at most `max_edge` elements per
 // axis: a sample whose trials cost the same on any field size.
 Field centered_sample(const Field& field, std::size_t max_edge);

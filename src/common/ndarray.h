@@ -9,9 +9,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -127,15 +130,49 @@ class NdView {
   Shape shape_;
 };
 
+// Tag of NdArray's unfilled constructor: the elements start indeterminate,
+// so the owner writes every one before anything reads it. A decoder that
+// does so skips the zero-fill pass, and the pages of a large buffer are
+// first touched by the writes themselves.
+struct Unfilled {
+  explicit Unfilled() = default;
+};
+inline constexpr Unfilled kUnfilled{};
+
+// NdArray's allocator: a vector sized without a value default-initializes
+// its elements (for float and double: leaves them unwritten).
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 // Owning dense row-major array.
 template <typename T>
 class NdArray {
  public:
   NdArray() = default;
+  // Zero-filled.
   explicit NdArray(Shape shape)
+      : shape_(shape), data_(shape.num_elements(), T{}) {}
+  NdArray(Shape shape, Unfilled)
       : shape_(shape), data_(shape.num_elements()) {}
-  NdArray(Shape shape, std::vector<T> data)
-      : shape_(shape), data_(std::move(data)) {
+  NdArray(Shape shape, const std::vector<T>& data)
+      : shape_(shape), data_(data.begin(), data.end()) {
     EBLCIO_CHECK_ARG(data_.size() == shape_.num_elements(),
                      "buffer size does not match shape");
   }
@@ -165,11 +202,9 @@ class NdArray {
     return view().at(i0, i1, i2, i3);
   }
 
-  std::vector<T>&& take() && { return std::move(data_); }
-
  private:
   Shape shape_;
-  std::vector<T> data_;
+  std::vector<T, DefaultInitAllocator<T>> data_;
 };
 
 }  // namespace eblcio

@@ -797,20 +797,18 @@ void reconstruct_blocks(const Geometry& g, const Geometry& cone,
   }
 }
 
+// Reconstruction writes straight into the output: the blocks tile the
+// slab, so every element is written once, and every prediction reads only
+// values already materialized there.
 template <typename T, typename Q, typename Cache>
-Field decompress_impl(const BlobHeader& header, const Q& quant,
-                      BlockPredictor pred,
-                      std::span<const std::uint32_t> codes,
-                      std::span<const std::byte> mode_bits,
-                      ByteReader& coeffs, ByteReader& unpred) {
+void decompress_impl(const BlobHeader& header, const Q& quant,
+                     BlockPredictor pred, std::span<const std::uint32_t> codes,
+                     std::span<const std::byte> mode_bits, ByteReader& coeffs,
+                     ByteReader& unpred, T* out) {
   const Geometry g = Geometry::from_dims(header.dims);
-  // Reconstruction writes straight into the output: every prediction reads
-  // only values already materialized there.
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
   reconstruct_blocks<T, Q, Cache>(g, g, quant,
                                   regression_allowed(pred, g.real_dims), codes,
-                                  mode_bits, coeffs, unpred, arr.data());
-  return Field(header.codec, std::move(arr));
+                                  mode_bits, coeffs, unpred, out);
 }
 
 // The windowed decode: checks every stream's demand up front (so it throws
@@ -873,7 +871,7 @@ BlockEncoding compress_cache_dispatch(const NdArray<T>& arr, const Q& quant,
 // fn(quantizer, type_identity<T>, type_identity<Cache>) for the header's
 // value type and the predictor's stencil order.
 template <typename Fn>
-Field with_decode_kernel(const BlobHeader& header, BlockPredictor pred,
+auto with_decode_kernel(const BlobHeader& header, BlockPredictor pred,
                          QuantizerId quant, double quant_param, Fn&& fn) {
   return with_quantizer(quant, header.abs_error_bound, quant_param,
                         [&](const auto& q) {
@@ -901,19 +899,33 @@ BlockEncoding block_compress(const Field& field, double abs_eb,
   });
 }
 
+void block_decompress_into(const BlobHeader& header, BlockPredictor pred,
+                           QuantizerId quant, double quant_param,
+                           std::span<const std::uint32_t> codes,
+                           std::span<const std::byte> mode_bits,
+                           ByteReader& coeffs, ByteReader& unpred, Field& out,
+                           std::size_t offset) {
+  with_decode_kernel(
+      header, pred, quant, quant_param,
+      [&](const auto& q, auto value, auto order) {
+        using T = typename decltype(value)::type;
+        using Cache = typename decltype(order)::type;
+        decompress_impl<T, std::decay_t<decltype(q)>, Cache>(
+            header, q, pred, codes, mode_bits, coeffs, unpred,
+            out.as<T>().data() + offset);
+      });
+}
+
 Field block_decompress(const BlobHeader& header, BlockPredictor pred,
                        QuantizerId quant, double quant_param,
                        std::span<const std::uint32_t> codes,
                        std::span<const std::byte> mode_bits,
                        ByteReader& coeffs, ByteReader& unpred) {
-  return with_decode_kernel(
-      header, pred, quant, quant_param,
-      [&](const auto& q, auto value, auto order) {
-        using T = typename decltype(value)::type;
-        using Cache = typename decltype(order)::type;
-        return decompress_impl<T, std::decay_t<decltype(q)>, Cache>(
-            header, q, pred, codes, mode_bits, coeffs, unpred);
-      });
+  Field out = unfilled_field(header.codec, header.dtype,
+                             Shape{std::span<const std::size_t>(header.dims)});
+  block_decompress_into(header, pred, quant, quant_param, codes, mode_bits,
+                        coeffs, unpred, out, 0);
+  return out;
 }
 
 Field block_decompress_region(const BlobHeader& header, BlockPredictor pred,

@@ -53,10 +53,21 @@ BlockEncoding block_compress(const Field& field, double abs_eb,
                              BlockPredictor pred, QuantizerId quant,
                              double quant_param);
 
-// Reconstructs a field from streams produced by block_compress with the
-// same (dims, abs_eb, pred, quant, quant_param). The returned Field is
-// named after header.codec. Throws CorruptStream on truncated or
-// inconsistent streams.
+// Reconstructs the field `header` describes from streams produced by
+// block_compress with the same (dims, abs_eb, pred, quant, quant_param)
+// into the header.num_elements() elements of header.dtype that start at
+// element `offset` of `out`. Writes each of them exactly once and reads
+// none before writing it (chunking.h's kernel contract), so `out` may
+// start unfilled. Throws CorruptStream on truncated or inconsistent
+// streams.
+void block_decompress_into(const BlobHeader& header, BlockPredictor pred,
+                           QuantizerId quant, double quant_param,
+                           std::span<const std::uint32_t> codes,
+                           std::span<const std::byte> mode_bits,
+                           ByteReader& coeffs, ByteReader& unpred, Field& out,
+                           std::size_t offset);
+
+// The same reconstruction as a field of its own, named header.codec.
 Field block_decompress(const BlobHeader& header, BlockPredictor pred,
                        QuantizerId quant, double quant_param,
                        std::span<const std::uint32_t> codes,

@@ -6,6 +6,7 @@
 
 #include "common/buffer_pool.h"
 #include "common/error.h"
+#include "compressors/zone.h"
 #include "parallel/executor.h"
 
 namespace eblcio {
@@ -113,35 +114,51 @@ Bytes compress_chunked(const BlobHeader& header, const Field& field,
   return out;
 }
 
-Field decompress_chunked(std::span<const std::byte> blob, int threads,
-                         const PayloadDecompressFn& kernel) {
+void decompress_chunked_into(std::span<const std::byte> blob, int threads,
+                             const PayloadDecompressFn& kernel, Field& out,
+                             std::size_t row_start) {
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
+  check_decode_target(header, out, row_start);
+  const std::size_t row = out.num_elements() / out.shape().dim(0);
   const auto layout = r.read_pod<std::uint8_t>();
 
   if (layout == kLayoutSingle) {
     const auto size = r.read_pod<std::uint64_t>();
-    return kernel(header, r.read_bytes(size));
+    kernel(header, r.read_bytes(size), out, row_start * row);
+    return;
   }
   EBLCIO_CHECK_STREAM(layout == kLayoutChunked, "bad payload layout tag");
 
+  // Each chunk holds at least one row and one u64 size entry, so the
+  // count is bounded before the table is sized from it.
   const auto nchunks = r.read_pod<std::uint32_t>();
-  EBLCIO_CHECK_STREAM(nchunks >= 1, "empty chunk table");
+  EBLCIO_CHECK_STREAM(
+      nchunks >= 1 && nchunks <= header.dims[0] &&
+          nchunks <= r.remaining().size() / sizeof(std::uint64_t),
+      "chunk count outside 1..rows or past the chunk table");
   std::vector<std::uint64_t> sizes(nchunks);
   for (auto& s : sizes) s = r.read_pod<std::uint64_t>();
   std::vector<std::span<const std::byte>> spans(nchunks);
   for (std::uint32_t i = 0; i < nchunks; ++i)
     spans[i] = r.read_bytes(sizes[i]);
 
-  std::vector<Field> slabs(nchunks);
+  const auto slabs = zone_extents(header.dims[0], static_cast<int>(nchunks));
   parallel_for(nchunks, std::max(threads, 1), [&](std::size_t i) {
     BlobHeader slab_header = header;
-    slab_header.dims[0] =
-        slab_rows(header.dims[0], nchunks, static_cast<int>(i));
-    slabs[i] = kernel(slab_header, spans[i]);
+    slab_header.dims[0] = static_cast<std::size_t>(slabs[i].rows);
+    kernel(slab_header, spans[i], out,
+           (row_start + static_cast<std::size_t>(slabs[i].row_start)) * row);
   });
+}
 
-  return merge_slabs(slabs, header.dims, header.codec);
+Field decompress_chunked(std::span<const std::byte> blob, int threads,
+                         const PayloadDecompressFn& kernel) {
+  const BlobHeader header = peek_header(blob);
+  Field out = unfilled_field(header.codec, header.dtype,
+                             Shape{std::span<const std::size_t>(header.dims)});
+  decompress_chunked_into(blob, threads, kernel, out, 0);
+  return out;
 }
 
 }  // namespace eblcio

@@ -22,10 +22,19 @@ namespace eblcio {
 // Codec kernels operate on header+payload; the chunk container owns the
 // framing. The header passed to a kernel carries the dims of the (sub)field
 // it must handle and the absolute error bound for the *whole* field.
+//
+// A decompress kernel decodes into the header.num_elements() elements of
+// header.dtype that start at element `offset` of `out` (the caller has
+// checked they are there). Its contract is what lets the output start
+// unfilled: it writes every one of those elements exactly once, reads none
+// before writing it, and touches nothing else in `out`. Kernels of
+// different chunks run concurrently on disjoint rows.
 using PayloadCompressFn = std::function<Bytes(
     const Field& field, const BlobHeader& header, const CompressOptions&)>;
-using PayloadDecompressFn = std::function<Field(
-    const BlobHeader& header, std::span<const std::byte> payload)>;
+using PayloadDecompressFn =
+    std::function<void(const BlobHeader& header,
+                       std::span<const std::byte> payload, Field& out,
+                       std::size_t offset)>;
 
 // Payload layout tags written immediately after the BlobHeader.
 inline constexpr std::uint8_t kLayoutSingle = 0;
@@ -45,7 +54,9 @@ std::size_t slab_rows(std::size_t d0, int nchunks, int c);
 // their zones through it.
 Field extract_slab(const Field& field, const ZoneExtent& zone);
 
-// Reassembles slabs split by split_slabs into one field shaped `dims`.
+// Reassembles slabs split by split_slabs into one field shaped `dims`:
+// SZ2's slab decode and the end-to-end replay use it. The chunked decode
+// does not; its kernels write their rows of one output.
 Field merge_slabs(const std::vector<Field>& slabs,
                   const std::vector<std::size_t>& dims,
                   const std::string& name);
@@ -58,7 +69,16 @@ Bytes compress_chunked(const BlobHeader& header, const Field& field,
                        const CompressOptions& opt,
                        const PayloadCompressFn& kernel);
 
-// Decompresses blobs produced by compress_chunked (either layout).
+// Decodes a blob produced by compress_chunked (either layout) into rows
+// [row_start, row_start + dims[0]) of `out`, each chunk's kernel writing
+// its own rows (at most `threads` at once). Throws CorruptStream before
+// writing anything when check_decode_target refuses the blob's header or
+// its chunk table is malformed.
+void decompress_chunked_into(std::span<const std::byte> blob, int threads,
+                             const PayloadDecompressFn& kernel, Field& out,
+                             std::size_t row_start);
+
+// The same decode into an unfilled field of its own, named after the codec.
 Field decompress_chunked(std::span<const std::byte> blob, int threads,
                          const PayloadDecompressFn& kernel);
 

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "compressors/chunking.h"
 #include "compressors/components.h"
 #include "compressors/compressor.h"
 
@@ -59,8 +60,14 @@ class ComposedCompressor : public Compressor {
   CompressorCaps caps() const override;
   Bytes compress(const Field& field, const CompressOptions& opt) override;
   Field decompress(std::span<const std::byte> blob, int threads) override;
+  void decompress_into(std::span<const std::byte> blob, Field& out,
+                       std::size_t row_start, int threads) override;
 
  private:
+  // The chunk decode kernel: checks the payload's component header and
+  // code stream against config_, then reconstructs into its rows.
+  PayloadDecompressFn kernel() const;
+
   ComposedConfig config_;
   std::string name_;
 };

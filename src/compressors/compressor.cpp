@@ -43,16 +43,24 @@ bool Compressor::supports(const Field& field,
   return true;
 }
 
+void Compressor::decompress_into(std::span<const std::byte> blob, Field& out,
+                                 std::size_t row_start, int threads) {
+  const BlobHeader header = peek_header(blob);
+  check_decode_target(header, out, row_start);
+  const Field full = decompress(blob, threads);
+  EBLCIO_CHECK_STREAM(full.shape().dims_vector() == header.dims,
+                      "decoded field does not match its header");
+  copy_into(full, out, row_start * (out.num_elements() / out.shape().dim(0)));
+}
+
 Field Compressor::decompress_region(std::span<const std::byte> blob,
                                     const Region& box, int threads,
                                     std::size_t* reconstructed) {
   validate_region(box, peek_header(blob).dims);
   const Field full = decompress(blob, threads);
   if (reconstructed) *reconstructed = full.num_elements();
-  const Shape shape{std::span<const std::size_t>(box.shape)};
-  Field out = full.dtype() == DType::kFloat32
-                  ? Field(full.name(), NdArray<float>(shape))
-                  : Field(full.name(), NdArray<double>(shape));
+  Field out = unfilled_field(full.name(), full.dtype(),
+                             Shape{std::span<const std::size_t>(box.shape)});
   scatter_zone_into_region(full, 0, box, out);
   return out;
 }
@@ -183,6 +191,23 @@ Field decompress_any(std::span<const std::byte> blob, int threads) {
   ByteReader r(blob);
   const BlobHeader h = BlobHeader::decode(r);
   return compressor(h.codec).decompress(blob, threads);
+}
+
+void check_decode_target(const BlobHeader& header, const Field& out,
+                         std::size_t row_start) {
+  const std::vector<std::size_t> dims = out.shape().dims_vector();
+  EBLCIO_CHECK_STREAM(
+      header.dtype == out.dtype() && header.dims.size() == dims.size() &&
+          std::equal(header.dims.begin() + 1, header.dims.end(),
+                     dims.begin() + 1) &&
+          row_start <= dims[0] && header.dims[0] <= dims[0] - row_start,
+      "blob does not fit its destination rows");
+}
+
+void decompress_into_any(std::span<const std::byte> blob, Field& out,
+                         std::size_t row_start, int threads) {
+  compressor(peek_header(blob).codec)
+      .decompress_into(blob, out, row_start, threads);
 }
 
 Field decompress_region_any(std::span<const std::byte> blob, const Region& box,

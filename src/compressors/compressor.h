@@ -65,6 +65,15 @@ class Compressor {
   virtual Field decompress(std::span<const std::byte> blob,
                            int threads = 1) = 0;
 
+  // Decodes the blob into rows [row_start, row_start + dims[0]) of `out`,
+  // bit-identical to decompress() copied there; nothing else in `out` is
+  // touched. Throws CorruptStream before writing anything unless
+  // check_decode_target accepts the blob's header. The default decodes
+  // and copies once; codecs whose kernels write every destination element
+  // exactly once, reading none before writing it, decode in place.
+  virtual void decompress_into(std::span<const std::byte> blob, Field& out,
+                               std::size_t row_start, int threads = 1);
+
   // Reconstructs only `box` (in the blob's own coordinates): bit-identical
   // to decompress() cropped to the box. Throws InvalidArgument when the box
   // does not lie inside the blob's dims, and otherwise exactly when
@@ -125,6 +134,16 @@ std::vector<std::string> all_compressor_names();
 
 // Decodes the header of any blob and dispatches to the producing codec.
 Field decompress_any(std::span<const std::byte> blob, int threads = 1);
+
+// Checks that a blob with `header` fits rows [row_start, row_start +
+// dims[0]) of `out`: the same dtype and rank, and the same extents past
+// dimension 0. Throws CorruptStream otherwise.
+void check_decode_target(const BlobHeader& header, const Field& out,
+                         std::size_t row_start);
+
+// Decodes any blob into rows of `out` through its codec's decompress_into.
+void decompress_into_any(std::span<const std::byte> blob, Field& out,
+                         std::size_t row_start, int threads = 1);
 
 // Windowed decode: the values of the blob's field inside `box`, shaped
 // box.shape, bit-identical to decompress_any cropped to the box. Throws

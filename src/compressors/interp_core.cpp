@@ -303,21 +303,24 @@ InterpEncoding compress_impl(const NdArray<T>& arr, double abs_eb,
   return enc;
 }
 
+// Reconstructs into `recon`, the output itself. With a power-of-two
+// anchor stride the anchors and the traversal's targets partition the
+// grid, so every element is written exactly once; predictions read only
+// anchors and values of earlier passes, so none reads an element before it
+// is written and the output may start unfilled.
 template <typename T, typename Q>
-Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
-                      std::span<const std::uint32_t> codes,
-                      std::span<const std::byte> anchors,
-                      std::span<const std::byte> unpred) {
+void decompress_impl(const BlobHeader& header, const InterpConfig& config,
+                     std::span<const std::uint32_t> codes,
+                     std::span<const std::byte> anchors,
+                     std::span<const std::byte> unpred, T* recon) {
   const Grid g = Grid::from_dims(header.dims);
   const std::size_t anchor_stride =
       config.anchor_stride ? config.anchor_stride : auto_anchor_stride(g);
+  // Any other stride leaves elements unwritten and predicts from them.
+  EBLCIO_CHECK_STREAM(std::has_single_bit(anchor_stride),
+                      "interp: anchor stride is not a power of two");
   const double abs_eb = header.abs_error_bound;
 
-  // The zero-filled output is the reconstruction buffer: predictions read
-  // only anchors and already-reconstructed values, exactly what a separate
-  // zero-filled buffer would hold at those positions.
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  T* recon = arr.data();
   ByteReader anchor_r(anchors);
   ByteReader unpred_r(unpred);
 
@@ -363,7 +366,6 @@ Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
            });
   EBLCIO_CHECK_STREAM(code_idx == codes.size(),
                       "interp: code stream overrun");
-  return Field(header.codec, std::move(arr));
 }
 
 }  // namespace
@@ -381,20 +383,33 @@ InterpEncoding interp_compress(const Field& field, double abs_eb,
       });
 }
 
+void interp_decompress_into(const BlobHeader& header,
+                            const InterpConfig& config,
+                            std::span<const std::uint32_t> codes,
+                            std::span<const std::byte> anchors,
+                            std::span<const std::byte> unpred, Field& out,
+                            std::size_t offset) {
+  with_quantizer(
+      config.quantizer, header.abs_error_bound, config.quant_param,
+      [&](auto proto) {
+        using Q = decltype(proto);
+        if (header.dtype == DType::kFloat32)
+          decompress_impl<float, Q>(header, config, codes, anchors, unpred,
+                                    out.as<float>().data() + offset);
+        else
+          decompress_impl<double, Q>(header, config, codes, anchors, unpred,
+                                     out.as<double>().data() + offset);
+      });
+}
+
 Field interp_decompress(const BlobHeader& header, const InterpConfig& config,
                         std::span<const std::uint32_t> codes,
                         std::span<const std::byte> anchors,
                         std::span<const std::byte> unpred) {
-  return with_quantizer(
-      config.quantizer, header.abs_error_bound, config.quant_param,
-      [&](auto proto) {
-        using Q = decltype(proto);
-        return header.dtype == DType::kFloat32
-                   ? decompress_impl<float, Q>(header, config, codes,
-                                               anchors, unpred)
-                   : decompress_impl<double, Q>(header, config, codes,
-                                                anchors, unpred);
-      });
+  Field out = unfilled_field(header.codec, header.dtype,
+                             Shape{std::span<const std::size_t>(header.dims)});
+  interp_decompress_into(header, config, codes, anchors, unpred, out, 0);
+  return out;
 }
 
 Bytes interp_payload_encode(const InterpConfig& config,
@@ -427,10 +442,12 @@ InterpPayload interp_payload_decode(std::span<const std::byte> payload) {
   return p;
 }
 
-Field interp_payload_decompress(const BlobHeader& header,
-                                std::span<const std::byte> payload) {
+void interp_payload_decompress(const BlobHeader& header,
+                               std::span<const std::byte> payload, Field& out,
+                               std::size_t offset) {
   const InterpPayload p = interp_payload_decode(payload);
-  return interp_decompress(header, p.config, p.codes, p.anchors, p.unpred);
+  interp_decompress_into(header, p.config, p.codes, p.anchors, p.unpred, out,
+                         offset);
 }
 
 }  // namespace eblcio

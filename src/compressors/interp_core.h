@@ -47,8 +47,20 @@ struct InterpEncoding {
 InterpEncoding interp_compress(const Field& field, double abs_eb,
                                const InterpConfig& config);
 
-// Reconstructs a field from an InterpEncoding produced with identical
-// (dims, abs_eb, config).
+// Reconstructs the field `header` describes from an InterpEncoding
+// produced with identical (dims, abs_eb, config) into the
+// header.num_elements() elements of header.dtype that start at element
+// `offset` of `out`. Writes each of them exactly once and reads none
+// before writing it (chunking.h's kernel contract), so `out` may start
+// unfilled. Throws CorruptStream on a stream that ends early or runs long.
+void interp_decompress_into(const BlobHeader& header,
+                            const InterpConfig& config,
+                            std::span<const std::uint32_t> codes,
+                            std::span<const std::byte> anchors,
+                            std::span<const std::byte> unpred, Field& out,
+                            std::size_t offset);
+
+// The same reconstruction as a field of its own, named header.codec.
 Field interp_decompress(const BlobHeader& header, const InterpConfig& config,
                         std::span<const std::uint32_t> codes,
                         std::span<const std::byte> anchors,
@@ -66,10 +78,11 @@ struct InterpPayload {
 };
 InterpPayload interp_payload_decode(std::span<const std::byte> payload);
 
-// Decodes one SZ3 or QoZ payload (interp_payload_encode's layout) into the
-// field `header` describes: the payload kernel both codecs' decompress
-// hands to decompress_chunked.
-Field interp_payload_decompress(const BlobHeader& header,
-                                std::span<const std::byte> payload);
+// Decodes one SZ3 or QoZ payload (interp_payload_encode's layout) into
+// `out` at element `offset`: the payload kernel both codecs hand to
+// decompress_chunked and decompress_chunked_into.
+void interp_payload_decompress(const BlobHeader& header,
+                               std::span<const std::byte> payload, Field& out,
+                               std::size_t offset);
 
 }  // namespace eblcio

@@ -91,4 +91,11 @@ Field QozCompressor::decompress(std::span<const std::byte> blob,
   return decompress_chunked(blob, threads, interp_payload_decompress);
 }
 
+void QozCompressor::decompress_into(std::span<const std::byte> blob,
+                                    Field& out, std::size_t row_start,
+                                    int threads) {
+  decompress_chunked_into(blob, threads, interp_payload_decompress, out,
+                          row_start);
+}
+
 }  // namespace eblcio

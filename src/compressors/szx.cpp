@@ -116,9 +116,10 @@ Bytes szx_payload_compress(const Field& field, const BlobHeader& header,
   return out;
 }
 
+// Writes every y[i] of the header's n elements once, block by block.
 template <typename T>
-Field szx_payload_decompress(const BlobHeader& header,
-                             std::span<const std::byte> payload) {
+void szx_payload_decompress(const BlobHeader& header,
+                            std::span<const std::byte> payload, T* y) {
   const std::size_t n = header.num_elements();
   const double eb2 = 2.0 * header.abs_error_bound;
   const std::size_t nblocks = (n + kBlock - 1) / kBlock;
@@ -130,8 +131,6 @@ Field szx_payload_decompress(const BlobHeader& header,
   const auto bits_size = r.read_pod<std::uint64_t>();
   BitReader bits(r.read_bytes(bits_size));
 
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  T* y = arr.data();
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::size_t lo = b * kBlock;
     const std::size_t hi = std::min(n, lo + kBlock);
@@ -166,7 +165,6 @@ Field szx_payload_decompress(const BlobHeader& header,
         throw CorruptStream("SZx: bad block flag");
     }
   }
-  return Field("SZx", std::move(arr));
 }
 
 Bytes payload_compress(const Field& field, const BlobHeader& header,
@@ -176,11 +174,15 @@ Bytes payload_compress(const Field& field, const BlobHeader& header,
              : szx_payload_compress<double>(field, header, opt);
 }
 
-Field payload_decompress(const BlobHeader& header,
-                         std::span<const std::byte> payload) {
-  return header.dtype == DType::kFloat32
-             ? szx_payload_decompress<float>(header, payload)
-             : szx_payload_decompress<double>(header, payload);
+void payload_decompress(const BlobHeader& header,
+                        std::span<const std::byte> payload, Field& out,
+                        std::size_t offset) {
+  if (header.dtype == DType::kFloat32)
+    szx_payload_decompress<float>(header, payload,
+                                  out.as<float>().data() + offset);
+  else
+    szx_payload_decompress<double>(header, payload,
+                                   out.as<double>().data() + offset);
 }
 
 }  // namespace
@@ -195,6 +197,12 @@ Bytes SzxCompressor::compress(const Field& field, const CompressOptions& opt) {
 Field SzxCompressor::decompress(std::span<const std::byte> blob,
                                 int threads) {
   return decompress_chunked(blob, threads, payload_decompress);
+}
+
+void SzxCompressor::decompress_into(std::span<const std::byte> blob,
+                                    Field& out, std::size_t row_start,
+                                    int threads) {
+  decompress_chunked_into(blob, threads, payload_decompress, out, row_start);
 }
 
 }  // namespace eblcio

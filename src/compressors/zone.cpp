@@ -50,13 +50,6 @@ void scatter_impl(const NdArray<T>& zone, std::size_t zone_row_start,
   }
 }
 
-// Copies all of `part` into `out` starting at element `offset`.
-template <typename T>
-void copy_run(const Field& part, std::size_t offset, Field& out) {
-  const NdArray<T>& src = part.as<T>();
-  std::memcpy(out.as<T>().data() + offset, src.data(), src.size_bytes());
-}
-
 }  // namespace
 
 std::vector<ZoneExtent> zone_extents(std::size_t d0, int zones) {
@@ -107,10 +100,7 @@ void copy_zone_part_into_region(const Field& part, const ZoneExtent& zone,
       (static_cast<std::size_t>(zone.row_start) + want.start[0] -
        region.start[0]) *
       (out.num_elements() / region.shape[0]);
-  if (out.dtype() == DType::kFloat32)
-    copy_run<float>(part, offset, out);
-  else
-    copy_run<double>(part, offset, out);
+  copy_into(part, out, offset);
 }
 
 }  // namespace eblcio

@@ -15,6 +15,15 @@
 // bit-identical to the unzoned chunked path. This file holds the extent
 // math and the copies that place a decoded zone, or the decoded part of
 // one, into a region.
+//
+// A read places a zone its region holds whole with decompress_into
+// (compressors/compressor.h): the codec decodes straight into the zone's
+// rows of one output allocated unfilled. That is safe under the
+// decode-into contract: every destination element is written exactly once
+// (the covering zones' parts tile the region, and each decoder writes each
+// of its elements once), and no decoder reads an element before writing
+// it. A zone only partly inside the region decodes its part alone
+// (decompress_region_any) and copy_zone_part_into_region copies it in.
 #pragma once
 
 #include <vector>

@@ -130,63 +130,201 @@ void release_pending(std::vector<Bytes>& blobs) {
     if (!b.empty()) BufferPool::global().release(std::move(b));
 }
 
-// Checks zone `i`'s blob header against the container index before any of
-// its bytes are placed: its dims must be the dataset's with the zone's row
-// count, so a swapped or forged blob fails cleanly.
-void check_zone_dims(const std::vector<std::size_t>& blob_dims,
-                     const ChunkIndex& index, std::size_t i,
-                     const std::string& path) {
-  std::vector<std::size_t> expected = index.meta.dims;
-  expected[0] = static_cast<std::size_t>(index.zones[i].rows);
-  EBLCIO_CHECK_STREAM(blob_dims == expected,
-                      "chunk blob does not match its zone extent: " + path);
-}
-
-// The box a read serves: `box`, or the whole dataset when none is given.
-// Refuses a container holding no zones before any fetch.
-Region read_box(const ChunkIndex& index, const std::optional<Region>& box,
-                const std::string& path) {
-  EBLCIO_CHECK_STREAM(!index.chunks.empty(),
-                      "chunked container holds no zones: " + path);
-  if (box) return *box;
-  return Region{std::vector<std::size_t>(index.meta.dims.size(), 0),
-                index.meta.dims};
-}
-
-// The field a read assembles into. Allocated zero-filled by the first zone
-// placed, from that zone's dtype (the container's dtype_code tags opaque
-// compressed chunks, not the payload dtype); every later zone must agree.
-// Lanes then copy into disjoint rows of it concurrently.
+// The field a read assembles: `box`, or the whole dataset when none is
+// given (a container holding no zones is refused before any fetch). The
+// first zone placed allocates it unfilled from its dtype (the container's
+// dtype_code tags opaque chunks); later zones must agree. The covering
+// zones' parts tile the region, so each element is written once, and lanes
+// place disjoint rows concurrently.
 class ReadOutput {
  public:
-  ReadOutput(std::string name, std::vector<std::size_t> shape,
+  ReadOutput(const ChunkIndex& index, const std::optional<Region>& box,
              std::string path)
-      : name_(std::move(name)), shape_(std::move(shape)),
-        path_(std::move(path)) {}
+      : index_(index), path_(std::move(path)) {
+    EBLCIO_CHECK_STREAM(!index.chunks.empty(),
+                        "chunked container holds no zones: " + path_);
+    region_ = box.value_or(Region{
+        std::vector<std::size_t>(index.meta.dims.size(), 0), index.meta.dims});
+  }
 
-  Field& claim(DType dtype) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!ready_) {
-      const Shape s{std::span<const std::size_t>(shape_)};
-      field_ = dtype == DType::kFloat32 ? Field(name_, NdArray<float>(s))
-                                        : Field(name_, NdArray<double>(s));
-      ready_ = true;
-    }
-    EBLCIO_CHECK_STREAM(dtype == field_.dtype(),
+  const Region& region() const { return region_; }
+
+  // The one placement step of both reads: checks zone `zi`'s blob dims
+  // against the index (the dataset's, with the zone's rows), then writes
+  // the zone's part of the region. A whole zone decodes straight into its
+  // rows; a part decodes alone (decompress_region_any) and is copied in.
+  // Returns the elements the codec reconstructed.
+  std::size_t place(std::span<const std::byte> blob, std::size_t zi) {
+    const BlobHeader header = peek_header(blob);
+    const ZoneExtent& zone = index_.zones[zi];
+    std::vector<std::size_t> expected = index_.meta.dims;
+    expected[0] = static_cast<std::size_t>(zone.rows);
+    EBLCIO_CHECK_STREAM(header.dims == expected,
+                        "chunk blob does not match its zone extent: " + path_);
+    std::call_once(allocated_, [&] {
+      const Shape shape{std::span<const std::size_t>(region_.shape)};
+      field_ = unfilled_field(index_.meta.name, header.dtype, shape);
+    });
+    EBLCIO_CHECK_STREAM(header.dtype == field_.dtype(),
                         "zone blobs disagree on dtype: " + path_);
-    return field_;
+    const Region part = zone_part_of_region(region_, zone);
+    if (part.shape == header.dims) {
+      decompress_into_any(blob, field_, zone.row_start - region_.start[0]);
+      return header.num_elements();
+    }
+    std::size_t reconstructed = 0;
+    copy_zone_part_into_region(
+        decompress_region_any(blob, part, 1, &reconstructed), zone, region_,
+        field_);
+    return reconstructed;
   }
 
   Field take() { return std::move(field_); }
 
  private:
-  std::mutex mu_;
-  std::string name_;
-  std::vector<std::size_t> shape_;
+  const ChunkIndex& index_;
   std::string path_;
+  Region region_;
+  std::once_flag allocated_;
   Field field_;
-  bool ready_ = false;
 };
+
+// The one streamed read. Resolves `box` (the whole dataset when none is
+// given) to its covering zones from the footer index alone, fetches those
+// zones in order on the calling thread and places each on a codec lane
+// (ReadOutput::place). A failing fetch, decode, or placement propagates
+// once every lane settled, with every pooled blob returned.
+RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
+                               const std::optional<Region>& box,
+                               const PipelineConfig& config,
+                               const StreamConfig& stream) {
+  const CpuModel& cpu = cpu_model(config.cpu);
+  IoTool& tool = io_tool(config.io_library);
+
+  RegionReadRecord rec;
+  rec.io_library = tool.name();
+  rec.path = path;
+  rec.container_bytes = pfs.file_size(path);
+
+  PowercapMonitor monitor(cpu);  // thread-safe: fetcher and lanes record
+  auto reader =
+      tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
+  const ChunkIndex& index = reader.index();
+  ReadOutput out(index, box, path);
+  rec.region = out.region();
+  const std::vector<std::size_t> ids = reader.covering(rec.region);
+  const std::size_t n = ids.size();
+  rec.zones_total = static_cast<int>(index.zones.size());
+  rec.zones_decoded = static_cast<int>(n);
+  rec.lanes = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(codec_lanes(1)), n));
+  rec.zone_fetch_s.assign(n, 0.0);
+
+  // Open: the footer index and metadata came by ranged reads (paid once).
+  const auto open_prep = monitor.record_compute(
+      "read-prep", reader.open_cost().prep_seconds, 1);
+  const auto open_io =
+      monitor.record_io("read-open", reader.open_cost().transfer_seconds);
+  const double open_s = open_prep.seconds + open_io.seconds;
+  rec.fetch_j = open_prep.joules + open_io.joules;
+
+  std::vector<Bytes> blobs(n);
+  std::vector<std::size_t> reconstructed(n, 0);
+  std::vector<IoCost> fetch_cost(n);
+  std::vector<WireMessage> messages(n);
+  std::vector<LaneSpan> spans(n);
+
+  WallTimer wall;
+  LaneStages stages;
+  // The source fetches zone k; its lane places it.
+  stages.source = [&](std::size_t k) {
+    const ChunkExtent& e = index.chunks[ids[k]];
+    messages[k] = {e.offset, e.size, self_inclusive_clients(pfs)};
+    blobs[k] = reader.read_chunk(ids[k], &fetch_cost[k], messages[k].clients);
+  };
+  stages.lane = [&](std::size_t k) {
+    CoreBudget::Slot slot;
+    spans[k].start_s = wall.elapsed_s();
+    reconstructed[k] = out.place(blobs[k], ids[k]);
+    spans[k].end_s = wall.elapsed_s();
+    // The zone is placed; its buffer feeds the next fetch.
+    BufferPool::global().release(std::move(blobs[k]));
+    blobs[k] = Bytes();
+  };
+  try {
+    run_ordered_lanes(n, rec.lanes, kStreamQueueDepth, stages);
+  } catch (...) {
+    release_pending(blobs);
+    throw;
+  }
+  rec.host_wall_s = wall.elapsed_s();
+  rec.field = out.take();
+  rec.field_bytes = rec.field.size_bytes();
+
+  // The wire: planned sector fetches under the transport, else the eager.
+  const auto sectors =
+      stream.use_transport
+          ? plan_sectors(pfs, stream.transport, SectorOp::kFetch, messages)
+          : eager_wire(n);
+  if (stream.use_transport) {
+    for (IoCost& cost : fetch_cost) cost.transfer_seconds = 0.0;
+    for (const SectorRecord& s : sectors)
+      fetch_cost[s.message].transfer_seconds += s.rpc_s + s.xfer_s;
+  }
+
+  // Each zone's fetch, charged in zone order (prep is container compute at
+  // one core, transfer is PFS time). Solver inputs: under the transport a
+  // lane pays the fetch prep before it decodes; without one, the whole
+  // blocking fetch is the fetcher's serial stage step.
+  std::vector<double> consume_s(n, 0.0), stage_s(n, 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto prep =
+        monitor.record_compute("fetch-prep", fetch_cost[k].prep_seconds, 1);
+    const auto io = monitor.record_io("fetch", fetch_cost[k].transfer_seconds);
+    rec.zone_fetch_s[k] = prep.seconds + io.seconds;
+    rec.fetch_j += prep.joules + io.joules;
+    if (stream.use_transport)
+      consume_s[k] = prep.seconds;
+    else
+      stage_s[k] = rec.zone_fetch_s[k];
+  }
+  const auto readings = monitor.record_lanes("decompress", spans, 1);
+  double serial_fetch = 0.0, serial_decompress = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    rec.zone_decompress_s.push_back(readings[k].seconds);
+    rec.decompress_j += readings[k].joules;
+    rec.bytes_fetched += messages[k].bytes;
+    rec.elements_reconstructed += reconstructed[k];
+    consume_s[k] += readings[k].seconds;
+    serial_fetch += rec.zone_fetch_s[k];
+    serial_decompress += readings[k].seconds;
+  }
+  // Serial reference: open, fetch everything, then decode everything.
+  rec.serial_total_s = open_s + serial_fetch + serial_decompress;
+
+  const Timeline timeline = solve_read_timeline(
+      stream.use_transport ? stream.transport : TransportConfig{}, sectors,
+      consume_s, stage_s, kStreamQueueDepth, open_s, rec.lanes);
+  rec.streamed_total_s = timeline.makespan_s;
+  if (stream.use_transport)
+    rec.transport = telemetry(stream.transport, sectors.size(), timeline);
+  return rec;
+}
+
+// The one serial reference read: fetches and places the zones covering
+// `box` (the whole dataset when none is given) in order on this thread.
+Field read_reference(PfsSimulator& pfs, const std::string& path,
+                     const std::optional<Region>& box,
+                     const std::string& io_library) {
+  auto reader = io_tool(io_library).open_chunked_reader(pfs, path);
+  ReadOutput out(reader.index(), box, path);
+  for (const std::size_t zi : reader.covering(out.region())) {
+    Bytes blob = reader.read_chunk(zi);
+    out.place(blob, zi);
+    BufferPool::global().release(std::move(blob));
+  }
+  return out.take();
+}
 
 }  // namespace
 
@@ -276,8 +414,7 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     if (stream.use_transport) cost.transfer_seconds = 0.0;
     std::tie(stage_prep_s[i], rec.slab_write_s[i]) =
         charge_io("stream-write", cost);
-    // The blob has landed in the container; recycle its allocation for the
-    // next slab's compress/staging buffers.
+    // The blob has landed; its allocation feeds the next slab's buffers.
     BufferPool::global().release(std::move(blobs[i]));
     blobs[i] = Bytes();
   };
@@ -347,168 +484,6 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
 }
 
 // --- Streamed and serial reads ----------------------------------------------
-
-namespace {
-
-// The one streamed read. Resolves `box` (the whole dataset when none is
-// given) to its covering zones from the footer index alone, fetches those
-// zones in order on the calling thread and decodes each on a codec lane —
-// only its part of the box (decompress_region_any, the plain full decode
-// for a whole zone) — copying the part into its rows of the preallocated
-// output. A failing fetch, decode, or placement propagates once every
-// lane settled, with every pooled blob returned.
-RegionReadRecord read_on_lanes(PfsSimulator& pfs, const std::string& path,
-                               const std::optional<Region>& box,
-                               const PipelineConfig& config,
-                               const StreamConfig& stream) {
-  const CpuModel& cpu = cpu_model(config.cpu);
-  IoTool& tool = io_tool(config.io_library);
-
-  RegionReadRecord rec;
-  rec.io_library = tool.name();
-  rec.path = path;
-  rec.container_bytes = pfs.file_size(path);
-
-  PowercapMonitor monitor(cpu);  // thread-safe: fetcher and lanes record
-  auto reader =
-      tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
-  const ChunkIndex& index = reader.index();
-  rec.region = read_box(index, box, path);
-  const Region& region = rec.region;
-  const std::vector<std::size_t> ids = reader.covering(region);
-  const std::size_t n = ids.size();
-  rec.zones_total = static_cast<int>(index.zones.size());
-  rec.zones_decoded = static_cast<int>(n);
-  rec.lanes = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(codec_lanes(1)), n));
-  rec.zone_fetch_s.assign(n, 0.0);
-
-  // Open: the footer index and metadata arrived through ranged reads
-  // before the pipeline starts (open paid once).
-  const auto open_prep = monitor.record_compute(
-      "read-prep", reader.open_cost().prep_seconds, 1);
-  const auto open_io =
-      monitor.record_io("read-open", reader.open_cost().transfer_seconds);
-  const double open_s = open_prep.seconds + open_io.seconds;
-  rec.fetch_j = open_prep.joules + open_io.joules;
-
-  ReadOutput out(index.meta.name, region.shape, path);
-  std::vector<Bytes> blobs(n);
-  std::vector<std::size_t> bytes(n, 0), reconstructed(n, 0);
-  std::vector<IoCost> fetch_cost(n);
-  std::vector<WireMessage> messages(n);
-  std::vector<LaneSpan> spans(n);
-
-  WallTimer wall;
-  LaneStages stages;
-  // The source fetches zone k; its lane decodes the bytes.
-  stages.source = [&](std::size_t k) {
-    const ChunkExtent& e = index.chunks[ids[k]];
-    messages[k] = {e.offset, e.size, self_inclusive_clients(pfs)};
-    blobs[k] = reader.read_chunk(ids[k], &fetch_cost[k], messages[k].clients);
-  };
-  stages.lane = [&](std::size_t k) {
-    const ZoneExtent& zone = index.zones[ids[k]];
-    Field part;
-    {
-      CoreBudget::Slot slot;
-      spans[k].start_s = wall.elapsed_s();
-      check_zone_dims(peek_header(blobs[k]).dims, index, ids[k], path);
-      part = decompress_region_any(blobs[k], zone_part_of_region(region, zone),
-                                   1, &reconstructed[k]);
-      spans[k].end_s = wall.elapsed_s();
-    }
-    // The zone is decoded; its buffer feeds the next fetch.
-    bytes[k] = blobs[k].size();
-    BufferPool::global().release(std::move(blobs[k]));
-    blobs[k] = Bytes();
-    copy_zone_part_into_region(part, zone, region, out.claim(part.dtype()));
-  };
-  try {
-    run_ordered_lanes(n, rec.lanes, kStreamQueueDepth, stages);
-  } catch (...) {
-    release_pending(blobs);
-    throw;
-  }
-  rec.host_wall_s = wall.elapsed_s();
-  rec.field = out.take();
-  rec.field_bytes = rec.field.size_bytes();
-
-  // The wire: the planned sector fetches, which replace each zone's
-  // blocking fetch as its transfer, or the eager one.
-  const auto sectors =
-      stream.use_transport
-          ? plan_sectors(pfs, stream.transport, SectorOp::kFetch, messages)
-          : eager_wire(n);
-  if (stream.use_transport) {
-    for (IoCost& cost : fetch_cost) cost.transfer_seconds = 0.0;
-    for (const SectorRecord& s : sectors)
-      fetch_cost[s.message].transfer_seconds += s.rpc_s + s.xfer_s;
-  }
-
-  // Each zone's fetch, charged in zone order: prep is container work
-  // (compute at one core), transfer is PFS time. The read solver's inputs:
-  // under the transport a lane pays the fetch prep before it decodes;
-  // without one each zone's whole blocking fetch is the fetcher's serial
-  // stage step.
-  std::vector<double> consume_s(n, 0.0), stage_s(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto prep =
-        monitor.record_compute("fetch-prep", fetch_cost[k].prep_seconds, 1);
-    const auto io = monitor.record_io("fetch", fetch_cost[k].transfer_seconds);
-    rec.zone_fetch_s[k] = prep.seconds + io.seconds;
-    rec.fetch_j += prep.joules + io.joules;
-    if (stream.use_transport)
-      consume_s[k] = prep.seconds;
-    else
-      stage_s[k] = rec.zone_fetch_s[k];
-  }
-  const auto readings = monitor.record_lanes("decompress", spans, 1);
-  double serial_fetch = 0.0, serial_decompress = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    rec.zone_decompress_s.push_back(readings[k].seconds);
-    rec.decompress_j += readings[k].joules;
-    rec.bytes_fetched += bytes[k];
-    rec.elements_reconstructed += reconstructed[k];
-    consume_s[k] += readings[k].seconds;
-    serial_fetch += rec.zone_fetch_s[k];
-    serial_decompress += readings[k].seconds;
-  }
-  // Serial reference: open, fetch everything, then decode everything.
-  rec.serial_total_s = open_s + serial_fetch + serial_decompress;
-
-  const Timeline timeline = solve_read_timeline(
-      stream.use_transport ? stream.transport : TransportConfig{}, sectors,
-      consume_s, stage_s, kStreamQueueDepth, open_s, rec.lanes);
-  rec.streamed_total_s = timeline.makespan_s;
-  if (stream.use_transport)
-    rec.transport = telemetry(stream.transport, sectors.size(), timeline);
-  return rec;
-}
-
-// The one serial reference read: fetches, checks, decodes and places the
-// zones covering `box` (the whole dataset when none is given) one at a
-// time, in order, on the calling thread.
-Field read_reference(PfsSimulator& pfs, const std::string& path,
-                     const std::optional<Region>& box,
-                     const std::string& io_library) {
-  auto reader = io_tool(io_library).open_chunked_reader(pfs, path);
-  const ChunkIndex& index = reader.index();
-  const Region region = read_box(index, box, path);
-  ReadOutput out(index.meta.name, region.shape, path);
-  for (const std::size_t zi : reader.covering(region)) {
-    Bytes blob = reader.read_chunk(zi);
-    check_zone_dims(peek_header(blob).dims, index, zi, path);
-    const Field zone = decompress_any(blob, 1);
-    BufferPool::global().release(std::move(blob));
-    scatter_zone_into_region(
-        zone, static_cast<std::size_t>(index.zones[zi].row_start), region,
-        out.claim(zone.dtype()));
-  }
-  return out.take();
-}
-
-}  // namespace
 
 StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
                                    const PipelineConfig& config,

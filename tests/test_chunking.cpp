@@ -66,11 +66,12 @@ TEST(Chunking, ContainerRoundTripSingleAndChunked) {
     return Bytes(raw.begin(), raw.end());
   };
   PayloadDecompressFn dekernel = [](const BlobHeader& h,
-                                    std::span<const std::byte> payload) {
-    NdArray<float> arr(Shape{std::span<const std::size_t>(h.dims)});
-    EBLCIO_CHECK_STREAM(payload.size() == arr.size_bytes(), "size");
-    std::memcpy(arr.data(), payload.data(), payload.size());
-    return Field(h.codec, std::move(arr));
+                                    std::span<const std::byte> payload,
+                                    Field& out, std::size_t offset) {
+    EBLCIO_CHECK_STREAM(payload.size() == h.num_elements() * sizeof(float),
+                        "size");
+    std::memcpy(out.as<float>().data() + offset, payload.data(),
+                payload.size());
   };
 
   for (int threads : {1, 4}) {
@@ -81,6 +82,35 @@ TEST(Chunking, ContainerRoundTripSingleAndChunked) {
     ASSERT_EQ(r.shape(), f.shape());
     for (std::size_t i = 0; i < f.num_elements(); ++i)
       EXPECT_EQ(r.as<float>()[i], f.as<float>()[i]);
+  }
+}
+
+TEST(Chunking, ForgedChunkCountFailsBeforeTheTableIsSized) {
+  // A chunk count past the rows or past the bytes left for its size table
+  // is refused before the table is allocated from it.
+  const Field f = smooth_field_3d(16);
+  BlobHeader header;
+  header.codec = "t";
+  header.dtype = f.dtype();
+  header.dims = f.shape().dims_vector();
+  PayloadCompressFn kernel = [](const Field&, const BlobHeader&,
+                                const CompressOptions&) {
+    return Bytes(8, std::byte{1});
+  };
+  PayloadDecompressFn never = [](const BlobHeader&, std::span<const std::byte>,
+                                 Field&, std::size_t) {
+    ADD_FAILURE() << "a kernel ran on a forged chunk table";
+  };
+  CompressOptions parallel;
+  parallel.threads = 4;
+  const Bytes blob = compress_chunked(header, f, parallel, kernel);
+  ByteReader r(blob);
+  BlobHeader::decode(r);
+  const std::size_t count_at = blob.size() - r.remaining().size() + 1;
+  for (const std::uint32_t forged : {0u, 17u, 0xFFFFFFFFu}) {
+    Bytes bad = blob;
+    std::memcpy(bad.data() + count_at, &forged, sizeof(forged));
+    EXPECT_THROW((void)decompress_chunked(bad, 4, never), CorruptStream);
   }
 }
 

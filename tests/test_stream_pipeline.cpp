@@ -24,6 +24,7 @@
 #include "compressors/compressor.h"
 #include "compressors/zone.h"
 #include "core/pipeline.h"
+#include "data/dataset.h"
 #include "energy/cpu_model.h"
 #include "energy/powercap_monitor.h"
 #include "io/io_tool.h"
@@ -484,6 +485,44 @@ TEST(CodecLanes, LanedPipelinesAreByteIdenticalToSerialReferences) {
           EXPECT_TRUE(same_bytes(region.field.bytes(), box_ref.bytes()));
         }
       }
+    }
+  }
+}
+
+TEST(CodecLanes, LargeUnevenS3dReadsMatchTheReferences) {
+  // An S3D f64 field above 32 MiB (so its output is a fresh mapping every
+  // read) in 8 zones over 11 rows (2,2,2,1,1,1,1,1): the laned whole read
+  // places every zone straight into its rows, and the region reads mix
+  // whole zones with decoded parts. Each equals its serial reference bit
+  // for bit, and each region equals the crop of the whole field.
+  const Field f = generate_dataset_dims("S3D", {11, 74, 74, 74}, 42);
+  ASSERT_GT(f.size_bytes(), std::size_t{32} << 20);
+  PfsSimulator pfs;
+  PipelineConfig config;
+  config.codec = "SZ3";
+  StreamConfig stream;
+  stream.slabs = 8;
+  const auto wrec = run_streamed_compress_write(f, config, pfs, stream);
+  const Field whole = read_chunked_field(pfs, wrec.path, config.io_library);
+  EXPECT_TRUE(check_value_range_bound(f, whole, config.error_bound));
+  const std::vector<Region> boxes = {
+      {{1, 0, 0, 0}, {9, 74, 74, 74}},   // zones 1-6 whole, 0 and 7 in part
+      {{2, 5, 6, 7}, {5, 40, 30, 20}}};  // every zone in part
+  for (const bool transport : {true, false}) {
+    SCOPED_TRACE(transport ? "transport" : "blocking");
+    stream.use_transport = transport;
+    const auto read = run_streamed_read(pfs, wrec.path, config, stream);
+    EXPECT_TRUE(same_bytes(read.field.bytes(), whole.bytes()));
+    for (const Region& box : boxes) {
+      const auto region =
+          run_streamed_read_region(pfs, wrec.path, box, config, stream);
+      const Field ref =
+          read_region_reference(pfs, wrec.path, box, config.io_library);
+      EXPECT_TRUE(same_bytes(region.field.bytes(), ref.bytes()));
+      const Shape crop_shape{std::span<const std::size_t>(box.shape)};
+      Field crop("crop", NdArray<double>(crop_shape));
+      scatter_zone_into_region(whole, 0, box, crop);
+      EXPECT_TRUE(same_bytes(crop.bytes(), ref.bytes()));
     }
   }
 }

@@ -174,5 +174,25 @@ TEST(Sz3, InterpDecodeRejectsCodeSpanOfWrongLength) {
   }
 }
 
+// A non-power-of-two anchor stride would leave grid points unwritten and
+// predict from them, so a payload carrying one is refused.
+TEST(Sz3, InterpDecodeRejectsNonPowerOfTwoAnchorStride) {
+  const Field f = smooth_field_3d(24);
+  const BlobHeader header = lossy_header("SZ3", f, rel(1e-3));
+  InterpConfig config;
+  config.anchor_stride = 8;
+  const InterpEncoding enc = interp_compress(f, header.abs_error_bound, config);
+  config.anchor_stride = 6;
+  try {
+    (void)interp_decompress(header, config, enc.codes, enc.anchors,
+                            enc.unpred);
+    ADD_FAILURE() << "a stride-6 payload decoded";
+  } catch (const CorruptStream& e) {
+    // Refused by the stride check, not by a stream running out later.
+    EXPECT_NE(std::string(e.what()).find("anchor stride"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace eblcio

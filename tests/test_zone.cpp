@@ -22,6 +22,7 @@
 #include "compressors/compressor.h"
 #include "compressors/zone.h"
 #include "core/pipeline.h"
+#include "data/dataset.h"
 #include "io/io_tool.h"
 #include "io/pfs.h"
 #include "metrics/error_stats.h"
@@ -889,6 +890,123 @@ TEST(WholeBoxDecode, EqualsDecompressAnyForEveryCodec) {
       EXPECT_TRUE(bytes_equal(got, decompress_any(blob)));
       EXPECT_EQ(got.shape().dims_vector(), f.shape().dims_vector());
       EXPECT_EQ(reconstructed, f.num_elements());
+    }
+  }
+}
+
+// A destination shaped like `blob_dims` plus `guard` rows before and after,
+// every byte set to `fill` (0xA5 reads as a plain value, 0xFF as NaN).
+Field guarded_destination(DType dtype, std::vector<std::size_t> dims,
+                          std::size_t guard, unsigned char fill) {
+  dims[0] += 2 * guard;
+  Field out =
+      unfilled_field("dst", dtype, Shape{std::span<const std::size_t>(dims)});
+  void* data = dtype == DType::kFloat32
+                   ? static_cast<void*>(out.as<float>().data())
+                   : static_cast<void*>(out.as<double>().data());
+  std::memset(data, fill, out.size_bytes());
+  return out;
+}
+
+// Decodes `blob` into the guarded destinations both fills give and checks
+// the slab rows hold decompress()'s bytes and the guard rows are untouched.
+// Then every mismatched destination (dtype, rank, a wider row, rows past
+// the end) must throw CorruptStream and leave its bytes as they were.
+void expect_decodes_into_exactly_its_rows(const Bytes& blob, int threads) {
+  constexpr std::size_t kGuard = 3;
+  const BlobHeader header = peek_header(blob);
+  Compressor& codec = compressor(header.codec);
+  const Field want = codec.decompress(blob, threads);
+  const std::size_t row_bytes = want.size_bytes() / header.dims[0];
+  for (const unsigned char fill : {0xA5, 0xFF}) {
+    SCOPED_TRACE("fill " + std::to_string(fill));
+    Field out = guarded_destination(header.dtype, header.dims, kGuard, fill);
+    codec.decompress_into(blob, out, kGuard, threads);
+    const auto got = out.bytes();
+    const auto slab = got.subspan(kGuard * row_bytes, want.size_bytes());
+    EXPECT_TRUE(std::equal(slab.begin(), slab.end(), want.bytes().begin(),
+                           want.bytes().end()));
+    for (const std::size_t i : {std::size_t{0}, kGuard * row_bytes +
+                                                    want.size_bytes()})
+      EXPECT_TRUE(std::all_of(
+          got.begin() + i, got.begin() + i + kGuard * row_bytes,
+          [&](std::byte b) { return b == static_cast<std::byte>(fill); }));
+  }
+  Field through_any =
+      guarded_destination(header.dtype, header.dims, 0, 0xA5);
+  decompress_into_any(blob, through_any, 0, threads);
+  EXPECT_TRUE(bytes_equal(through_any, want));
+
+  const DType other = header.dtype == DType::kFloat32 ? DType::kFloat64
+                                                      : DType::kFloat32;
+  std::vector<std::size_t> wider = header.dims, other_rank = header.dims;
+  wider.back() += 1;
+  other_rank.pop_back();
+  if (other_rank.empty()) other_rank = {header.dims[0], 1, 1};
+  struct Mismatch {
+    Field out;
+    std::size_t row_start;
+  };
+  std::vector<Mismatch> mismatches;
+  mismatches.push_back({guarded_destination(other, header.dims, 1, 0xA5), 1});
+  if (header.dims.size() > 1)  // a 1D blob's only extent is its rows
+    mismatches.push_back(
+        {guarded_destination(header.dtype, wider, 1, 0xA5), 1});
+  mismatches.push_back(
+      {guarded_destination(header.dtype, other_rank, 1, 0xA5), 1});
+  mismatches.push_back(
+      {guarded_destination(header.dtype, header.dims, 1, 0xA5), 3});
+  mismatches.push_back(
+      {guarded_destination(header.dtype, header.dims, 1, 0xA5), ~0ull});
+  for (Mismatch& m : mismatches) {
+    const Bytes before(m.out.bytes().begin(), m.out.bytes().end());
+    EXPECT_THROW(codec.decompress_into(blob, m.out, m.row_start, threads),
+                 CorruptStream);
+    EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                           m.out.bytes().begin(), m.out.bytes().end()));
+  }
+}
+
+// decompress_into writes exactly its rows, with decompress()'s bytes, for
+// every codec (the chunked kernels decode in place, the rest decode and
+// copy), both dtypes, 1D to 4D, serial and 4-chunk blobs.
+TEST(DecodeInto, EveryCodecWritesExactlyItsRows) {
+  std::vector<std::string> codecs = all_compressor_names();
+  codecs.push_back("composed:interp-cubic+log+huffman-lz");
+  const Field f3 = smooth_field_3d(20);
+  for (const Field& f :
+       {f3, widened(f3), noisy_field_1d(3000), double_field_4d(7, 10)}) {
+    for (const std::string& name : codecs) {
+      Compressor& codec = compressor(name);
+      for (const int threads : {1, 4}) {
+        CompressOptions opt;
+        opt.error_bound = 1e-3;
+        opt.threads = threads;
+        if (codec.caps().lossless) opt.mode = BoundMode::kLossless;
+        if (!codec.supports(f, opt)) continue;
+        SCOPED_TRACE(name + " " + f.name() + " threads " +
+                     std::to_string(threads));
+        expect_decodes_into_exactly_its_rows(codec.compress(f, opt), threads);
+      }
+    }
+  }
+}
+
+// The same on the paper's four datasets, through SZ3's in-place kernels.
+TEST(DecodeInto, Sz3OnThePaperDatasets) {
+  const std::vector<std::pair<std::string, std::vector<std::size_t>>> sets =
+      {{"NYX", {24, 24, 24}},
+       {"S3D", {11, 12, 12, 12}},
+       {"CESM", {5, 40, 60}},
+       {"HACC", {20000}}};
+  for (const auto& [name, dims] : sets) {
+    const Field f = generate_dataset_dims(name, dims, 42);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(name + " threads " + std::to_string(threads));
+      CompressOptions opt;
+      opt.threads = threads;
+      expect_decodes_into_exactly_its_rows(compressor("SZ3").compress(f, opt),
+                                           threads);
     }
   }
 }
