@@ -1,8 +1,11 @@
 // Fig. 10 — Energy consumption of the EBLCs in OpenMP mode across data
 // sets and CPUs at a fixed REL bound of 1e-3, threads 1..64 in powers of
-// two (strong scaling). Parallel kernels really execute; note that thread
-// counts above the host's cores oversubscribe, which flattens the measured
-// high-thread tail the same way the real experiment plateaus.
+// two (strong scaling). Parallel kernels really execute, and each cell
+// charges node_power_w(threads) over the host's wall time. Thread counts
+// above the host's cores oversubscribe it, so past them the wall time stops
+// falling while the charged power keeps rising: the energy tail rises
+// where the paper's plateaus. ROADMAP's "Project Fig. 10's strong scaling
+// onto the platform's cores" item tracks the fix.
 #include <cstdio>
 #include <iostream>
 

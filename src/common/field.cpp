@@ -26,13 +26,9 @@ Field field_from_bytes(std::string name, DType dtype,
   EBLCIO_CHECK_STREAM(dims.size() >= 1 && dims.size() <= kMaxDims && n &&
                           *n * dtype_size(dtype) == raw.size(),
                       "field bytes do not match their shape");
-  auto rebuild = [&](auto arr) {
-    std::memcpy(arr.data(), raw.data(), raw.size());
-    return Field(std::move(name), std::move(arr));
-  };
-  const Shape shape{dims};
-  return dtype == DType::kFloat32 ? rebuild(NdArray<float>(shape))
-                                  : rebuild(NdArray<double>(shape));
+  Field f = unfilled_field(std::move(name), dtype, Shape{dims});
+  copy_into(raw, f, 0);
+  return f;
 }
 
 Field unfilled_field(std::string name, DType dtype, const Shape& shape) {
@@ -41,17 +37,16 @@ Field unfilled_field(std::string name, DType dtype, const Shape& shape) {
              : Field(std::move(name), NdArray<double>(shape, kUnfilled));
 }
 
-void copy_into(const Field& src, Field& dst, std::size_t offset) {
-  EBLCIO_CHECK_STREAM(src.dtype() == dst.dtype() &&
+void copy_into(std::span<const std::byte> raw, Field& dst,
+               std::size_t offset) {
+  const std::size_t esize = dtype_size(dst.dtype());
+  EBLCIO_CHECK_STREAM(raw.size() % esize == 0 &&
                           offset <= dst.num_elements() &&
-                          src.num_elements() <= dst.num_elements() - offset,
-                      "copied field does not fit its destination");
-  const auto raw = src.bytes();
-  auto* base = dst.dtype() == DType::kFloat32
-                   ? static_cast<void*>(dst.as<float>().data())
-                   : static_cast<void*>(dst.as<double>().data());
-  std::memcpy(static_cast<std::byte*>(base) + offset * dtype_size(dst.dtype()),
-              raw.data(), raw.size());
+                          raw.size() / esize <= dst.num_elements() - offset,
+                      "copied bytes do not fit their destination");
+  dst.visit([&](auto& arr) {
+    std::memcpy(arr.data() + offset, raw.data(), raw.size());
+  });
 }
 
 Field centered_sample(const Field& field, std::size_t max_edge) {

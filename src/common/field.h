@@ -69,9 +69,14 @@ class Field {
   };
   Range value_range() const;
 
-  // Visit the underlying typed array: f(const NdArray<T>&).
+  // Visit the underlying typed array: f(NdArray<T>&), const on a const
+  // field.
   template <typename F>
   decltype(auto) visit(F&& f) const {
+    return std::visit(std::forward<F>(f), data_);
+  }
+  template <typename F>
+  decltype(auto) visit(F&& f) {
     return std::visit(std::forward<F>(f), data_);
   }
 
@@ -81,8 +86,8 @@ class Field {
 };
 
 // Rebuilds a field from the exact raw bytes of its buffer (a container
-// dataset or a lossless payload). Throws CorruptStream unless `dims` is a
-// valid shape whose byte size is raw.size().
+// dataset). Throws CorruptStream unless `dims` is a valid shape whose byte
+// size is raw.size().
 Field field_from_bytes(std::string name, DType dtype,
                        std::span<const std::size_t> dims,
                        std::span<const std::byte> raw);
@@ -91,9 +96,10 @@ Field field_from_bytes(std::string name, DType dtype,
 // (NdArray's unfilled constructor), for a decoder that writes every one.
 Field unfilled_field(std::string name, DType dtype, const Shape& shape);
 
-// Copies all of `src` into `dst` from element `offset` on. Throws
-// CorruptStream, before writing, unless the dtypes agree and src fits.
-void copy_into(const Field& src, Field& dst, std::size_t offset);
+// Copies `raw`, whole elements of dst's dtype, into `dst` from element
+// `offset` on. Throws CorruptStream, before writing, unless they fit.
+void copy_into(std::span<const std::byte> raw, Field& dst,
+               std::size_t offset);
 
 // The centered sub-box of `field` with at most `max_edge` elements per
 // axis: a sample whose trials cost the same on any field size.

@@ -119,13 +119,12 @@ void decompress_chunked_into(std::span<const std::byte> blob, int threads,
                              std::size_t row_start) {
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
-  check_decode_target(header, out, row_start);
-  const std::size_t row = out.num_elements() / out.shape().dim(0);
+  const std::size_t offset = check_decode_target(header, out, row_start);
   const auto layout = r.read_pod<std::uint8_t>();
 
   if (layout == kLayoutSingle) {
     const auto size = r.read_pod<std::uint64_t>();
-    kernel(header, r.read_bytes(size), out, row_start * row);
+    kernel(header, r.read_bytes(size), out, offset);
     return;
   }
   EBLCIO_CHECK_STREAM(layout == kLayoutChunked, "bad payload layout tag");
@@ -143,22 +142,14 @@ void decompress_chunked_into(std::span<const std::byte> blob, int threads,
   for (std::uint32_t i = 0; i < nchunks; ++i)
     spans[i] = r.read_bytes(sizes[i]);
 
+  const std::size_t row = header.num_elements() / header.dims[0];
   const auto slabs = zone_extents(header.dims[0], static_cast<int>(nchunks));
   parallel_for(nchunks, std::max(threads, 1), [&](std::size_t i) {
     BlobHeader slab_header = header;
     slab_header.dims[0] = static_cast<std::size_t>(slabs[i].rows);
     kernel(slab_header, spans[i], out,
-           (row_start + static_cast<std::size_t>(slabs[i].row_start)) * row);
+           offset + static_cast<std::size_t>(slabs[i].row_start) * row);
   });
-}
-
-Field decompress_chunked(std::span<const std::byte> blob, int threads,
-                         const PayloadDecompressFn& kernel) {
-  const BlobHeader header = peek_header(blob);
-  Field out = unfilled_field(header.codec, header.dtype,
-                             Shape{std::span<const std::size_t>(header.dims)});
-  decompress_chunked_into(blob, threads, kernel, out, 0);
-  return out;
 }
 
 }  // namespace eblcio

@@ -55,8 +55,8 @@ std::size_t slab_rows(std::size_t d0, int nchunks, int c);
 Field extract_slab(const Field& field, const ZoneExtent& zone);
 
 // Reassembles slabs split by split_slabs into one field shaped `dims`:
-// SZ2's slab decode and the end-to-end replay use it. The chunked decode
-// does not; its kernels write their rows of one output.
+// SZ2's windowed decode and the end-to-end replay use it. The full
+// decodes do not; their kernels write their rows of one output.
 Field merge_slabs(const std::vector<Field>& slabs,
                   const std::vector<std::size_t>& dims,
                   const std::string& name);
@@ -77,9 +77,5 @@ Bytes compress_chunked(const BlobHeader& header, const Field& field,
 void decompress_chunked_into(std::span<const std::byte> blob, int threads,
                              const PayloadDecompressFn& kernel, Field& out,
                              std::size_t row_start);
-
-// The same decode into an unfilled field of its own, named after the codec.
-Field decompress_chunked(std::span<const std::byte> blob, int threads,
-                         const PayloadDecompressFn& kernel);
 
 }  // namespace eblcio

@@ -212,11 +212,6 @@ Bytes ComposedCompressor::compress(const Field& field,
       });
 }
 
-Field ComposedCompressor::decompress(std::span<const std::byte> blob,
-                                     int threads) {
-  return decompress_chunked(blob, threads, kernel());
-}
-
 void ComposedCompressor::decompress_into(std::span<const std::byte> blob,
                                          Field& out, std::size_t row_start,
                                          int threads) {

@@ -59,7 +59,6 @@ class ComposedCompressor : public Compressor {
   std::string name() const override { return name_; }
   CompressorCaps caps() const override;
   Bytes compress(const Field& field, const CompressOptions& opt) override;
-  Field decompress(std::span<const std::byte> blob, int threads) override;
   void decompress_into(std::span<const std::byte> blob, Field& out,
                        std::size_t row_start, int threads) override;
 

@@ -43,14 +43,12 @@ bool Compressor::supports(const Field& field,
   return true;
 }
 
-void Compressor::decompress_into(std::span<const std::byte> blob, Field& out,
-                                 std::size_t row_start, int threads) {
+Field Compressor::decompress(std::span<const std::byte> blob, int threads) {
   const BlobHeader header = peek_header(blob);
-  check_decode_target(header, out, row_start);
-  const Field full = decompress(blob, threads);
-  EBLCIO_CHECK_STREAM(full.shape().dims_vector() == header.dims,
-                      "decoded field does not match its header");
-  copy_into(full, out, row_start * (out.num_elements() / out.shape().dim(0)));
+  Field out = unfilled_field(header.codec, header.dtype,
+                             Shape{std::span<const std::size_t>(header.dims)});
+  decompress_into(blob, out, 0, threads);
+  return out;
 }
 
 Field Compressor::decompress_region(std::span<const std::byte> blob,
@@ -193,8 +191,8 @@ Field decompress_any(std::span<const std::byte> blob, int threads) {
   return compressor(h.codec).decompress(blob, threads);
 }
 
-void check_decode_target(const BlobHeader& header, const Field& out,
-                         std::size_t row_start) {
+std::size_t check_decode_target(const BlobHeader& header, const Field& out,
+                                std::size_t row_start) {
   const std::vector<std::size_t> dims = out.shape().dims_vector();
   EBLCIO_CHECK_STREAM(
       header.dtype == out.dtype() && header.dims.size() == dims.size() &&
@@ -202,6 +200,7 @@ void check_decode_target(const BlobHeader& header, const Field& out,
                      dims.begin() + 1) &&
           row_start <= dims[0] && header.dims[0] <= dims[0] - row_start,
       "blob does not fit its destination rows");
+  return row_start * (out.num_elements() / dims[0]);
 }
 
 void decompress_into_any(std::span<const std::byte> blob, Field& out,

@@ -61,18 +61,18 @@ class Compressor {
   // dimensionality/mode combinations the codec cannot handle.
   virtual Bytes compress(const Field& field, const CompressOptions& opt) = 0;
 
-  // Reconstructs a field from a blob produced by this codec's compress().
-  virtual Field decompress(std::span<const std::byte> blob,
-                           int threads = 1) = 0;
+  // Reconstructs a field from a blob produced by this codec's compress():
+  // allocates an unfilled field named header.codec and decodes into it.
+  Field decompress(std::span<const std::byte> blob, int threads = 1);
 
-  // Decodes the blob into rows [row_start, row_start + dims[0]) of `out`,
-  // bit-identical to decompress() copied there; nothing else in `out` is
-  // touched. Throws CorruptStream before writing anything unless
-  // check_decode_target accepts the blob's header. The default decodes
-  // and copies once; codecs whose kernels write every destination element
-  // exactly once, reading none before writing it, decode in place.
+  // The codec's one decoder: decodes the blob into rows [row_start,
+  // row_start + dims[0]) of `out` and touches nothing else in `out`.
+  // Throws CorruptStream before writing anything unless
+  // check_decode_target accepts the blob's header. Every destination
+  // element is written exactly once and none is read before it is
+  // written, so `out` may start unfilled.
   virtual void decompress_into(std::span<const std::byte> blob, Field& out,
-                               std::size_t row_start, int threads = 1);
+                               std::size_t row_start, int threads = 1) = 0;
 
   // Reconstructs only `box` (in the blob's own coordinates): bit-identical
   // to decompress() cropped to the box. Throws InvalidArgument when the box
@@ -137,9 +137,10 @@ Field decompress_any(std::span<const std::byte> blob, int threads = 1);
 
 // Checks that a blob with `header` fits rows [row_start, row_start +
 // dims[0]) of `out`: the same dtype and rank, and the same extents past
-// dimension 0. Throws CorruptStream otherwise.
-void check_decode_target(const BlobHeader& header, const Field& out,
-                         std::size_t row_start);
+// dimension 0. Throws CorruptStream otherwise. Returns the element offset
+// of row `row_start` in `out`.
+std::size_t check_decode_target(const BlobHeader& header, const Field& out,
+                                std::size_t row_start);
 
 // Decodes any blob into rows of `out` through its codec's decompress_into.
 void decompress_into_any(std::span<const std::byte> blob, Field& out,

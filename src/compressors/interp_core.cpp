@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 
 #include "common/error.h"
 #include "compressors/backend.h"
@@ -392,13 +393,11 @@ void interp_decompress_into(const BlobHeader& header,
   with_quantizer(
       config.quantizer, header.abs_error_bound, config.quant_param,
       [&](auto proto) {
-        using Q = decltype(proto);
-        if (header.dtype == DType::kFloat32)
-          decompress_impl<float, Q>(header, config, codes, anchors, unpred,
-                                    out.as<float>().data() + offset);
-        else
-          decompress_impl<double, Q>(header, config, codes, anchors, unpred,
-                                     out.as<double>().data() + offset);
+        out.visit([&](auto& arr) {
+          decompress_impl<std::remove_reference_t<decltype(*arr.data())>,
+                          decltype(proto)>(header, config, codes, anchors,
+                                           unpred, arr.data() + offset);
+        });
       });
 }
 

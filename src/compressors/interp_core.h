@@ -80,7 +80,7 @@ InterpPayload interp_payload_decode(std::span<const std::byte> payload);
 
 // Decodes one SZ3 or QoZ payload (interp_payload_encode's layout) into
 // `out` at element `offset`: the payload kernel both codecs hand to
-// decompress_chunked and decompress_chunked_into.
+// decompress_chunked_into.
 void interp_payload_decompress(const BlobHeader& header,
                                std::span<const std::byte> payload, Field& out,
                                std::size_t offset);

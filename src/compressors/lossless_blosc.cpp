@@ -21,13 +21,14 @@ Bytes BloscLikeCompressor::compress(const Field& field,
   return out;
 }
 
-Field BloscLikeCompressor::decompress(std::span<const std::byte> blob,
-                                      int /*threads*/) {
-  ByteReader r(blob);
-  const BlobHeader header = BlobHeader::decode(r);
-  const Bytes shuffled = lz_decompress(r.remaining());
-  const Bytes raw = unshuffle_bytes(shuffled, dtype_size(header.dtype));
-  return field_from_bytes(header.codec, header.dtype, header.dims, raw);
+void BloscLikeCompressor::decompress_into(std::span<const std::byte> blob,
+                                          Field& out, std::size_t row_start,
+                                          int /*threads*/) {
+  decompress_raw_into(
+      blob, out, row_start,
+      [](const BlobHeader& header, std::span<const std::byte> p) {
+        return unshuffle_bytes(lz_decompress(p), dtype_size(header.dtype));
+      });
 }
 
 }  // namespace eblcio

@@ -91,21 +91,27 @@ Bytes fpc_compress_words(std::span<const std::byte> raw) {
   return out;
 }
 
-Bytes fpc_decompress_words(std::span<const std::byte> blob) {
+// Decodes the `expected` raw bytes the blob header promises. The stream's
+// own size must equal it, and each of its words needs half a header byte,
+// so both are checked before the word buffer is sized.
+Bytes fpc_decompress_words(std::span<const std::byte> blob,
+                           std::size_t expected) {
   ByteReader r(blob);
   const auto raw_size = r.read_pod<std::uint64_t>();
+  EBLCIO_CHECK_STREAM(raw_size == expected,
+                      "FPC: raw size does not match the header");
   const auto headers_size = r.read_pod<std::uint64_t>();
   auto headers = r.read_bytes(headers_size);
   const auto payload_size = r.read_pod<std::uint64_t>();
   auto payload = r.read_bytes(payload_size);
 
   const std::size_t nwords = (raw_size + 7) / 8;
+  EBLCIO_CHECK_STREAM(nwords <= 2 * headers.size(), "FPC: header underrun");
   std::vector<std::uint64_t> words(nwords, 0);
 
   FpcState st;
   std::size_t ppos = 0;
   for (std::size_t i = 0; i < nwords; ++i) {
-    EBLCIO_CHECK_STREAM(i / 2 < headers.size(), "FPC: header underrun");
     const auto hb = static_cast<std::uint8_t>(headers[i / 2]);
     const std::uint8_t code = (i % 2 == 0) ? (hb & 0x0f) : (hb >> 4);
     const bool use_dfcm = code & 8;
@@ -141,12 +147,15 @@ Bytes FpcCompressor::compress(const Field& field, const CompressOptions& opt) {
   return out;
 }
 
-Field FpcCompressor::decompress(std::span<const std::byte> blob,
-                                int /*threads*/) {
-  ByteReader r(blob);
-  const BlobHeader header = BlobHeader::decode(r);
-  const Bytes raw = fpc_decompress_words(r.remaining());
-  return field_from_bytes(header.codec, header.dtype, header.dims, raw);
+void FpcCompressor::decompress_into(std::span<const std::byte> blob,
+                                    Field& out, std::size_t row_start,
+                                    int /*threads*/) {
+  decompress_raw_into(
+      blob, out, row_start,
+      [](const BlobHeader& header, std::span<const std::byte> p) {
+        return fpc_decompress_words(
+            p, header.num_elements() * dtype_size(header.dtype));
+      });
 }
 
 }  // namespace eblcio

@@ -139,9 +139,10 @@ Bytes fpzip_compress_impl(const Field& field) {
   return out;
 }
 
+// Decodes into the header.num_elements() elements at `y`, each written once.
 template <typename T>
-Field fpzip_decompress_impl(const BlobHeader& header,
-                            std::span<const std::byte> payload) {
+void fpzip_decompress_impl(const BlobHeader& header,
+                           std::span<const std::byte> payload, T* y) {
   ByteReader r(payload);
   const auto class_size = r.read_pod<std::uint64_t>();
   const auto classes = huffman_decode(r.read_bytes(class_size));
@@ -163,15 +164,12 @@ Field fpzip_decompress_impl(const BlobHeader& header,
           mapped[lin] = lorenzo_int(g, mapped.data(), c, lin) + resid;
         }
 
-  const Shape shape{std::span<const std::size_t>(header.dims)};
-  NdArray<T> arr(shape);
   for (std::size_t i = 0; i < n; ++i) {
     if constexpr (sizeof(T) == 4)
-      arr[i] = unmap_bits_f32(mapped[i]);
+      y[i] = unmap_bits_f32(mapped[i]);
     else
-      arr[i] = unmap_bits_f64(mapped[i]);
+      y[i] = unmap_bits_f64(mapped[i]);
   }
-  return Field(header.codec, std::move(arr));
 }
 
 }  // namespace
@@ -187,13 +185,15 @@ Bytes FpzipLikeCompressor::compress(const Field& field,
   return out;
 }
 
-Field FpzipLikeCompressor::decompress(std::span<const std::byte> blob,
-                                      int /*threads*/) {
+void FpzipLikeCompressor::decompress_into(std::span<const std::byte> blob,
+                                          Field& out, std::size_t row_start,
+                                          int /*threads*/) {
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
-  return header.dtype == DType::kFloat32
-             ? fpzip_decompress_impl<float>(header, r.remaining())
-             : fpzip_decompress_impl<double>(header, r.remaining());
+  const std::size_t offset = check_decode_target(header, out, row_start);
+  out.visit([&](auto& arr) {
+    fpzip_decompress_impl(header, r.remaining(), arr.data() + offset);
+  });
 }
 
 }  // namespace eblcio

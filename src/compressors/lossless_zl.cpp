@@ -13,12 +13,13 @@ Bytes ZlCompressor::compress(const Field& field, const CompressOptions& opt) {
   return out;
 }
 
-Field ZlCompressor::decompress(std::span<const std::byte> blob,
-                               int /*threads*/) {
-  ByteReader r(blob);
-  const BlobHeader header = BlobHeader::decode(r);
-  const Bytes raw = lz_decompress(r.remaining());
-  return field_from_bytes(header.codec, header.dtype, header.dims, raw);
+void ZlCompressor::decompress_into(std::span<const std::byte> blob,
+                                   Field& out, std::size_t row_start,
+                                   int /*threads*/) {
+  decompress_raw_into(blob, out, row_start,
+                      [](const BlobHeader&, std::span<const std::byte> p) {
+                        return lz_decompress(p);
+                      });
 }
 
 }  // namespace eblcio

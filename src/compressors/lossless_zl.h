@@ -19,7 +19,8 @@ class ZlCompressor : public Compressor {
   }
 
   Bytes compress(const Field& field, const CompressOptions& opt) override;
-  Field decompress(std::span<const std::byte> blob, int threads) override;
+  void decompress_into(std::span<const std::byte> blob, Field& out,
+                       std::size_t row_start, int threads) override;
 };
 
 }  // namespace eblcio

@@ -86,11 +86,6 @@ Bytes QozCompressor::compress(const Field& field, const CompressOptions& opt) {
                           qoz_payload_compress);
 }
 
-Field QozCompressor::decompress(std::span<const std::byte> blob,
-                                int threads) {
-  return decompress_chunked(blob, threads, interp_payload_decompress);
-}
-
 void QozCompressor::decompress_into(std::span<const std::byte> blob,
                                     Field& out, std::size_t row_start,
                                     int threads) {

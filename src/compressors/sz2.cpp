@@ -97,8 +97,14 @@ struct Sz2Streams {
     Sz2Streams s;
     ByteReader r(blob);
     s.header = BlobHeader::decode(r);
+    // split_slabs cuts at most one slab per row, and each slab's table
+    // entry is four u64 fields, so the count is bounded before the table
+    // is sized from it.
     const auto nslabs = r.read_pod<std::uint32_t>();
-    EBLCIO_CHECK_STREAM(nslabs >= 1, "SZ2: bad slab count");
+    EBLCIO_CHECK_STREAM(
+        nslabs >= 1 && nslabs <= s.header.dims[0] &&
+            nslabs <= r.remaining().size() / (4 * sizeof(std::uint64_t)),
+        "SZ2: slab count outside 1..rows or past the slab table");
     std::vector<std::uint64_t> ncodes(nslabs);
     s.slabs.resize(nslabs);
     for (std::uint32_t i = 0; i < nslabs; ++i) {
@@ -132,29 +138,25 @@ struct Sz2Streams {
   }
 };
 
-Field decode_slab(const Sz2Streams::Slab& slab) {
-  ByteReader coeffs(slab.coeffs);
-  ByteReader unpred(slab.unpred);
-  return block_decompress(slab.header, BlockPredictor::kLorenzoRegression,
-                          QuantizerId::kLinearRecip, 0.0, slab.codes,
-                          slab.mode_bits, coeffs, unpred);
-}
-
 }  // namespace
 
-Field Sz2Compressor::decompress(std::span<const std::byte> blob,
-                                int threads) {
+void Sz2Compressor::decompress_into(std::span<const std::byte> blob,
+                                    Field& out, std::size_t row_start,
+                                    int threads) {
+  const std::size_t offset =
+      check_decode_target(peek_header(blob), out, row_start);
   const Sz2Streams s = Sz2Streams::parse(blob);
-  // One slab is the whole field: return it as decoded (already named
-  // "SZ2") instead of paying merge_slabs' full-field copy.
-  if (s.slabs.size() == 1) return decode_slab(s.slabs[0]);
-
-  // Parallel per-slab reconstruction.
-  std::vector<Field> slab_fields(s.slabs.size());
+  const std::size_t row = s.header.num_elements() / s.header.dims[0];
+  // Parallel per-slab reconstruction, each slab into its own rows.
   parallel_for(s.slabs.size(), std::max(threads, 1), [&](std::size_t i) {
-    slab_fields[i] = decode_slab(s.slabs[i]);
+    const Sz2Streams::Slab& slab = s.slabs[i];
+    ByteReader coeffs(slab.coeffs);
+    ByteReader unpred(slab.unpred);
+    block_decompress_into(slab.header, BlockPredictor::kLorenzoRegression,
+                          QuantizerId::kLinearRecip, 0.0, slab.codes,
+                          slab.mode_bits, coeffs, unpred, out,
+                          offset + slab.row_start * row);
   });
-  return merge_slabs(slab_fields, s.header.dims, "SZ2");
 }
 
 Field Sz2Compressor::decompress_region(std::span<const std::byte> blob,

@@ -30,7 +30,8 @@ class Sz2Compressor : public Compressor {
   }
 
   Bytes compress(const Field& field, const CompressOptions& opt) override;
-  Field decompress(std::span<const std::byte> blob, int threads) override;
+  void decompress_into(std::span<const std::byte> blob, Field& out,
+                       std::size_t row_start, int threads) override;
   // Reconstructs only the blocks in the box's lower cone of each slab the
   // box touches (see compressors/README.md, "Windowed decode").
   Field decompress_region(std::span<const std::byte> blob, const Region& box,

@@ -24,11 +24,6 @@ Bytes Sz3Compressor::compress(const Field& field, const CompressOptions& opt) {
                           sz3_payload_compress);
 }
 
-Field Sz3Compressor::decompress(std::span<const std::byte> blob,
-                                int threads) {
-  return decompress_chunked(blob, threads, interp_payload_decompress);
-}
-
 void Sz3Compressor::decompress_into(std::span<const std::byte> blob,
                                     Field& out, std::size_t row_start,
                                     int threads) {

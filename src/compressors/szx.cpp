@@ -177,12 +177,9 @@ Bytes payload_compress(const Field& field, const BlobHeader& header,
 void payload_decompress(const BlobHeader& header,
                         std::span<const std::byte> payload, Field& out,
                         std::size_t offset) {
-  if (header.dtype == DType::kFloat32)
-    szx_payload_decompress<float>(header, payload,
-                                  out.as<float>().data() + offset);
-  else
-    szx_payload_decompress<double>(header, payload,
-                                   out.as<double>().data() + offset);
+  out.visit([&](auto& arr) {
+    szx_payload_decompress(header, payload, arr.data() + offset);
+  });
 }
 
 }  // namespace
@@ -192,11 +189,6 @@ Bytes SzxCompressor::compress(const Field& field, const CompressOptions& opt) {
                    "SZx is an error-bounded lossy compressor");
   return compress_chunked(lossy_header(name(), field, opt), field, opt,
                           payload_compress);
-}
-
-Field SzxCompressor::decompress(std::span<const std::byte> blob,
-                                int threads) {
-  return decompress_chunked(blob, threads, payload_decompress);
 }
 
 void SzxCompressor::decompress_into(std::span<const std::byte> blob,

@@ -505,14 +505,13 @@ Bytes zfp_compress_impl(const Field& field, const BlobHeader& header,
   return out;
 }
 
+// Decodes into the header.num_elements() elements at `base`: the blocks
+// tile the field, so every element is written once and none is read.
 template <typename T>
-Field zfp_decompress_impl(const BlobHeader& header,
-                          std::span<const std::byte> payload) {
+void zfp_decompress_impl(const BlobHeader& header,
+                         std::span<const std::byte> payload, T* base) {
   const ZfpGeometry g = ZfpGeometry::from_dims(header.dims);
   const int minexp = minexp_for(header.abs_error_bound);
-
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  T* base = arr.data();
 
   ByteReader r(payload);
   const auto nchunks = r.read_pod<std::uint32_t>();
@@ -536,7 +535,6 @@ Field zfp_decompress_impl(const BlobHeader& header,
       scatter_block(g, base, p, vals);
     }
   }
-  return Field("ZFP", std::move(arr));
 }
 
 }  // namespace
@@ -556,13 +554,15 @@ Bytes ZfpCompressor::compress(const Field& field, const CompressOptions& opt) {
   return out;
 }
 
-Field ZfpCompressor::decompress(std::span<const std::byte> blob,
-                                int /*threads*/) {
+void ZfpCompressor::decompress_into(std::span<const std::byte> blob,
+                                    Field& out, std::size_t row_start,
+                                    int /*threads*/) {
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
-  return header.dtype == DType::kFloat32
-             ? zfp_decompress_impl<float>(header, r.remaining())
-             : zfp_decompress_impl<double>(header, r.remaining());
+  const std::size_t offset = check_decode_target(header, out, row_start);
+  out.visit([&](auto& arr) {
+    zfp_decompress_impl(header, r.remaining(), arr.data() + offset);
+  });
 }
 
 }  // namespace eblcio

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/error.h"
 #include "compressors/chunking.h"
@@ -69,12 +70,10 @@ std::vector<ZoneExtent> zone_extents(std::size_t d0, int zones) {
 
 void scatter_zone_into_region(const Field& zone, std::size_t zone_row_start,
                               const Region& region, Field& out) {
-  if (out.dtype() == DType::kFloat32)
-    scatter_impl<float>(zone.as<float>(), zone_row_start, region,
-                        out.as<float>());
-  else
-    scatter_impl<double>(zone.as<double>(), zone_row_start, region,
-                         out.as<double>());
+  out.visit([&](auto& arr) {
+    using T = std::remove_reference_t<decltype(*arr.data())>;
+    scatter_impl<T>(zone.as<T>(), zone_row_start, region, arr);
+  });
 }
 
 Region zone_part_of_region(const Region& region, const ZoneExtent& zone) {
@@ -100,7 +99,7 @@ void copy_zone_part_into_region(const Field& part, const ZoneExtent& zone,
       (static_cast<std::size_t>(zone.row_start) + want.start[0] -
        region.start[0]) *
       (out.num_elements() / region.shape[0]);
-  copy_into(part, out, offset);
+  copy_into(part.bytes(), out, offset);
 }
 
 }  // namespace eblcio

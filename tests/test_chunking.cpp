@@ -78,8 +78,8 @@ TEST(Chunking, ContainerRoundTripSingleAndChunked) {
     CompressOptions opt;
     opt.threads = threads;
     const Bytes blob = compress_chunked(header, f, opt, kernel);
-    const Field r = decompress_chunked(blob, threads, dekernel);
-    ASSERT_EQ(r.shape(), f.shape());
+    Field r = unfilled_field("r", f.dtype(), f.shape());
+    decompress_chunked_into(blob, threads, dekernel, r, 0);
     for (std::size_t i = 0; i < f.num_elements(); ++i)
       EXPECT_EQ(r.as<float>()[i], f.as<float>()[i]);
   }
@@ -110,7 +110,9 @@ TEST(Chunking, ForgedChunkCountFailsBeforeTheTableIsSized) {
   for (const std::uint32_t forged : {0u, 17u, 0xFFFFFFFFu}) {
     Bytes bad = blob;
     std::memcpy(bad.data() + count_at, &forged, sizeof(forged));
-    EXPECT_THROW((void)decompress_chunked(bad, 4, never), CorruptStream);
+    Field out = unfilled_field("out", f.dtype(), f.shape());
+    EXPECT_THROW(decompress_chunked_into(bad, 4, never, out, 0),
+                 CorruptStream);
   }
 }
 

@@ -121,6 +121,25 @@ TEST(Lossless, FpcHandlesOddByteLengths) {
   expect_bit_exact<float>(f, r);
 }
 
+TEST(Lossless, FpcForgedRawSizeFailsBeforeTheWordsAreSized) {
+  // The payload opens with FPC's u64 raw byte count. It must equal the
+  // header's: 2^33 zero-filled an 8 GB word buffer, and 2^64-1 overflowed
+  // its size into std::length_error.
+  Compressor& c = compressor("FPC");
+  const Bytes blob = c.compress(smooth_field_2d(), lossless_opt());
+  Bytes header;
+  peek_header(blob).encode(header);
+  std::uint64_t raw_size = 0;
+  std::memcpy(&raw_size, blob.data() + header.size(), sizeof(raw_size));
+  for (const std::uint64_t forged :
+       {std::uint64_t{1} << 33, ~std::uint64_t{0}, raw_size - 1,
+        raw_size + 8}) {
+    Bytes bad = blob;
+    std::memcpy(bad.data() + header.size(), &forged, sizeof(forged));
+    EXPECT_THROW(c.decompress(bad, 1), CorruptStream) << forged;
+  }
+}
+
 TEST(Lossless, EblcModeOnLosslessCodecStillExact) {
   // Passing an error bound to a lossless codec must not make it lossy.
   const Field f = smooth_field_2d();

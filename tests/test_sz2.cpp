@@ -2,6 +2,8 @@
 // guarantees, the paper's documented OpenMP restrictions.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "compressors/compressor.h"
 #include "metrics/error_stats.h"
 #include "test_util.h"
@@ -125,6 +127,25 @@ TEST(Sz2, TruncatedBlobThrows) {
   Bytes blob = c.compress(smooth_field_2d(), rel(1e-3));
   blob.resize(blob.size() / 2);
   EXPECT_THROW(c.decompress(blob, 1), CorruptStream);
+}
+
+TEST(Sz2, ForgedSlabCountFailsBeforeTheTableIsSized) {
+  // The u32 slab count follows the header. A count of 0, one past the
+  // rows, or 2^32-1 (which sized a 32 GB table) is refused before any
+  // table is sized from it, by the full and the windowed decode alike.
+  Compressor& c = compressor("SZ2");
+  const Field f = smooth_field_3d(16);
+  const Bytes blob = c.compress(f, rel(1e-3, 4));
+  Bytes header;
+  peek_header(blob).encode(header);
+  for (const std::uint32_t forged : {0u, 17u, 0xFFFFFFFFu}) {
+    Bytes bad = blob;
+    std::memcpy(bad.data() + header.size(), &forged, sizeof(forged));
+    EXPECT_THROW(c.decompress(bad, 1), CorruptStream) << forged;
+    EXPECT_THROW(decompress_region_any(bad, {{0, 0, 0}, {4, 4, 4}}),
+                 CorruptStream)
+        << forged;
+  }
 }
 
 }  // namespace
