@@ -110,6 +110,58 @@ void BM_SweepGrid25(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepGrid25)->Arg(0)->Arg(1);
 
+// The advisor's 25-cell grid with uneven cells: 5 codecs x 5 bounds,
+// codec-major, each cell sleeping longer as its bound tightens (1, 2, 3, 5
+// and 8 ms, the advisor's trend). Arg(0) cells declare no cost(), so 4
+// sweep threads start them in domain order and the slow cells of the last
+// codec start last; Arg(1) cells declare the bound index as their cost, so
+// the sweep starts the slowest first. Summed sleeps are 95 ms, so 4
+// threads cannot finish before 23.75 ms; `overlap_x` is summed cell time
+// over the grid's wall time.
+struct UnevenCell {
+  int bound = 0;  // 0 = loosest
+};
+struct CostedUnevenCell : UnevenCell {
+  double cost() const { return bound; }
+};
+
+template <typename Cell>
+void sweep_uneven(benchmark::State& state) {
+  constexpr int kSleepMs[] = {1, 2, 3, 5, 8};
+  SweepOptions options;
+  options.max_tasks = 4;
+  std::vector<Cell> cells;
+  for (int codec = 0; codec < 5; ++codec)
+    for (int bound = 0; bound < 5; ++bound) {
+      Cell c;
+      c.bound = bound;
+      cells.push_back(c);
+    }
+  double cell_s = 0.0, wall_s = 0.0;
+  for (auto _ : state) {
+    auto report = sweep_grid(
+        cells,
+        [&](const Cell& cell, SweepCellContext&) {
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(kSleepMs[cell.bound]));
+          return cell.bound;
+        },
+        options);
+    cell_s += report.stats.cell_seconds;
+    wall_s += report.stats.wall_s;
+  }
+  state.counters["overlap_x"] = wall_s > 0.0 ? cell_s / wall_s : 0.0;
+  state.SetItemsProcessed(state.iterations() * 25);
+}
+
+void BM_SweepGridUneven(benchmark::State& state) {
+  if (state.range(0) == 0)
+    sweep_uneven<UnevenCell>(state);
+  else
+    sweep_uneven<CostedUnevenCell>(state);
+}
+BENCHMARK(BM_SweepGridUneven)->Arg(0)->Arg(1)->UseRealTime();
+
 const Field& stream_field() {
   static const Field f = generate_dataset_dims("NYX", {64, 64, 64}, 7);
   return f;

@@ -241,7 +241,7 @@ std::array<double, 64> level_eb_table(double abs_eb, double gamma) {
 
 template <typename T, typename Q>
 InterpEncoding compress_impl(const NdArray<T>& arr, double abs_eb,
-                             const InterpConfig& config) {
+                             const InterpConfig& config, Field* recon_out) {
   const Grid g = Grid::from_dims(arr.shape().dims_vector());
   const std::size_t anchor_stride =
       config.anchor_stride ? config.anchor_stride : auto_anchor_stride(g);
@@ -254,8 +254,8 @@ InterpEncoding compress_impl(const NdArray<T>& arr, double abs_eb,
   enc.codes.reserve(g.num_elements());
   // recon entries are anchors or quantizer round-trips: exactly
   // T-representable, so storing T halves the buffer bandwidth with
-  // bit-identical reads.
-  std::vector<T> recon(g.num_elements(), T{0});
+  // bit-identical reads. Each holds the value the decoder will write.
+  NdArray<T> recon(arr.shape());
 
   // Anchors: exact values on the coarse grid.
   std::array<std::size_t, 4> a{};
@@ -301,6 +301,7 @@ InterpEncoding compress_impl(const NdArray<T>& arr, double abs_eb,
                enc.codes.push_back(code);
              }
            });
+  if (recon_out) *recon_out = Field("recon", std::move(recon));
   return enc;
 }
 
@@ -372,15 +373,14 @@ void decompress_impl(const BlobHeader& header, const InterpConfig& config,
 }  // namespace
 
 InterpEncoding interp_compress(const Field& field, double abs_eb,
-                               const InterpConfig& config) {
+                               const InterpConfig& config, Field* recon) {
   return with_quantizer(
       config.quantizer, abs_eb, config.quant_param, [&](auto proto) {
         using Q = decltype(proto);
-        return field.dtype() == DType::kFloat32
-                   ? compress_impl<float, Q>(field.as<float>(), abs_eb,
-                                             config)
-                   : compress_impl<double, Q>(field.as<double>(), abs_eb,
-                                              config);
+        return field.visit([&](const auto& arr) {
+          using T = std::remove_cvref_t<decltype(*arr.data())>;
+          return compress_impl<T, Q>(arr, abs_eb, config, recon);
+        });
       });
 }
 

@@ -43,9 +43,14 @@ struct InterpEncoding {
 };
 
 // Compresses one field (or slab); deterministic traversal so decompression
-// can mirror it from (dims, abs_eb, config) alone.
+// can mirror it from (dims, abs_eb, config) alone. The encoder predicts
+// from the values the decoder will reconstruct; when `recon` is non-null
+// that buffer is moved into it (no copy), holding exactly what
+// interp_decompress of the encoding yields, byte for byte — a tuner can
+// score a trial without decoding it.
 InterpEncoding interp_compress(const Field& field, double abs_eb,
-                               const InterpConfig& config);
+                               const InterpConfig& config,
+                               Field* recon = nullptr);
 
 // Reconstructs the field `header` describes from an InterpEncoding
 // produced with identical (dims, abs_eb, config) into the

@@ -35,21 +35,16 @@ InterpConfig tune_config(const Field& field, double abs_eb) {
     double bits_per_value = 64.0;
   };
   std::vector<Trial> trials;
-  BlobHeader sample_header;
-  sample_header.codec = "QoZ";
-  sample_header.dtype = sample.dtype();
-  sample_header.dims = sample.shape().dims_vector();
-  sample_header.abs_error_bound = abs_eb;
-
   for (double gamma : kGammaCandidates) {
     Trial t;
     t.config = qoz_base_config();
     t.config.level_gamma = gamma;
-    const InterpEncoding enc = interp_compress(sample, abs_eb, t.config);
+    // The encoder's own reconstruction is what decoding the trial would
+    // give, so the trial is scored without a decode.
+    Field recon;
+    const InterpEncoding enc =
+        interp_compress(sample, abs_eb, t.config, &recon);
     const Bytes payload = interp_payload_encode(t.config, enc);
-    Field recon = interp_decompress(sample_header, t.config,
-                                    std::span(enc.codes), enc.anchors,
-                                    enc.unpred);
     const ErrorStats st = compute_error_stats(sample, recon);
     t.psnr = st.psnr_db;
     t.bits_per_value = 8.0 * static_cast<double>(payload.size()) /

@@ -151,15 +151,16 @@ class LinearQuantizer {
       return;
     }
     const double rad_guard = static_cast<double>(radius_) - 1;
-    // Chunked two-pass formulation. The fused single loop mixes double
-    // arithmetic with T/u32 narrowing stores in one body, which GCC 12
-    // refuses to vectorize as a whole; splitting it at the type boundary
-    // leaves pass A all-double (quantize + round + tie detect into stack
-    // buffers) and pass B all-narrowing (T cast, bound check, code/recon
-    // stores), and each pass vectorizes on its own. The chunk keeps the
-    // buffers in L1. Every element goes through the same operations in
-    // the same order as the fused loop did, so the pass split cannot
-    // change a single emitted bit.
+    // Chunked two-pass formulation: pass A is all-double (quantize +
+    // round + tie detect into stack buffers), pass B all-narrowing (T
+    // cast, bound check, code/recon stores). The split was made so each
+    // pass could vectorize, but at the library's flags (-O2) GCC 12.2
+    // vectorizes neither (-fopt-info-vec-all, both block_core.cpp
+    // instantiations): pass A stops at "no vectype for stmt" on its
+    // widening load, pass B at "control flow in loop". Both run as
+    // scalar loops. The chunk keeps the buffers in L1. Every element goes
+    // through the same operations in the same order as a fused loop, so
+    // the pass split cannot change a single emitted bit.
     constexpr std::int32_t kChunk = 128;
     double xb[kChunk];     // widened inputs
     double predb[kChunk];  // regression predictions

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -522,18 +523,33 @@ void zfp_decompress_impl(const BlobHeader& header,
                       "ZFP: stream table exceeds payload");
   std::vector<std::uint64_t> sizes(nchunks);
   for (auto& s : sizes) s = r.read_pod<std::uint64_t>();
+  auto chunk_blocks = [&](std::uint32_t c) {
+    return std::pair{g.total_blocks * c / nchunks,
+                     g.total_blocks * (c + 1) / nchunks};
+  };
+  // Every block codes at least one bit (its empty-block flag), so a chunk
+  // with more blocks than 8 x its bytes has dims the streams cannot hold.
+  // Checked for all chunks before any decodes: past-end bits read as zero
+  // (empty blocks), so a forged dims field would otherwise decode as a
+  // field of zeros.
+  for (std::uint32_t c = 0; c < nchunks; ++c) {
+    const auto [lo, hi] = chunk_blocks(c);
+    EBLCIO_CHECK_STREAM((hi - lo + 7) / 8 <= sizes[c],
+                        "ZFP: more blocks than the stream can code");
+  }
 
   // Serial block decode (zfp's OpenMP policy does not cover decompression).
   double vals[64];
   for (std::uint32_t c = 0; c < nchunks; ++c) {
-    const std::size_t lo = g.total_blocks * c / nchunks;
-    const std::size_t hi = g.total_blocks * (c + 1) / nchunks;
+    const auto [lo, hi] = chunk_blocks(c);
     BitReader br(r.read_bytes(sizes[c]));
     BlockPos p = g.pos(lo);
     for (std::size_t blk = lo; blk < hi; ++blk, g.next(p)) {
       decode_block(br, vals, g.d, minexp);
       scatter_block(g, base, p, vals);
     }
+    EBLCIO_CHECK_STREAM(br.bit_pos() <= 8 * sizes[c],
+                        "ZFP: blocks decode past the end of their stream");
   }
 }
 

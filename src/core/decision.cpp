@@ -30,6 +30,12 @@ double candidate_score(const AdvisorCandidate& c, Objective objective) {
 struct TrialCell {
   Compressor* comp = nullptr;
   double error_bound = 0.0;
+  // Trials slow down as the bound tightens (more quantization levels, more
+  // unpredictable values, longer code streams: the paper's runtime trend),
+  // so the parallel sweep starts the tightest bounds first.
+  double cost() const {
+    return error_bound > 0.0 ? -std::log10(error_bound) : 0.0;
+  }
 };
 
 }  // namespace

@@ -10,9 +10,11 @@
 // codec singletons from compressors/compressor.h are stateless across
 // calls, each cell constructs its own PowercapMonitor (itself lock-
 // protected), and scores/sorting happen after the sweep on the caller's
-// thread. Candidate order in the report is deterministic: cells are
-// collected in domain (codec-major, bound-minor) order and stable-sorted
-// by score, so equal-score ties never depend on execution interleaving.
+// thread. The sweep starts the tightest-bound trials first (they are the
+// slowest), but that only changes when a trial runs: candidate order in
+// the report is deterministic, because cells are collected and streamed in
+// domain (codec-major, bound-minor) order and stable-sorted by score, so
+// equal-score ties never depend on execution interleaving.
 #pragma once
 
 #include <functional>

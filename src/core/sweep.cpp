@@ -73,7 +73,7 @@ SweepStats run_sweep(
     std::size_t n,
     const std::function<void(std::size_t, SweepCellContext&)>& eval,
     const std::function<void(const SweepCellStatus&)>& on_cell,
-    const SweepOptions& options) {
+    const SweepOptions& options, std::span<const std::size_t> claim_order) {
   SweepStats stats;
   stats.cells = n;
   if (n == 0) return stats;
@@ -102,15 +102,17 @@ SweepStats run_sweep(
     for (std::size_t i = 0; i < n; ++i) eval_one(i);
   } else {
     // k runners, the calling thread among them, each taking the next cell
-    // off one counter. Cells run on these threads, never as pool tasks: a
-    // cell may wait on pool work (a streamed pipeline's lanes).
+    // of the claim order off one counter. Cells run on these threads, never
+    // as pool tasks: a cell may wait on pool work (a streamed pipeline's
+    // lanes).
     const std::size_t k = std::min<std::size_t>(
         n, static_cast<std::size_t>(options.max_tasks > 0
                                         ? options.max_tasks
                                         : Executor::global().concurrency()));
     std::atomic<std::size_t> next{0};
     auto runner = [&] {
-      for (std::size_t i = next++; i < n; i = next++) eval_one(i);
+      for (std::size_t j = next++; j < n; j = next++)
+        eval_one(claim_order.empty() ? j : claim_order[j]);
     };
     std::vector<std::thread> threads;
     threads.reserve(k - 1);

@@ -8,14 +8,18 @@
 // domain (any vector of descriptors), a per-cell evaluation functor, and
 // options, and runs the cells on threads the sweep owns (the calling
 // thread among them; SweepOptions::max_tasks sets how many), each taking
-// the next unstarted cell in domain order. Cells are not executor tasks,
-// so a cell may wait on pool work (a streamed pipeline's codec lanes)
-// without holding a pool worker.
+// the next unstarted cell. Cells start in domain order, except that a
+// parallel sweep over a cell type with a `cost()` member starts the
+// costliest cells first (a stable sort: equal costs keep domain order),
+// so the slowest cells of an uneven grid do not start last. Cells are not
+// executor tasks, so a cell may wait on pool work (a streamed pipeline's
+// codec lanes) without holding a pool worker.
 //
 // Guarantees, regardless of how execution interleaves:
-//  * results land in *domain order* (cell i's outcome is slot i), and the
-//    optional on-cell-complete callback streams outcomes in that same
-//    order — partial tables render incrementally and deterministically;
+//  * results land in *domain order* (cell i's outcome is slot i, and its
+//    context's index() is i), and the optional on-cell-complete callback
+//    streams outcomes in that same order, whatever order the cells started
+//    in — partial tables render incrementally and deterministically;
 //  * one failing cell never aborts the grid: its exception is captured in
 //    its slot (callers inspect, or rethrow_first_error());
 //  * a throwing on-cell callback aborts the grid: cells not yet started
@@ -30,10 +34,14 @@
 // equivalence directly testable.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -93,17 +101,27 @@ struct SweepStats {
   double cell_seconds = 0.0;  // summed per-cell wall clock
 };
 
+// A cell type whose cells declare a relative cost (any unit, never NaN;
+// larger = slower). A parallel sweep starts such cells costliest first.
+template <typename Cell>
+concept CostedCell = requires(const Cell& c) {
+  { c.cost() } -> std::convertible_to<double>;
+};
+
 namespace detail {
 // Type-erased engine: evaluates eval(i, ctx) for i in [0, n), streaming
-// on_cell(status) in index order (on_cell may be null). Cell exceptions
-// are captured per status. An exception thrown by on_cell itself aborts
-// the sweep: later callbacks are suppressed, unstarted cells are not run,
-// and the first callback exception rethrows from run_sweep once in-flight
-// cells settle — the same observable behavior in serial and parallel mode.
+// on_cell(status) in index order (on_cell may be null). A parallel sweep
+// starts the cells in `claim_order` (a permutation of [0, n); empty =
+// domain order); a serial one ignores it. Cell exceptions are captured
+// per status. An exception thrown by on_cell itself aborts the sweep:
+// later callbacks are suppressed, unstarted cells are not run, and the
+// first callback exception rethrows from run_sweep once in-flight cells
+// settle — the same observable behavior in serial and parallel mode.
 SweepStats run_sweep(std::size_t n,
                      const std::function<void(std::size_t, SweepCellContext&)>& eval,
                      const std::function<void(const SweepCellStatus&)>& on_cell,
-                     const SweepOptions& options);
+                     const SweepOptions& options,
+                     std::span<const std::size_t> claim_order);
 }  // namespace detail
 
 // One cell of a typed sweep: the descriptor plus its outcome.
@@ -129,7 +147,8 @@ struct SweepReport {
 };
 
 // Evaluates eval(cell, ctx) -> Result over every cell of the domain and
-// returns the outcomes in domain order. `on_cell` (optional) is invoked
+// returns the outcomes in domain order; in parallel mode a CostedCell
+// domain starts costliest first. `on_cell` (optional) is invoked
 // once per cell — including failed ones — serialized and in
 // domain order, as soon as every earlier cell has also resolved; this is
 // the streaming hook incremental tables build on (the figure/table
@@ -166,8 +185,22 @@ SweepReport<Cell, Result> sweep_grid(
     c.seconds = st.seconds;
     if (on_cell) on_cell(c);
   };
+  std::vector<std::size_t> claim_order;
+  if constexpr (CostedCell<Cell>) {
+    if (options.parallel) {
+      std::vector<double> cost;
+      for (const auto& c : report.cells)
+        cost.push_back(static_cast<double>(c.cell.cost()));
+      claim_order.resize(cost.size());
+      std::iota(claim_order.begin(), claim_order.end(), std::size_t{0});
+      std::stable_sort(claim_order.begin(), claim_order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                       });
+    }
+  }
   report.stats = detail::run_sweep(report.cells.size(), eval_erased, emit,
-                                   options);
+                                   options, claim_order);
   return report;
 }
 

@@ -164,6 +164,107 @@ TEST(Sweep, CallbackExceptionAbortsGridUniformly) {
   EXPECT_EQ(run(true), 3u);
 }
 
+// A cell that declares its cost; `id` is its domain position.
+struct CostedTestCell {
+  int id = 0;
+  double c = 0.0;
+  double cost() const { return c; }
+};
+static_assert(CostedCell<CostedTestCell>);
+static_assert(!CostedCell<int>);
+
+// Runs `cells` on one runner and returns the domain index of each cell in
+// the order the cells started.
+template <typename Cell>
+std::vector<std::size_t> start_order(const std::vector<Cell>& cells,
+                                     bool parallel) {
+  SweepOptions options;
+  options.parallel = parallel;
+  options.max_tasks = 1;  // one runner: the claim order is the start order
+  std::vector<std::size_t> started;
+  sweep_grid(cells, [&](const Cell&, SweepCellContext& ctx) {
+    started.push_back(ctx.index());
+    return 0;
+  }, options);
+  return started;
+}
+
+TEST(Sweep, ParallelSweepStartsCostliestCellsFirst) {
+  // Costs 1, 3, 3, 0, 5, 3: the costliest first, and the three cells of
+  // cost 3 in domain order.
+  const std::vector<double> costs = {1, 3, 3, 0, 5, 3};
+  std::vector<CostedTestCell> cells;
+  for (std::size_t i = 0; i < costs.size(); ++i)
+    cells.push_back({static_cast<int>(i), costs[i]});
+  std::vector<std::size_t> streamed;
+  SweepOptions options;
+  options.max_tasks = 1;
+  std::vector<std::size_t> started;
+  const auto report = sweep_grid(
+      cells,
+      [&](const CostedTestCell& cell, SweepCellContext& ctx) {
+        EXPECT_EQ(ctx.index(), static_cast<std::size_t>(cell.id));
+        started.push_back(ctx.index());
+        return cell.id;
+      },
+      options,
+      [&](const SweepCell<CostedTestCell, int>& cell) {
+        streamed.push_back(cell.index);
+      });
+  EXPECT_EQ(started, (std::vector<std::size_t>{4, 1, 2, 5, 0, 3}));
+  // Slots and the stream stay in domain order.
+  const std::vector<std::size_t> domain = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(streamed, domain);
+  ASSERT_EQ(report.cells.size(), costs.size());
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    EXPECT_EQ(report.cells[i].index, i);
+    EXPECT_EQ(report.cells[i].cell.id, static_cast<int>(i));
+    ASSERT_TRUE(report.cells[i].result.has_value());
+    EXPECT_EQ(*report.cells[i].result, static_cast<int>(i));
+  }
+}
+
+TEST(Sweep, SerialSweepsAndUncostedCellsStartInDomainOrder) {
+  std::vector<CostedTestCell> costed;
+  for (int i = 0; i < 6; ++i) costed.push_back({i, static_cast<double>(i)});
+  const std::vector<std::size_t> domain = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(start_order(costed, /*parallel=*/false), domain);
+  const std::vector<int> plain = {5, 4, 3, 2, 1, 0};
+  EXPECT_EQ(start_order(plain, /*parallel=*/true), domain);
+  EXPECT_EQ(start_order(plain, /*parallel=*/false), domain);
+  // The costed parallel run for contrast: its claim order is reversed.
+  EXPECT_EQ(start_order(costed, /*parallel=*/true),
+            (std::vector<std::size_t>{5, 4, 3, 2, 1, 0}));
+}
+
+TEST(Sweep, ThrowingCallbackStopsCostOrderedClaims) {
+  // Costs 3, 5, 1, 4, 2 start cells 1, 3, 0, 4, 2. Cell 0 completes third
+  // and releases the stream of cells 0 and 1; the callback throws on cell
+  // 1, so cells 4 and 2 never start.
+  const std::vector<double> costs = {3, 5, 1, 4, 2};
+  std::vector<CostedTestCell> cells;
+  for (std::size_t i = 0; i < costs.size(); ++i)
+    cells.push_back({static_cast<int>(i), costs[i]});
+  SweepOptions options;
+  options.max_tasks = 1;
+  std::vector<std::size_t> started, streamed;
+  EXPECT_THROW(
+      sweep_grid(
+          cells,
+          [&](const CostedTestCell&, SweepCellContext& ctx) {
+            started.push_back(ctx.index());
+            return 0;
+          },
+          options,
+          [&](const SweepCell<CostedTestCell, int>& cell) {
+            streamed.push_back(cell.index);
+            if (cell.index == 1) throw Error("consumer stop");
+          }),
+      Error);
+  EXPECT_EQ(started, (std::vector<std::size_t>{1, 3, 0}));
+  EXPECT_EQ(streamed, (std::vector<std::size_t>{0, 1}));
+}
+
 TEST(Sweep, RepetitionStatsMatchSerialPathBitForBit) {
   // Deterministic per-cell sample streams: cell i's k-th sample is a pure
   // function of (i, k), so the Sec. IV-C statistics must be bit-identical

@@ -2,6 +2,11 @@
 // guarantees across dimensionalities, ratio behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "compressors/compressor.h"
 #include "compressors/interp_core.h"
 #include "data/dataset.h"
@@ -192,6 +197,72 @@ TEST(Sz3, InterpDecodeRejectsNonPowerOfTwoAnchorStride) {
     EXPECT_NE(std::string(e.what()).find("anchor stride"), std::string::npos)
         << e.what();
   }
+}
+
+// A smooth field of the given dims, optionally with isolated spikes (one
+// element in 97 raised by 1e4) that no prediction at a tight bound can
+// quantize, so their codes are 0 and their values go to the unpredictable
+// stream.
+template <typename T>
+Field wavy_field(const std::vector<std::size_t>& dims, bool spikes) {
+  NdArray<T> arr(Shape{std::span<const std::size_t>(dims)});
+  for (std::size_t i = 0; i < arr.num_elements(); ++i) {
+    const double t = static_cast<double>(i);
+    double x = std::sin(0.013 * t) + 0.3 * std::cos(0.0071 * t);
+    if (spikes && i % 97 == 41) x += 1e4;
+    arr[i] = static_cast<T>(x);
+  }
+  return Field("wavy", std::move(arr));
+}
+
+// The QoZ tuner scores its trials on interp_compress's reconstruction
+// instead of decoding them, which holds only if that buffer is exactly
+// what the decoder rebuilds from the encoding.
+TEST(Interp, CompressReconstructionEqualsDecodeByteForByte) {
+  std::vector<InterpConfig> configs(1);  // SZ3: auto anchor, gamma 1
+  for (double gamma : {1.0, 0.7, 0.5}) {  // QoZ: dense anchors, tuned gamma
+    InterpConfig qoz;
+    qoz.anchor_stride = 64;
+    qoz.level_gamma = gamma;
+    configs.push_back(qoz);
+  }
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {3001}, {45, 70}, {19, 13, 40}, {3, 9, 10, 21}};
+  std::size_t unpredictable = 0;
+  for (const auto& dims : shapes)
+    for (DType dtype : {DType::kFloat32, DType::kFloat64})
+      for (bool spikes : {false, true}) {
+        const Field f = dtype == DType::kFloat32
+                            ? wavy_field<float>(dims, spikes)
+                            : wavy_field<double>(dims, spikes);
+        // Spiky fields get an absolute bound far inside the spikes.
+        const double abs_eb =
+            spikes ? 1e-5 : 1e-3 * f.value_range().span();
+        BlobHeader header;
+        header.codec = "SZ3";
+        header.dtype = dtype;
+        header.dims = dims;
+        header.abs_error_bound = abs_eb;
+        for (const InterpConfig& config : configs) {
+          Field recon;
+          const InterpEncoding enc = interp_compress(f, abs_eb, config, &recon);
+          unpredictable += enc.unpred.size();
+          EXPECT_EQ(interp_compress(f, abs_eb, config).codes, enc.codes);
+          const Field decoded = interp_decompress(header, config, enc.codes,
+                                                  enc.anchors, enc.unpred);
+          const std::string what = std::to_string(dims.size()) + "D " +
+                                   dtype_name(dtype) +
+                                   (spikes ? " spiky" : "") + " stride " +
+                                   std::to_string(config.anchor_stride) +
+                                   " gamma " +
+                                   std::to_string(config.level_gamma);
+          ASSERT_EQ(recon.dtype(), dtype) << what;
+          ASSERT_EQ(recon.shape(), f.shape()) << what;
+          EXPECT_TRUE(std::ranges::equal(recon.bytes(), decoded.bytes()))
+              << what;
+        }
+      }
+  EXPECT_GT(unpredictable, 0u);  // the code-0 path ran
 }
 
 }  // namespace
