@@ -7,8 +7,9 @@
 // --reps times and the best (least-noisy) wall time is reported, as a text
 // table and as machine-readable BENCH_codecs.json (see --json). CI's
 // Release leg runs it and fails when a gated kernel (the Huffman coders,
-// the NYX SZ3 slab decode, sz2_roundtrip, lz_compress, value_range)
-// regresses more than 25% against bench/baselines/BENCH_codecs.json,
+// the NYX SZ3 slab decode, the row quantizer, sz2_roundtrip, lz_compress,
+// value_range) regresses more than 25% against
+// bench/baselines/BENCH_codecs.json,
 // normalized by an in-run reference or by the memcpy calibration row to
 // damp machine-to-machine variance (scripts/check_perf_baseline.py; see
 // src/codec/README.md for how to refresh the baseline).
@@ -72,6 +73,53 @@ InterpEncoding sz3_slab_codes() {
   CompressOptions opt;
   opt.error_bound = 1e-3;
   return interp_compress(slab, absolute_bound_for(slab, opt), InterpConfig{});
+}
+
+// The rows of the last interpolation pass SZ3 runs on one NYX 24x192x192
+// slab at value-range-relative 1e-3: the d3 midpoints (odd c3) of every
+// (c1, c2) row, each predicted as interp_core predicts it — the cubic
+// spline over the slab's SZ3 reconstruction, linear or one-sided at the
+// edges. This pass quantizes half of the slab's elements, at the full
+// bound. The `quantize_rows` row runs LinearQuantizer::quantize_row (the
+// entry the CPU selects) over them, `quantize_rows_reference` per-element
+// quantize<float>, which normalizes it in-run.
+struct QuantRows {
+  std::vector<float> x;
+  std::vector<double> pred;
+  std::size_t row_len = 0;
+  double eb = 0.0;
+};
+
+QuantRows sz3_slab_rows() {
+  const std::size_t n1 = 24, n2 = 192, n3 = 192;
+  const Field slab = generate_dataset_dims("NYX", {n1, n2, n3}, 7);
+  CompressOptions opt;
+  opt.error_bound = 1e-3;
+  QuantRows rows;
+  rows.eb = absolute_bound_for(slab, opt);
+  Field recon;
+  (void)interp_compress(slab, rows.eb, InterpConfig{}, &recon);
+  const float* data = slab.as<float>().data();
+  const float* r = recon.as<float>().data();
+  rows.row_len = n3 / 2;
+  for (std::size_t row = 0; row < n1 * n2; ++row) {
+    const float* x = data + row * n3;
+    const float* f = r + row * n3;
+    for (std::size_t c3 = 1; c3 < n3; c3 += 2) {
+      const auto at = [&](std::size_t k) { return static_cast<double>(f[k]); };
+      double p;
+      if (c3 >= 3 && c3 + 3 < n3)
+        p = (-at(c3 - 3) + 9.0 * at(c3 - 1) + 9.0 * at(c3 + 1) - at(c3 + 3)) /
+            16.0;
+      else if (c3 + 1 < n3)
+        p = 0.5 * (at(c3 - 1) + at(c3 + 1));
+      else
+        p = at(c3 - 1);
+      rows.x.push_back(x[c3]);
+      rows.pred.push_back(p);
+    }
+  }
+  return rows;
 }
 
 // Mixed runs/low-entropy segments: the corpus the LZ rows have always used.
@@ -141,6 +189,7 @@ int main(int argc, char** argv) {
   const auto syms_lowent = code_stream_lowent();
   const Bytes huff_blob_lowent = huffman_encode(syms_lowent, 64);
   const InterpEncoding sz3_codes = sz3_slab_codes();
+  const QuantRows qrows = sz3_slab_rows();
   const Bytes huff_blob_sz3 =
       huffman_encode(sz3_codes.codes, sz3_codes.alphabet_size);
   const Bytes corpus = lz_corpus();
@@ -253,6 +302,35 @@ int main(int argc, char** argv) {
         }));
   }
 
+  // The row kernel against its per-element referee, over the same rows.
+  std::vector<std::uint32_t> row_codes(qrows.x.size());
+  std::vector<float> row_recon(qrows.x.size());
+  std::vector<std::uint32_t> ref_codes(qrows.x.size());
+  std::vector<float> ref_recon(qrows.x.size());
+  {
+    const LinearQuantizer quant(qrows.eb);
+    const auto items = static_cast<double>(qrows.x.size());
+    rows.push_back(run_kernel("quantize_rows", reps, 0, items, [&] {
+      std::size_t zeros = 0;
+      for (std::size_t i = 0; i < qrows.x.size(); i += qrows.row_len)
+        zeros += quant.quantize_row<float>(
+            qrows.x.data() + i, qrows.pred.data() + i, qrows.row_len,
+            row_codes.data() + i, row_recon.data() + i);
+      return zeros;
+    }));
+    rows.push_back(run_kernel("quantize_rows_reference", reps, 0, items, [&] {
+      std::size_t zeros = 0;
+      for (std::size_t i = 0; i < qrows.x.size(); ++i) {
+        const double v = qrows.x[i];
+        double r = v;
+        ref_codes[i] = quant.quantize<float>(v, qrows.pred[i], &r);
+        ref_recon[i] = static_cast<float>(r);
+        zeros += ref_codes[i] == 0;
+      }
+      return zeros;
+    }));
+  }
+
   const double fb = static_cast<double>(field.size_bytes());
   rows.push_back(run_kernel("sz2_compress", reps, fb, 0, [&] {
     return sz2.compress(field, copt).size();
@@ -297,6 +375,10 @@ int main(int argc, char** argv) {
   if (huffman_decode(huff_blob_sz3) != sz3_codes.codes ||
       huffman_decode_reference(huff_blob_sz3) != sz3_codes.codes) {
     std::fprintf(stderr, "FATAL: sz3 slab huffman round trip mismatch\n");
+    return 1;
+  }
+  if (row_codes != ref_codes || row_recon != ref_recon) {
+    std::fprintf(stderr, "FATAL: quantize_row differs from quantize<float>\n");
     return 1;
   }
   if (!check_value_range_bound(field, zfp.decompress(zfp_blob, 1),

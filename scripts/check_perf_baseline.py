@@ -13,7 +13,10 @@ Paired gating kernels normalize against an in-binary reference of the same
 code path: huffman_decode against huffman_decode_reference,
 huffman_decode_lowent against huffman_decode_reference_lowent,
 huffman_decode_sz3 against huffman_decode_reference_sz3 (the code stream
-of one NYX SZ3 slab), huffman_encode against huffman_encode_reference,
+of one NYX SZ3 slab), quantize_rows (LinearQuantizer::quantize_row, the
+entry the CPU selects, over the rows of that slab's last interpolation
+pass) against quantize_rows_reference (per-element quantize<float> over
+the same rows), huffman_encode against huffman_encode_reference,
 and huffman_encode_lowent against huffman_encode_reference_lowent
 (bench_micro_codecs), zone_decode (parallel full-field zone decode)
 against zone_decode_serial (bench_zone_scaling), streamed_write
@@ -40,8 +43,8 @@ about the code. A file without them is reported as unstamped and gated as
 before.
 
 Only kernels listed via --kernel gate the build (default: the five
-Huffman rows, sz2_roundtrip, lz_compress and value_range of
-bench_micro_codecs); everything else is reported for the artifact log.
+Huffman rows, quantize_rows, sz2_roundtrip, lz_compress and value_range
+of bench_micro_codecs); everything else is reported for the artifact log.
 value_range (Field::value_range over the micro field) is memcpy-normalized:
 both rows stream the same bytes, and a scalar min/max loop reads about
 0.45x of the baseline. To refresh a baseline after an intentional perf
@@ -93,8 +96,8 @@ def main() -> int:
                     help="gating kernel(s); default: huffman_decode, "
                          "huffman_decode_lowent, huffman_decode_sz3, "
                          "huffman_encode, "
-                         "huffman_encode_lowent, sz2_roundtrip, lz_compress, "
-                         "value_range")
+                         "huffman_encode_lowent, quantize_rows, "
+                         "sz2_roundtrip, lz_compress, value_range")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed normalized-throughput drop (default 0.25)")
     ap.add_argument("--update", action="store_true",
@@ -103,7 +106,8 @@ def main() -> int:
     gates = args.kernel or ["huffman_decode", "huffman_decode_lowent",
                             "huffman_decode_sz3",
                             "huffman_encode", "huffman_encode_lowent",
-                            "sz2_roundtrip", "lz_compress", "value_range"]
+                            "quantize_rows", "sz2_roundtrip", "lz_compress",
+                            "value_range"]
 
     if args.update:
         with open(args.current) as f:
@@ -139,6 +143,7 @@ def main() -> int:
         "huffman_decode_sz3": "huffman_decode_reference_sz3",
         "huffman_encode": "huffman_encode_reference",
         "huffman_encode_lowent": "huffman_encode_reference_lowent",
+        "quantize_rows": "quantize_rows_reference",
         "zone_decode": "zone_decode_serial",
         "streamed_write": "streamed_write_serial",
         "streamed_read": "streamed_read_serial",

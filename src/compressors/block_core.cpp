@@ -527,10 +527,9 @@ bool regression_wins(const Geometry& g, const StencilCache& stencils,
 // Walks one block in canonical element order, computing every element's
 // prediction (regression plane or Lorenzo stencil over `recon`) and
 // invoking fn(lin, pred) — except for regression rows, which are handed
-// whole to reg_row_fn(base, row0, s3, n) because the regression plane has
-// no reconstruction feedback: the callee may process the row with a
-// stride-1 vectorized kernel as long as each element's prediction is
-// evaluated as the bit-identical expression row0 + s3 * (double)k.
+// whole to reg_row_fn(base, pred, n) with the row's n predictions filled
+// in, because the regression plane has no reconstruction feedback: the
+// callee processes the row with one row-kernel call.
 // Compress and decompress both iterate through this single walker: the
 // round-trip contract requires the two sides to evaluate predictions
 // bit-identically, so the shared code path makes that symmetry structural
@@ -561,7 +560,10 @@ void walk_block_predictions(const Geometry& g, const BlockRef& blk,
                    static_cast<double>(c[1])) +
               static_cast<double>(rc.slope[2]) * static_cast<double>(c[2]);
           const double s3 = static_cast<double>(rc.slope[3]);
-          reg_row_fn(base, reg_row, s3, ext3);
+          double pred[256];  // rows are at most the largest block edge long
+          for (std::size_t k = 0; k < ext3; ++k)
+            pred[k] = reg_row + s3 * static_cast<double>(k);
+          reg_row_fn(base, pred, ext3);
         } else {
           const std::array<std::size_t, 4> row{
               blk.origin[0] + c[0], blk.origin[1] + c[1],
@@ -668,14 +670,14 @@ BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
           // so this is (double)recon[lin] without re-reading the store.
           return r;
         },
-        // Regression rows: stride-1 vectorized quantization, then a scan
-        // for the (rare) unpredictable slots so the exact-value stream
+        // Regression rows: one row-kernel call, then, only if some code is
+        // 0, a scan for the unpredictable slots so the exact-value stream
         // stays in canonical element order.
-        [&](std::size_t base, double row0, double s3, std::size_t n) {
-          quant.template quantize_row<T>(data + base, n, row0, s3, code_dst,
-                                         recon + base);
-          for (std::size_t k = 0; k < n; ++k)
-            if (code_dst[k] == 0) append_pod<T>(enc.unpred, data[base + k]);
+        [&](std::size_t base, const double* pred_row, std::size_t n) {
+          if (quant.template quantize_row<T>(data + base, pred_row, n,
+                                             code_dst, recon + base))
+            for (std::size_t k = 0; k < n; ++k)
+              if (code_dst[k] == 0) append_pod<T>(enc.unpred, data[base + k]);
           code_dst += n;
         });
   }
@@ -783,12 +785,12 @@ void reconstruct_blocks(const Geometry& g, const Geometry& cone,
           out[lin] = v;
           return static_cast<double>(v);
         },
-        // Regression rows: stride-1 vectorized recovery, then overwrite
-        // the code-0 slots from the exact-value stream in canonical order.
-        [&](std::size_t base, double row0, double s3, std::size_t n) {
+        // Regression rows: one row-kernel call, then overwrite the code-0
+        // slots from the exact-value stream in canonical order.
+        [&](std::size_t base, const double* pred_row, std::size_t n) {
           const std::uint32_t* cs = codes.data() + code_idx;
           T* row = out + base;
-          quant.template recover_row<T>(cs, n, row0, s3, row);
+          quant.template recover_row<T>(cs, pred_row, n, row);
           for (std::size_t k = 0; k < n; ++k)
             if (cs[k] == 0) row[k] = unpred.read_pod<T>();
           code_idx += n;

@@ -76,12 +76,14 @@ double interp_predict(const Grid& g, const T* recon,
   return 0.0;
 }
 
-// Visits every interpolation target in deterministic order, one d3 row at
-// a time. The visitor is called as f(coords, row_base, dim, half, level,
-// start3, step3) and iterates c3 = start3, start3+step3, ... itself — the
-// element order (and hence every code/unpredictable stream) is identical
-// to the per-element traversal this replaces. Handing out whole rows lets
-// the callbacks hoist the per-level quantizer and the boundary predicate
+// Visits every interpolation target in deterministic order, one piece of a
+// d3 row at a time. The visitor is called as f(coords, row_base, dim, half,
+// level, c3, step3, n) and handles the n targets c3, c3+step3, ... of the
+// row; a row longer than kRowChunk targets arrives in consecutive pieces,
+// so every row buffer the callbacks keep is bounded. The element order
+// (and hence every code/unpredictable stream) is identical to the
+// per-element traversal this replaces. Handing out whole rows lets the
+// callbacks hoist the per-level quantizer and the boundary predicate
 // (constant along the row when d < 3) out of the element loop.
 //
 // Within one (s, d) pass, targets sit at odd multiples of h along dim d
@@ -111,6 +113,9 @@ void traverse(const Grid& g, std::size_t anchor_stride, F&& f) {
         step[e] = (e < d) ? h : s;
       }
       step[d] = s;
+      // Targets per d3 row: start[3] < dim[3] (dimension 3 starts at
+      // h < dim[3], the others at 0).
+      const std::size_t row_n = (g.dim[3] - start[3] + step[3] - 1) / step[3];
       std::array<std::size_t, 4> c{};
       for (c[0] = start[0]; c[0] < g.dim[0]; c[0] += step[0])
         for (c[1] = start[1]; c[1] < g.dim[1]; c[1] += step[1])
@@ -120,7 +125,9 @@ void traverse(const Grid& g, std::size_t anchor_stride, F&& f) {
             const std::size_t base = c[0] * g.stride[0] +
                                      c[1] * g.stride[1] +
                                      c[2] * g.stride[2];
-            f(c, base, d, h, level, start[3], step[3]);
+            for (std::size_t i = 0; i < row_n; i += kRowChunk)
+              f(c, base, d, h, level, start[3] + i * step[3], step[3],
+                std::min(kRowChunk, row_n - i));
           }
     }
   }
@@ -129,22 +136,22 @@ void traverse(const Grid& g, std::size_t anchor_stride, F&& f) {
 // Row-batched predictions for a pass refining d < 3: the interp_predict
 // predicate depends only on c[d], h and dim[d] — constant along the d3
 // row — so each boundary case becomes its own branch-free sweep over the
-// row's targets. Expression-for-expression the same arithmetic as
-// interp_predict, so predictions are bit-identical.
+// row's n targets from c3. Expression-for-expression the same arithmetic
+// as interp_predict, so predictions are bit-identical.
 template <typename T>
 void interp_predict_row(const Grid& g, const T* recon,
                         const std::array<std::size_t, 4>& c, int d,
                         std::size_t h, bool cubic, std::size_t base,
-                        std::size_t start3, std::size_t step3,
+                        std::size_t c3, std::size_t step3, std::size_t n,
                         double* pred) {
   const std::size_t off = h * g.stride[d];
   const std::size_t cd = c[d];
   const std::size_t nd = g.dim[d];
-  const std::size_t n3 = g.dim[3];
+  const std::size_t end3 = c3 + n * step3;
   std::size_t i = 0;
   if (cubic && cd >= 3 * h && cd + 3 * h < nd) {
     const std::size_t off3 = 3 * off;
-    for (std::size_t c3 = start3; c3 < n3; c3 += step3, ++i) {
+    for (; c3 < end3; c3 += step3, ++i) {
       const std::size_t lin = base + c3;
       const double fm3 = static_cast<double>(recon[lin - off3]);
       const double fm1 = static_cast<double>(recon[lin - off]);
@@ -153,19 +160,19 @@ void interp_predict_row(const Grid& g, const T* recon,
       pred[i] = (-fm3 + 9.0 * fm1 + 9.0 * fp1 - fp3) / 16.0;
     }
   } else if (cd >= h && cd + h < nd) {
-    for (std::size_t c3 = start3; c3 < n3; c3 += step3, ++i) {
+    for (; c3 < end3; c3 += step3, ++i) {
       const std::size_t lin = base + c3;
       pred[i] = 0.5 * (static_cast<double>(recon[lin - off]) +
                        static_cast<double>(recon[lin + off]));
     }
   } else if (cd >= h) {
-    for (std::size_t c3 = start3; c3 < n3; c3 += step3, ++i)
+    for (; c3 < end3; c3 += step3, ++i)
       pred[i] = static_cast<double>(recon[base + c3 - off]);
   } else if (cd + h < nd) {
-    for (std::size_t c3 = start3; c3 < n3; c3 += step3, ++i)
+    for (; c3 < end3; c3 += step3, ++i)
       pred[i] = static_cast<double>(recon[base + c3 + off]);
   } else {
-    for (std::size_t c3 = start3; c3 < n3; c3 += step3, ++i) pred[i] = 0.0;
+    std::fill_n(pred, n, 0.0);
   }
 }
 
@@ -178,17 +185,22 @@ void interp_predict_row(const Grid& g, const T* recon,
 template <typename T>
 void interp_predict_row_d3(const Grid& g, const T* recon,
                            std::array<std::size_t, 4> c, std::size_t h,
-                           bool cubic, std::size_t base, std::size_t start3,
-                           std::size_t step3, double* pred) {
+                           bool cubic, std::size_t base, std::size_t c3,
+                           std::size_t step3, std::size_t n, double* pred) {
   const std::size_t n3 = g.dim[3];
+  const std::size_t end3 = c3 + n * step3;  // past the piece's last target
   std::size_t i = 0;
-  std::size_t c3 = start3;
+  // Each segment ends at one precomputed bound, so the interior sweep has
+  // a single exit and vectorizes.
   if (cubic) {
-    for (; c3 < n3 && c3 < 3 * h; c3 += step3, ++i) {
+    for (const std::size_t lo = std::min(end3, 3 * h); c3 < lo;
+         c3 += step3, ++i) {
       c[3] = c3;
       pred[i] = interp_predict(g, recon, c, 3, h, cubic, base + c3);
     }
-    for (; c3 + 3 * h < n3; c3 += step3, ++i) {
+    // c3 >= 3h here, so c3 < hi is interp_predict's c3 + 3h < n3.
+    for (const std::size_t hi = std::min(end3, n3 > 3 * h ? n3 - 3 * h : 0);
+         c3 < hi; c3 += step3, ++i) {
       const std::size_t lin = base + c3;
       const double fm3 = static_cast<double>(recon[lin - 3 * h]);
       const double fm1 = static_cast<double>(recon[lin - h]);
@@ -198,30 +210,31 @@ void interp_predict_row_d3(const Grid& g, const T* recon,
     }
   } else {
     // Linear window: targets start at c3 = h, so only the right edge
-    // needs the per-element fallback.
-    for (; c3 >= h && c3 + h < n3; c3 += step3, ++i) {
+    // needs the per-element fallback; c3 < hi is c3 + h < n3.
+    for (const std::size_t hi = std::min(end3, n3 - h); c3 < hi;
+         c3 += step3, ++i) {
       const std::size_t lin = base + c3;
       pred[i] = 0.5 * (static_cast<double>(recon[lin - h]) +
                        static_cast<double>(recon[lin + h]));
     }
   }
-  for (; c3 < n3; c3 += step3, ++i) {
+  for (; c3 < end3; c3 += step3, ++i) {
     c[3] = c3;
     pred[i] = interp_predict(g, recon, c, 3, h, cubic, base + c3);
   }
 }
 
-// Dispatches a row to the d < 3 uniform-predicate sweep or the d == 3
-// segmented sweep.
+// Dispatches a row piece to the d < 3 uniform-predicate sweep or the
+// d == 3 segmented sweep.
 template <typename T>
 void predict_row(const Grid& g, const T* recon,
                  const std::array<std::size_t, 4>& c, int d, std::size_t h,
-                 bool cubic, std::size_t base, std::size_t start3,
-                 std::size_t step3, double* pred) {
+                 bool cubic, std::size_t base, std::size_t c3,
+                 std::size_t step3, std::size_t n, double* pred) {
   if (d < 3)
-    interp_predict_row(g, recon, c, d, h, cubic, base, start3, step3, pred);
+    interp_predict_row(g, recon, c, d, h, cubic, base, c3, step3, n, pred);
   else
-    interp_predict_row_d3(g, recon, c, h, cubic, base, start3, step3, pred);
+    interp_predict_row_d3(g, recon, c, h, cubic, base, c3, step3, n, pred);
 }
 
 double level_eb(double abs_eb, double gamma, int level) {
@@ -239,6 +252,36 @@ std::array<double, 64> level_eb_table(double abs_eb, double gamma) {
   return t;
 }
 
+// Per-level quantizers built once: the constructor's reciprocal divide
+// would otherwise be paid per row.
+template <typename Q>
+std::vector<Q> level_quantizers(double abs_eb, const InterpConfig& config) {
+  const auto leb = level_eb_table(abs_eb, config.level_gamma);
+  std::vector<Q> quants;
+  quants.reserve(leb.size());
+  for (double eb : leb)
+    quants.push_back(make_quantizer<Q>(eb, config.quant_param, kRadius));
+  return quants;
+}
+
+// Anchors: exact values on the coarse grid, visited in stream order as
+// f(lin). Returns how many there are.
+template <typename F>
+std::size_t for_each_anchor(const Grid& g, std::size_t anchor_stride, F&& f) {
+  std::size_t count = 0;
+  std::array<std::size_t, 4> a{};
+  for (a[0] = 0; a[0] < g.dim[0]; a[0] += anchor_stride)
+    for (a[1] = 0; a[1] < g.dim[1]; a[1] += anchor_stride)
+      for (a[2] = 0; a[2] < g.dim[2]; a[2] += anchor_stride)
+        for (a[3] = 0; a[3] < g.dim[3]; a[3] += anchor_stride, ++count)
+          f(a[0] * g.stride[0] + a[1] * g.stride[1] + a[2] * g.stride[2] +
+            a[3]);
+  return count;
+}
+
+// Each row piece: gather its strided inputs, quantize them against the
+// predictions in one quantize_row call, scatter the reconstruction, and
+// append the code-0 values to the unpredictable stream in order.
 template <typename T, typename Q>
 InterpEncoding compress_impl(const NdArray<T>& arr, double abs_eb,
                              const InterpConfig& config, Field* recon_out) {
@@ -251,55 +294,42 @@ InterpEncoding compress_impl(const NdArray<T>& arr, double abs_eb,
 
   InterpEncoding enc;
   enc.alphabet_size = 2 * kRadius + 1;
-  enc.codes.reserve(g.num_elements());
   // recon entries are anchors or quantizer round-trips: exactly
   // T-representable, so storing T halves the buffer bandwidth with
-  // bit-identical reads. Each holds the value the decoder will write.
-  NdArray<T> recon(arr.shape());
+  // bit-identical reads. Each holds the value the decoder will write; the
+  // anchors and the traversal write every element once, before any
+  // prediction reads it, so the buffer starts unfilled.
+  NdArray<T> recon(arr.shape(), kUnfilled);
+  const std::size_t anchors =
+      for_each_anchor(g, anchor_stride, [&](std::size_t lin) {
+        append_pod<T>(enc.anchors, data[lin]);
+        recon[lin] = data[lin];
+      });
+  // One code per element that is not an anchor.
+  enc.codes.resize(g.num_elements() - anchors);
+  std::uint32_t* code_dst = enc.codes.data();
 
-  // Anchors: exact values on the coarse grid.
-  std::array<std::size_t, 4> a{};
-  for (a[0] = 0; a[0] < g.dim[0]; a[0] += anchor_stride)
-    for (a[1] = 0; a[1] < g.dim[1]; a[1] += anchor_stride)
-      for (a[2] = 0; a[2] < g.dim[2]; a[2] += anchor_stride)
-        for (a[3] = 0; a[3] < g.dim[3]; a[3] += anchor_stride) {
-          const std::size_t lin = a[0] * g.stride[0] + a[1] * g.stride[1] +
-                                  a[2] * g.stride[2] + a[3];
-          append_pod<T>(enc.anchors, data[lin]);
-          recon[lin] = data[lin];
-        }
-
-  // Per-level quantizers built once: the constructor's reciprocal divide
-  // was previously paid per element.
-  const auto leb = level_eb_table(abs_eb, config.level_gamma);
-  std::vector<Q> quants;
-  quants.reserve(leb.size());
-  for (double eb : leb)
-    quants.push_back(make_quantizer<Q>(eb, config.quant_param, kRadius));
-  std::vector<double> predbuf(g.dim[3]);
+  const std::vector<Q> quants = level_quantizers<Q>(abs_eb, config);
+  std::array<double, kRowChunk> pred;
+  std::array<T, kRowChunk> xs, rs;
 
   traverse(g, anchor_stride,
            [&](const std::array<std::size_t, 4>& c, std::size_t base, int d,
-               std::size_t h, int level, std::size_t start3,
-               std::size_t step3) {
-             predict_row(g, recon.data(), c, d, h, config.cubic, base,
-                         start3, step3, predbuf.data());
-             const Q& quant = quants[level];
-             std::size_t i = 0;
-             for (std::size_t c3 = start3; c3 < g.dim[3];
-                  c3 += step3, ++i) {
-               const std::size_t lin = base + c3;
-               const double x = static_cast<double>(data[lin]);
-               double r = 0.0;
-               const std::uint32_t code =
-                   quant.template quantize<T>(x, predbuf[i], &r);
-               if (code == 0) {
-                 append_pod<T>(enc.unpred, static_cast<T>(x));
-                 r = x;
-               }
-               recon[lin] = static_cast<T>(r);
-               enc.codes.push_back(code);
-             }
+               std::size_t h, int level, std::size_t c3, std::size_t step3,
+               std::size_t n) {
+             predict_row(g, recon.data(), c, d, h, config.cubic, base, c3,
+                         step3, n, pred.data());
+             const std::size_t first = base + c3;
+             for (std::size_t i = 0; i < n; ++i)
+               xs[i] = data[first + i * step3];
+             const bool any_zero = quants[level].template quantize_row<T>(
+                 xs.data(), pred.data(), n, code_dst, rs.data());
+             for (std::size_t i = 0; i < n; ++i)
+               recon[first + i * step3] = rs[i];
+             if (any_zero)
+               for (std::size_t i = 0; i < n; ++i)
+                 if (code_dst[i] == 0) append_pod<T>(enc.unpred, xs[i]);
+             code_dst += n;
            });
   if (recon_out) *recon_out = Field("recon", std::move(recon));
   return enc;
@@ -309,7 +339,10 @@ InterpEncoding compress_impl(const NdArray<T>& arr, double abs_eb,
 // anchor stride the anchors and the traversal's targets partition the
 // grid, so every element is written exactly once; predictions read only
 // anchors and values of earlier passes, so none reads an element before it
-// is written and the output may start unfilled.
+// is written and the output may start unfilled. Each row piece checks the
+// code stream once, recovers the piece in one recover_row call, scatters
+// it, and then, only if some code is 0, overwrites those slots from the
+// unpredictable stream in order.
 template <typename T, typename Q>
 void decompress_impl(const BlobHeader& header, const InterpConfig& config,
                      std::span<const std::uint32_t> codes,
@@ -321,50 +354,45 @@ void decompress_impl(const BlobHeader& header, const InterpConfig& config,
   // Any other stride leaves elements unwritten and predicts from them.
   EBLCIO_CHECK_STREAM(std::has_single_bit(anchor_stride),
                       "interp: anchor stride is not a power of two");
-  const double abs_eb = header.abs_error_bound;
 
   ByteReader anchor_r(anchors);
   ByteReader unpred_r(unpred);
+  for_each_anchor(g, anchor_stride, [&](std::size_t lin) {
+    recon[lin] = anchor_r.read_pod<T>();
+  });
 
-  std::array<std::size_t, 4> a{};
-  for (a[0] = 0; a[0] < g.dim[0]; a[0] += anchor_stride)
-    for (a[1] = 0; a[1] < g.dim[1]; a[1] += anchor_stride)
-      for (a[2] = 0; a[2] < g.dim[2]; a[2] += anchor_stride)
-        for (a[3] = 0; a[3] < g.dim[3]; a[3] += anchor_stride) {
-          const std::size_t lin = a[0] * g.stride[0] + a[1] * g.stride[1] +
-                                  a[2] * g.stride[2] + a[3];
-          recon[lin] = anchor_r.read_pod<T>();
-        }
-
+  const std::vector<Q> quants =
+      level_quantizers<Q>(header.abs_error_bound, config);
+  std::array<double, kRowChunk> pred;
+  std::array<T, kRowChunk> rs;
   std::size_t code_idx = 0;
-  const auto leb = level_eb_table(abs_eb, config.level_gamma);
-  std::vector<Q> quants;
-  quants.reserve(leb.size());
-  for (double eb : leb)
-    quants.push_back(make_quantizer<Q>(eb, config.quant_param, kRadius));
-  std::vector<double> predbuf(g.dim[3]);
 
   traverse(g, anchor_stride,
            [&](const std::array<std::size_t, 4>& c, std::size_t base, int d,
-               std::size_t h, int level, std::size_t start3,
-               std::size_t step3) {
+               std::size_t h, int level, std::size_t c3, std::size_t step3,
+               std::size_t n) {
+             EBLCIO_CHECK_STREAM(n <= codes.size() - code_idx,
+                                 "interp: code stream underrun");
              // Predictions read only previous-level recon values, so
-             // computing the whole row up front (including slots that turn
-             // out unpredictable, where the value goes unused) is safe.
-             predict_row(g, recon, c, d, h, config.cubic, base, start3,
-                         step3, predbuf.data());
-             const Q& quant = quants[level];
-             std::size_t i = 0;
-             for (std::size_t c3 = start3; c3 < g.dim[3];
-                  c3 += step3, ++i) {
-               EBLCIO_CHECK_STREAM(code_idx < codes.size(),
-                                   "interp: code stream underrun");
-               const std::uint32_t code = codes[code_idx++];
-               recon[base + c3] =
-                   code == 0
-                       ? unpred_r.read_pod<T>()
-                       : static_cast<T>(quant.recover(predbuf[i], code));
+             // computing the whole piece up front (including slots that
+             // turn out unpredictable, where the value goes unused) is
+             // safe.
+             predict_row(g, recon, c, d, h, config.cubic, base, c3, step3, n,
+                         pred.data());
+             const std::uint32_t* cs = codes.data() + code_idx;
+             code_idx += n;
+             quants[level].template recover_row<T>(cs, pred.data(), n,
+                                                   rs.data());
+             const std::size_t first = base + c3;
+             int zeros = 0;
+             for (std::size_t i = 0; i < n; ++i) {
+               recon[first + i * step3] = rs[i];
+               zeros += cs[i] == 0;
              }
+             if (zeros)
+               for (std::size_t i = 0; i < n; ++i)
+                 if (cs[i] == 0)
+                   recon[first + i * step3] = unpred_r.read_pod<T>();
            });
   EBLCIO_CHECK_STREAM(code_idx == codes.size(),
                       "interp: code stream overrun");

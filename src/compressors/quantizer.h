@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace eblcio {
@@ -76,6 +77,47 @@ inline double round_quotient_half_away(double qf, double diff, double eb2) {
   if (near_half_tie(qf, d)) [[unlikely]]
     return round_half_away(diff / eb2);
   return y;
+}
+
+// quantize_row's contract as a per-element loop over quantize<T>: codes[k]
+// and recon[k] for x[k] predicted by pred[k] (recon[k] = x[k] where the
+// code is 0); returns whether any code is 0. The row path of the divide
+// and log quantizers, and LinearQuantizer's fallback for the rows its
+// kernel does not settle.
+template <typename T, typename Q>
+bool quantize_each(const Q& quant, const T* x, const double* pred,
+                   std::size_t n, std::uint32_t* codes, T* recon) {
+  bool any_zero = false;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double v = static_cast<double>(x[k]);
+    double r = v;
+    codes[k] = quant.template quantize<T>(v, pred[k], &r);
+    recon[k] = static_cast<T>(r);
+    any_zero |= codes[k] == 0;
+  }
+  return any_zero;
+}
+
+// The compiled entries of LinearQuantizer's row kernels (quantizer.cpp):
+// the same source built for the build's baseline target (kDefault) and for
+// AVX2 without FMA (kAvx2). Every entry emits the same bits; the library
+// compiles with -ffp-contract=off, so no entry fuses a multiply-add.
+enum class RowIsa : std::uint8_t { kDefault, kAvx2 };
+
+// The row length the kernels work on at a time: LinearQuantizer's entries
+// split longer rows into chunks of it, and the interpolation engine hands
+// out rows of at most this many targets.
+inline constexpr std::size_t kRowChunk = 256;
+
+// Whether this CPU runs `isa`'s entry (kDefault always).
+bool row_isa_supported(RowIsa isa);
+
+// The entry the row kernels run unless told otherwise: kAvx2 when the CPU
+// supports it, else kDefault. Chosen on the first call, fixed after.
+inline RowIsa selected_row_isa() {
+  static const RowIsa isa =
+      row_isa_supported(RowIsa::kAvx2) ? RowIsa::kAvx2 : RowIsa::kDefault;
+  return isa;
 }
 
 class LinearQuantizer {
@@ -132,111 +174,34 @@ class LinearQuantizer {
                                       static_cast<std::int64_t>(radius_));
   }
 
-  // Batch quantization of a regression-predicted row: pred_k = row0 +
-  // slope*k. Regression rows have no reconstruction feedback (unlike
-  // Lorenzo), so the loop is stride-1 and branch-free — written for the
-  // auto-vectorizer. Writes codes[k] and recon[k]; a code-0 slot leaves
-  // recon[k] = data[k] (exactly what the decompressor's unpredictable
-  // path materializes) and the caller appends data[k] to its
-  // unpredictable stream. Bit-identical to calling quantize<T>(data[k],
-  // row0 + slope*k, ...) per element: the vector pass accumulates a
-  // half-tie flag with the same detector the scalar path uses, and any
-  // row that trips it (vanishingly rare) is redone element-by-element
-  // through quantize<T>.
+  // Row kernels over a prediction buffer: element k of a row is x[k],
+  // predicted by pred[k]. quantize_row writes codes[k] and recon[k]
+  // exactly as quantize<T>(x[k], pred[k], ...) would, with recon[k] =
+  // x[k] in a code-0 slot (the value the decoder's unpredictable path
+  // restores), and returns whether any code is 0, so the caller scans for
+  // its unpredictable values only then. recover_row writes out[k] =
+  // static_cast<T>(recover(pred[k], codes[k])) for every k, code 0
+  // included: a placeholder the caller overwrites from its unpredictable
+  // stream. The buffers of one call must not overlap.
+  //
+  // Both are compiled twice in quantizer.cpp, once per RowIsa entry; `isa`
+  // picks one (it must be supported; the tests run each). The entry
+  // quantizes a row in chunks of kRowChunk with two loops per chunk: an
+  // all-double pass (quotient, range guard, nearest-even snap, half-tie
+  // flag) and a narrowing pass (T cast, bound check, code and recon
+  // stores). The AVX2 entry vectorizes both passes at -O3; the default
+  // entry's narrowing pass stays scalar on SSE2 targets. A row whose
+  // quotient grazes a half-integer tie, or a degenerate bound, is redone
+  // element by element through quantize<T>, so the row path never emits a
+  // bit the scalar path would not.
   template <typename T>
-  void quantize_row(const T* data, std::size_t n, double row0, double slope,
-                    std::uint32_t* codes, T* recon) const {
-    if (eb2_ <= 0.0) {  // degenerate bound: per-element scalar fallback
-      quantize_row_scalar(data, n, row0, slope, codes, recon);
-      return;
-    }
-    const double rad_guard = static_cast<double>(radius_) - 1;
-    // Chunked two-pass formulation: pass A is all-double (quantize +
-    // round + tie detect into stack buffers), pass B all-narrowing (T
-    // cast, bound check, code/recon stores). The split was made so each
-    // pass could vectorize, but at the library's flags (-O2) GCC 12.2
-    // vectorizes neither (-fopt-info-vec-all, both block_core.cpp
-    // instantiations): pass A stops at "no vectype for stmt" on its
-    // widening load, pass B at "control flow in loop". Both run as
-    // scalar loops. The chunk keeps the buffers in L1. Every element goes
-    // through the same operations in the same order as a fused loop, so
-    // the pass split cannot change a single emitted bit.
-    constexpr std::int32_t kChunk = 128;
-    double xb[kChunk];     // widened inputs
-    double predb[kChunk];  // regression predictions
-    double qdb[kChunk];    // rounded quotients (0.0 when out of range)
-    double inrb[kChunk];   // in-range flag as 1.0/0.0
-    double tieb[kChunk];   // half-tie flag as 1.0/0.0
-    // int32 induction: signed int->double is the one conversion SSE2
-    // vectorizes (u64->double lowers to a branchy sequence that blocks
-    // the vectorizer). Rows are dimension extents, far below 2^31.
-    const auto ni = static_cast<std::int32_t>(n);
-    std::int32_t any_tie = 0;
-    for (std::int32_t base = 0; base < ni; base += kChunk) {
-      const std::int32_t len = std::min(kChunk, ni - base);
-      // Pass A: pure double. The select to 0.0 keeps pass B's int
-      // conversion defined even for wildly out-of-range qf (scalar
-      // quantize() never reaches it); the bitwise & (not &&) keeps the
-      // body branch-free for the vectorizer. round_half_away is inlined
-      // with its snap distance exposed, so the half-tie detector shares
-      // the add/sub with the rounding itself.
-      for (std::int32_t k = 0; k < len; ++k) {
-        const double x = static_cast<double>(data[base + k]);
-        const double pred = row0 + slope * static_cast<double>(base + k);
-        const double qf = (x - pred) * inv_eb2_;
-        const bool in_range = std::fabs(qf) < rad_guard;
-        const double qc = in_range ? qf : 0.0;
-        const double y = (qc + kRoundMagic) - kRoundMagic;
-        const double dd = qc - y;
-        const double up = (dd == 0.5) & (qc > 0.0) ? 1.0 : 0.0;
-        const double dn = (dd == -0.5) & (qc < 0.0) ? 1.0 : 0.0;
-        xb[k] = x;
-        predb[k] = pred;
-        qdb[k] = (y + up) - dn;
-        inrb[k] = in_range ? 1.0 : 0.0;
-        tieb[k] = near_half_tie(qc, dd) ? 1.0 : 0.0;
-      }
-      // Pass B: narrowing. T cast, original-domain bound check, and the
-      // u32/T stores — the same expressions the fused body evaluated on
-      // the same pass-A values.
-      for (std::int32_t k = 0; k < len; ++k) {
-        const T cast = static_cast<T>(predb[k] + qdb[k] * eb2_);
-        const bool ok =
-            (inrb[k] != 0.0) &
-            (std::fabs(static_cast<double>(cast) - xb[k]) <= eb_);
-        codes[base + k] = ok ? static_cast<std::uint32_t>(
-                                   static_cast<std::int32_t>(qdb[k]) +
-                                   static_cast<std::int32_t>(radius_))
-                             : 0u;
-        recon[base + k] = ok ? cast : data[base + k];
-        any_tie |= static_cast<std::int32_t>(tieb[k] != 0.0);
-      }
-    }
-    // A row that grazed a half-integer tie re-runs through the scalar
-    // path, whose round_quotient_half_away settles the tie with an exact
-    // divide — keeping the batch path bit-identical to the scalar one.
-    if (any_tie) [[unlikely]]
-      quantize_row_scalar(data, n, row0, slope, codes, recon);
-  }
-
-  // Batch recovery of a regression-predicted row. Code-0 slots get a
-  // finite garbage value the caller overwrites from its unpredictable
-  // stream; nonzero slots are bit-identical to static_cast<T>(
-  // recover(row0 + slope*k, code)).
+  bool quantize_row(const T* x, const double* pred, std::size_t n,
+                    std::uint32_t* codes, T* recon,
+                    RowIsa isa = selected_row_isa()) const;
   template <typename T>
-  void recover_row(const std::uint32_t* codes, std::size_t n, double row0,
-                   double slope, T* out) const {
-    const double rad = static_cast<double>(radius_);
-    const auto ni = static_cast<std::int32_t>(n);  // see quantize_row
-    for (std::int32_t k = 0; k < ni; ++k) {
-      const double pred = row0 + slope * static_cast<double>(k);
-      // Codes are < 2^17, so the int32 detour is exact — and signed
-      // int->double is the conversion SSE2 vectorizes.
-      const double q =
-          static_cast<double>(static_cast<std::int32_t>(codes[k])) - rad;
-      out[k] = static_cast<T>(pred + q * eb2_);
-    }
-  }
+  void recover_row(const std::uint32_t* codes, const double* pred,
+                   std::size_t n, T* out,
+                   RowIsa isa = selected_row_isa()) const;
 
   // Inverse mapping for a nonzero code; the caller casts the result to T
   // and must track the cast value in its reconstruction state (mirroring
@@ -248,18 +213,6 @@ class LinearQuantizer {
   }
 
  private:
-  template <typename T>
-  void quantize_row_scalar(const T* data, std::size_t n, double row0,
-                           double slope, std::uint32_t* codes,
-                           T* recon) const {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double x = static_cast<double>(data[k]);
-      double r = x;
-      codes[k] = quantize<T>(x, row0 + slope * static_cast<double>(k), &r);
-      recon[k] = static_cast<T>(r);
-    }
-  }
-
   double eb_;
   double eb2_;
   double inv_eb2_;
@@ -300,30 +253,17 @@ class DivLinearQuantizer {
     return static_cast<std::uint32_t>(q + static_cast<std::int64_t>(radius_));
   }
 
+  // The row-kernel signatures as per-element loops.
   template <typename T>
-  void quantize_row(const T* data, std::size_t n, double row0, double slope,
+  bool quantize_row(const T* x, const double* pred, std::size_t n,
                     std::uint32_t* codes, T* recon) const {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double x = static_cast<double>(data[k]);
-      double r = x;
-      codes[k] = quantize<T>(x, row0 + slope * static_cast<double>(k), &r);
-      recon[k] = static_cast<T>(r);
-    }
+    return quantize_each(*this, x, pred, n, codes, recon);
   }
-
   template <typename T>
-  void recover_row(const std::uint32_t* codes, std::size_t n, double row0,
-                   double slope, T* out) const {
-    // Identical expression to LinearQuantizer::recover_row — decode never
-    // divides, so the two linear quantizers share one inverse mapping.
-    const double rad = static_cast<double>(radius_);
-    const auto ni = static_cast<std::int32_t>(n);
-    for (std::int32_t k = 0; k < ni; ++k) {
-      const double pred = row0 + slope * static_cast<double>(k);
-      const double q =
-          static_cast<double>(static_cast<std::int32_t>(codes[k])) - rad;
-      out[k] = static_cast<T>(pred + q * eb2_);
-    }
+  void recover_row(const std::uint32_t* codes, const double* pred,
+                   std::size_t n, T* out) const {
+    for (std::size_t k = 0; k < n; ++k)
+      out[k] = static_cast<T>(recover(pred[k], codes[k]));
   }
 
   double recover(double pred, std::uint32_t code) const {
@@ -383,29 +323,20 @@ class LogQuantizer {
     return static_cast<std::uint32_t>(q + static_cast<std::int64_t>(radius_));
   }
 
+  // The row-kernel signatures as per-element loops.
   template <typename T>
-  void quantize_row(const T* data, std::size_t n, double row0, double slope,
+  bool quantize_row(const T* x, const double* pred, std::size_t n,
                     std::uint32_t* codes, T* recon) const {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double x = static_cast<double>(data[k]);
-      double r = x;
-      codes[k] = quantize<T>(x, row0 + slope * static_cast<double>(k), &r);
-      recon[k] = static_cast<T>(r);
-    }
+    return quantize_each(*this, x, pred, n, codes, recon);
   }
-
   template <typename T>
-  void recover_row(const std::uint32_t* codes, std::size_t n, double row0,
-                   double slope, T* out) const {
-    for (std::size_t k = 0; k < n; ++k) {
-      // Code-0 slots are overwritten by the caller from the unpredictable
-      // stream; skip them so the placeholder stays a benign constant
-      // rather than an exp of an extreme argument.
-      out[k] = codes[k]
-                   ? static_cast<T>(recover(
-                         row0 + slope * static_cast<double>(k), codes[k]))
-                   : T{0};
-    }
+  void recover_row(const std::uint32_t* codes, const double* pred,
+                   std::size_t n, T* out) const {
+    // Code-0 slots are overwritten by the caller from the unpredictable
+    // stream; skip them so the placeholder stays a benign constant rather
+    // than an exp of an extreme argument.
+    for (std::size_t k = 0; k < n; ++k)
+      out[k] = codes[k] ? static_cast<T>(recover(pred[k], codes[k])) : T{0};
   }
 
   double recover(double pred, std::uint32_t code) const {

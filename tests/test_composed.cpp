@@ -21,7 +21,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -199,31 +201,203 @@ TEST(QuantizerTies, RadiusGuardSplitsRecipFromDivide) {
   EXPECT_EQ(div.quantize<double>(value, 0.0, &r2), 0u);
 }
 
-// The vectorized row path must stay bit-identical to the scalar path even
-// when the row contains half-integer ties (the any_tie redo).
-TEST(QuantizerTies, RowPathMatchesScalarOnTies) {
-  const double eb = 0.25;  // eb2 = 0.5 (exact, so ties are hit exactly)
-  const LinearQuantizer quant(eb);
-  const double row0 = 1.0, slope = 0.125;
-  constexpr std::size_t kN = 64;
-  double data[kN];
-  Rng rng(7);
-  for (std::size_t k = 0; k < kN; ++k) {
-    const double pred = row0 + slope * static_cast<double>(k);
-    // Every third element sits exactly on a half-integer quotient.
-    data[k] = (k % 3 == 0)
-                  ? pred + (static_cast<double>(k % 7) + 0.5) * 0.5
-                  : pred + (rng.next_double() - 0.5) * 4.0;
+// --- Row kernels -----------------------------------------------------------
+
+// Every compiled row-kernel entry this host runs: the default always, AVX2
+// where the CPU has it.
+std::vector<RowIsa> host_row_isas() {
+  std::vector<RowIsa> isas{RowIsa::kDefault};
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) isas.push_back(RowIsa::kAvx2);
+#endif
+  return isas;
+}
+
+const char* isa_name(RowIsa isa) {
+  return isa == RowIsa::kAvx2 ? "avx2" : "default";
+}
+
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// One row of inputs and predictions.
+template <typename T>
+struct Row {
+  std::vector<T> x;
+  std::vector<double> pred;
+};
+
+// A row of n elements for bound eb: mostly in-range residuals, with every
+// 7th residual at the radius guard (just under, on, or over radius - 1),
+// every 11th input special (NaN, +-inf, a subnormal, -0), every 13th
+// prediction non-finite, and, when `tie`, one exact or near half-integer
+// quotient in the middle of the row.
+template <typename T>
+Row<T> make_row(std::size_t n, double eb, bool tie, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double eb2 = 2.0 * eb;
+  const double special[] = {std::nan(""),
+                            kInf,
+                            -kInf,
+                            std::numeric_limits<T>::denorm_min() * 3,
+                            -std::numeric_limits<T>::min() / 4,
+                            -0.0};
+  const double guard[] = {32766.0, 32766.5, 32767.0 - 1e-9, 32767.0,
+                          32767.5};
+  Row<T> row;
+  row.x.resize(n);
+  row.pred.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    // Predictions on a 1/8 grid keep exact ties T-representable.
+    const double p = std::round((rng.next_double() - 0.5) * 800.0) / 8.0;
+    double v = p + (rng.next_double() - 0.5) * 64.0 * eb2;
+    if (k % 7 == 3) {
+      const double q = guard[rng.next_below(5)];
+      v = p + (rng.next_below(2) ? q : -q) * eb2;
+    }
+    if (k % 11 == 5) v = special[rng.next_below(6)];
+    row.x[k] = static_cast<T>(v);
+    row.pred[k] = k % 13 == 9 ? special[rng.next_below(3)] : p;
   }
-  std::uint32_t row_codes[kN];
-  double row_recon[kN];
-  quant.quantize_row<double>(data, kN, row0, slope, row_codes, row_recon);
-  for (std::size_t k = 0; k < kN; ++k) {
-    double r = data[k];
-    const auto c = quant.quantize<double>(
-        data[k], row0 + slope * static_cast<double>(k), &r);
-    ASSERT_EQ(row_codes[k], c) << "row/scalar divergence at k=" << k;
-    ASSERT_EQ(row_recon[k], r) << "row/scalar recon divergence at k=" << k;
+  if (tie) {
+    const std::size_t k = n / 2;
+    const double m = static_cast<double>(rng.next_below(200)) - 100.0;
+    row.pred[k] = 0.25 * static_cast<double>(rng.next_below(64));
+    row.x[k] = static_cast<T>(row.pred[k] + (m + 0.5) * eb2);
+  }
+  return row;
+}
+
+// quantize_row and recover_row of `quant` (through `isa` when given)
+// against per-element quantize<T>/recover: codes, reconstruction bits, the
+// any-zero result, and every recovered nonzero-code element.
+template <typename T, typename Q, typename... Isa>
+::testing::AssertionResult row_matches_scalar(const Q& quant,
+                                              const Row<T>& row,
+                                              Isa... isa) {
+  const std::size_t n = row.x.size();
+  std::vector<std::uint32_t> codes(n, 0xdeadbeefu);
+  std::vector<T> recon(n, T{-7});
+  const bool any_zero = quant.template quantize_row<T>(
+      row.x.data(), row.pred.data(), n, codes.data(), recon.data(), isa...);
+  bool ref_zero = false;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double v = static_cast<double>(row.x[k]);
+    double r = v;
+    const std::uint32_t code = quant.template quantize<T>(v, row.pred[k], &r);
+    ref_zero |= code == 0;
+    if (codes[k] != code || !same_bits(recon[k], static_cast<T>(r)))
+      return ::testing::AssertionFailure()
+             << "quantize_row diverges at k=" << k << " of n=" << n
+             << ": x=" << v << " pred=" << row.pred[k] << " code "
+             << codes[k] << " vs " << code;
+  }
+  if (any_zero != ref_zero)
+    return ::testing::AssertionFailure()
+           << "any-zero " << any_zero << " vs " << ref_zero << " (n=" << n
+           << ")";
+  std::vector<T> out(n);
+  quant.template recover_row<T>(codes.data(), row.pred.data(), n,
+                                out.data(), isa...);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (codes[k] == 0) continue;
+    const T ref = static_cast<T>(quant.recover(row.pred[k], codes[k]));
+    if (!same_bits(out[k], ref))
+      return ::testing::AssertionFailure()
+             << "recover_row diverges at k=" << k << " of n=" << n;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+template <typename T>
+void check_linear_rows(RowIsa isa) {
+  SCOPED_TRACE(isa_name(isa));
+  Rng rng(isa == RowIsa::kAvx2 ? 0xa2 : 0xd0);
+  // 0.25: eb2 = 0.5 makes constructed ties exact; 0.3: 1/eb2 is inexact,
+  // so ties land within an ulp; the others: a typical bound, the bound at
+  // which the reciprocal and the divide split at the radius guard, a
+  // subnormal bound (1/eb2 overflows) and eb = 0.
+  for (const double eb : {0.25, 0.3}) {
+    const LinearQuantizer quant(eb);
+    for (std::size_t n = 1; n <= 2 * kRowChunk + 1; ++n)
+      for (const bool tie : {false, true})
+        ASSERT_TRUE(row_matches_scalar(quant, make_row<T>(n, eb, tie, rng),
+                                       isa))
+            << "eb=" << eb << " tie=" << tie;
+  }
+  for (const double eb : {1e-3, 0.4745943310917578, 1e-310, 0.0}) {
+    const LinearQuantizer quant(eb);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7}, kRowChunk,
+                                kRowChunk + 1, 2 * kRowChunk + 1})
+      for (const bool tie : {false, true})
+        ASSERT_TRUE(row_matches_scalar(quant, make_row<T>(n, eb, tie, rng),
+                                       isa))
+            << "eb=" << eb << " tie=" << tie;
+  }
+  // The reciprocal's radius-guard split, as one element of a longer row.
+  if constexpr (std::is_same_v<T, double>) {
+    const LinearQuantizer quant(0.4745943310917578);
+    Row<T> row = make_row<T>(40, 0.4745943310917578, false, rng);
+    row.x[20] = 31102.064893767256;
+    row.pred[20] = 0.0;
+    ASSERT_TRUE(row_matches_scalar(quant, row, isa));
+  }
+  // Corrupt codes: recover_row must equal recover for every u32 code.
+  const LinearQuantizer quant(1e-2);
+  std::vector<std::uint32_t> codes(2 * kRowChunk + 1);
+  std::vector<double> pred(codes.size());
+  for (std::size_t k = 0; k < codes.size(); ++k) {
+    codes[k] = static_cast<std::uint32_t>(rng.next_u64());
+    pred[k] = rng.next_double() * 10.0;
+  }
+  codes[0] = 0;
+  codes[1] = 0xffffffffu;
+  codes[2] = 0x80000000u;
+  std::vector<T> out(codes.size());
+  quant.recover_row<T>(codes.data(), pred.data(), codes.size(), out.data(),
+                       isa);
+  for (std::size_t k = 0; k < codes.size(); ++k)
+    ASSERT_TRUE(
+        same_bits(out[k], static_cast<T>(quant.recover(pred[k], codes[k]))))
+        << "code " << codes[k];
+}
+
+// The row entries must stay bit-identical to per-element quantize<T> and
+// recover on every host entry: every row length up to two chunks and one,
+// half-integer ties (the redo path), residuals at the radius guard,
+// non-finite and subnormal data, and eb = 0.
+TEST(QuantizerTies, RowPathMatchesScalarOnTies) {
+  const std::vector<RowIsa> isas = host_row_isas();
+  // The process runs the AVX2 entry wherever the CPU has it.
+  EXPECT_EQ(selected_row_isa(), isas.back());
+  for (const RowIsa isa : isas) {
+    ASSERT_TRUE(row_isa_supported(isa));
+    check_linear_rows<float>(isa);
+    check_linear_rows<double>(isa);
+  }
+  // The default argument runs the selected entry.
+  Rng rng(5);
+  const LinearQuantizer quant(0.25);
+  EXPECT_TRUE(row_matches_scalar(quant, make_row<float>(300, 0.25, true, rng)));
+}
+
+// The divide and log quantizers' rows are per-element loops over the same
+// calls; they must agree with them too (the log quantizer leaves a code-0
+// slot at 0 in recover_row, which the caller overwrites).
+TEST(QuantizerTies, DivideAndLogRowsMatchPerElement) {
+  Rng rng(0x10c);
+  for (const double eb : {0.25, 1e-3, 0.0}) {
+    const DivLinearQuantizer div(eb);
+    const LogQuantizer log(eb, 400.0);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{16}, kRowChunk,
+                                2 * kRowChunk + 1}) {
+      EXPECT_TRUE(row_matches_scalar(div, make_row<float>(n, eb, true, rng)));
+      EXPECT_TRUE(row_matches_scalar(div, make_row<double>(n, eb, true, rng)));
+      EXPECT_TRUE(row_matches_scalar(log, make_row<float>(n, eb, true, rng)));
+      EXPECT_TRUE(row_matches_scalar(log, make_row<double>(n, eb, true, rng)));
+    }
   }
 }
 

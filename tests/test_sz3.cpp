@@ -265,5 +265,53 @@ TEST(Interp, CompressReconstructionEqualsDecodeByteForByte) {
   EXPECT_GT(unpredictable, 0u);  // the code-0 path ran
 }
 
+// The decoder checks the code stream once per row piece and reads the
+// unpredictable stream as it scatters a piece, so streams cut inside a
+// row, inside a piece or between pieces of a long 1D row must still throw
+// CorruptStream from both decode entry points.
+TEST(Interp, DecodeRejectsStreamsCutMidRow) {
+  const std::vector<std::vector<std::size_t>> shapes = {{3001}, {19, 13, 40}};
+  for (const auto& dims : shapes)
+    for (DType dtype : {DType::kFloat32, DType::kFloat64}) {
+      const Field f = dtype == DType::kFloat32 ? wavy_field<float>(dims, true)
+                                               : wavy_field<double>(dims, true);
+      BlobHeader header;
+      header.codec = "SZ3";
+      header.dtype = dtype;
+      header.dims = dims;
+      header.abs_error_bound = 1e-5;
+      const InterpConfig config;
+      const InterpEncoding enc = interp_compress(f, 1e-5, config);
+      const std::size_t value = dtype_size(dtype);
+      ASSERT_GT(enc.codes.size(), 300u);
+      ASSERT_GE(enc.unpred.size(), 4 * value);
+      const std::string what = std::to_string(dims.size()) + "D " +
+                               dtype_name(dtype);
+      const auto expect_corrupt = [&](std::span<const std::uint32_t> codes,
+                                      std::span<const std::byte> unpred,
+                                      const std::string& cut) {
+        EXPECT_THROW(
+            (void)interp_decompress(header, config, codes, enc.anchors,
+                                    unpred),
+            CorruptStream)
+            << what << ' ' << cut;
+        Field out = unfilled_field("out", dtype, f.shape());
+        EXPECT_THROW(interp_decompress_into(header, config, codes,
+                                            enc.anchors, unpred, out, 0),
+                     CorruptStream)
+            << what << ' ' << cut;
+      };
+      const std::span<const std::uint32_t> codes(enc.codes);
+      const std::span<const std::byte> unpred(enc.unpred);
+      for (const std::size_t cut : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{100}, std::size_t{259}})
+        expect_corrupt(codes.first(codes.size() - cut), unpred,
+                       "codes - " + std::to_string(cut));
+      for (const std::size_t cut : {std::size_t{1}, value, 3 * value})
+        expect_corrupt(codes, unpred.first(unpred.size() - cut),
+                       "unpred - " + std::to_string(cut) + " bytes");
+    }
+}
+
 }  // namespace
 }  // namespace eblcio
