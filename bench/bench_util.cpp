@@ -310,7 +310,8 @@ bool write_json_file(const std::string& path, const JsonObject& json) {
 #else
       .set("ndebug", std::uint64_t{0})
 #endif
-      .set("compiler", std::string(__VERSION__));
+      .set("compiler", std::string(__VERSION__))
+      .set("build_type", std::string(EBLCIO_BUILD_TYPE));
   JsonObject stamped = json;
   stamped.set("meta", meta);
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -191,9 +191,9 @@ class JsonObject {
 };
 
 // Writes `json.dump()` to `path` (truncating), with a trailing "meta"
-// object added: nproc, optimize, ndebug and compiler, the host and build
-// keys scripts/check_perf_baseline.py refuses to gate across. Returns
-// false on I/O error.
+// object added: nproc, optimize, ndebug, compiler and the CMake
+// build_type, the host and build keys scripts/check_perf_baseline.py
+// refuses to gate across. Returns false on I/O error.
 bool write_json_file(const std::string& path, const JsonObject& json);
 
 // The one driver every grid bench runs through.

@@ -5,14 +5,15 @@
 //
 // Unlike the figure benches this binary is a perf harness: each kernel runs
 // --reps times and the best (least-noisy) wall time is reported, as a text
-// table and as machine-readable BENCH_codecs.json (see --json). CI's
-// Release leg runs it and fails when a gated kernel (the Huffman coders,
-// the NYX SZ3 slab decode, the row quantizer, sz2_roundtrip, lz_compress,
-// value_range) regresses more than 25% against
-// bench/baselines/BENCH_codecs.json,
-// normalized by an in-run reference or by the memcpy calibration row to
-// damp machine-to-machine variance (scripts/check_perf_baseline.py; see
-// src/codec/README.md for how to refresh the baseline).
+// table and as machine-readable BENCH_codecs.json (see --json). A gated
+// row and the in-run referee it is normalized by run in alternation, rep
+// by rep. CI's Release leg runs it and fails when a gated kernel (the
+// Huffman coders, the NYX SZ3 slab decode, the row quantizer,
+// sz2_roundtrip, lz_compress, value_range) regresses more than 25% against
+// bench/baselines/BENCH_codecs.json, normalized by an in-run reference or
+// by the memcpy calibration row to damp machine-to-machine variance
+// (scripts/check_perf_baseline.py; see src/codec/README.md for how to
+// refresh the baseline).
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -153,24 +154,43 @@ struct KernelResult {
   double msyms() const { return items > 0 ? items / seconds / 1e6 : 0.0; }
 };
 
-// Runs `fn` reps times, keeping the fastest wall time. The volatile sink
-// defeats dead-code elimination across all kernels.
+// The wall time of one run of `fn`. The volatile sink defeats dead-code
+// elimination across all kernels.
 volatile std::size_t g_sink = 0;
 
 template <typename F>
+double time_once(F& fn) {
+  WallTimer t;
+  g_sink = g_sink + fn();
+  return t.elapsed_s();
+}
+
+// Runs `fn` reps times, keeping the fastest wall time.
+template <typename F>
 KernelResult run_kernel(const std::string& name, int reps, double bytes,
                         double items, F&& fn) {
-  KernelResult r;
-  r.name = name;
-  r.bytes = bytes;
-  r.items = items;
-  r.seconds = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    WallTimer t;
-    g_sink = g_sink + fn();
-    r.seconds = std::min(r.seconds, t.elapsed_s());
-  }
+  KernelResult r{name, 1e30, bytes, items};
+  for (int i = 0; i < reps; ++i)
+    r.seconds = std::min(r.seconds, time_once(fn));
   return r;
+}
+
+// A gated row and its in-run referee, run in alternation rep by rep (row,
+// referee, row, referee, ...), each keeping its fastest wall time, so a
+// slow phase of the host lands on both halves of the pair the gate
+// divides. Appends the row, then the referee.
+template <typename F, typename G>
+void run_pair(std::vector<KernelResult>& rows, const std::string& name,
+              const std::string& referee, int reps, double bytes,
+              double items, F&& fn, G&& ref) {
+  KernelResult a{name, 1e30, bytes, items};
+  KernelResult b{referee, 1e30, bytes, items};
+  for (int i = 0; i < reps; ++i) {
+    a.seconds = std::min(a.seconds, time_once(fn));
+    b.seconds = std::min(b.seconds, time_once(ref));
+  }
+  rows.push_back(a);
+  rows.push_back(b);
 }
 
 }  // namespace
@@ -226,44 +246,33 @@ int main(int argc, char** argv) {
         return static_cast<std::size_t>(r.max > r.min);
       }));
 
-  rows.push_back(run_kernel(
-      "huffman_encode", reps, 0, static_cast<double>(syms.size()),
-      [&] { return huffman_encode(syms, 65537).size(); }));
-  rows.push_back(run_kernel(
-      "huffman_encode_reference", reps, 0, static_cast<double>(syms.size()),
-      [&] { return huffman_encode_reference(syms, 65537).size(); }));
-  rows.push_back(run_kernel(
-      "huffman_encode_lowent", reps, 0,
-      static_cast<double>(syms_lowent.size()),
-      [&] { return huffman_encode(syms_lowent, 64).size(); }));
-  rows.push_back(run_kernel(
-      "huffman_encode_reference_lowent", reps, 0,
-      static_cast<double>(syms_lowent.size()),
-      [&] { return huffman_encode_reference(syms_lowent, 64).size(); }));
-  rows.push_back(run_kernel(
-      "huffman_decode", reps, 0, static_cast<double>(syms.size()),
-      [&] { return huffman_decode(huff_blob).size(); }));
-  rows.push_back(run_kernel(
-      "huffman_decode_reference", reps, 0, static_cast<double>(syms.size()),
-      [&] { return huffman_decode_reference(huff_blob).size(); }));
+  run_pair(
+      rows, "huffman_encode", "huffman_encode_reference", reps, 0,
+      static_cast<double>(syms.size()),
+      [&] { return huffman_encode(syms, 65537).size(); },
+      [&] { return huffman_encode_reference(syms, 65537).size(); });
+  run_pair(
+      rows, "huffman_encode_lowent", "huffman_encode_reference_lowent", reps,
+      0, static_cast<double>(syms_lowent.size()),
+      [&] { return huffman_encode(syms_lowent, 64).size(); },
+      [&] { return huffman_encode_reference(syms_lowent, 64).size(); });
+  run_pair(
+      rows, "huffman_decode", "huffman_decode_reference", reps, 0,
+      static_cast<double>(syms.size()),
+      [&] { return huffman_decode(huff_blob).size(); },
+      [&] { return huffman_decode_reference(huff_blob).size(); });
 
-  rows.push_back(run_kernel(
-      "huffman_decode_lowent", reps, 0,
-      static_cast<double>(syms_lowent.size()),
-      [&] { return huffman_decode(huff_blob_lowent).size(); }));
-  rows.push_back(run_kernel(
-      "huffman_decode_reference_lowent", reps, 0,
-      static_cast<double>(syms_lowent.size()),
-      [&] { return huffman_decode_reference(huff_blob_lowent).size(); }));
+  run_pair(
+      rows, "huffman_decode_lowent", "huffman_decode_reference_lowent", reps,
+      0, static_cast<double>(syms_lowent.size()),
+      [&] { return huffman_decode(huff_blob_lowent).size(); },
+      [&] { return huffman_decode_reference(huff_blob_lowent).size(); });
 
-  rows.push_back(run_kernel(
-      "huffman_decode_sz3", reps, 0,
+  run_pair(
+      rows, "huffman_decode_sz3", "huffman_decode_reference_sz3", reps, 0,
       static_cast<double>(sz3_codes.codes.size()),
-      [&] { return huffman_decode(huff_blob_sz3).size(); }));
-  rows.push_back(run_kernel(
-      "huffman_decode_reference_sz3", reps, 0,
-      static_cast<double>(sz3_codes.codes.size()),
-      [&] { return huffman_decode_reference(huff_blob_sz3).size(); }));
+      [&] { return huffman_decode(huff_blob_sz3).size(); },
+      [&] { return huffman_decode_reference(huff_blob_sz3).size(); });
 
   rows.push_back(run_kernel(
       "lz_compress", reps, static_cast<double>(corpus.size()), 0,
@@ -310,25 +319,27 @@ int main(int argc, char** argv) {
   {
     const LinearQuantizer quant(qrows.eb);
     const auto items = static_cast<double>(qrows.x.size());
-    rows.push_back(run_kernel("quantize_rows", reps, 0, items, [&] {
-      std::size_t zeros = 0;
-      for (std::size_t i = 0; i < qrows.x.size(); i += qrows.row_len)
-        zeros += quant.quantize_row<float>(
-            qrows.x.data() + i, qrows.pred.data() + i, qrows.row_len,
-            row_codes.data() + i, row_recon.data() + i);
-      return zeros;
-    }));
-    rows.push_back(run_kernel("quantize_rows_reference", reps, 0, items, [&] {
-      std::size_t zeros = 0;
-      for (std::size_t i = 0; i < qrows.x.size(); ++i) {
-        const double v = qrows.x[i];
-        double r = v;
-        ref_codes[i] = quant.quantize<float>(v, qrows.pred[i], &r);
-        ref_recon[i] = static_cast<float>(r);
-        zeros += ref_codes[i] == 0;
-      }
-      return zeros;
-    }));
+    run_pair(
+        rows, "quantize_rows", "quantize_rows_reference", reps, 0, items,
+        [&] {
+          std::size_t zeros = 0;
+          for (std::size_t i = 0; i < qrows.x.size(); i += qrows.row_len)
+            zeros += quant.quantize_row<float>(
+                qrows.x.data() + i, qrows.pred.data() + i, qrows.row_len,
+                row_codes.data() + i, row_recon.data() + i);
+          return zeros;
+        },
+        [&] {
+          std::size_t zeros = 0;
+          for (std::size_t i = 0; i < qrows.x.size(); ++i) {
+            const double v = qrows.x[i];
+            double r = v;
+            ref_codes[i] = quant.quantize<float>(v, qrows.pred[i], &r);
+            ref_recon[i] = static_cast<float>(r);
+            zeros += ref_codes[i] == 0;
+          }
+          return zeros;
+        });
   }
 
   const double fb = static_cast<double>(field.size_bytes());

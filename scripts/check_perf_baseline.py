@@ -36,11 +36,12 @@ and hide in the ratio), a second, looser memcpy-normalized gate
 normalize against `memcpy` for the informational report.
 
 Every BENCH_*.json carries a "meta" object with the host and build keys
-bench/e2e/compare.py matches on (nproc, optimize, ndebug, compiler). When
-both files carry them and any differs, the check refuses to gate: a
-normalized ratio taken across core counts or build flags says nothing
-about the code. A file without them is reported as unstamped and gated as
-before.
+bench/e2e/compare.py matches on (nproc, optimize, ndebug, compiler) plus
+the CMake build_type, which tells a -O2 RelWithDebInfo run from a -O3
+Release one (both define __OPTIMIZE__ and NDEBUG). When both files carry
+them and any differs, the check refuses to gate: a normalized ratio taken
+across core counts, build types or compilers says nothing about the code.
+A file without them is reported as unstamped and gated as before.
 
 Only kernels listed via --kernel gate the build (default: the five
 Huffman rows, quantize_rows, sz2_roundtrip, lz_compress and value_range
@@ -67,7 +68,7 @@ import json
 import shutil
 import sys
 
-META_KEYS = ("nproc", "optimize", "ndebug", "compiler")
+META_KEYS = ("nproc", "optimize", "ndebug", "compiler", "build_type")
 
 
 def throughput(kernels: dict, name: str) -> float:

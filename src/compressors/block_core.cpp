@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -612,7 +613,7 @@ class PooledScratch {
 
 template <typename T, typename Q, typename Cache>
 BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
-                            BlockPredictor pred) {
+                            BlockPredictor pred, Field* recon_out) {
   const Geometry g = Geometry::from_dims(arr.shape().dims_vector());
   const T* data = arr.data();
   const bool reg_allowed = regression_allowed(pred, g.real_dims);
@@ -623,10 +624,19 @@ BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
   std::uint32_t* code_dst = enc.codes.data();
   // recon holds values the decompressor materializes: every entry is the
   // T-cast of a prediction+residual, hence exactly T-representable — storing
-  // T halves the buffer bandwidth with bit-identical reads.
+  // T halves the buffer bandwidth with bit-identical reads. A caller that
+  // keeps it gets it as its own array, which starts unfilled: the block
+  // walk writes every element before any prediction reads it, as the
+  // decoder's walk does in its unfilled output.
   using ReconT = T;
-  PooledScratch<ReconT> recon_scratch(g.num_elements());
-  ReconT* const recon = recon_scratch.data();
+  std::optional<PooledScratch<ReconT>> recon_scratch;
+  NdArray<ReconT> recon_kept;
+  if (recon_out)
+    recon_kept = NdArray<ReconT>(arr.shape(), kUnfilled);
+  else
+    recon_scratch.emplace(g.num_elements());
+  ReconT* const recon =
+      recon_out ? recon_kept.data() : recon_scratch->data();
 
   // All boundary stencils precomputed once; rows index by depth signature.
   const Cache stencils(g);
@@ -681,6 +691,7 @@ BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
           code_dst += n;
         });
   }
+  if (recon_out) *recon_out = Field("recon", std::move(recon_kept));
   return enc;
 }
 
@@ -863,10 +874,10 @@ Field decompress_region_impl(const BlobHeader& header, const Q& quant,
 
 template <typename T, typename Q>
 BlockEncoding compress_cache_dispatch(const NdArray<T>& arr, const Q& quant,
-                                      BlockPredictor pred) {
+                                      BlockPredictor pred, Field* recon) {
   if (pred == BlockPredictor::kLorenzo2)
-    return compress_impl<T, Q, Stencil2Cache>(arr, quant, pred);
-  return compress_impl<T, Q, StencilCache>(arr, quant, pred);
+    return compress_impl<T, Q, Stencil2Cache>(arr, quant, pred, recon);
+  return compress_impl<T, Q, StencilCache>(arr, quant, pred, recon);
 }
 
 // Runtime -> compile-time dispatch of a decode kernel: invokes
@@ -892,12 +903,13 @@ auto with_decode_kernel(const BlobHeader& header, BlockPredictor pred,
 
 BlockEncoding block_compress(const Field& field, double abs_eb,
                              BlockPredictor pred, QuantizerId quant,
-                             double quant_param) {
+                             double quant_param, Field* recon) {
   return with_quantizer(quant, abs_eb, quant_param, [&](auto q) {
     return field.dtype() == DType::kFloat32
-               ? compress_cache_dispatch<float>(field.as<float>(), q, pred)
-               : compress_cache_dispatch<double>(field.as<double>(), q,
-                                                 pred);
+               ? compress_cache_dispatch<float>(field.as<float>(), q, pred,
+                                                recon)
+               : compress_cache_dispatch<double>(field.as<double>(), q, pred,
+                                                 recon);
   });
 }
 

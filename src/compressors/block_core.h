@@ -48,10 +48,13 @@ struct BlockEncoding {
 
 // Compresses one field (or slab). `quant_param` is the quantizer's
 // field-dependent parameter (see make_quantizer); pass 0 for the linear
-// quantizers.
+// quantizers. The encoder predicts from the values the decoder will
+// reconstruct. When `recon` is non-null that buffer is built as the field
+// moved into it (no copy), holding exactly what block_decompress of the
+// encoding yields, byte for byte; otherwise it lives in pooled scratch.
 BlockEncoding block_compress(const Field& field, double abs_eb,
                              BlockPredictor pred, QuantizerId quant,
-                             double quant_param);
+                             double quant_param, Field* recon = nullptr);
 
 // Reconstructs the field `header` describes from streams produced by
 // block_compress with the same (dims, abs_eb, pred, quant, quant_param)

@@ -80,13 +80,13 @@ Field merge_slabs(const std::vector<Field>& slabs,
 
 Bytes compress_chunked(const BlobHeader& header, const Field& field,
                        const CompressOptions& opt,
-                       const PayloadCompressFn& kernel) {
+                       const PayloadCompressFn& kernel, Field* recon) {
   Bytes out;
   header.encode(out);
 
   if (opt.threads <= 1 || field.shape().dim(0) < 2) {
     append_pod<std::uint8_t>(out, kLayoutSingle);
-    Bytes payload = kernel(field, header, opt);
+    Bytes payload = kernel(field, header, recon);
     append_pod<std::uint64_t>(out, payload.size());
     append_bytes(out, payload);
     return out;
@@ -94,12 +94,10 @@ Bytes compress_chunked(const BlobHeader& header, const Field& field,
 
   auto slabs = split_slabs(field, opt.threads);
   std::vector<Bytes> blobs(slabs.size());
-  CompressOptions serial_opt = opt;
-  serial_opt.threads = 1;
   parallel_for(slabs.size(), opt.threads, [&](std::size_t i) {
     BlobHeader slab_header = header;
     slab_header.dims = slabs[i].shape().dims_vector();
-    blobs[i] = kernel(slabs[i], slab_header, serial_opt);
+    blobs[i] = kernel(slabs[i], slab_header, nullptr);
   });
 
   append_pod<std::uint8_t>(out, kLayoutChunked);

@@ -21,7 +21,10 @@ namespace eblcio {
 
 // Codec kernels operate on header+payload; the chunk container owns the
 // framing. The header passed to a kernel carries the dims of the (sub)field
-// it must handle and the absolute error bound for the *whole* field.
+// it must handle and the absolute error bound for the *whole* field. A
+// compress kernel's `recon` is the caller's reconstruction slot
+// (Compressor::compress): non-null only for the single layout, and a
+// kernel that builds no reconstruction leaves it empty.
 //
 // A decompress kernel decodes into the header.num_elements() elements of
 // header.dtype that start at element `offset` of `out` (the caller has
@@ -30,7 +33,7 @@ namespace eblcio {
 // before writing it, and touches nothing else in `out`. Kernels of
 // different chunks run concurrently on disjoint rows.
 using PayloadCompressFn = std::function<Bytes(
-    const Field& field, const BlobHeader& header, const CompressOptions&)>;
+    const Field& field, const BlobHeader& header, Field* recon)>;
 using PayloadDecompressFn =
     std::function<void(const BlobHeader& header,
                        std::span<const std::byte> payload, Field& out,
@@ -64,10 +67,11 @@ Field merge_slabs(const std::vector<Field>& slabs,
 // Compresses with slab parallelism: runs `kernel` on each slab as tasks on
 // the shared executor (at most opt.threads concurrent slab tasks). Falls
 // back to a single chunk when opt.threads <= 1 or the field cannot be
-// split.
+// split; only that single chunk's kernel is handed `recon`.
 Bytes compress_chunked(const BlobHeader& header, const Field& field,
                        const CompressOptions& opt,
-                       const PayloadCompressFn& kernel);
+                       const PayloadCompressFn& kernel,
+                       Field* recon = nullptr);
 
 // Decodes a blob produced by compress_chunked (either layout) into rows
 // [row_start, row_start + dims[0]) of `out`, each chunk's kernel writing

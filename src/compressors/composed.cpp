@@ -169,7 +169,8 @@ CompressorCaps ComposedCompressor::caps() const {
 }
 
 Bytes ComposedCompressor::compress(const Field& field,
-                                   const CompressOptions& opt) {
+                                   const CompressOptions& opt,
+                                   Field* /*recon*/) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "composed codecs are error-bounded lossy compressors");
 
@@ -180,7 +181,7 @@ Bytes ComposedCompressor::compress(const Field& field,
   return compress_chunked(
       header, field, opt,
       [this, quant_param](const Field& slab, const BlobHeader& hdr,
-                          const CompressOptions&) {
+                          Field* /*recon*/) {
         Bytes payload;
         write_component_header(payload, config_, quant_param);
         if (is_interp(config_.predictor)) {

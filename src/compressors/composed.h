@@ -58,7 +58,8 @@ class ComposedCompressor : public Compressor {
 
   std::string name() const override { return name_; }
   CompressorCaps caps() const override;
-  Bytes compress(const Field& field, const CompressOptions& opt) override;
+  Bytes compress(const Field& field, const CompressOptions& opt,
+                 Field* recon) override;
   void decompress_into(std::span<const std::byte> blob, Field& out,
                        std::size_t row_start, int threads) override;
 

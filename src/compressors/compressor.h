@@ -59,7 +59,17 @@ class Compressor {
 
   // Compresses `field` into a self-describing blob. Throws Unsupported for
   // dimensionality/mode combinations the codec cannot handle.
-  virtual Bytes compress(const Field& field, const CompressOptions& opt) = 0;
+  //
+  // `recon`, when non-null, must point to an empty field. SZ2, SZ3 and QoZ
+  // fill it when they encode the whole field as one slab (threads <= 1, or
+  // a field one row deep): their encoders predict from the values the
+  // decoder will rebuild, and that buffer is moved into *recon, never
+  // copied, holding exactly what decompress() of the blob yields, byte for
+  // byte. It stays empty otherwise: ZFP, SZx, the composed and lossless
+  // codecs, and the multi-slab layouts of threads > 1 build no whole-field
+  // reconstruction. The blob does not depend on `recon`.
+  virtual Bytes compress(const Field& field, const CompressOptions& opt,
+                         Field* recon = nullptr) = 0;
 
   // Reconstructs a field from a blob produced by this codec's compress():
   // allocates an unfilled field named header.codec and decodes into it.

@@ -7,7 +7,8 @@
 namespace eblcio {
 
 Bytes BloscLikeCompressor::compress(const Field& field,
-                                    const CompressOptions& opt) {
+                                    const CompressOptions& opt,
+                                    Field* /*recon*/) {
   Bytes out;
   lossless_header(name(), field, opt).encode(out);
   const Bytes shuffled =

@@ -139,7 +139,8 @@ Bytes fpc_decompress_words(std::span<const std::byte> blob,
 
 }  // namespace
 
-Bytes FpcCompressor::compress(const Field& field, const CompressOptions& opt) {
+Bytes FpcCompressor::compress(const Field& field, const CompressOptions& opt,
+                              Field* /*recon*/) {
   Bytes out;
   lossless_header(name(), field, opt).encode(out);
   Bytes payload = fpc_compress_words(field.bytes());

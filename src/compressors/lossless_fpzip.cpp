@@ -175,7 +175,8 @@ void fpzip_decompress_impl(const BlobHeader& header,
 }  // namespace
 
 Bytes FpzipLikeCompressor::compress(const Field& field,
-                                    const CompressOptions& opt) {
+                                    const CompressOptions& opt,
+                                    Field* /*recon*/) {
   Bytes out;
   lossless_header(name(), field, opt).encode(out);
   Bytes payload = field.dtype() == DType::kFloat32

@@ -5,7 +5,8 @@
 
 namespace eblcio {
 
-Bytes ZlCompressor::compress(const Field& field, const CompressOptions& opt) {
+Bytes ZlCompressor::compress(const Field& field, const CompressOptions& opt,
+                             Field* /*recon*/) {
   Bytes out;
   lossless_header(name(), field, opt).encode(out);
   Bytes payload = lz_compress(field.bytes());

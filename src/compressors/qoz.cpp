@@ -63,22 +63,23 @@ InterpConfig tune_config(const Field& field, double abs_eb) {
 }
 
 Bytes qoz_payload_compress(const Field& field, const BlobHeader& header,
-                           const CompressOptions&) {
+                           Field* recon) {
   const InterpConfig config = tune_config(field, header.abs_error_bound);
   const InterpEncoding enc =
-      interp_compress(field, header.abs_error_bound, config);
+      interp_compress(field, header.abs_error_bound, config, recon);
   return interp_payload_encode(config, enc);
 }
 
 }  // namespace
 
-Bytes QozCompressor::compress(const Field& field, const CompressOptions& opt) {
+Bytes QozCompressor::compress(const Field& field, const CompressOptions& opt,
+                              Field* recon) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "QoZ is an error-bounded lossy compressor");
   if (field.ndims() < 2)
     throw Unsupported("QoZ is not capable of compressing 1D data");
   return compress_chunked(lossy_header(name(), field, opt), field, opt,
-                          qoz_payload_compress);
+                          qoz_payload_compress, recon);
 }
 
 void QozCompressor::decompress_into(std::span<const std::byte> blob,

@@ -30,7 +30,8 @@ class QozCompressor : public Compressor {
     return c;
   }
 
-  Bytes compress(const Field& field, const CompressOptions& opt) override;
+  Bytes compress(const Field& field, const CompressOptions& opt,
+                 Field* recon) override;
   void decompress_into(std::span<const std::byte> blob, Field& out,
                        std::size_t row_start, int threads) override;
 };

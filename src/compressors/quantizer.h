@@ -145,9 +145,11 @@ class LinearQuantizer {
     const double diff = value - pred;
     if (eb2_ <= 0.0) {
       // Degenerate bound (constant field under a relative bound): only an
-      // exact prediction is codable.
+      // exact prediction is codable. *recon is what the decoder restores,
+      // recover(pred, radius) = pred + 0, which differs from `value` only
+      // in the sign of a zero (-0.0 predicted as +0.0 comes back +0.0).
       if (diff == 0.0) {
-        *recon = value;
+        *recon = static_cast<double>(static_cast<T>(recover(pred, radius_)));
         return radius_;
       }
       return 0;
@@ -237,9 +239,9 @@ class DivLinearQuantizer {
   template <typename T>
   std::uint32_t quantize(double value, double pred, double* recon) const {
     const double diff = value - pred;
-    if (eb2_ <= 0.0) {
+    if (eb2_ <= 0.0) {  // as LinearQuantizer's degenerate bound
       if (diff == 0.0) {
-        *recon = value;
+        *recon = static_cast<double>(static_cast<T>(recover(pred, radius_)));
         return radius_;
       }
       return 0;
@@ -304,9 +306,16 @@ class LogQuantizer {
   template <typename T>
   std::uint32_t quantize(double value, double pred, double* recon) const {
     if (eb2t_ <= 0.0) {
+      // Degenerate bound: an exact prediction is codable only when the
+      // decoder gives it back. recover(pred, radius) = inv(fwd(pred)) is
+      // often an ulp off a double; *recon is that decoded value, which
+      // differs from `value` at most in the sign of a zero.
       if (value - pred == 0.0) {
-        *recon = value;
-        return radius_;
+        const T decoded = static_cast<T>(recover(pred, radius_));
+        if (static_cast<double>(decoded) == value) {
+          *recon = static_cast<double>(decoded);
+          return radius_;
+        }
       }
       return 0;
     }

@@ -19,7 +19,8 @@
 
 namespace eblcio {
 
-Bytes Sz2Compressor::compress(const Field& field, const CompressOptions& opt) {
+Bytes Sz2Compressor::compress(const Field& field, const CompressOptions& opt,
+                              Field* recon) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "SZ2 is an error-bounded lossy compressor");
   if (opt.threads > 1 && !supports(field, opt))
@@ -30,7 +31,8 @@ Bytes Sz2Compressor::compress(const Field& field, const CompressOptions& opt) {
 
   // Stage 1 (parallel over slabs): prediction + quantization. A single
   // slab is the whole field — compress it in place instead of paying
-  // split_slabs' full-field copy for a no-op split.
+  // split_slabs' full-field copy for a no-op split; its reconstruction is
+  // the whole field's, so only it fills `recon`.
   const int nslabs = static_cast<int>(
       std::min<std::size_t>(field.shape().dim(0),
                             static_cast<std::size_t>(std::max(opt.threads, 1))));
@@ -38,7 +40,7 @@ Bytes Sz2Compressor::compress(const Field& field, const CompressOptions& opt) {
   if (nslabs == 1) {
     encs[0] = block_compress(field, header.abs_error_bound,
                              BlockPredictor::kLorenzoRegression,
-                             QuantizerId::kLinearRecip, 0.0);
+                             QuantizerId::kLinearRecip, 0.0, recon);
   } else {
     const auto slabs = split_slabs(field, nslabs);
     parallel_for(slabs.size(), nslabs, [&](std::size_t i) {

@@ -29,7 +29,8 @@ class Sz2Compressor : public Compressor {
     return c;
   }
 
-  Bytes compress(const Field& field, const CompressOptions& opt) override;
+  Bytes compress(const Field& field, const CompressOptions& opt,
+                 Field* recon) override;
   void decompress_into(std::span<const std::byte> blob, Field& out,
                        std::size_t row_start, int threads) override;
   // Reconstructs only the blocks in the box's lower cone of each slab the

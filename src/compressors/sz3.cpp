@@ -8,20 +8,21 @@ namespace eblcio {
 namespace {
 
 Bytes sz3_payload_compress(const Field& field, const BlobHeader& header,
-                           const CompressOptions&) {
+                           Field* recon) {
   InterpConfig config;  // flat bounds, cubic interpolation, auto anchors
   const InterpEncoding enc =
-      interp_compress(field, header.abs_error_bound, config);
+      interp_compress(field, header.abs_error_bound, config, recon);
   return interp_payload_encode(config, enc);
 }
 
 }  // namespace
 
-Bytes Sz3Compressor::compress(const Field& field, const CompressOptions& opt) {
+Bytes Sz3Compressor::compress(const Field& field, const CompressOptions& opt,
+                              Field* recon) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "SZ3 is an error-bounded lossy compressor");
   return compress_chunked(lossy_header(name(), field, opt), field, opt,
-                          sz3_payload_compress);
+                          sz3_payload_compress, recon);
 }
 
 void Sz3Compressor::decompress_into(std::span<const std::byte> blob,

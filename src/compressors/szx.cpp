@@ -17,8 +17,7 @@ namespace {
 constexpr std::size_t kBlock = 128;
 
 template <typename T>
-Bytes szx_payload_compress(const Field& field, const BlobHeader& header,
-                           const CompressOptions&) {
+Bytes szx_payload_compress(const Field& field, const BlobHeader& header) {
   const NdArray<T>& arr = field.as<T>();
   const T* x = arr.data();
   const std::size_t n = arr.num_elements();
@@ -168,10 +167,10 @@ void szx_payload_decompress(const BlobHeader& header,
 }
 
 Bytes payload_compress(const Field& field, const BlobHeader& header,
-                       const CompressOptions& opt) {
+                       Field* /*recon*/) {
   return field.dtype() == DType::kFloat32
-             ? szx_payload_compress<float>(field, header, opt)
-             : szx_payload_compress<double>(field, header, opt);
+             ? szx_payload_compress<float>(field, header)
+             : szx_payload_compress<double>(field, header);
 }
 
 void payload_decompress(const BlobHeader& header,
@@ -184,7 +183,8 @@ void payload_decompress(const BlobHeader& header,
 
 }  // namespace
 
-Bytes SzxCompressor::compress(const Field& field, const CompressOptions& opt) {
+Bytes SzxCompressor::compress(const Field& field, const CompressOptions& opt,
+                              Field* /*recon*/) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "SZx is an error-bounded lossy compressor");
   return compress_chunked(lossy_header(name(), field, opt), field, opt,

@@ -555,7 +555,8 @@ void zfp_decompress_impl(const BlobHeader& header,
 
 }  // namespace
 
-Bytes ZfpCompressor::compress(const Field& field, const CompressOptions& opt) {
+Bytes ZfpCompressor::compress(const Field& field, const CompressOptions& opt,
+                              Field* /*recon*/) {
   EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
                    "ZFP here implements fixed-accuracy (lossy) mode only");
   const BlobHeader header = lossy_header(name(), field, opt);

@@ -73,7 +73,11 @@ using AdvisorProgressFn = std::function<void(
 
 // Trials every (codec, bound) pair on a centered sample of `field` (fast)
 // and ranks them under the constraints. Trials execute as a grid sweep on
-// sweep threads (see core/sweep.h and constraints.parallel).
+// sweep threads (see core/sweep.h and constraints.parallel). A trial scores
+// its PSNR on the reconstruction the codec's encoder builds inside the
+// timed compress (Compressor::compress's `recon`), which for SZ2, SZ3 and
+// QoZ is byte for byte what decoding the blob gives, so those trials skip
+// the decode; ZFP and SZx trials still decode their blobs.
 AdvisorReport advise_compression(const Field& field,
                                  const AdvisorConstraints& constraints,
                                  const AdvisorProgressFn& on_trial = nullptr);

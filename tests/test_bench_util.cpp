@@ -333,7 +333,8 @@ TEST(BenchJson, WriteStampsHostAndBuildMeta) {
   const std::string text = body.str();
   EXPECT_NE(text.find("\"bench\": \"stamp\""), std::string::npos);
   for (const char* key : {"\"meta\": {", "\"nproc\": ", "\"optimize\": ",
-                          "\"ndebug\": ", "\"compiler\": "})
+                          "\"ndebug\": ", "\"compiler\": ",
+                          "\"build_type\": "})
     EXPECT_NE(text.find(key), std::string::npos) << key;
   std::remove(path.c_str());
 }

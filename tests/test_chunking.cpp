@@ -61,7 +61,7 @@ TEST(Chunking, ContainerRoundTripSingleAndChunked) {
 
   // Identity "codec": payload = raw bytes.
   PayloadCompressFn kernel = [](const Field& field, const BlobHeader&,
-                                const CompressOptions&) {
+                                Field*) {
     auto raw = field.bytes();
     return Bytes(raw.begin(), raw.end());
   };
@@ -94,7 +94,7 @@ TEST(Chunking, ForgedChunkCountFailsBeforeTheTableIsSized) {
   header.dtype = f.dtype();
   header.dims = f.shape().dims_vector();
   PayloadCompressFn kernel = [](const Field&, const BlobHeader&,
-                                const CompressOptions&) {
+                                Field*) {
     return Bytes(8, std::byte{1});
   };
   PayloadDecompressFn never = [](const BlobHeader&, std::span<const std::byte>,
@@ -123,7 +123,7 @@ TEST(Chunking, ChunkedLayoutTagAfterHeader) {
   header.dtype = f.dtype();
   header.dims = f.shape().dims_vector();
   PayloadCompressFn kernel = [](const Field&, const BlobHeader&,
-                                const CompressOptions&) {
+                                Field*) {
     return Bytes(8, std::byte{1});
   };
   CompressOptions serial;

@@ -272,7 +272,8 @@ Row<T> make_row(std::size_t n, double eb, bool tie, Rng& rng) {
 
 // quantize_row and recover_row of `quant` (through `isa` when given)
 // against per-element quantize<T>/recover: codes, reconstruction bits, the
-// any-zero result, and every recovered nonzero-code element.
+// any-zero result, and every recovered nonzero-code element, which must
+// also be the encoder's reconstruction bit for bit.
 template <typename T, typename Q, typename... Isa>
 ::testing::AssertionResult row_matches_scalar(const Q& quant,
                                               const Row<T>& row,
@@ -307,6 +308,11 @@ template <typename T, typename Q, typename... Isa>
     if (!same_bits(out[k], ref))
       return ::testing::AssertionFailure()
              << "recover_row diverges at k=" << k << " of n=" << n;
+    if (!same_bits(out[k], recon[k]))
+      return ::testing::AssertionFailure()
+             << "decode differs from the encoder's reconstruction at k="
+             << k << " of n=" << n << ": x=" << row.x[k]
+             << " pred=" << row.pred[k];
   }
   return ::testing::AssertionSuccess();
 }
@@ -427,6 +433,47 @@ TEST(LogQuantizerBound, PerElementBoundHolds) {
   }
 }
 
+// At eb = 0 a quantizer codes only an exact prediction, and what it
+// reports is what the decoder restores: -0.0 predicted as +0.0 reads +0.0
+// on both sides, and the log quantizer codes a double only when its log
+// round trip gives it back (often it is an ulp off).
+TEST(LogQuantizerBound, ZeroBoundReportsWhatTheDecoderRestores) {
+  const auto check = [](const auto& quant, auto type) {
+    using T = typename decltype(type)::type;
+    double r = 1.0;
+    const std::uint32_t code = quant.template quantize<T>(-0.0, 0.0, &r);
+    ASSERT_NE(code, 0u);
+    EXPECT_FALSE(std::signbit(r));
+    EXPECT_FALSE(std::signbit(static_cast<T>(quant.recover(0.0, code))));
+    EXPECT_EQ(quant.template quantize<T>(1.5, 1.25, &r), 0u);
+  };
+  const auto each_type = [&](const auto& quant) {
+    check(quant, std::type_identity<float>{});
+    check(quant, std::type_identity<double>{});
+  };
+  each_type(LinearQuantizer(0.0));
+  each_type(DivLinearQuantizer(0.0));
+  each_type(LogQuantizer(0.0, 400.0));
+
+  const LogQuantizer log(0.0, 400.0);
+  Rng rng(0x0eb);
+  int coded = 0, refused = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double v = (rng.next_double() - 0.5) * 200.0;
+    double r = 0.0;
+    const std::uint32_t code = log.quantize<double>(v, v, &r);
+    if (code == 0) {
+      ++refused;
+      continue;
+    }
+    ++coded;
+    ASSERT_EQ(r, v);
+    ASSERT_EQ(log.recover(v, code), v);
+  }
+  EXPECT_GT(coded, 0);
+  EXPECT_GT(refused, 0);
+}
+
 // --- ComposedGrid ----------------------------------------------------------
 
 struct GridShape {
@@ -485,6 +532,24 @@ TEST(ComposedGrid, AllCombosRoundTripWithinBound) {
         check_grid_case<float>(comp, shape, rel_eb);
         check_grid_case<double>(comp, shape, rel_eb);
       }
+    }
+  }
+}
+
+// A constant field under a relative bound has eb = 0 and must decode
+// exactly through every configuration, including the log quantizer on
+// doubles, whose log round trip of the constant is an ulp off.
+TEST(ComposedGrid, ConstantFieldsDecodeExactly) {
+  CompressOptions opt;
+  opt.mode = BoundMode::kValueRangeRel;
+  for (const auto& config : all_composed_configs()) {
+    Compressor& comp = compressor(composed_codec_name(config));
+    for (const double value : {57.123, -41.77}) {
+      SCOPED_TRACE(comp.name() + " " + std::to_string(value));
+      Field f("c", NdArray<double>(Shape{12, 10, 8}));
+      for (double& x : f.as<double>().span()) x = value;
+      const Field back = comp.decompress(comp.compress(f, opt));
+      EXPECT_TRUE(std::ranges::equal(back.bytes(), f.bytes()));
     }
   }
 }

@@ -16,11 +16,14 @@
 
 #include "common/error.h"
 #include "common/timer.h"
+#include "compressors/compressor.h"
 #include "core/decision.h"
 #include "core/estimator.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
+#include "data/dataset.h"
 #include "io/pfs.h"
+#include "metrics/error_stats.h"
 #include "parallel/executor.h"
 #include "test_util.h"
 
@@ -407,6 +410,30 @@ TEST(Advisor, StreamsTrialsInDomainOrder) {
   const std::vector<std::pair<std::string, double>> want = {
       {"SZ3", 1e-2}, {"SZ3", 1e-3}, {"SZx", 1e-2}, {"SZx", 1e-3}};
   EXPECT_EQ(streamed, want);
+}
+
+// SZ2, SZ3 and QoZ trials score the encoder's reconstruction instead of
+// decoding their blobs; every trial of the default grid must still read
+// exactly what compress -> decompress -> compute_error_stats gives.
+TEST(Advisor, TrialsEqualCompressDecompressScores) {
+  const Field f = generate_dataset_dims("NYX", {64, 64, 64}, 100);
+  const Field sample = centered_sample(f, 64);
+  AdvisorConstraints cons;
+  cons.parallel = false;
+  const AdvisorReport report = advise_compression(f, cons);
+  ASSERT_EQ(report.candidates.size(),
+            eblc_names().size() * cons.error_bounds.size());
+  for (const AdvisorCandidate& c : report.candidates) {
+    SCOPED_TRACE(c.codec + " eb " + std::to_string(c.error_bound));
+    CompressOptions opt;
+    opt.error_bound = c.error_bound;
+    Compressor& comp = compressor(c.codec);
+    const Bytes blob = comp.compress(sample, opt);
+    const ErrorStats st =
+        compute_error_stats(sample, comp.decompress(blob, 1));
+    EXPECT_EQ(c.ratio, compression_ratio(sample.size_bytes(), blob.size()));
+    EXPECT_EQ(c.psnr_db, st.psnr_db);
+  }
 }
 
 TEST(Estimator, GridMatchesSingleCellCallsBitForBit) {

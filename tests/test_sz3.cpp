@@ -265,6 +265,85 @@ TEST(Interp, CompressReconstructionEqualsDecodeByteForByte) {
   EXPECT_GT(unpredictable, 0u);  // the code-0 path ran
 }
 
+// Compressor::compress's reconstruction slot: `recon` must be byte for
+// byte what decompress() gives, and the blob what the two-argument
+// compress gives. Returns whether the codec filled the slot.
+bool expect_recon_is_decode(const std::string& codec, const Field& f,
+                            const CompressOptions& opt) {
+  Compressor& comp = compressor(codec);
+  Field recon;
+  const Bytes blob = comp.compress(f, opt, &recon);
+  EXPECT_EQ(blob, comp.compress(f, opt));
+  if (recon.ndims() == 0) return false;
+  const Field decoded = comp.decompress(blob);
+  EXPECT_EQ(recon.dtype(), f.dtype());
+  EXPECT_EQ(recon.shape(), f.shape());
+  EXPECT_TRUE(std::ranges::equal(recon.bytes(), decoded.bytes()));
+  return true;
+}
+
+// The advisor scores SZ2, SZ3 and QoZ trials on that slot instead of a
+// decode. Covered: its five bounds on NYX 64^3; f32/f64 fields in 1D-4D,
+// with isolated spikes under an absolute bound so the code-0 path runs; a
+// constant field of +0.0 and -0.0 under a relative bound (eb = 0, where the
+// quantizers report the decoder's +0.0). Codecs and layouts without a
+// whole-field reconstruction leave the slot empty.
+TEST(Compressor, ReconstructionEqualsDecodeByteForByte) {
+  const std::vector<std::string> codecs = {"SZ2", "SZ3", "QoZ"};
+  const Field nyx = generate_dataset_dims("NYX", {64, 64, 64}, 7);
+  for (const std::string& codec : codecs)
+    for (const double eb : {1e-1, 1e-2, 1e-3, 1e-4, 1e-5}) {
+      SCOPED_TRACE(codec + " NYX eb " + std::to_string(eb));
+      EXPECT_TRUE(expect_recon_is_decode(codec, nyx, rel(eb)));
+    }
+
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {3001}, {45, 70}, {19, 13, 40}, {3, 9, 10, 21}};
+  for (const auto& dims : shapes)
+    for (DType dtype : {DType::kFloat32, DType::kFloat64})
+      for (bool spikes : {false, true}) {
+        const Field f = dtype == DType::kFloat32
+                            ? wavy_field<float>(dims, spikes)
+                            : wavy_field<double>(dims, spikes);
+        CompressOptions opt = rel(1e-3);
+        if (spikes) {
+          opt.mode = BoundMode::kAbsolute;
+          opt.error_bound = 1e-5;
+        }
+        for (const std::string& codec : codecs) {
+          if (!compressor(codec).supports(f, opt)) continue;
+          SCOPED_TRACE(codec + " " + std::to_string(dims.size()) + "D " +
+                       dtype_name(dtype) + (spikes ? " spiky" : ""));
+          EXPECT_TRUE(expect_recon_is_decode(codec, f, opt));
+        }
+      }
+
+  for (DType dtype : {DType::kFloat32, DType::kFloat64}) {
+    const std::vector<std::size_t> dims = {7, 9, 11};
+    Field zeros = unfilled_field("zeros", dtype,
+                                 Shape{std::span<const std::size_t>(dims)});
+    zeros.visit([](auto& arr) {
+      for (std::size_t i = 0; i < arr.num_elements(); ++i)
+        arr[i] = i % 3 == 1 ? -0.0 : 0.0;
+    });
+    for (const std::string& codec : codecs) {
+      SCOPED_TRACE(codec + " signed zeros " + dtype_name(dtype));
+      EXPECT_TRUE(expect_recon_is_decode(codec, zeros, rel(1e-3)));
+    }
+  }
+
+  const Field f3 = smooth_field_3d(24);
+  EXPECT_FALSE(expect_recon_is_decode("ZFP", f3, rel(1e-3)));
+  EXPECT_FALSE(expect_recon_is_decode("SZx", f3, rel(1e-3)));
+  CompressOptions lossless;
+  lossless.mode = BoundMode::kLossless;
+  EXPECT_FALSE(expect_recon_is_decode("zstd", f3, lossless));
+  for (const std::string& codec : codecs) {
+    SCOPED_TRACE(codec + " threads 4");
+    EXPECT_FALSE(expect_recon_is_decode(codec, f3, rel(1e-3, 4)));
+  }
+}
+
 // The decoder checks the code stream once per row piece and reads the
 // unpredictable stream as it scatters a piece, so streams cut inside a
 // row, inside a piece or between pieces of a long 1D row must still throw
