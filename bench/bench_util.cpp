@@ -51,9 +51,10 @@ void print_bench_header(const std::string& id, const std::string& title,
                         const BenchEnv& env) {
   std::printf("================================================================\n");
   std::printf("%s — %s\n", id.c_str(), title.c_str());
-  std::printf("scale=%.3g reps=%d seed=%llu%s%s\n", env.scale, env.reps,
-              static_cast<unsigned long long>(env.seed),
-              env.serial ? " serial" : "", env.verify ? " verify" : "");
+  std::printf("scale=%.3g reps=%d seed=%llu build=%s%s%s\n", env.scale,
+              env.reps, static_cast<unsigned long long>(env.seed),
+              EBLCIO_BUILD_TYPE, env.serial ? " serial" : "",
+              env.verify ? " verify" : "");
   std::printf("================================================================\n");
 }
 
@@ -247,26 +248,41 @@ std::string json_number(double v) {
 }  // namespace
 
 JsonObject& JsonObject::set(const std::string& key, double value) {
-  entries_.emplace_back(key, json_number(value));
-  nested_.push_back(false);
+  entries_.push_back({key, json_number(value), {}});
   return *this;
 }
 
 JsonObject& JsonObject::set(const std::string& key, std::uint64_t value) {
-  entries_.emplace_back(key, std::to_string(value));
-  nested_.push_back(false);
+  entries_.push_back({key, std::to_string(value), {}});
   return *this;
 }
 
 JsonObject& JsonObject::set(const std::string& key, const std::string& value) {
-  entries_.emplace_back(key, "\"" + json_escape(value) + "\"");
-  nested_.push_back(false);
+  entries_.push_back({key, "\"" + json_escape(value) + "\"", {}});
   return *this;
 }
 
 JsonObject& JsonObject::set(const std::string& key, const JsonObject& value) {
-  entries_.emplace_back(key, value.dump(0));
-  nested_.push_back(true);
+  entries_.push_back({key, "", {value}});
+  return *this;
+}
+
+JsonObject& JsonObject::merge(const std::string& key,
+                              const JsonObject& value) {
+  const auto named = [](std::vector<Entry>& entries, const std::string& k) {
+    return std::find_if(entries.begin(), entries.end(),
+                        [&](const Entry& e) { return e.key == k; });
+  };
+  const auto at = named(entries_, key);
+  if (at == entries_.end() || at->object.empty()) return set(key, value);
+  std::vector<Entry>& mine = at->object[0].entries_;
+  for (const Entry& e : value.entries_) {
+    const auto same = named(mine, e.key);
+    if (same == mine.end())
+      mine.push_back(e);
+    else
+      *same = e;
+  }
   return *this;
 }
 
@@ -276,19 +292,9 @@ std::string JsonObject::dump(int indent) const {
   std::string out = "{";
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     out += (i == 0 ? "\n" : ",\n");
-    out += inner_pad + "\"" + json_escape(entries_[i].first) + "\": ";
-    if (nested_[i]) {
-      // Re-indent the nested object's lines under this key.
-      const std::string& body = entries_[i].second;
-      std::string shifted;
-      for (std::size_t p = 0; p < body.size(); ++p) {
-        shifted += body[p];
-        if (body[p] == '\n' && p + 1 < body.size()) shifted += inner_pad;
-      }
-      out += shifted;
-    } else {
-      out += entries_[i].second;
-    }
+    const Entry& e = entries_[i];
+    out += inner_pad + "\"" + json_escape(e.key) + "\": ";
+    out += e.object.empty() ? e.scalar : e.object[0].dump(indent + 2);
   }
   out += entries_.empty() ? "}" : "\n" + pad + "}";
   return out;
@@ -313,7 +319,7 @@ bool write_json_file(const std::string& path, const JsonObject& json) {
       .set("compiler", std::string(__VERSION__))
       .set("build_type", std::string(EBLCIO_BUILD_TYPE));
   JsonObject stamped = json;
-  stamped.set("meta", meta);
+  stamped.merge("meta", meta);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
   const std::string body = stamped.dump(0) + "\n";

@@ -181,19 +181,28 @@ class JsonObject {
   JsonObject& set(const std::string& key, std::uint64_t value);
   JsonObject& set(const std::string& key, const std::string& value);
   JsonObject& set(const std::string& key, const JsonObject& value);
+  // Merges value's entries into the object already under `key` (an entry
+  // of the same name is replaced, others are appended), or sets `key` to
+  // `value` when it holds none.
+  JsonObject& merge(const std::string& key, const JsonObject& value);
 
   // Renders with 2-space indentation and a trailing newline at top level.
   std::string dump(int indent = 0) const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> entries_;  // pre-rendered
-  std::vector<bool> nested_;  // entry renders as an object (re-indented)
+  struct Entry {
+    std::string key;
+    std::string scalar;              // a rendered number or string, or
+    std::vector<JsonObject> object;  // a nested object, its one element
+  };
+  std::vector<Entry> entries_;
 };
 
-// Writes `json.dump()` to `path` (truncating), with a trailing "meta"
-// object added: nproc, optimize, ndebug, compiler and the CMake
-// build_type, the host and build keys scripts/check_perf_baseline.py
-// refuses to gate across. Returns false on I/O error.
+// Writes `json.dump()` to `path` (truncating), stamped with nproc,
+// optimize, ndebug, compiler and the CMake build_type, the host and build
+// keys scripts/check_perf_baseline.py refuses to gate across: merged into
+// the document's own "meta" object when it has one, else a trailing
+// "meta". Returns false on I/O error.
 bool write_json_file(const std::string& path, const JsonObject& json);
 
 // The one driver every grid bench runs through.

@@ -48,6 +48,14 @@ inline void validate_region(const Region& region,
   }
 }
 
+// True when `region` is the whole of a field shaped `dims`.
+inline bool is_whole_region(const Region& region,
+                            const std::vector<std::size_t>& dims) {
+  for (const std::size_t s : region.start)
+    if (s != 0) return false;
+  return region.shape == dims;
+}
+
 // One zone's interval along dimension 0 of the full field.
 struct ZoneExtent {
   std::uint64_t row_start = 0;

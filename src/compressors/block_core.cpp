@@ -12,6 +12,7 @@
 #include "common/buffer_pool.h"
 #include "common/error.h"
 #include "common/region.h"
+#include "compressors/zone.h"
 
 namespace eblcio {
 namespace {
@@ -824,52 +825,38 @@ void decompress_impl(const BlobHeader& header, const Q& quant,
                                   mode_bits, coeffs, unpred, out);
 }
 
-// The windowed decode: checks every stream's demand up front (so it throws
-// exactly when the full decode would), reconstructs the box's lower cone
-// rounded up to whole blocks into a cone-shaped scratch buffer, and copies
-// the box out of it.
+// The windowed decode of a box short of the whole slab: checks every
+// stream's demand up front (so it throws exactly when the full decode
+// would), reconstructs the box's lower cone rounded up to whole blocks
+// into a cone-shaped scratch buffer, and crops the box out of it into
+// `out`. Returns the elements reconstructed.
 template <typename T, typename Q, typename Cache>
-Field decompress_region_impl(const BlobHeader& header, const Q& quant,
-                             BlockPredictor pred,
-                             std::span<const std::uint32_t> codes,
-                             std::span<const std::byte> mode_bits,
-                             ByteReader& coeffs, ByteReader& unpred,
-                             const Region& box, std::size_t* reconstructed) {
+std::size_t decompress_cone_impl(const BlobHeader& header, const Q& quant,
+                                 BlockPredictor pred,
+                                 std::span<const std::uint32_t> codes,
+                                 std::span<const std::byte> mode_bits,
+                                 ByteReader& coeffs, ByteReader& unpred,
+                                 const Region& box, T* out) {
   const Geometry g = Geometry::from_dims(header.dims);
   const bool reg_allowed = regression_allowed(pred, g.real_dims);
   check_stream_demand(g, reg_allowed, sizeof(T), codes, mode_bits,
                       coeffs.remaining().size(), unpred.remaining().size());
 
-  // The box padded to the uniform 4D view, and its block-rounded cone.
+  // The box's lower cone, rounded up to whole blocks (in the 4D view).
   const int pad = 4 - g.real_dims;
-  std::array<std::size_t, 4> lo{}, len{1, 1, 1, 1};
   std::vector<std::size_t> cone_dims(header.dims.size());
   for (int i = 0; i < g.real_dims; ++i) {
-    const int d = pad + i;
-    lo[d] = box.start[i];
-    len[d] = box.shape[i];
-    const std::size_t hi = lo[d] + len[d];
-    cone_dims[i] = std::min((hi + g.block[d] - 1) / g.block[d] * g.block[d],
-                            g.dim[d]);
+    const std::size_t block = g.block[pad + i];
+    cone_dims[i] = std::min(
+        (box.start[i] + box.shape[i] + block - 1) / block * block,
+        header.dims[i]);
   }
   const Geometry cone = Geometry::from_dims(cone_dims);
   PooledScratch<T> scratch(cone.num_elements());
   reconstruct_blocks<T, Q, Cache>(g, cone, quant, reg_allowed, codes,
                                   mode_bits, coeffs, unpred, scratch.data());
-  if (reconstructed) *reconstructed = cone.num_elements();
-
-  NdArray<T> arr(Shape{std::span<const std::size_t>(box.shape)});
-  T* dst = arr.data();
-  for (std::size_t c0 = 0; c0 < len[0]; ++c0)
-    for (std::size_t c1 = 0; c1 < len[1]; ++c1)
-      for (std::size_t c2 = 0; c2 < len[2]; ++c2) {
-        const T* src = scratch.data() + (lo[0] + c0) * cone.stride[0] +
-                       (lo[1] + c1) * cone.stride[1] +
-                       (lo[2] + c2) * cone.stride[2] + lo[3];
-        std::memcpy(dst, src, len[3] * sizeof(T));
-        dst += len[3];
-      }
-  return Field(header.codec, std::move(arr));
+  crop_box<T>(scratch.data(), cone_dims, box, out);
+  return cone.num_elements();
 }
 
 template <typename T, typename Q>
@@ -942,21 +929,28 @@ Field block_decompress(const BlobHeader& header, BlockPredictor pred,
   return out;
 }
 
-Field block_decompress_region(const BlobHeader& header, BlockPredictor pred,
-                              QuantizerId quant, double quant_param,
-                              std::span<const std::uint32_t> codes,
-                              std::span<const std::byte> mode_bits,
-                              ByteReader& coeffs, ByteReader& unpred,
-                              const Region& box, std::size_t* reconstructed) {
+std::size_t block_decompress_region(const BlobHeader& header,
+                                    BlockPredictor pred, QuantizerId quant,
+                                    double quant_param,
+                                    std::span<const std::uint32_t> codes,
+                                    std::span<const std::byte> mode_bits,
+                                    ByteReader& coeffs, ByteReader& unpred,
+                                    const Region& box, Field& out,
+                                    std::size_t offset) {
   validate_region(box, header.dims);
+  if (is_whole_region(box, header.dims)) {
+    block_decompress_into(header, pred, quant, quant_param, codes, mode_bits,
+                          coeffs, unpred, out, offset);
+    return header.num_elements();
+  }
   return with_decode_kernel(
       header, pred, quant, quant_param,
       [&](const auto& q, auto value, auto order) {
         using T = typename decltype(value)::type;
         using Cache = typename decltype(order)::type;
-        return decompress_region_impl<T, std::decay_t<decltype(q)>, Cache>(
+        return decompress_cone_impl<T, std::decay_t<decltype(q)>, Cache>(
             header, q, pred, codes, mode_bits, coeffs, unpred, box,
-            reconstructed);
+            out.as<T>().data() + offset);
       });
 }
 

@@ -77,21 +77,24 @@ Field block_decompress(const BlobHeader& header, BlockPredictor pred,
                        std::span<const std::byte> mode_bits,
                        ByteReader& coeffs, ByteReader& unpred);
 
-// Windowed decode: the values inside `box` (in the coordinates of
-// header.dims), bit-identical to block_decompress followed by a crop, shaped
-// box.shape. Reconstructs only the box's lower cone [0, hi) rounded up to
-// whole blocks; the streams of the other blocks are skipped, not decoded.
-// Every stream's total demand is checked first, so it throws exactly when
-// block_decompress throws on the same streams (InvalidArgument when the box
-// lies outside header.dims). `reconstructed`, when non-null, receives the
-// number of elements reconstructed.
-Field block_decompress_region(const BlobHeader& header, BlockPredictor pred,
-                              QuantizerId quant, double quant_param,
-                              std::span<const std::uint32_t> codes,
-                              std::span<const std::byte> mode_bits,
-                              ByteReader& coeffs, ByteReader& unpred,
-                              const Region& box,
-                              std::size_t* reconstructed = nullptr);
+// Windowed decode: writes the values inside `box` (in the coordinates of
+// header.dims), bit-identical to block_decompress followed by a crop, to
+// the box.num_elements() elements of header.dtype that start at element
+// `offset` of `out`, in the box's row-major order. Reconstructs only the
+// box's lower cone [0, hi) rounded up to whole blocks, in pooled scratch;
+// the streams of the other blocks are skipped, not decoded. A box that is
+// the whole field decodes straight into `out`. Every stream's total
+// demand is checked first, so it throws exactly when block_decompress
+// throws on the same streams (InvalidArgument when the box lies outside
+// header.dims). Returns the number of elements reconstructed.
+std::size_t block_decompress_region(const BlobHeader& header,
+                                    BlockPredictor pred, QuantizerId quant,
+                                    double quant_param,
+                                    std::span<const std::uint32_t> codes,
+                                    std::span<const std::byte> mode_bits,
+                                    ByteReader& coeffs, ByteReader& unpred,
+                                    const Region& box, Field& out,
+                                    std::size_t offset);
 
 // Reconstructs nothing; throws CorruptStream exactly when block_decompress
 // would throw on these streams. Lets a windowed reader skip a whole slab

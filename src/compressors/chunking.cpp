@@ -112,42 +112,46 @@ Bytes compress_chunked(const BlobHeader& header, const Field& field,
   return out;
 }
 
-void decompress_chunked_into(std::span<const std::byte> blob, int threads,
-                             const PayloadDecompressFn& kernel, Field& out,
-                             std::size_t row_start) {
+std::size_t decompress_chunked_into(std::span<const std::byte> blob,
+                                    int threads,
+                                    const PayloadDecompressFn& kernel,
+                                    Field& out, std::size_t row_start,
+                                    const Window& window) {
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
-  const std::size_t offset = check_decode_target(header, out, row_start);
-  const auto layout = r.read_pod<std::uint8_t>();
+  const auto decode_rows = [&](Field& dst, std::size_t offset) {
+    const auto layout = r.read_pod<std::uint8_t>();
+    if (layout == kLayoutSingle) {
+      const auto size = r.read_pod<std::uint64_t>();
+      kernel(header, r.read_bytes(size), dst, offset);
+      return;
+    }
+    EBLCIO_CHECK_STREAM(layout == kLayoutChunked, "bad payload layout tag");
 
-  if (layout == kLayoutSingle) {
-    const auto size = r.read_pod<std::uint64_t>();
-    kernel(header, r.read_bytes(size), out, offset);
-    return;
-  }
-  EBLCIO_CHECK_STREAM(layout == kLayoutChunked, "bad payload layout tag");
+    // Each chunk holds at least one row and one u64 size entry, so the
+    // count is bounded before the table is sized from it.
+    const auto nchunks = r.read_pod<std::uint32_t>();
+    EBLCIO_CHECK_STREAM(
+        nchunks >= 1 && nchunks <= header.dims[0] &&
+            nchunks <= r.remaining().size() / sizeof(std::uint64_t),
+        "chunk count outside 1..rows or past the chunk table");
+    std::vector<std::uint64_t> sizes(nchunks);
+    for (auto& s : sizes) s = r.read_pod<std::uint64_t>();
+    std::vector<std::span<const std::byte>> spans(nchunks);
+    for (std::uint32_t i = 0; i < nchunks; ++i)
+      spans[i] = r.read_bytes(sizes[i]);
 
-  // Each chunk holds at least one row and one u64 size entry, so the
-  // count is bounded before the table is sized from it.
-  const auto nchunks = r.read_pod<std::uint32_t>();
-  EBLCIO_CHECK_STREAM(
-      nchunks >= 1 && nchunks <= header.dims[0] &&
-          nchunks <= r.remaining().size() / sizeof(std::uint64_t),
-      "chunk count outside 1..rows or past the chunk table");
-  std::vector<std::uint64_t> sizes(nchunks);
-  for (auto& s : sizes) s = r.read_pod<std::uint64_t>();
-  std::vector<std::span<const std::byte>> spans(nchunks);
-  for (std::uint32_t i = 0; i < nchunks; ++i)
-    spans[i] = r.read_bytes(sizes[i]);
-
-  const std::size_t row = header.num_elements() / header.dims[0];
-  const auto slabs = zone_extents(header.dims[0], static_cast<int>(nchunks));
-  parallel_for(nchunks, std::max(threads, 1), [&](std::size_t i) {
-    BlobHeader slab_header = header;
-    slab_header.dims[0] = static_cast<std::size_t>(slabs[i].rows);
-    kernel(slab_header, spans[i], out,
-           offset + static_cast<std::size_t>(slabs[i].row_start) * row);
-  });
+    const std::size_t row = header.num_elements() / header.dims[0];
+    const auto slabs =
+        zone_extents(header.dims[0], static_cast<int>(nchunks));
+    parallel_for(nchunks, std::max(threads, 1), [&](std::size_t i) {
+      BlobHeader slab_header = header;
+      slab_header.dims[0] = static_cast<std::size_t>(slabs[i].rows);
+      kernel(slab_header, spans[i], dst,
+             offset + static_cast<std::size_t>(slabs[i].row_start) * row);
+    });
+  };
+  return decode_window_into(header, out, row_start, window, decode_rows);
 }
 
 }  // namespace eblcio

@@ -58,8 +58,8 @@ std::size_t slab_rows(std::size_t d0, int nchunks, int c);
 Field extract_slab(const Field& field, const ZoneExtent& zone);
 
 // Reassembles slabs split by split_slabs into one field shaped `dims`:
-// SZ2's windowed decode and the end-to-end replay use it. The full
-// decodes do not; their kernels write their rows of one output.
+// the end-to-end replay uses it. The decoders do not; their kernels write
+// their rows of one output.
 Field merge_slabs(const std::vector<Field>& slabs,
                   const std::vector<std::size_t>& dims,
                   const std::string& name);
@@ -73,13 +73,15 @@ Bytes compress_chunked(const BlobHeader& header, const Field& field,
                        const PayloadCompressFn& kernel,
                        Field* recon = nullptr);
 
-// Decodes a blob produced by compress_chunked (either layout) into rows
-// [row_start, row_start + dims[0]) of `out`, each chunk's kernel writing
-// its own rows (at most `threads` at once). Throws CorruptStream before
-// writing anything when check_decode_target refuses the blob's header or
-// its chunk table is malformed.
-void decompress_chunked_into(std::span<const std::byte> blob, int threads,
-                             const PayloadDecompressFn& kernel, Field& out,
-                             std::size_t row_start);
+// Decodes `window` of a blob produced by compress_chunked (either layout)
+// into rows of `out` (Compressor::decompress_into's contract), each
+// chunk's kernel writing its own rows (at most `threads` at once), through
+// decode_window_into. Throws CorruptStream before writing anything when
+// check_decode_target refuses `out` or the chunk table is malformed.
+// Returns the elements decoded.
+std::size_t decompress_chunked_into(
+    std::span<const std::byte> blob, int threads,
+    const PayloadDecompressFn& kernel, Field& out, std::size_t row_start,
+    const Window& window = std::nullopt);
 
 }  // namespace eblcio

@@ -213,10 +213,11 @@ Bytes ComposedCompressor::compress(const Field& field,
       });
 }
 
-void ComposedCompressor::decompress_into(std::span<const std::byte> blob,
-                                         Field& out, std::size_t row_start,
-                                         int threads) {
-  decompress_chunked_into(blob, threads, kernel(), out, row_start);
+std::size_t ComposedCompressor::decompress_into(
+    std::span<const std::byte> blob, Field& out, std::size_t row_start,
+    const Window& window, int threads) {
+  return decompress_chunked_into(blob, threads, kernel(), out, row_start,
+                                 window);
 }
 
 PayloadDecompressFn ComposedCompressor::kernel() const {

@@ -47,19 +47,7 @@ Field Compressor::decompress(std::span<const std::byte> blob, int threads) {
   const BlobHeader header = peek_header(blob);
   Field out = unfilled_field(header.codec, header.dtype,
                              Shape{std::span<const std::size_t>(header.dims)});
-  decompress_into(blob, out, 0, threads);
-  return out;
-}
-
-Field Compressor::decompress_region(std::span<const std::byte> blob,
-                                    const Region& box, int threads,
-                                    std::size_t* reconstructed) {
-  validate_region(box, peek_header(blob).dims);
-  const Field full = decompress(blob, threads);
-  if (reconstructed) *reconstructed = full.num_elements();
-  Field out = unfilled_field(full.name(), full.dtype(),
-                             Shape{std::span<const std::size_t>(box.shape)});
-  scatter_zone_into_region(full, 0, box, out);
+  decompress_into(blob, out, 0, std::nullopt, threads);
   return out;
 }
 
@@ -192,37 +180,40 @@ Field decompress_any(std::span<const std::byte> blob, int threads) {
 }
 
 std::size_t check_decode_target(const BlobHeader& header, const Field& out,
-                                std::size_t row_start) {
+                                std::size_t row_start, const Window& window) {
+  if (window) validate_region(*window, header.dims);
+  const std::vector<std::size_t>& want = window ? window->shape : header.dims;
   const std::vector<std::size_t> dims = out.shape().dims_vector();
   EBLCIO_CHECK_STREAM(
-      header.dtype == out.dtype() && header.dims.size() == dims.size() &&
-          std::equal(header.dims.begin() + 1, header.dims.end(),
-                     dims.begin() + 1) &&
-          row_start <= dims[0] && header.dims[0] <= dims[0] - row_start,
+      header.dtype == out.dtype() && want.size() == dims.size() &&
+          std::equal(want.begin() + 1, want.end(), dims.begin() + 1) &&
+          row_start <= dims[0] && want[0] <= dims[0] - row_start,
       "blob does not fit its destination rows");
   return row_start * (out.num_elements() / dims[0]);
 }
 
-void decompress_into_any(std::span<const std::byte> blob, Field& out,
-                         std::size_t row_start, int threads) {
-  compressor(peek_header(blob).codec)
-      .decompress_into(blob, out, row_start, threads);
+std::size_t decode_window_into(const BlobHeader& header, Field& out,
+                               std::size_t row_start, const Window& window,
+                               const DecodeRowsFn& decode_rows) {
+  const std::size_t offset =
+      check_decode_target(header, out, row_start, window);
+  if (!window || is_whole_region(*window, header.dims)) {
+    decode_rows(out, offset);
+  } else {
+    Field full = unfilled_field(
+        header.codec, header.dtype,
+        Shape{std::span<const std::size_t>(header.dims)});
+    decode_rows(full, 0);
+    crop_into(full, *window, out, offset);
+  }
+  return header.num_elements();
 }
 
-Field decompress_region_any(std::span<const std::byte> blob, const Region& box,
-                            int threads, std::size_t* reconstructed) {
-  const BlobHeader h = peek_header(blob);
-  const bool whole =
-      box.shape == h.dims && box.start.size() == h.dims.size() &&
-      std::all_of(box.start.begin(), box.start.end(),
-                  [](std::size_t s) { return s == 0; });
-  if (!whole)
-    return compressor(h.codec).decompress_region(blob, box, threads,
-                                                 reconstructed);
-  // The whole extent: the full decode, exactly as decompress_any runs it.
-  Field f = compressor(h.codec).decompress(blob, threads);
-  if (reconstructed) *reconstructed = f.num_elements();
-  return f;
+std::size_t decompress_into_any(std::span<const std::byte> blob, Field& out,
+                                std::size_t row_start, const Window& window,
+                                int threads) {
+  return compressor(peek_header(blob).codec)
+      .decompress_into(blob, out, row_start, window, threads);
 }
 
 BlobHeader peek_header(std::span<const std::byte> blob) {

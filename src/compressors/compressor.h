@@ -7,7 +7,9 @@
 // `decompress_any` can reconstruct a Field from a blob alone.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,10 @@ struct CompressorCaps {
   bool parallel_decompress = true;
 };
 
+// The box of a blob a decode writes, in the blob's own coordinates; absent
+// means the whole blob.
+using Window = std::optional<Region>;
+
 class Compressor {
  public:
   virtual ~Compressor() = default;
@@ -75,25 +81,19 @@ class Compressor {
   // allocates an unfilled field named header.codec and decodes into it.
   Field decompress(std::span<const std::byte> blob, int threads = 1);
 
-  // The codec's one decoder: decodes the blob into rows [row_start,
-  // row_start + dims[0]) of `out` and touches nothing else in `out`.
-  // Throws CorruptStream before writing anything unless
-  // check_decode_target accepts the blob's header. Every destination
-  // element is written exactly once and none is read before it is
-  // written, so `out` may start unfilled.
-  virtual void decompress_into(std::span<const std::byte> blob, Field& out,
-                               std::size_t row_start, int threads = 1) = 0;
-
-  // Reconstructs only `box` (in the blob's own coordinates): bit-identical
-  // to decompress() cropped to the box. Throws InvalidArgument when the box
-  // does not lie inside the blob's dims, and otherwise exactly when
-  // decompress() throws. The default is that full decode plus a crop;
-  // codecs whose predictions let a box be rebuilt from part of the stream
-  // override it. `reconstructed`, when non-null, receives the number of
-  // elements the call reconstructed.
-  virtual Field decompress_region(std::span<const std::byte> blob,
-                                  const Region& box, int threads,
-                                  std::size_t* reconstructed);
+  // The codec's one decoder: writes `window` of the blob, bit-identical to
+  // decompress() cropped to it, into rows [row_start, row_start +
+  // window.shape[0]) of `out` and touches nothing else in `out`. Throws
+  // before writing anything unless check_decode_target accepts the window
+  // and `out`, and otherwise exactly when decompress() throws. Every
+  // destination element is written exactly once and none is read before
+  // it is written, so `out` may start unfilled. Returns the elements it
+  // reconstructed: the blocks in each slab's lower cone of the window for
+  // SZ2, the whole blob for the others (decode_window_into).
+  virtual std::size_t decompress_into(std::span<const std::byte> blob,
+                                      Field& out, std::size_t row_start,
+                                      const Window& window = std::nullopt,
+                                      int threads = 1) = 0;
 
   // True if the codec can compress this field with these options.
   bool supports(const Field& field, const CompressOptions& opt) const;
@@ -145,26 +145,33 @@ std::vector<std::string> all_compressor_names();
 // Decodes the header of any blob and dispatches to the producing codec.
 Field decompress_any(std::span<const std::byte> blob, int threads = 1);
 
-// Checks that a blob with `header` fits rows [row_start, row_start +
-// dims[0]) of `out`: the same dtype and rank, and the same extents past
-// dimension 0. Throws CorruptStream otherwise. Returns the element offset
-// of row `row_start` in `out`.
+// Checks that `window` of a blob with `header` (the whole blob when
+// absent) fits rows [row_start, row_start + window.shape[0]) of `out`.
+// Throws InvalidArgument unless the window lies inside header.dims, then
+// CorruptStream unless `out` has the blob's dtype and rank and the
+// window's extents past dimension 0, with those rows inside it. Returns
+// the element offset of row `row_start` in `out`.
 std::size_t check_decode_target(const BlobHeader& header, const Field& out,
-                                std::size_t row_start);
+                                std::size_t row_start, const Window& window);
 
-// Decodes any blob into rows of `out` through its codec's decompress_into.
-void decompress_into_any(std::span<const std::byte> blob, Field& out,
-                         std::size_t row_start, int threads = 1);
+// A codec's whole-blob decode: writes every element of the blob's field
+// into `dst` from element `offset` on.
+using DecodeRowsFn = std::function<void(Field& dst, std::size_t offset)>;
 
-// Windowed decode: the values of the blob's field inside `box`, shaped
-// box.shape, bit-identical to decompress_any cropped to the box. Throws
-// InvalidArgument when the box does not lie inside the blob's dims, and
-// otherwise exactly when decompress_any throws. A box covering the blob's
-// whole extent returns decompress_any's field. `reconstructed`, when
-// non-null, receives the number of elements the codec reconstructed.
-Field decompress_region_any(std::span<const std::byte> blob, const Region& box,
-                            int threads = 1,
-                            std::size_t* reconstructed = nullptr);
+// The decode step of every codec without a windowed decoder of its own,
+// behind check_decode_target: a whole-blob window decodes straight into
+// `out`; any other decodes in full into an unfilled scratch field and
+// copies the window into `out`. Returns header.num_elements().
+std::size_t decode_window_into(const BlobHeader& header, Field& out,
+                               std::size_t row_start, const Window& window,
+                               const DecodeRowsFn& decode_rows);
+
+// Decodes `window` of any blob into rows of `out` through its codec's
+// decompress_into, and returns the elements the codec reconstructed.
+std::size_t decompress_into_any(std::span<const std::byte> blob, Field& out,
+                                std::size_t row_start,
+                                const Window& window = std::nullopt,
+                                int threads = 1);
 
 // Reads just the header (for inspecting blobs without decompressing).
 BlobHeader peek_header(std::span<const std::byte> blob);

@@ -22,11 +22,11 @@ Bytes BloscLikeCompressor::compress(const Field& field,
   return out;
 }
 
-void BloscLikeCompressor::decompress_into(std::span<const std::byte> blob,
-                                          Field& out, std::size_t row_start,
-                                          int /*threads*/) {
-  decompress_raw_into(
-      blob, out, row_start,
+std::size_t BloscLikeCompressor::decompress_into(
+    std::span<const std::byte> blob, Field& out, std::size_t row_start,
+    const Window& window, int /*threads*/) {
+  return decompress_raw_into(
+      blob, out, row_start, window,
       [](const BlobHeader& header, std::span<const std::byte> p) {
         return unshuffle_bytes(lz_decompress(p), dtype_size(header.dtype));
       });

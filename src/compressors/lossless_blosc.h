@@ -20,8 +20,9 @@ class BloscLikeCompressor : public Compressor {
 
   Bytes compress(const Field& field, const CompressOptions& opt,
                  Field* recon) override;
-  void decompress_into(std::span<const std::byte> blob, Field& out,
-                       std::size_t row_start, int threads) override;
+  std::size_t decompress_into(std::span<const std::byte> blob, Field& out,
+                              std::size_t row_start, const Window& window,
+                              int threads) override;
 };
 
 }  // namespace eblcio

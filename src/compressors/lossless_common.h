@@ -21,21 +21,25 @@ inline BlobHeader lossless_header(const std::string& codec,
   return h;
 }
 
-// Decodes a lossless blob into rows [row_start, row_start + dims[0]) of
-// `out`: checks the blob fits them, runs decode(header, payload) for the
-// field's raw bytes, and copies those into the rows. Throws CorruptStream,
-// before writing, unless they are exactly the header's element bytes.
+// Decodes `window` of a lossless blob into rows of `out`
+// (Compressor::decompress_into's contract) through decode_window_into:
+// runs decode(header, payload) for the field's raw bytes and copies those
+// into place. Throws CorruptStream unless they are exactly the header's
+// element bytes.
 template <typename Decode>
-void decompress_raw_into(std::span<const std::byte> blob, Field& out,
-                         std::size_t row_start, Decode&& decode) {
+std::size_t decompress_raw_into(std::span<const std::byte> blob, Field& out,
+                                std::size_t row_start, const Window& window,
+                                Decode&& decode) {
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
-  const std::size_t offset = check_decode_target(header, out, row_start);
-  const Bytes raw = decode(header, r.remaining());
-  EBLCIO_CHECK_STREAM(raw.size() == header.num_elements() *
-                                         dtype_size(header.dtype),
-                      "lossless payload does not match its header");
-  copy_into(raw, out, offset);
+  return decode_window_into(
+      header, out, row_start, window, [&](Field& dst, std::size_t offset) {
+        const Bytes raw = decode(header, r.remaining());
+        EBLCIO_CHECK_STREAM(raw.size() == header.num_elements() *
+                                               dtype_size(header.dtype),
+                            "lossless payload does not match its header");
+        copy_into(raw, dst, offset);
+      });
 }
 
 }  // namespace eblcio

@@ -148,11 +148,11 @@ Bytes FpcCompressor::compress(const Field& field, const CompressOptions& opt,
   return out;
 }
 
-void FpcCompressor::decompress_into(std::span<const std::byte> blob,
-                                    Field& out, std::size_t row_start,
-                                    int /*threads*/) {
-  decompress_raw_into(
-      blob, out, row_start,
+std::size_t FpcCompressor::decompress_into(
+    std::span<const std::byte> blob, Field& out, std::size_t row_start,
+    const Window& window, int /*threads*/) {
+  return decompress_raw_into(
+      blob, out, row_start, window,
       [](const BlobHeader& header, std::span<const std::byte> p) {
         return fpc_decompress_words(
             p, header.num_elements() * dtype_size(header.dtype));

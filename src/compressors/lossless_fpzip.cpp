@@ -186,15 +186,17 @@ Bytes FpzipLikeCompressor::compress(const Field& field,
   return out;
 }
 
-void FpzipLikeCompressor::decompress_into(std::span<const std::byte> blob,
-                                          Field& out, std::size_t row_start,
-                                          int /*threads*/) {
+std::size_t FpzipLikeCompressor::decompress_into(
+    std::span<const std::byte> blob, Field& out, std::size_t row_start,
+    const Window& window, int /*threads*/) {
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
-  const std::size_t offset = check_decode_target(header, out, row_start);
-  out.visit([&](auto& arr) {
-    fpzip_decompress_impl(header, r.remaining(), arr.data() + offset);
-  });
+  return decode_window_into(
+      header, out, row_start, window, [&](Field& dst, std::size_t offset) {
+        dst.visit([&](auto& arr) {
+          fpzip_decompress_impl(header, r.remaining(), arr.data() + offset);
+        });
+      });
 }
 
 }  // namespace eblcio

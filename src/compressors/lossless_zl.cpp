@@ -14,13 +14,14 @@ Bytes ZlCompressor::compress(const Field& field, const CompressOptions& opt,
   return out;
 }
 
-void ZlCompressor::decompress_into(std::span<const std::byte> blob,
-                                   Field& out, std::size_t row_start,
-                                   int /*threads*/) {
-  decompress_raw_into(blob, out, row_start,
-                      [](const BlobHeader&, std::span<const std::byte> p) {
-                        return lz_decompress(p);
-                      });
+std::size_t ZlCompressor::decompress_into(
+    std::span<const std::byte> blob, Field& out, std::size_t row_start,
+    const Window& window, int /*threads*/) {
+  return decompress_raw_into(
+      blob, out, row_start, window,
+      [](const BlobHeader&, std::span<const std::byte> p) {
+        return lz_decompress(p);
+      });
 }
 
 }  // namespace eblcio

@@ -82,11 +82,11 @@ Bytes QozCompressor::compress(const Field& field, const CompressOptions& opt,
                           qoz_payload_compress, recon);
 }
 
-void QozCompressor::decompress_into(std::span<const std::byte> blob,
-                                    Field& out, std::size_t row_start,
-                                    int threads) {
-  decompress_chunked_into(blob, threads, interp_payload_decompress, out,
-                          row_start);
+std::size_t QozCompressor::decompress_into(std::span<const std::byte> blob,
+                                           Field& out, std::size_t row_start,
+                                           const Window& window, int threads) {
+  return decompress_chunked_into(blob, threads, interp_payload_decompress,
+                                 out, row_start, window);
 }
 
 }  // namespace eblcio

@@ -4,11 +4,13 @@
 // (kLorenzoRegression, kLinearRecip) configuration of them — the same
 // kernels the composed codec framework drives with other component pairs.
 // The slab/stream framing below is frozen by the pinned reference blobs.
-// decompress_region rebuilds a query box from each touched slab's lower
-// cone only (block_decompress_region).
+// decompress_into writes a window straight into its rows of the caller's
+// output, each touched slab rebuilding only its lower cone of the window
+// (block_decompress_region); a whole-blob window is the full decode.
 #include "compressors/sz2.h"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/error.h"
@@ -127,7 +129,6 @@ struct Sz2Streams {
           off, static_cast<std::size_t>(ncodes[i]));
       off += slab.codes.size();
       slab.header = s.header;
-      slab.header.codec = "SZ2";  // names every decoded slab and box part
       slab.header.dims[0] =
           slab_rows(s.header.dims[0], static_cast<int>(nslabs),
                     static_cast<int>(i));
@@ -142,76 +143,45 @@ struct Sz2Streams {
 
 }  // namespace
 
-void Sz2Compressor::decompress_into(std::span<const std::byte> blob,
-                                    Field& out, std::size_t row_start,
-                                    int threads) {
+std::size_t Sz2Compressor::decompress_into(std::span<const std::byte> blob,
+                                           Field& out, std::size_t row_start,
+                                           const Window& window, int threads) {
+  const BlobHeader header = peek_header(blob);
   const std::size_t offset =
-      check_decode_target(peek_header(blob), out, row_start);
+      check_decode_target(header, out, row_start, window);
   const Sz2Streams s = Sz2Streams::parse(blob);
-  const std::size_t row = s.header.num_elements() / s.header.dims[0];
-  // Parallel per-slab reconstruction, each slab into its own rows.
-  parallel_for(s.slabs.size(), std::max(threads, 1), [&](std::size_t i) {
-    const Sz2Streams::Slab& slab = s.slabs[i];
-    ByteReader coeffs(slab.coeffs);
-    ByteReader unpred(slab.unpred);
-    block_decompress_into(slab.header, BlockPredictor::kLorenzoRegression,
-                          QuantizerId::kLinearRecip, 0.0, slab.codes,
-                          slab.mode_bits, coeffs, unpred, out,
-                          offset + slab.row_start * row);
-  });
-}
-
-Field Sz2Compressor::decompress_region(std::span<const std::byte> blob,
-                                       const Region& box, int threads,
-                                       std::size_t* reconstructed) {
-  const Sz2Streams s = Sz2Streams::parse(blob);
-  validate_region(box, s.header.dims);
-
-  // Slabs are independent fields stacked along dim 0: each one the box
-  // touches decodes its own part of the box (through its lower cone);
-  // the others only have their streams checked, so the windowed decode
-  // throws exactly when the full decode would.
+  const Region box = window.value_or(
+      Region{std::vector<std::size_t>(header.dims.size(), 0), header.dims});
   const std::size_t box_lo = box.start[0];
   const std::size_t box_hi = box_lo + box.shape[0];
-  std::vector<Field> parts(s.slabs.size());
+  const std::size_t row = box.num_elements() / box.shape[0];
+
+  // Slabs are independent fields stacked along dim 0: each one the window
+  // touches writes its part of the window (through its lower cone) into
+  // its rows of `out`; the others only have their streams checked, so a
+  // windowed decode throws exactly when the full decode would.
   std::vector<std::size_t> counts(s.slabs.size(), 0);
-  std::vector<bool> touched(s.slabs.size(), false);
-  for (std::size_t i = 0; i < s.slabs.size(); ++i) {
-    const Sz2Streams::Slab& slab = s.slabs[i];
-    touched[i] = std::max(box_lo, slab.row_start) <
-                 std::min(box_hi, slab.row_start + slab.header.dims[0]);
-  }
   parallel_for(s.slabs.size(), std::max(threads, 1), [&](std::size_t i) {
     const Sz2Streams::Slab& slab = s.slabs[i];
     ByteReader coeffs(slab.coeffs);
     ByteReader unpred(slab.unpred);
-    if (!touched[i]) {
+    const std::size_t lo = std::max(box_lo, slab.row_start);
+    const std::size_t hi =
+        std::min(box_hi, slab.row_start + slab.header.dims[0]);
+    if (lo >= hi) {
       block_check_streams(slab.header, BlockPredictor::kLorenzoRegression,
                           slab.codes, slab.mode_bits, coeffs, unpred);
       return;
     }
-    const std::size_t lo = std::max(box_lo, slab.row_start);
-    const std::size_t hi =
-        std::min(box_hi, slab.row_start + slab.header.dims[0]);
     Region local = box;
     local.start[0] = lo - slab.row_start;
     local.shape[0] = hi - lo;
-    parts[i] = block_decompress_region(
+    counts[i] = block_decompress_region(
         slab.header, BlockPredictor::kLorenzoRegression,
         QuantizerId::kLinearRecip, 0.0, slab.codes, slab.mode_bits, coeffs,
-        unpred, local, &counts[i]);
+        unpred, local, out, offset + (lo - box_lo) * row);
   });
-  if (reconstructed) {
-    *reconstructed = 0;
-    for (const std::size_t n : counts) *reconstructed += n;
-  }
-
-  // The touched slabs' parts are consecutive row runs of the box.
-  std::vector<Field> box_rows;
-  for (std::size_t i = 0; i < parts.size(); ++i)
-    if (touched[i]) box_rows.push_back(std::move(parts[i]));
-  if (box_rows.size() == 1) return std::move(box_rows[0]);
-  return merge_slabs(box_rows, box.shape, "SZ2");
+  return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
 }
 
 }  // namespace eblcio

@@ -31,12 +31,11 @@ class Sz2Compressor : public Compressor {
 
   Bytes compress(const Field& field, const CompressOptions& opt,
                  Field* recon) override;
-  void decompress_into(std::span<const std::byte> blob, Field& out,
-                       std::size_t row_start, int threads) override;
-  // Reconstructs only the blocks in the box's lower cone of each slab the
-  // box touches (see compressors/README.md, "Windowed decode").
-  Field decompress_region(std::span<const std::byte> blob, const Region& box,
-                          int threads, std::size_t* reconstructed) override;
+  // Reconstructs only the blocks in the window's lower cone of each slab
+  // the window touches (see compressors/README.md, "Decode").
+  std::size_t decompress_into(std::span<const std::byte> blob, Field& out,
+                              std::size_t row_start, const Window& window,
+                              int threads) override;
 };
 
 }  // namespace eblcio

@@ -25,11 +25,11 @@ Bytes Sz3Compressor::compress(const Field& field, const CompressOptions& opt,
                           sz3_payload_compress, recon);
 }
 
-void Sz3Compressor::decompress_into(std::span<const std::byte> blob,
-                                    Field& out, std::size_t row_start,
-                                    int threads) {
-  decompress_chunked_into(blob, threads, interp_payload_decompress, out,
-                          row_start);
+std::size_t Sz3Compressor::decompress_into(std::span<const std::byte> blob,
+                                           Field& out, std::size_t row_start,
+                                           const Window& window, int threads) {
+  return decompress_chunked_into(blob, threads, interp_payload_decompress,
+                                 out, row_start, window);
 }
 
 }  // namespace eblcio

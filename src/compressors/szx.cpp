@@ -191,10 +191,11 @@ Bytes SzxCompressor::compress(const Field& field, const CompressOptions& opt,
                           payload_compress);
 }
 
-void SzxCompressor::decompress_into(std::span<const std::byte> blob,
-                                    Field& out, std::size_t row_start,
-                                    int threads) {
-  decompress_chunked_into(blob, threads, payload_decompress, out, row_start);
+std::size_t SzxCompressor::decompress_into(std::span<const std::byte> blob,
+                                           Field& out, std::size_t row_start,
+                                           const Window& window, int threads) {
+  return decompress_chunked_into(blob, threads, payload_decompress, out,
+                                 row_start, window);
 }
 
 }  // namespace eblcio

@@ -1,6 +1,7 @@
 #include "compressors/zone.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <type_traits>
 
@@ -8,50 +9,6 @@
 #include "compressors/chunking.h"
 
 namespace eblcio {
-namespace {
-
-template <typename T>
-void scatter_impl(const NdArray<T>& zone, std::size_t zone_row_start,
-                  const Region& region, NdArray<T>& out) {
-  const int nd = out.ndims();
-  const std::size_t r0 = region.start[0];
-  const std::size_t lo = std::max(r0, zone_row_start);
-  const std::size_t hi =
-      std::min(r0 + region.shape[0], zone_row_start + zone.shape().dim(0));
-  if (lo >= hi) return;
-
-  if (nd == 1) {
-    std::memcpy(out.data() + (lo - r0),
-                zone.data() + (lo - zone_row_start), (hi - lo) * sizeof(T));
-    return;
-  }
-
-  const auto zs = zone.shape().strides();
-  const auto os = out.shape().strides();
-  const int last = nd - 1;
-  const std::size_t run = region.shape[last];
-  const std::size_t run_off = region.start[last];
-  const std::size_t m1_count = nd >= 3 ? region.shape[1] : 1;
-  const std::size_t m1_start = nd >= 3 ? region.start[1] : 0;
-  const std::size_t m2_count = nd >= 4 ? region.shape[2] : 1;
-  const std::size_t m2_start = nd >= 4 ? region.start[2] : 0;
-
-  for (std::size_t g = lo; g < hi; ++g) {
-    const T* zrow = zone.data() + (g - zone_row_start) * zs[0];
-    T* orow = out.data() + (g - r0) * os[0];
-    for (std::size_t i1 = 0; i1 < m1_count; ++i1)
-      for (std::size_t i2 = 0; i2 < m2_count; ++i2) {
-        const T* src = zrow + (nd >= 3 ? (m1_start + i1) * zs[1] : 0) +
-                       (nd >= 4 ? (m2_start + i2) * zs[2] : 0) +
-                       run_off * zs[last];
-        T* dst = orow + (nd >= 3 ? i1 * os[1] : 0) +
-                 (nd >= 4 ? i2 * os[2] : 0);
-        std::memcpy(dst, src, run * sizeof(T));
-      }
-  }
-}
-
-}  // namespace
 
 std::vector<ZoneExtent> zone_extents(std::size_t d0, int zones) {
   EBLCIO_CHECK_ARG(zones >= 1, "zone count must be positive");
@@ -68,12 +25,55 @@ std::vector<ZoneExtent> zone_extents(std::size_t d0, int zones) {
   return out;
 }
 
-void scatter_zone_into_region(const Field& zone, std::size_t zone_row_start,
-                              const Region& region, Field& out) {
+template <typename T>
+void crop_box(const T* src, std::span<const std::size_t> dims,
+              const Region& box, T* dst) {
+  // The box padded to four dimensions, slowest first; one memcpy per run
+  // along the fastest axis.
+  const int pad = 4 - box.ndims();
+  std::array<std::size_t, 4> lo{}, len{1, 1, 1, 1}, ext{1, 1, 1, 1};
+  for (int i = 0; i < box.ndims(); ++i) {
+    lo[pad + i] = box.start[i];
+    len[pad + i] = box.shape[i];
+    ext[pad + i] = dims[i];
+  }
+  const std::size_t s2 = ext[3], s1 = s2 * ext[2], s0 = s1 * ext[1];
+  for (std::size_t c0 = 0; c0 < len[0]; ++c0)
+    for (std::size_t c1 = 0; c1 < len[1]; ++c1)
+      for (std::size_t c2 = 0; c2 < len[2]; ++c2) {
+        std::memcpy(dst,
+                    src + (lo[0] + c0) * s0 + (lo[1] + c1) * s1 +
+                        (lo[2] + c2) * s2 + lo[3],
+                    len[3] * sizeof(T));
+        dst += len[3];
+      }
+}
+
+template void crop_box<float>(const float*, std::span<const std::size_t>,
+                              const Region&, float*);
+template void crop_box<double>(const double*, std::span<const std::size_t>,
+                               const Region&, double*);
+
+void crop_into(const Field& src, const Region& box, Field& out,
+               std::size_t offset) {
+  const std::vector<std::size_t> dims = src.shape().dims_vector();
   out.visit([&](auto& arr) {
     using T = std::remove_reference_t<decltype(*arr.data())>;
-    scatter_impl<T>(zone.as<T>(), zone_row_start, region, arr);
+    crop_box<T>(src.as<T>().data(), dims, box, arr.data() + offset);
   });
+}
+
+void scatter_zone_into_region(const Field& zone, std::size_t zone_row_start,
+                              const Region& region, Field& out) {
+  const std::size_t r0 = region.start[0];
+  const std::size_t lo = std::max(r0, zone_row_start);
+  const std::size_t hi =
+      std::min(r0 + region.shape[0], zone_row_start + zone.shape().dim(0));
+  if (lo >= hi) return;
+  Region part = region;
+  part.start[0] = lo - zone_row_start;
+  part.shape[0] = hi - lo;
+  crop_into(zone, part, out, (lo - r0) * (out.num_elements() / region.shape[0]));
 }
 
 Region zone_part_of_region(const Region& region, const ZoneExtent& zone) {
@@ -87,19 +87,6 @@ Region zone_part_of_region(const Region& region, const ZoneExtent& zone) {
   part.start[0] = lo - zone_start;
   part.shape[0] = hi - lo;
   return part;
-}
-
-void copy_zone_part_into_region(const Field& part, const ZoneExtent& zone,
-                                const Region& region, Field& out) {
-  const Region want = zone_part_of_region(region, zone);
-  EBLCIO_CHECK_STREAM(part.dtype() == out.dtype() &&
-                          part.shape().dims_vector() == want.shape,
-                      "decoded zone part does not match its box");
-  const std::size_t offset =
-      (static_cast<std::size_t>(zone.row_start) + want.start[0] -
-       region.start[0]) *
-      (out.num_elements() / region.shape[0]);
-  copy_into(part.bytes(), out, offset);
 }
 
 }  // namespace eblcio

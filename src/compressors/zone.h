@@ -13,19 +13,20 @@
 // (compressors/chunking.h), and every zone is compressed at the absolute
 // bound derived from the *whole* field, so the merged reconstruction is
 // bit-identical to the unzoned chunked path. This file holds the extent
-// math and the copies that place a decoded zone, or the decoded part of
-// one, into a region.
+// math and the crops that place a decoded zone, or the part of one, into
+// a region.
 //
-// A read places a zone its region holds whole with decompress_into
-// (compressors/compressor.h): the codec decodes straight into the zone's
-// rows of one output allocated unfilled. That is safe under the
-// decode-into contract: every destination element is written exactly once
-// (the covering zones' parts tile the region, and each decoder writes each
-// of its elements once), and no decoder reads an element before writing
-// it. A zone only partly inside the region decodes its part alone
-// (decompress_region_any) and copy_zone_part_into_region copies it in.
+// A read places each covering zone with one windowed decompress_into
+// (compressors/compressor.h): the window is the zone's part of the region
+// (zone_part_of_region), whole or partial, and the codec writes it
+// straight into the part's rows of one output allocated unfilled. That is
+// safe under the decode-into contract: every destination element is
+// written exactly once (the covering zones' parts tile the region, and
+// each decoder writes each element of its window once), and no decoder
+// reads an element before writing it.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/field.h"
@@ -37,10 +38,22 @@ namespace eblcio {
 // `zones` contiguous extents matching slab_rows (fewer when d0 is small).
 std::vector<ZoneExtent> zone_extents(std::size_t d0, int zones);
 
+// Copies `box` of the dense row-major array `src` shaped `dims` into
+// `dst`, densely in the box's own row-major order. The box must lie
+// inside `dims` (validate_region).
+template <typename T>
+void crop_box(const T* src, std::span<const std::size_t> dims,
+              const Region& box, T* dst);
+
+// Copies `box` of `src` (in src's coordinates) into `out` from element
+// `offset` on: the box's rows, when out's extents past dimension 0 are
+// the box's. The crop of the full-decode fallback (decode_window_into).
+void crop_into(const Field& src, const Region& box, Field& out,
+               std::size_t offset);
+
 // Copies the intersection of `zone` (rows [zone_row_start, ...) of the full
-// field) and `region` into `out` (shaped region.shape). Used by the serial
-// region reference and the default windowed decode (a full decode cropped
-// to its box).
+// field) and `region` into `out` (shaped region.shape). Used by the
+// end-to-end replay's serial region reference.
 void scatter_zone_into_region(const Field& zone, std::size_t zone_row_start,
                               const Region& region, Field& out);
 
@@ -48,12 +61,5 @@ void scatter_zone_into_region(const Field& zone, std::size_t zone_row_start,
 // coordinates (dims 1..n are the region's). Throws InvalidArgument when
 // the zone holds none of the region's rows.
 Region zone_part_of_region(const Region& region, const ZoneExtent& zone);
-
-// Copies `part` — the zone_part_of_region box of `zone`, decoded — into
-// `out` (shaped region.shape). Dims 1..n already match the region, so the
-// part is one contiguous run of `out`. Throws CorruptStream when the part's
-// dtype or shape is not the one asked for.
-void copy_zone_part_into_region(const Field& part, const ZoneExtent& zone,
-                                const Region& region, Field& out);
 
 }  // namespace eblcio

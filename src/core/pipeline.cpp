@@ -150,10 +150,9 @@ class ReadOutput {
   const Region& region() const { return region_; }
 
   // The one placement step of both reads: checks zone `zi`'s blob dims
-  // against the index (the dataset's, with the zone's rows), then writes
-  // the zone's part of the region. A whole zone decodes straight into its
-  // rows; a part decodes alone (decompress_region_any) and is copied in.
-  // Returns the elements the codec reconstructed.
+  // against the index (the dataset's, with the zone's rows), then decodes
+  // the zone's part of the region, whole or partial, straight into its
+  // rows of the output. Returns the elements the codec reconstructed.
   std::size_t place(std::span<const std::byte> blob, std::size_t zi) {
     const BlobHeader header = peek_header(blob);
     const ZoneExtent& zone = index_.zones[zi];
@@ -168,15 +167,8 @@ class ReadOutput {
     EBLCIO_CHECK_STREAM(header.dtype == field_.dtype(),
                         "zone blobs disagree on dtype: " + path_);
     const Region part = zone_part_of_region(region_, zone);
-    if (part.shape == header.dims) {
-      decompress_into_any(blob, field_, zone.row_start - region_.start[0]);
-      return header.num_elements();
-    }
-    std::size_t reconstructed = 0;
-    copy_zone_part_into_region(
-        decompress_region_any(blob, part, 1, &reconstructed), zone, region_,
-        field_);
-    return reconstructed;
+    const std::size_t row = zone.row_start + part.start[0] - region_.start[0];
+    return decompress_into_any(blob, field_, row, part);
   }
 
   Field take() { return std::move(field_); }

@@ -280,7 +280,8 @@ struct RegionReadRecord : StreamReadBase {
 
 // Reads `region` of a container written by run_streamed_compress_write
 // through the streamed pipeline; each covering zone decodes only its part
-// of the box (decompress_region_any). Throws CorruptStream when the
+// of the box, straight into its rows of the result (a windowed
+// decompress_into_any). Throws CorruptStream when the
 // container or any covering zone is malformed (no partial Field escapes),
 // InvalidArgument when the region falls outside the dataset.
 RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,

@@ -322,21 +322,50 @@ TEST(BenchUtilMeasure, KeepsFastestCompressAndDecompressSeparately) {
   EXPECT_EQ(kept.host_decompress_s, 0.5);
 }
 
-TEST(BenchJson, WriteStampsHostAndBuildMeta) {
-  bench::JsonObject doc;
-  doc.set("bench", std::string("stamp"));
+// The text write_json_file leaves for `doc`.
+std::string written_json(const bench::JsonObject& doc) {
   const std::string path = ::testing::TempDir() + "bench_stamp.json";
-  ASSERT_TRUE(bench::write_json_file(path, doc));
+  EXPECT_TRUE(bench::write_json_file(path, doc));
   std::ifstream in(path);
   std::stringstream body;
   body << in.rdbuf();
-  const std::string text = body.str();
-  EXPECT_NE(text.find("\"bench\": \"stamp\""), std::string::npos);
-  for (const char* key : {"\"meta\": {", "\"nproc\": ", "\"optimize\": ",
-                          "\"ndebug\": ", "\"compiler\": ",
-                          "\"build_type\": "})
-    EXPECT_NE(text.find(key), std::string::npos) << key;
   std::remove(path.c_str());
+  return body.str();
+}
+
+TEST(BenchJson, WriteStampsHostAndBuildMeta) {
+  const char* kStamp[] = {"\"nproc\": ", "\"optimize\": ", "\"ndebug\": ",
+                          "\"compiler\": ", "\"build_type\": "};
+  bench::JsonObject doc;
+  doc.set("bench", std::string("stamp"));
+  std::string text = written_json(doc);
+  EXPECT_NE(text.find("\"bench\": \"stamp\""), std::string::npos);
+  EXPECT_NE(text.find("\"meta\": {"), std::string::npos);
+  for (const char* key : kStamp)
+    EXPECT_NE(text.find(key), std::string::npos) << key;
+
+  // A document with its own meta (bench_e2e's, which carries some stamp
+  // keys itself) gets one "meta" holding its fields and the stamp, each
+  // key once: a second key would hide one of them from a JSON reader.
+  bench::JsonObject meta;
+  meta.set("nproc", std::uint64_t{0})
+      .set("scale", 0.5)
+      .set("warmup_ops", std::uint64_t{3});
+  doc.set("meta", meta);
+  text = written_json(doc);
+  const std::size_t at = text.find("\"meta\": {");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(text.find("\"meta\"", at + 1), std::string::npos);
+  const std::size_t end = text.find('}', at);
+  std::vector<const char*> keys(std::begin(kStamp), std::end(kStamp));
+  keys.push_back("\"scale\": 0.5");
+  keys.push_back("\"warmup_ops\": 3");
+  for (const char* key : keys) {
+    const std::size_t k = text.find(key, at);
+    EXPECT_TRUE(k != std::string::npos && k < end) << key;
+    EXPECT_GT(text.find(key, k + 1), end) << key;  // once only
+  }
+  EXPECT_EQ(text.find("\"nproc\": 0"), std::string::npos);
 }
 
 }  // namespace

@@ -220,7 +220,7 @@ TEST(BlobHeaderRobustness, OutOfRangeDtypeAndBoundModeBytesAreRejected) {
       forged[dtype_at] = static_cast<std::byte>(bad);
       EXPECT_THROW(peek_header(forged), CorruptStream);
       EXPECT_THROW(decompress_any(forged), CorruptStream);
-      EXPECT_THROW(decompress_region_any(forged, {{0, 0}, {1, 1}}),
+      EXPECT_THROW(test::decode_box(forged, {{0, 0}, {1, 1}}),
                    CorruptStream);
     }
     for (const std::uint8_t bad : {3, 4, 0x80, 0xff}) {

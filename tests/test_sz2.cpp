@@ -142,7 +142,7 @@ TEST(Sz2, ForgedSlabCountFailsBeforeTheTableIsSized) {
     Bytes bad = blob;
     std::memcpy(bad.data() + header.size(), &forged, sizeof(forged));
     EXPECT_THROW(c.decompress(bad, 1), CorruptStream) << forged;
-    EXPECT_THROW(decompress_region_any(bad, {{0, 0, 0}, {4, 4, 4}}),
+    EXPECT_THROW(test::decode_box(bad, {{0, 0, 0}, {4, 4, 4}}),
                  CorruptStream)
         << forged;
   }

@@ -5,7 +5,9 @@
 #include <vector>
 
 #include "common/field.h"
+#include "common/region.h"
 #include "common/rng.h"
+#include "compressors/compressor.h"
 
 namespace eblcio::test {
 
@@ -71,6 +73,21 @@ inline Field spiky_field(std::size_t n = 2048, std::uint64_t seed = 5) {
   for (std::size_t i = 0; i < n; ++i)
     arr[i] = static_cast<float>(std::exp(6.0 * rng.next_double()) - 1.0);
   return Field("spiky", std::move(arr));
+}
+
+// The windowed decode through the one decoder: `box` of the blob, written
+// by decompress_into_any into an unfilled field of the box's own shape.
+// `reconstructed`, when non-null, receives the elements the codec
+// reconstructed.
+inline Field decode_box(std::span<const std::byte> blob, const Region& box,
+                        int threads = 1,
+                        std::size_t* reconstructed = nullptr) {
+  const BlobHeader header = peek_header(blob);
+  Field out = unfilled_field(header.codec, header.dtype,
+                             Shape{std::span<const std::size_t>(box.shape)});
+  const std::size_t n = decompress_into_any(blob, out, 0, box, threads);
+  if (reconstructed) *reconstructed = n;
+  return out;
 }
 
 }  // namespace eblcio::test

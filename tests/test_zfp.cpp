@@ -250,7 +250,9 @@ TEST(Zfp, ForgedDimsAreCorruptStream) {
         Shape{std::span<const std::size_t>(header.dims)});
     float* first = out.as<float>().data();
     std::fill_n(first, 16 * 16 * 16, -7.0f);
-    EXPECT_THROW(c.decompress_into(forged, out, 0, 1), CorruptStream) << rows;
+    EXPECT_THROW(c.decompress_into(forged, out, 0, std::nullopt, 1),
+                 CorruptStream)
+        << rows;
     if (rows > 64)
       EXPECT_TRUE(std::all_of(first, first + 16 * 16 * 16,
                               [](float v) { return v == -7.0f; }));

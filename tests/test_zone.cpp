@@ -13,6 +13,7 @@
 #include <cstring>
 #include <functional>
 
+#include "common/buffer_pool.h"
 #include "common/error.h"
 #include "common/region.h"
 #include "common/rng.h"
@@ -31,6 +32,7 @@
 namespace eblcio {
 namespace {
 
+using test::decode_box;
 using test::double_field_4d;
 using test::noisy_field_1d;
 using test::smooth_field_2d;
@@ -138,7 +140,8 @@ TEST(RegionValidate, RejectsEmptyAndOutOfBounds) {
 
 // Streams `f` out as a `zones`-zone `codec` container. Every box read
 // through the laned region pipeline must equal the serial reference and
-// the box's slice of the laned full read, bit for bit.
+// the box's slice of the laned full read, bit for bit, and both reads
+// must return every pooled buffer they took.
 void expect_region_reads_agree(const Field& f, const std::string& codec,
                                int zones, const std::vector<Region>& boxes) {
   PfsSimulator pfs;
@@ -151,12 +154,33 @@ void expect_region_reads_agree(const Field& f, const std::string& codec,
   const Field full = run_streamed_read(pfs, wrec.path, config).field;
   ASSERT_EQ(full.shape(), f.shape());
   for (const Region& box : boxes) {
+    const BufferPool::Stats before = BufferPool::global().stats();
     const Field got =
         run_streamed_read_region(pfs, wrec.path, box, config).field;
-    EXPECT_TRUE(bytes_equal(
-        got, read_region_reference(pfs, wrec.path, box, config.io_library)));
+    const Field ref =
+        read_region_reference(pfs, wrec.path, box, config.io_library);
+    const BufferPool::Stats after = BufferPool::global().stats();
+    EXPECT_EQ(after.acquires - before.acquires,
+              after.releases - before.releases);
+    EXPECT_TRUE(bytes_equal(got, ref));
     EXPECT_TRUE(bytes_equal(got, slice_region(full, box)));
   }
+}
+
+// A box that cuts both zones it covers: rows from the middle of zone 0 to
+// the middle of zone 1, and one element in from each side past dim 0
+// where the extent allows.
+Region cutting_box(const std::vector<std::size_t>& dims, int zones) {
+  const auto ext = zone_extents(dims[0], zones);
+  Region box{std::vector<std::size_t>(dims.size(), 0), dims};
+  box.start[0] = ext[0].rows / 2;
+  box.shape[0] = ext[0].rows + ext[1].rows / 2 - box.start[0];
+  for (std::size_t d = 1; d < dims.size(); ++d)
+    if (dims[d] > 2) {
+      box.start[d] = 1;
+      box.shape[d] = dims[d] - 2;
+    }
+  return box;
 }
 
 TEST(ZonedRegionRead, EveryEblcCodecRankAndDtype) {
@@ -172,6 +196,7 @@ TEST(ZonedRegionRead, EveryEblcCodecRankAndDtype) {
       std::vector<Region> boxes;
       for (int q = 0; q < 3; ++q)
         boxes.push_back(random_region(rng, f.shape().dims_vector()));
+      boxes.push_back(cutting_box(f.shape().dims_vector(), 4));
       expect_region_reads_agree(f, codec, 4, boxes);
     }
   }
@@ -186,7 +211,7 @@ TEST(ZonedRegionRead, BoundaryStraddlingRegions) {
        Region{{5, 0, 0}, {5, 40, 40}}, Region{{0, 0, 0}, {40, 40, 40}}});
 }
 
-// --- windowed decode (decompress_region_any) --------------------------------
+// --- windowed decode (decompress_into with a window) -----------------------
 
 // The windowed decode must equal the full decode cropped to `box`, bit for
 // bit, and reconstruct no more than the full decode does.
@@ -194,7 +219,7 @@ void expect_windowed_matches_full(std::span<const std::byte> blob,
                                   const Region& box, int threads = 1) {
   const Field full = decompress_any(blob, threads);
   std::size_t reconstructed = 0;
-  const Field got = decompress_region_any(blob, box, threads, &reconstructed);
+  const Field got = decode_box(blob, box, threads, &reconstructed);
   EXPECT_EQ(got.shape().dims_vector(), box.shape);
   EXPECT_TRUE(bytes_equal(got, slice_region(full, box)));
   EXPECT_GE(reconstructed, box.num_elements());
@@ -217,7 +242,7 @@ void expect_throw_parity(std::span<const std::byte> blob, const Region& box) {
   const bool full_threw = throws([&] { full = decompress_any(blob); });
   Field got;
   const bool windowed_threw =
-      throws([&] { got = decompress_region_any(blob, box); });
+      throws([&] { got = decode_box(blob, box); });
   ASSERT_EQ(windowed_threw, full_threw);
   if (!full_threw) EXPECT_TRUE(bytes_equal(got, slice_region(full, box)));
 }
@@ -251,11 +276,11 @@ TEST(WindowedDecode, Sz2ReconstructsOnlyTheLowerCone) {
   const Bytes blob = compressor("SZ2").compress(f, opt);
   std::size_t reconstructed = 0;
   // [0, 7) on every axis rounds up to two blocks per axis: 12^3 elements.
-  (void)decompress_region_any(blob, {{3, 0, 6}, {4, 7, 1}}, 1, &reconstructed);
+  (void)decode_box(blob, {{3, 0, 6}, {4, 7, 1}}, 1, &reconstructed);
   EXPECT_EQ(reconstructed, 12u * 12u * 12u);
   // Other codecs decode in full and crop.
   const Bytes sz3 = compressor("SZ3").compress(f, opt);
-  (void)decompress_region_any(sz3, {{3, 0, 6}, {4, 7, 1}}, 1, &reconstructed);
+  (void)decode_box(sz3, {{3, 0, 6}, {4, 7, 1}}, 1, &reconstructed);
   EXPECT_EQ(reconstructed, f.num_elements());
 }
 
@@ -279,7 +304,7 @@ TEST(WindowedDecode, Sz2EdgeBoxes) {
     SCOPED_TRACE(f.name());
     expect_windowed_matches_full(blob, {zeros, ones});  // the origin
     std::size_t reconstructed = 0;
-    (void)decompress_region_any(blob, {last, ones}, 1, &reconstructed);
+    (void)decode_box(blob, {last, ones}, 1, &reconstructed);
     EXPECT_EQ(reconstructed, f.num_elements());  // the cone is everything
     expect_windowed_matches_full(blob, {last, ones});
     expect_windowed_matches_full(blob, {edge, edge_len});
@@ -325,12 +350,15 @@ TEST(WindowedDecode, RejectsBoxesOutsideTheBlob) {
   CompressOptions opt;
   for (const std::string& codec : {"SZ2", "SZ3"}) {
     const Bytes blob = compressor(codec).compress(f, opt);
-    EXPECT_THROW(decompress_region_any(blob, {{0, 0}, {4, 4}}),
-                 InvalidArgument);
-    EXPECT_THROW(decompress_region_any(blob, {{0, 0, 10}, {1, 1, 3}}),
-                 InvalidArgument);
-    EXPECT_THROW(decompress_region_any(blob, {{0, 0, 0}, {0, 1, 1}}),
-                 InvalidArgument);
+    // The window is checked before the destination: `out` fits none of
+    // these boxes, yet each throws InvalidArgument.
+    Field out = decompress_any(blob);
+    for (const Region& box : {Region{{0, 0}, {4, 4}},
+                              Region{{0, 0, 10}, {1, 1, 3}},
+                              Region{{0, 0, 0}, {0, 1, 1}}})
+      EXPECT_THROW(decompress_into_any(blob, out, 0, box), InvalidArgument);
+    EXPECT_THROW(decode_box(blob, {{0, 0}, {4, 4}}), InvalidArgument);
+    EXPECT_THROW(decode_box(blob, {{0, 0, 10}, {1, 1, 3}}), InvalidArgument);
   }
 }
 
@@ -886,7 +914,7 @@ TEST(WholeBoxDecode, EqualsDecompressAnyForEveryCodec) {
       const Region whole{std::vector<std::size_t>(f.ndims(), 0),
                          f.shape().dims_vector()};
       std::size_t reconstructed = 0;
-      const Field got = decompress_region_any(blob, whole, 1, &reconstructed);
+      const Field got = decode_box(blob, whole, 1, &reconstructed);
       EXPECT_TRUE(bytes_equal(got, decompress_any(blob)));
       EXPECT_EQ(got.shape().dims_vector(), f.shape().dims_vector());
       EXPECT_EQ(reconstructed, f.num_elements());
@@ -908,80 +936,110 @@ Field guarded_destination(DType dtype, std::vector<std::size_t> dims,
   return out;
 }
 
-// Decodes `blob` into the guarded destinations both fills give. The two
-// are each other's referee: an element left unwritten, or read before it
-// is written, shows its fill, so the slab rows must read the same bytes
-// under both, and the guard rows must keep their fill. (The decoded
-// values themselves are pinned by the reference blobs and ZfpGolden.)
-// Then every mismatched destination (dtype, rank, a wider row, rows past
-// the end) must throw CorruptStream and leave its bytes as they were.
-void expect_decodes_into_exactly_its_rows(const Bytes& blob, int threads) {
+// Decodes `window` of `blob` (the whole blob when absent) into the
+// guarded destinations both fills give, and returns the bytes of its rows.
+// The two are each other's referee: an element left unwritten, or read
+// before it is written, shows its fill, so the window's rows must read the
+// same bytes under both, and the guard rows must keep their fill. (The
+// decoded values themselves are pinned by the reference blobs and
+// ZfpGolden.) Then every mismatched destination (dtype, rank, a wider row,
+// rows past the end, and for a window the blob's own extents) must throw
+// CorruptStream and leave its bytes as they were.
+Bytes expect_decodes_into_exactly_its_rows(const Bytes& blob,
+                                           const Window& window,
+                                           int threads) {
   constexpr std::size_t kGuard = 3;
   const BlobHeader header = peek_header(blob);
   Compressor& codec = compressor(header.codec);
-  const std::size_t slab_bytes =
-      header.num_elements() * dtype_size(header.dtype);
-  const std::size_t guard_bytes = kGuard * slab_bytes / header.dims[0];
-  std::vector<Bytes> slabs;
+  const std::vector<std::size_t> dims = window ? window->shape : header.dims;
+  const std::size_t elements =
+      Shape{std::span<const std::size_t>(dims)}.num_elements();
+  const std::size_t rows_bytes = elements * dtype_size(header.dtype);
+  const std::size_t guard_bytes = kGuard * rows_bytes / dims[0];
+  std::vector<Bytes> rows;
   for (const unsigned char fill : {0xA5, 0xFF}) {
     SCOPED_TRACE("fill " + std::to_string(fill));
-    Field out = guarded_destination(header.dtype, header.dims, kGuard, fill);
-    codec.decompress_into(blob, out, kGuard, threads);
+    Field out = guarded_destination(header.dtype, dims, kGuard, fill);
+    const std::size_t n =
+        codec.decompress_into(blob, out, kGuard, window, threads);
+    EXPECT_GE(n, elements);
+    EXPECT_LE(n, header.num_elements());
     const auto got = out.bytes();
-    const auto slab = got.subspan(guard_bytes, slab_bytes);
-    slabs.emplace_back(slab.begin(), slab.end());
-    for (const std::size_t i : {std::size_t{0}, guard_bytes + slab_bytes})
+    const auto mine = got.subspan(guard_bytes, rows_bytes);
+    rows.emplace_back(mine.begin(), mine.end());
+    for (const std::size_t i : {std::size_t{0}, guard_bytes + rows_bytes})
       EXPECT_TRUE(std::all_of(
           got.begin() + i, got.begin() + i + guard_bytes,
           [&](std::byte b) { return b == static_cast<std::byte>(fill); }));
   }
-  EXPECT_TRUE(slabs[0] == slabs[1]);
-  Field through_any =
-      guarded_destination(header.dtype, header.dims, 0, 0xA5);
-  decompress_into_any(blob, through_any, 0, threads);
-  EXPECT_TRUE(std::equal(slabs[0].begin(), slabs[0].end(),
+  EXPECT_TRUE(rows[0] == rows[1]);
+  Field through_any = guarded_destination(header.dtype, dims, 0, 0xA5);
+  decompress_into_any(blob, through_any, 0, window, threads);
+  EXPECT_TRUE(std::equal(rows[0].begin(), rows[0].end(),
                          through_any.bytes().begin(),
                          through_any.bytes().end()));
 
   const DType other = header.dtype == DType::kFloat32 ? DType::kFloat64
                                                       : DType::kFloat32;
-  std::vector<std::size_t> wider = header.dims, other_rank = header.dims;
+  std::vector<std::size_t> wider = dims, other_rank = dims;
   wider.back() += 1;
   other_rank.pop_back();
-  if (other_rank.empty()) other_rank = {header.dims[0], 1, 1};
+  if (other_rank.empty()) other_rank = {dims[0], 1, 1};
   struct Mismatch {
     Field out;
     std::size_t row_start;
   };
   std::vector<Mismatch> mismatches;
-  mismatches.push_back({guarded_destination(other, header.dims, 1, 0xA5), 1});
-  if (header.dims.size() > 1)  // a 1D blob's only extent is its rows
+  mismatches.push_back({guarded_destination(other, dims, 1, 0xA5), 1});
+  if (dims.size() > 1)  // a 1D window's only extent is its rows
     mismatches.push_back(
         {guarded_destination(header.dtype, wider, 1, 0xA5), 1});
   mismatches.push_back(
       {guarded_destination(header.dtype, other_rank, 1, 0xA5), 1});
+  mismatches.push_back({guarded_destination(header.dtype, dims, 1, 0xA5), 3});
   mismatches.push_back(
-      {guarded_destination(header.dtype, header.dims, 1, 0xA5), 3});
-  mismatches.push_back(
-      {guarded_destination(header.dtype, header.dims, 1, 0xA5), ~0ull});
+      {guarded_destination(header.dtype, dims, 1, 0xA5), ~0ull});
+  if (!std::equal(dims.begin() + 1, dims.end(), header.dims.begin() + 1))
+    mismatches.push_back(
+        {guarded_destination(header.dtype, header.dims, 1, 0xA5), 1});
   for (Mismatch& m : mismatches) {
     const Bytes before(m.out.bytes().begin(), m.out.bytes().end());
-    EXPECT_THROW(codec.decompress_into(blob, m.out, m.row_start, threads),
-                 CorruptStream);
+    EXPECT_THROW(
+        codec.decompress_into(blob, m.out, m.row_start, window, threads),
+        CorruptStream);
     EXPECT_TRUE(std::equal(before.begin(), before.end(),
                            m.out.bytes().begin(), m.out.bytes().end()));
   }
+  return rows[0];
+}
+
+// Windows of a blob shaped `dims`: one cutting every axis, the second half
+// of its rows (whole past dim 0: it cuts a multi-slab blob's slabs), and
+// the far corner element.
+std::vector<Region> test_windows(const std::vector<std::size_t>& dims) {
+  Region inner{dims, dims}, tail{std::vector<std::size_t>(dims.size(), 0),
+                                 dims};
+  Region corner{dims, std::vector<std::size_t>(dims.size(), 1)};
+  for (std::size_t d = 0; d < dims.size(); ++d) {
+    inner.start[d] = dims[d] / 4;
+    inner.shape[d] = std::max<std::size_t>(dims[d] / 2, 1);
+    corner.start[d] = dims[d] - 1;
+  }
+  tail.start[0] = dims[0] / 2;
+  tail.shape[0] = dims[0] - dims[0] / 2;
+  return {inner, tail, corner};
 }
 
 // decompress_into writes every element of exactly its rows, whatever they
 // held before, for every codec, both dtypes, 1D to 4D, serial and 4-chunk
-// blobs.
+// blobs: the whole blob, and windows equal to the full decode's crop.
 TEST(DecodeInto, EveryCodecWritesExactlyItsRows) {
   std::vector<std::string> codecs = all_compressor_names();
   codecs.push_back("composed:interp-cubic+log+huffman-lz");
   const Field f3 = smooth_field_3d(20);
   for (const Field& f :
        {f3, widened(f3), noisy_field_1d(3000), double_field_4d(7, 10)}) {
+    const auto dims = f.shape().dims_vector();
     for (const std::string& name : codecs) {
       Compressor& codec = compressor(name);
       for (const int threads : {1, 4}) {
@@ -992,7 +1050,19 @@ TEST(DecodeInto, EveryCodecWritesExactlyItsRows) {
         if (!codec.supports(f, opt)) continue;
         SCOPED_TRACE(name + " " + f.name() + " threads " +
                      std::to_string(threads));
-        expect_decodes_into_exactly_its_rows(codec.compress(f, opt), threads);
+        const Bytes blob = codec.compress(f, opt);
+        const Field full = field_from_bytes(
+            "full", f.dtype(), dims,
+            expect_decodes_into_exactly_its_rows(blob, std::nullopt,
+                                                 threads));
+        for (const Region& box : test_windows(dims)) {
+          SCOPED_TRACE("window from " + std::to_string(box.start[0]));
+          const Bytes got =
+              expect_decodes_into_exactly_its_rows(blob, box, threads);
+          const Field crop = slice_region(full, box);
+          EXPECT_TRUE(std::equal(got.begin(), got.end(), crop.bytes().begin(),
+                                 crop.bytes().end()));
+        }
       }
     }
   }
@@ -1012,7 +1082,7 @@ TEST(DecodeInto, Sz3OnThePaperDatasets) {
       CompressOptions opt;
       opt.threads = threads;
       expect_decodes_into_exactly_its_rows(compressor("SZ3").compress(f, opt),
-                                           threads);
+                                           std::nullopt, threads);
     }
   }
 }
