@@ -164,32 +164,9 @@ void write_lengths_rle(Bytes& out, std::span<const std::uint8_t> lengths) {
   }
 }
 
-std::vector<std::uint8_t> read_lengths_rle(ByteReader& r,
-                                           std::uint32_t alphabet_size) {
-  const auto nruns = r.read_pod<std::uint32_t>();
-  std::vector<std::uint8_t> lengths;
-  lengths.reserve(alphabet_size);
-  for (std::uint32_t k = 0; k < nruns; ++k) {
-    const auto len = r.read_pod<std::uint8_t>();
-    const auto run = r.read_pod<std::uint32_t>();
-    // A corrupt length would index the canonical decode tables (sized
-    // kMaxHuffmanBits + 2) out of bounds.
-    EBLCIO_CHECK_STREAM(len <= kMaxHuffmanBits,
-                        "huffman code length out of range");
-    EBLCIO_CHECK_STREAM(lengths.size() + run <= alphabet_size,
-                        "huffman length table overflow");
-    lengths.insert(lengths.end(), run, len);
-  }
-  EBLCIO_CHECK_STREAM(lengths.size() == alphabet_size,
-                      "huffman length table underflow");
-  return lengths;
-}
-
 // Parsed blob header plus the canonical decode tables both decoders share.
 struct DecodeSetup {
   std::uint64_t count = 0;
-  std::uint32_t alphabet_size = 0;
-  std::vector<std::uint8_t> lengths;
   std::span<const std::byte> payload;
   // Symbols ordered by (length, symbol) — canonical index order.
   std::vector<std::uint32_t> order;
@@ -202,8 +179,34 @@ DecodeSetup decode_setup(std::span<const std::byte> blob) {
   DecodeSetup s;
   ByteReader r(blob);
   s.count = r.read_pod<std::uint64_t>();
-  s.alphabet_size = r.read_pod<std::uint32_t>();
-  s.lengths = read_lengths_rle(r, s.alphabet_size);
+  const auto alphabet_size = r.read_pod<std::uint32_t>();
+  // The (u8 length, u32 run) pairs are walked twice in place and never
+  // expanded per symbol, so nothing is sized from the alphabet: one pass
+  // counts the codes of each length, and the second (below) places every
+  // present symbol at its length's next slot, in (length, symbol) order.
+  const auto runs = r.read_bytes(std::size_t{r.read_pod<std::uint32_t>()} * 5);
+  const auto for_each_run = [runs](auto&& fn) {
+    ByteReader rr(runs);
+    for (std::uint64_t sym = 0; !rr.at_end();) {
+      const auto len = rr.read_pod<std::uint8_t>();
+      const auto run = rr.read_pod<std::uint32_t>();
+      fn(len, sym, run);
+      sym += run;
+    }
+  };
+  std::uint64_t covered = 0;
+  for_each_run([&](std::uint8_t len, std::uint64_t, std::uint32_t run) {
+    // A corrupt length would index the canonical decode tables (sized
+    // kMaxHuffmanBits + 2) out of bounds.
+    EBLCIO_CHECK_STREAM(len <= kMaxHuffmanBits,
+                        "huffman code length out of range");
+    EBLCIO_CHECK_STREAM(covered + run <= alphabet_size,
+                        "huffman length table overflow");
+    covered += run;
+    if (len > 0) s.num_codes[len] += run;
+  });
+  EBLCIO_CHECK_STREAM(covered == alphabet_size,
+                      "huffman length table underflow");
   const auto payload_size = r.read_pod<std::uint64_t>();
   s.payload = r.read_bytes(payload_size);
   // Every legitimate symbol costs at least one payload bit; a corrupt
@@ -213,26 +216,6 @@ DecodeSetup decode_setup(std::span<const std::byte> blob) {
   EBLCIO_CHECK_STREAM(min_bytes <= s.payload.size(),
                       "huffman symbol count exceeds payload");
 
-  // Canonical order by counting sort: one pass counts the codes of each
-  // length, a second places every symbol at its length's next slot, so
-  // symbols land in (length, symbol) order with no comparison sort. Both
-  // passes skip eight absent symbols per word: a quantizer alphabet holds
-  // a few hundred codes among its 65537 symbols.
-  const auto for_each_present = [&s](auto&& fn) {
-    const std::uint8_t* len = s.lengths.data();
-    std::uint32_t sym = 0;
-    for (; sym + 8 <= s.alphabet_size; sym += 8) {
-      std::uint64_t word;
-      std::memcpy(&word, len + sym, 8);
-      if (word == 0) continue;
-      for (std::uint32_t k = sym; k < sym + 8; ++k)
-        if (len[k] > 0) fn(k);
-    }
-    for (; sym < s.alphabet_size; ++sym)
-      if (len[sym] > 0) fn(sym);
-  };
-  for_each_present(
-      [&s](std::uint32_t sym) { ++s.num_codes[s.lengths[sym]]; });
   // Kraft: an over-subscribed length set (never written by the encoder)
   // has canonical codes that overflow their length, which the per-bit
   // walk and the LUT would resolve differently. Summed in units of
@@ -251,10 +234,17 @@ DecodeSetup decode_setup(std::span<const std::byte> blob) {
     code = (code + s.num_codes[len]) << 1;
     idx += s.num_codes[len];
   }
+  // The encoder gives a code only to a symbol the payload holds, at one
+  // bit or more, so the payload's bits bound the canonical order sized
+  // here. (The count does not: a stream cut short by its count is valid.)
+  EBLCIO_CHECK_STREAM(idx <= 8 * s.payload.size(),
+                      "huffman table has more codes than payload bits");
   s.order.resize(idx);
   std::array<std::uint32_t, kMaxHuffmanBits + 2> next = s.first_index;
-  for_each_present([&s, &next](std::uint32_t sym) {
-    s.order[next[s.lengths[sym]]++] = sym;
+  for_each_run([&](std::uint8_t len, std::uint64_t sym, std::uint32_t run) {
+    if (len > 0)
+      for (std::uint32_t k = 0; k < run; ++k)
+        s.order[next[len]++] = static_cast<std::uint32_t>(sym + k);
   });
   return s;
 }
@@ -641,18 +631,19 @@ std::vector<std::uint32_t> huffman_decode(std::span<const std::byte> blob) {
   // decode loop; short codes replicate across the unused high index bits.
   constexpr std::size_t kLutSize = std::size_t{1} << kHuffmanLutBits;
   std::vector<CodeEntry> code_lut(kLutSize);
-  for (std::uint32_t idx = 0; idx < s.order.size(); ++idx) {
-    const int len = s.lengths[s.order[idx]];
-    if (len > kHuffmanLutBits) break;  // order is sorted by length
-    const std::uint64_t code =
-        s.first_code[len] + (idx - s.first_index[len]);
-    const std::uint64_t rev = reverse_bits(code, len);
-    // The code occupies the low `len` stream bits; every setting of the
-    // remaining high table bits maps to the same code.
-    for (std::uint64_t hi = 0;
-         hi < (std::uint64_t{1} << (kHuffmanLutBits - len)); ++hi)
-      code_lut[rev | (hi << len)] = {static_cast<std::uint16_t>(idx),
-                                     static_cast<std::uint8_t>(len)};
+  // Ranks [first_index[len], first_index[len] + num_codes[len]) hold the
+  // codes of length `len`.
+  for (int len = 1; len <= kHuffmanLutBits; ++len) {
+    for (std::uint32_t k = 0; k < s.num_codes[len]; ++k) {
+      const std::uint32_t idx = s.first_index[len] + k;
+      const std::uint64_t rev = reverse_bits(s.first_code[len] + k, len);
+      // The code occupies the low `len` stream bits; every setting of the
+      // remaining high table bits maps to the same code.
+      for (std::uint64_t hi = 0;
+           hi < (std::uint64_t{1} << (kHuffmanLutBits - len)); ++hi)
+        code_lut[rev | (hi << len)] = {static_cast<std::uint16_t>(idx),
+                                       static_cast<std::uint8_t>(len)};
+    }
   }
   // Packing pass: after `used` bits, only the remaining (width - used)
   // index bits are genuine stream bits; a further code is baked in only

@@ -200,13 +200,11 @@ Bytes lz_decompress(std::span<const std::byte> blob) {
   const auto lit_size = r.read_pod<std::uint64_t>();
   auto lit_blob = r.read_bytes(lit_size);
   const auto lit_syms = huffman_decode(lit_blob);
-  const auto ntokens = r.read_pod<std::uint64_t>();
-  // Bound the header's sizes by what the payload can encode before any
-  // allocation: every token takes at least two varint bytes, and every
-  // output byte is a literal or lies in a match of at most kMaxMatch.
-  // Both sides stay far below 2^64, since ntokens is capped by the blob.
-  EBLCIO_CHECK_STREAM(ntokens <= r.remaining().size() / 2,
-                      "LZ token count exceeds payload");
+  // Every token takes at least two varint bytes, and every output byte is
+  // a literal or lies in a match of at most kMaxMatch, so both sizes are
+  // bounded before any allocation and stay far below 2^64.
+  const auto ntokens = r.read_count<std::uint64_t>(
+      2, "LZ token count exceeds payload");
   EBLCIO_CHECK_STREAM(
       orig_size <= lit_syms.size() + ntokens * std::uint64_t{kMaxMatch},
       "LZ size exceeds its tokens");

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -48,6 +49,18 @@ class ByteReader {
     T v;
     std::memcpy(&v, data_.data() + pos_ - sizeof(T), sizeof(T));
     return v;
+  }
+
+  // Reads a count of items that each take at least `min_item_bytes` of
+  // the bytes left, and throws CorruptStream(what) unless they can hold
+  // it. The one bound a parser puts on a count before sizing anything
+  // from it; the division keeps a count near 2^64 from wrapping.
+  template <typename T>
+  T read_count(std::size_t min_item_bytes, std::string_view what) {
+    const T count = read_pod<T>();
+    EBLCIO_CHECK_STREAM(count <= remaining().size() / min_item_bytes,
+                        std::string(what));
+    return count;
   }
 
   std::string read_string() {

@@ -59,9 +59,10 @@ inline std::vector<std::uint32_t> unpack_codes_raw(
     std::span<const std::byte> blob) {
   ByteReader r(blob);
   const auto alphabet = r.read_pod<std::uint32_t>();
-  const auto count = r.read_pod<std::uint64_t>();
   EBLCIO_CHECK_STREAM(alphabet >= 1, "raw codes: bad alphabet");
   const std::size_t width = raw_code_width(alphabet);
+  const auto count =
+      r.read_count<std::uint64_t>(width, "raw codes: count exceeds payload");
   const auto payload = r.read_bytes(count * width);
   std::vector<std::uint32_t> codes(count);
   for (std::size_t i = 0; i < count; ++i) {

@@ -128,13 +128,10 @@ std::size_t decompress_chunked_into(std::span<const std::byte> blob,
     }
     EBLCIO_CHECK_STREAM(layout == kLayoutChunked, "bad payload layout tag");
 
-    // Each chunk holds at least one row and one u64 size entry, so the
-    // count is bounded before the table is sized from it.
-    const auto nchunks = r.read_pod<std::uint32_t>();
-    EBLCIO_CHECK_STREAM(
-        nchunks >= 1 && nchunks <= header.dims[0] &&
-            nchunks <= r.remaining().size() / sizeof(std::uint64_t),
-        "chunk count outside 1..rows or past the chunk table");
+    // Each chunk holds at least one row and one u64 size entry.
+    const char* bad = "chunk count outside 1..rows or past the chunk table";
+    const auto nchunks = r.read_count<std::uint32_t>(8, bad);
+    EBLCIO_CHECK_STREAM(nchunks >= 1 && nchunks <= header.dims[0], bad);
     std::vector<std::uint64_t> sizes(nchunks);
     for (auto& s : sizes) s = r.read_pod<std::uint64_t>();
     std::vector<std::span<const std::byte>> spans(nchunks);

@@ -102,13 +102,11 @@ struct Sz2Streams {
     ByteReader r(blob);
     s.header = BlobHeader::decode(r);
     // split_slabs cuts at most one slab per row, and each slab's table
-    // entry is four u64 fields, so the count is bounded before the table
-    // is sized from it.
-    const auto nslabs = r.read_pod<std::uint32_t>();
-    EBLCIO_CHECK_STREAM(
-        nslabs >= 1 && nslabs <= s.header.dims[0] &&
-            nslabs <= r.remaining().size() / (4 * sizeof(std::uint64_t)),
-        "SZ2: slab count outside 1..rows or past the slab table");
+    // entry is four u64 fields.
+    const char* bad =
+        "SZ2: slab count outside 1..rows or past the slab table";
+    const auto nslabs = r.read_count<std::uint32_t>(4 * 8, bad);
+    EBLCIO_CHECK_STREAM(nslabs >= 1 && nslabs <= s.header.dims[0], bad);
     std::vector<std::uint64_t> ncodes(nslabs);
     s.slabs.resize(nslabs);
     for (std::uint32_t i = 0; i < nslabs; ++i) {

@@ -515,12 +515,9 @@ void zfp_decompress_impl(const BlobHeader& header,
   const int minexp = minexp_for(header.abs_error_bound);
 
   ByteReader r(payload);
-  const auto nchunks = r.read_pod<std::uint32_t>();
+  const auto nchunks = r.read_count<std::uint32_t>(
+      8, "ZFP: stream table exceeds payload");
   EBLCIO_CHECK_STREAM(nchunks >= 1, "ZFP: empty stream table");
-  // Bound the untrusted count by the bytes its size table needs before
-  // allocating for it.
-  EBLCIO_CHECK_STREAM(nchunks <= r.remaining().size() / 8,
-                      "ZFP: stream table exceeds payload");
   std::vector<std::uint64_t> sizes(nchunks);
   for (auto& s : sizes) s = r.read_pod<std::uint64_t>();
   auto chunk_blocks = [&](std::uint32_t c) {

@@ -174,10 +174,9 @@ ChunkedDatasetMeta decode_file(const IoTool::Profile& p,
                           bad + "bad version");
       read_dataset_count(r, p.name);
       meta = read_meta<std::uint8_t>(r);
-      const auto total = r.read_pod<std::uint64_t>();
+      const auto total =
+          r.read_count<std::uint64_t>(1, bad + "data size past end of file");
       const auto nchunks = r.read_pod<std::uint32_t>();
-      EBLCIO_CHECK_STREAM(total <= r.remaining().size(),
-                          bad + "data size past end of file");
       data.reserve(static_cast<std::size_t>(total));
       for (std::uint32_t c = 0; c < nchunks; ++c) {
         const auto chunk =

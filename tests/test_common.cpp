@@ -369,6 +369,58 @@ TEST(Bytes, ForgedLengthsCannotWrapTheBound) {
   EXPECT_THROW(rs.read_string(), CorruptStream);
 }
 
+// `count` as a T, followed by `bytes` bytes for its items.
+template <typename T>
+Bytes count_then(T count, std::size_t bytes) {
+  Bytes b;
+  append_pod<T>(b, count);
+  b.resize(b.size() + bytes);
+  return b;
+}
+
+TEST(ByteReader, ReadCount) {
+  // An exact fit passes and leaves the reader on the first item; one item
+  // more throws CorruptStream carrying the caller's text.
+  const Bytes fit = count_then<std::uint32_t>(3, 12);
+  ByteReader r(fit);
+  EXPECT_EQ(r.read_count<std::uint32_t>(4, "items"), 3u);
+  EXPECT_EQ(r.remaining().size(), 12u);
+  const Bytes over = count_then<std::uint32_t>(4, 12);
+  try {
+    ByteReader(over).read_count<std::uint32_t>(4, "items past the table");
+    ADD_FAILURE() << "one item past the bytes left was accepted";
+  } catch (const CorruptStream& e) {
+    EXPECT_NE(std::string(e.what()).find("items past the table"),
+              std::string::npos);
+  }
+  // Zero items always fit, even with no bytes behind the count.
+  EXPECT_EQ(ByteReader(count_then<std::uint64_t>(0, 0))
+                .read_count<std::uint64_t>(8, "x"),
+            0u);
+  // Counts whose byte total wraps 2^32 or 2^64 (2^62 four-byte items wrap
+  // to 0 bytes, 2^62 + 1 to 4) are refused: the bound divides the bytes
+  // left rather than multiplying the count.
+  const std::uint64_t u64_max = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, (std::uint64_t{1} << 62) + 1, u64_max,
+        u64_max / 4 + 1}) {
+    EXPECT_THROW(ByteReader(count_then(count, 8)).read_count<std::uint64_t>(
+                     4, "x"),
+                 CorruptStream)
+        << count;
+  }
+  EXPECT_THROW(ByteReader(count_then<std::uint32_t>(0xFFFFFFFFu, 16))
+                   .read_count<std::uint32_t>(1, "x"),
+               CorruptStream);
+  EXPECT_THROW(ByteReader(count_then<std::uint32_t>(0x40000001u, 4))
+                   .read_count<std::uint32_t>(4, "x"),
+               CorruptStream);
+  // A truncated count is an underrun, not a count.
+  EXPECT_THROW(ByteReader(count_then<std::uint16_t>(1, 0))
+                   .read_count<std::uint32_t>(1, "x"),
+               CorruptStream);
+}
+
 TEST(Table, AlignsColumns) {
   TextTable t({"a", "long-header"});
   t.add_row({"x", "1"});

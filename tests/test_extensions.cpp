@@ -1,14 +1,12 @@
-// Tests for the extension modules: Z-checker-class quality reports,
-// zPerf-class ratio estimation, and the ADIOS-class I/O tool.
+// Tests for the extension modules: zPerf-class ratio estimation and the
+// ADIOS-class I/O tool.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "compressors/compressor.h"
 #include "core/estimator.h"
 #include "data/dataset.h"
 #include "io/io_tool.h"
-#include "metrics/quality_report.h"
+#include "metrics/error_stats.h"
 #include "test_util.h"
 
 namespace eblcio {
@@ -16,74 +14,6 @@ namespace {
 
 using test::smooth_field_2d;
 using test::smooth_field_3d;
-
-// --- quality_report --------------------------------------------------------
-
-TEST(QualityReport, PerfectReconstruction) {
-  const Field f = smooth_field_3d(16);
-  const auto rep = assess_quality(f, f);
-  EXPECT_DOUBLE_EQ(rep.nrmse, 0.0);
-  EXPECT_NEAR(rep.pearson_r, 1.0, 1e-12);
-  EXPECT_NEAR(rep.ssim, 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(rep.gradient_rmse_ratio, 0.0);
-  EXPECT_DOUBLE_EQ(rep.mean_error, 0.0);
-  EXPECT_TRUE(rep.unbiased());
-}
-
-TEST(QualityReport, DetectsBias) {
-  const Field f = smooth_field_2d(32);
-  NdArray<float> shifted = f.as<float>();
-  for (std::size_t i = 0; i < shifted.num_elements(); ++i)
-    shifted[i] += 0.5f;
-  const Field g("shifted", std::move(shifted));
-  const auto rep = assess_quality(f, g);
-  EXPECT_NEAR(rep.mean_error, -0.5, 1e-5);
-  EXPECT_FALSE(rep.unbiased());
-  // A pure shift preserves structure: correlation stays perfect and
-  // gradients are untouched.
-  EXPECT_NEAR(rep.pearson_r, 1.0, 1e-9);
-  EXPECT_NEAR(rep.gradient_rmse_ratio, 0.0, 1e-6);
-}
-
-TEST(QualityReport, SsimDropsWithNoise) {
-  const Field f = smooth_field_2d(64);
-  Rng rng(3);
-  NdArray<float> noisy = f.as<float>();
-  for (std::size_t i = 0; i < noisy.num_elements(); ++i)
-    noisy[i] += 0.3f * static_cast<float>(rng.normal());
-  const Field g("noisy", std::move(noisy));
-  const auto rep = assess_quality(f, g);
-  EXPECT_LT(rep.ssim, 0.98);
-  EXPECT_LT(rep.pearson_r, 0.999);
-  EXPECT_GT(rep.gradient_rmse_ratio, 0.5);  // noise shreds gradients
-}
-
-TEST(QualityReport, TracksCompressorQualityOrdering) {
-  // Tighter bounds must produce a monotonically better battery.
-  const Field f = smooth_field_3d(32);
-  Compressor& c = compressor("SZ3");
-  QualityReport prev;
-  bool first = true;
-  for (double eb : {1e-1, 1e-3, 1e-5}) {
-    CompressOptions o;
-    o.error_bound = eb;
-    const auto rep = assess_quality(f, c.decompress(c.compress(f, o), 1));
-    if (!first) {
-      EXPECT_GE(rep.basic.psnr_db, prev.basic.psnr_db);
-      EXPECT_LE(rep.nrmse, prev.nrmse);
-      EXPECT_GE(rep.ssim, prev.ssim - 1e-9);
-    }
-    prev = rep;
-    first = false;
-  }
-}
-
-TEST(QualityReport, FormatsAllFields) {
-  const Field f = smooth_field_2d(16);
-  const std::string text = format_quality_report(assess_quality(f, f));
-  for (const char* needle : {"PSNR", "NRMSE", "SSIM", "pearson", "gradient"})
-    EXPECT_NE(text.find(needle), std::string::npos) << needle;
-}
 
 // --- estimator --------------------------------------------------------------
 

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
 #include <utility>
+
+#include <sys/resource.h>
 
 #include "codec/huffman.h"
 #include "common/error.h"
@@ -422,6 +425,56 @@ TEST(HuffmanDifferential, OverSubscribedLengthsRejectedByBoth) {
   append_pod<std::uint16_t>(blob, 0xA5A5);
   EXPECT_THROW(huffman_decode(blob), CorruptStream);
   EXPECT_THROW(huffman_decode_reference(blob), CorruptStream);
+}
+
+// A header of `count` symbols over `alphabet`, one RLE run (`len`, `run`)
+// and `payload` zero bytes of code bits.
+Bytes one_run_blob(std::uint64_t count, std::uint32_t alphabet,
+                   std::uint8_t len, std::uint32_t run, std::size_t payload) {
+  Bytes blob;
+  append_pod<std::uint64_t>(blob, count);
+  append_pod<std::uint32_t>(blob, alphabet);
+  append_pod<std::uint32_t>(blob, 1);
+  append_pod<std::uint8_t>(blob, len);
+  append_pod<std::uint32_t>(blob, run);
+  append_pod<std::uint64_t>(blob, payload);
+  blob.resize(blob.size() + payload);
+  return blob;
+}
+
+TEST(HuffmanDifferential, MoreCodesThanPayloadBitsRejectedByBoth) {
+  // Every code the encoder writes occurs in the payload at one bit or
+  // more. 64 six-bit codes (a full Kraft sum) behind a count of 1 and one
+  // payload byte claim more codes than bits: both decoders refuse the
+  // table before sizing its canonical order. Eight three-bit codes fit
+  // the byte exactly and decode.
+  const Bytes over = one_run_blob(1, 64, 6, 64, 1);
+  EXPECT_THROW(huffman_decode(over), CorruptStream);
+  EXPECT_THROW(huffman_decode_reference(over), CorruptStream);
+  const Bytes fit = one_run_blob(1, 8, 3, 8, 1);
+  EXPECT_EQ(huffman_decode(fit), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(huffman_decode_reference(fit), std::vector<std::uint32_t>{0});
+}
+
+TEST(HuffmanDeathTest, ForgedAlphabetSizesNothing) {
+  // 29 bytes: no symbols, an alphabet of 0xFFFFFFF0 and one zero-length
+  // run over all of it. A decoder that fills a per-symbol length table
+  // asks for 4 GiB here; under a 1 GiB address-space limit both decoders
+  // must return the empty stream. The limit is set in the death-test
+  // child only, and ASan and TSan reserve more than it for their shadow.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory exceeds the address-space limit";
+#endif
+  const Bytes blob = one_run_blob(0, 0xFFFFFFF0u, 0, 0xFFFFFFF0u, 0);
+  ASSERT_EQ(blob.size(), 29u);
+  const auto decode_under_1gib = [&blob] {
+    const rlimit limit{rlim_t{1} << 30, rlim_t{1} << 30};
+    if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+    const bool empty = huffman_decode(blob).empty() &&
+                       huffman_decode_reference(blob).empty();
+    std::_Exit(empty ? 0 : 1);
+  };
+  EXPECT_EXIT(decode_under_1gib(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(HuffmanDifferential, NyxSz3SlabCodeStream) {

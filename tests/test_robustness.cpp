@@ -6,11 +6,16 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <utility>
 
+#include "codec/lz77.h"
 #include "common/rng.h"
+#include "compressors/backend.h"
+#include "compressors/chunking.h"
 #include "compressors/compressor.h"
+#include "io/io_tool.h"
 #include "metrics/error_stats.h"
 #include "test_util.h"
 
@@ -181,6 +186,121 @@ TEST(ForgedBlobLength, LzOriginalSizeInsideSz3CodeStreamIsCorruptStream) {
     const Bytes bad =
         forge_u64(sz3, orig_size_at, std::uint64_t{1} << log2);
     EXPECT_THROW(decompress_any(bad), CorruptStream) << "2^" << log2;
+  }
+}
+
+// --- forged counts -----------------------------------------------------------
+//
+// Every parser reads the counts it sizes tables from through
+// ByteReader::read_count. Each row names one such count in a real input,
+// the bytes its parser bounds it by and the least bytes one counted item
+// takes; a count one item past that bound, the largest value of its
+// width, and for u64 counts 2^62 and 2^62 + 1 (whose item bytes wrap
+// 2^64) must all raise CorruptStream: no bad_alloc, no length_error.
+
+struct CountSite {
+  std::string name;
+  Bytes input;
+  std::size_t at = 0;          // offset of the count
+  std::size_t width = 0;       // its bytes: 4 or 8
+  std::size_t left = 0;        // bytes its parser has after it
+  std::size_t item_bytes = 0;  // least bytes of one counted item
+  std::function<void(const Bytes&)> decode;
+  bool input_decodes = true;
+};
+
+std::size_t header_end(const Bytes& blob) {
+  ByteReader r(blob);
+  BlobHeader::decode(r);
+  return r.pos();
+}
+
+std::uint64_t u64_at(const Bytes& b, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + at, 8);
+  return v;
+}
+
+std::vector<CountSite> count_sites() {
+  std::vector<CountSite> sites;
+  const auto decode_blob = [](const Bytes& b) { decompress_any(b); };
+  const Field f = smooth_field_3d(32);
+
+  Rng rng(7);
+  Bytes data(4000);
+  for (auto& b : data) b = static_cast<std::byte>(rng.next_below(16));
+  Bytes lz = lz_compress(data);
+  const std::size_t tokens_at = 20 + u64_at(lz, 12);  // magic, sizes, lits
+  sites.push_back({"LZ tokens", lz, tokens_at, 8, lz.size() - tokens_at - 8,
+                   2, [](const Bytes& b) { lz_decompress(b); }});
+
+  Bytes zfp = compressor("ZFP").compress(f, options_for("ZFP"));
+  const std::size_t zfp_at = header_end(zfp);
+  sites.push_back({"ZFP streams", zfp, zfp_at, 4, zfp.size() - zfp_at - 4, 8,
+                   decode_blob});
+
+  CompressOptions four = options_for("SZ3");
+  four.threads = 4;
+  Bytes chunked = compressor("SZ3").compress(f, four);
+  const std::size_t chunk_at = header_end(chunked) + 1;  // after the layout
+  EXPECT_EQ(static_cast<std::uint8_t>(chunked[chunk_at - 1]), kLayoutChunked);
+  sites.push_back({"chunks", chunked, chunk_at, 4,
+                   chunked.size() - chunk_at - 4, 8, decode_blob});
+
+  Bytes sz2 = compressor("SZ2").compress(f, four);
+  const std::size_t slabs_at = header_end(sz2);
+  sites.push_back({"SZ2 slabs", sz2, slabs_at, 4, sz2.size() - slabs_at - 4,
+                   32, decode_blob});
+
+  PfsSimulator pfs;
+  io_tool("HDF5").write_field(pfs, "/f",
+                              Field("f", NdArray<float>(Shape{32, 32, 32})));
+  Bytes h5 = pfs.read_file("/f");
+  // Magic, version, dataset count, then "f"'s name, dtype, rank, 3 dims
+  // and attribute count: the chunk-table total follows at 45.
+  EXPECT_EQ(u64_at(h5, 45), 32u * 32 * 32 * 4);
+  sites.push_back({"HDF5 total", h5, 45, 8, h5.size() - 45 - 8, 1,
+                   [](const Bytes& b) {
+                     PfsSimulator p;
+                     p.write_file("/f", b);
+                     io_tool("HDF5").read_field(p, "/f");
+                   }});
+
+  // SZ3's single-slab payload at 63: stride, gamma, cubic flag, code
+  // count, the sized anchor and unpredictable-value sections, then the
+  // code stream [tag][u64 size][stream]. Retagged raw (3), the stream
+  // reads as [u32 alphabet][u64 count][codes].
+  Bytes sz3 = compressor("SZ3").compress(f, options_for("SZ3"));
+  std::size_t tag_at = 63 + 8 + 8 + 1 + 8;
+  for (int section = 0; section < 2; ++section)
+    tag_at += 8 + static_cast<std::size_t>(u64_at(sz3, tag_at));
+  EXPECT_LE(static_cast<std::uint8_t>(sz3[tag_at]), 1);  // a Huffman stream
+  sz3[tag_at] = std::byte{kBackendRaw};
+  std::uint32_t alphabet = 0;
+  std::memcpy(&alphabet, sz3.data() + tag_at + 9, 4);
+  sites.push_back({"raw codes", sz3, tag_at + 13, 8,
+                   u64_at(sz3, tag_at + 1) - 12, raw_code_width(alphabet),
+                   decode_blob, false});
+  return sites;
+}
+
+TEST(ForgedCounts, EveryCountPastItsBytesIsCorruptStream) {
+  for (const CountSite& site : count_sites()) {
+    SCOPED_TRACE(site.name);
+    if (site.input_decodes) ASSERT_NO_THROW(site.decode(site.input));
+    std::vector<std::uint64_t> counts{site.left / site.item_bytes + 1};
+    if (site.width == 4) {
+      counts.push_back(0xFFFFFFFFu);
+    } else {
+      counts.insert(counts.end(), {std::uint64_t{1} << 62,
+                                   (std::uint64_t{1} << 62) + 1,
+                                   ~std::uint64_t{0}});
+    }
+    for (const std::uint64_t count : counts) {
+      Bytes bad = site.input;
+      std::memcpy(bad.data() + site.at, &count, site.width);
+      EXPECT_THROW(site.decode(bad), CorruptStream) << count;
+    }
   }
 }
 
