@@ -26,7 +26,8 @@
 //
 // After the grid, a kernel section times the full-field zone decode —
 // parallel (zone_decode) vs serial (zone_decode_serial) on the same 8
-// zone blobs, plus the memcpy calibration row — and writes everything to
+// zone blobs, run in alternation rep by rep, plus the memcpy calibration
+// row — and writes everything to
 // BENCH_zones.json. CI's Release leg gates zone_decode throughput,
 // normalized in-run by zone_decode_serial, against
 // bench/baselines/BENCH_zones.json (scripts/check_perf_baseline.py).
@@ -65,19 +66,36 @@ struct KernelResult {
 };
 
 template <typename F>
+double time_once(F& fn) {
+  WallTimer t;
+  g_sink = g_sink + fn();
+  return t.elapsed_s();
+}
+
+template <typename F>
 KernelResult run_kernel(const std::string& name, int reps, double bytes,
                         double items, F&& fn) {
-  KernelResult r;
-  r.name = name;
-  r.bytes = bytes;
-  r.items = items;
-  r.seconds = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    WallTimer t;
-    g_sink = g_sink + fn();
-    r.seconds = std::min(r.seconds, t.elapsed_s());
-  }
+  KernelResult r{name, 1e30, bytes, items};
+  for (int i = 0; i < reps; ++i) r.seconds = std::min(r.seconds, time_once(fn));
   return r;
+}
+
+// A gated row and its in-run referee, run in alternation rep by rep (row,
+// referee, row, referee, ...), each keeping its fastest wall time, so a
+// slow phase of the host lands on both halves of the ratio the gate
+// divides. Appends the row, then the referee.
+template <typename F, typename G>
+void run_pair(std::vector<KernelResult>& rows, const std::string& name,
+              const std::string& referee, int reps, double items, F&& fn,
+              G&& ref) {
+  KernelResult a{name, 1e30, 0, items};
+  KernelResult b{referee, 1e30, 0, items};
+  for (int i = 0; i < reps; ++i) {
+    a.seconds = std::min(a.seconds, time_once(fn));
+    b.seconds = std::min(b.seconds, time_once(ref));
+  }
+  rows.push_back(a);
+  rows.push_back(b);
 }
 
 }  // namespace
@@ -292,12 +310,10 @@ int main(int argc, char** argv) {
           return static_cast<std::size_t>(dst[0]);
         }));
   }
-  kernels.push_back(run_kernel("zone_decode", reps, 0, elems, [&] {
-    return decode_zones(true).size_bytes();
-  }));
-  kernels.push_back(run_kernel("zone_decode_serial", reps, 0, elems, [&] {
-    return decode_zones(false).size_bytes();
-  }));
+  run_pair(
+      kernels, "zone_decode", "zone_decode_serial", reps, elems,
+      [&] { return decode_zones(true).size_bytes(); },
+      [&] { return decode_zones(false).size_bytes(); });
   const double speedup = kernels[2].seconds / kernels[1].seconds;
 
   // Round-trip sanity: never publish numbers for a broken decode path.

@@ -5,7 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <optional>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -69,6 +71,140 @@ struct Geometry {
   }
 };
 
+// One block of the grid: its origin and extent per uniform-4D dimension.
+struct BlockRef {
+  std::array<std::size_t, 4> origin;
+  std::array<std::size_t, 4> extent;
+};
+
+// Rows per block: 6^3 in 4D.
+constexpr std::size_t kMaxBlockRows = 216;
+
+// One element of a block's Lorenzo sweep: its linear offset from the
+// block's first element, its code's position among the block's codes,
+// the slot of its row in the plan, and its row's row-major index in the
+// block (the order its exact values are stored in).
+struct SweepStep {
+  std::size_t off;
+  std::uint32_t code;
+  std::uint16_t slot;
+  std::uint16_t row;
+};
+
+// The order the Lorenzo elements of a block are visited in, shared by the
+// blocks of one extent whose origins are zero along the same dimensions.
+//
+// A block's rows (fixed c0..c2, c3 varying) fall into anti-diagonal
+// wavefronts: wavefront s holds the rows with c0 + c1 + c2 = s. Every
+// Lorenzo term of either order reads an element of the same row at a
+// smaller c3, or of a row of an earlier wavefront (row coordinates
+// componentwise <= the element's and not all equal) at the same or a
+// smaller c3. So no term links two rows of one wavefront, and element
+// (row, c3) can run at step s + c3: the elements of one step read none of
+// each other, and their feedback chains interleave.
+//
+// Rows sharing a stencil run as one group, groups in the stencil cache's
+// dependency order (a group reads only its own rows and those of groups
+// before it). A group's slots number its rows in wavefront order. Its
+// steps are the head columns (the global d3 coordinate 0 and, for order
+// 2, 1, in the first block along d3), each in wavefront order, then the
+// rest in step order.
+struct SweepPlan {
+  struct Group {
+    unsigned sig;
+    std::size_t slots_begin, slots_end;
+    // Steps: [begin, head0_end) at c3 = 0, [head0_end, head1_end) at
+    // c3 = 1, [head1_end, end) the tail.
+    std::size_t begin, head0_end, head1_end, end;
+  };
+  std::vector<Group> groups;
+  std::vector<std::size_t> slot_off;  // offset of each slot's first element
+  std::vector<SweepStep> steps;
+};
+
+template <typename Cache>
+SweepPlan make_sweep_plan(const Geometry& g, const BlockRef& blk,
+                          std::size_t heads) {
+  struct Row {
+    std::size_t off, index, wave;
+    unsigned sig;
+  };
+  std::vector<Row> rows;
+  std::array<std::size_t, 4> c{};
+  const std::size_t waves = blk.extent[0] + blk.extent[1] + blk.extent[2] - 2;
+  for (std::size_t s = 0; s < waves; ++s)
+    for (c[0] = 0; c[0] < blk.extent[0] && c[0] <= s; ++c[0])
+      for (c[1] = 0; c[1] < blk.extent[1] && c[0] + c[1] <= s; ++c[1]) {
+        c[2] = s - c[0] - c[1];
+        if (c[2] >= blk.extent[2]) continue;
+        rows.push_back(
+            {c[0] * g.stride[0] + c[1] * g.stride[1] + c[2] * g.stride[2],
+             (c[0] * blk.extent[1] + c[1]) * blk.extent[2] + c[2], s,
+             Cache::signature({blk.origin[0] + c[0], blk.origin[1] + c[1],
+                               blk.origin[2] + c[2], blk.origin[3]})});
+      }
+  const std::size_t ext3 = blk.extent[3];
+  SweepPlan plan;
+  std::vector<const Row*> members;
+  for (const unsigned sig : Cache::kGroupOrder) {
+    members.clear();
+    for (const Row& row : rows)
+      if (row.sig == sig) members.push_back(&row);
+    if (members.empty()) continue;
+    SweepPlan::Group grp{};
+    grp.sig = sig;
+    grp.slots_begin = plan.slot_off.size();
+    grp.begin = plan.steps.size();
+    for (const Row* row : members) plan.slot_off.push_back(row->off);
+    grp.slots_end = plan.slot_off.size();
+    const auto push = [&](std::size_t i, std::size_t c3) {
+      const Row& row = *members[i];
+      plan.steps.push_back({row.off + c3,
+                            static_cast<std::uint32_t>(row.index * ext3 + c3),
+                            static_cast<std::uint16_t>(grp.slots_begin + i),
+                            static_cast<std::uint16_t>(row.index)});
+    };
+    const std::size_t m = members.size();
+    for (std::size_t c3 = 0; c3 < heads; ++c3)
+      for (std::size_t i = 0; i < m; ++i) push(i, c3);
+    grp.head0_end = grp.begin + std::min<std::size_t>(heads, 1) * m;
+    grp.head1_end = grp.begin + heads * m;
+    // Step t runs the rows started (wave + heads <= t) and not finished
+    // (wave + ext3 > t): a contiguous run of the wavefront-ordered rows.
+    std::size_t lo = 0, hi = 0;
+    for (std::size_t t = members[0]->wave + heads; lo < m; ++t) {
+      while (hi < m && members[hi]->wave + heads <= t) ++hi;
+      while (lo < hi && members[lo]->wave + ext3 <= t) ++lo;
+      for (std::size_t i = lo; i < hi; ++i) push(i, t - members[i]->wave);
+    }
+    grp.end = plan.steps.size();
+    plan.groups.push_back(grp);
+  }
+  return plan;
+}
+
+// Sweep plans by block shape, each built when its first block is walked.
+template <typename Cache>
+class SweepPlans {
+ public:
+  const SweepPlan& get(const Geometry& g, const BlockRef& blk) {
+    unsigned zeros = 0;
+    for (int d = 0; d < 4; ++d)
+      if (blk.origin[d] == 0) zeros |= 1u << d;
+    for (const auto& [extent, z, plan] : plans_)
+      if (extent == blk.extent && z == zeros) return plan;
+    const bool head = blk.origin[3] == 0 && g.dim[3] > 1;
+    plans_.push_back({blk.extent, zeros,
+                      make_sweep_plan<Cache>(
+                          g, blk, Cache::head_columns(head, blk.extent[3]))});
+    return std::get<2>(plans_.back());
+  }
+
+ private:
+  std::deque<std::tuple<std::array<std::size_t, 4>, unsigned, SweepPlan>>
+      plans_;
+};
+
 // The Lorenzo stencil for one row (fixed c0..c2, c3 varying): the (offset,
 // sign) pairs of every mask whose neighbours exist, in mask order — the
 // same accumulation order as walking lorenzo_masks and skipping the
@@ -82,14 +218,12 @@ struct RowStencil {
   std::array<std::pair<std::size_t, double>, 15> tail_terms;
   int head_n = 0;
   int tail_n = 0;
-  // Tail terms before the first offset-1 term (the {d3} mask). Only an
-  // offset-1 gather reads a value written earlier in the *same* row —
-  // every other offset is at least stride[2] = dim[3] >= ext3, i.e. a row
-  // completed by an earlier visit — so the leading split_n terms of every
-  // element's sum are independent of the reconstruction feedback chain
-  // and can be pre-accumulated for the whole row (in term order, hence
-  // bit-identically) before the sequential sweep.
-  int split_n = 0;
+  // Tail terms before the {d3} term, tail_n when the stencil has none
+  // (the last extent is 1). Only the {d3} term reads a value written
+  // earlier in the *same* row — every other offset is at least stride[2]
+  // = dim[3] >= ext3, i.e. a row of an earlier wavefront or block. (With
+  // dim[3] = 1 the {d2} term has offset 1 too, but reads another row.)
+  int split_n = -1;
 };
 
 RowStencil row_stencil(const Geometry& g,
@@ -110,15 +244,11 @@ RowStencil row_stencil(const Geometry& g,
     const bool touches_d3 = (mask & (1u << 3)) != 0;
     if (touches_d3) off += g.stride[3];
     const double sign = (std::popcount(mask) & 1) ? 1.0 : -1.0;
+    if (mask == 1u << 3) st.split_n = st.tail_n;
     st.tail_terms[st.tail_n++] = {off, sign};
     if (!touches_d3) st.head_terms[st.head_n++] = {off, sign};
   }
-  st.split_n = st.tail_n;
-  for (int k = 0; k < st.tail_n; ++k)
-    if (st.tail_terms[k].first == 1) {
-      st.split_n = k;
-      break;
-    }
+  if (st.split_n < 0) st.split_n = st.tail_n;
   return st;
 }
 
@@ -160,38 +290,6 @@ inline double stencil_predict(
   return pred;
 }
 
-// Continues a prediction sum from `pred` over terms [k0, k0+N): the
-// feedback-dependent suffix of a split row sweep. Same sequential
-// accumulation as stencil_predict picking up at index k0, so
-// prefix-then-suffix equals the one-pass sum bit-for-bit.
-template <int N, typename V>
-inline double stencil_accum_n(
-    double pred, const std::array<std::pair<std::size_t, double>, 15>& terms,
-    int k0, const V* vals, std::size_t lin) {
-  for (int k = 0; k < N; ++k)
-    pred += terms[k0 + k].second *
-            static_cast<double>(vals[lin - terms[k0 + k].first]);
-  return pred;
-}
-
-template <typename V>
-inline double stencil_accum(
-    double pred, const std::array<std::pair<std::size_t, double>, 15>& terms,
-    int k0, int n, const V* vals, std::size_t lin) {
-  switch (n - k0) {  // suffix counts per dimensionality: 4/2/1/8 hot
-    case 4: return stencil_accum_n<4>(pred, terms, k0, vals, lin);
-    case 2: return stencil_accum_n<2>(pred, terms, k0, vals, lin);
-    case 1: return stencil_accum_n<1>(pred, terms, k0, vals, lin);
-    case 8: return stencil_accum_n<8>(pred, terms, k0, vals, lin);
-    case 0: return pred;
-    default: break;
-  }
-  for (int k = k0; k < n; ++k)
-    pred += terms[k].second *
-            static_cast<double>(vals[lin - terms[k].first]);
-  return pred;
-}
-
 // row_stencil only reads `row` through row[d] == 0 tests, so a stencil is
 // fully determined by the 4-bit zero-pattern of the row base — 16
 // possibilities. Rebuilding per boundary row was ~16% of compress-slab
@@ -224,60 +322,100 @@ struct StencilCache {
     return by_sig[signature(row)];
   }
 
-  // Visits one d3 row of Lorenzo predictions: head stencil for the global
-  // first element (nothing behind it along d3), tail for the rest.
-  // Exactly the split the original SZ2 walker performed inline.
-  //
-  // The tail sweep is split at the stencil's first offset-1 term: the
-  // leading split_n terms read rows finished by earlier visits, so their
-  // partial sums are computed for the whole row up front — off the
-  // reconstruction feedback chain, where the CPU pipelines them freely —
-  // and only the suffix (the {d3} term and the masks behind it) stays on
-  // the element-to-element dependency path. Prefix and suffix accumulate
-  // in the original term order from the original 0.0 seed, so every
-  // prediction is bit-identical to the fused per-element sum; with the
-  // 3D interior stencil this shortens the carried chain from 7 dependent
-  // adds to 4.
+  // The sweep plan's groups, in order: rows with a zero coordinate have no
+  // neighbours across it, so a row reads only rows whose zero set contains
+  // its own — its signature or a numerically larger one.
+  static constexpr std::array<unsigned, 16> kGroupOrder{
+      15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
+  static std::size_t head_columns(bool head, std::size_t) {
+    return head ? 1 : 0;
+  }
+
+  // Visits the Lorenzo elements of the block whose first element is
+  // recon[first] in plan order, calling fn(lin, code, row, pred) with each
+  // element's linear index, code position, row-major row index in the
+  // block and prediction. Each row takes the head stencil for the global
+  // first element (nothing behind it along d3) and the tail for the rest,
+  // exactly the split the original SZ2 walker performed inline.
   //
   // fn returns the double value of the reconstruction it just stored
   // (exactly (double)recon[lin]: the stored value is V-representable, so
-  // the round trip through V is an identity). The offset-1 gather — the
-  // only term that reads the element written one iteration ago — uses
-  // that carried value instead of reloading recon, which takes the
-  // store-to-load forward plus a widening convert off the feedback
-  // chain. The product is numerically the same either way.
+  // the round trip through V is an identity). A tail's {d3} term, the
+  // only one that reads a value written earlier in the same row, uses
+  // that carried value instead of reloading recon, which keeps the
+  // store-to-load forward and a widening convert off the feedback chain.
+  // The product is numerically the same either way.
   template <typename V, typename Fn>
-  void visit_row(const Geometry& g, const std::array<std::size_t, 4>& row,
-                 std::size_t base, std::size_t ext3, const V* recon,
-                 Fn&& fn) const {
-    const RowStencil& st = for_row(row);
-    std::size_t c3 = 0;
-    double carried = 0.0;
-    if (row[3] == 0 && g.dim[3] > 1 && ext3 > 0) {
-      carried =
-          fn(base, stencil_predict(st.head_terms, st.head_n, recon, base));
-      c3 = 1;
-    } else if (st.split_n < st.tail_n && ext3 > 0) {
-      // A tail stencil only carries an offset-1 term when the coordinate
-      // along that dimension is nonzero, so the element one slot back
-      // exists and was written by an earlier row or block.
-      carried = static_cast<double>(recon[base - 1]);
+  void visit_block(const SweepPlan& plan, std::size_t first, const V* recon,
+                   Fn&& fn) const {
+    for (const SweepPlan::Group& grp : plan.groups) {
+      const RowStencil& s = by_sig[grp.sig];
+      switch (s.tail_n == 2 * s.split_n + 1 ? s.split_n : -1) {
+        case 3: sweep<3>(s, plan, grp, first, recon, fn); break;
+        case 1: sweep<1>(s, plan, grp, first, recon, fn); break;
+        case 0: sweep<0>(s, plan, grp, first, recon, fn); break;
+        case 7: sweep<7>(s, plan, grp, first, recon, fn); break;
+        default: sweep<-1>(s, plan, grp, first, recon, fn); break;
+      }
     }
-    double pre[256];  // rows are at most the largest block edge long
-    for (std::size_t i = c3; i < ext3; ++i)
-      pre[i] = stencil_predict(st.tail_terms, st.split_n, recon, base + i);
-    if (st.split_n < st.tail_n) {
-      for (; c3 < ext3; ++c3) {
-        const std::size_t lin = base + c3;
-        // Same association as the fused sum: prefix, then the offset-1
-        // term, then the remaining suffix terms in order.
-        double pred = pre[c3] + st.tail_terms[st.split_n].second * carried;
-        pred = stencil_accum(pred, st.tail_terms, st.split_n + 1, st.tail_n,
-                             recon, lin);
-        carried = fn(lin, pred);
+  }
+
+ private:
+  // One group of stencil s. Each prediction sums the terms in mask order
+  // from a 0.0 seed, with the carried value as the {d3} term:
+  // bit-identical to the per-element mask walk. Pre counts the tail terms
+  // before the {d3} term; Pre < 0 reads them all from recon at run time,
+  // for stencils without one (fields whose last extent is 1).
+  //
+  // With a {d3} term the tail is Pre fixed-dimension masks, then {d3},
+  // then the same Pre masks with d3 added in the same order (d3 is the
+  // highest mask bit): term Pre + 1 + k reads one slot behind term k.
+  // So Pre = 2^m - 1 for the m fixed dimensions a row has neighbours along
+  // (0..3), and one negated offset per fixed mask addresses both of its
+  // loads from the element's own position.
+  template <int Pre, typename V, typename Fn>
+  static void sweep(const RowStencil& s, const SweepPlan& plan,
+                    const SweepPlan::Group& grp, std::size_t first,
+                    const V* recon, Fn& fn) {
+    const SweepStep* steps = plan.steps.data();
+    std::array<double, kMaxBlockRows> carried;
+    for (std::size_t e = grp.begin; e < grp.head0_end; ++e) {
+      const std::size_t lin = first + steps[e].off;
+      carried[steps[e].slot] =
+          fn(lin, steps[e].code, steps[e].row,
+             stencil_predict(s.head_terms, s.head_n, recon, lin));
+    }
+    if constexpr (Pre < 0) {
+      for (std::size_t e = grp.head0_end; e < grp.end; ++e) {
+        const std::size_t lin = first + steps[e].off;
+        fn(lin, steps[e].code, steps[e].row,
+           stencil_predict(s.tail_terms, s.tail_n, recon, lin));
       }
     } else {
-      for (; c3 < ext3; ++c3) fn(base + c3, pre[c3]);
+      // A tail stencil only has a {d3} term when the last extent exceeds
+      // 1, so outside the head column the element one slot back exists
+      // and was written by the block before along d3.
+      if (grp.head0_end == grp.begin)
+        for (std::size_t slot = grp.slots_begin; slot < grp.slots_end; ++slot)
+          carried[slot] =
+              static_cast<double>(recon[first + plan.slot_off[slot] - 1]);
+      std::array<std::ptrdiff_t, Pre> back;
+      std::array<double, 2 * Pre + 1> sign;
+      for (int k = 0; k < Pre; ++k)
+        back[k] = -static_cast<std::ptrdiff_t>(s.tail_terms[k].first);
+      for (int k = 0; k < 2 * Pre + 1; ++k) sign[k] = s.tail_terms[k].second;
+      for (std::size_t e = grp.head0_end; e < grp.end; ++e) {
+        const SweepStep& step = steps[e];
+        const std::size_t lin = first + step.off;
+        const V* at = recon + lin;
+        double pred = 0.0;
+        for (int k = 0; k < Pre; ++k)
+          pred += sign[k] * static_cast<double>(at[back[k]]);
+        pred += sign[Pre] * carried[step.slot];
+        for (int k = 0; k < Pre; ++k)
+          pred += sign[Pre + 1 + k] * static_cast<double>(at[back[k] - 1]);
+        carried[step.slot] = fn(lin, step.code, step.row, pred);
+      }
     }
   }
 };
@@ -363,28 +501,35 @@ struct Stencil2Cache {
     return sig;
   }
 
+  // The sweep plan's groups, in order: a row reads only rows at most as
+  // deep as it on every fixed dimension, whose signatures are no larger.
+  static constexpr auto kGroupOrder = [] {
+    std::array<unsigned, 27> order{};
+    for (unsigned sig = 0; sig < 27; ++sig) order[sig] = sig;
+    return order;
+  }();
+  static std::size_t head_columns(bool head, std::size_t ext3) {
+    return head ? std::min<std::size_t>(ext3, 2) : 0;
+  }
+
+  // As StencilCache::visit_block, with each element summing its terms in
+  // order from a 0.0 seed.
   template <typename V, typename Fn>
-  void visit_row(const Geometry& g, const std::array<std::size_t, 4>& row,
-                 std::size_t base, std::size_t ext3, const V* recon,
-                 Fn&& fn) const {
-    const L2RowStencil& st = by_sig[signature(row)];
-    std::size_t c3 = 0;
-    if (g.dim[3] > 1) {
-      // Block origins along d3 are multiples of the block edge, so only
-      // the first block's rows can contain the global coordinates 0 and 1.
-      if (row[3] == 0 && c3 < ext3) {
-        fn(base, l2_predict(st.head0_terms, st.head0_n, recon, base));
-        ++c3;
+  void visit_block(const SweepPlan& plan, std::size_t first, const V* recon,
+                   Fn&& fn) const {
+    for (const SweepPlan::Group& grp : plan.groups) {
+      const L2RowStencil& st = by_sig[grp.sig];
+      for (std::size_t e = grp.begin; e < grp.end; ++e) {
+        const SweepStep& step = plan.steps[e];
+        const std::size_t lin = first + step.off;
+        const double pred =
+            e < grp.head0_end
+                ? l2_predict(st.head0_terms, st.head0_n, recon, lin)
+            : e < grp.head1_end
+                ? l2_predict(st.head1_terms, st.head1_n, recon, lin)
+                : l2_predict(st.tail_terms, st.tail_n, recon, lin);
+        fn(lin, step.code, step.row, pred);
       }
-      if (row[3] + c3 == 1 && c3 < ext3) {
-        fn(base + c3,
-           l2_predict(st.head1_terms, st.head1_n, recon, base + c3));
-        ++c3;
-      }
-    }
-    for (; c3 < ext3; ++c3) {
-      const std::size_t lin = base + c3;
-      fn(lin, l2_predict(st.tail_terms, st.tail_n, recon, lin));
     }
   }
 };
@@ -394,17 +539,11 @@ struct RegressionCoeffs {
   std::array<float, 4> slope{};  // per uniform-4D dim (zeros for unit dims)
 };
 
-// Kernel state shared between the per-block passes.
-struct BlockRef {
-  std::array<std::size_t, 4> origin;
-  std::array<std::size_t, 4> extent;
-};
-
 // Enumerates blocks in row-major block-grid order. Every Lorenzo neighbour
 // (distance 1 or 2, any dim subset) lives at coordinates componentwise <=
 // the element's with at least one strictly smaller, so lexicographic block
-// order + row-major order inside a block visits each neighbour before its
-// dependent — for both stencil orders.
+// order visits each neighbour in another block before its dependent — for
+// both stencil orders; inside a block the sweep plan orders them.
 std::vector<BlockRef> enumerate_blocks(const Geometry& g) {
   std::vector<BlockRef> blocks;
   blocks.reserve(g.total_blocks());
@@ -431,6 +570,10 @@ inline std::size_t row_base(const Geometry& g, const BlockRef& blk,
   return (blk.origin[0] + c[0]) * g.stride[0] +
          (blk.origin[1] + c[1]) * g.stride[1] +
          (blk.origin[2] + c[2]) * g.stride[2] + blk.origin[3];
+}
+
+inline std::size_t block_elements(const BlockRef& blk) {
+  return blk.extent[0] * blk.extent[1] * blk.extent[2] * blk.extent[3];
 }
 
 // Least-squares plane fit over a block of raw values. The data-independent
@@ -526,34 +669,38 @@ bool regression_wins(const Geometry& g, const StencilCache& stencils,
   return err_reg < err_lorenzo;
 }
 
-// Walks one block in canonical element order, computing every element's
-// prediction (regression plane or Lorenzo stencil over `recon`) and
-// invoking fn(lin, pred) — except for regression rows, which are handed
-// whole to reg_row_fn(base, pred, n) with the row's n predictions filled
-// in, because the regression plane has no reconstruction feedback: the
-// callee processes the row with one row-kernel call.
+// Walks one block, computing every element's prediction (regression
+// plane or Lorenzo stencil over `recon`) and invoking fn(lin, code, row,
+// pred) with the element's linear index, the position of its code among
+// the block's (row-major, whatever the visiting order), its row's
+// row-major index in the block and its prediction — except for regression
+// rows, which are handed whole to reg_row_fn(row, base, pred, n) in
+// row-major order with the row's n predictions filled in, because the
+// regression plane has no reconstruction feedback: the callee processes
+// the row with one row-kernel call. Lorenzo elements run in the order of
+// the block shape's sweep plan (anti-diagonal wavefronts of rows,
+// interleaved; see SweepPlan); 1D and 2D blocks have one row per
+// wavefront.
+//
 // Compress and decompress both iterate through this single walker: the
 // round-trip contract requires the two sides to evaluate predictions
 // bit-identically, so the shared code path makes that symmetry structural
 // rather than maintained by hand (the callbacks are the only
 // side-specific part — quantize+record vs recover+materialize). The
 // stencil cache type selects the Lorenzo order (StencilCache = 1-layer,
-// Stencil2Cache = 2-layer); its visit_row owns the head/tail split.
+// Stencil2Cache = 2-layer); its visit_block owns the head/tail split.
 template <typename T, typename Cache, typename Fn, typename RegRowFn>
 void walk_block_predictions(const Geometry& g, const BlockRef& blk,
-                            const Cache& stencils, bool reg,
-                            const RegressionCoeffs& rc, const T* recon,
-                            Fn&& fn, RegRowFn&& reg_row_fn) {
+                            const Cache& stencils, SweepPlans<Cache>& plans,
+                            bool reg, const RegressionCoeffs& rc,
+                            const T* recon, Fn&& fn, RegRowFn&& reg_row_fn) {
+  const std::size_t ext3 = blk.extent[3];
   std::array<std::size_t, 4> c{};
-  for (c[0] = 0; c[0] < blk.extent[0]; ++c[0])
-    for (c[1] = 0; c[1] < blk.extent[1]; ++c[1])
-      for (c[2] = 0; c[2] < blk.extent[2]; ++c[2]) {
-        // Per-element work is hoisted to the row: the linear index
-        // advances unit-stride, the predictor branch resolves once, and
-        // boundary handling collapses into the precomputed stencils.
-        const std::size_t base = row_base(g, blk, c);
-        const std::size_t ext3 = blk.extent[3];
-        if (reg) {
+  if (reg) {
+    std::size_t index = 0;
+    for (c[0] = 0; c[0] < blk.extent[0]; ++c[0])
+      for (c[1] = 0; c[1] < blk.extent[1]; ++c[1])
+        for (c[2] = 0; c[2] < blk.extent[2]; ++c[2]) {
           // regression association: ((b0+s0c0)+s1c1)+s2c2, then +s3c3.
           const double reg_row =
               ((rc.b0 + static_cast<double>(rc.slope[0]) *
@@ -565,14 +712,11 @@ void walk_block_predictions(const Geometry& g, const BlockRef& blk,
           double pred[256];  // rows are at most the largest block edge long
           for (std::size_t k = 0; k < ext3; ++k)
             pred[k] = reg_row + s3 * static_cast<double>(k);
-          reg_row_fn(base, pred, ext3);
-        } else {
-          const std::array<std::size_t, 4> row{
-              blk.origin[0] + c[0], blk.origin[1] + c[1],
-              blk.origin[2] + c[2], blk.origin[3]};
-          stencils.visit_row(g, row, base, ext3, recon, fn);
+          reg_row_fn(index++, row_base(g, blk, c), pred, ext3);
         }
-      }
+    return;
+  }
+  stencils.visit_block(plans.get(g, blk), row_base(g, blk, c), recon, fn);
 }
 
 // Which blocks use the regression plane, given the predictor mode.
@@ -641,6 +785,7 @@ BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
 
   // All boundary stencils precomputed once; rows index by depth signature.
   const Cache stencils(g);
+  SweepPlans<Cache> plans;
 
   const auto blocks = enumerate_blocks(g);
   enc.mode_bits.assign((blocks.size() + 7) / 8, std::byte{0});
@@ -663,34 +808,50 @@ BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
         append_pod(enc.coeffs, rc);
       }
     }
+    const std::size_t ext3 = blk.extent[3];
+    std::uint32_t* const block_codes = code_dst;
+    bool any_zero = false;
     walk_block_predictions(
-        g, blk, stencils, reg, rc, recon,
-        [&](std::size_t lin, double pred_v) {
+        g, blk, stencils, plans, reg, rc, recon,
+        [&](std::size_t lin, std::size_t code_at, std::size_t,
+            double pred_v) {
           const double x = static_cast<double>(data[lin]);
           double r = 0.0;
           const std::uint32_t code =
               quant.template quantize<T>(x, pred_v, &r);
           if (code == 0) {
-            append_pod<T>(enc.unpred, static_cast<T>(x));
+            any_zero = true;
             r = x;
           }
           recon[lin] = static_cast<ReconT>(r);
-          *code_dst++ = code;
+          block_codes[code_at] = code;
           // r is exactly T-representable (quantize stores the double of a
           // T-cast; the unpredictable path stores the double of a T datum),
           // so this is (double)recon[lin] without re-reading the store.
           return r;
         },
-        // Regression rows: one row-kernel call, then, only if some code is
-        // 0, a scan for the unpredictable slots so the exact-value stream
-        // stays in canonical element order.
-        [&](std::size_t base, const double* pred_row, std::size_t n) {
-          if (quant.template quantize_row<T>(data + base, pred_row, n,
-                                             code_dst, recon + base))
-            for (std::size_t k = 0; k < n; ++k)
-              if (code_dst[k] == 0) append_pod<T>(enc.unpred, data[base + k]);
-          code_dst += n;
+        // Regression rows: one row-kernel call each.
+        [&](std::size_t index, std::size_t base, const double* pred_row,
+            std::size_t n) {
+          any_zero |= quant.template quantize_row<T>(
+              data + base, pred_row, n, block_codes + index * n,
+              recon + base);
         });
+    code_dst += block_elements(blk);
+    // The exact-value stream holds the block's code-0 elements in
+    // row-major order, whatever order the walk visited them in. recon
+    // holds each one's exact value (both row paths store it there).
+    if (any_zero) {
+      const std::uint32_t* cs = block_codes;
+      std::array<std::size_t, 4> c{};
+      for (c[0] = 0; c[0] < blk.extent[0]; ++c[0])
+        for (c[1] = 0; c[1] < blk.extent[1]; ++c[1])
+          for (c[2] = 0; c[2] < blk.extent[2]; ++c[2], cs += ext3) {
+            const ReconT* row = recon + row_base(g, blk, c);
+            for (std::size_t k = 0; k < ext3; ++k)
+              if (cs[k] == 0) append_pod<T>(enc.unpred, row[k]);
+          }
+    }
   }
   if (recon_out) *recon_out = Field("recon", std::move(recon_kept));
   return enc;
@@ -759,55 +920,74 @@ void reconstruct_blocks(const Geometry& g, const Geometry& cone,
 
   // All boundary stencils precomputed once; rows index by depth signature.
   const Cache stencils(cone);
+  SweepPlans<Cache> plans;
   std::size_t code_idx = 0;
-  std::size_t skipped_from = 0;  // first code of the pending skipped run
+  // Per row of the block: the index of its next exact value among the
+  // block's, which the stream holds in row-major element order.
+  std::array<std::size_t, kMaxBlockRows> cursor;
 
   for (std::size_t bi = 0; bi <= last; ++bi) {
     const BlockRef& blk = blocks[bi];
     const bool reg = reg_allowed && block_is_regression(mode_bits, bi);
-    // The whole block's codes must be present before any element is
-    // consumed (stricter-earlier version of the per-element underrun
-    // check; same exception on corrupt streams).
-    std::size_t block_elems = 1;
-    for (int d = 0; d < 4; ++d) block_elems *= blk.extent[d];
+    // The whole block's codes and exact values must be present before any
+    // element is consumed (stricter-earlier versions of the per-element
+    // underrun checks; same exceptions on corrupt streams).
+    const std::size_t block_elems = block_elements(blk);
     EBLCIO_CHECK_STREAM(code_idx + block_elems <= codes.size(),
                         "block: code stream underrun");
+    const std::uint32_t* const block_codes = codes.data() + code_idx;
+    code_idx += block_elems;
+    const auto zeros = static_cast<std::size_t>(
+        std::count(block_codes, block_codes + block_elems, 0u));
+    const std::byte* const values = unpred.read_bytes(zeros * sizeof(T)).data();
 
     bool inside = true;
     for (int d = 0; d < 4; ++d) inside &= blk.origin[d] < cone.dim[d];
     if (!inside) {
       if (reg) coeffs.skip(sizeof(RegressionCoeffs));
-      code_idx += block_elems;
       continue;
-    }
-    if (skipped_from < code_idx) {
-      const auto zeros = std::count(codes.begin() + skipped_from,
-                                    codes.begin() + code_idx, 0u);
-      unpred.skip(static_cast<std::size_t>(zeros) * sizeof(T));
     }
 
     RegressionCoeffs rc;
     if (reg) rc = coeffs.read_pod<RegressionCoeffs>();
+    const std::size_t ext3 = blk.extent[3];
+    if (zeros > 0) {
+      std::size_t at = 0;
+      for (std::size_t i = 0; i < block_elems / ext3; ++i) {
+        cursor[i] = at;
+        at += static_cast<std::size_t>(std::count(
+            block_codes + i * ext3, block_codes + (i + 1) * ext3, 0u));
+      }
+    }
+    const auto exact = [&](std::size_t row_index) {
+      T v;
+      std::memcpy(&v, values + cursor[row_index]++ * sizeof(T), sizeof(T));
+      return v;
+    };
     walk_block_predictions(
-        cone, blk, stencils, reg, rc, out,
-        [&](std::size_t lin, double pred_v) {
-          const std::uint32_t code = codes[code_idx++];
-          const T v = code == 0 ? unpred.read_pod<T>()
-                                : static_cast<T>(quant.recover(pred_v, code));
+        cone, blk, stencils, plans, reg, rc, out,
+        [&](std::size_t lin, std::size_t code_at, std::size_t row_index,
+            double pred_v) {
+          const std::uint32_t code = block_codes[code_at];
+          T v;
+          if (code == 0) [[unlikely]]
+            v = exact(row_index);
+          else
+            v = static_cast<T>(quant.recover(pred_v, code));
           out[lin] = v;
           return static_cast<double>(v);
         },
         // Regression rows: one row-kernel call, then overwrite the code-0
-        // slots from the exact-value stream in canonical order.
-        [&](std::size_t base, const double* pred_row, std::size_t n) {
-          const std::uint32_t* cs = codes.data() + code_idx;
+        // slots from the row's exact values.
+        [&](std::size_t index, std::size_t base, const double* pred_row,
+            std::size_t n) {
+          const std::uint32_t* cs = block_codes + index * n;
           T* row = out + base;
           quant.template recover_row<T>(cs, pred_row, n, row);
-          for (std::size_t k = 0; k < n; ++k)
-            if (cs[k] == 0) row[k] = unpred.read_pod<T>();
-          code_idx += n;
+          if (zeros > 0)
+            for (std::size_t k = 0; k < n; ++k)
+              if (cs[k] == 0) row[k] = exact(index);
         });
-    skipped_from = code_idx;
   }
 }
 

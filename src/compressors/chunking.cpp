@@ -16,7 +16,9 @@ template <typename T>
 Field merge_impl(const std::vector<Field>& slabs,
                  const std::vector<std::size_t>& dims,
                  const std::string& name) {
-  NdArray<T> arr(Shape{std::span<const std::size_t>(dims)});
+  // Unfilled: the slabs cover every element or the size check below
+  // throws, so a zero fill would only be overwritten.
+  NdArray<T> arr(Shape{std::span<const std::size_t>(dims)}, kUnfilled);
   std::size_t offset = 0;
   for (const Field& slab : slabs) {
     // Slabs come from decoded streams: check each one before its copy.
@@ -45,7 +47,8 @@ Field extract_slab(const Field& field, const ZoneExtent& zone) {
     std::vector<std::size_t> dims = arr.shape().dims_vector();
     const std::size_t row = arr.num_elements() / dims[0];
     dims[0] = static_cast<std::size_t>(zone.rows);
-    NdArray<T> slab(Shape{std::span<const std::size_t>(dims)});
+    // Unfilled: the copy below writes every element.
+    NdArray<T> slab(Shape{std::span<const std::size_t>(dims)}, kUnfilled);
     std::memcpy(slab.data(),
                 arr.data() + static_cast<std::size_t>(zone.row_start) * row,
                 slab.size_bytes());

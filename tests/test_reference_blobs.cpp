@@ -10,12 +10,20 @@
 // (or, for an intentional format revision, re-pinned with a version bump
 // and a migration note).
 //
+// Beside them, the block engine (SZ2 and the composed lorenzo1, lorenzo2
+// and regression configurations) is pinned at ranks 2-4 over extents that
+// cut blocks, on a field with outliers, and through windowed decodes with
+// the element counts they reconstruct; these were captured before its
+// Lorenzo walk was reordered, and the reorder had to keep every byte.
+//
 // Inputs are generated with pure Rng arithmetic — no libm transcendentals
 // — so the cases hash identically across hosts and libm versions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <vector>
 
 #include "codec/huffman.h"
@@ -28,6 +36,7 @@
 #include "compressors/chunking.h"
 #include "compressors/compressor.h"
 #include "compressors/interp_core.h"
+#include "compressors/zone.h"
 #include "data/dataset.h"
 
 namespace eblcio {
@@ -92,6 +101,43 @@ constexpr PinnedCase kPinned[] = {
     {"zfp_2d_f32", 0x05c07800c2434772ULL, 0x003f1892d7af440fULL},
     {"zfp_3d_f32", 0x2aa46e65ca097fd7ULL, 0x2c64ea576c5a5848ULL},
     {"szx_3d_f32", 0xfdae947bbd03bc52ULL, 0xb9f57fec561e5609ULL},
+    // Block-engine pins: SZ2 at rank 4, a field whose outliers put code-0
+    // elements in several rows of one block, fields whose last extent is
+    // 1, and the composed block predictors at ranks 2-4 over extents that
+    // cut blocks.
+    {"sz2_4d_f64", 0x96023b09f7fd3dfbULL, 0x3c26e61bd1b2bfd0ULL},
+    {"sz2_3d_f32_spiked", 0xb1be137bc59e85fdULL, 0xb131fe1c916197d6ULL},
+    {"sz2_3d_f32_flat", 0x840bfb4d1692d852ULL, 0x87ef693f292587c0ULL},
+    {"lorenzo1_2d_f32_flat", 0xa3933f6563c1b841ULL, 0x6aa4aecd69354becULL},
+    {"lorenzo1_2d_f32", 0x96fb4373b2174e64ULL, 0x2f21209adef596c4ULL},
+    {"lorenzo1_3d_f32", 0x267ab2387c203231ULL, 0x8f3613d39537cfe2ULL},
+    {"lorenzo1_4d_f64", 0x4ae3d0be086f48a3ULL, 0x8494a303fbb40ef7ULL},
+    {"lorenzo2_2d_f32", 0x3a377c2252c8eeb3ULL, 0x9f67a33e50491a0cULL},
+    {"lorenzo2_3d_f32", 0x00f1cc9896f92b69ULL, 0x15cf974758e1dd8eULL},
+    {"lorenzo2_3d_f32_spiked", 0x41e157d044a546d5ULL, 0x8f08d7893aaca549ULL},
+    {"lorenzo2_4d_f64", 0xa439e0bd951934eaULL, 0x4856c0b430152c19ULL},
+    {"regression_2d_f32", 0xdbac333d40639a38ULL, 0x1fb27af5d394a875ULL},
+    {"regression_3d_f32", 0x636f301b92ec427aULL, 0xb563be34effa9bf6ULL},
+    {"regression_4d_f64", 0x1c6c6ed26ada9002ULL, 0x358a49176b83adfcULL},
+};
+
+// Windowed decodes: the hash of the box's decoded bytes and the elements
+// the decode reconstructed to produce them.
+struct PinnedWindow {
+  const char* name;
+  std::uint64_t bytes_hash;
+  std::size_t elements;
+};
+
+constexpr PinnedWindow kPinnedWindows[] = {
+    {"sz2_3d_f32 corner", 0x6dd0080c29fa2cdcULL, 216},
+    {"sz2_3d_f32 inner", 0x249f95c00c45b65cULL, 5832},
+    {"sz2_3d_f32 far", 0xcf9b5484e2cc119aULL, 32768},
+    {"sz2_3d_f32_spiked inner", 0xadf178fe36c5b58bULL, 3888},
+    {"sz2_3d_f32_spiked far", 0xfac6db9ea79ed002ULL, 12673},
+    {"sz2_2d_f32 inner", 0x04e78ce0f52a68adULL, 3072},
+    {"sz2_4d_f64 inner", 0x9b236d97748211b3ULL, 9072},
+    {"lorenzo2_3d_f32 inner", 0xf2d086107bc31998ULL, 2639},
 };
 
 const PinnedCase& pinned(const char* name) {
@@ -123,13 +169,24 @@ void check_case(const char* name, std::uint64_t blob_hash,
       << name << ": decoded bytes changed (decoder behaviour break)";
 }
 
-void check_codec_case(const char* name, const std::string& codec, DType dtype,
-                      const std::vector<std::size_t>& dims, int threads) {
+// make_field with every 23rd element pushed far off the walk. Under an
+// absolute bound of 1e-3 the outliers and the Lorenzo predictions they
+// spoil fall outside the code range, so code-0 elements land in many rows
+// of one block (see SpikedFieldHasUnpredictableRows).
+Field make_spiked_field(const std::vector<std::size_t>& dims) {
+  Field f = make_field<float>(dims, 0x5eedULL);
+  auto values = f.as<float>().span();
+  for (std::size_t i = 7; i < values.size(); i += 23)
+    values[i] = (i / 23) % 2 ? 3e4f : -3e4f;
+  return f;
+}
+
+void check_codec_case(const char* name, const std::string& codec,
+                      const Field& f, int threads,
+                      BoundMode mode = BoundMode::kValueRangeRel) {
   SCOPED_TRACE(name);
-  const Field f = dtype == DType::kFloat32
-                      ? make_field<float>(dims, 0x5eedULL)
-                      : make_field<double>(dims, 0x5eedULL);
   CompressOptions opt;
+  opt.mode = mode;
   opt.error_bound = 1e-3;
   opt.threads = threads;
   Compressor& comp = compressor(codec);
@@ -137,6 +194,46 @@ void check_codec_case(const char* name, const std::string& codec, DType dtype,
   const Field back = comp.decompress(blob, threads);
   ASSERT_EQ(back.shape(), f.shape());
   check_case(name, fnv1a(blob), fnv1a(back.bytes()));
+}
+
+void check_codec_case(const char* name, const std::string& codec, DType dtype,
+                      const std::vector<std::size_t>& dims, int threads) {
+  check_codec_case(name, codec,
+                   dtype == DType::kFloat32
+                       ? make_field<float>(dims, 0x5eedULL)
+                       : make_field<double>(dims, 0x5eedULL),
+                   threads);
+}
+
+// Decodes `box` of `f`'s blob (bound 1e-3, one thread) and pins the box's
+// bytes and the elements reconstructed; the bytes must also equal the
+// crop of the full decode.
+void check_window_case(const char* name, const std::string& codec,
+                       const Field& f, const Region& box,
+                       BoundMode mode = BoundMode::kValueRangeRel) {
+  SCOPED_TRACE(name);
+  CompressOptions opt;
+  opt.mode = mode;
+  opt.error_bound = 1e-3;
+  Compressor& comp = compressor(codec);
+  const Bytes blob = comp.compress(f, opt);
+  Field out = unfilled_field(codec, f.dtype(),
+                             Shape{std::span<const std::size_t>(box.shape)});
+  const std::size_t elements = comp.decompress_into(blob, out, 0, box, 1);
+  Field crop = unfilled_field(codec, f.dtype(),
+                              Shape{std::span<const std::size_t>(box.shape)});
+  crop_into(comp.decompress(blob, 1), box, crop, 0);
+  ASSERT_TRUE(std::ranges::equal(out.bytes(), crop.bytes()));
+  const std::uint64_t hash = fnv1a(out.bytes());
+  if (dump_hashes())
+    std::printf("    {\"%s\", 0x%016llxULL, %zu},\n", name,
+                static_cast<unsigned long long>(hash), elements);
+  const auto* pin = std::ranges::find_if(kPinnedWindows, [&](const auto& w) {
+    return std::string_view(w.name) == name;
+  });
+  ASSERT_NE(pin, std::end(kPinnedWindows)) << "no pinned window " << name;
+  EXPECT_EQ(hash, pin->bytes_hash) << name << ": windowed bytes changed";
+  EXPECT_EQ(elements, pin->elements) << name << ": reconstruction changed";
 }
 
 TEST(ReferenceBlobs, HuffmanNormalStream) {
@@ -208,6 +305,64 @@ TEST(ReferenceBlobs, Sz2) {
   // Multi-slab chunked layout: same field, 4-thread slab split.
   check_codec_case("sz2_3d_f32_chunked", "SZ2", DType::kFloat32,
                    {32, 32, 32}, 4);
+  check_codec_case("sz2_4d_f64", "SZ2", DType::kFloat64, {7, 13, 9, 14}, 1);
+  check_codec_case("sz2_3d_f32_spiked", "SZ2", make_spiked_field({19, 23, 29}),
+                   1, BoundMode::kAbsolute);
+  // A last extent of 1: rows of one element, stencils without a d3 term.
+  check_codec_case("sz2_3d_f32_flat", "SZ2", DType::kFloat32, {13, 29, 1}, 1);
+}
+
+TEST(ReferenceBlobs, ComposedBlockPredictors) {
+  for (const char* pred : {"lorenzo1", "lorenzo2", "regression"}) {
+    const std::string codec =
+        std::string("composed:") + pred + "+linear-recip+huffman-lz";
+    const std::string name = pred;
+    check_codec_case((name + "_2d_f32").c_str(), codec, DType::kFloat32,
+                     {13, 257}, 1);
+    check_codec_case((name + "_3d_f32").c_str(), codec, DType::kFloat32,
+                     {7, 13, 29}, 1);
+    check_codec_case((name + "_4d_f64").c_str(), codec, DType::kFloat64,
+                     {7, 13, 9, 8}, 1);
+  }
+  check_codec_case("lorenzo1_2d_f32_flat",
+                   "composed:lorenzo1+linear-recip+huffman-lz",
+                   DType::kFloat32, {257, 1}, 1);
+  check_codec_case("lorenzo2_3d_f32_spiked",
+                   "composed:lorenzo2+linear-recip+huffman-lz",
+                   make_spiked_field({19, 23, 29}), 1, BoundMode::kAbsolute);
+}
+
+TEST(ReferenceBlobs, SpikedFieldHasUnpredictableRows) {
+  // The spiked pins are only worth their name while the encoding has
+  // code-0 elements in many rows.
+  const Field f = make_spiked_field({19, 23, 29});
+  const BlockEncoding enc =
+      block_compress(f, 1e-3,
+                     BlockPredictor::kLorenzoRegression,
+                     QuantizerId::kLinearRecip, 0.0);
+  EXPECT_GE(enc.unpred.size() / sizeof(float), 1000u);
+}
+
+TEST(ReferenceBlobs, WindowedDecodes) {
+  const Field f3 = make_field<float>({32, 32, 32}, 0x5eedULL);
+  check_window_case("sz2_3d_f32 corner", "SZ2", f3, {{0, 0, 0}, {1, 1, 1}});
+  check_window_case("sz2_3d_f32 inner", "SZ2", f3, {{5, 7, 3}, {9, 6, 11}});
+  check_window_case("sz2_3d_f32 far", "SZ2", f3, {{20, 1, 26}, {12, 30, 6}});
+  const Field spiked = make_spiked_field({19, 23, 29});
+  check_window_case("sz2_3d_f32_spiked inner", "SZ2", spiked,
+                    {{4, 5, 6}, {7, 8, 9}}, BoundMode::kAbsolute);
+  check_window_case("sz2_3d_f32_spiked far", "SZ2", spiked,
+                    {{13, 0, 20}, {6, 23, 9}}, BoundMode::kAbsolute);
+  check_window_case("sz2_2d_f32 inner", "SZ2",
+                    make_field<float>({96, 96}, 0x5eedULL),
+                    {{17, 30}, {40, 9}});
+  check_window_case("sz2_4d_f64 inner", "SZ2",
+                    make_field<double>({7, 13, 9, 14}, 0x5eedULL),
+                    {{1, 6, 2, 7}, {5, 4, 6, 7}});
+  check_window_case("lorenzo2_3d_f32 inner",
+                    "composed:lorenzo2+linear-recip+huffman-lz",
+                    make_field<float>({7, 13, 29}, 0x5eedULL),
+                    {{2, 3, 10}, {4, 9, 12}});
 }
 
 TEST(ReferenceBlobs, Sz3) {
